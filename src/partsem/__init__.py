@@ -9,6 +9,7 @@ their agreement exhaustively on small instances.
 """
 
 from .errors import (
+    InternalError,
     InvalidArgumentError,
     ParseError,
     PreconditionError,

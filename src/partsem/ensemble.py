@@ -4,30 +4,92 @@ An ``Instance`` pins down one semigroup of study: the preserving self-maps of
 X whose character lies in the chosen composition-closed set of self-maps of I.
 Enumeration goes character by character: the fiber over alpha is the product
 of all block maps X_i -> X_{alpha(i)}.
+
+Products are never formed map by map in the oracles.  An index semigroup and
+an instance's member set each carry one integer product table in the style
+of Froidure & Pin ("Algorithms for computing finite semigroups", 1997):
+``table[a, b]`` is the position of the composite of elements a and b, and
+every oracle reads products from it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from .finite_maps import FiniteMap, compose
-from .partition_action import Partition, is_unit_bijection
+from .partition_action import Partition
 
 DEFAULT_ENUMERATION_CAP = 100_000
+DENSE_CODE_LIMIT = 1 << 20  # largest n**n served by a dense code -> position array
+
+
+def product_table(maps: Sequence[FiniteMap], n: int) -> np.ndarray:
+    """``table[a, b]`` = position of compose(maps[a], maps[b]) in maps, or -1.
+
+    ``maps`` are distinct self-maps of [0, n) in lexicographic image order.
+    The table is int16 below 2**15 maps and int32 above, and is filled one
+    row at a time, so no temporary grows with the square of the map count.
+    Positions are looked up through the mixed-radix code sum(image[x] *
+    n**(n-1-x)) in a dense code -> position array while n**n is at most
+    DENSE_CODE_LIMIT, and through a dict of image tuples beyond that.
+    """
+    size = len(maps)
+    imgs = np.array([m.images for m in maps], dtype=np.intp).reshape(size, n)
+    table = np.empty((size, size), dtype=np.int16 if size < 2**15 else np.int32)
+    if n**n <= DENSE_CODE_LIMIT:
+        radix = n ** np.arange(n - 1, -1, -1, dtype=np.intp)
+        code_to_pos = np.full(n**n, -1, dtype=table.dtype)
+        code_to_pos[imgs @ radix] = np.arange(size)
+        for a in range(size):
+            table[a] = code_to_pos[imgs[:, imgs[a]] @ radix]
+    else:
+        index = {m.images: k for k, m in enumerate(maps)}
+        for a in range(size):
+            table[a] = [index.get(tuple(t), -1) for t in imgs[:, imgs[a]].tolist()]
+    return table
+
+
+def _two_sided_inverse_ids(table: np.ndarray, identity: int) -> np.ndarray:
+    """Positions a with some b such that a*b and b*a are both the identity.
+
+    Scanned row by row, so no temporary is larger than one row.
+    """
+    return np.array(
+        [
+            a
+            for a, row in enumerate(table)
+            if (table[np.flatnonzero(row == identity), a] == identity).any()
+        ],
+        dtype=np.intp,
+    )
+
+
+def _idempotent_ids(table: np.ndarray) -> np.ndarray:
+    """Positions a with a*a = a."""
+    return np.flatnonzero(np.diagonal(table) == np.arange(len(table)))
 
 
 @dataclass(frozen=True)
 class IndexSemigroup:
-    """An explicit composition-closed set of self-maps of [0, degree)."""
+    """An explicit composition-closed set of self-maps of [0, degree).
+
+    ``table[a, b]`` is the position of ``compose(elements[a], elements[b])``
+    and ``index`` maps an image tuple to its position; both are derived from
+    the elements and take no part in equality or hashing.
+    """
 
     degree: int
     elements: tuple[FiniteMap, ...]
     has_identity: bool = False
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+    index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         canon = tuple(sorted(set(self.elements), key=lambda m: m.images))
@@ -37,16 +99,28 @@ class IndexSemigroup:
         for m in canon:
             if m.domain_size != self.degree or m.codomain_size != self.degree:
                 raise InvalidArgumentError(f"{m} is not a self-map of [0, {self.degree})")
-        pool = {m.images for m in canon}
-        for a in canon:
-            for b in canon:
-                ab = compose(a, b)
-                if ab.images not in pool:
-                    raise InvalidArgumentError(
-                        f"not closed under composition: {a} * {b} = {ab} is missing"
-                    )
-        ident = tuple(range(self.degree))
-        object.__setattr__(self, "has_identity", ident in pool)
+        table = product_table(canon, self.degree)
+        missing = np.argwhere(table < 0)
+        if len(missing):
+            a, b = (canon[int(k)] for k in missing[0])
+            raise InvalidArgumentError(
+                f"not closed under composition: {a} * {b} = {compose(a, b)} is missing"
+            )
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "index", {m.images: k for k, m in enumerate(canon)})
+        object.__setattr__(self, "has_identity", tuple(range(self.degree)) in self.index)
+
+    @cached_property
+    def unit_ids(self) -> np.ndarray:
+        """Positions of the units, ascending; empty without an identity."""
+        if not self.has_identity:
+            return np.zeros(0, dtype=np.intp)
+        return _two_sided_inverse_ids(self.table, self.index[tuple(range(self.degree))])
+
+    def position(self, m: FiniteMap) -> int | None:
+        """The position of m among the elements, or None when m is not one."""
+        k = self.index.get(m.images)
+        return k if k is not None and self.elements[k] == m else None
 
     @classmethod
     def from_maps(cls, maps: Iterable[FiniteMap]) -> "IndexSemigroup":
@@ -84,7 +158,7 @@ class IndexSemigroup:
         return cls(degree, tuple(elements))
 
     def __contains__(self, m: FiniteMap) -> bool:
-        return m in set(self.elements)
+        return self.position(m) is not None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -130,6 +204,42 @@ class Instance:
     def __repr__(self) -> str:
         return f"Instance({self.partition!r}, |si|={len(self.si)})"
 
+    @cached_property
+    def derived(self) -> "DerivedData":
+        """The instance's derived data, built on first use and owned by it."""
+        return DerivedData(self)
+
+
+class DerivedData:
+    """Everything computed from one instance's member set.
+
+    Kept on its ``Instance``, so it lives and dies with it: the members in
+    enumeration order and their positions, then, each on first use, the
+    product table and the units.  ``greens`` holds the Green's-relations
+    data once ``partsem.greens`` has built it.
+    """
+
+    def __init__(self, inst: Instance) -> None:
+        p = inst.partition
+        found: set[tuple[int, ...]] = set()
+        for alpha in inst.si.elements:
+            choices = [p.blocks[alpha.images[p.block_of(x)]] for x in range(p.n)]
+            found.update(itertools.product(*choices))
+        self.n = p.n
+        self.members = tuple(FiniteMap(p.n, p.n, images) for images in sorted(found))
+        self.index = {m.images: k for k, m in enumerate(self.members)}
+        self.greens = None
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """``table[f, g]`` = position of compose(members[f], members[g])."""
+        return product_table(self.members, self.n)
+
+    @cached_property
+    def unit_ids(self) -> np.ndarray:
+        """Positions of the members with a two-sided inverse, ascending."""
+        return _two_sided_inverse_ids(self.table, self.index[tuple(range(self.n))])
+
 
 def predicted_size(inst: Instance) -> int:
     """Closed-form member count: sum over characters of the block-map products."""
@@ -140,17 +250,6 @@ def predicted_size(inst: Instance) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _materialize(inst: Instance) -> tuple[FiniteMap, ...]:
-    p = inst.partition
-    found: list[tuple[int, ...]] = []
-    for alpha in inst.si.elements:
-        choices = [p.blocks[alpha.images[p.block_of(x)]] for x in range(p.n)]
-        found.extend(itertools.product(*choices))
-    found = sorted(set(found))
-    return tuple(FiniteMap(p.n, p.n, images) for images in found)
-
-
 def enumerate_elements(inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[FiniteMap, ...]:
     """All members in lexicographic image order; refuses oversize instances."""
     size = predicted_size(inst)
@@ -158,61 +257,39 @@ def enumerate_elements(inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> tu
         raise ResourceLimitError(
             f"instance has {size} members, above the cap of {cap}"
         )
-    return _materialize(inst)
+    return inst.derived.members
 
 
-@lru_cache(maxsize=None)
 def member_index(inst: Instance) -> dict[tuple[int, ...], int]:
     """Image tuple -> position in enumeration order."""
-    return {m.images: k for k, m in enumerate(_materialize(inst))}
+    return inst.derived.index
 
 
 def is_member(f: FiniteMap, inst: Instance) -> bool:
     if f.domain_size != inst.partition.n or f.codomain_size != inst.partition.n:
         return False
-    return f.images in member_index(inst)
+    return f.images in inst.derived.index
 
 
-def require_member(f: FiniteMap, inst: Instance) -> None:
+def require_member(f: FiniteMap, inst: Instance) -> int:
+    """The position of f in enumeration order; raises when f is not a member."""
     if not is_member(f, inst):
         raise InvalidArgumentError(f"{f} is not a member of {inst!r}")
+    return inst.derived.index[f.images]
 
 
-@lru_cache(maxsize=None)
 def units(inst: Instance) -> tuple[FiniteMap, ...]:
-    """Members with a two-sided inverse in the member set, in enumeration order.
-
-    Computed from the definition, then cross-checked against the intersection
-    with S(X, P); any mismatch is an internal error.
-    """
+    """Members with a two-sided inverse in the member set, in enumeration order."""
     if not inst.si.has_identity:
         raise PreconditionError("units require the identity character")
-    members = _materialize(inst)
-    ident = FiniteMap.identity(inst.partition.n)
-    by_definition = []
-    for f in members:
-        for g in members:
-            if compose(f, g) == ident and compose(g, f) == ident:
-                by_definition.append(f)
-                break
-    by_formula = [f for f in members if is_unit_bijection(f, inst.partition)]
-    assert by_definition == by_formula, "unit set identity failed on a finite instance"
-    return tuple(by_definition)
+    d = inst.derived
+    return tuple(d.members[k] for k in d.unit_ids)
 
 
-@lru_cache(maxsize=None)
 def index_units(si: IndexSemigroup) -> tuple[FiniteMap, ...]:
     """Units of the index semigroup, by the two-sided-inverse definition."""
-    ident = FiniteMap.identity(si.degree)
-    found = []
-    for a in si.elements:
-        for b in si.elements:
-            if compose(a, b) == ident and compose(b, a) == ident:
-                found.append(a)
-                break
-    return tuple(found)
+    return tuple(si.elements[k] for k in si.unit_ids)
 
 
-@lru_cache(maxsize=None)
 def index_idempotents(si: IndexSemigroup) -> tuple[FiniteMap, ...]:
-    return tuple(a for a in si.elements if compose(a, a) == a)
+    return tuple(si.elements[k] for k in _idempotent_ids(si.table))

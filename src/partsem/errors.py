@@ -19,3 +19,11 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """A parsed input fails semantic validation (e.g. a non-closed element set)."""
+
+
+class InternalError(RuntimeError):
+    """An internal invariant failed: a fault in partsem, not in its input.
+
+    Raised explicitly rather than by ``assert``, so the check also runs under
+    ``python -O``.
+    """

@@ -1,7 +1,9 @@
 """Green's relations via ideal oracles and via the character-level criteria.
 
-The oracle route materializes the one- and two-sided principal-ideal
-preorders from all products (boolean reachability matrices); the theorem
+The oracle route reads the instance's product table: the one-sided ≤_L and
+≤_R preorders are boolean matrices filled by scatter, a pair is J-ordered
+when some h1*g has f in its right ideal, and the whole ≤_J matrix (their
+exact boolean product) is built only when asked for; the theorem
 route searches for the character decorations (alpha, beta, gamma, delta),
 class bijections and image maps demanded by the structural criteria.  Both
 routes produce replayable witnesses: factor transformations whose composites
@@ -14,14 +16,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
 
-from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
+from .errors import InternalError, InvalidArgumentError, PreconditionError, ResourceLimitError
 from .finite_maps import FiniteMap, compose, image, kernel_partition
-from .ensemble import Instance, enumerate_elements, member_index, require_member
+from .ensemble import Instance, enumerate_elements, is_member, require_member
 from .partition_action import Partition, character, preserves_partition
 
 Relation = Literal["L", "R", "D", "J"]
@@ -93,6 +95,22 @@ def verify_witness(w: GreenWitness, f: FiniteMap, g: FiniteMap) -> bool:
     raise InvalidArgumentError(f"unknown relation {w.relation!r}")
 
 
+def _preorders(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(l_below, r_below) of a product table, by one scatter per row.
+
+    ``l_below[f, g]`` holds when f = h*g and ``r_below[f, g]`` when f = g*h
+    for some element h; row h of the table lists h*g for every g.
+    """
+    size = len(table)
+    l_below = np.zeros((size, size), dtype=bool)
+    r_below = np.zeros((size, size), dtype=bool)
+    columns = np.arange(size)
+    for h, row in enumerate(table):
+        l_below[row, columns] = True
+        r_below[row, h] = True
+    return l_below, r_below
+
+
 class _GreensData:
     """Per-instance precomputation shared by all relation checks."""
 
@@ -103,21 +121,9 @@ class _GreensData:
         p = inst.partition
         self.members = enumerate_elements(inst)
         self.imgs = [m.images for m in self.members]
-        self.index = member_index(inst)
-        n = p.n
-        size = len(self.members)
-        rng = range(n)
-
-        l_below = np.zeros((size, size), dtype=bool)
-        r_below = np.zeros((size, size), dtype=bool)
-        index = self.index
-        for gi, gt in enumerate(self.imgs):
-            for ht in self.imgs:
-                l_below[index[tuple(gt[ht[x]] for x in rng)], gi] = True
-                r_below[index[tuple(ht[gt[x]] for x in rng)], gi] = True
-        self.l_below = l_below
-        self.r_below = r_below
-        self.j_below = (r_below.astype(np.uint8) @ l_below.astype(np.uint8)) > 0
+        self.table = inst.derived.table
+        self.l_below, self.r_below = _preorders(self.table)
+        rng = range(p.n)
 
         self.block_mask = [sum(1 << x for x in b) for b in p.blocks]
         lookup = [p.block_of(x) for x in rng]
@@ -141,17 +147,29 @@ class _GreensData:
         ]
 
         self.si_imgs = [a.images for a in inst.si.elements]
-        self.si_index = {t: k for k, t in enumerate(self.si_imgs)}
-        deg = inst.si.degree
-        si_size = len(self.si_imgs)
-        si_l = np.zeros((si_size, si_size), dtype=bool)
-        si_r = np.zeros((si_size, si_size), dtype=bool)
-        for bi, bt in enumerate(self.si_imgs):
-            for at in self.si_imgs:
-                si_l[self.si_index[tuple(bt[at[i]] for i in range(deg))], bi] = True
-                si_r[self.si_index[tuple(at[bt[i]] for i in range(deg))], bi] = True
-        self.si_l_below = si_l
-        self.si_r_below = si_r
+        self.si_index = inst.si.index
+        self.si_l_below, self.si_r_below = _preorders(inst.si.table)
+
+    def j_left_factors(self, a: int, b: int) -> np.ndarray:
+        """The h1, ascending, with a = h1*b*h2 for some h2: those whose h1*b
+        has a in its right ideal.  Empty exactly when a is not J-below b."""
+        return np.flatnonzero(self.r_below[a, self.table[:, b]])
+
+    @cached_property
+    def j_below(self) -> np.ndarray:
+        """``j_below[f, g]`` when f = h1*g*h2: the boolean product R then L.
+
+        NumPy multiplies boolean matrices as OR of ANDs, so no count wraps.
+        Built on first use; the per-pair oracles scan ``j_left_factors``.
+        """
+        return self.r_below @ self.l_below
+
+    @cached_property
+    def d_rel(self) -> np.ndarray:
+        """Two-sided D as the boolean product of L and R."""
+        l_eq = self.l_below & self.l_below.T
+        r_eq = self.r_below & self.r_below.T
+        return l_eq @ r_eq
 
     @staticmethod
     def _mask(values) -> int:
@@ -161,8 +179,7 @@ class _GreensData:
         return m
 
     def member_id(self, f: FiniteMap) -> int:
-        require_member(f, self.inst)
-        return self.index[f.images]
+        return require_member(f, self.inst)
 
     def l_eq(self, a: int, b: int) -> bool:
         return bool(self.l_below[a, b] and self.l_below[b, a])
@@ -174,9 +191,12 @@ class _GreensData:
         return bool(self.si_r_below[a, b] and self.si_r_below[b, a])
 
 
-@lru_cache(maxsize=None)
 def _greens_data(inst: Instance) -> _GreensData:
-    return _GreensData(inst)
+    """The instance's Green's data, built on first use and kept with the instance."""
+    derived = inst.derived
+    if derived.greens is None:
+        derived.greens = _GreensData(inst)
+    return derived.greens
 
 
 def _check_mode(mode: str) -> None:
@@ -198,35 +218,28 @@ def principal_leq_oracle(
     """
     data = _greens_data(inst)
     fk, gk = data.member_id(f), data.member_id(g)
-    target = data.imgs[fk]
-    gt = data.imgs[gk]
-    rng = range(len(target))
+    table = data.table
     if rel == "L":
-        for k, ht in enumerate(data.imgs):
-            if tuple(gt[ht[x]] for x in rng) == target:
-                return data.members[k]
-        return None
+        return _first_member(data, table[:, gk] == fk)
     if rel == "R":
-        for k, ht in enumerate(data.imgs):
-            if tuple(ht[gt[x]] for x in rng) == target:
-                return data.members[k]
-        return None
+        return _first_member(data, table[gk] == fk)
     if rel == "J":
-        if not data.j_below[fk, gk]:
+        # The first h1 in order whose h1*g has f in its right ideal, then the
+        # first h2 with h1*g*h2 = f: the first pair of the row-major scan.
+        k1 = data.j_left_factors(fk, gk)
+        if not len(k1):
             return None
-        tried = 0
-        for k1, h1 in enumerate(data.imgs):
-            mid = tuple(gt[h1[x]] for x in rng)
-            for k2, h2 in enumerate(data.imgs):
-                tried += 1
-                if tried > cap:
-                    raise ResourceLimitError(
-                        f"J factor search exceeded the cap of {cap} pairs"
-                    )
-                if tuple(h2[y] for y in mid) == target:
-                    return data.members[k1], data.members[k2]
-        raise AssertionError("ideal membership held but no factor pair was found")
+        k1 = int(k1[0])
+        k2 = int(np.flatnonzero(table[table[k1, gk]] == fk)[0])
+        if k1 * len(table) + k2 + 1 > cap:
+            raise ResourceLimitError(f"J factor search exceeded the cap of {cap} pairs")
+        return data.members[k1], data.members[k2]
     raise InvalidArgumentError(f"unknown relation {rel!r}")
+
+
+def _first_member(data: _GreensData, hits: np.ndarray) -> FiniteMap | None:
+    found = np.flatnonzero(hits)
+    return data.members[found[0]] if len(found) else None
 
 
 def _char_map(data: _GreensData, k: int) -> FiniteMap:
@@ -307,8 +320,8 @@ def build_left_factor(
         for x in b:
             images[x] = next(y for y in target if g.images[y] == f.images[x])
     h = FiniteMap(p.n, p.n, tuple(images))
-    assert compose(h, g) == f
-    assert character(h, p) == alpha
+    if compose(h, g) != f or character(h, p) != alpha:
+        raise InternalError(f"the left factor {h} built for {f}, {g} and {alpha} fails validation")
     return h
 
 
@@ -397,8 +410,8 @@ def build_right_factor(
             else:
                 images[x] = basepoint
     h = FiniteMap(p.n, p.n, tuple(images))
-    assert compose(g, h) == f
-    assert character(h, p) == beta
+    if compose(g, h) != f or character(h, p) != beta:
+        raise InternalError(f"the right factor {h} built for {f}, {g} and {beta} fails validation")
     return h
 
 
@@ -498,7 +511,7 @@ def _first_right_divisor(data: _GreensData, chi_from: tuple, chi_to: tuple) -> F
     for ut in data.si_imgs:
         if tuple(ut[chi_from[i]] for i in range(deg)) == chi_to:
             return FiniteMap(deg, deg, ut)
-    raise AssertionError("R-divisibility promised by the search but not found")
+    raise InternalError("R-divisibility promised by the search but not found")
 
 
 def _oracle_d_pairing(data: _GreensData, fk: int, mk: int) -> ClassPairing:
@@ -586,9 +599,10 @@ def build_d_middle(
     h = FiniteMap(p.n, p.n, tuple(images))
     if not preserves_partition(h, p) or character(h, p) != gamma:
         raise PreconditionError("the given gamma and phi do not satisfy the D-criteria")
-    if h.images not in data.index:
+    if not is_member(h, inst):
         raise PreconditionError("the constructed middle element is not a member")
-    assert kernel_partition(h) == kernel_partition(g)
+    if kernel_partition(h) != kernel_partition(g):
+        raise InternalError(f"the middle element {h} does not share the kernel of {g}")
     return h
 
 
@@ -652,7 +666,7 @@ def j_related(
     fk, gk = data.member_id(f), data.member_id(g)
     p = inst.partition
     if mode == "oracle":
-        if not (data.j_below[fk, gk] and data.j_below[gk, fk]):
+        if not (len(data.j_left_factors(fk, gk)) and len(data.j_left_factors(gk, fk))):
             return None
         h1, h2 = principal_leq_oracle("J", f, g, inst)
         k1, k2 = principal_leq_oracle("J", g, f, inst)
@@ -769,9 +783,12 @@ def build_j_factors(
             else:
                 h2_images[x] = basepoint
     h2 = FiniteMap(p.n, p.n, tuple(h2_images))
-    assert compose(compose(h1, g), h2) == f
-    assert character(h1, p) == alpha
-    assert character(h2, p) == beta
+    if (
+        compose(compose(h1, g), h2) != f
+        or character(h1, p) != alpha
+        or character(h2, p) != beta
+    ):
+        raise InternalError(f"the J factors {h1}, {h2} built for {f} and {g} fail validation")
     return h1, h2
 
 
@@ -886,6 +903,14 @@ def full_tx_green(rel: Relation, f: FiniteMap, g: FiniteMap) -> bool:
     raise InvalidArgumentError(f"unknown relation {rel!r}")
 
 
+def _class_labels(below: np.ndarray) -> list[int]:
+    """For each element, the first element of its class under below & below.T.
+
+    Taken row by row, so no temporary is larger than one row.
+    """
+    return [int(np.argmax(below[k] & below[:, k])) for k in range(len(below))]
+
+
 def eggbox(inst: Instance) -> list[dict]:
     """D-classes as grids of R-classes (rows) by L-classes (columns).
 
@@ -893,10 +918,8 @@ def eggbox(inst: Instance) -> list[dict]:
     """
     data = _greens_data(inst)
     size = len(data.members)
-    l_eq = data.l_below & data.l_below.T
-    r_eq = data.r_below & data.r_below.T
-    l_label = [int(np.nonzero(l_eq[k])[0][0]) for k in range(size)]
-    r_label = [int(np.nonzero(r_eq[k])[0][0]) for k in range(size)]
+    l_label = _class_labels(data.l_below)
+    r_label = _class_labels(data.r_below)
     parent = list(range(size))
 
     def find(a: int) -> int:

@@ -3,19 +3,22 @@
 Every decision procedure exists twice: a brute-force oracle straight from the
 definition, and the structural characterization in terms of the character and
 the block geometry.  The two are kept strictly separate so the harness can
-compare them.
+compare them: oracles read products from the instance's member product table,
+criteria only from the index semigroup's table.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Literal
+from typing import Callable, Literal
 
-from .errors import InvalidArgumentError, PreconditionError
-from .finite_maps import FiniteMap, compose, image, is_idempotent_def
+import numpy as np
+
+from .errors import InternalError, InvalidArgumentError, PreconditionError
+from .finite_maps import FiniteMap, compose, is_idempotent_def
 from .ensemble import (
     Instance,
     IndexSemigroup,
+    _idempotent_ids,
     enumerate_elements,
     require_member,
 )
@@ -31,19 +34,19 @@ def _check_mode(mode: str) -> None:
 
 def is_regular_oracle(f: FiniteMap, inst: Instance) -> FiniteMap | None:
     """First g in enumeration order with f*g*f = f, if any."""
-    require_member(f, inst)
-    for g in enumerate_elements(inst):
-        if compose(compose(f, g), f) == f:
-            return g
-    return None
+    k = require_member(f, inst)
+    d = inst.derived
+    hits = np.flatnonzero(d.table[d.table[k], k] == k)
+    return d.members[hits[0]] if len(hits) else None
 
 
 def _block_images(f: FiniteMap, inst: Instance) -> list[set[int]]:
     return [{f.images[x] for x in b} for b in inst.partition.blocks]
 
 
-def regular_character_witnesses(f: FiniteMap, inst: Instance) -> tuple[FiniteMap, ...]:
-    """All alpha in the index set making f regular, in element order.
+def _regular_witness_test(f: FiniteMap, inst: Instance) -> tuple[int, Callable[[int], bool]]:
+    """The position of chi(f) in the index set and the regularity criterion
+    as a test on one index-set position alpha.
 
     alpha qualifies when chi(f)*alpha*chi(f) = chi(f) and, for every block
     index i hit by chi(f), X_i intersected with the image of f sits inside
@@ -51,21 +54,28 @@ def regular_character_witnesses(f: FiniteMap, inst: Instance) -> tuple[FiniteMap
     """
     require_member(f, inst)
     p = inst.partition
-    chi = character(f, p)
-    chi_image = set(chi.images)
+    si = inst.si
+    table = si.table
+    chi = si.index[character(f, p).images]
     img = set(f.images)
     blk_img = _block_images(f, inst)
-    witnesses = []
-    for alpha in inst.si.elements:
-        if compose(compose(chi, alpha), chi) != chi:
-            continue
-        ok = all(
-            (p.block_sets[i] & img) <= blk_img[alpha.images[i]]
-            for i in chi_image
+    meets = [(i, p.block_sets[i] & img) for i in set(si.elements[chi].images)]
+
+    def test(a: int) -> bool:
+        alpha = si.elements[a].images
+        return table[table[chi, a], chi] == chi and all(
+            meet <= blk_img[alpha[i]] for i, meet in meets
         )
-        if ok:
-            witnesses.append(alpha)
-    return tuple(witnesses)
+
+    return chi, test
+
+
+def regular_character_witnesses(f: FiniteMap, inst: Instance) -> tuple[FiniteMap, ...]:
+    """All alpha in the index set making f regular, in element order."""
+    chi, test = _regular_witness_test(f, inst)
+    table = inst.si.table
+    candidates = np.flatnonzero(table[table[chi], chi] == chi)
+    return tuple(inst.si.elements[a] for a in candidates if test(a))
 
 
 def build_inner_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> FiniteMap:
@@ -74,7 +84,9 @@ def build_inner_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finit
     Image points go to their least preimage inside the designated block;
     everything else goes to block basepoints (block minima).
     """
-    if alpha not in regular_character_witnesses(f, inst):
+    _, test = _regular_witness_test(f, inst)
+    a = inst.si.position(alpha)
+    if a is None or not test(a):
         raise PreconditionError(f"{alpha} is not a regular-character witness for {f}")
     p = inst.partition
     chi = character(f, p)
@@ -93,30 +105,24 @@ def build_inner_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finit
             for x in b:
                 images[x] = target[0]
     g = FiniteMap(p.n, p.n, tuple(images))
-    assert compose(compose(f, g), f) == f
-    assert character(g, p) == alpha
+    if compose(compose(f, g), f) != f or character(g, p) != alpha:
+        raise InternalError(f"the inner inverse {g} built for {f} and {alpha} fails validation")
     return g
 
 
-@lru_cache(maxsize=None)
 def si_is_regular(si: IndexSemigroup) -> bool:
     """Brute-force regularity of the index semigroup."""
-    return all(
-        any(compose(compose(a, b), a) == a for b in si.elements)
-        for a in si.elements
-    )
+    table = si.table
+    return all((table[table[a], a] == a).any() for a in range(len(table)))
 
 
-@lru_cache(maxsize=None)
 def si_is_inverse(si: IndexSemigroup) -> bool:
     """Brute force: every element has exactly one mutual inner inverse."""
-    for a in si.elements:
-        partners = [
-            b
-            for b in si.elements
-            if compose(compose(a, b), a) == a and compose(compose(b, a), b) == b
-        ]
-        if len(partners) != 1:
+    table = si.table
+    ids = np.arange(len(table))
+    for a in ids:
+        partners = (table[table[a], a] == a) & (table[table[:, a], ids] == ids)
+        if np.count_nonzero(partners) != 1:
             return False
     return True
 
@@ -139,7 +145,8 @@ def is_regular_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:
 
 
 def idempotents(inst: Instance) -> tuple[FiniteMap, ...]:
-    return tuple(f for f in enumerate_elements(inst) if compose(f, f) == f)
+    members = enumerate_elements(inst)
+    return tuple(members[k] for k in _idempotent_ids(inst.derived.table))
 
 
 def is_idempotent_characterized(f: FiniteMap, inst: Instance) -> bool:
@@ -168,14 +175,13 @@ def is_inverse_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:
     if mode == "oracle":
         if not is_regular_semigroup(inst, "oracle"):
             return False
-        es = idempotents(inst)
-        return all(compose(e, w) == compose(w, e) for e in es for w in es)
+        es = _idempotent_ids(inst.derived.table)
+        products = inst.derived.table[np.ix_(es, es)]
+        return bool((products == products.T).all())
     if not si_is_inverse(inst.si):
         return False
     sizes = [len(b) for b in inst.partition.blocks]
-    for alpha in inst.si.elements:
-        if compose(alpha, alpha) != alpha:
-            continue
-        if any(sizes[i] != 1 for i in set(alpha.images)):
+    for a in _idempotent_ids(inst.si.table):
+        if any(sizes[i] != 1 for i in set(inst.si.elements[a].images)):
             return False
     return True

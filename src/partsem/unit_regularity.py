@@ -7,7 +7,11 @@ block; the unused blocks are carried by order-preserving bijections.
 
 from __future__ import annotations
 
-from .errors import InvalidArgumentError, PreconditionError
+from typing import Callable
+
+import numpy as np
+
+from .errors import InternalError, InvalidArgumentError, PreconditionError
 from .finite_maps import (
     FiniteMap,
     collapse_defect,
@@ -18,9 +22,7 @@ from .finite_maps import (
 from .ensemble import (
     Instance,
     enumerate_elements,
-    index_units,
     require_member,
-    units,
 )
 from .partition_action import character, is_unit_bijection
 from .regularity import Mode, _check_mode
@@ -30,11 +32,10 @@ def is_unit_regular_oracle(f: FiniteMap, inst: Instance) -> FiniteMap | None:
     """First unit u in enumeration order with f*u*f = f, if any."""
     if not inst.si.has_identity:
         raise PreconditionError("unit-regularity needs the identity character")
-    require_member(f, inst)
-    for u in units(inst):
-        if compose(compose(f, u), f) == f:
-            return u
-    return None
+    k = require_member(f, inst)
+    d = inst.derived
+    hits = np.flatnonzero(d.table[d.table[k, d.unit_ids], k] == k)
+    return d.members[d.unit_ids[hits[0]]] if len(hits) else None
 
 
 def _local_block_map(f: FiniteMap, inst: Instance, src: int, dst: int) -> FiniteMap:
@@ -45,37 +46,44 @@ def _local_block_map(f: FiniteMap, inst: Instance, src: int, dst: int) -> Finite
     return FiniteMap(len(source), len(target), tuple(pos[f.images[x]] for x in source))
 
 
-def unit_regular_witnesses(f: FiniteMap, inst: Instance) -> tuple[FiniteMap, ...]:
-    """All index units alpha satisfying the four unit-regularity conditions."""
+def _unit_witness_test(f: FiniteMap, inst: Instance) -> tuple[int, Callable[[int], bool]]:
+    """The position of chi(f) in the index set and the four unit-regularity
+    conditions as a test on the position of one index unit alpha."""
     if not inst.si.has_identity:
         raise PreconditionError("unit-regularity needs the identity character")
     require_member(f, inst)
     p = inst.partition
-    chi = character(f, p)
-    chi_image = set(chi.images)
+    si = inst.si
+    table = si.table
+    chi = si.index[character(f, p).images]
+    chi_image = set(si.elements[chi].images)
     img = set(f.images)
     blk_img = [{f.images[x] for x in b} for b in p.blocks]
     sizes = [len(b) for b in p.blocks]
-    witnesses = []
-    for alpha in index_units(inst.si):
-        if compose(compose(chi, alpha), chi) != chi:
-            continue
-        if any(sizes[i] != sizes[alpha.images[i]] for i in range(p.degree)):
-            continue
-        if not all(
-            (p.block_sets[i] & img) <= blk_img[alpha.images[i]] for i in chi_image
-        ):
-            continue
-        balanced = True
+
+    def test(a: int) -> bool:
+        alpha = si.elements[a].images
+        if table[table[chi, a], chi] != chi:
+            return False
+        if any(sizes[i] != sizes[alpha[i]] for i in range(p.degree)):
+            return False
+        if not all((p.block_sets[i] & img) <= blk_img[alpha[i]] for i in chi_image):
+            return False
         for i in chi_image:
-            j = alpha.images[i]
-            c, d = collapse_defect(_local_block_map(f, inst, j, i))
+            c, d = collapse_defect(_local_block_map(f, inst, alpha[i], i))
             if c != d:
-                balanced = False
-                break
-        if balanced:
-            witnesses.append(alpha)
-    return tuple(witnesses)
+                return False
+        return True
+
+    return chi, test
+
+
+def unit_regular_witnesses(f: FiniteMap, inst: Instance) -> tuple[FiniteMap, ...]:
+    """All index units alpha satisfying the four unit-regularity conditions."""
+    chi, test = _unit_witness_test(f, inst)
+    si = inst.si
+    candidates = si.unit_ids[si.table[si.table[chi, si.unit_ids], chi] == chi]
+    return tuple(si.elements[a] for a in candidates if test(a))
 
 
 def build_unit_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> FiniteMap:
@@ -87,7 +95,9 @@ def build_unit_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finite
     of X_j.  Blocks outside the character image are mapped by the
     order-preserving bijection onto their target block.
     """
-    if alpha not in unit_regular_witnesses(f, inst):
+    _, test = _unit_witness_test(f, inst)
+    a = inst.si.position(alpha)
+    if a is None or a not in inst.si.unit_ids or not test(a):
         raise PreconditionError(f"{alpha} is not a unit-regularity witness for {f}")
     p = inst.partition
     chi = character(f, p)
@@ -111,9 +121,12 @@ def build_unit_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finite
             for k, x in enumerate(b):
                 images[x] = target[k]
     g = FiniteMap(p.n, p.n, tuple(images))
-    assert is_unit_bijection(g, p)
-    assert character(g, p) == alpha
-    assert compose(compose(f, g), f) == f
+    if (
+        not is_unit_bijection(g, p)
+        or character(g, p) != alpha
+        or compose(compose(f, g), f) != f
+    ):
+        raise InternalError(f"the unit inverse {g} built for {f} and {alpha} fails validation")
     return g
 
 
@@ -127,14 +140,15 @@ def is_unit_regular_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:
             is_unit_regular_oracle(f, inst) is not None
             for f in enumerate_elements(inst)
         )
-    si_units = index_units(inst.si)
+    si = inst.si
     if not all(
-        any(compose(compose(a, u), a) == a for u in si_units) for a in inst.si.elements
+        (si.table[si.table[a, si.unit_ids], a] == a).any() for a in range(len(si))
     ):
         return False
     sizes = [len(b) for b in inst.partition.blocks]
-    for alpha in si_units:
-        if any(sizes[i] != sizes[alpha.images[i]] for i in range(inst.partition.degree)):
+    for u in si.unit_ids:
+        alpha = si.elements[u].images
+        if any(sizes[i] != sizes[alpha[i]] for i in range(inst.partition.degree)):
             return False
     # Finiteness of every block holds structurally for these carriers.
     for beta in inst.si.elements:

@@ -1,0 +1,49 @@
+"""Internal checks survive ``python -O`` and nothing caches outside an instance."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import partsem
+
+PACKAGE = Path(partsem.__file__).resolve().parent
+
+
+def _package_trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_library_has_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_library_has_no_module_level_caches():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _package_trees()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in ("lru_cache", "cache"))
+        or (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"))
+    ]
+    assert found == []
+
+
+def test_verify_runs_under_optimize_flag():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "partsem.cli", "verify", "--max-n", "2"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
