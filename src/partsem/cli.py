@@ -281,13 +281,7 @@ def _cmd_greens(args) -> int:
         return 2
     f = _parse_map(args.f, inst.partition.n, "--f")
     g = _parse_map(args.g, inst.partition.n, "--g")
-    checkers = {
-        "L": greens.l_related,
-        "R": greens.r_related,
-        "D": greens.d_related,
-        "J": greens.j_related,
-    }
-    checker = checkers[args.rel]
+    checker = greens.checkers()[args.rel]
     modes = ("oracle", "theorem") if args.mode == "both" else (args.mode,)
     results = {}
     capped = []

@@ -3,11 +3,13 @@
 The oracle route reads the instance's product table: the one-sided ≤_L and
 ≤_R preorders are boolean matrices filled by scatter, a pair is J-ordered
 when some h1*g has f in its right ideal, and the whole ≤_J matrix (their
-exact boolean product) is built only when asked for; the theorem
-route searches for the character decorations (alpha, beta, gamma, delta),
-class bijections and image maps demanded by the structural criteria.  Both
-routes produce replayable witnesses: factor transformations whose composites
-reproduce the claimed ideal memberships.
+exact boolean product) is built only when asked for.  The theorem route
+never reads it: it reads the candidate characters (alpha, beta, gamma,
+delta) from the index semigroup's product table at the positions of chi(f)
+and chi(g), and searches the block geometry for the class bijections and
+image maps demanded by the structural criteria.  Both routes produce
+replayable witnesses: factor transformations whose composites reproduce the
+claimed ideal memberships.
 
 All operations here require the identity character in the index semigroup.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .errors import InternalError, InvalidArgumentError, PreconditionError, Reso
 from .finite_maps import FiniteMap, compose, image, kernel_partition
 from .ensemble import Instance, enumerate_elements, is_member, require_member
 from .partition_action import Partition, character, preserves_partition
+from .regularity import _check_mode
 
 Relation = Literal["L", "R", "D", "J"]
 
@@ -146,8 +149,11 @@ class _GreensData:
             for masks in self.class_masks
         ]
 
+        self.si_elements = inst.si.elements
         self.si_imgs = [a.images for a in inst.si.elements]
         self.si_index = inst.si.index
+        self.si_table = inst.si.table
+        self.char_ids = [self.si_index[c] for c in self.chars]
         self.si_l_below, self.si_r_below = _preorders(inst.si.table)
 
     def j_left_factors(self, a: int, b: int) -> np.ndarray:
@@ -187,9 +193,6 @@ class _GreensData:
     def r_eq(self, a: int, b: int) -> bool:
         return bool(self.r_below[a, b] and self.r_below[b, a])
 
-    def si_r_eq(self, a: int, b: int) -> bool:
-        return bool(self.si_r_below[a, b] and self.si_r_below[b, a])
-
 
 def _greens_data(inst: Instance) -> _GreensData:
     """The instance's Green's data, built on first use and kept with the instance."""
@@ -197,11 +200,6 @@ def _greens_data(inst: Instance) -> _GreensData:
     if derived.greens is None:
         derived.greens = _GreensData(inst)
     return derived.greens
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("oracle", "theorem"):
-        raise InvalidArgumentError(f"unknown mode {mode!r}")
 
 
 def principal_leq_oracle(
@@ -247,16 +245,21 @@ def _char_map(data: _GreensData, k: int) -> FiniteMap:
     return FiniteMap(deg, deg, data.chars[k])
 
 
-def _l_one_sided_theorem(data: _GreensData, fk: int, gk: int) -> FiniteMap | None:
-    """First alpha with chi(f) = alpha*chi(g) and X_i f inside X_{alpha(i)} g."""
-    chi_f, chi_g = data.chars[fk], data.chars[gk]
+def _l_one_sided_theorem(
+    data: _GreensData, fk: int, gk: int, cap: int, budget: list[int]
+) -> FiniteMap | None:
+    """First alpha with chi(f) = alpha*chi(g) and X_i f inside X_{alpha(i)} g.
+
+    The alphas with chi(f) = alpha*chi(g) are read from column chi(g) of the
+    index table; each one put to the block test spends one unit of budget.
+    """
     bf, bg = data.blockimg_mask[fk], data.blockimg_mask[gk]
-    deg = data.inst.si.degree
-    for at in data.si_imgs:
-        if tuple(chi_g[at[i]] for i in range(deg)) != chi_f:
-            continue
-        if all(bf[i] & ~bg[at[i]] == 0 for i in range(deg)):
-            return FiniteMap(deg, deg, at)
+    for a in np.flatnonzero(data.si_table[:, data.char_ids[gk]] == data.char_ids[fk]):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise ResourceLimitError(f"L character search exceeded the cap of {cap} candidates")
+        if all(bf[i] & ~bg[j] == 0 for i, j in enumerate(data.si_imgs[a])):
+            return data.si_elements[a]
     return None
 
 
@@ -281,10 +284,11 @@ def l_related(
             index_maps=(("alpha", character(h_fg, p)), ("beta", character(h_gf, p))),
             factors=(("fg", h_fg), ("gf", h_gf)),
         )
-    alpha = _l_one_sided_theorem(data, fk, gk)
+    budget = [cap]
+    alpha = _l_one_sided_theorem(data, fk, gk, cap, budget)
     if alpha is None:
         return None
-    beta = _l_one_sided_theorem(data, gk, fk)
+    beta = _l_one_sided_theorem(data, gk, fk, cap, budget)
     if beta is None:
         return None
     return GreenWitness(
@@ -325,18 +329,25 @@ def build_left_factor(
     return h
 
 
-def _r_one_sided_theorem(data: _GreensData, fk: int, gk: int) -> FiniteMap | None:
-    """First beta with chi(f) = chi(g)*beta, provided pi(g) refines pi(f)."""
+def _r_one_sided_theorem(
+    data: _GreensData, fk: int, gk: int, cap: int, budget: list[int]
+) -> FiniteMap | None:
+    """First beta with chi(f) = chi(g)*beta, provided pi(g) refines pi(f).
+
+    The betas are read from row chi(g) of the index table; the one taken
+    spends one unit of budget.
+    """
     if not all(
         any(cm & ~fm == 0 for fm in data.class_masks[fk]) for cm in data.class_masks[gk]
     ):
         return None
-    chi_f, chi_g = data.chars[fk], data.chars[gk]
-    deg = data.inst.si.degree
-    for bt in data.si_imgs:
-        if tuple(bt[chi_g[i]] for i in range(deg)) == chi_f:
-            return FiniteMap(deg, deg, bt)
-    return None
+    hits = np.flatnonzero(data.si_table[data.char_ids[gk]] == data.char_ids[fk])
+    if not len(hits):
+        return None
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise ResourceLimitError(f"R character search exceeded the cap of {cap} candidates")
+    return data.si_elements[hits[0]]
 
 
 def r_related(
@@ -365,10 +376,11 @@ def r_related(
         )
     if data.kernels[fk] != data.kernels[gk]:
         return None
-    beta_fg = _r_one_sided_theorem(data, fk, gk)
+    budget = [cap]
+    beta_fg = _r_one_sided_theorem(data, fk, gk, cap, budget)
     if beta_fg is None:
         return None
-    beta_gf = _r_one_sided_theorem(data, gk, fk)
+    beta_gf = _r_one_sided_theorem(data, gk, fk, cap, budget)
     if beta_gf is None:
         return None
     return GreenWitness(
@@ -471,47 +483,40 @@ def _match_classes(
 def _d_theorem_search(
     data: _GreensData, fk: int, gk: int, cap: int
 ) -> tuple[FiniteMap, FiniteMap, FiniteMap, ClassPairing] | None:
+    """First (alpha, beta, gamma, class pairing) meeting the D-criterion.
+
+    gamma runs over the R-class of chi(g) in the index set, ascending; the
+    alphas with chi(f) = alpha*gamma and the betas with gamma = beta*chi(f)
+    are read from the index table's columns gamma and chi(f).
+    """
     if len(data.kernels[fk]) != len(data.kernels[gk]):
         return None
-    deg = data.inst.si.degree
-    chi_f = data.chars[fk]
-    chi_g_idx = data.si_index[data.chars[gk]]
+    table, elements, imgs = data.si_table, data.si_elements, data.si_imgs
+    cf, cg = data.char_ids[fk], data.char_ids[gk]
     budget = [cap]
-    for ck, ct in enumerate(data.si_imgs):
-        if not data.si_r_eq(ck, chi_g_idx):
+    for c in np.flatnonzero(data.si_r_below[cg] & data.si_r_below[:, cg]):
+        alphas = np.flatnonzero(table[:, c] == cf)
+        if not len(alphas):
             continue
-        alphas = [
-            at for at in data.si_imgs if tuple(ct[at[i]] for i in range(deg)) == chi_f
-        ]
-        if not alphas:
-            continue
-        betas = [
-            bt for bt in data.si_imgs if tuple(chi_f[bt[i]] for i in range(deg)) == ct
-        ]
-        for at in alphas:
-            for bt in betas:
-                found = _match_classes(data, fk, gk, at, bt, budget)
+        betas = np.flatnonzero(table[:, cf] == c)
+        for a in alphas:
+            for b in betas:
+                found = _match_classes(data, fk, gk, imgs[a], imgs[b], budget)
                 if found is not None:
                     pairing = tuple(
                         (data.kernels[fk][mk], data.kernels[gk][nk])
                         for mk, nk in enumerate(found)
                     )
-                    return (
-                        FiniteMap(deg, deg, at),
-                        FiniteMap(deg, deg, bt),
-                        FiniteMap(deg, deg, ct),
-                        pairing,
-                    )
+                    return elements[a], elements[b], elements[c], pairing
     return None
 
 
-def _first_right_divisor(data: _GreensData, chi_from: tuple, chi_to: tuple) -> FiniteMap:
-    """First u in the index set with chi_to = chi_from * u."""
-    deg = data.inst.si.degree
-    for ut in data.si_imgs:
-        if tuple(ut[chi_from[i]] for i in range(deg)) == chi_to:
-            return FiniteMap(deg, deg, ut)
-    raise InternalError("R-divisibility promised by the search but not found")
+def _first_right_divisor(data: _GreensData, c_from: int, c_to: int) -> FiniteMap:
+    """First u in the index set with c_to = c_from * u, by index positions."""
+    hits = np.flatnonzero(data.si_table[c_from] == c_to)
+    if not len(hits):
+        raise InternalError("R-divisibility promised by the search but not found")
+    return data.si_elements[hits[0]]
 
 
 def _oracle_d_pairing(data: _GreensData, fk: int, mk: int) -> ClassPairing:
@@ -560,8 +565,8 @@ def d_related(
     alpha, beta, gamma, pairing = found
     m = build_d_middle(f, g, gamma, pairing, inst)
     mk = data.member_id(m)
-    u = _first_right_divisor(data, data.chars[gk], data.chars[mk])
-    v = _first_right_divisor(data, data.chars[mk], data.chars[gk])
+    u = _first_right_divisor(data, data.char_ids[gk], data.char_ids[mk])
+    v = _first_right_divisor(data, data.char_ids[mk], data.char_ids[gk])
     return GreenWitness(
         relation="D",
         index_maps=(("alpha", alpha), ("beta", beta), ("gamma", gamma)),
@@ -612,26 +617,33 @@ def _j_one_sided_theorem(
     """Search (alpha, beta, phi) making J_f <= J_g per the structural criterion.
 
     phi is returned as a map on the sorted image of g.  Candidate pairs are
-    pruned by the necessary identity chi(f) = alpha*chi(g)*beta; for each
+    pruned by the necessary identity chi(f) = alpha*chi(g)*beta, read from
+    the index table: for each alpha in order, the betas are the positions in
+    row alpha*chi(g) holding chi(f), found once per distinct row.  For each
     pair the point values of phi are enumerated blockwise.
     """
     p = data.inst.partition
     deg = p.degree
-    chi_f, chi_g = data.chars[fk], data.chars[gk]
     g_imgs = data.imgs[gk]
     dom = sorted(set(g_imgs))
     dom_pos = {v: k for k, v in enumerate(dom)}
     f_blockimg = data.blockimg_mask[fk]
-    for at in data.si_imgs:
-        mid = tuple(chi_g[at[i]] for i in range(deg))
+    table, cf = data.si_table, data.char_ids[fk]
+    betas_of: dict[int, np.ndarray] = {}
+    for a, mid in enumerate(table[:, data.char_ids[gk]].tolist()):
+        betas = betas_of.get(mid)
+        if betas is None:
+            betas = betas_of[mid] = np.flatnonzero(table[mid] == cf)
+        if not len(betas):
+            continue
+        at = data.si_imgs[a]
         # positions (in dom) of the g-image of X_{alpha(i)}, per i
         sources = [
             tuple(sorted({dom_pos[g_imgs[x]] for x in p.blocks[at[i]]}))
             for i in range(deg)
         ]
-        for bt in data.si_imgs:
-            if tuple(bt[mid[i]] for i in range(deg)) != chi_f:
-                continue
+        for b in betas:
+            bt = data.si_imgs[b]
             candidates = [p.blocks[bt[p.block_of(z)]] for z in dom]
             for values in itertools.product(*candidates):
                 budget[0] -= 1
@@ -647,8 +659,8 @@ def _j_one_sided_theorem(
                         break
                 if ok:
                     return (
-                        FiniteMap(deg, deg, at),
-                        FiniteMap(deg, deg, bt),
+                        data.si_elements[a],
+                        data.si_elements[b],
                         FiniteMap(len(dom), p.n, values),
                     )
     return None
@@ -706,6 +718,15 @@ def j_related(
         factors=(("fg1", h1), ("fg2", h2), ("gf1", k1), ("gf2", k2)),
         image_maps=(("phi", phi), ("psi", psi)),
     )
+
+
+def checkers() -> dict[str, Callable[..., GreenWitness | None]]:
+    """Relation letter -> its checker, l_related through j_related.
+
+    The names are looked up on each call, so a wrapper bound to one of the
+    module attributes afterwards is the checker returned.
+    """
+    return {"L": l_related, "R": r_related, "D": d_related, "J": j_related}
 
 
 def _image_map_from_factors(

@@ -719,12 +719,7 @@ def _pair_sample(entry: CatalogEntry, catalog: Catalog, size: int, limit: int) -
 
 def _suite_greens_mode_agreement(catalog: Catalog) -> list[SuiteRecord]:
     out = []
-    checkers = {
-        "L": greens.l_related,
-        "R": greens.r_related,
-        "D": greens.d_related,
-        "J": greens.j_related,
-    }
+    checkers = greens.checkers()
     for entry in catalog.entries:
         if not entry.instance.si.has_identity:
             continue
@@ -766,7 +761,7 @@ def _suite_character_descent(catalog: Catalog) -> list[SuiteRecord]:
         size = len(data.members)
         failures = []
         checks = 0
-        char_ids = [data.si_index[c] for c in data.chars]
+        char_ids = data.char_ids
         for a in range(size):
             for b in range(size):
                 checks += 1
@@ -861,12 +856,7 @@ def _suite_greens_tx_specialization(catalog: Catalog) -> list[SuiteRecord]:
 
 def _suite_greens_witness_replay(catalog: Catalog) -> list[SuiteRecord]:
     out = []
-    checkers = {
-        "L": greens.l_related,
-        "R": greens.r_related,
-        "D": greens.d_related,
-        "J": greens.j_related,
-    }
+    checkers = greens.checkers()
     for entry in catalog.entries:
         if not entry.instance.si.has_identity:
             continue
@@ -920,12 +910,7 @@ def _suite_greens_necessary_conditions(catalog: Catalog) -> list[SuiteRecord]:
 
 def _suite_txp_specialization(catalog: Catalog) -> list[SuiteRecord]:
     out = []
-    checkers = {
-        "L": greens.l_related,
-        "R": greens.r_related,
-        "D": greens.d_related,
-        "J": greens.j_related,
-    }
+    checkers = greens.checkers()
     for entry in catalog.entries:
         if entry.si_label != "full":
             continue

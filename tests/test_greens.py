@@ -10,6 +10,7 @@ from partsem import (
     InvalidArgumentError,
     Partition,
     PreconditionError,
+    ResourceLimitError,
     build_d_middle,
     build_j_factors,
     build_left_factor,
@@ -28,6 +29,12 @@ from partsem import (
     r_related,
     txp_green,
     verify_witness,
+)
+from partsem.greens import (
+    DEFAULT_PHI_CAP,
+    _d_theorem_search,
+    _greens_data,
+    _j_one_sided_theorem,
 )
 from conftest import comp
 
@@ -100,6 +107,24 @@ class TestLRelated:
                 assert (o is None) == (t is None)
                 if o is not None:
                     assert verify_witness(o, f, g) and verify_witness(t, f, g)
+
+
+class TestOneSidedCaps:
+    """In theorem mode, cap bounds the candidate characters tested, both sides together."""
+
+    @pytest.mark.parametrize("checker", [l_related, r_related])
+    def test_zero_cap_raises_in_theorem_mode_only(self, checker, inst_full):
+        with pytest.raises(ResourceLimitError):
+            checker(E1, E3, inst_full, mode="theorem", cap=0)
+        w = checker(E1, E3, inst_full, mode="oracle", cap=0)
+        assert w is not None and verify_witness(w, E1, E3)
+
+    @pytest.mark.parametrize("checker", [l_related, r_related])
+    def test_both_sides_draw_on_one_budget(self, checker, inst_full):
+        with pytest.raises(ResourceLimitError):
+            checker(E1, E3, inst_full, mode="theorem", cap=1)
+        w = checker(E1, E3, inst_full, mode="theorem", cap=2)
+        assert w is not None and verify_witness(w, E1, E3)
 
 
 class TestBuildLeftFactor:
@@ -252,6 +277,26 @@ class TestBuildJFactors:
         ident2 = FiniteMap.identity(2)
         with pytest.raises(PreconditionError):
             build_j_factors(F1, E1, ident2, ident2, phi, inst_full)
+
+
+@pytest.mark.parametrize(
+    "blocks,size",
+    [([[0, 1], [2, 3]], 64), ([[0, 1, 2], [3]], 112), ([[0, 1], [2], [3]], 96)],
+    ids=["n4:[0,1][2,3]/full", "n4:[0,1,2][3]/full", "n4:[0,1][2][3]/full"],
+)
+def test_theorem_searches_agree_with_the_oracle_on_every_pair(blocks, size):
+    """One-sided J and D by the structural search against the exact ≤_J
+    matrix and the D relation of the product table, on every ordered pair."""
+    p = Partition.of(blocks)
+    data = _greens_data(Instance(p, IndexSemigroup.full(p.degree)))
+    assert len(data.members) == size
+    cap = DEFAULT_PHI_CAP
+    for a in range(size):
+        for b in range(size):
+            j_found = _j_one_sided_theorem(data, a, b, cap, [cap]) is not None
+            assert j_found == bool(data.j_below[a, b]), (a, b)
+            d_found = _d_theorem_search(data, a, b, cap) is not None
+            assert d_found == bool(data.d_rel[a, b]), (a, b)
 
 
 class TestTxpSpecializations:

@@ -1,6 +1,9 @@
-"""Internal checks survive ``python -O`` and nothing caches outside an instance."""
+"""Internal checks survive ``python -O``, nothing caches outside an instance,
+and the untimed ``verify`` output stays what it was."""
 
 import ast
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -47,3 +50,22 @@ def test_verify_runs_under_optimize_flag():
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_untimed_verify_output_is_pinned():
+    """The n <= 3, seed 7 report with its timings removed, as a digest."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "partsem.cli", "verify", "--max-n", "3", "--seed", "7",
+         "--format", "machine"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    records = [json.loads(line) for line in done.stdout.splitlines()]
+    for record in records:
+        del record["millis"]
+    untimed = "\n".join(json.dumps(record, sort_keys=True) for record in records)
+    assert hashlib.sha256(untimed.encode()).hexdigest()[:16] == "29a09fcf611d2607"

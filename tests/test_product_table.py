@@ -2,18 +2,24 @@
 
 Every quantity the oracles now read from ``inst.derived.table`` is recomputed
 here from raw image tuples, one composite at a time, as the library did
-before the table existed.
+before the table existed; every candidate the Green's theorem route reads
+from the index semigroup's table is found again by the tuple loops it
+replaced.
 """
 
 import gc
+import itertools
+import random
 import weakref
 
 import numpy as np
 import pytest
 
 from partsem import (
+    FiniteMap,
     IndexSemigroup,
     Instance,
+    InternalError,
     Partition,
     build_catalog,
     character,
@@ -25,6 +31,7 @@ from partsem import (
     principal_leq_oracle,
     units,
 )
+from partsem import greens
 from partsem.greens import _greens_data
 
 from conftest import comp
@@ -187,3 +194,170 @@ def test_dropping_an_instance_frees_its_derived_data():
     del inst
     gc.collect()
     assert ref() is None
+
+
+class _TupleSearches:
+    """The Green's theorem-route searches as tuple comparisons over the index
+    set, one composite built per element or pair: the definitions the
+    index-table reads replaced.  ``match_classes`` is passed in so a test
+    can record the order of the class-bijection searches."""
+
+    def __init__(self, data, match_classes):
+        self.data = data
+        self.match_classes = match_classes
+        self.deg = data.inst.si.degree
+
+    def fm(self, images):
+        return FiniteMap(self.deg, self.deg, images)
+
+    def l_one_sided(self, fk, gk):
+        data, deg = self.data, self.deg
+        chi_f, chi_g = data.chars[fk], data.chars[gk]
+        bf, bg = data.blockimg_mask[fk], data.blockimg_mask[gk]
+        for at in data.si_imgs:
+            if tuple(chi_g[at[i]] for i in range(deg)) != chi_f:
+                continue
+            if all(bf[i] & ~bg[at[i]] == 0 for i in range(deg)):
+                return self.fm(at)
+        return None
+
+    def r_one_sided(self, fk, gk):
+        data, deg = self.data, self.deg
+        if not all(
+            any(cm & ~fm == 0 for fm in data.class_masks[fk]) for cm in data.class_masks[gk]
+        ):
+            return None
+        chi_f, chi_g = data.chars[fk], data.chars[gk]
+        for bt in data.si_imgs:
+            if tuple(bt[chi_g[i]] for i in range(deg)) == chi_f:
+                return self.fm(bt)
+        return None
+
+    def d_search(self, fk, gk, cap):
+        data, deg = self.data, self.deg
+        if len(data.kernels[fk]) != len(data.kernels[gk]):
+            return None
+        chi_f = data.chars[fk]
+        cg = data.si_index[data.chars[gk]]
+        budget = [cap]
+        for ck, ct in enumerate(data.si_imgs):
+            if not (data.si_r_below[ck, cg] and data.si_r_below[cg, ck]):
+                continue
+            alphas = [
+                at for at in data.si_imgs if tuple(ct[at[i]] for i in range(deg)) == chi_f
+            ]
+            if not alphas:
+                continue
+            betas = [
+                bt for bt in data.si_imgs if tuple(chi_f[bt[i]] for i in range(deg)) == ct
+            ]
+            for at in alphas:
+                for bt in betas:
+                    found = self.match_classes(data, fk, gk, at, bt, budget)
+                    if found is not None:
+                        pairing = tuple(
+                            (data.kernels[fk][mk], data.kernels[gk][nk])
+                            for mk, nk in enumerate(found)
+                        )
+                        return self.fm(at), self.fm(bt), self.fm(ct), pairing
+        return None
+
+    def right_divisor(self, chi_from, chi_to):
+        deg = self.deg
+        for ut in self.data.si_imgs:
+            if tuple(ut[chi_from[i]] for i in range(deg)) == chi_to:
+                return self.fm(ut)
+        return None
+
+    def j_one_sided(self, fk, gk, budget):
+        data, deg = self.data, self.deg
+        p = data.inst.partition
+        chi_f, chi_g = data.chars[fk], data.chars[gk]
+        g_imgs = data.imgs[gk]
+        dom = sorted(set(g_imgs))
+        dom_pos = {v: k for k, v in enumerate(dom)}
+        f_blockimg = data.blockimg_mask[fk]
+        for at in data.si_imgs:
+            mid = tuple(chi_g[at[i]] for i in range(deg))
+            sources = [
+                tuple(sorted({dom_pos[g_imgs[x]] for x in p.blocks[at[i]]}))
+                for i in range(deg)
+            ]
+            for bt in data.si_imgs:
+                if tuple(bt[mid[i]] for i in range(deg)) != chi_f:
+                    continue
+                candidates = [p.blocks[bt[p.block_of(z)]] for z in dom]
+                for values in itertools.product(*candidates):
+                    budget[0] -= 1
+                    ok = True
+                    for i in range(deg):
+                        covered = data._mask(values[k] for k in sources[i])
+                        if f_blockimg[i] & ~covered:
+                            ok = False
+                            break
+                    if ok:
+                        return self.fm(at), self.fm(bt), FiniteMap(len(dom), p.n, values)
+        return None
+
+
+def _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch):
+    """Equal results, equal J budgets and the same class-bijection searches
+    in the same order, pair by pair."""
+    data = _greens_data(inst)
+    calls = {"table": [], "tuples": []}
+    match_classes = greens._match_classes
+
+    def recorder(route):
+        def record(data, fk, gk, at, bt, budget):
+            calls[route].append((at, bt))
+            return match_classes(data, fk, gk, at, bt, budget)
+        return record
+
+    loops = _TupleSearches(data, recorder("tuples"))
+    monkeypatch.setattr(greens, "_match_classes", recorder("table"))
+    cap = greens.DEFAULT_PHI_CAP
+    for fk, gk in pairs:
+        budget = [cap]
+        assert greens._l_one_sided_theorem(data, fk, gk, cap, budget) == loops.l_one_sided(fk, gk)
+        assert greens._r_one_sided_theorem(data, fk, gk, cap, budget) == loops.r_one_sided(fk, gk)
+        assert greens._d_theorem_search(data, fk, gk, cap) == loops.d_search(fk, gk, cap)
+        assert calls["table"] == calls["tuples"]
+        calls["table"].clear()
+        calls["tuples"].clear()
+        table_budget, tuple_budget = [cap], [cap]
+        assert greens._j_one_sided_theorem(data, fk, gk, cap, table_budget) == (
+            loops.j_one_sided(fk, gk, tuple_budget)
+        )
+        assert table_budget == tuple_budget
+        cf, cg = data.char_ids[fk], data.char_ids[gk]
+        expected = loops.right_divisor(data.chars[fk], data.chars[gk])
+        if expected is None:
+            with pytest.raises(InternalError):
+                greens._first_right_divisor(data, cf, cg)
+        else:
+            assert greens._first_right_divisor(data, cf, cg) == expected
+
+
+IDENTITY_N3 = [
+    (e.label, e.instance) for e in build_catalog(3, seed=7).entries if e.instance.si.has_identity
+]
+
+
+@pytest.mark.parametrize("label,inst", IDENTITY_N3, ids=[label for label, _ in IDENTITY_N3])
+def test_theorem_searches_match_the_tuple_loops_on_every_pair(label, inst, monkeypatch):
+    size = len(enumerate_elements(inst))
+    _assert_theorem_searches_match_the_tuple_loops(
+        inst, [(a, b) for a in range(size) for b in range(size)], monkeypatch
+    )
+
+
+def test_theorem_searches_match_the_tuple_loops_on_sampled_pairs_of_t4(monkeypatch):
+    """A seeded sample of the 256-member ``n4:[0][1][2][3]/full``; the pairs
+    with f not J-below g make the loops scan every (alpha, beta) pair."""
+    inst = _full([[0], [1], [2], [3]])
+    data = _greens_data(inst)
+    rng = random.Random(4)
+    size = len(data.members)
+    pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(200)]
+    assert 0 < sum(not data.j_below[a, b] for a, b in pairs) < len(pairs)
+    _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch)
