@@ -273,9 +273,10 @@ def is_member(f: FiniteMap, inst: Instance) -> bool:
 
 def require_member(f: FiniteMap, inst: Instance) -> int:
     """The position of f in enumeration order; raises when f is not a member."""
-    if not is_member(f, inst):
+    k = inst.derived.index.get(f.images)  # a hit fixes the domain size
+    if k is None or f.codomain_size != inst.partition.n:
         raise InvalidArgumentError(f"{f} is not a member of {inst!r}")
-    return inst.derived.index[f.images]
+    return k
 
 
 def units(inst: Instance) -> tuple[FiniteMap, ...]:

@@ -9,7 +9,9 @@ delta) from the index semigroup's product table at the positions of chi(f)
 and chi(g), and searches the block geometry for the class bijections and
 image maps demanded by the structural criteria.  Both routes produce
 replayable witnesses: factor transformations whose composites reproduce the
-claimed ideal memberships.
+claimed ideal memberships.  Both assemble and validate their witnesses on
+table positions and hand out the instance's own members and index elements;
+``verify_witness`` is the independent replay, composing the maps themselves.
 
 All operations here require the identity character in the index semigroup.
 """
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import InternalError, InvalidArgumentError, PreconditionError, ResourceLimitError
 from .finite_maps import FiniteMap, compose, image, kernel_partition
-from .ensemble import Instance, enumerate_elements, is_member, require_member
+from .ensemble import Instance, enumerate_elements, require_member
 from .partition_action import Partition, character, preserves_partition
 from .regularity import _check_mode
 
@@ -187,6 +189,10 @@ class _GreensData:
     def member_id(self, f: FiniteMap) -> int:
         return require_member(f, self.inst)
 
+    def char_of(self, k: int) -> FiniteMap:
+        """The character of member k, as the index semigroup's element."""
+        return self.si_elements[self.char_ids[k]]
+
     def l_eq(self, a: int, b: int) -> bool:
         return bool(self.l_below[a, b] and self.l_below[b, a])
 
@@ -215,34 +221,40 @@ def principal_leq_oracle(
     (h1, h2) with f = h1*g*h2 for J; None when the inequality fails.
     """
     data = _greens_data(inst)
-    fk, gk = data.member_id(f), data.member_id(g)
+    found = _first_factor(data, rel, data.member_id(f), data.member_id(g), cap)
+    if found is None:
+        return None
+    if rel == "J":
+        return data.members[found[0]], data.members[found[1]]
+    return data.members[found]
+
+
+def _first_factor(
+    data: _GreensData, rel: str, fk: int, gk: int, cap: int = DEFAULT_PAIR_CAP, left=None
+):
+    """Positions of the first h with f = h*g (L) or f = g*h (R), or of the
+    first (h1, h2) with f = h1*g*h2 (J), or None; ``left`` may pass
+    ``j_left_factors(fk, gk)`` when the caller already holds it."""
     table = data.table
     if rel == "L":
-        return _first_member(data, table[:, gk] == fk)
-    if rel == "R":
-        return _first_member(data, table[gk] == fk)
-    if rel == "J":
+        hits = np.flatnonzero(table[:, gk] == fk)
+    elif rel == "R":
+        hits = np.flatnonzero(table[gk] == fk)
+    elif rel == "J":
         # The first h1 in order whose h1*g has f in its right ideal, then the
         # first h2 with h1*g*h2 = f: the first pair of the row-major scan.
-        k1 = data.j_left_factors(fk, gk)
-        if not len(k1):
+        if left is None:
+            left = data.j_left_factors(fk, gk)
+        if not len(left):
             return None
-        k1 = int(k1[0])
+        k1 = int(left[0])
         k2 = int(np.flatnonzero(table[table[k1, gk]] == fk)[0])
         if k1 * len(table) + k2 + 1 > cap:
             raise ResourceLimitError(f"J factor search exceeded the cap of {cap} pairs")
-        return data.members[k1], data.members[k2]
-    raise InvalidArgumentError(f"unknown relation {rel!r}")
-
-
-def _first_member(data: _GreensData, hits: np.ndarray) -> FiniteMap | None:
-    found = np.flatnonzero(hits)
-    return data.members[found[0]] if len(found) else None
-
-
-def _char_map(data: _GreensData, k: int) -> FiniteMap:
-    deg = data.inst.si.degree
-    return FiniteMap(deg, deg, data.chars[k])
+        return k1, k2
+    else:
+        raise InvalidArgumentError(f"unknown relation {rel!r}")
+    return int(hits[0]) if len(hits) else None
 
 
 def _l_one_sided_theorem(
@@ -276,13 +288,11 @@ def l_related(
     if mode == "oracle":
         if not data.l_eq(fk, gk):
             return None
-        h_fg = principal_leq_oracle("L", f, g, inst)
-        h_gf = principal_leq_oracle("L", g, f, inst)
-        p = inst.partition
+        h_fg, h_gf = _first_factor(data, "L", fk, gk), _first_factor(data, "L", gk, fk)
         return GreenWitness(
             relation="L",
-            index_maps=(("alpha", character(h_fg, p)), ("beta", character(h_gf, p))),
-            factors=(("fg", h_fg), ("gf", h_gf)),
+            index_maps=(("alpha", data.char_of(h_fg)), ("beta", data.char_of(h_gf))),
+            factors=(("fg", data.members[h_fg]), ("gf", data.members[h_gf])),
         )
     budget = [cap]
     alpha = _l_one_sided_theorem(data, fk, gk, cap, budget)
@@ -307,15 +317,14 @@ def build_left_factor(
     """The h with f = h*g and character alpha, choosing least solutions."""
     data = _greens_data(inst)
     fk, gk = data.member_id(f), data.member_id(g)
-    if alpha.images not in data.si_index:
+    a = inst.si.position(alpha)
+    if a is None:
         raise PreconditionError(f"{alpha} is not in the index semigroup")
     p = inst.partition
-    deg = p.degree
-    chi_f, chi_g = data.chars[fk], data.chars[gk]
     at = alpha.images
-    if tuple(chi_g[at[i]] for i in range(deg)) != chi_f or not all(
-        data.blockimg_mask[fk][i] & ~data.blockimg_mask[gk][at[i]] == 0
-        for i in range(deg)
+    bf, bg = data.blockimg_mask[fk], data.blockimg_mask[gk]
+    if data.si_table[a, data.char_ids[gk]] != data.char_ids[fk] or not all(
+        bf[i] & ~bg[j] == 0 for i, j in enumerate(at)
     ):
         raise PreconditionError(f"{alpha} does not witness the L-inequality")
     images = [0] * p.n
@@ -323,10 +332,11 @@ def build_left_factor(
         target = p.blocks[at[i]]
         for x in b:
             images[x] = next(y for y in target if g.images[y] == f.images[x])
-    h = FiniteMap(p.n, p.n, tuple(images))
-    if compose(h, g) != f or character(h, p) != alpha:
+    hk = inst.derived.index.get(tuple(images))
+    if hk is None or data.table[hk, gk] != fk or data.char_ids[hk] != a:
+        h = FiniteMap(p.n, p.n, tuple(images))
         raise InternalError(f"the left factor {h} built for {f}, {g} and {alpha} fails validation")
-    return h
+    return data.members[hk]
 
 
 def _r_one_sided_theorem(
@@ -363,16 +373,11 @@ def r_related(
     if mode == "oracle":
         if not data.r_eq(fk, gk):
             return None
-        h_fg = principal_leq_oracle("R", f, g, inst)
-        h_gf = principal_leq_oracle("R", g, f, inst)
-        p = inst.partition
+        h_fg, h_gf = _first_factor(data, "R", fk, gk), _first_factor(data, "R", gk, fk)
         return GreenWitness(
             relation="R",
-            index_maps=(
-                ("beta_fg", character(h_fg, p)),
-                ("beta_gf", character(h_gf, p)),
-            ),
-            factors=(("fg", h_fg), ("gf", h_gf)),
+            index_maps=(("beta_fg", data.char_of(h_fg)), ("beta_gf", data.char_of(h_gf))),
+            factors=(("fg", data.members[h_fg]), ("gf", data.members[h_gf])),
         )
     if data.kernels[fk] != data.kernels[gk]:
         return None
@@ -399,32 +404,32 @@ def build_right_factor(
     """The h with f = g*h and character beta, using least preimages."""
     data = _greens_data(inst)
     fk, gk = data.member_id(f), data.member_id(g)
-    if beta.images not in data.si_index:
+    b = inst.si.position(beta)
+    if b is None:
         raise PreconditionError(f"{beta} is not in the index semigroup")
     p = inst.partition
-    deg = p.degree
     bt = beta.images
-    chi_f, chi_g = data.chars[fk], data.chars[gk]
     refine_ok = all(
         any(cm & ~fm == 0 for fm in data.class_masks[fk]) for cm in data.class_masks[gk]
     )
-    if tuple(bt[chi_g[i]] for i in range(deg)) != chi_f or not refine_ok:
+    if data.si_table[data.char_ids[gk], b] != data.char_ids[fk] or not refine_ok:
         raise PreconditionError(f"{beta} does not witness the R-inequality")
     least_preimage: dict[int, int] = {}
     for x in range(p.n):
         least_preimage.setdefault(g.images[x], x)
     images = [0] * p.n
-    for i, b in enumerate(p.blocks):
+    for i, block in enumerate(p.blocks):
         basepoint = p.blocks[bt[i]][0]
-        for x in b:
+        for x in block:
             if x in least_preimage:
                 images[x] = f.images[least_preimage[x]]
             else:
                 images[x] = basepoint
-    h = FiniteMap(p.n, p.n, tuple(images))
-    if compose(g, h) != f or character(h, p) != beta:
+    hk = inst.derived.index.get(tuple(images))
+    if hk is None or data.table[gk, hk] != fk or data.char_ids[hk] != b:
+        h = FiniteMap(p.n, p.n, tuple(images))
         raise InternalError(f"the right factor {h} built for {f}, {g} and {beta} fails validation")
-    return h
+    return data.members[hk]
 
 
 def _match_classes(
@@ -538,7 +543,6 @@ def d_related(
     _check_mode(mode)
     data = _greens_data(inst)
     fk, gk = data.member_id(f), data.member_id(g)
-    p = inst.partition
     if mode == "oracle":
         l_eq_f = data.l_below[fk, :] & data.l_below[:, fk]
         r_eq_g = data.r_below[gk, :] & data.r_below[:, gk]
@@ -546,16 +550,15 @@ def d_related(
         if len(hits) == 0:
             return None
         mk = int(hits[0])
-        m = data.members[mk]
         return GreenWitness(
             relation="D",
-            index_maps=(("gamma", _char_map(data, mk)),),
+            index_maps=(("gamma", data.char_of(mk)),),
             factors=(
-                ("middle", m),
-                ("l_fm", principal_leq_oracle("L", f, m, inst)),
-                ("l_mf", principal_leq_oracle("L", m, f, inst)),
-                ("r_mg", principal_leq_oracle("R", m, g, inst)),
-                ("r_gm", principal_leq_oracle("R", g, m, inst)),
+                ("middle", data.members[mk]),
+                ("l_fm", data.members[_first_factor(data, "L", fk, mk)]),
+                ("l_mf", data.members[_first_factor(data, "L", mk, fk)]),
+                ("r_mg", data.members[_first_factor(data, "R", mk, gk)]),
+                ("r_gm", data.members[_first_factor(data, "R", gk, mk)]),
             ),
             class_pairing=_oracle_d_pairing(data, fk, mk),
         )
@@ -601,14 +604,17 @@ def build_d_middle(
         value = f.images[m_class[0]]
         for x in g_class:
             images[x] = value
-    h = FiniteMap(p.n, p.n, tuple(images))
-    if not preserves_partition(h, p) or character(h, p) != gamma:
-        raise PreconditionError("the given gamma and phi do not satisfy the D-criteria")
-    if not is_member(h, inst):
+    hk = inst.derived.index.get(tuple(images))
+    if hk is None or data.char_ids[hk] != inst.si.position(gamma):
+        h = FiniteMap(p.n, p.n, tuple(images))
+        chi = tuple(p.block_of(images[b[0]]) for b in p.blocks)
+        if not preserves_partition(h, p) or FiniteMap(p.degree, p.degree, chi) != gamma:
+            raise PreconditionError("the given gamma and phi do not satisfy the D-criteria")
+        # h preserves P and has character gamma, so only membership can fail.
         raise PreconditionError("the constructed middle element is not a member")
-    if kernel_partition(h) != kernel_partition(g):
-        raise InternalError(f"the middle element {h} does not share the kernel of {g}")
-    return h
+    if data.kernels[hk] != data.kernels[gk]:
+        raise InternalError(f"the middle element {data.members[hk]} does not share the kernel of {g}")
+    return data.members[hk]
 
 
 def _j_one_sided_theorem(
@@ -676,24 +682,29 @@ def j_related(
     _check_mode(mode)
     data = _greens_data(inst)
     fk, gk = data.member_id(f), data.member_id(g)
-    p = inst.partition
     if mode == "oracle":
-        if not (len(data.j_left_factors(fk, gk)) and len(data.j_left_factors(gk, fk))):
+        left_fg, left_gf = data.j_left_factors(fk, gk), data.j_left_factors(gk, fk)
+        if not (len(left_fg) and len(left_gf)):
             return None
-        h1, h2 = principal_leq_oracle("J", f, g, inst)
-        k1, k2 = principal_leq_oracle("J", g, f, inst)
+        h1, h2 = _first_factor(data, "J", fk, gk, left=left_fg)
+        k1, k2 = _first_factor(data, "J", gk, fk, left=left_gf)
         return GreenWitness(
             relation="J",
             index_maps=(
-                ("alpha", character(h1, p)),
-                ("beta", character(h2, p)),
-                ("gamma", character(k1, p)),
-                ("delta", character(k2, p)),
+                ("alpha", data.char_of(h1)),
+                ("beta", data.char_of(h2)),
+                ("gamma", data.char_of(k1)),
+                ("delta", data.char_of(k2)),
             ),
-            factors=(("fg1", h1), ("fg2", h2), ("gf1", k1), ("gf2", k2)),
+            factors=(
+                ("fg1", data.members[h1]),
+                ("fg2", data.members[h2]),
+                ("gf1", data.members[k1]),
+                ("gf2", data.members[k2]),
+            ),
             image_maps=(
-                ("phi", _image_map_from_factors(f, g, h1, h2, inst)),
-                ("psi", _image_map_from_factors(g, f, k1, k2, inst)),
+                ("phi", _image_map_from_factors(data, gk, h1, h2)),
+                ("psi", _image_map_from_factors(data, fk, k1, k2)),
             ),
         )
     budget = [cap]
@@ -729,34 +740,30 @@ def checkers() -> dict[str, Callable[..., GreenWitness | None]]:
     return {"L": l_related, "R": r_related, "D": d_related, "J": j_related}
 
 
-def _image_map_from_factors(
-    f: FiniteMap,
-    g: FiniteMap,
-    h1: FiniteMap,
-    h2: FiniteMap,
-    inst: Instance,
-) -> FiniteMap:
-    """Recover the image map on Xg from a factorization f = h1*g*h2.
+def _image_map_from_factors(data: _GreensData, gk: int, k1: int, k2: int) -> FiniteMap:
+    """Recover the image map on Xg from a factorization f = h1*g*h2, given
+    the member positions gk, k1 and k2 of g, h1 and h2.
 
     Points reached through h1*g are pushed through h2; stranded points of Xg
     follow a reached point of their own block when one exists, and otherwise
     drop to the basepoint of their block's target under the character of h2.
     """
-    p = inst.partition
-    beta = character(h2, p)
-    dom = sorted(set(g.images))
-    reached = {compose(h1, g).images[x] for x in range(p.n)}
+    p = data.inst.partition
+    beta = data.si_imgs[data.char_ids[k2]]
+    h2 = data.imgs[k2]
+    dom = sorted(set(data.imgs[gk]))
+    reached = set(data.imgs[data.table[k1, gk]])
     values = []
     for x in dom:
         if x in reached:
-            values.append(h2.images[x])
+            values.append(h2[x])
             continue
         i = p.block_of(x)
         fellow = [y for y in p.blocks[i] if y in reached]
         if fellow:
-            values.append(h2.images[fellow[0]])
+            values.append(h2[fellow[0]])
         else:
-            values.append(p.blocks[beta.images[i]][0])
+            values.append(p.blocks[beta[i]][0])
     return FiniteMap(len(dom), p.n, tuple(values))
 
 
@@ -770,47 +777,44 @@ def build_j_factors(
 ) -> tuple[FiniteMap, FiniteMap]:
     """The pair (h1, h2) with f = h1*g*h2 derived from an image map phi on Xg."""
     data = _greens_data(inst)
-    data.member_id(f), data.member_id(g)
+    fk, gk = data.member_id(f), data.member_id(g)
     p = inst.partition
-    if alpha.images not in data.si_index or beta.images not in data.si_index:
+    a, b = inst.si.position(alpha), inst.si.position(beta)
+    if a is None or b is None:
         raise PreconditionError("alpha and beta must lie in the index semigroup")
     dom = sorted(set(g.images))
     if phi.domain_size != len(dom) or phi.codomain_size != p.n:
         raise PreconditionError("phi must map the image of g into X")
     dom_pos = {v: k for k, v in enumerate(dom)}
     gphi = {y: phi.images[dom_pos[g.images[y]]] for y in range(p.n)}
-    chi_g = character(g, p)
-    for i, b in enumerate(p.blocks):
+    chi_g_image = set(data.chars[gk])
+    for i, block in enumerate(p.blocks):
         covered = {gphi[y] for y in p.blocks[alpha.images[i]]}
-        if not {f.images[x] for x in b} <= covered:
+        if not {f.images[x] for x in block} <= covered:
             raise PreconditionError("phi does not cover the block images of f")
-    for i in set(chi_g.images):
+    for i in chi_g_image:
         hit = {phi.images[dom_pos[x]] for x in p.blocks[i] if x in dom_pos}
         if not hit <= set(p.blocks[beta.images[i]]):
             raise PreconditionError("phi is not block-constant toward beta")
     h1_images = [0] * p.n
-    for i, b in enumerate(p.blocks):
-        target = p.blocks[alpha.images[i]]
-        for x in b:
-            h1_images[x] = next(y for y in target if gphi[y] == f.images[x])
-    h1 = FiniteMap(p.n, p.n, tuple(h1_images))
-    chi_g_image = set(chi_g.images)
     h2_images = [0] * p.n
-    for i, b in enumerate(p.blocks):
+    for i, block in enumerate(p.blocks):
+        target = p.blocks[alpha.images[i]]
         basepoint = p.blocks[beta.images[i]][0]
-        for x in b:
+        for x in block:
+            h1_images[x] = next(y for y in target if gphi[y] == f.images[x])
             if i in chi_g_image and x in dom_pos:
                 h2_images[x] = phi.images[dom_pos[x]]
             else:
                 h2_images[x] = basepoint
-    h2 = FiniteMap(p.n, p.n, tuple(h2_images))
-    if (
-        compose(compose(h1, g), h2) != f
-        or character(h1, p) != alpha
-        or character(h2, p) != beta
-    ):
+    index, table = inst.derived.index, data.table
+    k1, k2 = index.get(tuple(h1_images)), index.get(tuple(h2_images))
+    valid = k1 is not None and k2 is not None and table[table[k1, gk], k2] == fk
+    if not valid or data.char_ids[k1] != a or data.char_ids[k2] != b:
+        h1 = FiniteMap(p.n, p.n, tuple(h1_images))
+        h2 = FiniteMap(p.n, p.n, tuple(h2_images))
         raise InternalError(f"the J factors {h1}, {h2} built for {f} and {g} fail validation")
-    return h1, h2
+    return data.members[k1], data.members[k2]
 
 
 def _txp_l_one_sided(f: FiniteMap, g: FiniteMap, p: Partition) -> bool:

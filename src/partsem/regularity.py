@@ -9,6 +9,7 @@ criteria only from the index semigroup's table.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Literal
 
 import numpy as np
@@ -42,6 +43,16 @@ def is_regular_oracle(f: FiniteMap, inst: Instance) -> FiniteMap | None:
 
 def _block_images(f: FiniteMap, inst: Instance) -> list[set[int]]:
     return [{f.images[x] for x in b} for b in inst.partition.blocks]
+
+
+def _merges_onto_a_large_block(inst: Instance) -> bool:
+    """True when some character sends two blocks onto one non-singleton block."""
+    sizes = [len(b) for b in inst.partition.blocks]
+    return any(
+        count >= 2 and sizes[j] != 1
+        for alpha in inst.si.elements
+        for j, count in Counter(alpha.images).items()
+    )
 
 
 def _regular_witness_test(f: FiniteMap, inst: Instance) -> tuple[int, Callable[[int], bool]]:
@@ -132,16 +143,7 @@ def is_regular_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:
     _check_mode(mode)
     if mode == "oracle":
         return all(is_regular_oracle(f, inst) is not None for f in enumerate_elements(inst))
-    if not si_is_regular(inst.si):
-        return False
-    sizes = [len(b) for b in inst.partition.blocks]
-    for alpha in inst.si.elements:
-        fiber: dict[int, int] = {}
-        for j in alpha.images:
-            fiber[j] = fiber.get(j, 0) + 1
-        if any(count >= 2 and sizes[i] != 1 for i, count in fiber.items()):
-            return False
-    return True
+    return si_is_regular(inst.si) and not _merges_onto_a_large_block(inst)
 
 
 def idempotents(inst: Instance) -> tuple[FiniteMap, ...]:

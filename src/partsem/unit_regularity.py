@@ -24,8 +24,8 @@ from .ensemble import (
     enumerate_elements,
     require_member,
 )
-from .partition_action import character, is_unit_bijection
-from .regularity import Mode, _check_mode
+from .partition_action import block_maps, character, is_unit_bijection
+from .regularity import Mode, _block_images, _check_mode, _merges_onto_a_large_block
 
 
 def is_unit_regular_oracle(f: FiniteMap, inst: Instance) -> FiniteMap | None:
@@ -36,14 +36,6 @@ def is_unit_regular_oracle(f: FiniteMap, inst: Instance) -> FiniteMap | None:
     d = inst.derived
     hits = np.flatnonzero(d.table[d.table[k, d.unit_ids], k] == k)
     return d.members[d.unit_ids[hits[0]]] if len(hits) else None
-
-
-def _local_block_map(f: FiniteMap, inst: Instance, src: int, dst: int) -> FiniteMap:
-    """f restricted to X_src as a map into X_dst, in local coordinates."""
-    p = inst.partition
-    source, target = p.blocks[src], p.blocks[dst]
-    pos = {x: k for k, x in enumerate(target)}
-    return FiniteMap(len(source), len(target), tuple(pos[f.images[x]] for x in source))
 
 
 def _unit_witness_test(f: FiniteMap, inst: Instance) -> tuple[int, Callable[[int], bool]]:
@@ -58,8 +50,9 @@ def _unit_witness_test(f: FiniteMap, inst: Instance) -> tuple[int, Callable[[int
     chi = si.index[character(f, p).images]
     chi_image = set(si.elements[chi].images)
     img = set(f.images)
-    blk_img = [{f.images[x] for x in b} for b in p.blocks]
+    blk_img = _block_images(f, inst)
     sizes = [len(b) for b in p.blocks]
+    local_maps: list[FiniteMap] = []  # the block maps of f, built on first use
 
     def test(a: int) -> bool:
         alpha = si.elements[a].images
@@ -69,8 +62,12 @@ def _unit_witness_test(f: FiniteMap, inst: Instance) -> tuple[int, Callable[[int
             return False
         if not all((p.block_sets[i] & img) <= blk_img[alpha[i]] for i in chi_image):
             return False
+        if not local_maps:
+            local_maps.extend(entry.local_map for entry in block_maps(f, p).entries)
+        # Once chi*alpha*chi = chi holds, chi(alpha(i)) = i for every i in the
+        # image of chi, so f|X_alpha(i) is the block map of X_alpha(i) into X_i.
         for i in chi_image:
-            c, d = collapse_defect(_local_block_map(f, inst, alpha[i], i))
+            c, d = collapse_defect(local_maps[alpha[i]])
             if c != d:
                 return False
         return True
@@ -151,13 +148,7 @@ def is_unit_regular_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:
         if any(sizes[i] != sizes[alpha[i]] for i in range(inst.partition.degree)):
             return False
     # Finiteness of every block holds structurally for these carriers.
-    for beta in inst.si.elements:
-        fiber: dict[int, int] = {}
-        for j in beta.images:
-            fiber[j] = fiber.get(j, 0) + 1
-        if any(count >= 2 and sizes[i] != 1 for i, count in fiber.items()):
-            return False
-    return True
+    return not _merges_onto_a_large_block(inst)
 
 
 def make_c_neq_d_map(size_x: int, size_y: int) -> FiniteMap:

@@ -7,6 +7,7 @@ from partsem import (
     GreenWitness,
     IndexSemigroup,
     Instance,
+    InternalError,
     InvalidArgumentError,
     Partition,
     PreconditionError,
@@ -227,8 +228,57 @@ class TestBuildDMiddle:
 
     def test_rejects_wrong_gamma(self, inst_full):
         pairing = tuple((c, c) for c in kernel_partition(F1).classes)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="do not satisfy the D-criteria"):
             build_d_middle(F1, F1, fm([0, 0]), pairing, inst_full)
+
+    def test_rejects_a_middle_outside_the_instance(self, inst_trivial_si):
+        # Swapping the two kernel classes of E1 gives (2, 2, 0, 0), whose
+        # character, the swap, is not in the trivial index semigroup.
+        low, high = kernel_partition(E1).classes
+        with pytest.raises(PreconditionError, match="not a member"):
+            build_d_middle(E1, E1, fm([1, 0]), ((low, high), (high, low)), inst_trivial_si)
+
+
+class TestBuildersValidateOnTheTable:
+    """Each builder checks its factor against the member table, so a wrong
+    table entry on the checked product is reported as an internal error."""
+
+    @staticmethod
+    def _fresh():
+        return Instance(Partition.of([[0, 1], [2, 3]]), IndexSemigroup.full(2))
+
+    @staticmethod
+    def _spoil(inst, a, b):
+        table = inst.derived.table
+        table[a, b] = (table[a, b] + 1) % len(table)
+
+    def test_left_factor(self):
+        inst = self._fresh()
+        swap = fm([1, 0])
+        h = build_left_factor(E1, E3, swap, inst)
+        index = inst.derived.index
+        self._spoil(inst, index[h.images], index[E3.images])
+        with pytest.raises(InternalError, match="left factor"):
+            build_left_factor(E1, E3, swap, inst)
+
+    def test_right_factor(self):
+        inst = self._fresh()
+        h = build_right_factor(E1, E2, FiniteMap.identity(2), inst)
+        index = inst.derived.index
+        self._spoil(inst, index[E2.images], index[h.images])
+        with pytest.raises(InternalError, match="right factor"):
+            build_right_factor(E1, E2, FiniteMap.identity(2), inst)
+
+    def test_j_factors(self):
+        inst = self._fresh()
+        dom = sorted(set(F1.images))
+        phi = FiniteMap(len(dom), 4, tuple(dom))
+        ident2 = FiniteMap.identity(2)
+        h1, h2 = build_j_factors(F1, F1, ident2, ident2, phi, inst)
+        index, table = inst.derived.index, inst.derived.table
+        self._spoil(inst, table[index[h1.images], index[F1.images]], index[h2.images])
+        with pytest.raises(InternalError, match="J factors"):
+            build_j_factors(F1, F1, ident2, ident2, phi, inst)
 
 
 class TestJRelated:

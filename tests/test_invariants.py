@@ -69,3 +69,30 @@ def test_untimed_verify_output_is_pinned():
         del record["millis"]
     untimed = "\n".join(json.dumps(record, sort_keys=True) for record in records)
     assert hashlib.sha256(untimed.encode()).hexdigest()[:16] == "29a09fcf611d2607"
+
+
+def test_greens_witnesses_are_not_validated_by_composing_maps():
+    """Green's checkers, factor searches and builders work on table
+    positions; only the independent replay and the T(X, P) and T(X)
+    specializations compose maps or recompute characters."""
+    tree = ast.parse((PACKAGE / "greens.py").read_text())
+    exempt = {"verify_witness", "txp_green", "full_tx_green"}
+    functions = {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name not in exempt
+        and not node.name.startswith("_txp_")
+    }
+    named = {"l_related", "r_related", "d_related", "j_related", "principal_leq_oracle",
+             "build_left_factor", "build_right_factor", "build_d_middle", "build_j_factors"}
+    assert named <= functions.keys()
+    found = [
+        f"{name}:{node.lineno}"
+        for name, function in functions.items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("compose", "character")
+    ]
+    assert found == []

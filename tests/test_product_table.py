@@ -17,17 +17,21 @@ import pytest
 
 from partsem import (
     FiniteMap,
+    GreenWitness,
     IndexSemigroup,
     Instance,
     InternalError,
     Partition,
+    ResourceLimitError,
     build_catalog,
     character,
+    compose,
     eggbox,
     enumerate_elements,
     idempotents,
     is_regular_oracle,
     is_unit_regular_oracle,
+    kernel_partition,
     principal_leq_oracle,
     units,
 )
@@ -361,3 +365,290 @@ def test_theorem_searches_match_the_tuple_loops_on_sampled_pairs_of_t4(monkeypat
     pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(200)]
     assert 0 < sum(not data.j_below[a, b] for a, b in pairs) < len(pairs)
     _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch)
+
+
+class _MapWitnesses:
+    """The Green's checkers as they assembled and validated witnesses on
+    FiniteMaps: oracle factors mapped back through ``character``, image maps
+    recovered with ``compose``, and every built factor checked by composing
+    it.  The theorem-route searches are the library's own."""
+
+    def __init__(self, inst):
+        self.inst = inst
+        self.data = _greens_data(inst)
+        self.p = inst.partition
+
+    def leq(self, rel, f, g, cap=greens.DEFAULT_PAIR_CAP):
+        data = self.data
+        fk, gk = data.member_id(f), data.member_id(g)
+        table = data.table
+        if rel == "L":
+            found = np.flatnonzero(table[:, gk] == fk)
+            return data.members[found[0]] if len(found) else None
+        if rel == "R":
+            found = np.flatnonzero(table[gk] == fk)
+            return data.members[found[0]] if len(found) else None
+        k1 = data.j_left_factors(fk, gk)
+        if not len(k1):
+            return None
+        k1 = int(k1[0])
+        k2 = int(np.flatnonzero(table[table[k1, gk]] == fk)[0])
+        if k1 * len(table) + k2 + 1 > cap:
+            raise ResourceLimitError(f"J factor search exceeded the cap of {cap} pairs")
+        return data.members[k1], data.members[k2]
+
+    def related(self, rel, f, g, mode, cap):
+        return {"L": self.l_related, "R": self.r_related, "D": self.d_related,
+                "J": self.j_related}[rel](f, g, mode, cap)
+
+    def l_related(self, f, g, mode, cap):
+        data, p = self.data, self.p
+        fk, gk = data.member_id(f), data.member_id(g)
+        if mode == "oracle":
+            if not data.l_eq(fk, gk):
+                return None
+            h_fg, h_gf = self.leq("L", f, g), self.leq("L", g, f)
+            return GreenWitness(
+                relation="L",
+                index_maps=(("alpha", character(h_fg, p)), ("beta", character(h_gf, p))),
+                factors=(("fg", h_fg), ("gf", h_gf)),
+            )
+        budget = [cap]
+        alpha = greens._l_one_sided_theorem(data, fk, gk, cap, budget)
+        if alpha is None:
+            return None
+        beta = greens._l_one_sided_theorem(data, gk, fk, cap, budget)
+        if beta is None:
+            return None
+        return GreenWitness(
+            relation="L",
+            index_maps=(("alpha", alpha), ("beta", beta)),
+            factors=(("fg", self.left_factor(f, g, alpha)), ("gf", self.left_factor(g, f, beta))),
+        )
+
+    def left_factor(self, f, g, alpha):
+        p = self.p
+        at = alpha.images
+        images = [0] * p.n
+        for i, b in enumerate(p.blocks):
+            for x in b:
+                images[x] = next(y for y in p.blocks[at[i]] if g.images[y] == f.images[x])
+        h = FiniteMap(p.n, p.n, tuple(images))
+        assert compose(h, g) == f and character(h, p) == alpha
+        return h
+
+    def r_related(self, f, g, mode, cap):
+        data, p = self.data, self.p
+        fk, gk = data.member_id(f), data.member_id(g)
+        if mode == "oracle":
+            if not data.r_eq(fk, gk):
+                return None
+            h_fg, h_gf = self.leq("R", f, g), self.leq("R", g, f)
+            return GreenWitness(
+                relation="R",
+                index_maps=(("beta_fg", character(h_fg, p)), ("beta_gf", character(h_gf, p))),
+                factors=(("fg", h_fg), ("gf", h_gf)),
+            )
+        if data.kernels[fk] != data.kernels[gk]:
+            return None
+        budget = [cap]
+        beta_fg = greens._r_one_sided_theorem(data, fk, gk, cap, budget)
+        if beta_fg is None:
+            return None
+        beta_gf = greens._r_one_sided_theorem(data, gk, fk, cap, budget)
+        if beta_gf is None:
+            return None
+        return GreenWitness(
+            relation="R",
+            index_maps=(("beta_fg", beta_fg), ("beta_gf", beta_gf)),
+            factors=(
+                ("fg", self.right_factor(f, g, beta_fg)),
+                ("gf", self.right_factor(g, f, beta_gf)),
+            ),
+        )
+
+    def right_factor(self, f, g, beta):
+        p = self.p
+        least_preimage = {}
+        for x in range(p.n):
+            least_preimage.setdefault(g.images[x], x)
+        images = [0] * p.n
+        for i, b in enumerate(p.blocks):
+            for x in b:
+                if x in least_preimage:
+                    images[x] = f.images[least_preimage[x]]
+                else:
+                    images[x] = p.blocks[beta.images[i]][0]
+        h = FiniteMap(p.n, p.n, tuple(images))
+        assert compose(g, h) == f and character(h, p) == beta
+        return h
+
+    def d_related(self, f, g, mode, cap):
+        data, p = self.data, self.p
+        fk, gk = data.member_id(f), data.member_id(g)
+        if mode == "oracle":
+            l_eq_f = data.l_below[fk, :] & data.l_below[:, fk]
+            r_eq_g = data.r_below[gk, :] & data.r_below[:, gk]
+            hits = np.nonzero(l_eq_f & r_eq_g)[0]
+            if len(hits) == 0:
+                return None
+            mk = int(hits[0])
+            m = data.members[mk]
+            deg = p.degree
+            return GreenWitness(
+                relation="D",
+                index_maps=(("gamma", FiniteMap(deg, deg, data.chars[mk])),),
+                factors=(
+                    ("middle", m),
+                    ("l_fm", self.leq("L", f, m)),
+                    ("l_mf", self.leq("L", m, f)),
+                    ("r_mg", self.leq("R", m, g)),
+                    ("r_gm", self.leq("R", g, m)),
+                ),
+                class_pairing=greens._oracle_d_pairing(data, fk, mk),
+            )
+        found = greens._d_theorem_search(data, fk, gk, cap)
+        if found is None:
+            return None
+        alpha, beta, gamma, pairing = found
+        images = [0] * p.n
+        for m_class, g_class in pairing:
+            for x in g_class:
+                images[x] = f.images[m_class[0]]
+        m = FiniteMap(p.n, p.n, tuple(images))
+        assert character(m, p) == gamma and kernel_partition(m) == kernel_partition(g)
+        mk = data.member_id(m)
+        u = greens._first_right_divisor(data, data.char_ids[gk], data.char_ids[mk])
+        v = greens._first_right_divisor(data, data.char_ids[mk], data.char_ids[gk])
+        return GreenWitness(
+            relation="D",
+            index_maps=(("alpha", alpha), ("beta", beta), ("gamma", gamma)),
+            factors=(
+                ("middle", m),
+                ("l_fm", self.left_factor(f, m, alpha)),
+                ("l_mf", self.left_factor(m, f, beta)),
+                ("r_mg", self.right_factor(m, g, u)),
+                ("r_gm", self.right_factor(g, m, v)),
+            ),
+            class_pairing=pairing,
+        )
+
+    def j_related(self, f, g, mode, cap):
+        data, p = self.data, self.p
+        fk, gk = data.member_id(f), data.member_id(g)
+        if mode == "oracle":
+            if not (len(data.j_left_factors(fk, gk)) and len(data.j_left_factors(gk, fk))):
+                return None
+            h1, h2 = self.leq("J", f, g)
+            k1, k2 = self.leq("J", g, f)
+            return GreenWitness(
+                relation="J",
+                index_maps=(
+                    ("alpha", character(h1, p)),
+                    ("beta", character(h2, p)),
+                    ("gamma", character(k1, p)),
+                    ("delta", character(k2, p)),
+                ),
+                factors=(("fg1", h1), ("fg2", h2), ("gf1", k1), ("gf2", k2)),
+                image_maps=(("phi", self.image_map(g, h1, h2)), ("psi", self.image_map(f, k1, k2))),
+            )
+        budget = [cap]
+        forward = greens._j_one_sided_theorem(data, fk, gk, cap, budget)
+        if forward is None:
+            return None
+        backward = greens._j_one_sided_theorem(data, gk, fk, cap, budget)
+        if backward is None:
+            return None
+        alpha, beta, phi = forward
+        gamma, delta, psi = backward
+        h1, h2 = self.j_factors(f, g, alpha, beta, phi)
+        k1, k2 = self.j_factors(g, f, gamma, delta, psi)
+        return GreenWitness(
+            relation="J",
+            index_maps=(("alpha", alpha), ("beta", beta), ("gamma", gamma), ("delta", delta)),
+            factors=(("fg1", h1), ("fg2", h2), ("gf1", k1), ("gf2", k2)),
+            image_maps=(("phi", phi), ("psi", psi)),
+        )
+
+    def image_map(self, g, h1, h2):
+        p = self.p
+        beta = character(h2, p)
+        dom = sorted(set(g.images))
+        reached = set(compose(h1, g).images)
+        values = []
+        for x in dom:
+            fellow = [y for y in p.blocks[p.block_of(x)] if y in reached]
+            if x in reached:
+                values.append(h2.images[x])
+            elif fellow:
+                values.append(h2.images[fellow[0]])
+            else:
+                values.append(p.blocks[beta.images[p.block_of(x)]][0])
+        return FiniteMap(len(dom), p.n, tuple(values))
+
+    def j_factors(self, f, g, alpha, beta, phi):
+        p = self.p
+        dom = sorted(set(g.images))
+        dom_pos = {v: k for k, v in enumerate(dom)}
+        gphi = {y: phi.images[dom_pos[g.images[y]]] for y in range(p.n)}
+        chi_g_image = set(character(g, p).images)
+        h1_images = [0] * p.n
+        h2_images = [0] * p.n
+        for i, b in enumerate(p.blocks):
+            for x in b:
+                h1_images[x] = next(
+                    y for y in p.blocks[alpha.images[i]] if gphi[y] == f.images[x]
+                )
+                if i in chi_g_image and x in dom_pos:
+                    h2_images[x] = phi.images[dom_pos[x]]
+                else:
+                    h2_images[x] = p.blocks[beta.images[i]][0]
+        h1 = FiniteMap(p.n, p.n, tuple(h1_images))
+        h2 = FiniteMap(p.n, p.n, tuple(h2_images))
+        assert compose(compose(h1, g), h2) == f
+        assert character(h1, p) == alpha and character(h2, p) == beta
+        return h1, h2
+
+
+def _outcome(call):
+    """The call's result, or the message of the ResourceLimitError it raised."""
+    try:
+        return call()
+    except ResourceLimitError as err:
+        return ("ResourceLimitError", str(err))
+
+
+def _assert_witnesses_match_the_map_route(inst, pairs):
+    """Equal witnesses or equal cap errors from every checker in oracle mode,
+    theorem mode and theorem mode with cap 3, and equal first factors from
+    principal_leq_oracle, pair by pair."""
+    ref = _MapWitnesses(inst)
+    members = enumerate_elements(inst)
+    modes = (("oracle", greens.DEFAULT_PHI_CAP), ("theorem", greens.DEFAULT_PHI_CAP),
+             ("theorem", 3))
+    for a, b in pairs:
+        f, g = members[a], members[b]
+        for rel, checker in greens.checkers().items():
+            for mode, cap in modes:
+                got = _outcome(lambda: checker(f, g, inst, mode=mode, cap=cap))
+                assert got == _outcome(lambda: ref.related(rel, f, g, mode, cap)), (
+                    rel, mode, cap, a, b)
+        for rel in "LRJ":
+            assert principal_leq_oracle(rel, f, g, inst) == ref.leq(rel, f, g), (rel, a, b)
+
+
+@pytest.mark.parametrize("label,inst", IDENTITY_N3, ids=[label for label, _ in IDENTITY_N3])
+def test_witnesses_match_the_map_route_on_every_pair(label, inst):
+    size = len(enumerate_elements(inst))
+    _assert_witnesses_match_the_map_route(
+        inst, [(a, b) for a in range(size) for b in range(size)]
+    )
+
+
+def test_witnesses_match_the_map_route_on_sampled_pairs_of_t4():
+    inst = _full([[0], [1], [2], [3]])
+    rng = random.Random(5)
+    size = len(enumerate_elements(inst))
+    _assert_witnesses_match_the_map_route(
+        inst, [(rng.randrange(size), rng.randrange(size)) for _ in range(200)]
+    )
