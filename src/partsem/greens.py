@@ -742,29 +742,17 @@ def checkers() -> dict[str, Callable[..., GreenWitness | None]]:
 
 def _image_map_from_factors(data: _GreensData, gk: int, k1: int, k2: int) -> FiniteMap:
     """Recover the image map on Xg from a factorization f = h1*g*h2, given
-    the member positions gk, k1 and k2 of g, h1 and h2.
+    the member positions gk, k1 and k2 of g, h1 and h2: h2 restricted to Xg.
 
-    Points reached through h1*g are pushed through h2; stranded points of Xg
-    follow a reached point of their own block when one exists, and otherwise
-    drop to the basepoint of their block's target under the character of h2.
+    Only J-related f and g reach here, and J-related maps have equal rank:
+    rank f <= rank(h1*g) <= rank g = rank f.  The image of h1*g lies in Xg,
+    so it is all of Xg and every point of Xg is pushed through h2.
     """
-    p = data.inst.partition
-    beta = data.si_imgs[data.char_ids[k2]]
-    h2 = data.imgs[k2]
     dom = sorted(set(data.imgs[gk]))
-    reached = set(data.imgs[data.table[k1, gk]])
-    values = []
-    for x in dom:
-        if x in reached:
-            values.append(h2[x])
-            continue
-        i = p.block_of(x)
-        fellow = [y for y in p.blocks[i] if y in reached]
-        if fellow:
-            values.append(h2[fellow[0]])
-        else:
-            values.append(p.blocks[beta[i]][0])
-    return FiniteMap(len(dom), p.n, tuple(values))
+    if len(set(data.imgs[data.table[k1, gk]])) != len(dom):
+        raise InternalError(f"h1*g misses a point of the image of {data.members[gk]}")
+    h2 = data.imgs[k2]
+    return FiniteMap(len(dom), data.inst.partition.n, tuple(h2[x] for x in dom))
 
 
 def build_j_factors(

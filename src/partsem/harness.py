@@ -4,6 +4,16 @@ The catalog crosses every set partition of [0, n) for n up to ``max_n`` with
 a menu of index semigroups per block count.  Each suite replays one claimed
 equivalence or containment over the whole catalog and reports per-instance
 verdicts with replayable counterexamples.
+
+``SUITES`` maps each of the 29 suite names, in report order, to a callable
+from a ``Catalog`` to its records.  A suite is declared once: ``@_suite(name,
+admits)`` names it and its admission rule (every entry when omitted), and
+the one runner times the body on each admitted entry and makes its record.
+The body, ``body(entry, tally, catalog)``, only states its checks through
+``tally.check(ok, detail, **elements)`` and ``tally.fail(detail,
+**elements)``.  To add a suite, declare it with ``@_suite`` where it belongs
+in the report order; the order of the declarations is the order of
+``SUITES``.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -241,739 +252,488 @@ def build_catalog(max_n: int, seed: int) -> Catalog:
     return Catalog(max_n, seed, tuple(entries))
 
 
-def _record(
-    suite: str,
-    entry_label: str,
-    started: float,
-    checks: int,
-    failures: list[dict],
-    capped: int = 0,
-    observations: tuple[str, ...] = (),
-) -> SuiteRecord:
+# --- the suite runner --------------------------------------------------------
+
+SUITES: dict[str, Callable[[Catalog], list[SuiteRecord]]] = {}
+
+
+class _Tally:
+    """The checks and failures of one suite on one catalog entry."""
+
+    def __init__(self, entry: CatalogEntry | None) -> None:
+        self.entry = entry
+        self.checks = 0
+        self.capped = 0
+        self.failures: list[dict] = []
+        self.observations: tuple[str, ...] = ()
+
+    def check(self, ok: bool, detail: str, **elements) -> None:
+        """Count one check and record a failure unless it holds."""
+        self.checks += 1
+        if not ok:
+            self.fail(detail, **elements)
+
+    def fail(self, detail: str, **elements) -> None:
+        """Record a replayable failure; the elements are maps, given as
+        ``FiniteMap``s or image tuples."""
+        payload: dict = {}
+        if self.entry is not None:
+            payload["instance"] = instance_to_json(self.entry.instance)
+        payload["detail"] = detail
+        for key, value in elements.items():
+            payload[key] = list(value.images if isinstance(value, FiniteMap) else value)
+        self.failures.append(payload)
+
+
+def _record(suite: str, label: str, started: float, tally: _Tally) -> SuiteRecord:
+    failures = tally.failures
     return SuiteRecord(
         suite=suite,
-        instance=entry_label,
-        verdict="pass" if not failures else "fail",
-        checks=checks,
+        instance=label,
+        verdict="fail" if failures else "pass",
+        checks=tally.checks,
         failures=len(failures),
         counterexample=failures[0] if failures else None,
-        capped=capped,
+        capped=tally.capped,
         millis=(time.perf_counter() - started) * 1000.0,
-        observations=observations,
+        observations=tally.observations,
     )
 
 
-def _fail(entry: CatalogEntry, detail: str, **elements) -> dict:
-    payload = {
-        "instance": instance_to_json(entry.instance),
-        "detail": detail,
-    }
-    for key, value in elements.items():
-        if isinstance(value, FiniteMap):
-            payload[key] = list(value.images)
-        else:
-            payload[key] = value
-    return payload
+def _suite(name: str, admits: Callable[[CatalogEntry], bool] | None = None):
+    """Register the decorated body as suite ``name``.
+
+    The runner times the body once per catalog entry that ``admits`` keeps
+    (every entry when it is None) and makes one record of its tally.  The
+    body, ``body(entry, tally, catalog)``, only states its checks.
+    """
+
+    def register(body):
+        def run(catalog: Catalog) -> list[SuiteRecord]:
+            out = []
+            for entry in catalog.entries:
+                if admits is None or admits(entry):
+                    started = time.perf_counter()
+                    tally = _Tally(entry)
+                    body(entry, tally, catalog)
+                    out.append(_record(name, entry.label, started, tally))
+            return out
+
+        SUITES[name] = run
+        return body
+
+    return register
 
 
-def _member_tuples(inst: Instance) -> list[tuple[int, ...]]:
-    return [m.images for m in enumerate_elements(inst)]
+def _has_identity(entry: CatalogEntry) -> bool:
+    return entry.instance.si.has_identity
 
 
-def _chars(inst: Instance) -> list[tuple[int, ...]]:
-    p = inst.partition
-    lookup = [p.block_of(x) for x in range(p.n)]
-    return [
-        tuple(lookup[t[b[0]]] for b in p.blocks) for t in _member_tuples(inst)
-    ]
+def _full_characters(entry: CatalogEntry) -> bool:
+    return entry.si_label == "full"
+
+
+def _degree_one_with_identity(entry: CatalogEntry) -> bool:
+    return entry.instance.partition.degree == 1 and entry.instance.si.has_identity
+
+
+def _bijective_characters(entry: CatalogEntry) -> bool:
+    si = entry.instance.si
+    return si.has_identity and all(a.is_bijective() for a in si.elements)
 
 
 # --- partition_action suites -------------------------------------------------
 
 
-def _suite_character_homomorphism(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        started = time.perf_counter()
-        inst = entry.instance
-        p = inst.partition
-        lookup = [p.block_of(x) for x in range(p.n)]
-        firsts = [b[0] for b in p.blocks]
-        tuples = _member_tuples(inst)
-        chars = _chars(inst)
-        failures: list[dict] = []
-        checks = 0
-        rng_n = range(p.n)
-        for ft, cf in zip(tuples, chars):
-            for gt, cg in zip(tuples, chars):
-                checks += 1
-                composite = tuple(gt[ft[x]] for x in rng_n)
-                direct = tuple(lookup[composite[x]] for x in firsts)
-                homomorphic = tuple(cg[cf[i]] for i in range(p.degree))
-                if direct != homomorphic:
-                    failures.append(
-                        _fail(entry, "character of composite differs from composed characters",
-                              f=list(ft), g=list(gt))
-                    )
-        out.append(_record("character-homomorphism", entry.label, started, checks, failures))
-    return out
+@_suite("character-homomorphism")
+def _character_homomorphism(entry, tally, catalog):
+    p = entry.instance.partition
+    lookup = [p.block_of(x) for x in range(p.n)]
+    firsts = [b[0] for b in p.blocks]
+    tuples = [m.images for m in enumerate_elements(entry.instance)]
+    chars = [tuple(lookup[t[x]] for x in firsts) for t in tuples]
+    rng_n = range(p.n)
+    for ft, cf in zip(tuples, chars):
+        for gt, cg in zip(tuples, chars):
+            composite = tuple(gt[ft[x]] for x in rng_n)
+            direct = tuple(lookup[composite[x]] for x in firsts)
+            homomorphic = tuple(cg[cf[i]] for i in range(p.degree))
+            tally.check(direct == homomorphic,
+                        "character of composite differs from composed characters", f=ft, g=gt)
 
 
-def _suite_lift_character_section(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        started = time.perf_counter()
-        inst = entry.instance
-        failures = []
-        checks = 0
-        for alpha in inst.si.elements:
-            checks += 1
-            lifted = lift_character(alpha, inst.partition)
-            if character(lifted, inst.partition) != alpha:
-                failures.append(_fail(entry, "lift does not section the character map", alpha=alpha))
-        out.append(_record("lift-character-section", entry.label, started, checks, failures))
-    return out
+@_suite("lift-character-section")
+def _lift_character_section(entry, tally, catalog):
+    p = entry.instance.partition
+    for alpha in entry.instance.si.elements:
+        tally.check(character(lift_character(alpha, p), p) == alpha,
+                    "lift does not section the character map", alpha=alpha)
 
 
-def _suite_unit_bijection_crosscheck(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        started = time.perf_counter()
-        inst = entry.instance
-        p = inst.partition
-        failures = []
-        checks = 0
-        for f in enumerate_elements(inst):
-            checks += 1
-            direct = f.is_bijective() and preserves_partition(f.inverse(), p)
-            if is_unit_bijection(f, p) != direct:
-                failures.append(_fail(entry, "block-bijectivity test disagrees with inverse test", f=f))
-        out.append(_record("unit-bijection-crosscheck", entry.label, started, checks, failures))
-    return out
+@_suite("unit-bijection-crosscheck")
+def _unit_bijection_crosscheck(entry, tally, catalog):
+    p = entry.instance.partition
+    for f in enumerate_elements(entry.instance):
+        direct = f.is_bijective() and preserves_partition(f.inverse(), p)
+        tally.check(is_unit_bijection(f, p) == direct,
+                    "block-bijectivity test disagrees with inverse test", f=f)
 
 
-def _suite_unit_image_blocks(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        started = time.perf_counter()
-        inst = entry.instance
-        p = inst.partition
-        block_sets = set(p.block_sets)
-        failures = []
-        checks = 0
-        for f in enumerate_elements(inst):
-            if not is_unit_bijection(f, p):
-                continue
+@_suite("unit-image-blocks")
+def _unit_image_blocks(entry, tally, catalog):
+    p = entry.instance.partition
+    block_sets = set(p.block_sets)
+    for f in enumerate_elements(entry.instance):
+        if is_unit_bijection(f, p):
             for b in p.blocks:
-                checks += 1
-                if frozenset(f.images[x] for x in b) not in block_sets:
-                    failures.append(_fail(entry, "image of a block under a unit is not a block", f=f))
-        out.append(_record("unit-image-blocks", entry.label, started, checks, failures))
-    return out
+                tally.check(frozenset(f.images[x] for x in b) in block_sets,
+                            "image of a block under a unit is not a block", f=f)
 
 
-def _suite_block_maps_roundtrip(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        started = time.perf_counter()
-        inst = entry.instance
-        failures = []
-        checks = 0
-        for f in enumerate_elements(inst):
-            checks += 1
-            if reassemble(block_maps(f, inst.partition), inst.partition) != f:
-                failures.append(_fail(entry, "block decomposition does not reassemble", f=f))
-        out.append(_record("block-maps-roundtrip", entry.label, started, checks, failures))
-    return out
+@_suite("block-maps-roundtrip")
+def _block_maps_roundtrip(entry, tally, catalog):
+    p = entry.instance.partition
+    for f in enumerate_elements(entry.instance):
+        tally.check(reassemble(block_maps(f, p), p) == f,
+                    "block decomposition does not reassemble", f=f)
 
 
 # --- ensemble suites ---------------------------------------------------------
 
 
-def _suite_element_counting(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        started = time.perf_counter()
-        inst = entry.instance
-        failures = []
-        actual = len(enumerate_elements(inst))
-        expected = predicted_size(inst)
-        if actual != expected:
-            failures.append(_fail(entry, f"enumerated {actual} members, formula gives {expected}"))
-        out.append(_record("element-counting", entry.label, started, 1, failures))
-    return out
+@_suite("element-counting")
+def _element_counting(entry, tally, catalog):
+    actual = len(enumerate_elements(entry.instance))
+    expected = predicted_size(entry.instance)
+    tally.check(actual == expected, f"enumerated {actual} members, formula gives {expected}")
 
 
-def _suite_member_closure(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        started = time.perf_counter()
-        inst = entry.instance
-        tuples = _member_tuples(inst)
-        index = member_index(inst)
-        rng_n = range(inst.partition.n)
-        failures = []
-        checks = 0
-        for ft in tuples:
-            for gt in tuples:
-                checks += 1
-                if tuple(gt[ft[x]] for x in rng_n) not in index:
-                    failures.append(_fail(entry, "composite escapes the member set",
-                                          f=list(ft), g=list(gt)))
-        out.append(_record("member-closure", entry.label, started, checks, failures))
-    return out
+@_suite("member-closure")
+def _member_closure(entry, tally, catalog):
+    tuples = [m.images for m in enumerate_elements(entry.instance)]
+    index = member_index(entry.instance)
+    rng_n = range(entry.instance.partition.n)
+    for ft in tuples:
+        for gt in tuples:
+            tally.check(tuple(gt[ft[x]] for x in rng_n) in index,
+                        "composite escapes the member set", f=ft, g=gt)
 
 
-def _suite_unit_set_identity(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        if not entry.instance.si.has_identity:
-            continue
-        started = time.perf_counter()
-        inst = entry.instance
-        members = enumerate_elements(inst)
-        ident = FiniteMap.identity(inst.partition.n)
-        by_definition = []
-        for f in members:
-            if any(compose(f, g) == ident and compose(g, f) == ident for g in members):
-                by_definition.append(f)
-        by_formula = [f for f in members if is_unit_bijection(f, inst.partition)]
-        failures = []
-        if by_definition != by_formula:
-            failures.append(_fail(entry, "two-sided-invertible members differ from the S(X,P) intersection"))
-        out.append(_record("unit-set-identity", entry.label, started, len(members), failures))
-    return out
+@_suite("unit-set-identity", _has_identity)
+def _unit_set_identity(entry, tally, catalog):
+    inst = entry.instance
+    members = enumerate_elements(inst)
+    ident = FiniteMap.identity(inst.partition.n)
+    by_definition = [
+        f for f in members
+        if any(compose(f, g) == ident and compose(g, f) == ident for g in members)
+    ]
+    by_formula = [f for f in members if is_unit_bijection(f, inst.partition)]
+    tally.checks = len(members)
+    if by_definition != by_formula:
+        tally.fail("two-sided-invertible members differ from the S(X,P) intersection")
 
 
-def _suite_units_are_bijections(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        if not entry.instance.si.has_identity:
-            continue
-        started = time.perf_counter()
-        inst = entry.instance
-        failures = []
-        checks = 0
-        for u in units(inst):
-            checks += 1
-            if not (u.is_bijective() and is_unit_bijection(u, inst.partition)):
-                failures.append(_fail(entry, "a unit fails the bijection tests", u=u))
-        out.append(_record("units-are-bijections", entry.label, started, checks, failures))
-    return out
+@_suite("units-are-bijections", _has_identity)
+def _units_are_bijections(entry, tally, catalog):
+    for u in units(entry.instance):
+        tally.check(u.is_bijective() and is_unit_bijection(u, entry.instance.partition),
+                    "a unit fails the bijection tests", u=u)
 
 
 # --- regularity suites -------------------------------------------------------
 
 
-def _suite_regular_element_equivalence(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        started = time.perf_counter()
-        inst = entry.instance
-        failures = []
-        checks = 0
-        for f in enumerate_elements(inst):
-            checks += 1
-            g = is_regular_oracle(f, inst)
-            witnesses = regular_character_witnesses(f, inst)
-            if (g is not None) != bool(witnesses):
-                failures.append(_fail(entry, "oracle and witness-set verdicts disagree", f=f))
-                continue
-            if g is not None and character(g, inst.partition) not in witnesses:
-                failures.append(_fail(entry, "character of the found inner inverse is not a witness",
-                                      f=f, g=g))
-        out.append(_record("regular-element-equivalence", entry.label, started, checks, failures))
-    return out
+@_suite("regular-element-equivalence")
+def _regular_element_equivalence(entry, tally, catalog):
+    inst = entry.instance
+    for f in enumerate_elements(inst):
+        tally.checks += 1
+        g = is_regular_oracle(f, inst)
+        witnesses = regular_character_witnesses(f, inst)
+        if (g is not None) != bool(witnesses):
+            tally.fail("oracle and witness-set verdicts disagree", f=f)
+        elif g is not None and character(g, inst.partition) not in witnesses:
+            tally.fail("character of the found inner inverse is not a witness", f=f, g=g)
 
 
-def _suite_inner_inverse_construction(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        started = time.perf_counter()
-        inst = entry.instance
-        index = member_index(inst)
-        failures = []
-        checks = 0
-        for f in enumerate_elements(inst):
-            for alpha in regular_character_witnesses(f, inst):
-                checks += 1
-                g = build_inner_inverse(f, alpha, inst)
-                ok = (
-                    compose(compose(f, g), f) == f
-                    and character(g, inst.partition) == alpha
-                    and g.images in index
-                )
-                if not ok:
-                    failures.append(_fail(entry, "constructed inner inverse fails validation",
-                                          f=f, alpha=alpha, g=g))
-        out.append(_record("inner-inverse-construction", entry.label, started, checks, failures))
-    return out
+@_suite("inner-inverse-construction")
+def _inner_inverse_construction(entry, tally, catalog):
+    inst = entry.instance
+    index = member_index(inst)
+    for f in enumerate_elements(inst):
+        for alpha in regular_character_witnesses(f, inst):
+            g = build_inner_inverse(f, alpha, inst)
+            ok = (
+                compose(compose(f, g), f) == f
+                and character(g, inst.partition) == alpha
+                and g.images in index
+            )
+            tally.check(ok, "constructed inner inverse fails validation", f=f, alpha=alpha, g=g)
 
 
-def _suite_idempotent_equivalence(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        started = time.perf_counter()
-        inst = entry.instance
-        failures = []
-        checks = 0
-        for f in enumerate_elements(inst):
-            checks += 1
-            if (compose(f, f) == f) != is_idempotent_characterized(f, inst):
-                failures.append(_fail(entry, "direct and structural idempotency disagree", f=f))
-        out.append(_record("idempotent-equivalence", entry.label, started, checks, failures))
-    return out
+@_suite("idempotent-equivalence")
+def _idempotent_equivalence(entry, tally, catalog):
+    for f in enumerate_elements(entry.instance):
+        tally.check((compose(f, f) == f) == is_idempotent_characterized(f, entry.instance),
+                    "direct and structural idempotency disagree", f=f)
 
 
-def _suite_regular_semigroup_equivalence(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        started = time.perf_counter()
-        inst = entry.instance
-        failures = []
-        oracle = is_regular_semigroup(inst, "oracle")
-        theorem = is_regular_semigroup(inst, "theorem")
-        checks = 1
-        if oracle != theorem:
-            failures.append(_fail(entry, f"oracle={oracle} but theorem={theorem}"))
-        if entry.si_label == "full":
-            checks += 1
-            if theorem != inst.partition.is_trivial():
-                failures.append(_fail(
-                    entry,
-                    "full-character instance regularity does not match partition triviality",
-                ))
-        out.append(_record("regular-semigroup-equivalence", entry.label, started, checks, failures))
-    return out
+def _routes_agree(entry: CatalogEntry, tally: _Tally, decide) -> bool:
+    """Check that the oracle and theorem routes of a semigroup property agree;
+    return the theorem's verdict."""
+    oracle = decide(entry.instance, "oracle")
+    theorem = decide(entry.instance, "theorem")
+    tally.check(oracle == theorem, f"oracle={oracle} but theorem={theorem}")
+    return theorem
 
 
-def _suite_inverse_semigroup_equivalence(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        started = time.perf_counter()
-        inst = entry.instance
-        oracle = is_inverse_semigroup(inst, "oracle")
-        theorem = is_inverse_semigroup(inst, "theorem")
-        failures = []
-        if oracle != theorem:
-            failures.append(_fail(entry, f"oracle={oracle} but theorem={theorem}"))
-        out.append(_record("inverse-semigroup-equivalence", entry.label, started, 1, failures))
-    return out
+@_suite("regular-semigroup-equivalence")
+def _regular_semigroup_equivalence(entry, tally, catalog):
+    regular = _routes_agree(entry, tally, is_regular_semigroup)
+    if entry.si_label == "full":
+        tally.check(regular == entry.instance.partition.is_trivial(),
+                    "full-character instance regularity does not match partition triviality")
 
 
-def _suite_subgroup_regularity(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        si = entry.instance.si
-        if not (si.has_identity and all(a.is_bijective() for a in si.elements)):
-            continue
-        started = time.perf_counter()
-        failures = []
-        for mode in ("oracle", "theorem"):
-            if not is_regular_semigroup(entry.instance, mode):
-                failures.append(_fail(entry, f"subgroup-character instance is not regular ({mode})"))
-        out.append(_record("subgroup-regularity", entry.label, started, 2, failures))
-    return out
+@_suite("inverse-semigroup-equivalence")
+def _inverse_semigroup_equivalence(entry, tally, catalog):
+    _routes_agree(entry, tally, is_inverse_semigroup)
+
+
+@_suite("subgroup-regularity", _bijective_characters)
+def _subgroup_regularity(entry, tally, catalog):
+    for mode in ("oracle", "theorem"):
+        tally.check(is_regular_semigroup(entry.instance, mode),
+                    f"subgroup-character instance is not regular ({mode})")
 
 
 # --- unit_regularity suites --------------------------------------------------
 
 
-def _suite_unit_regular_element_equivalence(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        if not entry.instance.si.has_identity:
-            continue
-        started = time.perf_counter()
-        inst = entry.instance
-        failures = []
-        checks = 0
-        for f in enumerate_elements(inst):
-            checks += 1
-            u = is_unit_regular_oracle(f, inst)
-            witnesses = unit_regular_witnesses(f, inst)
-            if (u is not None) != bool(witnesses):
-                failures.append(_fail(entry, "unit oracle and witness-set verdicts disagree", f=f))
-                continue
-            if u is not None and character(u, inst.partition) not in witnesses:
-                failures.append(_fail(entry, "character of the found unit inverse is not a witness",
-                                      f=f, u=u))
-        out.append(_record("unit-regular-element-equivalence", entry.label, started, checks, failures))
-    return out
+@_suite("unit-regular-element-equivalence", _has_identity)
+def _unit_regular_element_equivalence(entry, tally, catalog):
+    inst = entry.instance
+    for f in enumerate_elements(inst):
+        tally.checks += 1
+        u = is_unit_regular_oracle(f, inst)
+        witnesses = unit_regular_witnesses(f, inst)
+        if (u is not None) != bool(witnesses):
+            tally.fail("unit oracle and witness-set verdicts disagree", f=f)
+        elif u is not None and character(u, inst.partition) not in witnesses:
+            tally.fail("character of the found unit inverse is not a witness", f=f, u=u)
 
 
-def _suite_unit_inverse_construction(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        if not entry.instance.si.has_identity:
-            continue
-        started = time.perf_counter()
-        inst = entry.instance
-        index = member_index(inst)
-        failures = []
-        checks = 0
-        for f in enumerate_elements(inst):
-            for alpha in unit_regular_witnesses(f, inst):
-                checks += 1
-                u = build_unit_inverse(f, alpha, inst)
-                ok = (
-                    compose(compose(f, u), f) == f
-                    and is_unit_bijection(u, inst.partition)
-                    and character(u, inst.partition) == alpha
-                    and u.images in index
-                )
-                if not ok:
-                    failures.append(_fail(entry, "constructed unit inverse fails validation",
-                                          f=f, alpha=alpha, u=u))
-        out.append(_record("unit-inverse-construction", entry.label, started, checks, failures))
-    return out
+@_suite("unit-inverse-construction", _has_identity)
+def _unit_inverse_construction(entry, tally, catalog):
+    inst = entry.instance
+    index = member_index(inst)
+    for f in enumerate_elements(inst):
+        for alpha in unit_regular_witnesses(f, inst):
+            u = build_unit_inverse(f, alpha, inst)
+            ok = (
+                compose(compose(f, u), f) == f
+                and is_unit_bijection(u, inst.partition)
+                and character(u, inst.partition) == alpha
+                and u.images in index
+            )
+            tally.check(ok, "constructed unit inverse fails validation", f=f, alpha=alpha, u=u)
 
 
-def _suite_unit_regular_implies_regular(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        if not entry.instance.si.has_identity:
-            continue
-        started = time.perf_counter()
-        inst = entry.instance
-        failures = []
-        checks = 0
-        for f in enumerate_elements(inst):
-            checks += 1
-            if is_unit_regular_oracle(f, inst) is not None and is_regular_oracle(f, inst) is None:
-                failures.append(_fail(entry, "unit-regular member is not regular", f=f))
-        out.append(_record("unit-regular-implies-regular", entry.label, started, checks, failures))
-    return out
+@_suite("unit-regular-implies-regular", _has_identity)
+def _unit_regular_implies_regular(entry, tally, catalog):
+    inst = entry.instance
+    for f in enumerate_elements(inst):
+        tally.check(is_unit_regular_oracle(f, inst) is None or is_regular_oracle(f, inst) is not None,
+                    "unit-regular member is not regular", f=f)
 
 
-def _suite_unit_regular_semigroup_equivalence(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        if not entry.instance.si.has_identity:
-            continue
-        started = time.perf_counter()
-        inst = entry.instance
-        oracle = is_unit_regular_semigroup(inst, "oracle")
-        theorem = is_unit_regular_semigroup(inst, "theorem")
-        failures = []
-        checks = 1
-        if oracle != theorem:
-            failures.append(_fail(entry, f"oracle={oracle} but theorem={theorem}"))
-        if entry.si_label == "full":
-            checks += 1
-            if theorem != inst.partition.is_trivial():
-                failures.append(_fail(
-                    entry,
-                    "full-character instance unit-regularity does not match partition triviality",
-                ))
-        out.append(_record("unit-regular-semigroup-equivalence", entry.label, started, checks, failures))
-    return out
+@_suite("unit-regular-semigroup-equivalence", _has_identity)
+def _unit_regular_semigroup_equivalence(entry, tally, catalog):
+    unit_regular = _routes_agree(entry, tally, is_unit_regular_semigroup)
+    if entry.si_label == "full":
+        tally.check(unit_regular == entry.instance.partition.is_trivial(),
+                    "full-character instance unit-regularity does not match partition triviality")
 
 
-def _suite_equal_size_c_equals_d(catalog: Catalog) -> list[SuiteRecord]:
+def _equal_size_c_equals_d(catalog: Catalog) -> list[SuiteRecord]:
+    """Every self-map of an n-set with n <= 5 has collapse c equal to defect
+    d; the one suite that does not read the catalog."""
     started = time.perf_counter()
-    failures = []
-    checks = 0
+    tally = _Tally(None)
     for n in range(1, 6):
         for images in itertools.product(range(n), repeat=n):
-            checks += 1
             c, d = collapse_defect(FiniteMap(n, n, images))
-            if c != d:
-                failures.append({"detail": "equal-size map with c != d", "f": list(images)})
-    return [_record("equal-size-c-equals-d", "maps up to size 5", started, checks, failures)]
+            tally.check(c == d, "equal-size map with c != d", f=images)
+    return [_record("equal-size-c-equals-d", "maps up to size 5", started, tally)]
 
 
-def _suite_transversal_lemma(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        started = time.perf_counter()
-        inst = entry.instance
-        failures = []
-        checks = 0
-        with_units = inst.si.has_identity
-        for f in enumerate_elements(inst):
-            g = is_regular_oracle(f, inst)
-            if g is not None:
-                checks += 1
-                if not fg_image_is_kernel_transversal(f, g):
-                    failures.append(_fail(entry, "image of f*g is not a kernel transversal", f=f, g=g))
-            if with_units:
-                u = is_unit_regular_oracle(f, inst)
-                if u is not None:
-                    checks += 1
-                    if not fg_image_is_kernel_transversal(f, u):
-                        failures.append(_fail(entry, "image of f*u is not a kernel transversal", f=f, u=u))
-        out.append(_record("transversal-lemma", entry.label, started, checks, failures))
-    return out
+SUITES["equal-size-c-equals-d"] = _equal_size_c_equals_d
+
+
+@_suite("transversal-lemma")
+def _transversal_lemma(entry, tally, catalog):
+    inst = entry.instance
+    for f in enumerate_elements(inst):
+        g = is_regular_oracle(f, inst)
+        if g is not None:
+            tally.check(fg_image_is_kernel_transversal(f, g),
+                        "image of f*g is not a kernel transversal", f=f, g=g)
+        u = is_unit_regular_oracle(f, inst) if inst.si.has_identity else None
+        if u is not None:
+            tally.check(fg_image_is_kernel_transversal(f, u),
+                        "image of f*u is not a kernel transversal", f=f, u=u)
 
 
 # --- greens suites -----------------------------------------------------------
 
 
-def _pair_sample(entry: CatalogEntry, catalog: Catalog, size: int, limit: int) -> list[tuple[int, int]]:
+def _pairs(entry: CatalogEntry, catalog: Catalog, limit: int) -> list[tuple[FiniteMap, FiniteMap]]:
+    """Every ordered pair of members up to ``limit`` members, else a seeded
+    sample of ``SAMPLE_PAIRS`` pairs."""
+    members = enumerate_elements(entry.instance)
+    size = len(members)
     if size <= limit:
-        return [(a, b) for a in range(size) for b in range(size)]
-    rng = random.Random(f"{catalog.seed}:{entry.label}:pairs")
-    return [(rng.randrange(size), rng.randrange(size)) for _ in range(SAMPLE_PAIRS)]
+        picks = [(a, b) for a in range(size) for b in range(size)]
+    else:
+        rng = random.Random(f"{catalog.seed}:{entry.label}:pairs")
+        picks = [(rng.randrange(size), rng.randrange(size)) for _ in range(SAMPLE_PAIRS)]
+    return [(members[a], members[b]) for a, b in picks]
 
 
-def _suite_greens_mode_agreement(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
+def _first_pair(data, mask: np.ndarray) -> dict:
+    """The first member pair, row-major, where ``mask`` holds, as failure elements."""
+    a, b = map(int, np.argwhere(mask)[0])
+    return {"f": data.members[a], "g": data.members[b]}
+
+
+@_suite("greens-mode-agreement", _has_identity)
+def _greens_mode_agreement(entry, tally, catalog):
     checkers = greens.checkers()
-    for entry in catalog.entries:
-        if not entry.instance.si.has_identity:
+    for f, g in _pairs(entry, catalog, EXHAUSTIVE_PAIR_LIMIT):
+        for rel, checker in checkers.items():
+            tally.checks += 1
+            oracle = checker(f, g, entry.instance, mode="oracle") is not None
+            try:
+                theorem = checker(f, g, entry.instance, mode="theorem") is not None
+            except ResourceLimitError:
+                tally.capped += 1
+                continue
+            if oracle != theorem:
+                tally.fail(f"{rel}: oracle={oracle} but theorem={theorem}", f=f, g=g)
+    if tally.capped:
+        tally.observations = (f"{tally.capped} capped checks recorded oracle-only verdicts",)
+
+
+@_suite("character-descent", _has_identity)
+def _character_descent(entry, tally, catalog):
+    data = greens._greens_data(entry.instance)
+    char_ids = data.char_ids
+    for a, b in itertools.product(range(len(data.members)), repeat=2):
+        tally.checks += 1
+        ca, cb = char_ids[a], char_ids[b]
+        if data.l_below[a, b] and not data.si_l_below[ca, cb]:
+            tally.fail("L-inequality does not descend to characters",
+                       f=data.members[a], g=data.members[b])
+        if data.r_below[a, b] and not data.si_r_below[ca, cb]:
+            tally.fail("R-inequality does not descend to characters",
+                       f=data.members[a], g=data.members[b])
+
+
+@_suite("greens-d-composition-commutes", _has_identity)
+def _greens_d_composition_commutes(entry, tally, catalog):
+    data = greens._greens_data(entry.instance)
+    l_eq = data.l_below & data.l_below.T
+    r_eq = data.r_below & data.r_below.T
+    differ = data.d_rel != r_eq @ l_eq
+    tally.checks = len(data.members) ** 2
+    if differ.any():
+        tally.fail("L-then-R differs from R-then-L", **_first_pair(data, differ))
+
+
+@_suite("greens-d-subset-j", _has_identity)
+def _greens_d_subset_j(entry, tally, catalog):
+    data = greens._greens_data(entry.instance)
+    d_rel = data.d_rel
+    j_rel = data.j_below & data.j_below.T
+    tally.checks = len(data.members) ** 2
+    if np.any(d_rel & ~j_rel):
+        tally.fail("a D-related pair is not J-related", **_first_pair(data, d_rel & ~j_rel))
+    # D = J in every finite semigroup, so a J-related pair outside D is a fault.
+    if np.any(j_rel & ~d_rel):
+        tally.fail("a J-related pair is not D-related", **_first_pair(data, j_rel & ~d_rel))
+
+
+@_suite("greens-tx-specialization", _degree_one_with_identity)
+def _greens_tx_specialization(entry, tally, catalog):
+    data = greens._greens_data(entry.instance)
+    l_eq = data.l_below & data.l_below.T
+    r_eq = data.r_below & data.r_below.T
+    d_rel = data.d_rel
+    j_rel = data.j_below & data.j_below.T
+    ranks = [len(set(t)) for t in data.imgs]
+    for a, b in itertools.product(range(len(data.members)), repeat=2):
+        tally.checks += 1
+        rank_eq = ranks[a] == ranks[b]
+        if bool(l_eq[a, b]) != (data.img_mask[a] == data.img_mask[b]):
+            detail = "L disagrees with image equality"
+        elif bool(r_eq[a, b]) != (data.kernels[a] == data.kernels[b]):
+            detail = "R disagrees with kernel equality"
+        elif bool(j_rel[a, b]) != rank_eq or bool(d_rel[a, b]) != rank_eq:
+            detail = "D or J disagrees with rank equality"
+        else:
             continue
-        started = time.perf_counter()
-        inst = entry.instance
-        members = enumerate_elements(inst)
-        pairs = _pair_sample(entry, catalog, len(members), EXHAUSTIVE_PAIR_LIMIT)
-        failures = []
-        capped = 0
-        checks = 0
-        for a, b in pairs:
-            f, g = members[a], members[b]
-            for rel, checker in checkers.items():
-                checks += 1
-                oracle = checker(f, g, inst, mode="oracle") is not None
+        tally.fail(detail, f=data.members[a], g=data.members[b])
+
+
+@_suite("greens-witness-replay", _has_identity)
+def _greens_witness_replay(entry, tally, catalog):
+    checkers = greens.checkers()
+    for f, g in _pairs(entry, catalog, REPLAY_PAIR_LIMIT):
+        for rel, checker in checkers.items():
+            for mode in ("oracle", "theorem"):
                 try:
-                    theorem = checker(f, g, inst, mode="theorem") is not None
+                    w = checker(f, g, entry.instance, mode=mode)
                 except ResourceLimitError:
-                    capped += 1
+                    tally.capped += 1
                     continue
-                if oracle != theorem:
-                    failures.append(_fail(
-                        entry, f"{rel}: oracle={oracle} but theorem={theorem}", f=f, g=g,
-                    ))
-        notes = (f"{capped} capped checks recorded oracle-only verdicts",) if capped else ()
-        out.append(_record("greens-mode-agreement", entry.label, started, checks,
-                           failures, capped, notes))
-    return out
+                if w is not None:
+                    tally.check(greens.verify_witness(w, f, g),
+                                f"{rel} witness ({mode}) fails to replay", f=f, g=g)
 
 
-def _suite_character_descent(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        if not entry.instance.si.has_identity:
-            continue
-        started = time.perf_counter()
-        inst = entry.instance
-        data = greens._greens_data(inst)
-        size = len(data.members)
-        failures = []
-        checks = 0
-        char_ids = data.char_ids
-        for a in range(size):
-            for b in range(size):
-                checks += 1
-                if data.l_below[a, b] and not data.si_l_below[char_ids[a], char_ids[b]]:
-                    failures.append(_fail(entry, "L-inequality does not descend to characters",
-                                          f=data.members[a], g=data.members[b]))
-                if data.r_below[a, b] and not data.si_r_below[char_ids[a], char_ids[b]]:
-                    failures.append(_fail(entry, "R-inequality does not descend to characters",
-                                          f=data.members[a], g=data.members[b]))
-        out.append(_record("character-descent", entry.label, started, checks, failures))
-    return out
+@_suite("greens-necessary-conditions", _has_identity)
+def _greens_necessary_conditions(entry, tally, catalog):
+    data = greens._greens_data(entry.instance)
+    for a, b in itertools.product(range(len(data.members)), repeat=2):
+        tally.checks += 1
+        if data.l_eq(a, b) and data.img_mask[a] != data.img_mask[b]:
+            tally.fail("L-related pair with different images",
+                       f=data.members[a], g=data.members[b])
+        if data.r_eq(a, b) and data.kernels[a] != data.kernels[b]:
+            tally.fail("R-related pair with different kernels",
+                       f=data.members[a], g=data.members[b])
 
 
-def _suite_greens_d_composition_commutes(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        if not entry.instance.si.has_identity:
-            continue
-        started = time.perf_counter()
-        data = greens._greens_data(entry.instance)
-        size = len(data.members)
-        l_eq = data.l_below & data.l_below.T
-        r_eq = data.r_below & data.r_below.T
-        lr = data.d_rel
-        rl = r_eq @ l_eq
-        failures = []
-        if not np.array_equal(lr, rl):
-            a, b = map(int, np.argwhere(lr != rl)[0])
-            failures.append(_fail(entry, "L-then-R differs from R-then-L",
-                                  f=data.members[a], g=data.members[b]))
-        out.append(_record("greens-d-composition-commutes", entry.label, started, size * size, failures))
-    return out
-
-
-def _suite_greens_d_subset_j(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        if not entry.instance.si.has_identity:
-            continue
-        started = time.perf_counter()
-        data = greens._greens_data(entry.instance)
-        size = len(data.members)
-        d_rel = data.d_rel
-        j_rel = data.j_below & data.j_below.T
-        failures = []
-        if np.any(d_rel & ~j_rel):
-            a, b = map(int, np.argwhere(d_rel & ~j_rel)[0])
-            failures.append(_fail(entry, "a D-related pair is not J-related",
-                                  f=data.members[a], g=data.members[b]))
-        # D = J in every finite semigroup, so a J-related pair outside D is a fault.
-        if np.any(j_rel & ~d_rel):
-            a, b = map(int, np.argwhere(j_rel & ~d_rel)[0])
-            failures.append(_fail(entry, "a J-related pair is not D-related",
-                                  f=data.members[a], g=data.members[b]))
-        out.append(_record("greens-d-subset-j", entry.label, started, size * size, failures))
-    return out
-
-
-def _suite_greens_tx_specialization(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        if entry.instance.partition.degree != 1 or not entry.instance.si.has_identity:
-            continue
-        started = time.perf_counter()
-        data = greens._greens_data(entry.instance)
-        size = len(data.members)
-        l_eq = data.l_below & data.l_below.T
-        r_eq = data.r_below & data.r_below.T
-        d_rel = data.d_rel
-        j_rel = data.j_below & data.j_below.T
-        ranks = [len(set(t)) for t in data.imgs]
-        failures = []
-        checks = 0
-        for a in range(size):
-            for b in range(size):
-                checks += 1
-                image_eq = data.img_mask[a] == data.img_mask[b]
-                kernel_eq = data.kernels[a] == data.kernels[b]
-                rank_eq = ranks[a] == ranks[b]
-                if bool(l_eq[a, b]) != image_eq:
-                    failures.append(_fail(entry, "L disagrees with image equality",
-                                          f=data.members[a], g=data.members[b]))
-                elif bool(r_eq[a, b]) != kernel_eq:
-                    failures.append(_fail(entry, "R disagrees with kernel equality",
-                                          f=data.members[a], g=data.members[b]))
-                elif bool(j_rel[a, b]) != rank_eq or bool(d_rel[a, b]) != rank_eq:
-                    failures.append(_fail(entry, "D or J disagrees with rank equality",
-                                          f=data.members[a], g=data.members[b]))
-        out.append(_record("greens-tx-specialization", entry.label, started, checks, failures))
-    return out
-
-
-def _suite_greens_witness_replay(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
+@_suite("txp-specialization", _full_characters)
+def _txp_specialization(entry, tally, catalog):
+    inst = entry.instance
     checkers = greens.checkers()
-    for entry in catalog.entries:
-        if not entry.instance.si.has_identity:
-            continue
-        started = time.perf_counter()
-        inst = entry.instance
-        members = enumerate_elements(inst)
-        pairs = _pair_sample(entry, catalog, len(members), REPLAY_PAIR_LIMIT)
-        failures = []
-        capped = 0
-        checks = 0
-        for a, b in pairs:
-            f, g = members[a], members[b]
-            for rel, checker in checkers.items():
-                for mode in ("oracle", "theorem"):
-                    try:
-                        w = checker(f, g, inst, mode=mode)
-                    except ResourceLimitError:
-                        capped += 1
-                        continue
-                    if w is None:
-                        continue
-                    checks += 1
-                    if not greens.verify_witness(w, f, g):
-                        failures.append(_fail(entry, f"{rel} witness ({mode}) fails to replay", f=f, g=g))
-        out.append(_record("greens-witness-replay", entry.label, started, checks, failures, capped))
-    return out
-
-
-def _suite_greens_necessary_conditions(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    for entry in catalog.entries:
-        if not entry.instance.si.has_identity:
-            continue
-        started = time.perf_counter()
-        data = greens._greens_data(entry.instance)
-        size = len(data.members)
-        failures = []
-        checks = 0
-        for a in range(size):
-            for b in range(size):
-                checks += 1
-                if data.l_eq(a, b) and data.img_mask[a] != data.img_mask[b]:
-                    failures.append(_fail(entry, "L-related pair with different images",
-                                          f=data.members[a], g=data.members[b]))
-                if data.r_eq(a, b) and data.kernels[a] != data.kernels[b]:
-                    failures.append(_fail(entry, "R-related pair with different kernels",
-                                          f=data.members[a], g=data.members[b]))
-        out.append(_record("greens-necessary-conditions", entry.label, started, checks, failures))
-    return out
-
-
-def _suite_txp_specialization(catalog: Catalog) -> list[SuiteRecord]:
-    out = []
-    checkers = greens.checkers()
-    for entry in catalog.entries:
-        if entry.si_label != "full":
-            continue
-        started = time.perf_counter()
-        inst = entry.instance
-        members = enumerate_elements(inst)
-        pairs = _pair_sample(entry, catalog, len(members), REPLAY_PAIR_LIMIT)
-        failures = []
-        capped = 0
-        checks = 0
-        for a, b in pairs:
-            f, g = members[a], members[b]
-            for rel, checker in checkers.items():
-                checks += 1
-                specialized = greens.txp_green(rel, f, g, inst.partition)
-                oracle = checker(f, g, inst, mode="oracle") is not None
-                if specialized != oracle:
-                    failures.append(_fail(entry, f"{rel}: specialized={specialized} oracle={oracle}",
-                                          f=f, g=g))
-                    continue
-                try:
-                    theorem = checker(f, g, inst, mode="theorem") is not None
-                except ResourceLimitError:
-                    capped += 1
-                    continue
-                if specialized != theorem:
-                    failures.append(_fail(entry, f"{rel}: specialized={specialized} theorem={theorem}",
-                                          f=f, g=g))
-        out.append(_record("txp-specialization", entry.label, started, checks, failures, capped))
-    return out
-
-
-SUITES = {
-    "character-homomorphism": _suite_character_homomorphism,
-    "lift-character-section": _suite_lift_character_section,
-    "unit-bijection-crosscheck": _suite_unit_bijection_crosscheck,
-    "unit-image-blocks": _suite_unit_image_blocks,
-    "block-maps-roundtrip": _suite_block_maps_roundtrip,
-    "element-counting": _suite_element_counting,
-    "member-closure": _suite_member_closure,
-    "unit-set-identity": _suite_unit_set_identity,
-    "units-are-bijections": _suite_units_are_bijections,
-    "regular-element-equivalence": _suite_regular_element_equivalence,
-    "inner-inverse-construction": _suite_inner_inverse_construction,
-    "idempotent-equivalence": _suite_idempotent_equivalence,
-    "regular-semigroup-equivalence": _suite_regular_semigroup_equivalence,
-    "inverse-semigroup-equivalence": _suite_inverse_semigroup_equivalence,
-    "subgroup-regularity": _suite_subgroup_regularity,
-    "unit-regular-element-equivalence": _suite_unit_regular_element_equivalence,
-    "unit-inverse-construction": _suite_unit_inverse_construction,
-    "unit-regular-implies-regular": _suite_unit_regular_implies_regular,
-    "unit-regular-semigroup-equivalence": _suite_unit_regular_semigroup_equivalence,
-    "equal-size-c-equals-d": _suite_equal_size_c_equals_d,
-    "transversal-lemma": _suite_transversal_lemma,
-    "greens-mode-agreement": _suite_greens_mode_agreement,
-    "character-descent": _suite_character_descent,
-    "greens-d-composition-commutes": _suite_greens_d_composition_commutes,
-    "greens-d-subset-j": _suite_greens_d_subset_j,
-    "greens-tx-specialization": _suite_greens_tx_specialization,
-    "greens-witness-replay": _suite_greens_witness_replay,
-    "greens-necessary-conditions": _suite_greens_necessary_conditions,
-    "txp-specialization": _suite_txp_specialization,
-}
+    for f, g in _pairs(entry, catalog, REPLAY_PAIR_LIMIT):
+        for rel, checker in checkers.items():
+            tally.checks += 1
+            specialized = greens.txp_green(rel, f, g, inst.partition)
+            oracle = checker(f, g, inst, mode="oracle") is not None
+            if specialized != oracle:
+                tally.fail(f"{rel}: specialized={specialized} oracle={oracle}", f=f, g=g)
+                continue
+            try:
+                theorem = checker(f, g, inst, mode="theorem") is not None
+            except ResourceLimitError:
+                tally.capped += 1
+                continue
+            if specialized != theorem:
+                tally.fail(f"{rel}: specialized={specialized} theorem={theorem}", f=f, g=g)
 
 
 def run_suite(name: str, catalog: Catalog) -> Report:

@@ -35,6 +35,7 @@ from partsem.greens import (
     DEFAULT_PHI_CAP,
     _d_theorem_search,
     _greens_data,
+    _image_map_from_factors,
     _j_one_sided_theorem,
 )
 from conftest import comp
@@ -279,6 +280,19 @@ class TestBuildersValidateOnTheTable:
         self._spoil(inst, table[index[h1.images], index[F1.images]], index[h2.images])
         with pytest.raises(InternalError, match="J factors"):
             build_j_factors(F1, F1, ident2, ident2, phi, inst)
+
+    def test_j_image_map_needs_the_whole_image(self):
+        # f = h1*g*h2 with h1 = h2 = 1 and f = g = F1; a table naming a
+        # lower-rank h1*g breaks the equal-rank invariant of J.
+        inst = self._fresh()
+        data = _greens_data(inst)
+        index, table = inst.derived.index, inst.derived.table
+        gk, ident = index[F1.images], index[FiniteMap.identity(4).images]
+        phi = _image_map_from_factors(data, gk, ident, ident)
+        assert phi.images == tuple(sorted(set(F1.images)))
+        table[ident, gk] = index[CONST.images]
+        with pytest.raises(InternalError, match="misses a point"):
+            _image_map_from_factors(data, gk, ident, ident)
 
 
 class TestJRelated:

@@ -102,10 +102,77 @@ class TestRunSuite:
         assert report.failures == 0
         assert all(r.verdict == "pass" for r in report.records)
 
-    def test_identity_filter(self, catalog2):
-        report = run_suite("greens-mode-agreement", catalog2)
-        for record in report.records:
-            assert "/" in record.instance
+    def test_identity_filter(self, catalog2, catalog3):
+        """Each suite has a record for exactly the entries its rule admits."""
+
+        def every(entry):
+            return True
+
+        def has_identity(entry):
+            return entry.instance.si.has_identity
+
+        def full(entry):
+            return entry.si_label == "full"
+
+        def degree_one_with_identity(entry):
+            return entry.instance.partition.degree == 1 and has_identity(entry)
+
+        def bijective_characters(entry):
+            return has_identity(entry) and all(a.is_bijective() for a in entry.instance.si.elements)
+
+        identity_only = {
+            "unit-set-identity", "units-are-bijections", "unit-regular-element-equivalence",
+            "unit-inverse-construction", "unit-regular-implies-regular",
+            "unit-regular-semigroup-equivalence", "greens-mode-agreement", "character-descent",
+            "greens-d-composition-commutes", "greens-d-subset-j", "greens-witness-replay",
+            "greens-necessary-conditions",
+        }
+        rules = {name: has_identity for name in identity_only}
+        rules["txp-specialization"] = full
+        rules["greens-tx-specialization"] = degree_one_with_identity
+        rules["subgroup-regularity"] = bijective_characters
+        assert len(identity_only) == 12
+        for catalog in (catalog2, catalog3):
+            records = run_all(catalog).records
+            for name in SUITES:
+                labels = [r.instance for r in records if r.suite == name]
+                if name == "equal-size-c-equals-d":
+                    assert labels == ["maps up to size 5"]
+                    continue
+                admits = rules.get(name, every)
+                assert labels == [e.label for e in catalog.entries if admits(e)], name
+                assert labels
+
+    def test_suites_are_looked_up_when_run(self, catalog2, monkeypatch):
+        """A tracer may rebind a suite in ``SUITES``; both runners call the rebound one."""
+        assert list(SUITES) == [
+            "character-homomorphism", "lift-character-section", "unit-bijection-crosscheck",
+            "unit-image-blocks", "block-maps-roundtrip", "element-counting", "member-closure",
+            "unit-set-identity", "units-are-bijections", "regular-element-equivalence",
+            "inner-inverse-construction", "idempotent-equivalence",
+            "regular-semigroup-equivalence", "inverse-semigroup-equivalence",
+            "subgroup-regularity", "unit-regular-element-equivalence",
+            "unit-inverse-construction", "unit-regular-implies-regular",
+            "unit-regular-semigroup-equivalence", "equal-size-c-equals-d", "transversal-lemma",
+            "greens-mode-agreement", "character-descent", "greens-d-composition-commutes",
+            "greens-d-subset-j", "greens-tx-specialization", "greens-witness-replay",
+            "greens-necessary-conditions", "txp-specialization",
+        ]
+        name = "element-counting"
+        original = SUITES[name]
+        calls = []
+
+        def counting(catalog):
+            calls.append(catalog)
+            return original(catalog)
+
+        monkeypatch.setitem(SUITES, name, counting)
+        expected = original(catalog2)
+        assert len(run_all(catalog2).records) > len(expected)
+        assert calls == [catalog2]
+        records = run_suite(name, catalog2).records
+        assert calls == [catalog2, catalog2]
+        assert [r.instance for r in records] == [r.instance for r in expected]
 
     def test_all_suites_pass_at_small_scale(self, catalog2):
         report = run_all(catalog2)

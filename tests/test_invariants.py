@@ -96,3 +96,23 @@ def test_greens_witnesses_are_not_validated_by_composing_maps():
         and node.func.id in ("compose", "character")
     ]
     assert found == []
+
+
+def test_only_the_suite_runner_loops_over_the_catalog():
+    """Suite bodies state their checks; one runner (``_suite`` and the record
+    it makes with ``_record``) loops over ``catalog.entries``, builds each
+    ``SuiteRecord`` and reads the clock, and only the one catalog-independent
+    suite reads the clock besides it."""
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    runner = {"_suite", "_record"}
+    found = {"entries": [], "SuiteRecord": [], "perf_counter": []}
+    for statement in tree.body:
+        owner = getattr(statement, "name", None)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Attribute) and node.attr in ("entries", "perf_counter"):
+                found[node.attr].append(owner)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SuiteRecord":
+                found["SuiteRecord"].append(owner)
+    assert set(found["entries"]) == {"_suite"}
+    assert set(found["SuiteRecord"]) == {"_record"}
+    assert set(found["perf_counter"]) == runner | {"_equal_size_c_equals_d"}
