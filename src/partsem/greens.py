@@ -832,27 +832,28 @@ def _txp_d_check(f: FiniteMap, g: FiniteMap, p: Partition) -> bool:
     g_meets = [
         {i for i in range(deg) if blocksets[i] & set(c)} for c in gc
     ]
+    # the kernel classes of f and of g meeting block i, per i
+    f_here = [[k for k in range(len(fc)) if i in f_meets[k]] for i in range(deg)]
+    g_here = [[k for k in range(len(gc)) if i in g_meets[k]] for i in range(deg)]
     for assigned in itertools.permutations(target_image):
         gamma = [0] * deg
         for fiber, value in zip(g_fibers, assigned):
             for i in fiber:
                 gamma[i] = value
         for matching in itertools.permutations(range(len(gc))):
+            inverse = {matching[k]: k for k in range(len(fc))}
             ok = True
             for i in range(deg):
-                f_here = [k for k in range(len(fc)) if i in f_meets[k]]
-                g_here = [k for k in range(len(gc)) if i in g_meets[k]]
                 if not any(
                     gamma[j] == chi_f[i]
-                    and all(j in g_meets[matching[k]] for k in f_here)
+                    and all(j in g_meets[matching[k]] for k in f_here[i])
                     for j in range(deg)
                 ):
                     ok = False
                     break
-                inverse = {matching[k]: k for k in range(len(fc))}
                 if not any(
                     chi_f[k2] == gamma[i]
-                    and all(k2 in f_meets[inverse[k]] for k in g_here)
+                    and all(k2 in f_meets[inverse[k]] for k in g_here[i])
                     for k2 in range(deg)
                 ):
                     ok = False

@@ -14,6 +14,22 @@ The body, ``body(entry, tally, catalog)``, only states its checks through
 **elements)``.  To add a suite, declare it with ``@_suite`` where it belongs
 in the report order; the order of the declarations is the order of
 ``SUITES``.
+
+The three Green's pair suites (``greens-mode-agreement``,
+``greens-witness-replay`` and ``txp-specialization``) read one **Green's
+sweep** per entry instead of calling the checkers themselves.  The sweep
+calls each checker once per pair of ``_pairs``, relation and mode, replays
+a found witness at once, and keeps a one-byte outcome code: unrelated,
+replays, fails to replay, or capped.  Whichever of the three suites reaches
+an entry first fills its sweep; the catalog keeps it (``greens_sweeps``), so
+it is freed with the catalog.  Codes, not witnesses, are kept because the
+sweeps of the whole catalog are held from the first of those suites to the
+last, and the witnesses would multiply the memory this takes.
+
+Instance files are read by ``parse_instance`` and written from
+``instance_to_json``; both live here, beside the counterexample payloads
+that embed instances, so that ``import partsem`` does not import ``cli``
+and ``python -m partsem.cli`` runs it without a ``RuntimeWarning``.
 """
 
 from __future__ import annotations
@@ -23,11 +39,13 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, ParseError, ResourceLimitError, ValidationError
 from .finite_maps import FiniteMap, collapse_defect, compose
 from .partition_action import (
     Partition,
@@ -66,7 +84,6 @@ from .unit_regularity import (
 
 EXHAUSTIVE_PAIR_LIMIT = 60  # instances above this get sampled pairs
 SAMPLE_PAIRS = 10
-REPLAY_PAIR_LIMIT = 30  # witness replay is exhaustive below this size
 
 
 @dataclass(frozen=True)
@@ -85,6 +102,12 @@ class Catalog:
     max_n: int
     seed: int
     entries: tuple[CatalogEntry, ...]
+
+    @cached_property
+    def greens_sweeps(self) -> dict[CatalogEntry, "_GreensSweep"]:
+        """Each entry's Green's sweep, filled on first use by
+        ``_greens_sweep``; kept on the catalog, so it is freed with it."""
+        return {}
 
 
 @dataclass
@@ -176,6 +199,63 @@ def instance_to_json(inst: Instance) -> dict:
             "elements": [list(a.images) for a in inst.si.elements],
         },
     }
+
+
+def parse_instance(path: str | Path) -> Instance:
+    """Load and validate an instance file."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: expected a JSON object at the top level")
+    for key in ("n", "blocks", "si"):
+        if key not in payload:
+            raise ParseError(f"{path}: missing field {key!r}")
+    if not isinstance(payload["n"], int):
+        raise ParseError(f"{path}: field 'n' must be an integer")
+    if not isinstance(payload["blocks"], list):
+        raise ParseError(f"{path}: field 'blocks' must be a list of index lists")
+    try:
+        partition = Partition(payload["n"], tuple(tuple(b) for b in payload["blocks"]))
+    except (InvalidArgumentError, TypeError) as exc:
+        raise ValidationError(f"{path}: invalid blocks: {exc}") from exc
+    si_payload = payload["si"]
+    if not isinstance(si_payload, dict) or "kind" not in si_payload:
+        raise ParseError(f"{path}: field 'si' must be an object with a 'kind'")
+    kind = si_payload["kind"]
+    degree = partition.degree
+    try:
+        if kind == "full":
+            si = IndexSemigroup.full(degree)
+        elif kind == "symmetric":
+            si = IndexSemigroup.symmetric(degree)
+        elif kind == "explicit":
+            if "elements" not in si_payload:
+                raise ParseError(f"{path}: explicit si needs an 'elements' field")
+            maps = [FiniteMap.of(tuple(m), degree) for m in si_payload["elements"]]
+            si = IndexSemigroup(degree, tuple(maps))
+        elif kind == "generated":
+            if "generators" not in si_payload:
+                raise ParseError(f"{path}: generated si needs a 'generators' field")
+            gens = [FiniteMap.of(tuple(m), degree) for m in si_payload["generators"]]
+            si = closure_from_generators(gens)
+        else:
+            raise ParseError(f"{path}: unknown si kind {kind!r}")
+    except InvalidArgumentError as exc:
+        raise ValidationError(f"{path}: invalid si: {exc}") from exc
+    try:
+        return Instance(partition, si)
+    except InvalidArgumentError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def serialize_instance(inst: Instance) -> dict:
+    return instance_to_json(inst)
 
 
 def _set_partitions(n: int):
@@ -588,17 +668,73 @@ def _transversal_lemma(entry, tally, catalog):
 # --- greens suites -----------------------------------------------------------
 
 
-def _pairs(entry: CatalogEntry, catalog: Catalog, limit: int) -> list[tuple[FiniteMap, FiniteMap]]:
-    """Every ordered pair of members up to ``limit`` members, else a seeded
-    sample of ``SAMPLE_PAIRS`` pairs."""
-    members = enumerate_elements(entry.instance)
-    size = len(members)
-    if size <= limit:
-        picks = [(a, b) for a in range(size) for b in range(size)]
-    else:
-        rng = random.Random(f"{catalog.seed}:{entry.label}:pairs")
-        picks = [(rng.randrange(size), rng.randrange(size)) for _ in range(SAMPLE_PAIRS)]
-    return [(members[a], members[b]) for a, b in picks]
+def _pairs(entry: CatalogEntry, catalog: Catalog) -> list[tuple[int, int]]:
+    """Member positions of every ordered pair up to ``EXHAUSTIVE_PAIR_LIMIT``
+    members, else of a seeded sample of ``SAMPLE_PAIRS`` pairs."""
+    size = len(enumerate_elements(entry.instance))
+    if size <= EXHAUSTIVE_PAIR_LIMIT:
+        return [(a, b) for a in range(size) for b in range(size)]
+    rng = random.Random(f"{catalog.seed}:{entry.label}:pairs")
+    return [(rng.randrange(size), rng.randrange(size)) for _ in range(SAMPLE_PAIRS)]
+
+
+# The outcome of one checker call in the Green's sweep.
+_UNRELATED, _REPLAYS, _FAILS_REPLAY, _CAPPED = range(4)
+_MODES = ("oracle", "theorem")
+
+
+class _GreensSweep:
+    """Every Green's verdict of one catalog entry, each decided once.
+
+    For each pair of ``_pairs`` (positions in ``pairs``), each relation of
+    ``greens.checkers()`` and each mode, the checker is called once and a
+    found witness is replayed at once; ``codes[k, r, m]`` keeps only the
+    outcome.  A pair the sample draws twice takes the codes of its first
+    draw.  A capped call of either mode is counted as capped by every
+    reader.
+    """
+
+    def __init__(self, entry: CatalogEntry, catalog: Catalog) -> None:
+        inst = entry.instance
+        members = self.members = enumerate_elements(inst)
+        checkers = greens.checkers()
+        pairs = _pairs(entry, catalog)
+        self.relations = tuple(checkers)
+        self.pairs = np.array(pairs, dtype=np.int32).reshape(len(pairs), 2)
+        self.codes = np.empty((len(pairs), len(checkers), len(_MODES)), dtype=np.uint8)
+        first: dict[tuple[int, int], int] = {}
+        for k, (a, b) in enumerate(pairs):
+            seen = first.setdefault((a, b), k)
+            if seen != k:  # a sampled pair drawn twice
+                self.codes[k] = self.codes[seen]
+                continue
+            f, g = members[a], members[b]
+            for r, checker in enumerate(checkers.values()):
+                for m, mode in enumerate(_MODES):
+                    try:
+                        w = checker(f, g, inst, mode=mode)
+                    except ResourceLimitError:
+                        code = _CAPPED
+                    else:
+                        if w is None:
+                            code = _UNRELATED
+                        else:
+                            code = _REPLAYS if greens.verify_witness(w, f, g) else _FAILS_REPLAY
+                    self.codes[k, r, m] = code
+
+    def rows(self):
+        """(f, g, [(relation, oracle code, theorem code), ...]) per pair, in order."""
+        members = self.members
+        for (a, b), row in zip(self.pairs.tolist(), self.codes.tolist()):
+            yield members[a], members[b], [(rel, o, t) for rel, (o, t) in zip(self.relations, row)]
+
+
+def _greens_sweep(entry: CatalogEntry, catalog: Catalog) -> _GreensSweep:
+    """The entry's Green's sweep, made by the first suite that asks."""
+    sweeps = catalog.greens_sweeps
+    if entry not in sweeps:
+        sweeps[entry] = _GreensSweep(entry, catalog)
+    return sweeps[entry]
 
 
 def _first_pair(data, mask: np.ndarray) -> dict:
@@ -609,16 +745,13 @@ def _first_pair(data, mask: np.ndarray) -> dict:
 
 @_suite("greens-mode-agreement", _has_identity)
 def _greens_mode_agreement(entry, tally, catalog):
-    checkers = greens.checkers()
-    for f, g in _pairs(entry, catalog, EXHAUSTIVE_PAIR_LIMIT):
-        for rel, checker in checkers.items():
+    for f, g, verdicts in _greens_sweep(entry, catalog).rows():
+        for rel, oracle, theorem in verdicts:
             tally.checks += 1
-            oracle = checker(f, g, entry.instance, mode="oracle") is not None
-            try:
-                theorem = checker(f, g, entry.instance, mode="theorem") is not None
-            except ResourceLimitError:
+            if _CAPPED in (oracle, theorem):
                 tally.capped += 1
                 continue
+            oracle, theorem = oracle != _UNRELATED, theorem != _UNRELATED
             if oracle != theorem:
                 tally.fail(f"{rel}: oracle={oracle} but theorem={theorem}", f=f, g=g)
     if tally.capped:
@@ -688,17 +821,13 @@ def _greens_tx_specialization(entry, tally, catalog):
 
 @_suite("greens-witness-replay", _has_identity)
 def _greens_witness_replay(entry, tally, catalog):
-    checkers = greens.checkers()
-    for f, g in _pairs(entry, catalog, REPLAY_PAIR_LIMIT):
-        for rel, checker in checkers.items():
-            for mode in ("oracle", "theorem"):
-                try:
-                    w = checker(f, g, entry.instance, mode=mode)
-                except ResourceLimitError:
+    for f, g, verdicts in _greens_sweep(entry, catalog).rows():
+        for rel, *codes in verdicts:
+            for mode, code in zip(_MODES, codes):
+                if code == _CAPPED:
                     tally.capped += 1
-                    continue
-                if w is not None:
-                    tally.check(greens.verify_witness(w, f, g),
+                elif code != _UNRELATED:
+                    tally.check(code == _REPLAYS,
                                 f"{rel} witness ({mode}) fails to replay", f=f, g=g)
 
 
@@ -717,23 +846,19 @@ def _greens_necessary_conditions(entry, tally, catalog):
 
 @_suite("txp-specialization", _full_characters)
 def _txp_specialization(entry, tally, catalog):
-    inst = entry.instance
-    checkers = greens.checkers()
-    for f, g in _pairs(entry, catalog, REPLAY_PAIR_LIMIT):
-        for rel, checker in checkers.items():
+    partition = entry.instance.partition
+    for f, g, verdicts in _greens_sweep(entry, catalog).rows():
+        for rel, oracle, theorem in verdicts:
             tally.checks += 1
-            specialized = greens.txp_green(rel, f, g, inst.partition)
-            oracle = checker(f, g, inst, mode="oracle") is not None
-            if specialized != oracle:
-                tally.fail(f"{rel}: specialized={specialized} oracle={oracle}", f=f, g=g)
-                continue
-            try:
-                theorem = checker(f, g, inst, mode="theorem") is not None
-            except ResourceLimitError:
-                tally.capped += 1
-                continue
-            if specialized != theorem:
-                tally.fail(f"{rel}: specialized={specialized} theorem={theorem}", f=f, g=g)
+            specialized = greens.txp_green(rel, f, g, partition)
+            for route, code in (("oracle", oracle), ("theorem", theorem)):
+                if code == _CAPPED:
+                    tally.capped += 1
+                    break
+                if specialized != (code != _UNRELATED):
+                    tally.fail(f"{rel}: specialized={specialized} {route}={not specialized}",
+                               f=f, g=g)
+                    break
 
 
 def run_suite(name: str, catalog: Catalog) -> Report:

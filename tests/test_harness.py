@@ -1,4 +1,8 @@
+import dataclasses
+import gc
 import json
+import weakref
+from collections import Counter
 
 import pytest
 
@@ -6,6 +10,9 @@ from partsem import (
     InvalidArgumentError,
     SUITES,
     build_catalog,
+    enumerate_elements,
+    greens,
+    harness,
     instance_to_json,
     run_all,
     run_suite,
@@ -211,3 +218,168 @@ class TestReport:
             assert parse_instance(path) == entry.instance
         finally:
             os.unlink(path)
+
+
+GREENS_PAIR_SUITES = ("greens-mode-agreement", "greens-witness-replay", "txp-specialization")
+
+
+def _untimed(records):
+    return [r.to_payload(include_timing=False) for r in records]
+
+
+def _checker_loops(catalog):
+    """The three Green's pair suites with each one calling the checkers
+    itself, pair by pair, as they did before the sweep: untimed payloads by
+    suite, in catalog order.  No checker is capped on the catalogs used."""
+    checkers = greens.checkers()
+    out = {name: [] for name in GREENS_PAIR_SUITES}
+    for entry in catalog.entries:
+        inst = entry.instance
+        if not inst.si.has_identity:
+            continue
+        members = enumerate_elements(inst)
+        pairs = [(members[a], members[b]) for a, b in harness._pairs(entry, catalog)]
+        agree, replay, txp = (harness._Tally(entry) for _ in GREENS_PAIR_SUITES)
+        for f, g in pairs:
+            for rel, checker in checkers.items():
+                agree.checks += 1
+                oracle = checker(f, g, inst, mode="oracle") is not None
+                theorem = checker(f, g, inst, mode="theorem") is not None
+                if oracle != theorem:
+                    agree.fail(f"{rel}: oracle={oracle} but theorem={theorem}", f=f, g=g)
+                for mode in ("oracle", "theorem"):
+                    w = checker(f, g, inst, mode=mode)
+                    if w is not None:
+                        replay.check(greens.verify_witness(w, f, g),
+                                     f"{rel} witness ({mode}) fails to replay", f=f, g=g)
+                if entry.si_label == "full":
+                    txp.checks += 1
+                    specialized = greens.txp_green(rel, f, g, inst.partition)
+                    if specialized != oracle:
+                        txp.fail(f"{rel}: specialized={specialized} oracle={oracle}", f=f, g=g)
+                    elif specialized != theorem:
+                        txp.fail(f"{rel}: specialized={specialized} theorem={theorem}", f=f, g=g)
+        tallies = [(GREENS_PAIR_SUITES[0], agree), (GREENS_PAIR_SUITES[1], replay)]
+        if entry.si_label == "full":
+            tallies.append((GREENS_PAIR_SUITES[2], txp))
+        for name, tally in tallies:
+            out[name].append(harness._record(name, entry.label, 0.0, tally).to_payload(False))
+    return out
+
+
+def _spoil(monkeypatch, name, spoil):
+    """Rebind ``greens.<name>`` to return ``spoil(f, g, mode, w)`` for the
+    witness or None ``w`` of the real checker."""
+    real = getattr(greens, name)
+
+    def checker(f, g, inst, mode="oracle", cap=greens.DEFAULT_PHI_CAP):
+        return spoil(f, g, mode, real(f, g, inst, mode=mode, cap=cap))
+
+    monkeypatch.setattr(greens, name, checker)
+
+
+class TestGreensSweep:
+    """One sweep per entry decides each Green's pair once; the agreement,
+    replay and T(X, P) suites read its codes."""
+
+    def test_each_verdict_is_decided_once(self, monkeypatch):
+        catalog = build_catalog(3, seed=7)
+        calls = Counter()
+        for rel, checker in greens.checkers().items():
+            def spy(f, g, inst, mode="oracle", _rel=rel, _checker=checker, **kwargs):
+                calls[(id(inst), f.images, g.images, _rel, mode)] += 1
+                return _checker(f, g, inst, mode=mode, **kwargs)
+
+            monkeypatch.setattr(greens, checker.__name__, spy)
+        assert run_all(catalog).failures == 0
+        expected = set()
+        for entry in catalog.entries:
+            if entry.instance.si.has_identity:
+                members = enumerate_elements(entry.instance)
+                for a, b in harness._pairs(entry, catalog):
+                    for rel in "LRDJ":
+                        for mode in ("oracle", "theorem"):
+                            expected.add((id(entry.instance), members[a].images,
+                                          members[b].images, rel, mode))
+        assert set(calls) == expected
+        assert set(calls.values()) == {1}
+
+    def test_a_pair_sampled_twice_is_decided_once(self, monkeypatch):
+        catalog = build_catalog(2, seed=7)
+        entry = next(e for e in catalog.entries if e.label == "n2:[0,1]/full")
+        calls = []
+        real = greens.l_related
+
+        def spy(f, g, inst, mode="oracle", **kwargs):
+            calls.append((f.images, g.images, mode))
+            return real(f, g, inst, mode=mode, **kwargs)
+
+        monkeypatch.setattr(greens, "l_related", spy)
+        monkeypatch.setattr(harness, "_pairs", lambda entry, catalog: [(0, 1), (1, 1), (0, 1)])
+        sweep = harness._greens_sweep(entry, catalog)
+        assert len(calls) == 4
+        assert (sweep.codes[2] == sweep.codes[0]).all()
+        assert sweep.pairs.tolist() == [[0, 1], [1, 1], [0, 1]]
+
+    def test_records_match_the_per_suite_checker_loops(self):
+        catalog = build_catalog(3, seed=7)
+        expected = _checker_loops(catalog)
+        report = run_all(build_catalog(3, seed=7))
+        for name in GREENS_PAIR_SUITES:
+            assert _untimed(r for r in report.records if r.suite == name) == expected[name]
+
+    def test_flipped_j_theorem_verdict_fails_where_it_did(self, monkeypatch):
+        def flip(f, g, mode, w):
+            if mode != "theorem":
+                return w
+            return None if w is not None else greens.GreenWitness("J")
+
+        _spoil(monkeypatch, "j_related", flip)
+        catalog = build_catalog(2, seed=7)
+        expected = _checker_loops(catalog)
+        report = run_all(catalog)
+        failing = {r.suite for r in report.records if r.failures}
+        assert failing == set(GREENS_PAIR_SUITES)
+        for name in GREENS_PAIR_SUITES:
+            assert _untimed(r for r in report.records if r.suite == name) == expected[name]
+        details = {r.suite: r.counterexample["detail"] for r in report.records if r.failures}
+        assert details["greens-mode-agreement"] == "J: oracle=True but theorem=False"
+        assert details["greens-witness-replay"] == "J witness (theorem) fails to replay"
+        assert details["txp-specialization"] == "J: specialized=True theorem=False"
+
+    def test_swapped_witness_factors_fail_replay_only(self, monkeypatch):
+        def swap(f, g, mode, w):
+            if w is None or mode != "oracle":
+                return w
+            factors = dict(w.factors)
+            factors["fg1"], factors["fg2"] = factors["fg2"], factors["fg1"]
+            return dataclasses.replace(w, factors=tuple(factors.items()))
+
+        _spoil(monkeypatch, "j_related", swap)
+        catalog = build_catalog(2, seed=7)
+        expected = _checker_loops(catalog)
+        report = run_all(catalog)
+        failing = {r.suite for r in report.records if r.failures}
+        assert failing == {"greens-witness-replay"}
+        replay = [r for r in report.records if r.suite == "greens-witness-replay"]
+        assert _untimed(replay) == expected["greens-witness-replay"]
+        first = next(r for r in replay if r.failures).counterexample
+        assert first["detail"] == "J witness (oracle) fails to replay"
+
+    @pytest.mark.parametrize("name", GREENS_PAIR_SUITES)
+    def test_each_suite_alone_matches_its_records_in_run_all(self, name, catalog3):
+        within = [r for r in run_all(catalog3, names=list(GREENS_PAIR_SUITES)).records
+                  if r.suite == name]
+        alone = run_suite(name, build_catalog(3, seed=7)).records
+        assert _untimed(alone) == _untimed(within)
+        assert len(alone) > 0
+
+    def test_sweeps_are_released_with_their_catalog(self):
+        catalog = build_catalog(2, seed=7)
+        run_suite("txp-specialization", catalog)
+        full = [e for e in catalog.entries if e.si_label == "full"]
+        assert list(catalog.greens_sweeps) == full
+        refs = [weakref.ref(sweep) for sweep in catalog.greens_sweeps.values()]
+        del catalog
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(full)
