@@ -96,11 +96,10 @@ from .harness import (
     SuiteRecord,
     build_catalog,
     instance_to_json,
-    parse_instance,
     run_all,
     run_suite,
-    serialize_instance,
 )
+from .cli import parse_instance, serialize_instance
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -20,8 +20,15 @@ from .errors import (
     ValidationError,
 )
 from .finite_maps import FiniteMap, is_idempotent_def
-from .partition_action import character, lift_character
-from .ensemble import enumerate_elements, predicted_size, units
+from .partition_action import Partition, character, lift_character
+from .ensemble import (
+    IndexSemigroup,
+    Instance,
+    closure_from_generators,
+    enumerate_elements,
+    predicted_size,
+    units,
+)
 from . import greens
 from .regularity import (
     build_inner_inverse,
@@ -36,14 +43,7 @@ from .unit_regularity import (
     is_unit_regular_semigroup,
     unit_regular_witnesses,
 )
-from .harness import (  # parse_instance and serialize_instance are re-exported here
-    SUITES,
-    build_catalog,
-    parse_instance,
-    run_all,
-    run_suite,
-    serialize_instance,
-)
+from .harness import build_catalog, instance_to_json, run_all, run_suite, SUITES
 
 _INPUT_ERRORS = (
     InvalidArgumentError,
@@ -53,6 +53,63 @@ _INPUT_ERRORS = (
     ResourceLimitError,
     OSError,
 )
+
+
+def parse_instance(path: str | Path) -> Instance:
+    """Load and validate an instance file."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: expected a JSON object at the top level")
+    for key in ("n", "blocks", "si"):
+        if key not in payload:
+            raise ParseError(f"{path}: missing field {key!r}")
+    if not isinstance(payload["n"], int):
+        raise ParseError(f"{path}: field 'n' must be an integer")
+    if not isinstance(payload["blocks"], list):
+        raise ParseError(f"{path}: field 'blocks' must be a list of index lists")
+    try:
+        partition = Partition(payload["n"], tuple(tuple(b) for b in payload["blocks"]))
+    except (InvalidArgumentError, TypeError) as exc:
+        raise ValidationError(f"{path}: invalid blocks: {exc}") from exc
+    si_payload = payload["si"]
+    if not isinstance(si_payload, dict) or "kind" not in si_payload:
+        raise ParseError(f"{path}: field 'si' must be an object with a 'kind'")
+    kind = si_payload["kind"]
+    degree = partition.degree
+    try:
+        if kind == "full":
+            si = IndexSemigroup.full(degree)
+        elif kind == "symmetric":
+            si = IndexSemigroup.symmetric(degree)
+        elif kind == "explicit":
+            if "elements" not in si_payload:
+                raise ParseError(f"{path}: explicit si needs an 'elements' field")
+            maps = [FiniteMap.of(tuple(m), degree) for m in si_payload["elements"]]
+            si = IndexSemigroup(degree, tuple(maps))
+        elif kind == "generated":
+            if "generators" not in si_payload:
+                raise ParseError(f"{path}: generated si needs a 'generators' field")
+            gens = [FiniteMap.of(tuple(m), degree) for m in si_payload["generators"]]
+            si = closure_from_generators(gens)
+        else:
+            raise ParseError(f"{path}: unknown si kind {kind!r}")
+    except InvalidArgumentError as exc:
+        raise ValidationError(f"{path}: invalid si: {exc}") from exc
+    try:
+        return Instance(partition, si)
+    except InvalidArgumentError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def serialize_instance(inst: Instance) -> dict:
+    return instance_to_json(inst)
 
 
 def _parse_map(text: str, n: int, what: str) -> FiniteMap:

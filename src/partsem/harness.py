@@ -25,11 +25,6 @@ an entry first fills its sweep; the catalog keeps it (``greens_sweeps``), so
 it is freed with the catalog.  Codes, not witnesses, are kept because the
 sweeps of the whole catalog are held from the first of those suites to the
 last, and the witnesses would multiply the memory this takes.
-
-Instance files are read by ``parse_instance`` and written from
-``instance_to_json``; both live here, beside the counterexample payloads
-that embed instances, so that ``import partsem`` does not import ``cli``
-and ``python -m partsem.cli`` runs it without a ``RuntimeWarning``.
 """
 
 from __future__ import annotations
@@ -40,12 +35,11 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ParseError, ResourceLimitError, ValidationError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .finite_maps import FiniteMap, collapse_defect, compose
 from .partition_action import (
     Partition,
@@ -104,8 +98,8 @@ class Catalog:
     entries: tuple[CatalogEntry, ...]
 
     @cached_property
-    def greens_sweeps(self) -> dict[CatalogEntry, "_GreensSweep"]:
-        """Each entry's Green's sweep, filled on first use by
+    def greens_sweeps(self) -> dict[str, "_GreensSweep"]:
+        """Each entry's Green's sweep by entry label, filled on first use by
         ``_greens_sweep``; kept on the catalog, so it is freed with it."""
         return {}
 
@@ -199,63 +193,6 @@ def instance_to_json(inst: Instance) -> dict:
             "elements": [list(a.images) for a in inst.si.elements],
         },
     }
-
-
-def parse_instance(path: str | Path) -> Instance:
-    """Load and validate an instance file."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    if not isinstance(payload, dict):
-        raise ParseError(f"{path}: expected a JSON object at the top level")
-    for key in ("n", "blocks", "si"):
-        if key not in payload:
-            raise ParseError(f"{path}: missing field {key!r}")
-    if not isinstance(payload["n"], int):
-        raise ParseError(f"{path}: field 'n' must be an integer")
-    if not isinstance(payload["blocks"], list):
-        raise ParseError(f"{path}: field 'blocks' must be a list of index lists")
-    try:
-        partition = Partition(payload["n"], tuple(tuple(b) for b in payload["blocks"]))
-    except (InvalidArgumentError, TypeError) as exc:
-        raise ValidationError(f"{path}: invalid blocks: {exc}") from exc
-    si_payload = payload["si"]
-    if not isinstance(si_payload, dict) or "kind" not in si_payload:
-        raise ParseError(f"{path}: field 'si' must be an object with a 'kind'")
-    kind = si_payload["kind"]
-    degree = partition.degree
-    try:
-        if kind == "full":
-            si = IndexSemigroup.full(degree)
-        elif kind == "symmetric":
-            si = IndexSemigroup.symmetric(degree)
-        elif kind == "explicit":
-            if "elements" not in si_payload:
-                raise ParseError(f"{path}: explicit si needs an 'elements' field")
-            maps = [FiniteMap.of(tuple(m), degree) for m in si_payload["elements"]]
-            si = IndexSemigroup(degree, tuple(maps))
-        elif kind == "generated":
-            if "generators" not in si_payload:
-                raise ParseError(f"{path}: generated si needs a 'generators' field")
-            gens = [FiniteMap.of(tuple(m), degree) for m in si_payload["generators"]]
-            si = closure_from_generators(gens)
-        else:
-            raise ParseError(f"{path}: unknown si kind {kind!r}")
-    except InvalidArgumentError as exc:
-        raise ValidationError(f"{path}: invalid si: {exc}") from exc
-    try:
-        return Instance(partition, si)
-    except InvalidArgumentError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-
-
-def serialize_instance(inst: Instance) -> dict:
-    return instance_to_json(inst)
 
 
 def _set_partitions(n: int):
@@ -689,8 +626,7 @@ class _GreensSweep:
     For each pair of ``_pairs`` (positions in ``pairs``), each relation of
     ``greens.checkers()`` and each mode, the checker is called once and a
     found witness is replayed at once; ``codes[k, r, m]`` keeps only the
-    outcome.  A pair the sample draws twice takes the codes of its first
-    draw.  A capped call of either mode is counted as capped by every
+    outcome.  A capped call of either mode is counted as capped by every
     reader.
     """
 
@@ -702,12 +638,7 @@ class _GreensSweep:
         self.relations = tuple(checkers)
         self.pairs = np.array(pairs, dtype=np.int32).reshape(len(pairs), 2)
         self.codes = np.empty((len(pairs), len(checkers), len(_MODES)), dtype=np.uint8)
-        first: dict[tuple[int, int], int] = {}
         for k, (a, b) in enumerate(pairs):
-            seen = first.setdefault((a, b), k)
-            if seen != k:  # a sampled pair drawn twice
-                self.codes[k] = self.codes[seen]
-                continue
             f, g = members[a], members[b]
             for r, checker in enumerate(checkers.values()):
                 for m, mode in enumerate(_MODES):
@@ -732,9 +663,9 @@ class _GreensSweep:
 def _greens_sweep(entry: CatalogEntry, catalog: Catalog) -> _GreensSweep:
     """The entry's Green's sweep, made by the first suite that asks."""
     sweeps = catalog.greens_sweeps
-    if entry not in sweeps:
-        sweeps[entry] = _GreensSweep(entry, catalog)
-    return sweeps[entry]
+    if entry.label not in sweeps:
+        sweeps[entry.label] = _GreensSweep(entry, catalog)
+    return sweeps[entry.label]
 
 
 def _first_pair(data, mask: np.ndarray) -> dict:

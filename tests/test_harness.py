@@ -304,23 +304,6 @@ class TestGreensSweep:
         assert set(calls) == expected
         assert set(calls.values()) == {1}
 
-    def test_a_pair_sampled_twice_is_decided_once(self, monkeypatch):
-        catalog = build_catalog(2, seed=7)
-        entry = next(e for e in catalog.entries if e.label == "n2:[0,1]/full")
-        calls = []
-        real = greens.l_related
-
-        def spy(f, g, inst, mode="oracle", **kwargs):
-            calls.append((f.images, g.images, mode))
-            return real(f, g, inst, mode=mode, **kwargs)
-
-        monkeypatch.setattr(greens, "l_related", spy)
-        monkeypatch.setattr(harness, "_pairs", lambda entry, catalog: [(0, 1), (1, 1), (0, 1)])
-        sweep = harness._greens_sweep(entry, catalog)
-        assert len(calls) == 4
-        assert (sweep.codes[2] == sweep.codes[0]).all()
-        assert sweep.pairs.tolist() == [[0, 1], [1, 1], [0, 1]]
-
     def test_records_match_the_per_suite_checker_loops(self):
         catalog = build_catalog(3, seed=7)
         expected = _checker_loops(catalog)
@@ -377,7 +360,7 @@ class TestGreensSweep:
     def test_sweeps_are_released_with_their_catalog(self):
         catalog = build_catalog(2, seed=7)
         run_suite("txp-specialization", catalog)
-        full = [e for e in catalog.entries if e.si_label == "full"]
+        full = [e.label for e in catalog.entries if e.si_label == "full"]
         assert list(catalog.greens_sweeps) == full
         refs = [weakref.ref(sweep) for sweep in catalog.greens_sweeps.values()]
         del catalog
