@@ -12,6 +12,9 @@ replayable witnesses: factor transformations whose composites reproduce the
 claimed ideal memberships.  Both assemble and validate their witnesses on
 table positions and hand out the instance's own members and index elements;
 ``verify_witness`` is the independent replay, composing the maps themselves.
+``txp_green``, the criteria specialized to the full character set T(I),
+reads per-map signatures (character, kernel classes, block images) that a
+caller deciding many pairs builds once per map.
 
 All operations here require the identity character in the index semigroup.
 """
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import InternalError, InvalidArgumentError, PreconditionError, ResourceLimitError
 from .finite_maps import FiniteMap, compose, image, kernel_partition
 from .ensemble import Instance, enumerate_elements, require_member
-from .partition_action import Partition, character, preserves_partition
+from .partition_action import Partition, preserves_partition
 from .regularity import _check_mode
 
 Relation = Literal["L", "R", "D", "J"]
@@ -57,22 +60,13 @@ class GreenWitness:
     image_maps: tuple[tuple[str, FiniteMap], ...] = ()
 
     def factor(self, name: str) -> FiniteMap:
-        for key, value in self.factors:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return dict(self.factors)[name]
 
     def index_map(self, name: str) -> FiniteMap:
-        for key, value in self.index_maps:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return dict(self.index_maps)[name]
 
     def image_map(self, name: str) -> FiniteMap:
-        for key, value in self.image_maps:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return dict(self.image_maps)[name]
 
 
 def verify_witness(w: GreenWitness, f: FiniteMap, g: FiniteMap) -> bool:
@@ -275,6 +269,39 @@ def _l_one_sided_theorem(
     return None
 
 
+def _one_sided_related(
+    rel: str, f: FiniteMap, g: FiniteMap, inst: Instance, mode: str, cap: int
+) -> GreenWitness | None:
+    """``l_related`` (rel "L") or ``r_related`` (rel "R")."""
+    _check_mode(mode)
+    data = _greens_data(inst)
+    fk, gk = data.member_id(f), data.member_id(g)
+    if mode == "oracle":
+        if not (data.l_eq if rel == "L" else data.r_eq)(fk, gk):
+            return None
+        h_fg, h_gf = _first_factor(data, rel, fk, gk), _first_factor(data, rel, gk, fk)
+    else:
+        if rel == "R" and data.kernels[fk] != data.kernels[gk]:
+            return None
+        search = _l_one_sided_theorem if rel == "L" else _r_one_sided_theorem
+        budget = [cap]
+        alpha = search(data, fk, gk, cap, budget)
+        if alpha is None:
+            return None
+        beta = search(data, gk, fk, cap, budget)
+        if beta is None:
+            return None
+        # each builder checks that its factor's character is the one it was given
+        build = _left_factor if rel == "L" else _right_factor
+        h_fg, h_gf = build(data, fk, gk, alpha), build(data, gk, fk, beta)
+    names = ("alpha", "beta") if rel == "L" else ("beta_fg", "beta_gf")
+    return GreenWitness(
+        relation=rel,
+        index_maps=((names[0], data.char_of(h_fg)), (names[1], data.char_of(h_gf))),
+        factors=(("fg", data.members[h_fg]), ("gf", data.members[h_gf])),
+    )
+
+
 def l_related(
     f: FiniteMap,
     g: FiniteMap,
@@ -282,33 +309,7 @@ def l_related(
     mode: str = "oracle",
     cap: int = DEFAULT_PHI_CAP,
 ) -> GreenWitness | None:
-    _check_mode(mode)
-    data = _greens_data(inst)
-    fk, gk = data.member_id(f), data.member_id(g)
-    if mode == "oracle":
-        if not data.l_eq(fk, gk):
-            return None
-        h_fg, h_gf = _first_factor(data, "L", fk, gk), _first_factor(data, "L", gk, fk)
-        return GreenWitness(
-            relation="L",
-            index_maps=(("alpha", data.char_of(h_fg)), ("beta", data.char_of(h_gf))),
-            factors=(("fg", data.members[h_fg]), ("gf", data.members[h_gf])),
-        )
-    budget = [cap]
-    alpha = _l_one_sided_theorem(data, fk, gk, cap, budget)
-    if alpha is None:
-        return None
-    beta = _l_one_sided_theorem(data, gk, fk, cap, budget)
-    if beta is None:
-        return None
-    return GreenWitness(
-        relation="L",
-        index_maps=(("alpha", alpha), ("beta", beta)),
-        factors=(
-            ("fg", build_left_factor(f, g, alpha, inst)),
-            ("gf", build_left_factor(g, f, beta, inst)),
-        ),
-    )
+    return _one_sided_related("L", f, g, inst, mode, cap)
 
 
 def build_left_factor(
@@ -320,23 +321,32 @@ def build_left_factor(
     a = inst.si.position(alpha)
     if a is None:
         raise PreconditionError(f"{alpha} is not in the index semigroup")
-    p = inst.partition
-    at = alpha.images
     bf, bg = data.blockimg_mask[fk], data.blockimg_mask[gk]
     if data.si_table[a, data.char_ids[gk]] != data.char_ids[fk] or not all(
-        bf[i] & ~bg[j] == 0 for i, j in enumerate(at)
+        bf[i] & ~bg[j] == 0 for i, j in enumerate(alpha.images)
     ):
         raise PreconditionError(f"{alpha} does not witness the L-inequality")
+    return data.members[_left_factor(data, fk, gk, alpha)]
+
+
+def _left_factor(data: _GreensData, fk: int, gk: int, alpha: FiniteMap) -> int:
+    """``build_left_factor`` on member positions, its preconditions met: the
+    position of the h sending x to the least y of X_{alpha(i)} with yg = xf."""
+    p = data.inst.partition
+    f_imgs, g_imgs = data.imgs[fk], data.imgs[gk]
     images = [0] * p.n
     for i, b in enumerate(p.blocks):
-        target = p.blocks[at[i]]
+        target = p.blocks[alpha.images[i]]
         for x in b:
-            images[x] = next(y for y in target if g.images[y] == f.images[x])
-    hk = inst.derived.index.get(tuple(images))
-    if hk is None or data.table[hk, gk] != fk or data.char_ids[hk] != a:
+            images[x] = next((y for y in target if g_imgs[y] == f_imgs[x]), 0)
+    hk = data.inst.derived.index.get(tuple(images))
+    if hk is None or data.table[hk, gk] != fk or data.char_of(hk) != alpha:
         h = FiniteMap(p.n, p.n, tuple(images))
-        raise InternalError(f"the left factor {h} built for {f}, {g} and {alpha} fails validation")
-    return data.members[hk]
+        raise InternalError(
+            f"the left factor {h} built for {data.members[fk]}, {data.members[gk]} "
+            f"and {alpha} fails validation"
+        )
+    return hk
 
 
 def _r_one_sided_theorem(
@@ -367,35 +377,7 @@ def r_related(
     mode: str = "oracle",
     cap: int = DEFAULT_PHI_CAP,
 ) -> GreenWitness | None:
-    _check_mode(mode)
-    data = _greens_data(inst)
-    fk, gk = data.member_id(f), data.member_id(g)
-    if mode == "oracle":
-        if not data.r_eq(fk, gk):
-            return None
-        h_fg, h_gf = _first_factor(data, "R", fk, gk), _first_factor(data, "R", gk, fk)
-        return GreenWitness(
-            relation="R",
-            index_maps=(("beta_fg", data.char_of(h_fg)), ("beta_gf", data.char_of(h_gf))),
-            factors=(("fg", data.members[h_fg]), ("gf", data.members[h_gf])),
-        )
-    if data.kernels[fk] != data.kernels[gk]:
-        return None
-    budget = [cap]
-    beta_fg = _r_one_sided_theorem(data, fk, gk, cap, budget)
-    if beta_fg is None:
-        return None
-    beta_gf = _r_one_sided_theorem(data, gk, fk, cap, budget)
-    if beta_gf is None:
-        return None
-    return GreenWitness(
-        relation="R",
-        index_maps=(("beta_fg", beta_fg), ("beta_gf", beta_gf)),
-        factors=(
-            ("fg", build_right_factor(f, g, beta_fg, inst)),
-            ("gf", build_right_factor(g, f, beta_gf, inst)),
-        ),
-    )
+    return _one_sided_related("R", f, g, inst, mode, cap)
 
 
 def build_right_factor(
@@ -407,29 +389,37 @@ def build_right_factor(
     b = inst.si.position(beta)
     if b is None:
         raise PreconditionError(f"{beta} is not in the index semigroup")
-    p = inst.partition
-    bt = beta.images
     refine_ok = all(
         any(cm & ~fm == 0 for fm in data.class_masks[fk]) for cm in data.class_masks[gk]
     )
     if data.si_table[data.char_ids[gk], b] != data.char_ids[fk] or not refine_ok:
         raise PreconditionError(f"{beta} does not witness the R-inequality")
+    return data.members[_right_factor(data, fk, gk, beta)]
+
+
+def _right_factor(data: _GreensData, fk: int, gk: int, beta: FiniteMap) -> int:
+    """``build_right_factor`` on member positions, its preconditions met."""
+    p = data.inst.partition
+    f_imgs, g_imgs = data.imgs[fk], data.imgs[gk]
     least_preimage: dict[int, int] = {}
     for x in range(p.n):
-        least_preimage.setdefault(g.images[x], x)
+        least_preimage.setdefault(g_imgs[x], x)
     images = [0] * p.n
     for i, block in enumerate(p.blocks):
-        basepoint = p.blocks[bt[i]][0]
+        basepoint = p.blocks[beta.images[i]][0]
         for x in block:
             if x in least_preimage:
-                images[x] = f.images[least_preimage[x]]
+                images[x] = f_imgs[least_preimage[x]]
             else:
                 images[x] = basepoint
-    hk = inst.derived.index.get(tuple(images))
-    if hk is None or data.table[gk, hk] != fk or data.char_ids[hk] != b:
+    hk = data.inst.derived.index.get(tuple(images))
+    if hk is None or data.table[gk, hk] != fk or data.char_of(hk) != beta:
         h = FiniteMap(p.n, p.n, tuple(images))
-        raise InternalError(f"the right factor {h} built for {f}, {g} and {beta} fails validation")
-    return data.members[hk]
+        raise InternalError(
+            f"the right factor {h} built for {data.members[fk]}, {data.members[gk]} "
+            f"and {beta} fails validation"
+        )
+    return hk
 
 
 def _match_classes(
@@ -566,19 +556,19 @@ def d_related(
     if found is None:
         return None
     alpha, beta, gamma, pairing = found
-    m = build_d_middle(f, g, gamma, pairing, inst)
-    mk = data.member_id(m)
+    mk = _d_middle(data, fk, gk, gamma, pairing)
     u = _first_right_divisor(data, data.char_ids[gk], data.char_ids[mk])
     v = _first_right_divisor(data, data.char_ids[mk], data.char_ids[gk])
+    members = data.members
     return GreenWitness(
         relation="D",
         index_maps=(("alpha", alpha), ("beta", beta), ("gamma", gamma)),
         factors=(
-            ("middle", m),
-            ("l_fm", build_left_factor(f, m, alpha, inst)),
-            ("l_mf", build_left_factor(m, f, beta, inst)),
-            ("r_mg", build_right_factor(m, g, u, inst)),
-            ("r_gm", build_right_factor(g, m, v, inst)),
+            ("middle", members[mk]),
+            ("l_fm", members[_left_factor(data, fk, mk, alpha)]),
+            ("l_mf", members[_left_factor(data, mk, fk, beta)]),
+            ("r_mg", members[_right_factor(data, mk, gk, u)]),
+            ("r_gm", members[_right_factor(data, gk, mk, v)]),
         ),
         class_pairing=pairing,
     )
@@ -598,14 +588,21 @@ def build_d_middle(
         sorted(n for _, n in phi)
     ) != tuple(sorted(data.kernels[gk])):
         raise PreconditionError("phi is not a bijection between the kernel classes")
-    p = inst.partition
+    return data.members[_d_middle(data, fk, gk, gamma, phi)]
+
+
+def _d_middle(
+    data: _GreensData, fk: int, gk: int, gamma: FiniteMap, phi: ClassPairing
+) -> int:
+    """``build_d_middle`` on member positions, phi a bijection of kernel classes."""
+    p = data.inst.partition
     images = [0] * p.n
     for m_class, g_class in phi:
-        value = f.images[m_class[0]]
+        value = data.imgs[fk][m_class[0]]
         for x in g_class:
             images[x] = value
-    hk = inst.derived.index.get(tuple(images))
-    if hk is None or data.char_ids[hk] != inst.si.position(gamma):
+    hk = data.inst.derived.index.get(tuple(images))
+    if hk is None or data.char_of(hk) != gamma:
         h = FiniteMap(p.n, p.n, tuple(images))
         chi = tuple(p.block_of(images[b[0]]) for b in p.blocks)
         if not preserves_partition(h, p) or FiniteMap(p.degree, p.degree, chi) != gamma:
@@ -613,8 +610,10 @@ def build_d_middle(
         # h preserves P and has character gamma, so only membership can fail.
         raise PreconditionError("the constructed middle element is not a member")
     if data.kernels[hk] != data.kernels[gk]:
-        raise InternalError(f"the middle element {data.members[hk]} does not share the kernel of {g}")
-    return data.members[hk]
+        raise InternalError(
+            f"the middle element {data.members[hk]} does not share the kernel of {data.members[gk]}"
+        )
+    return hk
 
 
 def _j_one_sided_theorem(
@@ -688,45 +687,36 @@ def j_related(
             return None
         h1, h2 = _first_factor(data, "J", fk, gk, left=left_fg)
         k1, k2 = _first_factor(data, "J", gk, fk, left=left_gf)
-        return GreenWitness(
-            relation="J",
-            index_maps=(
-                ("alpha", data.char_of(h1)),
-                ("beta", data.char_of(h2)),
-                ("gamma", data.char_of(k1)),
-                ("delta", data.char_of(k2)),
-            ),
-            factors=(
-                ("fg1", data.members[h1]),
-                ("fg2", data.members[h2]),
-                ("gf1", data.members[k1]),
-                ("gf2", data.members[k2]),
-            ),
-            image_maps=(
-                ("phi", _image_map_from_factors(data, gk, h1, h2)),
-                ("psi", _image_map_from_factors(data, fk, k1, k2)),
-            ),
-        )
-    budget = [cap]
-    forward = _j_one_sided_theorem(data, fk, gk, cap, budget)
-    if forward is None:
-        return None
-    backward = _j_one_sided_theorem(data, gk, fk, cap, budget)
-    if backward is None:
-        return None
-    alpha, beta, phi = forward
-    gamma, delta, psi = backward
-    h1, h2 = build_j_factors(f, g, alpha, beta, phi, inst)
-    k1, k2 = build_j_factors(g, f, gamma, delta, psi, inst)
+        phi = _image_map_from_factors(data, gk, h1, h2)
+        psi = _image_map_from_factors(data, fk, k1, k2)
+    else:
+        budget = [cap]
+        forward = _j_one_sided_theorem(data, fk, gk, cap, budget)
+        if forward is None:
+            return None
+        backward = _j_one_sided_theorem(data, gk, fk, cap, budget)
+        if backward is None:
+            return None
+        alpha, beta, phi = forward
+        gamma, delta, psi = backward
+        h1, h2 = _j_factors(data, fk, gk, alpha, beta, phi)
+        k1, k2 = _j_factors(data, gk, fk, gamma, delta, psi)
+    # in theorem mode these characters are the searched alpha to delta, as _j_factors checked
+    members = data.members
     return GreenWitness(
         relation="J",
         index_maps=(
-            ("alpha", alpha),
-            ("beta", beta),
-            ("gamma", gamma),
-            ("delta", delta),
+            ("alpha", data.char_of(h1)),
+            ("beta", data.char_of(h2)),
+            ("gamma", data.char_of(k1)),
+            ("delta", data.char_of(k2)),
         ),
-        factors=(("fg1", h1), ("fg2", h2), ("gf1", k1), ("gf2", k2)),
+        factors=(
+            ("fg1", members[h1]),
+            ("fg2", members[h2]),
+            ("gf1", members[k1]),
+            ("gf2", members[k2]),
+        ),
         image_maps=(("phi", phi), ("psi", psi)),
     )
 
@@ -767,141 +757,166 @@ def build_j_factors(
     data = _greens_data(inst)
     fk, gk = data.member_id(f), data.member_id(g)
     p = inst.partition
-    a, b = inst.si.position(alpha), inst.si.position(beta)
-    if a is None or b is None:
+    if inst.si.position(alpha) is None or inst.si.position(beta) is None:
         raise PreconditionError("alpha and beta must lie in the index semigroup")
     dom = sorted(set(g.images))
     if phi.domain_size != len(dom) or phi.codomain_size != p.n:
         raise PreconditionError("phi must map the image of g into X")
     dom_pos = {v: k for k, v in enumerate(dom)}
     gphi = {y: phi.images[dom_pos[g.images[y]]] for y in range(p.n)}
-    chi_g_image = set(data.chars[gk])
     for i, block in enumerate(p.blocks):
         covered = {gphi[y] for y in p.blocks[alpha.images[i]]}
         if not {f.images[x] for x in block} <= covered:
             raise PreconditionError("phi does not cover the block images of f")
-    for i in chi_g_image:
+    for i in set(data.chars[gk]):
         hit = {phi.images[dom_pos[x]] for x in p.blocks[i] if x in dom_pos}
         if not hit <= set(p.blocks[beta.images[i]]):
             raise PreconditionError("phi is not block-constant toward beta")
+    k1, k2 = _j_factors(data, fk, gk, alpha, beta, phi)
+    return data.members[k1], data.members[k2]
+
+
+def _j_factors(
+    data: _GreensData, fk: int, gk: int, alpha: FiniteMap, beta: FiniteMap, phi: FiniteMap
+) -> tuple[int, int]:
+    """``build_j_factors`` on member positions, its preconditions met."""
+    p = data.inst.partition
+    f_imgs, g_imgs = data.imgs[fk], data.imgs[gk]
+    dom_pos = {v: k for k, v in enumerate(sorted(set(g_imgs)))}
+    gphi = [phi.images[dom_pos[g_imgs[y]]] for y in range(p.n)]
+    chi_g_image = set(data.chars[gk])
     h1_images = [0] * p.n
     h2_images = [0] * p.n
     for i, block in enumerate(p.blocks):
         target = p.blocks[alpha.images[i]]
         basepoint = p.blocks[beta.images[i]][0]
         for x in block:
-            h1_images[x] = next(y for y in target if gphi[y] == f.images[x])
+            h1_images[x] = next((y for y in target if gphi[y] == f_imgs[x]), 0)
             if i in chi_g_image and x in dom_pos:
                 h2_images[x] = phi.images[dom_pos[x]]
             else:
                 h2_images[x] = basepoint
-    index, table = inst.derived.index, data.table
+    index, table = data.inst.derived.index, data.table
     k1, k2 = index.get(tuple(h1_images)), index.get(tuple(h2_images))
     valid = k1 is not None and k2 is not None and table[table[k1, gk], k2] == fk
-    if not valid or data.char_ids[k1] != a or data.char_ids[k2] != b:
+    if not valid or data.char_of(k1) != alpha or data.char_of(k2) != beta:
         h1 = FiniteMap(p.n, p.n, tuple(h1_images))
         h2 = FiniteMap(p.n, p.n, tuple(h2_images))
-        raise InternalError(f"the J factors {h1}, {h2} built for {f} and {g} fail validation")
-    return data.members[k1], data.members[k2]
+        raise InternalError(
+            f"the J factors {h1}, {h2} built for {data.members[fk]} and "
+            f"{data.members[gk]} fail validation"
+        )
+    return k1, k2
 
 
-def _txp_l_one_sided(f: FiniteMap, g: FiniteMap, p: Partition) -> bool:
-    fb = [{f.images[x] for x in b} for b in p.blocks]
-    gb = [{g.images[x] for x in b} for b in p.blocks]
-    return all(any(fb[i] <= gb[j] for j in range(p.degree)) for i in range(p.degree))
+@dataclass(frozen=True)
+class _TxpSignature:
+    """What the T(X, P) criteria read of one partition-preserving map."""
+
+    chi: tuple[int, ...]  # the character's images
+    chi_fibers: tuple[tuple[int, ...], ...]  # the kernel classes of the character
+    classes: tuple[tuple[int, ...], ...]  # the kernel classes of the map
+    class_meets: tuple[frozenset[int], ...]  # the blocks each kernel class meets
+    block_images: tuple[frozenset[int], ...]  # X_i f, per block i
+    image: tuple[int, ...]  # the image of the map, sorted
 
 
-def _txp_d_check(f: FiniteMap, g: FiniteMap, p: Partition) -> bool:
-    fc = kernel_partition(f).classes
-    gc = kernel_partition(g).classes
-    if len(fc) != len(gc):
-        return False
-    chi_f = character(f, p).images
-    chi_g = character(g, p).images
-    deg = p.degree
+def _txp_signature(f: FiniteMap, p: Partition) -> _TxpSignature:
+    """The map's T(X, P) signature; the one place its preservation is checked."""
+    if not preserves_partition(f, p):
+        raise InvalidArgumentError("both maps must preserve the partition")
+    chi = tuple(p.block_of(f.images[b[0]]) for b in p.blocks)
+    classes = kernel_partition(f).classes
+    return _TxpSignature(
+        chi=chi,
+        chi_fibers=kernel_partition(FiniteMap(p.degree, p.degree, chi)).classes,
+        classes=classes,
+        class_meets=tuple(frozenset(p.block_of(x) for x in c) for c in classes),
+        block_images=tuple(frozenset(f.images[x] for x in b) for b in p.blocks),
+        image=tuple(sorted(set(f.images))),
+    )
+
+
+def _txp_l_one_sided(f: _TxpSignature, g: _TxpSignature) -> bool:
+    return all(any(fb <= gb for gb in g.block_images) for fb in f.block_images)
+
+
+def _txp_d_check(f: _TxpSignature, g: _TxpSignature, p: Partition) -> bool:
+    count, deg = len(f.classes), p.degree
     # gamma must be L-related to chi(f) and R-related to chi(g) in the full
     # index monoid: same image set as chi(f), same kernel as chi(g).
-    target_image = sorted(set(chi_f))
-    g_fibers = kernel_partition(FiniteMap(deg, deg, chi_g)).classes
-    if len(g_fibers) != len(target_image):
+    target_image = sorted(set(f.chi))
+    if count != len(g.classes) or len(g.chi_fibers) != len(target_image):
         return False
-    blocksets = [set(b) for b in p.blocks]
-    f_meets = [
-        {i for i in range(deg) if blocksets[i] & set(c)} for c in fc
-    ]
-    g_meets = [
-        {i for i in range(deg) if blocksets[i] & set(c)} for c in gc
-    ]
     # the kernel classes of f and of g meeting block i, per i
-    f_here = [[k for k in range(len(fc)) if i in f_meets[k]] for i in range(deg)]
-    g_here = [[k for k in range(len(gc)) if i in g_meets[k]] for i in range(deg)]
+    f_here = [[k for k in range(count) if i in f.class_meets[k]] for i in range(deg)]
+    g_here = [[k for k in range(count) if i in g.class_meets[k]] for i in range(deg)]
     for assigned in itertools.permutations(target_image):
         gamma = [0] * deg
-        for fiber, value in zip(g_fibers, assigned):
+        for fiber, value in zip(g.chi_fibers, assigned):
             for i in fiber:
                 gamma[i] = value
-        for matching in itertools.permutations(range(len(gc))):
-            inverse = {matching[k]: k for k in range(len(fc))}
-            ok = True
-            for i in range(deg):
-                if not any(
-                    gamma[j] == chi_f[i]
-                    and all(j in g_meets[matching[k]] for k in f_here[i])
-                    for j in range(deg)
-                ):
-                    ok = False
-                    break
-                if not any(
-                    chi_f[k2] == gamma[i]
-                    and all(k2 in f_meets[inverse[k]] for k in g_here[i])
-                    for k2 in range(deg)
-                ):
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
-
-
-def _txp_j_one_sided(f: FiniteMap, g: FiniteMap, p: Partition) -> bool:
-    """Is there an E-preserving phi on Xg with every X_i f covered by some (X_j g)phi?"""
-    dom = sorted(set(g.images))
-    hit_blocks = sorted({p.block_of(x) for x in dom})
-    positions = {v: k for k, v in enumerate(dom)}
-    fb = [{f.images[x] for x in b} for b in p.blocks]
-    gb = [{g.images[x] for x in b} for b in p.blocks]
-    for targets in itertools.product(range(p.degree), repeat=len(hit_blocks)):
-        target_of = dict(zip(hit_blocks, targets))
-        candidates = [p.blocks[target_of[p.block_of(z)]] for z in dom]
-        for values in itertools.product(*candidates):
-            covered = [
-                {values[positions[v]] for v in gb[j]} for j in range(p.degree)
-            ]
+        for matching in itertools.permutations(range(count)):
+            inverse = {m: k for k, m in enumerate(matching)}
             if all(
-                any(fb[i] <= covered[j] for j in range(p.degree))
-                for i in range(p.degree)
+                any(
+                    gamma[j] == f.chi[i]
+                    and all(j in g.class_meets[matching[k]] for k in f_here[i])
+                    for j in range(deg)
+                )
+                and any(
+                    f.chi[j] == gamma[i]
+                    and all(j in f.class_meets[inverse[k]] for k in g_here[i])
+                    for j in range(deg)
+                )
+                for i in range(deg)
             ):
                 return True
     return False
 
 
-def txp_green(rel: Relation, f: FiniteMap, g: FiniteMap, p: Partition) -> bool:
-    """The specialized Green's criteria for the full character set T(I)."""
-    if not preserves_partition(f, p) or not preserves_partition(g, p):
-        raise InvalidArgumentError("both maps must preserve the partition")
+def _txp_j_one_sided(f: _TxpSignature, g: _TxpSignature, p: Partition) -> bool:
+    """Is there an E-preserving phi on Xg with every X_i f covered by some (X_j g)phi?
+
+    phi sends the image points in block c into the target block t(c).  X_i f
+    is a nonempty part of X_{chi f(i)} and (X_j g)phi lies in X_{t(chi g(j))},
+    so a target assignment missing a block of im chi(f) is skipped before its
+    point values are enumerated.
+    """
+    positions = {v: k for k, v in enumerate(g.image)}
+    dom_blocks = [p.block_of(z) for z in g.image]
+    hit_blocks = sorted(set(g.chi))
+    needed = set(f.chi)
+    # the positions of X_j g among the image points, per j
+    sources = [tuple(positions[v] for v in gb) for gb in g.block_images]
+    for targets in itertools.product(range(p.degree), repeat=len(hit_blocks)):
+        if not needed <= set(targets):
+            continue
+        target_of = dict(zip(hit_blocks, targets))
+        candidates = [p.blocks[target_of[c]] for c in dom_blocks]
+        for values in itertools.product(*candidates):
+            covered = [{values[k] for k in source} for source in sources]
+            if all(any(fb <= c for c in covered) for fb in f.block_images):
+                return True
+    return False
+
+
+def _txp_related(rel: Relation, f: _TxpSignature, g: _TxpSignature, p: Partition) -> bool:
+    """``txp_green`` on the signatures of f and g."""
     if rel == "L":
-        return _txp_l_one_sided(f, g, p) and _txp_l_one_sided(g, f, p)
+        return _txp_l_one_sided(f, g) and _txp_l_one_sided(g, f)
     if rel == "R":
-        chi_f, chi_g = character(f, p), character(g, p)
-        return (
-            kernel_partition(chi_f) == kernel_partition(chi_g)
-            and kernel_partition(f) == kernel_partition(g)
-        )
+        return f.chi_fibers == g.chi_fibers and f.classes == g.classes
     if rel == "D":
         return _txp_d_check(f, g, p)
     if rel == "J":
         return _txp_j_one_sided(f, g, p) and _txp_j_one_sided(g, f, p)
     raise InvalidArgumentError(f"unknown relation {rel!r}")
+
+
+def txp_green(rel: Relation, f: FiniteMap, g: FiniteMap, p: Partition) -> bool:
+    """The specialized Green's criteria for the full character set T(I)."""
+    return _txp_related(rel, _txp_signature(f, p), _txp_signature(g, p), p)
 
 
 def full_tx_green(rel: Relation, f: FiniteMap, g: FiniteMap) -> bool:

@@ -24,7 +24,9 @@ replays, fails to replay, or capped.  Whichever of the three suites reaches
 an entry first fills its sweep; the catalog keeps it (``greens_sweeps``), so
 it is freed with the catalog.  Codes, not witnesses, are kept because the
 sweeps of the whole catalog are held from the first of those suites to the
-last, and the witnesses would multiply the memory this takes.
+last, and the witnesses would multiply the memory this takes.  The sweep's
+rows name members by position, so ``txp-specialization`` decides
+``txp_green`` on T(X, P) signatures it builds once per member of the entry.
 """
 
 from __future__ import annotations
@@ -654,10 +656,10 @@ class _GreensSweep:
                     self.codes[k, r, m] = code
 
     def rows(self):
-        """(f, g, [(relation, oracle code, theorem code), ...]) per pair, in order."""
-        members = self.members
+        """(a, b, [(relation, oracle code, theorem code), ...]) per pair of
+        member positions, in order."""
         for (a, b), row in zip(self.pairs.tolist(), self.codes.tolist()):
-            yield members[a], members[b], [(rel, o, t) for rel, (o, t) in zip(self.relations, row)]
+            yield a, b, [(rel, o, t) for rel, (o, t) in zip(self.relations, row)]
 
 
 def _greens_sweep(entry: CatalogEntry, catalog: Catalog) -> _GreensSweep:
@@ -676,7 +678,9 @@ def _first_pair(data, mask: np.ndarray) -> dict:
 
 @_suite("greens-mode-agreement", _has_identity)
 def _greens_mode_agreement(entry, tally, catalog):
-    for f, g, verdicts in _greens_sweep(entry, catalog).rows():
+    sweep = _greens_sweep(entry, catalog)
+    members = sweep.members
+    for a, b, verdicts in sweep.rows():
         for rel, oracle, theorem in verdicts:
             tally.checks += 1
             if _CAPPED in (oracle, theorem):
@@ -684,7 +688,8 @@ def _greens_mode_agreement(entry, tally, catalog):
                 continue
             oracle, theorem = oracle != _UNRELATED, theorem != _UNRELATED
             if oracle != theorem:
-                tally.fail(f"{rel}: oracle={oracle} but theorem={theorem}", f=f, g=g)
+                tally.fail(f"{rel}: oracle={oracle} but theorem={theorem}",
+                           f=members[a], g=members[b])
     if tally.capped:
         tally.observations = (f"{tally.capped} capped checks recorded oracle-only verdicts",)
 
@@ -752,14 +757,16 @@ def _greens_tx_specialization(entry, tally, catalog):
 
 @_suite("greens-witness-replay", _has_identity)
 def _greens_witness_replay(entry, tally, catalog):
-    for f, g, verdicts in _greens_sweep(entry, catalog).rows():
+    sweep = _greens_sweep(entry, catalog)
+    members = sweep.members
+    for a, b, verdicts in sweep.rows():
         for rel, *codes in verdicts:
             for mode, code in zip(_MODES, codes):
                 if code == _CAPPED:
                     tally.capped += 1
                 elif code != _UNRELATED:
-                    tally.check(code == _REPLAYS,
-                                f"{rel} witness ({mode}) fails to replay", f=f, g=g)
+                    tally.check(code == _REPLAYS, f"{rel} witness ({mode}) fails to replay",
+                                f=members[a], g=members[b])
 
 
 @_suite("greens-necessary-conditions", _has_identity)
@@ -778,17 +785,21 @@ def _greens_necessary_conditions(entry, tally, catalog):
 @_suite("txp-specialization", _full_characters)
 def _txp_specialization(entry, tally, catalog):
     partition = entry.instance.partition
-    for f, g, verdicts in _greens_sweep(entry, catalog).rows():
+    sweep = _greens_sweep(entry, catalog)
+    members = sweep.members
+    # ``txp_green`` on T(X, P) signatures built once per member, by position
+    signatures = [greens._txp_signature(f, partition) for f in members]
+    for a, b, verdicts in sweep.rows():
         for rel, oracle, theorem in verdicts:
             tally.checks += 1
-            specialized = greens.txp_green(rel, f, g, partition)
+            specialized = greens._txp_related(rel, signatures[a], signatures[b], partition)
             for route, code in (("oracle", oracle), ("theorem", theorem)):
                 if code == _CAPPED:
                     tally.capped += 1
                     break
                 if specialized != (code != _UNRELATED):
                     tally.fail(f"{rel}: specialized={specialized} {route}={not specialized}",
-                               f=f, g=g)
+                               f=members[a], g=members[b])
                     break
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import partsem
 from partsem import ParseError, ValidationError
 from partsem.cli import parse_instance, run_command, serialize_instance
 
@@ -178,3 +183,17 @@ class TestOutputs:
 def test_parse_map_errors(inst_file, capsys):
     assert run_command(["check-element", inst_file, "--f", "2,3,0"]) == 2
     assert run_command(["check-element", inst_file, "--f", "a,b,c,d"]) == 2
+
+
+def test_python_dash_m_partsem_runs_verify_cleanly():
+    """``python -m partsem`` runs the command line without the warning that
+    running the already-imported ``partsem.cli`` module as a script gives."""
+    env = dict(os.environ, PYTHONPATH=str(Path(partsem.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "partsem", "verify", "--max-n", "1", "--seed", "7",
+         "--format", "machine"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert [json.loads(line)["verdict"] for line in done.stdout.splitlines()]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from partsem import (
     Partition,
     PreconditionError,
     ResourceLimitError,
+    build_catalog,
     build_d_middle,
     build_j_factors,
     build_left_factor,
@@ -26,6 +28,7 @@ from partsem import (
     kernel_partition,
     l_related,
     lift_character,
+    preserves_partition,
     principal_leq_oracle,
     r_related,
     txp_green,
@@ -37,6 +40,8 @@ from partsem.greens import (
     _greens_data,
     _image_map_from_factors,
     _j_one_sided_theorem,
+    _txp_related,
+    _txp_signature,
 )
 from conftest import comp
 
@@ -398,6 +403,128 @@ class TestTxpSpecializations:
     def test_rejects_non_preserving(self, p22):
         with pytest.raises(InvalidArgumentError):
             txp_green("L", fm([2, 3, 3, 0]), E1, p22)
+
+
+def _reference_txp_l_one_sided(f, g, p):
+    fb = [{f.images[x] for x in b} for b in p.blocks]
+    gb = [{g.images[x] for x in b} for b in p.blocks]
+    return all(any(fb[i] <= gb[j] for j in range(p.degree)) for i in range(p.degree))
+
+
+def _reference_txp_d_check(f, g, p):
+    fc = kernel_partition(f).classes
+    gc = kernel_partition(g).classes
+    if len(fc) != len(gc):
+        return False
+    chi_f = character(f, p).images
+    chi_g = character(g, p).images
+    deg = p.degree
+    target_image = sorted(set(chi_f))
+    g_fibers = kernel_partition(FiniteMap(deg, deg, chi_g)).classes
+    if len(g_fibers) != len(target_image):
+        return False
+    blocksets = [set(b) for b in p.blocks]
+    f_meets = [{i for i in range(deg) if blocksets[i] & set(c)} for c in fc]
+    g_meets = [{i for i in range(deg) if blocksets[i] & set(c)} for c in gc]
+    f_here = [[k for k in range(len(fc)) if i in f_meets[k]] for i in range(deg)]
+    g_here = [[k for k in range(len(gc)) if i in g_meets[k]] for i in range(deg)]
+    for assigned in itertools.permutations(target_image):
+        gamma = [0] * deg
+        for fiber, value in zip(g_fibers, assigned):
+            for i in fiber:
+                gamma[i] = value
+        for matching in itertools.permutations(range(len(gc))):
+            inverse = {matching[k]: k for k in range(len(fc))}
+            ok = True
+            for i in range(deg):
+                if not any(
+                    gamma[j] == chi_f[i]
+                    and all(j in g_meets[matching[k]] for k in f_here[i])
+                    for j in range(deg)
+                ):
+                    ok = False
+                    break
+                if not any(
+                    chi_f[k2] == gamma[i]
+                    and all(k2 in f_meets[inverse[k]] for k in g_here[i])
+                    for k2 in range(deg)
+                ):
+                    ok = False
+                    break
+            if ok:
+                return True
+    return False
+
+
+def _reference_txp_j_one_sided(f, g, p):
+    dom = sorted(set(g.images))
+    hit_blocks = sorted({p.block_of(x) for x in dom})
+    positions = {v: k for k, v in enumerate(dom)}
+    fb = [{f.images[x] for x in b} for b in p.blocks]
+    gb = [{g.images[x] for x in b} for b in p.blocks]
+    for targets in itertools.product(range(p.degree), repeat=len(hit_blocks)):
+        target_of = dict(zip(hit_blocks, targets))
+        candidates = [p.blocks[target_of[p.block_of(z)]] for z in dom]
+        for values in itertools.product(*candidates):
+            covered = [{values[positions[v]] for v in gb[j]} for j in range(p.degree)]
+            if all(any(fb[i] <= covered[j] for j in range(p.degree)) for i in range(p.degree)):
+                return True
+    return False
+
+
+def _reference_txp_green(rel, f, g, p):
+    """The T(X, P) criteria recomputed from the maps on every call."""
+    assert preserves_partition(f, p) and preserves_partition(g, p)
+    if rel == "L":
+        return _reference_txp_l_one_sided(f, g, p) and _reference_txp_l_one_sided(g, f, p)
+    if rel == "R":
+        return (
+            kernel_partition(character(f, p)) == kernel_partition(character(g, p))
+            and kernel_partition(f) == kernel_partition(g)
+        )
+    if rel == "D":
+        return _reference_txp_d_check(f, g, p)
+    return _reference_txp_j_one_sided(f, g, p) and _reference_txp_j_one_sided(g, f, p)
+
+
+def _assert_signature_route_matches_the_reference(p, members, pairs):
+    signatures = [_txp_signature(m, p) for m in members]
+    for a, b in pairs:
+        for rel in "LRDJ":
+            expected = _reference_txp_green(rel, members[a], members[b], p)
+            assert _txp_related(rel, signatures[a], signatures[b], p) == expected, (
+                rel, members[a], members[b])
+
+
+class TestTxpSignatureRoute:
+    """The signature route against the map-based T(X, P) criteria it replaced."""
+
+    def test_every_pair_of_the_full_n3_entries(self):
+        entries = [e for e in build_catalog(3, seed=7).entries if e.si_label == "full"]
+        assert len(entries) == 8
+        for entry in entries:
+            members = enumerate_elements(entry.instance)
+            pairs = itertools.product(range(len(members)), repeat=2)
+            _assert_signature_route_matches_the_reference(entry.instance.partition, members, pairs)
+
+    @pytest.mark.parametrize("blocks", [[[0, 1], [2, 3]], [[0], [1], [2], [3]]],
+                             ids=["n4:[0,1][2,3]/full", "n4:[0][1][2][3]/full"])
+    def test_seeded_pairs_of_n4_entries(self, blocks):
+        p = Partition.of(blocks)
+        members = enumerate_elements(Instance(p, IndexSemigroup.full(p.degree)))
+        rng = random.Random(f"txp:{blocks}")
+        pairs = [(rng.randrange(len(members)), rng.randrange(len(members))) for _ in range(300)]
+        _assert_signature_route_matches_the_reference(p, members, pairs)
+
+    def test_a_signature_is_built_from_a_preserving_map_only(self, p22):
+        with pytest.raises(InvalidArgumentError, match="both maps must preserve the partition"):
+            _txp_signature(fm([2, 3, 3, 0]), p22)
+        with pytest.raises(InvalidArgumentError, match="does not act on"):
+            _txp_signature(fm([0, 1]), p22)
+
+    def test_unknown_relation(self, p22):
+        with pytest.raises(InvalidArgumentError, match="unknown relation"):
+            txp_green("H", E1, E1, p22)
 
 
 class TestFullTxGreen:

@@ -357,6 +357,28 @@ class TestGreensSweep:
         assert _untimed(alone) == _untimed(within)
         assert len(alone) > 0
 
+    def test_txp_signatures_are_built_once_per_member_of_each_full_entry(self, monkeypatch):
+        """Every T(X, P) signature is built by ``txp-specialization``, once
+        per member of a ``full`` entry; each partition has one ``full`` entry,
+        whose members include those of its other entries."""
+        catalog = build_catalog(3, seed=7)
+        built = Counter()
+        real = greens._txp_signature
+
+        def spy(f, p):
+            built[(p, f.images)] += 1
+            return real(f, p)
+
+        monkeypatch.setattr(greens, "_txp_signature", spy)
+        assert run_all(catalog).failures == 0
+        expected = Counter(
+            (entry.instance.partition, m.images)
+            for entry in catalog.entries if entry.si_label == "full"
+            for m in enumerate_elements(entry.instance)
+        )
+        assert built == expected
+        assert set(built.values()) == {1}
+
     def test_sweeps_are_released_with_their_catalog(self):
         catalog = build_catalog(2, seed=7)
         run_suite("txp-specialization", catalog)
