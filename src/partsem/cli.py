@@ -311,8 +311,9 @@ def _cmd_greens(args) -> int:
             if w is not None:
                 for name, factor in w.factors:
                     out.emit(f"  factor {name}: {factor!r}")
+        only = ", oracle verdict only" if "oracle" in results else ""
         for mode in capped:
-            out.emit(f"{args.rel}-related ({mode}): capped out, oracle verdict only")
+            out.emit(f"{args.rel}-related ({mode}): capped out{only}")
         if mismatch:
             out.emit("MODE MISMATCH")
     out.flush()

@@ -65,7 +65,7 @@ def _two_sided_inverse_ids(table: np.ndarray, identity: int) -> np.ndarray:
         [
             a
             for a, row in enumerate(table)
-            if (table[np.flatnonzero(row == identity), a] == identity).any()
+            if (table[(row == identity).nonzero()[0], a] == identity).any()
         ],
         dtype=np.intp,
     )
@@ -73,7 +73,7 @@ def _two_sided_inverse_ids(table: np.ndarray, identity: int) -> np.ndarray:
 
 def _idempotent_ids(table: np.ndarray) -> np.ndarray:
     """Positions a with a*a = a."""
-    return np.flatnonzero(np.diagonal(table) == np.arange(len(table)))
+    return (np.diagonal(table) == np.arange(len(table))).nonzero()[0]
 
 
 @dataclass(frozen=True)

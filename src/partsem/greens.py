@@ -12,6 +12,12 @@ replayable witnesses: factor transformations whose composites reproduce the
 claimed ideal memberships.  Both assemble and validate their witnesses on
 table positions and hand out the instance's own members and index elements;
 ``verify_witness`` is the independent replay, composing the maps themselves.
+The per-instance data keeps, built once on first use, each member's L- and
+R-class label (the first member of its class), which the L/R oracles
+compare and whose (L, R) pairs key the first member of each H-class, the D
+oracle's middle element; and each member's J geometry (sorted image, block
+of each image point, per block the positions of its image points), which
+the phi search reads.
 ``txp_green``, the criteria specialized to the full character set T(I),
 reads per-map signatures (character, kernel classes, block images) that a
 caller deciding many pairs builds once per map.
@@ -155,7 +161,7 @@ class _GreensData:
     def j_left_factors(self, a: int, b: int) -> np.ndarray:
         """The h1, ascending, with a = h1*b*h2 for some h2: those whose h1*b
         has a in its right ideal.  Empty exactly when a is not J-below b."""
-        return np.flatnonzero(self.r_below[a, self.table[:, b]])
+        return self.r_below[a, self.table[:, b]].nonzero()[0]
 
     @cached_property
     def j_below(self) -> np.ndarray:
@@ -173,6 +179,45 @@ class _GreensData:
         r_eq = self.r_below & self.r_below.T
         return l_eq @ r_eq
 
+    @cached_property
+    def l_label(self) -> list[int]:
+        """Per member, the first member of its L-class."""
+        return _class_labels(self.l_below)
+
+    @cached_property
+    def r_label(self) -> list[int]:
+        """Per member, the first member of its R-class."""
+        return _class_labels(self.r_below)
+
+    @cached_property
+    def h_first(self) -> dict[tuple[int, int], int]:
+        """(L-label, R-label) -> the first member of that H-class."""
+        first: dict[tuple[int, int], int] = {}
+        for k, key in enumerate(zip(self.l_label, self.r_label)):
+            first.setdefault(key, k)
+        return first
+
+    @cached_property
+    def meet_masks(self) -> list[tuple[int, ...]]:
+        """Per member and kernel class, the bitmask of the blocks the class meets."""
+        return [tuple(self._mask(c) for c in meets) for meets in self.class_meets]
+
+    @cached_property
+    def j_geometry(self) -> list[tuple[tuple, tuple, tuple]]:
+        """Per member g: its sorted image, the block of each image point and,
+        per block j, the sorted positions of X_j g in that image."""
+        p = self.inst.partition
+        geometry = []
+        for t in self.imgs:
+            dom = tuple(sorted(set(t)))
+            pos = {v: k for k, v in enumerate(dom)}
+            geometry.append((
+                dom,
+                tuple(p.block_of(z) for z in dom),
+                tuple(tuple(sorted({pos[t[x]] for x in b})) for b in p.blocks),
+            ))
+        return geometry
+
     @staticmethod
     def _mask(values) -> int:
         m = 0
@@ -188,10 +233,10 @@ class _GreensData:
         return self.si_elements[self.char_ids[k]]
 
     def l_eq(self, a: int, b: int) -> bool:
-        return bool(self.l_below[a, b] and self.l_below[b, a])
+        return self.l_label[a] == self.l_label[b]
 
     def r_eq(self, a: int, b: int) -> bool:
-        return bool(self.r_below[a, b] and self.r_below[b, a])
+        return self.r_label[a] == self.r_label[b]
 
 
 def _greens_data(inst: Instance) -> _GreensData:
@@ -231,9 +276,9 @@ def _first_factor(
     ``j_left_factors(fk, gk)`` when the caller already holds it."""
     table = data.table
     if rel == "L":
-        hits = np.flatnonzero(table[:, gk] == fk)
+        hits = (table[:, gk] == fk).nonzero()[0]
     elif rel == "R":
-        hits = np.flatnonzero(table[gk] == fk)
+        hits = (table[gk] == fk).nonzero()[0]
     elif rel == "J":
         # The first h1 in order whose h1*g has f in its right ideal, then the
         # first h2 with h1*g*h2 = f: the first pair of the row-major scan.
@@ -242,7 +287,7 @@ def _first_factor(
         if not len(left):
             return None
         k1 = int(left[0])
-        k2 = int(np.flatnonzero(table[table[k1, gk]] == fk)[0])
+        k2 = int((table[table[k1, gk]] == fk).nonzero()[0][0])
         if k1 * len(table) + k2 + 1 > cap:
             raise ResourceLimitError(f"J factor search exceeded the cap of {cap} pairs")
         return k1, k2
@@ -260,7 +305,7 @@ def _l_one_sided_theorem(
     index table; each one put to the block test spends one unit of budget.
     """
     bf, bg = data.blockimg_mask[fk], data.blockimg_mask[gk]
-    for a in np.flatnonzero(data.si_table[:, data.char_ids[gk]] == data.char_ids[fk]):
+    for a in (data.si_table[:, data.char_ids[gk]] == data.char_ids[fk]).nonzero()[0]:
         budget[0] -= 1
         if budget[0] < 0:
             raise ResourceLimitError(f"L character search exceeded the cap of {cap} candidates")
@@ -361,7 +406,7 @@ def _r_one_sided_theorem(
         any(cm & ~fm == 0 for fm in data.class_masks[fk]) for cm in data.class_masks[gk]
     ):
         return None
-    hits = np.flatnonzero(data.si_table[data.char_ids[gk]] == data.char_ids[fk])
+    hits = (data.si_table[data.char_ids[gk]] == data.char_ids[fk]).nonzero()[0]
     if not len(hits):
         return None
     budget[0] -= 1
@@ -435,18 +480,16 @@ def _match_classes(
     Returns, for each class of pi(f), the index of its partner in pi(g);
     decrements the shared assignment budget and raises when it runs out.
     """
-    f_meets = data.class_meets[fk]
-    g_masks = data.class_masks[gk]
-    g_meets = data.class_meets[gk]
-    f_masks = data.class_masks[fk]
-    block_mask = data.block_mask
-    count = len(f_masks)
+    f_meet, g_meet = data.meet_masks[fk], data.meet_masks[gk]
+    # the blocks that class mk of pi(f) (nk of pi(g)) must meet in its partner
+    f_to = [data._mask(at[i] for i in meets) for meets in data.class_meets[fk]]
+    g_to = [data._mask(bt[i] for i in meets) for meets in data.class_meets[gk]]
+    count = len(f_to)
     compat = [
         [
             nk
             for nk in range(count)
-            if all(g_masks[nk] & block_mask[at[i]] for i in f_meets[mk])
-            and all(f_masks[mk] & block_mask[bt[i]] for i in g_meets[nk])
+            if not f_to[mk] & ~g_meet[nk] and not g_to[nk] & ~f_meet[mk]
         ]
         for mk in range(count)
     ]
@@ -489,11 +532,11 @@ def _d_theorem_search(
     table, elements, imgs = data.si_table, data.si_elements, data.si_imgs
     cf, cg = data.char_ids[fk], data.char_ids[gk]
     budget = [cap]
-    for c in np.flatnonzero(data.si_r_below[cg] & data.si_r_below[:, cg]):
-        alphas = np.flatnonzero(table[:, c] == cf)
+    for c in (data.si_r_below[cg] & data.si_r_below[:, cg]).nonzero()[0]:
+        alphas = (table[:, c] == cf).nonzero()[0]
         if not len(alphas):
             continue
-        betas = np.flatnonzero(table[:, cf] == c)
+        betas = (table[:, cf] == c).nonzero()[0]
         for a in alphas:
             for b in betas:
                 found = _match_classes(data, fk, gk, imgs[a], imgs[b], budget)
@@ -508,7 +551,7 @@ def _d_theorem_search(
 
 def _first_right_divisor(data: _GreensData, c_from: int, c_to: int) -> FiniteMap:
     """First u in the index set with c_to = c_from * u, by index positions."""
-    hits = np.flatnonzero(data.si_table[c_from] == c_to)
+    hits = (data.si_table[c_from] == c_to).nonzero()[0]
     if not len(hits):
         raise InternalError("R-divisibility promised by the search but not found")
     return data.si_elements[hits[0]]
@@ -534,12 +577,10 @@ def d_related(
     data = _greens_data(inst)
     fk, gk = data.member_id(f), data.member_id(g)
     if mode == "oracle":
-        l_eq_f = data.l_below[fk, :] & data.l_below[:, fk]
-        r_eq_g = data.r_below[gk, :] & data.r_below[:, gk]
-        hits = np.nonzero(l_eq_f & r_eq_g)[0]
-        if len(hits) == 0:
+        # the first member L-related to f and R-related to g
+        mk = data.h_first.get((data.l_label[fk], data.r_label[gk]))
+        if mk is None:
             return None
-        mk = int(hits[0])
         return GreenWitness(
             relation="D",
             index_maps=(("gamma", data.char_of(mk)),),
@@ -628,41 +669,34 @@ def _j_one_sided_theorem(
     pair the point values of phi are enumerated blockwise.
     """
     p = data.inst.partition
-    deg = p.degree
-    g_imgs = data.imgs[gk]
-    dom = sorted(set(g_imgs))
-    dom_pos = {v: k for k, v in enumerate(dom)}
+    dom, dom_blocks, block_sources = data.j_geometry[gk]
     f_blockimg = data.blockimg_mask[fk]
     table, cf = data.si_table, data.char_ids[fk]
     betas_of: dict[int, np.ndarray] = {}
     for a, mid in enumerate(table[:, data.char_ids[gk]].tolist()):
         betas = betas_of.get(mid)
         if betas is None:
-            betas = betas_of[mid] = np.flatnonzero(table[mid] == cf)
+            betas = betas_of[mid] = (table[mid] == cf).nonzero()[0]
         if not len(betas):
             continue
-        at = data.si_imgs[a]
         # positions (in dom) of the g-image of X_{alpha(i)}, per i
-        sources = [
-            tuple(sorted({dom_pos[g_imgs[x]] for x in p.blocks[at[i]]}))
-            for i in range(deg)
-        ]
+        sources = [block_sources[j] for j in data.si_imgs[a]]
         for b in betas:
             bt = data.si_imgs[b]
-            candidates = [p.blocks[bt[p.block_of(z)]] for z in dom]
+            candidates = [p.blocks[bt[c]] for c in dom_blocks]
             for values in itertools.product(*candidates):
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise ResourceLimitError(
                         f"phi search exceeded the cap of {cap} assignments"
                     )
-                ok = True
-                for i in range(deg):
-                    covered = data._mask(values[k] for k in sources[i])
-                    if f_blockimg[i] & ~covered:
-                        ok = False
+                for fb, source in zip(f_blockimg, sources):
+                    covered = 0
+                    for k in source:
+                        covered |= 1 << values[k]
+                    if fb & ~covered:
                         break
-                if ok:
+                else:
                     return (
                         data.si_elements[a],
                         data.si_elements[b],
@@ -685,8 +719,8 @@ def j_related(
         left_fg, left_gf = data.j_left_factors(fk, gk), data.j_left_factors(gk, fk)
         if not (len(left_fg) and len(left_gf)):
             return None
-        h1, h2 = _first_factor(data, "J", fk, gk, left=left_fg)
-        k1, k2 = _first_factor(data, "J", gk, fk, left=left_gf)
+        h1, h2 = _first_factor(data, "J", fk, gk, cap, left=left_fg)
+        k1, k2 = _first_factor(data, "J", gk, fk, cap, left=left_gf)
         phi = _image_map_from_factors(data, gk, h1, h2)
         psi = _image_map_from_factors(data, fk, k1, k2)
     else:
@@ -738,7 +772,7 @@ def _image_map_from_factors(data: _GreensData, gk: int, k1: int, k2: int) -> Fin
     rank f <= rank(h1*g) <= rank g = rank f.  The image of h1*g lies in Xg,
     so it is all of Xg and every point of Xg is pushed through h2.
     """
-    dom = sorted(set(data.imgs[gk]))
+    dom = data.j_geometry[gk][0]
     if len(set(data.imgs[data.table[k1, gk]])) != len(dom):
         raise InternalError(f"h1*g misses a point of the image of {data.members[gk]}")
     h2 = data.imgs[k2]
@@ -782,7 +816,7 @@ def _j_factors(
     """``build_j_factors`` on member positions, its preconditions met."""
     p = data.inst.partition
     f_imgs, g_imgs = data.imgs[fk], data.imgs[gk]
-    dom_pos = {v: k for k, v in enumerate(sorted(set(g_imgs)))}
+    dom_pos = {v: k for k, v in enumerate(data.j_geometry[gk][0])}
     gphi = [phi.images[dom_pos[g_imgs[y]]] for y in range(p.n)]
     chi_g_image = set(data.chars[gk])
     h1_images = [0] * p.n
@@ -947,8 +981,7 @@ def eggbox(inst: Instance) -> list[dict]:
     """
     data = _greens_data(inst)
     size = len(data.members)
-    l_label = _class_labels(data.l_below)
-    r_label = _class_labels(data.r_below)
+    l_label, r_label = data.l_label, data.r_label
     parent = list(range(size))
 
     def find(a: int) -> int:

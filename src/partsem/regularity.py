@@ -37,7 +37,7 @@ def is_regular_oracle(f: FiniteMap, inst: Instance) -> FiniteMap | None:
     """First g in enumeration order with f*g*f = f, if any."""
     k = require_member(f, inst)
     d = inst.derived
-    hits = np.flatnonzero(d.table[d.table[k], k] == k)
+    hits = (d.table[d.table[k], k] == k).nonzero()[0]
     return d.members[hits[0]] if len(hits) else None
 
 
@@ -85,7 +85,7 @@ def regular_character_witnesses(f: FiniteMap, inst: Instance) -> tuple[FiniteMap
     """All alpha in the index set making f regular, in element order."""
     chi, test = _regular_witness_test(f, inst)
     table = inst.si.table
-    candidates = np.flatnonzero(table[table[chi], chi] == chi)
+    candidates = (table[table[chi], chi] == chi).nonzero()[0]
     return tuple(inst.si.elements[a] for a in candidates if test(a))
 
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from .errors import InternalError, InvalidArgumentError, PreconditionError
 from .finite_maps import (
     FiniteMap,
@@ -34,7 +32,7 @@ def is_unit_regular_oracle(f: FiniteMap, inst: Instance) -> FiniteMap | None:
         raise PreconditionError("unit-regularity needs the identity character")
     k = require_member(f, inst)
     d = inst.derived
-    hits = np.flatnonzero(d.table[d.table[k, d.unit_ids], k] == k)
+    hits = (d.table[d.table[k, d.unit_ids], k] == k).nonzero()[0]
     return d.members[d.unit_ids[hits[0]]] if len(hits) else None
 
 

@@ -332,6 +332,21 @@ class TestJRelated:
             assert {E1.images[x] for x in b} <= covered
 
 
+class TestJOracleCap:
+    """In oracle mode, cap bounds both (h1, h2) factor scans, as in principal_leq_oracle."""
+
+    def test_cap_reaches_the_factor_scans(self):
+        p = Partition.of([[0, 1], [2]])
+        inst = Instance(p, IndexSemigroup.full(p.degree))
+        f = fm([0, 0, 1])
+        with pytest.raises(ResourceLimitError):
+            principal_leq_oracle("J", f, f, inst, cap=1)
+        with pytest.raises(ResourceLimitError):
+            j_related(f, f, inst, mode="oracle", cap=1)
+        w = j_related(f, f, inst, mode="oracle")
+        assert w is not None and verify_witness(w, f, f)
+
+
 class TestBuildJFactors:
     def test_inclusion_image_map(self, inst_full):
         dom = sorted(set(F1.images))

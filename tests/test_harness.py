@@ -379,6 +379,31 @@ class TestGreensSweep:
         assert built == expected
         assert set(built.values()) == {1}
 
+    def test_class_labels_are_computed_once_per_relation_and_instance(self, monkeypatch):
+        """A whole run computes the L-labels and the R-labels of every
+        identity instance once each, and an egg-box afterwards reuses them."""
+        catalog = build_catalog(3, seed=7)
+        built = Counter()
+        real = greens._class_labels
+
+        def spy(below):
+            built[id(below)] += 1
+            return real(below)
+
+        monkeypatch.setattr(greens, "_class_labels", spy)
+        assert run_all(catalog).failures == 0
+        instances = [e.instance for e in catalog.entries if e.instance.si.has_identity]
+        expected = Counter()
+        for inst in instances:
+            data = greens._greens_data(inst)
+            expected[id(data.l_below)] += 1
+            expected[id(data.r_below)] += 1
+        assert set(expected.values()) == {1}
+        assert built == expected
+        for inst in instances:
+            greens.eggbox(inst)
+        assert built == expected
+
     def test_sweeps_are_released_with_their_catalog(self):
         catalog = build_catalog(2, seed=7)
         run_suite("txp-specialization", catalog)

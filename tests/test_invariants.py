@@ -40,6 +40,17 @@ def test_library_has_no_module_level_caches():
     assert found == []
 
 
+def test_library_reads_nonzero_positions_directly():
+    """``x.nonzero()[0]`` on the 1-D masks, not the ``np.flatnonzero`` wrapper."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "flatnonzero"
+    ]
+    assert found == []
+
+
 def test_verify_runs_under_optimize_flag():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run(

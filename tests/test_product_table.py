@@ -367,6 +367,23 @@ def test_theorem_searches_match_the_tuple_loops_on_sampled_pairs_of_t4(monkeypat
     _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch)
 
 
+@pytest.mark.parametrize("label,inst", IDENTITY_N3, ids=[label for label, _ in IDENTITY_N3])
+def test_j_geometry_matches_a_direct_recomputation(label, inst):
+    """Each member's sorted image, the block of each image point and the
+    positions of X_j g in that image, per block j."""
+    data = _greens_data(inst)
+    p = inst.partition
+    for k, g in enumerate(enumerate_elements(inst)):
+        image = sorted(set(g.images))
+        sources = tuple(
+            tuple(sorted(image.index(v) for v in {g.images[x] for x in block}))
+            for block in p.blocks
+        )
+        assert data.j_geometry[k] == (
+            tuple(image), tuple(p.block_of(z) for z in image), sources
+        )
+
+
 class _MapWitnesses:
     """The Green's checkers as they assembled and validated witnesses on
     FiniteMaps: oracle factors mapped back through ``character``, image maps
