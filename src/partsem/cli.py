@@ -55,6 +55,16 @@ _INPUT_ERRORS = (
 )
 
 
+def _int_rows(value, path: str | Path, field: str) -> list[list[int]]:
+    """``value``, once it is checked to be a list of integer lists; JSON floats
+    and booleans are refused."""
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in value
+    ):
+        raise ValidationError(f"{path}: field {field!r} must be a list of integer lists")
+    return value
+
+
 def parse_instance(path: str | Path) -> Instance:
     """Load and validate an instance file."""
     try:
@@ -70,13 +80,12 @@ def parse_instance(path: str | Path) -> Instance:
     for key in ("n", "blocks", "si"):
         if key not in payload:
             raise ParseError(f"{path}: missing field {key!r}")
-    if not isinstance(payload["n"], int):
-        raise ParseError(f"{path}: field 'n' must be an integer")
-    if not isinstance(payload["blocks"], list):
-        raise ParseError(f"{path}: field 'blocks' must be a list of index lists")
+    if type(payload["n"]) is not int:
+        raise ValidationError(f"{path}: field 'n' must be an integer")
+    blocks = _int_rows(payload["blocks"], path, "blocks")
     try:
-        partition = Partition(payload["n"], tuple(tuple(b) for b in payload["blocks"]))
-    except (InvalidArgumentError, TypeError) as exc:
+        partition = Partition(payload["n"], tuple(map(tuple, blocks)))
+    except InvalidArgumentError as exc:
         raise ValidationError(f"{path}: invalid blocks: {exc}") from exc
     si_payload = payload["si"]
     if not isinstance(si_payload, dict) or "kind" not in si_payload:
@@ -91,12 +100,14 @@ def parse_instance(path: str | Path) -> Instance:
         elif kind == "explicit":
             if "elements" not in si_payload:
                 raise ParseError(f"{path}: explicit si needs an 'elements' field")
-            maps = [FiniteMap.of(tuple(m), degree) for m in si_payload["elements"]]
+            rows = _int_rows(si_payload["elements"], path, "elements")
+            maps = [FiniteMap.of(m, degree) for m in rows]
             si = IndexSemigroup(degree, tuple(maps))
         elif kind == "generated":
             if "generators" not in si_payload:
                 raise ParseError(f"{path}: generated si needs a 'generators' field")
-            gens = [FiniteMap.of(tuple(m), degree) for m in si_payload["generators"]]
+            rows = _int_rows(si_payload["generators"], path, "generators")
+            gens = [FiniteMap.of(m, degree) for m in rows]
             si = closure_from_generators(gens)
         else:
             raise ParseError(f"{path}: unknown si kind {kind!r}")
@@ -112,14 +123,15 @@ def serialize_instance(inst: Instance) -> dict:
     return instance_to_json(inst)
 
 
-def _parse_map(text: str, n: int, what: str) -> FiniteMap:
+def _parse_map(text: str, n: int, what: str, codomain: int | None = None) -> FiniteMap:
+    """A map of [0, n) into [0, codomain) (into [0, n) by default)."""
     try:
         images = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise InvalidArgumentError(f"{what}: expected comma-separated integers") from exc
     if len(images) != n:
         raise InvalidArgumentError(f"{what}: expected {n} entries, got {len(images)}")
-    return FiniteMap.of(images, n)
+    return FiniteMap.of(images, n if codomain is None else codomain)
 
 
 class _Output:
@@ -172,11 +184,12 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_lift(args) -> int:
     inst = parse_instance(args.instance)
-    alpha = _parse_map(args.alpha, inst.partition.degree, "--alpha")
+    p = inst.partition
+    alpha = _parse_map(args.alpha, p.degree, "--alpha")
     basepoints = None
-    if args.basepoints:
-        basepoints = [int(part) for part in args.basepoints.split(",")]
-    lifted = lift_character(alpha, inst.partition, basepoints)
+    if args.basepoints:  # a map from the blocks into X
+        basepoints = _parse_map(args.basepoints, p.degree, "--basepoints", p.n).images
+    lifted = lift_character(alpha, p, basepoints)
     out = _Output(args.out)
     if args.format == "machine":
         out.emit(json.dumps({"alpha": list(alpha.images), "lift": list(lifted.images)}))

@@ -214,20 +214,24 @@ class DerivedData:
     """Everything computed from one instance's member set.
 
     Kept on its ``Instance``, so it lives and dies with it: the members in
-    enumeration order and their positions, then, each on first use, the
-    product table and the units.  ``greens`` holds the Green's-relations
-    data once ``partsem.greens`` has built it.
+    enumeration order, their positions and, per member, the index-set
+    position of the character it was enumerated under (``char_ids``), then,
+    each on first use, the product table and the units.  ``greens`` holds
+    the Green's-relations data once ``partsem.greens`` has built it.
     """
 
     def __init__(self, inst: Instance) -> None:
         p = inst.partition
-        found: set[tuple[int, ...]] = set()
-        for alpha in inst.si.elements:
+        # a member's images fix its character, so each is found under one alpha
+        found: dict[tuple[int, ...], int] = {}
+        for a, alpha in enumerate(inst.si.elements):
             choices = [p.blocks[alpha.images[p.block_of(x)]] for x in range(p.n)]
-            found.update(itertools.product(*choices))
+            found.update(dict.fromkeys(itertools.product(*choices), a))
+        ordered = sorted(found)
         self.n = p.n
-        self.members = tuple(FiniteMap(p.n, p.n, images) for images in sorted(found))
+        self.members = tuple(FiniteMap(p.n, p.n, images) for images in ordered)
         self.index = {m.images: k for k, m in enumerate(self.members)}
+        self.char_ids = [found[images] for images in ordered]
         self.greens = None
 
     @cached_property

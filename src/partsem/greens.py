@@ -12,12 +12,15 @@ replayable witnesses: factor transformations whose composites reproduce the
 claimed ideal memberships.  Both assemble and validate their witnesses on
 table positions and hand out the instance's own members and index elements;
 ``verify_witness`` is the independent replay, composing the maps themselves.
-The per-instance data keeps, built once on first use, each member's L- and
-R-class label (the first member of its class), which the L/R oracles
-compare and whose (L, R) pairs key the first member of each H-class, the D
-oracle's middle element; and each member's J geometry (sorted image, block
+The per-instance data keeps, each built once on first use, every member's
+L-, R- and D-class label (the first member of its class; the D label is the
+least L-label meeting the member's R-class, as D = L∘R), which the oracles,
+``d_rel`` and ``eggbox`` read, the first member of each H-class (the D
+oracle's middle element) and each member's J geometry (sorted image, block
 of each image point, per block the positions of its image points), which
-the phi search reads.
+the phi search reads.  Characters are the positions enumeration recorded
+(``inst.derived.char_ids``), and the left factor, the left J factor and the
+inner inverse share one least-preimage lift.
 ``txp_green``, the criteria specialized to the full character set T(I),
 reads per-map signatures (character, kernel classes, block images) that a
 caller deciding many pairs builds once per map.
@@ -37,7 +40,7 @@ import numpy as np
 from .errors import InternalError, InvalidArgumentError, PreconditionError, ResourceLimitError
 from .finite_maps import FiniteMap, compose, image, kernel_partition
 from .ensemble import Instance, enumerate_elements, require_member
-from .partition_action import Partition, preserves_partition
+from .partition_action import Partition, _least_lift, preserves_partition
 from .regularity import _check_mode
 
 Relation = Literal["L", "R", "D", "J"]
@@ -128,34 +131,25 @@ class _GreensData:
         self.imgs = [m.images for m in self.members]
         self.table = inst.derived.table
         self.l_below, self.r_below = _preorders(self.table)
-        rng = range(p.n)
 
-        self.block_mask = [sum(1 << x for x in b) for b in p.blocks]
-        lookup = [p.block_of(x) for x in rng]
-        self.chars = [
-            tuple(lookup[t[b[0]]] for b in p.blocks) for t in self.imgs
-        ]
         self.blockimg_mask = [
             tuple(self._mask(t[x] for x in b) for b in p.blocks) for t in self.imgs
         ]
-        self.img_mask = [self._mask(t) for t in self.imgs]
         self.kernels = [kernel_partition(m).classes for m in self.members]
         self.class_masks = [
             tuple(self._mask(c) for c in classes) for classes in self.kernels
         ]
         self.class_meets = [
-            tuple(
-                tuple(i for i, bm in enumerate(self.block_mask) if cm & bm)
-                for cm in masks
-            )
-            for masks in self.class_masks
+            tuple(tuple(sorted({p.block_of(x) for x in c})) for c in classes)
+            for classes in self.kernels
         ]
 
         self.si_elements = inst.si.elements
         self.si_imgs = [a.images for a in inst.si.elements]
         self.si_index = inst.si.index
         self.si_table = inst.si.table
-        self.char_ids = [self.si_index[c] for c in self.chars]
+        self.char_ids = inst.derived.char_ids
+        self.chars = [self.si_imgs[c] for c in self.char_ids]
         self.si_l_below, self.si_r_below = _preorders(inst.si.table)
 
     def j_left_factors(self, a: int, b: int) -> np.ndarray:
@@ -174,10 +168,9 @@ class _GreensData:
 
     @cached_property
     def d_rel(self) -> np.ndarray:
-        """Two-sided D as the boolean product of L and R."""
-        l_eq = self.l_below & self.l_below.T
-        r_eq = self.r_below & self.r_below.T
-        return l_eq @ r_eq
+        """Two-sided D: equal ``d_label``s."""
+        d_label = np.array(self.d_label)
+        return d_label[:, None] == d_label
 
     @cached_property
     def l_label(self) -> list[int]:
@@ -196,6 +189,15 @@ class _GreensData:
         for k, key in enumerate(zip(self.l_label, self.r_label)):
             first.setdefault(key, k)
         return first
+
+    @cached_property
+    def d_label(self) -> list[int]:
+        """Per member, the first member of its D-class: as D = L∘R, the least
+        L-label among the L-classes that meet the member's R-class."""
+        least: dict[int, int] = {}
+        for l, r in self.h_first:
+            least[r] = min(least.get(r, l), l)
+        return [least[r] for r in self.r_label]
 
     @cached_property
     def meet_masks(self) -> list[tuple[int, ...]]:
@@ -309,9 +311,14 @@ def _l_one_sided_theorem(
         budget[0] -= 1
         if budget[0] < 0:
             raise ResourceLimitError(f"L character search exceeded the cap of {cap} candidates")
-        if all(bf[i] & ~bg[j] == 0 for i, j in enumerate(data.si_imgs[a])):
+        if _blocks_fit(bf, bg, data.si_imgs[a]):
             return data.si_elements[a]
     return None
+
+
+def _blocks_fit(bf: tuple[int, ...], bg: tuple[int, ...], alpha: tuple[int, ...]) -> bool:
+    """X_i f inside X_{alpha(i)} g for every i, on the block-image masks of f and g."""
+    return all(bf[i] & ~bg[j] == 0 for i, j in enumerate(alpha))
 
 
 def _one_sided_related(
@@ -366,10 +373,8 @@ def build_left_factor(
     a = inst.si.position(alpha)
     if a is None:
         raise PreconditionError(f"{alpha} is not in the index semigroup")
-    bf, bg = data.blockimg_mask[fk], data.blockimg_mask[gk]
-    if data.si_table[a, data.char_ids[gk]] != data.char_ids[fk] or not all(
-        bf[i] & ~bg[j] == 0 for i, j in enumerate(alpha.images)
-    ):
+    fits = _blocks_fit(data.blockimg_mask[fk], data.blockimg_mask[gk], alpha.images)
+    if data.si_table[a, data.char_ids[gk]] != data.char_ids[fk] or not fits:
         raise PreconditionError(f"{alpha} does not witness the L-inequality")
     return data.members[_left_factor(data, fk, gk, alpha)]
 
@@ -378,15 +383,10 @@ def _left_factor(data: _GreensData, fk: int, gk: int, alpha: FiniteMap) -> int:
     """``build_left_factor`` on member positions, its preconditions met: the
     position of the h sending x to the least y of X_{alpha(i)} with yg = xf."""
     p = data.inst.partition
-    f_imgs, g_imgs = data.imgs[fk], data.imgs[gk]
-    images = [0] * p.n
-    for i, b in enumerate(p.blocks):
-        target = p.blocks[alpha.images[i]]
-        for x in b:
-            images[x] = next((y for y in target if g_imgs[y] == f_imgs[x]), 0)
-    hk = data.inst.derived.index.get(tuple(images))
+    images = _least_lift(alpha.images, p, data.imgs[gk], data.imgs[fk])
+    hk = data.inst.derived.index.get(images)
     if hk is None or data.table[hk, gk] != fk or data.char_of(hk) != alpha:
-        h = FiniteMap(p.n, p.n, tuple(images))
+        h = FiniteMap(p.n, p.n, images)
         raise InternalError(
             f"the left factor {h} built for {data.members[fk]}, {data.members[gk]} "
             f"and {alpha} fails validation"
@@ -402,9 +402,7 @@ def _r_one_sided_theorem(
     The betas are read from row chi(g) of the index table; the one taken
     spends one unit of budget.
     """
-    if not all(
-        any(cm & ~fm == 0 for fm in data.class_masks[fk]) for cm in data.class_masks[gk]
-    ):
+    if not _kernel_refines(data, gk, fk):
         return None
     hits = (data.si_table[data.char_ids[gk]] == data.char_ids[fk]).nonzero()[0]
     if not len(hits):
@@ -413,6 +411,12 @@ def _r_one_sided_theorem(
     if budget[0] < 0:
         raise ResourceLimitError(f"R character search exceeded the cap of {cap} candidates")
     return data.si_elements[hits[0]]
+
+
+def _kernel_refines(data: _GreensData, gk: int, fk: int) -> bool:
+    """pi(g) refines pi(f): each kernel class of g lies inside one of f."""
+    f_masks = data.class_masks[fk]
+    return all(any(cm & ~fm == 0 for fm in f_masks) for cm in data.class_masks[gk])
 
 
 def r_related(
@@ -434,10 +438,8 @@ def build_right_factor(
     b = inst.si.position(beta)
     if b is None:
         raise PreconditionError(f"{beta} is not in the index semigroup")
-    refine_ok = all(
-        any(cm & ~fm == 0 for fm in data.class_masks[fk]) for cm in data.class_masks[gk]
-    )
-    if data.si_table[data.char_ids[gk], b] != data.char_ids[fk] or not refine_ok:
+    refines = _kernel_refines(data, gk, fk)
+    if data.si_table[data.char_ids[gk], b] != data.char_ids[fk] or not refines:
         raise PreconditionError(f"{beta} does not witness the R-inequality")
     return data.members[_right_factor(data, fk, gk, beta)]
 
@@ -446,20 +448,12 @@ def _right_factor(data: _GreensData, fk: int, gk: int, beta: FiniteMap) -> int:
     """``build_right_factor`` on member positions, its preconditions met."""
     p = data.inst.partition
     f_imgs, g_imgs = data.imgs[fk], data.imgs[gk]
-    least_preimage: dict[int, int] = {}
-    for x in range(p.n):
-        least_preimage.setdefault(g_imgs[x], x)
-    images = [0] * p.n
-    for i, block in enumerate(p.blocks):
-        basepoint = p.blocks[beta.images[i]][0]
-        for x in block:
-            if x in least_preimage:
-                images[x] = f_imgs[least_preimage[x]]
-            else:
-                images[x] = basepoint
-    hk = data.inst.derived.index.get(tuple(images))
+    # f at the least preimage under g: the descending pass writes it last
+    on_image = {g_imgs[y]: f_imgs[y] for y in reversed(range(p.n))}
+    images = tuple(on_image.get(x, p.blocks[beta.images[p.block_of(x)]][0]) for x in range(p.n))
+    hk = data.inst.derived.index.get(images)
     if hk is None or data.table[gk, hk] != fk or data.char_of(hk) != beta:
-        h = FiniteMap(p.n, p.n, tuple(images))
+        h = FiniteMap(p.n, p.n, images)
         raise InternalError(
             f"the right factor {h} built for {data.members[fk]}, {data.members[gk]} "
             f"and {beta} fails validation"
@@ -690,19 +684,26 @@ def _j_one_sided_theorem(
                     raise ResourceLimitError(
                         f"phi search exceeded the cap of {cap} assignments"
                     )
-                for fb, source in zip(f_blockimg, sources):
-                    covered = 0
-                    for k in source:
-                        covered |= 1 << values[k]
-                    if fb & ~covered:
-                        break
-                else:
+                if _phi_covers(f_blockimg, sources, values):
                     return (
                         data.si_elements[a],
                         data.si_elements[b],
                         FiniteMap(len(dom), p.n, values),
                     )
     return None
+
+
+def _phi_covers(
+    f_blockimg: tuple[int, ...], sources: list[tuple[int, ...]], values: tuple[int, ...]
+) -> bool:
+    """Each X_i f inside the phi-values ``values`` at the image positions ``sources[i]``."""
+    for fb, source in zip(f_blockimg, sources):
+        covered = 0
+        for k in source:
+            covered |= 1 << values[k]
+        if fb & ~covered:
+            return False
+    return True
 
 
 def j_related(
@@ -793,19 +794,14 @@ def build_j_factors(
     p = inst.partition
     if inst.si.position(alpha) is None or inst.si.position(beta) is None:
         raise PreconditionError("alpha and beta must lie in the index semigroup")
-    dom = sorted(set(g.images))
+    dom, dom_blocks, block_sources = data.j_geometry[gk]
     if phi.domain_size != len(dom) or phi.codomain_size != p.n:
         raise PreconditionError("phi must map the image of g into X")
-    dom_pos = {v: k for k, v in enumerate(dom)}
-    gphi = {y: phi.images[dom_pos[g.images[y]]] for y in range(p.n)}
-    for i, block in enumerate(p.blocks):
-        covered = {gphi[y] for y in p.blocks[alpha.images[i]]}
-        if not {f.images[x] for x in block} <= covered:
-            raise PreconditionError("phi does not cover the block images of f")
-    for i in set(data.chars[gk]):
-        hit = {phi.images[dom_pos[x]] for x in p.blocks[i] if x in dom_pos}
-        if not hit <= set(p.blocks[beta.images[i]]):
-            raise PreconditionError("phi is not block-constant toward beta")
+    sources = [block_sources[j] for j in alpha.images]
+    if not _phi_covers(data.blockimg_mask[fk], sources, phi.images):
+        raise PreconditionError("phi does not cover the block images of f")
+    if any(p.block_of(v) != beta.images[c] for v, c in zip(phi.images, dom_blocks)):
+        raise PreconditionError("phi is not block-constant toward beta")
     k1, k2 = _j_factors(data, fk, gk, alpha, beta, phi)
     return data.members[k1], data.members[k2]
 
@@ -815,27 +811,16 @@ def _j_factors(
 ) -> tuple[int, int]:
     """``build_j_factors`` on member positions, its preconditions met."""
     p = data.inst.partition
-    f_imgs, g_imgs = data.imgs[fk], data.imgs[gk]
-    dom_pos = {v: k for k, v in enumerate(data.j_geometry[gk][0])}
-    gphi = [phi.images[dom_pos[g_imgs[y]]] for y in range(p.n)]
-    chi_g_image = set(data.chars[gk])
-    h1_images = [0] * p.n
-    h2_images = [0] * p.n
-    for i, block in enumerate(p.blocks):
-        target = p.blocks[alpha.images[i]]
-        basepoint = p.blocks[beta.images[i]][0]
-        for x in block:
-            h1_images[x] = next((y for y in target if gphi[y] == f_imgs[x]), 0)
-            if i in chi_g_image and x in dom_pos:
-                h2_images[x] = phi.images[dom_pos[x]]
-            else:
-                h2_images[x] = basepoint
+    phi_at = dict(zip(data.j_geometry[gk][0], phi.images))
+    gphi = [phi_at[v] for v in data.imgs[gk]]
+    h1_images = _least_lift(alpha.images, p, gphi, data.imgs[fk])
+    h2_images = tuple(phi_at.get(x, p.blocks[beta.images[p.block_of(x)]][0]) for x in range(p.n))
     index, table = data.inst.derived.index, data.table
-    k1, k2 = index.get(tuple(h1_images)), index.get(tuple(h2_images))
+    k1, k2 = index.get(h1_images), index.get(h2_images)
     valid = k1 is not None and k2 is not None and table[table[k1, gk], k2] == fk
     if not valid or data.char_of(k1) != alpha or data.char_of(k2) != beta:
-        h1 = FiniteMap(p.n, p.n, tuple(h1_images))
-        h2 = FiniteMap(p.n, p.n, tuple(h2_images))
+        h1 = FiniteMap(p.n, p.n, h1_images)
+        h2 = FiniteMap(p.n, p.n, h2_images)
         raise InternalError(
             f"the J factors {h1}, {h2} built for {data.members[fk]} and "
             f"{data.members[gk]} fail validation"
@@ -980,35 +965,10 @@ def eggbox(inst: Instance) -> list[dict]:
     Each grid cell lists the member ids sharing that L- and R-class.
     """
     data = _greens_data(inst)
-    size = len(data.members)
     l_label, r_label = data.l_label, data.r_label
-    parent = list(range(size))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    by_l: dict[int, int] = {}
-    by_r: dict[int, int] = {}
-    for k in range(size):
-        if l_label[k] in by_l:
-            union(k, by_l[l_label[k]])
-        else:
-            by_l[l_label[k]] = k
-        if r_label[k] in by_r:
-            union(k, by_r[r_label[k]])
-        else:
-            by_r[r_label[k]] = k
     d_members: dict[int, list[int]] = {}
-    for k in range(size):
-        d_members.setdefault(find(k), []).append(k)
+    for k, root in enumerate(data.d_label):
+        d_members.setdefault(root, []).append(k)
     boxes = []
     for root in sorted(d_members):
         ks = d_members[root]

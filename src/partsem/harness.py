@@ -736,17 +736,15 @@ def _greens_d_subset_j(entry, tally, catalog):
 @_suite("greens-tx-specialization", _degree_one_with_identity)
 def _greens_tx_specialization(entry, tally, catalog):
     data = greens._greens_data(entry.instance)
-    l_eq = data.l_below & data.l_below.T
-    r_eq = data.r_below & data.r_below.T
     d_rel = data.d_rel
     j_rel = data.j_below & data.j_below.T
-    ranks = [len(set(t)) for t in data.imgs]
+    images = [geometry[0] for geometry in data.j_geometry]
     for a, b in itertools.product(range(len(data.members)), repeat=2):
         tally.checks += 1
-        rank_eq = ranks[a] == ranks[b]
-        if bool(l_eq[a, b]) != (data.img_mask[a] == data.img_mask[b]):
+        rank_eq = len(images[a]) == len(images[b])
+        if data.l_eq(a, b) != (images[a] == images[b]):
             detail = "L disagrees with image equality"
-        elif bool(r_eq[a, b]) != (data.kernels[a] == data.kernels[b]):
+        elif data.r_eq(a, b) != (data.kernels[a] == data.kernels[b]):
             detail = "R disagrees with kernel equality"
         elif bool(j_rel[a, b]) != rank_eq or bool(d_rel[a, b]) != rank_eq:
             detail = "D or J disagrees with rank equality"
@@ -772,9 +770,10 @@ def _greens_witness_replay(entry, tally, catalog):
 @_suite("greens-necessary-conditions", _has_identity)
 def _greens_necessary_conditions(entry, tally, catalog):
     data = greens._greens_data(entry.instance)
+    images = [geometry[0] for geometry in data.j_geometry]
     for a, b in itertools.product(range(len(data.members)), repeat=2):
         tally.checks += 1
-        if data.l_eq(a, b) and data.img_mask[a] != data.img_mask[b]:
+        if data.l_eq(a, b) and images[a] != images[b]:
             tally.fail("L-related pair with different images",
                        f=data.members[a], g=data.members[b])
         if data.r_eq(a, b) and data.kernels[a] != data.kernels[b]:

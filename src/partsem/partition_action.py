@@ -192,6 +192,19 @@ def lift_character(
     return FiniteMap(p.n, p.n, tuple(images))
 
 
+def _least_lift(
+    alpha: Sequence[int], p: Partition, through: Sequence[int], onto: Sequence[int]
+) -> tuple[int, ...]:
+    """The least-preimage lift: the images of the map sending x in X_i to the
+    least y of X_{alpha(i)} with through[y] == onto[x], else to min X_{alpha(i)}."""
+    images = [0] * p.n
+    for i, block in enumerate(p.blocks):
+        target = p.blocks[alpha[i]]
+        for x in block:
+            images[x] = next((y for y in target if through[y] == onto[x]), target[0])
+    return tuple(images)
+
+
 def pi_restricted(f: FiniteMap, a: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The kernel classes of f that meet the subset a."""
     subset = set(a)

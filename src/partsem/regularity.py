@@ -23,7 +23,7 @@ from .ensemble import (
     enumerate_elements,
     require_member,
 )
-from .partition_action import block_maps, character
+from .partition_action import _least_lift, block_maps, character
 
 Mode = Literal["oracle", "theorem"]
 
@@ -63,11 +63,10 @@ def _regular_witness_test(f: FiniteMap, inst: Instance) -> tuple[int, Callable[[
     index i hit by chi(f), X_i intersected with the image of f sits inside
     the f-image of X_{alpha(i)}.
     """
-    require_member(f, inst)
+    chi = inst.derived.char_ids[require_member(f, inst)]
     p = inst.partition
     si = inst.si
     table = si.table
-    chi = si.index[character(f, p).images]
     img = set(f.images)
     blk_img = _block_images(f, inst)
     meets = [(i, p.block_sets[i] & img) for i in set(si.elements[chi].images)]
@@ -100,22 +99,7 @@ def build_inner_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finit
     if a is None or not test(a):
         raise PreconditionError(f"{alpha} is not a regular-character witness for {f}")
     p = inst.partition
-    chi = character(f, p)
-    chi_image = set(chi.images)
-    img = set(f.images)
-    images = [0] * p.n
-    for i, b in enumerate(p.blocks):
-        target = p.blocks[alpha.images[i]]
-        if i in chi_image:
-            for x in b:
-                if x in img:
-                    images[x] = next(x2 for x2 in target if f.images[x2] == x)
-                else:
-                    images[x] = target[0]
-        else:
-            for x in b:
-                images[x] = target[0]
-    g = FiniteMap(p.n, p.n, tuple(images))
+    g = FiniteMap(p.n, p.n, _least_lift(alpha.images, p, f.images, range(p.n)))
     if compose(compose(f, g), f) != f or character(g, p) != alpha:
         raise InternalError(f"the inner inverse {g} built for {f} and {alpha} fails validation")
     return g
@@ -153,10 +137,10 @@ def idempotents(inst: Instance) -> tuple[FiniteMap, ...]:
 
 def is_idempotent_characterized(f: FiniteMap, inst: Instance) -> bool:
     """Idempotency via the character and block restrictions, not via f*f."""
-    require_member(f, inst)
+    c = inst.derived.char_ids[require_member(f, inst)]
     p = inst.partition
-    chi = character(f, p)
-    if compose(chi, chi) != chi:
+    chi = inst.si.elements[c]
+    if inst.si.table[c, c] != c:
         return False
     chi_image = set(chi.images)
     bd = block_maps(f, p)

@@ -23,7 +23,7 @@ from .ensemble import (
     require_member,
 )
 from .partition_action import block_maps, character, is_unit_bijection
-from .regularity import Mode, _block_images, _check_mode, _merges_onto_a_large_block
+from .regularity import Mode, _check_mode, _merges_onto_a_large_block, _regular_witness_test
 
 
 def is_unit_regular_oracle(f: FiniteMap, inst: Instance) -> FiniteMap | None:
@@ -38,27 +38,20 @@ def is_unit_regular_oracle(f: FiniteMap, inst: Instance) -> FiniteMap | None:
 
 def _unit_witness_test(f: FiniteMap, inst: Instance) -> tuple[int, Callable[[int], bool]]:
     """The position of chi(f) in the index set and the four unit-regularity
-    conditions as a test on the position of one index unit alpha."""
+    conditions as a test on the position of one index unit alpha: the two
+    regularity conditions, equal block sizes along alpha and c = d."""
     if not inst.si.has_identity:
         raise PreconditionError("unit-regularity needs the identity character")
-    require_member(f, inst)
+    chi, regular = _regular_witness_test(f, inst)
     p = inst.partition
     si = inst.si
-    table = si.table
-    chi = si.index[character(f, p).images]
     chi_image = set(si.elements[chi].images)
-    img = set(f.images)
-    blk_img = _block_images(f, inst)
     sizes = [len(b) for b in p.blocks]
     local_maps: list[FiniteMap] = []  # the block maps of f, built on first use
 
     def test(a: int) -> bool:
         alpha = si.elements[a].images
-        if table[table[chi, a], chi] != chi:
-            return False
-        if any(sizes[i] != sizes[alpha[i]] for i in range(p.degree)):
-            return False
-        if not all((p.block_sets[i] & img) <= blk_img[alpha[i]] for i in chi_image):
+        if not regular(a) or any(sizes[i] != sizes[alpha[i]] for i in range(p.degree)):
             return False
         if not local_maps:
             local_maps.extend(entry.local_map for entry in block_maps(f, p).entries)
@@ -90,13 +83,12 @@ def build_unit_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finite
     of X_j.  Blocks outside the character image are mapped by the
     order-preserving bijection onto their target block.
     """
-    _, test = _unit_witness_test(f, inst)
+    chi, test = _unit_witness_test(f, inst)
     a = inst.si.position(alpha)
     if a is None or a not in inst.si.unit_ids or not test(a):
         raise PreconditionError(f"{alpha} is not a unit-regularity witness for {f}")
     p = inst.partition
-    chi = character(f, p)
-    chi_image = set(chi.images)
+    chi_image = set(inst.si.elements[chi].images)
     images = [0] * p.n
     for i, b in enumerate(p.blocks):
         target = p.blocks[alpha.images[i]]

@@ -66,6 +66,25 @@ class TestParseInstance:
         with pytest.raises(ValidationError):
             parse_instance(path)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": 1, "blocks": [[0.0]], "si": {"kind": "full"}},
+            {"n": 2, "blocks": [[0], [1]], "si": {"kind": "explicit", "elements": [[0, 1.0]]}},
+            {"n": 2, "blocks": [[0], [1]], "si": {"kind": "generated", "generators": [[1.0, 0]]}},
+            {"n": True, "blocks": [[0]], "si": {"kind": "full"}},
+            {"n": 2, "blocks": [[0], [True]], "si": {"kind": "full"}},
+        ],
+        ids=["float-block-point", "float-element", "float-generator", "bool-n", "bool-block-point"],
+    )
+    def test_non_integer_numbers_are_input_errors(self, write, capsys, payload):
+        path = write("numbers.json", payload)
+        with pytest.raises(ValidationError, match="must be"):
+            parse_instance(path)
+        assert run_command(["enumerate", path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_roundtrip(self, inst_file, write):
         inst = parse_instance(inst_file)
         path = write("roundtrip.json", serialize_instance(inst))
@@ -191,6 +210,13 @@ class TestOutputs:
 def test_parse_map_errors(inst_file, capsys):
     assert run_command(["check-element", inst_file, "--f", "2,3,0"]) == 2
     assert run_command(["check-element", inst_file, "--f", "a,b,c,d"]) == 2
+
+
+def test_lift_basepoints_must_be_integers(inst_file, capsys):
+    assert run_command(["lift", inst_file, "--alpha", "0,1", "--basepoints", "x"]) == 2
+    assert capsys.readouterr().err == "error: --basepoints: expected comma-separated integers\n"
+    assert run_command(["lift", inst_file, "--alpha", "0,1", "--basepoints", "1,3"]) == 0
+    assert "[1,1,3,3]" in capsys.readouterr().out
 
 
 def test_python_dash_m_partsem_runs_verify_cleanly():

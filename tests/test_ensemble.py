@@ -8,6 +8,8 @@ from partsem import (
     Partition,
     PreconditionError,
     ResourceLimitError,
+    build_catalog,
+    character,
     closure_from_generators,
     compose,
     enumerate_elements,
@@ -134,6 +136,18 @@ class TestEnumerate:
         for f in members:
             for g in members:
                 assert is_member(compose(f, g), inst_full)
+
+
+N3_ENTRIES = [(e.label, e.instance) for e in build_catalog(3, seed=7).entries]
+
+
+@pytest.mark.parametrize("label,inst", N3_ENTRIES, ids=[label for label, _ in N3_ENTRIES])
+def test_char_ids_are_the_characters_of_the_members(label, inst):
+    """Enumeration records each member's character position; ``character``
+    recomputes it from the map."""
+    p = inst.partition
+    for k, m in enumerate(enumerate_elements(inst)):
+        assert inst.derived.char_ids[k] == inst.si.index[character(m, p).images], k
 
 
 class TestUnits:

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from partsem import (
@@ -584,7 +585,81 @@ class TestWitnessPlumbing:
             verify_witness(GreenWitness(relation="X"), E1, E1)
 
 
+def _union_find_eggbox(data):
+    """``eggbox`` as it grouped D-classes before ``d_label``: a union-find
+    joining members that share an L- or an R-class, with the class labels
+    read off the preorders."""
+    size = len(data.members)
+    l_eq = data.l_below & data.l_below.T
+    r_eq = data.r_below & data.r_below.T
+    l_label = [int(np.argmax(l_eq[k])) for k in range(size)]
+    r_label = [int(np.argmax(r_eq[k])) for k in range(size)]
+    parent = list(range(size))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    by_l, by_r = {}, {}
+    for k in range(size):
+        if l_label[k] in by_l:
+            union(k, by_l[l_label[k]])
+        else:
+            by_l[l_label[k]] = k
+        if r_label[k] in by_r:
+            union(k, by_r[r_label[k]])
+        else:
+            by_r[r_label[k]] = k
+    d_members = {}
+    for k in range(size):
+        d_members.setdefault(find(k), []).append(k)
+    boxes = []
+    for root in sorted(d_members):
+        ks = d_members[root]
+        rows = sorted({r_label[k] for k in ks})
+        cols = sorted({l_label[k] for k in ks})
+        grid = [
+            [[k for k in ks if r_label[k] == row and l_label[k] == col] for col in cols]
+            for row in rows
+        ]
+        boxes.append({"representative": root, "r_classes": rows, "l_classes": cols,
+                      "grid": grid})
+    return boxes
+
+
+def _full_instance(blocks):
+    p = Partition.of(blocks)
+    return Instance(p, IndexSemigroup.full(p.degree))
+
+
+EGGBOX_INSTANCES = [
+    (e.label, e.instance) for e in build_catalog(3, seed=7).entries if e.instance.si.has_identity
+] + [
+    ("n4:[0][1][2][3]/full", _full_instance([[0], [1], [2], [3]])),
+    ("n4:[0,1][2,3]/full", _full_instance([[0, 1], [2, 3]])),
+]
+
+
 class TestEggbox:
+    @pytest.mark.parametrize(
+        "label,inst", EGGBOX_INSTANCES, ids=[label for label, _ in EGGBOX_INSTANCES]
+    )
+    def test_d_labels_match_the_union_find_and_the_boolean_product(self, label, inst):
+        """The D-classes read off the L/R labels against the union-find that
+        grouped them before, and D against the boolean product L then R."""
+        data = _greens_data(inst)
+        assert eggbox(inst) == _union_find_eggbox(data)
+        l_eq = data.l_below & data.l_below.T
+        r_eq = data.r_below & data.r_below.T
+        assert np.array_equal(data.d_rel, l_eq @ r_eq)
+
     def test_full_transformation_semigroup_on_three_points(self):
         p = Partition.of([[0, 1, 2]])
         inst = Instance(p, IndexSemigroup.trivial(1))

@@ -109,6 +109,29 @@ def test_greens_witnesses_are_not_validated_by_composing_maps():
     assert found == []
 
 
+def test_regularity_criteria_read_characters_from_enumeration():
+    """The regularity, unit-regularity and idempotency criteria take chi(f)
+    from the position enumeration recorded, not from ``character(f, p)``."""
+    named = {
+        "regularity.py": {"_regular_witness_test", "is_idempotent_characterized"},
+        "unit_regularity.py": {"_unit_witness_test"},
+    }
+    seen, found = set(), []
+    for module, names in named.items():
+        for node in ast.walk(ast.parse((PACKAGE / module).read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                seen.add(node.name)
+                found += [
+                    f"{node.name}:{call.lineno}"
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "character"
+                ]
+    assert seen == set().union(*named.values())
+    assert found == []
+
+
 def test_only_the_suite_runner_loops_over_the_catalog():
     """Suite bodies state their checks; one runner (``_suite`` and the record
     it makes with ``_record``) loops over ``catalog.entries``, builds each

@@ -7,6 +7,7 @@ from partsem import (
     InvalidArgumentError,
     Partition,
     PreconditionError,
+    build_catalog,
     build_inner_inverse,
     character,
     compose,
@@ -114,6 +115,39 @@ class TestBuildInnerInverse:
                 assert compose(compose(f, g), f) == f
                 assert character(g, inst_full.partition) == alpha
                 assert is_member(g, inst_full)
+
+
+def _branchy_inner_inverse(f, alpha, p):
+    """``build_inner_inverse`` as it was built before the shared least-preimage
+    lift: separate branches for blocks outside the character image and for
+    points outside the image of f."""
+    chi_image = set(character(f, p).images)
+    img = set(f.images)
+    images = [0] * p.n
+    for i, b in enumerate(p.blocks):
+        target = p.blocks[alpha.images[i]]
+        if i in chi_image:
+            for x in b:
+                if x in img:
+                    images[x] = next(x2 for x2 in target if f.images[x2] == x)
+                else:
+                    images[x] = target[0]
+        else:
+            for x in b:
+                images[x] = target[0]
+    return FiniteMap(p.n, p.n, tuple(images))
+
+
+N3_ENTRIES = [(e.label, e.instance) for e in build_catalog(3, seed=7).entries]
+
+
+@pytest.mark.parametrize("label,inst", N3_ENTRIES, ids=[label for label, _ in N3_ENTRIES])
+def test_inner_inverse_matches_the_branchy_construction(label, inst):
+    for f in enumerate_elements(inst):
+        for alpha in regular_character_witnesses(f, inst):
+            assert build_inner_inverse(f, alpha, inst) == _branchy_inner_inverse(
+                f, alpha, inst.partition
+            ), (f, alpha)
 
 
 class TestRegularSemigroup:
