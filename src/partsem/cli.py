@@ -186,6 +186,8 @@ def _cmd_lift(args) -> int:
     inst = parse_instance(args.instance)
     p = inst.partition
     alpha = _parse_map(args.alpha, p.degree, "--alpha")
+    if alpha not in inst.si:
+        raise InvalidArgumentError(f"--alpha: {alpha} is not in the index semigroup")
     basepoints = None
     if args.basepoints:  # a map from the blocks into X
         basepoints = _parse_map(args.basepoints, p.degree, "--basepoints", p.n).images

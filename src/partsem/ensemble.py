@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from .finite_maps import FiniteMap, compose
-from .partition_action import Partition
+from .partition_action import Partition, _Geometry
 
 DEFAULT_ENUMERATION_CAP = 100_000
 DENSE_CODE_LIMIT = 1 << 20  # largest n**n served by a dense code -> position array
@@ -214,10 +214,11 @@ class DerivedData:
     """Everything computed from one instance's member set.
 
     Kept on its ``Instance``, so it lives and dies with it: the members in
-    enumeration order, their positions and, per member, the index-set
-    position of the character it was enumerated under (``char_ids``), then,
-    each on first use, the product table and the units.  ``greens`` holds
-    the Green's-relations data once ``partsem.greens`` has built it.
+    enumeration order, their positions, per member the index-set position
+    of the character it was enumerated under (``char_ids``) and the
+    members' block facts (``geometry``), then, each on first use, the
+    product table and the units.  ``greens`` holds the Green's-relations
+    data once ``partsem.greens`` has built it.
     """
 
     def __init__(self, inst: Instance) -> None:
@@ -232,6 +233,8 @@ class DerivedData:
         self.members = tuple(FiniteMap(p.n, p.n, images) for images in ordered)
         self.index = {m.images: k for k, m in enumerate(self.members)}
         self.char_ids = [found[images] for images in ordered]
+        chars = [inst.si.elements[a].images for a in self.char_ids]
+        self.geometry = _Geometry(ordered, chars, p)
         self.greens = None
 
     @cached_property

@@ -24,6 +24,8 @@ class FiniteMap:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "images", tuple(self.images))
+        if type(self.domain_size) is not int or type(self.codomain_size) is not int:
+            raise InvalidArgumentError("sizes must be integers")
         if self.domain_size < 0 or self.codomain_size < 0:
             raise InvalidArgumentError("sizes must be nonnegative")
         if len(self.images) != self.domain_size:
@@ -31,6 +33,8 @@ class FiniteMap:
                 f"expected {self.domain_size} images, got {len(self.images)}"
             )
         for x, y in enumerate(self.images):
+            if type(y) is not int:
+                raise InvalidArgumentError(f"image of {x} is {y!r}, not an integer")
             if not 0 <= y < self.codomain_size:
                 raise InvalidArgumentError(
                     f"image of {x} is {y}, outside [0, {self.codomain_size})"
@@ -138,12 +142,17 @@ def image(f: FiniteMap) -> tuple[int, ...]:
     return tuple(sorted(set(f.images)))
 
 
+def _fibers(images: Sequence[int]) -> dict[int, list[int]]:
+    """Each value -> the points sent to it, ascending, in order of least point."""
+    fibers: dict[int, list[int]] = {}
+    for x, y in enumerate(images):
+        fibers.setdefault(y, []).append(x)
+    return fibers
+
+
 def kernel_partition(f: FiniteMap) -> SetPartition:
     """The partition of the domain into fibers of f."""
-    fibers: dict[int, list[int]] = {}
-    for x, y in enumerate(f.images):
-        fibers.setdefault(y, []).append(x)
-    return SetPartition(f.domain_size, tuple(tuple(c) for c in fibers.values()))
+    return SetPartition(f.domain_size, tuple(tuple(c) for c in _fibers(f.images).values()))
 
 
 def canonical_transversal(f: FiniteMap) -> tuple[int, ...]:

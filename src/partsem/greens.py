@@ -16,14 +16,14 @@ The per-instance data keeps, each built once on first use, every member's
 L-, R- and D-class label (the first member of its class; the D label is the
 least L-label meeting the member's R-class, as D = L∘R), which the oracles,
 ``d_rel`` and ``eggbox`` read, the first member of each H-class (the D
-oracle's middle element) and each member's J geometry (sorted image, block
-of each image point, per block the positions of its image points), which
-the phi search reads.  Characters are the positions enumeration recorded
-(``inst.derived.char_ids``), and the left factor, the left J factor and the
-inner inverse share one least-preimage lift.
+oracle's middle element).  Each member's block facts (block images, kernel
+classes and the blocks they meet, J geometry) come from the members'
+geometry (``inst.derived.geometry``), characters from the positions
+enumeration recorded (``inst.derived.char_ids``), and the left factor, the
+left J factor and the inner inverse share one least-preimage lift.
 ``txp_green``, the criteria specialized to the full character set T(I),
-reads per-map signatures (character, kernel classes, block images) that a
-caller deciding many pairs builds once per map.
+reads a geometry too: of its two maps, or of all members for a caller
+deciding many pairs.
 
 All operations here require the identity character in the index semigroup.
 """
@@ -38,9 +38,9 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import InternalError, InvalidArgumentError, PreconditionError, ResourceLimitError
-from .finite_maps import FiniteMap, compose, image, kernel_partition
+from .finite_maps import FiniteMap, _fibers, compose, image, kernel_partition
 from .ensemble import Instance, enumerate_elements, require_member
-from .partition_action import Partition, _least_lift, preserves_partition
+from .partition_action import Partition, _Geometry, _least_lift, _mask, character, preserves_partition
 from .regularity import _check_mode
 
 Relation = Literal["L", "R", "D", "J"]
@@ -126,30 +126,16 @@ class _GreensData:
         if not inst.si.has_identity:
             raise PreconditionError("Green's relations need the identity character")
         self.inst = inst
-        p = inst.partition
         self.members = enumerate_elements(inst)
-        self.imgs = [m.images for m in self.members]
+        self.geometry = inst.derived.geometry
+        self.imgs = self.geometry.images
         self.table = inst.derived.table
         self.l_below, self.r_below = _preorders(self.table)
 
-        self.blockimg_mask = [
-            tuple(self._mask(t[x] for x in b) for b in p.blocks) for t in self.imgs
-        ]
-        self.kernels = [kernel_partition(m).classes for m in self.members]
-        self.class_masks = [
-            tuple(self._mask(c) for c in classes) for classes in self.kernels
-        ]
-        self.class_meets = [
-            tuple(tuple(sorted({p.block_of(x) for x in c})) for c in classes)
-            for classes in self.kernels
-        ]
-
         self.si_elements = inst.si.elements
         self.si_imgs = [a.images for a in inst.si.elements]
-        self.si_index = inst.si.index
         self.si_table = inst.si.table
         self.char_ids = inst.derived.char_ids
-        self.chars = [self.si_imgs[c] for c in self.char_ids]
         self.si_l_below, self.si_r_below = _preorders(inst.si.table)
 
     def j_left_factors(self, a: int, b: int) -> np.ndarray:
@@ -198,34 +184,6 @@ class _GreensData:
         for l, r in self.h_first:
             least[r] = min(least.get(r, l), l)
         return [least[r] for r in self.r_label]
-
-    @cached_property
-    def meet_masks(self) -> list[tuple[int, ...]]:
-        """Per member and kernel class, the bitmask of the blocks the class meets."""
-        return [tuple(self._mask(c) for c in meets) for meets in self.class_meets]
-
-    @cached_property
-    def j_geometry(self) -> list[tuple[tuple, tuple, tuple]]:
-        """Per member g: its sorted image, the block of each image point and,
-        per block j, the sorted positions of X_j g in that image."""
-        p = self.inst.partition
-        geometry = []
-        for t in self.imgs:
-            dom = tuple(sorted(set(t)))
-            pos = {v: k for k, v in enumerate(dom)}
-            geometry.append((
-                dom,
-                tuple(p.block_of(z) for z in dom),
-                tuple(tuple(sorted({pos[t[x]] for x in b})) for b in p.blocks),
-            ))
-        return geometry
-
-    @staticmethod
-    def _mask(values) -> int:
-        m = 0
-        for v in values:
-            m |= 1 << v
-        return m
 
     def member_id(self, f: FiniteMap) -> int:
         return require_member(f, self.inst)
@@ -306,7 +264,7 @@ def _l_one_sided_theorem(
     The alphas with chi(f) = alpha*chi(g) are read from column chi(g) of the
     index table; each one put to the block test spends one unit of budget.
     """
-    bf, bg = data.blockimg_mask[fk], data.blockimg_mask[gk]
+    bf, bg = data.geometry.block_masks[fk], data.geometry.block_masks[gk]
     for a in (data.si_table[:, data.char_ids[gk]] == data.char_ids[fk]).nonzero()[0]:
         budget[0] -= 1
         if budget[0] < 0:
@@ -333,7 +291,7 @@ def _one_sided_related(
             return None
         h_fg, h_gf = _first_factor(data, rel, fk, gk), _first_factor(data, rel, gk, fk)
     else:
-        if rel == "R" and data.kernels[fk] != data.kernels[gk]:
+        if rel == "R" and data.geometry.kernels[fk] != data.geometry.kernels[gk]:
             return None
         search = _l_one_sided_theorem if rel == "L" else _r_one_sided_theorem
         budget = [cap]
@@ -373,7 +331,8 @@ def build_left_factor(
     a = inst.si.position(alpha)
     if a is None:
         raise PreconditionError(f"{alpha} is not in the index semigroup")
-    fits = _blocks_fit(data.blockimg_mask[fk], data.blockimg_mask[gk], alpha.images)
+    block_masks = data.geometry.block_masks
+    fits = _blocks_fit(block_masks[fk], block_masks[gk], alpha.images)
     if data.si_table[a, data.char_ids[gk]] != data.char_ids[fk] or not fits:
         raise PreconditionError(f"{alpha} does not witness the L-inequality")
     return data.members[_left_factor(data, fk, gk, alpha)]
@@ -414,9 +373,9 @@ def _r_one_sided_theorem(
 
 
 def _kernel_refines(data: _GreensData, gk: int, fk: int) -> bool:
-    """pi(g) refines pi(f): each kernel class of g lies inside one of f."""
-    f_masks = data.class_masks[fk]
-    return all(any(cm & ~fm == 0 for fm in f_masks) for cm in data.class_masks[gk])
+    """pi(g) refines pi(f): xg fixes xf, so the pairs (xg, xf) number |im g|."""
+    g_imgs = data.imgs[gk]
+    return len(set(zip(g_imgs, data.imgs[fk]))) == len(set(g_imgs))
 
 
 def r_related(
@@ -474,10 +433,11 @@ def _match_classes(
     Returns, for each class of pi(f), the index of its partner in pi(g);
     decrements the shared assignment budget and raises when it runs out.
     """
-    f_meet, g_meet = data.meet_masks[fk], data.meet_masks[gk]
+    geometry = data.geometry
+    f_meet, g_meet = geometry.meet_masks[fk], geometry.meet_masks[gk]
     # the blocks that class mk of pi(f) (nk of pi(g)) must meet in its partner
-    f_to = [data._mask(at[i] for i in meets) for meets in data.class_meets[fk]]
-    g_to = [data._mask(bt[i] for i in meets) for meets in data.class_meets[gk]]
+    f_to = [_mask(at[i] for i in meets) for meets in geometry.class_meets[fk]]
+    g_to = [_mask(bt[i] for i in meets) for meets in geometry.class_meets[gk]]
     count = len(f_to)
     compat = [
         [
@@ -521,7 +481,8 @@ def _d_theorem_search(
     alphas with chi(f) = alpha*gamma and the betas with gamma = beta*chi(f)
     are read from the index table's columns gamma and chi(f).
     """
-    if len(data.kernels[fk]) != len(data.kernels[gk]):
+    kernels = data.geometry.kernels
+    if len(kernels[fk]) != len(kernels[gk]):
         return None
     table, elements, imgs = data.si_table, data.si_elements, data.si_imgs
     cf, cg = data.char_ids[fk], data.char_ids[gk]
@@ -536,7 +497,7 @@ def _d_theorem_search(
                 found = _match_classes(data, fk, gk, imgs[a], imgs[b], budget)
                 if found is not None:
                     pairing = tuple(
-                        (data.kernels[fk][mk], data.kernels[gk][nk])
+                        (kernels[fk][mk], kernels[gk][nk])
                         for mk, nk in enumerate(found)
                     )
                     return elements[a], elements[b], elements[c], pairing
@@ -555,8 +516,8 @@ def _oracle_d_pairing(data: _GreensData, fk: int, mk: int) -> ClassPairing:
     """Pair each kernel class of f with the class of the middle sharing its value."""
     f_imgs = data.imgs[fk]
     m_imgs = data.imgs[mk]
-    by_value = {m_imgs[c[0]]: c for c in data.kernels[mk]}
-    return tuple((c, by_value[f_imgs[c[0]]]) for c in data.kernels[fk])
+    by_value = {m_imgs[c[0]]: c for c in data.geometry.kernels[mk]}
+    return tuple((c, by_value[f_imgs[c[0]]]) for c in data.geometry.kernels[fk])
 
 
 def d_related(
@@ -619,9 +580,10 @@ def build_d_middle(
     """The middle element: constant on pi(g)-classes, valued by the paired f-class."""
     data = _greens_data(inst)
     fk, gk = data.member_id(f), data.member_id(g)
-    if tuple(sorted(m for m, _ in phi)) != tuple(sorted(data.kernels[fk])) or tuple(
+    kernels = data.geometry.kernels
+    if tuple(sorted(m for m, _ in phi)) != tuple(sorted(kernels[fk])) or tuple(
         sorted(n for _, n in phi)
-    ) != tuple(sorted(data.kernels[gk])):
+    ) != tuple(sorted(kernels[gk])):
         raise PreconditionError("phi is not a bijection between the kernel classes")
     return data.members[_d_middle(data, fk, gk, gamma, phi)]
 
@@ -644,7 +606,7 @@ def _d_middle(
             raise PreconditionError("the given gamma and phi do not satisfy the D-criteria")
         # h preserves P and has character gamma, so only membership can fail.
         raise PreconditionError("the constructed middle element is not a member")
-    if data.kernels[hk] != data.kernels[gk]:
+    if data.geometry.kernels[hk] != data.geometry.kernels[gk]:
         raise InternalError(
             f"the middle element {data.members[hk]} does not share the kernel of {data.members[gk]}"
         )
@@ -663,8 +625,8 @@ def _j_one_sided_theorem(
     pair the point values of phi are enumerated blockwise.
     """
     p = data.inst.partition
-    dom, dom_blocks, block_sources = data.j_geometry[gk]
-    f_blockimg = data.blockimg_mask[fk]
+    dom, dom_blocks, block_sources = data.geometry.j_geometry[gk]
+    f_blockimg = data.geometry.block_masks[fk]
     table, cf = data.si_table, data.char_ids[fk]
     betas_of: dict[int, np.ndarray] = {}
     for a, mid in enumerate(table[:, data.char_ids[gk]].tolist()):
@@ -773,7 +735,7 @@ def _image_map_from_factors(data: _GreensData, gk: int, k1: int, k2: int) -> Fin
     rank f <= rank(h1*g) <= rank g = rank f.  The image of h1*g lies in Xg,
     so it is all of Xg and every point of Xg is pushed through h2.
     """
-    dom = data.j_geometry[gk][0]
+    dom = data.geometry.j_geometry[gk][0]
     if len(set(data.imgs[data.table[k1, gk]])) != len(dom):
         raise InternalError(f"h1*g misses a point of the image of {data.members[gk]}")
     h2 = data.imgs[k2]
@@ -794,11 +756,11 @@ def build_j_factors(
     p = inst.partition
     if inst.si.position(alpha) is None or inst.si.position(beta) is None:
         raise PreconditionError("alpha and beta must lie in the index semigroup")
-    dom, dom_blocks, block_sources = data.j_geometry[gk]
+    dom, dom_blocks, block_sources = data.geometry.j_geometry[gk]
     if phi.domain_size != len(dom) or phi.codomain_size != p.n:
         raise PreconditionError("phi must map the image of g into X")
     sources = [block_sources[j] for j in alpha.images]
-    if not _phi_covers(data.blockimg_mask[fk], sources, phi.images):
+    if not _phi_covers(data.geometry.block_masks[fk], sources, phi.images):
         raise PreconditionError("phi does not cover the block images of f")
     if any(p.block_of(v) != beta.images[c] for v, c in zip(phi.images, dom_blocks)):
         raise PreconditionError("phi is not block-constant toward beta")
@@ -811,7 +773,7 @@ def _j_factors(
 ) -> tuple[int, int]:
     """``build_j_factors`` on member positions, its preconditions met."""
     p = data.inst.partition
-    phi_at = dict(zip(data.j_geometry[gk][0], phi.images))
+    phi_at = dict(zip(data.geometry.j_geometry[gk][0], phi.images))
     gphi = [phi_at[v] for v in data.imgs[gk]]
     h1_images = _least_lift(alpha.images, p, gphi, data.imgs[fk])
     h2_images = tuple(phi_at.get(x, p.blocks[beta.images[p.block_of(x)]][0]) for x in range(p.n))
@@ -828,64 +790,39 @@ def _j_factors(
     return k1, k2
 
 
-@dataclass(frozen=True)
-class _TxpSignature:
-    """What the T(X, P) criteria read of one partition-preserving map."""
-
-    chi: tuple[int, ...]  # the character's images
-    chi_fibers: tuple[tuple[int, ...], ...]  # the kernel classes of the character
-    classes: tuple[tuple[int, ...], ...]  # the kernel classes of the map
-    class_meets: tuple[frozenset[int], ...]  # the blocks each kernel class meets
-    block_images: tuple[frozenset[int], ...]  # X_i f, per block i
-    image: tuple[int, ...]  # the image of the map, sorted
+def _txp_l_one_sided(bf: tuple[int, ...], bg: tuple[int, ...]) -> bool:
+    """Each X_i f inside some X_j g, on the block-image masks of f and g."""
+    return all(any(fb & ~gb == 0 for gb in bg) for fb in bf)
 
 
-def _txp_signature(f: FiniteMap, p: Partition) -> _TxpSignature:
-    """The map's T(X, P) signature; the one place its preservation is checked."""
-    if not preserves_partition(f, p):
-        raise InvalidArgumentError("both maps must preserve the partition")
-    chi = tuple(p.block_of(f.images[b[0]]) for b in p.blocks)
-    classes = kernel_partition(f).classes
-    return _TxpSignature(
-        chi=chi,
-        chi_fibers=kernel_partition(FiniteMap(p.degree, p.degree, chi)).classes,
-        classes=classes,
-        class_meets=tuple(frozenset(p.block_of(x) for x in c) for c in classes),
-        block_images=tuple(frozenset(f.images[x] for x in b) for b in p.blocks),
-        image=tuple(sorted(set(f.images))),
-    )
-
-
-def _txp_l_one_sided(f: _TxpSignature, g: _TxpSignature) -> bool:
-    return all(any(fb <= gb for gb in g.block_images) for fb in f.block_images)
-
-
-def _txp_d_check(f: _TxpSignature, g: _TxpSignature, p: Partition) -> bool:
-    count, deg = len(f.classes), p.degree
+def _txp_d_check(geometry: _Geometry, a: int, b: int) -> bool:
+    f_chi, f_meets, g_meets = geometry.chars[a], geometry.meet_masks[a], geometry.meet_masks[b]
+    g_fibers = _fibers(geometry.chars[b]).values()
+    count, deg = len(f_meets), geometry.p.degree
     # gamma must be L-related to chi(f) and R-related to chi(g) in the full
     # index monoid: same image set as chi(f), same kernel as chi(g).
-    target_image = sorted(set(f.chi))
-    if count != len(g.classes) or len(g.chi_fibers) != len(target_image):
+    target_image = sorted(set(f_chi))
+    if count != len(g_meets) or len(g_fibers) != len(target_image):
         return False
     # the kernel classes of f and of g meeting block i, per i
-    f_here = [[k for k in range(count) if i in f.class_meets[k]] for i in range(deg)]
-    g_here = [[k for k in range(count) if i in g.class_meets[k]] for i in range(deg)]
+    f_here = [[k for k in range(count) if f_meets[k] >> i & 1] for i in range(deg)]
+    g_here = [[k for k in range(count) if g_meets[k] >> i & 1] for i in range(deg)]
     for assigned in itertools.permutations(target_image):
         gamma = [0] * deg
-        for fiber, value in zip(g.chi_fibers, assigned):
+        for fiber, value in zip(g_fibers, assigned):
             for i in fiber:
                 gamma[i] = value
         for matching in itertools.permutations(range(count)):
             inverse = {m: k for k, m in enumerate(matching)}
             if all(
                 any(
-                    gamma[j] == f.chi[i]
-                    and all(j in g.class_meets[matching[k]] for k in f_here[i])
+                    gamma[j] == f_chi[i]
+                    and all(g_meets[matching[k]] >> j & 1 for k in f_here[i])
                     for j in range(deg)
                 )
                 and any(
-                    f.chi[j] == gamma[i]
-                    and all(j in f.class_meets[inverse[k]] for k in g_here[i])
+                    f_chi[j] == gamma[i]
+                    and all(f_meets[inverse[k]] >> j & 1 for k in g_here[i])
                     for j in range(deg)
                 )
                 for i in range(deg)
@@ -894,7 +831,7 @@ def _txp_d_check(f: _TxpSignature, g: _TxpSignature, p: Partition) -> bool:
     return False
 
 
-def _txp_j_one_sided(f: _TxpSignature, g: _TxpSignature, p: Partition) -> bool:
+def _txp_j_one_sided(geometry: _Geometry, a: int, b: int) -> bool:
     """Is there an E-preserving phi on Xg with every X_i f covered by some (X_j g)phi?
 
     phi sends the image points in block c into the target block t(c).  X_i f
@@ -902,40 +839,45 @@ def _txp_j_one_sided(f: _TxpSignature, g: _TxpSignature, p: Partition) -> bool:
     so a target assignment missing a block of im chi(f) is skipped before its
     point values are enumerated.
     """
-    positions = {v: k for k, v in enumerate(g.image)}
-    dom_blocks = [p.block_of(z) for z in g.image]
-    hit_blocks = sorted(set(g.chi))
-    needed = set(f.chi)
-    # the positions of X_j g among the image points, per j
-    sources = [tuple(positions[v] for v in gb) for gb in g.block_images]
+    p = geometry.p
+    # the positions of X_j g among the image points of g, per j
+    _, dom_blocks, sources = geometry.j_geometry[b]
+    hit_blocks = sorted(set(dom_blocks))
+    needed = set(geometry.chars[a])
+    f_blockimg = geometry.block_masks[a]
     for targets in itertools.product(range(p.degree), repeat=len(hit_blocks)):
         if not needed <= set(targets):
             continue
         target_of = dict(zip(hit_blocks, targets))
         candidates = [p.blocks[target_of[c]] for c in dom_blocks]
         for values in itertools.product(*candidates):
-            covered = [{values[k] for k in source} for source in sources]
-            if all(any(fb <= c for c in covered) for fb in f.block_images):
+            covered = [_mask(values[k] for k in source) for source in sources]
+            if _txp_l_one_sided(f_blockimg, covered):
                 return True
     return False
 
 
-def _txp_related(rel: Relation, f: _TxpSignature, g: _TxpSignature, p: Partition) -> bool:
-    """``txp_green`` on the signatures of f and g."""
+def _txp_related(rel: Relation, geometry: _Geometry, a: int, b: int) -> bool:
+    """``txp_green`` on the maps at positions a and b of a geometry."""
     if rel == "L":
-        return _txp_l_one_sided(f, g) and _txp_l_one_sided(g, f)
+        bf, bg = geometry.block_masks[a], geometry.block_masks[b]
+        return _txp_l_one_sided(bf, bg) and _txp_l_one_sided(bg, bf)
     if rel == "R":
-        return f.chi_fibers == g.chi_fibers and f.classes == g.classes
+        fibers = [list(_fibers(geometry.chars[k]).values()) for k in (a, b)]
+        return fibers[0] == fibers[1] and geometry.kernels[a] == geometry.kernels[b]
     if rel == "D":
-        return _txp_d_check(f, g, p)
+        return _txp_d_check(geometry, a, b)
     if rel == "J":
-        return _txp_j_one_sided(f, g, p) and _txp_j_one_sided(g, f, p)
+        return _txp_j_one_sided(geometry, a, b) and _txp_j_one_sided(geometry, b, a)
     raise InvalidArgumentError(f"unknown relation {rel!r}")
 
 
 def txp_green(rel: Relation, f: FiniteMap, g: FiniteMap, p: Partition) -> bool:
     """The specialized Green's criteria for the full character set T(I)."""
-    return _txp_related(rel, _txp_signature(f, p), _txp_signature(g, p), p)
+    if not (preserves_partition(f, p) and preserves_partition(g, p)):
+        raise InvalidArgumentError("both maps must preserve the partition")
+    chars = [character(f, p).images, character(g, p).images]
+    return _txp_related(rel, _Geometry([f.images, g.images], chars, p), 0, 1)
 
 
 def full_tx_green(rel: Relation, f: FiniteMap, g: FiniteMap) -> bool:
@@ -966,9 +908,7 @@ def eggbox(inst: Instance) -> list[dict]:
     """
     data = _greens_data(inst)
     l_label, r_label = data.l_label, data.r_label
-    d_members: dict[int, list[int]] = {}
-    for k, root in enumerate(data.d_label):
-        d_members.setdefault(root, []).append(k)
+    d_members = _fibers(data.d_label)
     boxes = []
     for root in sorted(d_members):
         ks = d_members[root]

@@ -26,7 +26,7 @@ it is freed with the catalog.  Codes, not witnesses, are kept because the
 sweeps of the whole catalog are held from the first of those suites to the
 last, and the witnesses would multiply the memory this takes.  The sweep's
 rows name members by position, so ``txp-specialization`` decides
-``txp_green`` on T(X, P) signatures it builds once per member of the entry.
+``txp_green`` on the members' geometry (``inst.derived.geometry``).
 """
 
 from __future__ import annotations
@@ -738,13 +738,14 @@ def _greens_tx_specialization(entry, tally, catalog):
     data = greens._greens_data(entry.instance)
     d_rel = data.d_rel
     j_rel = data.j_below & data.j_below.T
-    images = [geometry[0] for geometry in data.j_geometry]
+    images = [geometry[0] for geometry in data.geometry.j_geometry]
+    kernels = data.geometry.kernels
     for a, b in itertools.product(range(len(data.members)), repeat=2):
         tally.checks += 1
         rank_eq = len(images[a]) == len(images[b])
         if data.l_eq(a, b) != (images[a] == images[b]):
             detail = "L disagrees with image equality"
-        elif data.r_eq(a, b) != (data.kernels[a] == data.kernels[b]):
+        elif data.r_eq(a, b) != (kernels[a] == kernels[b]):
             detail = "R disagrees with kernel equality"
         elif bool(j_rel[a, b]) != rank_eq or bool(d_rel[a, b]) != rank_eq:
             detail = "D or J disagrees with rank equality"
@@ -770,28 +771,27 @@ def _greens_witness_replay(entry, tally, catalog):
 @_suite("greens-necessary-conditions", _has_identity)
 def _greens_necessary_conditions(entry, tally, catalog):
     data = greens._greens_data(entry.instance)
-    images = [geometry[0] for geometry in data.j_geometry]
+    images = [geometry[0] for geometry in data.geometry.j_geometry]
+    kernels = data.geometry.kernels
     for a, b in itertools.product(range(len(data.members)), repeat=2):
         tally.checks += 1
         if data.l_eq(a, b) and images[a] != images[b]:
             tally.fail("L-related pair with different images",
                        f=data.members[a], g=data.members[b])
-        if data.r_eq(a, b) and data.kernels[a] != data.kernels[b]:
+        if data.r_eq(a, b) and kernels[a] != kernels[b]:
             tally.fail("R-related pair with different kernels",
                        f=data.members[a], g=data.members[b])
 
 
 @_suite("txp-specialization", _full_characters)
 def _txp_specialization(entry, tally, catalog):
-    partition = entry.instance.partition
     sweep = _greens_sweep(entry, catalog)
     members = sweep.members
-    # ``txp_green`` on T(X, P) signatures built once per member, by position
-    signatures = [greens._txp_signature(f, partition) for f in members]
+    geometry = entry.instance.derived.geometry  # ``txp_green`` on members by position
     for a, b, verdicts in sweep.rows():
         for rel, oracle, theorem in verdicts:
             tally.checks += 1
-            specialized = greens._txp_related(rel, signatures[a], signatures[b], partition)
+            specialized = greens._txp_related(rel, geometry, a, b)
             for route, code in (("oracle", oracle), ("theorem", theorem)):
                 if code == _CAPPED:
                     tally.capped += 1

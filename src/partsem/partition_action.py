@@ -1,4 +1,5 @@
-"""The partitioned set (X, P), characters, block decompositions and units.
+"""The partitioned set (X, P), characters, block decompositions, units and
+the block facts of preserving maps (``_Geometry``) that the criteria read.
 
 A ``Partition`` carries the blocks X_i in a fixed order; the position of a
 block is its index in I.  A map preserves the partition when every block
@@ -9,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError
-from .finite_maps import FiniteMap, kernel_partition
+from .finite_maps import FiniteMap, _fibers, kernel_partition
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,8 @@ class Partition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(tuple(sorted(b)) for b in self.blocks))
+        if type(self.n) is not int:
+            raise InvalidArgumentError("n must be an integer")
         if not self.blocks:
             raise InvalidArgumentError("a partition needs at least one block")
         seen: set[int] = set()
@@ -31,6 +34,8 @@ class Partition:
             if not b:
                 raise InvalidArgumentError("blocks must be nonempty")
             for x in b:
+                if type(x) is not int:
+                    raise InvalidArgumentError(f"element {x!r} is not an integer")
                 if not 0 <= x < self.n:
                     raise InvalidArgumentError(f"element {x} outside [0, {self.n})")
                 if x in seen:
@@ -135,11 +140,9 @@ def reassemble(bd: BlockDecomposition, p: Partition) -> FiniteMap:
 
 
 def is_unit_bijection(f: FiniteMap, p: Partition) -> bool:
-    """Membership in S(X, P): all block restrictions and the character bijective."""
-    bd = block_maps(f, p)  # validates preservation
-    if not all(e.local_map.is_bijective() for e in bd.entries):
-        return False
-    return character(f, p).is_bijective()
+    """Membership in S(X, P): all block restrictions and the character
+    bijective, which for a preserving map is f and its character bijective."""
+    return character(f, p).is_bijective() and f.is_bijective()  # character checks f preserves p
 
 
 def is_E_preserving(phi: FiniteMap, dom: Sequence[int], p: Partition) -> bool:
@@ -203,6 +206,64 @@ def _least_lift(
         for x in block:
             images[x] = next((y for y in target if through[y] == onto[x]), target[0])
     return tuple(images)
+
+
+def _mask(values: Iterable[int]) -> int:
+    """The bitmask with bit v set for each v in values."""
+    m = 0
+    for v in values:
+        m |= 1 << v
+    return m
+
+
+@dataclass(eq=False)
+class _Geometry:
+    """The block facts of a list of preserving maps of (X, P), given by their
+    images and their characters' images: one list per fact, indexed like the
+    maps, each built on first use."""
+
+    images: Sequence[tuple[int, ...]]
+    chars: Sequence[tuple[int, ...]]
+    p: Partition
+
+    @cached_property
+    def block_masks(self) -> list[tuple[int, ...]]:
+        """Per map f and block i, X_i f as a bitmask."""
+        return [tuple(_mask(t[x] for x in b) for b in self.p.blocks) for t in self.images]
+
+    @cached_property
+    def kernels(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Per map, its kernel classes, ordered by their least points."""
+        return [tuple(map(tuple, _fibers(t).values())) for t in self.images]
+
+    @cached_property
+    def class_meets(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Per map and kernel class, the blocks the class meets, ascending."""
+        return [
+            tuple(tuple(sorted({self.p.block_of(x) for x in c})) for c in classes)
+            for classes in self.kernels
+        ]
+
+    @cached_property
+    def meet_masks(self) -> list[tuple[int, ...]]:
+        """Per map and kernel class, the bitmask of the blocks the class meets."""
+        return [tuple(_mask(c) for c in meets) for meets in self.class_meets]
+
+    @cached_property
+    def j_geometry(self) -> list[tuple[tuple, tuple, tuple]]:
+        """Per map g: its sorted image, the block of each image point and,
+        per block j, the sorted positions of X_j g in that image."""
+        p = self.p
+        geometry = []
+        for t in self.images:
+            dom = tuple(sorted(set(t)))
+            pos = {v: k for k, v in enumerate(dom)}
+            geometry.append((
+                dom,
+                tuple(p.block_of(z) for z in dom),
+                tuple(tuple(sorted({pos[t[x]] for x in b})) for b in p.blocks),
+            ))
+        return geometry
 
 
 def pi_restricted(f: FiniteMap, a: Sequence[int]) -> tuple[tuple[int, ...], ...]:

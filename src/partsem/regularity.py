@@ -15,7 +15,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import InternalError, InvalidArgumentError, PreconditionError
-from .finite_maps import FiniteMap, compose, is_idempotent_def
+from .finite_maps import FiniteMap, compose
 from .ensemble import (
     Instance,
     IndexSemigroup,
@@ -23,7 +23,7 @@ from .ensemble import (
     enumerate_elements,
     require_member,
 )
-from .partition_action import _least_lift, block_maps, character
+from .partition_action import _least_lift, character
 
 Mode = Literal["oracle", "theorem"]
 
@@ -39,10 +39,6 @@ def is_regular_oracle(f: FiniteMap, inst: Instance) -> FiniteMap | None:
     d = inst.derived
     hits = (d.table[d.table[k], k] == k).nonzero()[0]
     return d.members[hits[0]] if len(hits) else None
-
-
-def _block_images(f: FiniteMap, inst: Instance) -> list[set[int]]:
-    return [{f.images[x] for x in b} for b in inst.partition.blocks]
 
 
 def _merges_onto_a_large_block(inst: Instance) -> bool:
@@ -61,20 +57,22 @@ def _regular_witness_test(f: FiniteMap, inst: Instance) -> tuple[int, Callable[[
 
     alpha qualifies when chi(f)*alpha*chi(f) = chi(f) and, for every block
     index i hit by chi(f), X_i intersected with the image of f sits inside
-    the f-image of X_{alpha(i)}.
+    the f-image of X_{alpha(i)}.  On block-image masks, X_i meets the image
+    of f in the union of the X_j f with chi(f)(j) = i.
     """
-    chi = inst.derived.char_ids[require_member(f, inst)]
-    p = inst.partition
+    k = require_member(f, inst)
+    geometry = inst.derived.geometry
+    chi, blk_img = inst.derived.char_ids[k], geometry.block_masks[k]
     si = inst.si
     table = si.table
-    img = set(f.images)
-    blk_img = _block_images(f, inst)
-    meets = [(i, p.block_sets[i] & img) for i in set(si.elements[chi].images)]
+    meets: dict[int, int] = {}
+    for j, i in enumerate(geometry.chars[k]):
+        meets[i] = meets.get(i, 0) | blk_img[j]
 
     def test(a: int) -> bool:
         alpha = si.elements[a].images
         return table[table[chi, a], chi] == chi and all(
-            meet <= blk_img[alpha[i]] for i, meet in meets
+            meet & ~blk_img[alpha[i]] == 0 for i, meet in meets.items()
         )
 
     return chi, test
@@ -136,23 +134,18 @@ def idempotents(inst: Instance) -> tuple[FiniteMap, ...]:
 
 
 def is_idempotent_characterized(f: FiniteMap, inst: Instance) -> bool:
-    """Idempotency via the character and block restrictions, not via f*f."""
-    c = inst.derived.char_ids[require_member(f, inst)]
-    p = inst.partition
-    chi = inst.si.elements[c]
+    """Idempotency via the character and block images: chi(f) idempotent,
+    each X_i f inside X_{chi(f)(i)} f, and f*f = f on the blocks chi(f) fixes."""
+    k = require_member(f, inst)
+    c = inst.derived.char_ids[k]
     if inst.si.table[c, c] != c:
         return False
-    chi_image = set(chi.images)
-    bd = block_maps(f, p)
-    for i in chi_image:
-        entry = bd.entries[i]
-        if entry.target_block != i or not is_idempotent_def(entry.local_map):
-            return False
-    blk_img = _block_images(f, inst)
-    for i in range(p.degree):
-        if i not in chi_image and not blk_img[i] <= blk_img[chi.images[i]]:
-            return False
-    return True
+    geometry = inst.derived.geometry
+    chi, blk_img, t = geometry.chars[k], geometry.block_masks[k], f.images
+    blocks = inst.partition.blocks
+    return all(blk_img[i] & ~blk_img[j] == 0 for i, j in enumerate(chi)) and all(
+        t[t[x]] == t[x] for i, j in enumerate(chi) if i == j for x in blocks[i]
+    )
 
 
 def is_inverse_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:

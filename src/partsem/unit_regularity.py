@@ -12,7 +12,6 @@ from typing import Callable
 from .errors import InternalError, InvalidArgumentError, PreconditionError
 from .finite_maps import (
     FiniteMap,
-    collapse_defect,
     compose,
     image,
     kernel_partition,
@@ -22,7 +21,7 @@ from .ensemble import (
     enumerate_elements,
     require_member,
 )
-from .partition_action import block_maps, character, is_unit_bijection
+from .partition_action import character, is_unit_bijection
 from .regularity import Mode, _check_mode, _merges_onto_a_large_block, _regular_witness_test
 
 
@@ -37,37 +36,28 @@ def is_unit_regular_oracle(f: FiniteMap, inst: Instance) -> FiniteMap | None:
 
 
 def _unit_witness_test(f: FiniteMap, inst: Instance) -> tuple[int, Callable[[int], bool]]:
-    """The position of chi(f) in the index set and the four unit-regularity
+    """The position of chi(f) in the index set and the unit-regularity
     conditions as a test on the position of one index unit alpha: the two
-    regularity conditions, equal block sizes along alpha and c = d."""
+    regularity conditions and equal block sizes along alpha.  The fourth
+    condition, c = d for f|X_alpha(i) and each i in the image of chi, cannot
+    fail: once chi*alpha*chi = chi, f maps X_alpha(i) into X_i, and as the
+    blocks are finite with |X_i| = |X_alpha(i)|, c and d both equal |X_i| -
+    |X_alpha(i) f| (the ``equal-size-c-equals-d`` suite checks this lemma)."""
     if not inst.si.has_identity:
         raise PreconditionError("unit-regularity needs the identity character")
     chi, regular = _regular_witness_test(f, inst)
-    p = inst.partition
     si = inst.si
-    chi_image = set(si.elements[chi].images)
-    sizes = [len(b) for b in p.blocks]
-    local_maps: list[FiniteMap] = []  # the block maps of f, built on first use
+    sizes = [len(b) for b in inst.partition.blocks]
 
     def test(a: int) -> bool:
         alpha = si.elements[a].images
-        if not regular(a) or any(sizes[i] != sizes[alpha[i]] for i in range(p.degree)):
-            return False
-        if not local_maps:
-            local_maps.extend(entry.local_map for entry in block_maps(f, p).entries)
-        # Once chi*alpha*chi = chi holds, chi(alpha(i)) = i for every i in the
-        # image of chi, so f|X_alpha(i) is the block map of X_alpha(i) into X_i.
-        for i in chi_image:
-            c, d = collapse_defect(local_maps[alpha[i]])
-            if c != d:
-                return False
-        return True
+        return regular(a) and all(sizes[i] == sizes[j] for i, j in enumerate(alpha))
 
     return chi, test
 
 
 def unit_regular_witnesses(f: FiniteMap, inst: Instance) -> tuple[FiniteMap, ...]:
-    """All index units alpha satisfying the four unit-regularity conditions."""
+    """All index units alpha satisfying the unit-regularity conditions."""
     chi, test = _unit_witness_test(f, inst)
     si = inst.si
     candidates = si.unit_ids[si.table[si.table[chi, si.unit_ids], chi] == chi]

@@ -219,6 +219,19 @@ def test_lift_basepoints_must_be_integers(inst_file, capsys):
     assert "[1,1,3,3]" in capsys.readouterr().out
 
 
+def test_lift_refuses_an_alpha_outside_the_index_semigroup(write, capsys):
+    """The lift of a character outside S(I) is no member, so it is an input
+    error: exit 2 and one ``error:`` line, nothing on standard output."""
+    path = write("id.json", {"n": 4, "blocks": [[0, 1], [2, 3]],
+                             "si": {"kind": "explicit", "elements": [[0, 1]]}})
+    assert run_command(["lift", path, "--alpha", "1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --alpha: [1,0] is not in the index semigroup\n"
+    assert run_command(["lift", path, "--alpha", "0,1", "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"alpha": [0, 1], "lift": [0, 0, 2, 2]}
+
+
 def test_python_dash_m_partsem_runs_verify_cleanly():
     """``python -m partsem`` runs the command line without the warning that
     running the already-imported ``partsem.cli`` module as a script gives."""

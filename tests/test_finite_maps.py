@@ -35,6 +35,18 @@ class TestFiniteMap:
         with pytest.raises(InvalidArgumentError):
             FiniteMap(3, 3, (0, 1))
 
+    @pytest.mark.parametrize("args", [
+        (2, 2, (0, 1.0)), (2, 2, (0, True)), (2, 2, ("0", 1)),
+        (2.0, 2, (0, 1)), (2, 2.0, (0, 1)), (True, 1, (0,)), (1, True, (0,)),
+    ])
+    def test_rejects_sizes_and_images_that_are_not_integers(self, args):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            FiniteMap(*args)
+
+    def test_of_rejects_images_that_are_not_integers(self):
+        with pytest.raises(InvalidArgumentError, match=r"image of 1 is 1\.0, not an integer"):
+            FiniteMap.of((0, 1.0), 2)
+
     def test_bijection_helpers(self):
         assert fm([1, 0]).is_bijective()
         assert not fm([0, 0]).is_bijective()

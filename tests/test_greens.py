@@ -42,8 +42,8 @@ from partsem.greens import (
     _image_map_from_factors,
     _j_one_sided_theorem,
     _txp_related,
-    _txp_signature,
 )
+from partsem.partition_action import _Geometry
 from conftest import comp
 
 
@@ -504,16 +504,18 @@ def _reference_txp_green(rel, f, g, p):
 
 
 def _assert_signature_route_matches_the_reference(p, members, pairs):
-    signatures = [_txp_signature(m, p) for m in members]
+    geometry = _Geometry(
+        [m.images for m in members], [character(m, p).images for m in members], p
+    )
     for a, b in pairs:
         for rel in "LRDJ":
             expected = _reference_txp_green(rel, members[a], members[b], p)
-            assert _txp_related(rel, signatures[a], signatures[b], p) == expected, (
+            assert _txp_related(rel, geometry, a, b) == expected, (
                 rel, members[a], members[b])
 
 
 class TestTxpSignatureRoute:
-    """The signature route against the map-based T(X, P) criteria it replaced."""
+    """The geometry route against the map-based T(X, P) criteria it replaced."""
 
     def test_every_pair_of_the_full_n3_entries(self):
         entries = [e for e in build_catalog(3, seed=7).entries if e.si_label == "full"]
@@ -533,10 +535,12 @@ class TestTxpSignatureRoute:
         _assert_signature_route_matches_the_reference(p, members, pairs)
 
     def test_a_signature_is_built_from_a_preserving_map_only(self, p22):
-        with pytest.raises(InvalidArgumentError, match="both maps must preserve the partition"):
-            _txp_signature(fm([2, 3, 3, 0]), p22)
-        with pytest.raises(InvalidArgumentError, match="does not act on"):
-            _txp_signature(fm([0, 1]), p22)
+        for f, g in ((fm([2, 3, 3, 0]), E1), (E1, fm([2, 3, 3, 0]))):
+            with pytest.raises(InvalidArgumentError, match="both maps must preserve the partition"):
+                txp_green("L", f, g, p22)
+        for f, g in ((fm([0, 1]), E1), (E1, fm([0, 1]))):
+            with pytest.raises(InvalidArgumentError, match="does not act on"):
+                txp_green("L", f, g, p22)
 
     def test_unknown_relation(self, p22):
         with pytest.raises(InvalidArgumentError, match="unknown relation"):

@@ -3,6 +3,7 @@ import gc
 import json
 import weakref
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -18,6 +19,9 @@ from partsem import (
     run_suite,
 )
 from partsem.cli import parse_instance
+from partsem.partition_action import _Geometry
+
+GEOMETRY_LISTS = ("block_masks", "kernels", "class_meets", "meet_masks", "j_geometry")
 
 
 @pytest.fixture(scope="module")
@@ -357,27 +361,50 @@ class TestGreensSweep:
         assert _untimed(alone) == _untimed(within)
         assert len(alone) > 0
 
-    def test_txp_signatures_are_built_once_per_member_of_each_full_entry(self, monkeypatch):
-        """Every T(X, P) signature is built by ``txp-specialization``, once
-        per member of a ``full`` entry; each partition has one ``full`` entry,
-        whose members include those of its other entries."""
+    @staticmethod
+    def _spy_on_geometries(monkeypatch):
+        """Record every geometry made and every list built, per geometry."""
+        made, built = [], Counter()
+        real_init = _Geometry.__init__
+
+        def init(self, *args):
+            made.append(self)
+            real_init(self, *args)
+
+        monkeypatch.setattr(_Geometry, "__init__", init)
+        for name in GEOMETRY_LISTS:
+            def spy(self, real=_Geometry.__dict__[name].func, name=name):
+                built[(self, name)] += 1
+                return real(self)
+
+            prop = cached_property(spy)
+            prop.__set_name__(_Geometry, name)
+            monkeypatch.setattr(_Geometry, name, prop)
+        return made, built
+
+    def test_each_geometry_list_is_built_at_most_once_per_instance(self, monkeypatch):
+        """A whole run makes one geometry per instance, the members', and
+        builds each of its lists at most once; the ``full`` entries, which
+        ``txp-specialization`` reads, have all of them built."""
+        made, built = self._spy_on_geometries(monkeypatch)
         catalog = build_catalog(3, seed=7)
-        built = Counter()
-        real = greens._txp_signature
-
-        def spy(f, p):
-            built[(p, f.images)] += 1
-            return real(f, p)
-
-        monkeypatch.setattr(greens, "_txp_signature", spy)
         assert run_all(catalog).failures == 0
-        expected = Counter(
-            (entry.instance.partition, m.images)
-            for entry in catalog.entries if entry.si_label == "full"
-            for m in enumerate_elements(entry.instance)
-        )
-        assert built == expected
+        members = {id(e.instance.derived.geometry): e.instance.derived.geometry
+                   for e in catalog.entries}
+        assert sorted(map(id, made)) == sorted(members)
         assert set(built.values()) == {1}
+        assert all((e.instance.derived.geometry, name) in built
+                   for e in catalog.entries if e.si_label == "full" for name in GEOMETRY_LISTS)
+
+    def test_txp_specialization_builds_no_geometry_of_its_own(self, monkeypatch):
+        """Alone on a fresh catalog, the suite's only geometries are those of
+        the members of the ``full`` entries it admits."""
+        made, _ = self._spy_on_geometries(monkeypatch)
+        catalog = build_catalog(3, seed=7)
+        assert sum(r.checks for r in run_suite("txp-specialization", catalog).records) > 0
+        full = [e.instance for e in catalog.entries if e.si_label == "full"]
+        assert len(full) == 8
+        assert sorted(map(id, made)) == sorted(id(inst.derived.geometry) for inst in full)
 
     def test_class_labels_are_computed_once_per_relation_and_instance(self, monkeypatch):
         """A whole run computes the L-labels and the R-labels of every

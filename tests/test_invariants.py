@@ -132,6 +132,30 @@ def test_regularity_criteria_read_characters_from_enumeration():
     assert found == []
 
 
+def test_criteria_read_block_facts_not_block_maps():
+    """The regularity and unit-regularity modules and ``is_unit_bijection``
+    read a member's block facts from its geometry (or test f itself); none
+    of them builds block maps or takes a collapse/defect count."""
+    scopes = [
+        ast.parse((PACKAGE / "regularity.py").read_text()),
+        ast.parse((PACKAGE / "unit_regularity.py").read_text()),
+    ] + [
+        node
+        for node in ast.walk(ast.parse((PACKAGE / "partition_action.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "is_unit_bijection"
+    ]
+    assert len(scopes) == 3
+    found = [
+        f"{call.func.id}:{call.lineno}"
+        for scope in scopes
+        for call in ast.walk(scope)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id in ("block_maps", "collapse_defect")
+    ]
+    assert found == []
+
+
 def test_only_the_suite_runner_loops_over_the_catalog():
     """Suite bodies state their checks; one runner (``_suite`` and the record
     it makes with ``_record``) loops over ``catalog.entries``, builds each

@@ -39,6 +39,14 @@ class TestPartition:
         with pytest.raises(InvalidArgumentError):
             Partition(2, ())
 
+    @pytest.mark.parametrize("n,blocks", [
+        (2, ((0,), (True,))), (2, ((0,), (1.0,))), (2, ((0,), ("1",))),
+        (2.0, ((0,), (1,))), (True, ((0,),)),
+    ])
+    def test_rejects_points_and_sizes_that_are_not_integers(self, n, blocks):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            Partition(n, blocks)
+
     def test_block_order_is_preserved(self):
         q = Partition(4, ((2, 3), (0, 1)))
         assert q.blocks == ((2, 3), (0, 1))

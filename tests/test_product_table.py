@@ -37,6 +37,7 @@ from partsem import (
 )
 from partsem import greens
 from partsem.greens import _greens_data
+from partsem.partition_action import _mask
 
 from conftest import comp
 
@@ -214,10 +215,13 @@ class _TupleSearches:
     def fm(self, images):
         return FiniteMap(self.deg, self.deg, images)
 
+    def class_masks(self, k):
+        return [_mask(c) for c in self.data.geometry.kernels[k]]
+
     def l_one_sided(self, fk, gk):
         data, deg = self.data, self.deg
-        chi_f, chi_g = data.chars[fk], data.chars[gk]
-        bf, bg = data.blockimg_mask[fk], data.blockimg_mask[gk]
+        chi_f, chi_g = data.geometry.chars[fk], data.geometry.chars[gk]
+        bf, bg = data.geometry.block_masks[fk], data.geometry.block_masks[gk]
         for at in data.si_imgs:
             if tuple(chi_g[at[i]] for i in range(deg)) != chi_f:
                 continue
@@ -228,10 +232,10 @@ class _TupleSearches:
     def r_one_sided(self, fk, gk):
         data, deg = self.data, self.deg
         if not all(
-            any(cm & ~fm == 0 for fm in data.class_masks[fk]) for cm in data.class_masks[gk]
+            any(cm & ~fm == 0 for fm in self.class_masks(fk)) for cm in self.class_masks(gk)
         ):
             return None
-        chi_f, chi_g = data.chars[fk], data.chars[gk]
+        chi_f, chi_g = data.geometry.chars[fk], data.geometry.chars[gk]
         for bt in data.si_imgs:
             if tuple(bt[chi_g[i]] for i in range(deg)) == chi_f:
                 return self.fm(bt)
@@ -239,10 +243,10 @@ class _TupleSearches:
 
     def d_search(self, fk, gk, cap):
         data, deg = self.data, self.deg
-        if len(data.kernels[fk]) != len(data.kernels[gk]):
+        if len(data.geometry.kernels[fk]) != len(data.geometry.kernels[gk]):
             return None
-        chi_f = data.chars[fk]
-        cg = data.si_index[data.chars[gk]]
+        chi_f = data.geometry.chars[fk]
+        cg = data.inst.si.index[data.geometry.chars[gk]]
         budget = [cap]
         for ck, ct in enumerate(data.si_imgs):
             if not (data.si_r_below[ck, cg] and data.si_r_below[cg, ck]):
@@ -260,7 +264,7 @@ class _TupleSearches:
                     found = self.match_classes(data, fk, gk, at, bt, budget)
                     if found is not None:
                         pairing = tuple(
-                            (data.kernels[fk][mk], data.kernels[gk][nk])
+                            (data.geometry.kernels[fk][mk], data.geometry.kernels[gk][nk])
                             for mk, nk in enumerate(found)
                         )
                         return self.fm(at), self.fm(bt), self.fm(ct), pairing
@@ -276,11 +280,11 @@ class _TupleSearches:
     def j_one_sided(self, fk, gk, budget):
         data, deg = self.data, self.deg
         p = data.inst.partition
-        chi_f, chi_g = data.chars[fk], data.chars[gk]
+        chi_f, chi_g = data.geometry.chars[fk], data.geometry.chars[gk]
         g_imgs = data.imgs[gk]
         dom = sorted(set(g_imgs))
         dom_pos = {v: k for k, v in enumerate(dom)}
-        f_blockimg = data.blockimg_mask[fk]
+        f_blockimg = data.geometry.block_masks[fk]
         for at in data.si_imgs:
             mid = tuple(chi_g[at[i]] for i in range(deg))
             sources = [
@@ -295,7 +299,7 @@ class _TupleSearches:
                     budget[0] -= 1
                     ok = True
                     for i in range(deg):
-                        covered = data._mask(values[k] for k in sources[i])
+                        covered = _mask(values[k] for k in sources[i])
                         if f_blockimg[i] & ~covered:
                             ok = False
                             break
@@ -334,7 +338,7 @@ def _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch):
         )
         assert table_budget == tuple_budget
         cf, cg = data.char_ids[fk], data.char_ids[gk]
-        expected = loops.right_divisor(data.chars[fk], data.chars[gk])
+        expected = loops.right_divisor(data.geometry.chars[fk], data.geometry.chars[gk])
         if expected is None:
             with pytest.raises(InternalError):
                 greens._first_right_divisor(data, cf, cg)
@@ -367,19 +371,46 @@ def test_theorem_searches_match_the_tuple_loops_on_sampled_pairs_of_t4(monkeypat
     _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch)
 
 
-@pytest.mark.parametrize("label,inst", IDENTITY_N3, ids=[label for label, _ in IDENTITY_N3])
+ALL_N3 = [(e.label, e.instance) for e in build_catalog(3, seed=7).entries]
+
+
+def _bits(mask):
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
+@pytest.mark.parametrize("label,inst", ALL_N3, ids=[label for label, _ in ALL_N3])
 def test_j_geometry_matches_a_direct_recomputation(label, inst):
-    """Each member's sorted image, the block of each image point and the
-    positions of X_j g in that image, per block j."""
-    data = _greens_data(inst)
+    """Every list of the members' geometry, member by member: the images and
+    characters, each X_i g as a set, the kernel classes from
+    ``kernel_partition``, the blocks each class meets and their masks as
+    the Green's data built them, and the J geometry (sorted image, the block
+    of each image point and the positions of X_j g in that image, per j)."""
+    geometry = inst.derived.geometry
     p = inst.partition
-    for k, g in enumerate(enumerate_elements(inst)):
+    members = enumerate_elements(inst)
+    assert len(geometry.images) == len(geometry.chars) == len(members)
+    for k, g in enumerate(members):
+        assert geometry.images[k] == g.images
+        assert geometry.chars[k] == character(g, p).images
+        block_images = [{g.images[x] for x in block} for block in p.blocks]
+        assert [_bits(m) for m in geometry.block_masks[k]] == block_images
+        assert geometry.block_masks[k] == tuple(
+            _mask(g.images[x] for x in block) for block in p.blocks
+        )
+        classes = kernel_partition(g).classes
+        assert geometry.kernels[k] == classes
+        meets = tuple(tuple(sorted({p.block_of(x) for x in c})) for c in classes)
+        assert geometry.class_meets[k] == meets
+        assert geometry.meet_masks[k] == tuple(_mask(c) for c in meets)
+        assert [_bits(m) for m in geometry.meet_masks[k]] == [
+            {i for i, block in enumerate(p.blocks) if set(block) & set(c)} for c in classes
+        ]
         image = sorted(set(g.images))
         sources = tuple(
             tuple(sorted(image.index(v) for v in {g.images[x] for x in block}))
             for block in p.blocks
         )
-        assert data.j_geometry[k] == (
+        assert geometry.j_geometry[k] == (
             tuple(image), tuple(p.block_of(z) for z in image), sources
         )
 
@@ -466,7 +497,7 @@ class _MapWitnesses:
                 index_maps=(("beta_fg", character(h_fg, p)), ("beta_gf", character(h_gf, p))),
                 factors=(("fg", h_fg), ("gf", h_gf)),
             )
-        if data.kernels[fk] != data.kernels[gk]:
+        if data.geometry.kernels[fk] != data.geometry.kernels[gk]:
             return None
         budget = [cap]
         beta_fg = greens._r_one_sided_theorem(data, fk, gk, cap, budget)
@@ -514,7 +545,7 @@ class _MapWitnesses:
             deg = p.degree
             return GreenWitness(
                 relation="D",
-                index_maps=(("gamma", FiniteMap(deg, deg, data.chars[mk])),),
+                index_maps=(("gamma", FiniteMap(deg, deg, data.geometry.chars[mk])),),
                 factors=(
                     ("middle", m),
                     ("l_fm", self.leq("L", f, m)),
