@@ -88,6 +88,15 @@ class FiniteMap:
         return f"[{body}]->{self.codomain_size}"
 
 
+def _check_points(parts: Sequence[Sequence[object]]) -> None:
+    """Refuse any point that is not an ``int`` (``bool`` included), before
+    anything sorts or compares the points."""
+    for part in parts:
+        for x in part:
+            if type(x) is not int:
+                raise InvalidArgumentError(f"element {x!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class SetPartition:
     """A partition of [0, ground_size) in canonical form.
@@ -100,6 +109,7 @@ class SetPartition:
     classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        _check_points(self.classes)
         canon = tuple(sorted((tuple(sorted(c)) for c in self.classes), key=lambda c: c[0] if c else -1))
         object.__setattr__(self, "classes", canon)
         seen: set[int] = set()

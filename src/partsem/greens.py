@@ -9,9 +9,16 @@ delta) from the index semigroup's product table at the positions of chi(f)
 and chi(g), and searches the block geometry for the class bijections and
 image maps demanded by the structural criteria.  Both routes produce
 replayable witnesses: factor transformations whose composites reproduce the
-claimed ideal memberships.  Both assemble and validate their witnesses on
-table positions and hand out the instance's own members and index elements;
-``verify_witness`` is the independent replay, composing the maps themselves.
+claimed ideal memberships.  Each checker has one position core
+(``_witness``): it takes member positions, runs the search of its mode and
+every validation of the builders, and returns the witness on positions;
+``l_related`` to ``j_related`` wrap it, looking f and g up and assembling a
+``GreenWitness`` of the instance's own members and index elements.  Each
+relation's factor equations have one home (``_EQUATIONS``), read by two
+replays that recompute every product and never read the table:
+``verify_witness`` composes the witness's maps, and ``_replays`` composes
+the members' image tuples for a caller holding positions, such as the
+harness's Green's sweep.
 The per-instance data keeps, each built once on first use, every member's
 L-, R- and D-class label (the first member of its class; the D label is the
 least L-label meeting the member's R-class, as D = L∘R), which the oracles,
@@ -33,7 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -45,7 +52,7 @@ from .regularity import _check_mode
 
 Relation = Literal["L", "R", "D", "J"]
 
-DEFAULT_PAIR_CAP = 1_000_000  # (h1, h2) pairs scanned by the J factor search
+DEFAULT_PAIR_CAP = 1_000_000  # table reads of the J factor search: 2*N per direction
 DEFAULT_PHI_CAP = 1_000_000  # assignments tried by the phi searches
 
 ClassPairing = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -78,29 +85,47 @@ class GreenWitness:
         return dict(self.image_maps)[name]
 
 
-def verify_witness(w: GreenWitness, f: FiniteMap, g: FiniteMap) -> bool:
-    """Replay the factor equations of a witness."""
+# Each relation's factor equations, the one home of both replays: pairs
+# (product, target), the product's maps composed left to right.  "f" and "g"
+# name the pair; every other name is a factor of the witness.
+_EQUATIONS: dict[str, tuple[tuple[tuple[str, ...], str], ...]] = {
+    "L": ((("fg", "g"), "f"), (("gf", "f"), "g")),
+    "R": ((("g", "fg"), "f"), (("f", "gf"), "g")),
+    "D": (
+        (("l_fm", "middle"), "f"),
+        (("l_mf", "f"), "middle"),
+        (("g", "r_mg"), "middle"),
+        (("middle", "r_gm"), "g"),
+    ),
+    "J": ((("fg1", "g", "fg2"), "f"), (("gf1", "f", "gf2"), "g")),
+}
+
+
+def _equations_hold(rel: str, maps: dict, product: Callable) -> bool:
+    """Replay the factor equations of ``rel`` on ``maps`` (name -> map, the
+    pair under "f" and "g"), composing each product with ``product``.
+
+    Every side is recomputed from the maps themselves, never read from a
+    product table, so the replay stays independent of the search it checks.
+    A missing factor fails the replay.
+    """
     try:
-        if w.relation == "L":
-            return compose(w.factor("fg"), g) == f and compose(w.factor("gf"), f) == g
-        if w.relation == "R":
-            return compose(g, w.factor("fg")) == f and compose(f, w.factor("gf")) == g
-        if w.relation == "J":
-            return (
-                compose(compose(w.factor("fg1"), g), w.factor("fg2")) == f
-                and compose(compose(w.factor("gf1"), f), w.factor("gf2")) == g
-            )
-        if w.relation == "D":
-            m = w.factor("middle")
-            return (
-                compose(w.factor("l_fm"), m) == f
-                and compose(w.factor("l_mf"), f) == m
-                and compose(g, w.factor("r_mg")) == m
-                and compose(m, w.factor("r_gm")) == g
-            )
+        for names, target in _EQUATIONS[rel]:
+            composite = maps[names[0]]
+            for name in names[1:]:
+                composite = product(composite, maps[name])
+            if composite != maps[target]:
+                return False
     except KeyError:
         return False
-    raise InvalidArgumentError(f"unknown relation {w.relation!r}")
+    return True
+
+
+def verify_witness(w: GreenWitness, f: FiniteMap, g: FiniteMap) -> bool:
+    """Replay the factor equations of a witness by composing its maps."""
+    if w.relation not in _EQUATIONS:
+        raise InvalidArgumentError(f"unknown relation {w.relation!r}")
+    return _equations_hold(w.relation, {**dict(w.factors), "f": f, "g": g}, compose)
 
 
 def _preorders(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +242,8 @@ def principal_leq_oracle(
     """First factor(s) witnessing the principal-ideal inequality, if any.
 
     Returns h with f = h*g for L, h with f = g*h for R, and the pair
-    (h1, h2) with f = h1*g*h2 for J; None when the inequality fails.
+    (h1, h2) with f = h1*g*h2 for J; None when the inequality fails.  For J,
+    ``cap`` bounds the table reads of the search: 2*N of them.
     """
     data = _greens_data(inst)
     found = _first_factor(data, rel, data.member_id(f), data.member_id(g), cap)
@@ -228,28 +254,29 @@ def principal_leq_oracle(
     return data.members[found]
 
 
-def _first_factor(
-    data: _GreensData, rel: str, fk: int, gk: int, cap: int = DEFAULT_PAIR_CAP, left=None
-):
+def _first_factor(data: _GreensData, rel: str, fk: int, gk: int, cap: int = DEFAULT_PAIR_CAP):
     """Positions of the first h with f = h*g (L) or f = g*h (R), or of the
-    first (h1, h2) with f = h1*g*h2 (J), or None; ``left`` may pass
-    ``j_left_factors(fk, gk)`` when the caller already holds it."""
+    first (h1, h2) with f = h1*g*h2 (J), or None.
+
+    The J search reads one column of the table (every h1*g, gathered by
+    ``j_left_factors``) and one row (the h2 of the first h1 that reaches f),
+    so it charges 2*N table reads against ``cap`` before it starts.
+    """
     table = data.table
     if rel == "L":
         hits = (table[:, gk] == fk).nonzero()[0]
     elif rel == "R":
         hits = (table[gk] == fk).nonzero()[0]
     elif rel == "J":
+        if 2 * len(table) > cap:
+            raise ResourceLimitError(f"J factor search exceeded the cap of {cap} table reads")
         # The first h1 in order whose h1*g has f in its right ideal, then the
         # first h2 with h1*g*h2 = f: the first pair of the row-major scan.
-        if left is None:
-            left = data.j_left_factors(fk, gk)
+        left = data.j_left_factors(fk, gk)
         if not len(left):
             return None
         k1 = int(left[0])
         k2 = int((table[table[k1, gk]] == fk).nonzero()[0][0])
-        if k1 * len(table) + k2 + 1 > cap:
-            raise ResourceLimitError(f"J factor search exceeded the cap of {cap} pairs")
         return k1, k2
     else:
         raise InvalidArgumentError(f"unknown relation {rel!r}")
@@ -279,13 +306,72 @@ def _blocks_fit(bf: tuple[int, ...], bg: tuple[int, ...], alpha: tuple[int, ...]
     return all(bf[i] & ~bg[j] == 0 for i, j in enumerate(alpha))
 
 
-def _one_sided_related(
+class _Found(NamedTuple):
+    """A checker's witness on positions, before ``GreenWitness`` assembly:
+    the factors as member positions, then the index maps, class pairing and
+    image maps the public witness carries."""
+
+    factors: tuple[tuple[str, int], ...] = ()
+    index_maps: tuple[tuple[str, FiniteMap], ...] = ()
+    class_pairing: ClassPairing | None = None
+    image_maps: tuple[tuple[str, FiniteMap], ...] = ()
+
+
+def _witness(
+    data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int
+) -> _Found | None:
+    """The one decision path of ``l_related`` to ``j_related``, on the member
+    positions of f and g: the search of ``mode`` and every validation of
+    the builders, with the witness left on positions.
+
+    The public checkers wrap it; the harness's Green's sweep calls it
+    directly and replays the witness on image tuples (``_replays``).
+    """
+    if rel in ("L", "R"):
+        return _one_sided_witness(data, rel, mode, fk, gk, cap)
+    if rel == "D":
+        return _d_witness(data, mode, fk, gk, cap)
+    if rel == "J":
+        return _j_witness(data, mode, fk, gk, cap)
+    raise InvalidArgumentError(f"unknown relation {rel!r}")
+
+
+def _related(
     rel: str, f: FiniteMap, g: FiniteMap, inst: Instance, mode: str, cap: int
 ) -> GreenWitness | None:
-    """``l_related`` (rel "L") or ``r_related`` (rel "R")."""
+    """A public checker: ``_witness`` on the positions of f and g, its
+    factors then assembled from the instance's members."""
     _check_mode(mode)
     data = _greens_data(inst)
-    fk, gk = data.member_id(f), data.member_id(g)
+    found = _witness(data, rel, mode, data.member_id(f), data.member_id(g), cap)
+    if found is None:
+        return None
+    return GreenWitness(
+        relation=rel,
+        index_maps=found.index_maps,
+        factors=tuple((name, data.members[k]) for name, k in found.factors),
+        class_pairing=found.class_pairing,
+        image_maps=found.image_maps,
+    )
+
+
+def _compose_images(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, ...]:
+    """Left-to-right composite of two image tuples: x -> then[first[x]]."""
+    return tuple([then[x] for x in first])
+
+
+def _replays(data: _GreensData, rel: str, found: _Found, fk: int, gk: int) -> bool:
+    """Replay a witness on positions over the members' image tuples."""
+    imgs = data.imgs
+    maps = {name: imgs[k] for name, k in found.factors}
+    maps["f"], maps["g"] = imgs[fk], imgs[gk]
+    return _equations_hold(rel, maps, _compose_images)
+
+
+def _one_sided_witness(
+    data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int
+) -> _Found | None:
+    """``_witness`` for rel "L" or "R"."""
     if mode == "oracle":
         if not (data.l_eq if rel == "L" else data.r_eq)(fk, gk):
             return None
@@ -305,10 +391,9 @@ def _one_sided_related(
         build = _left_factor if rel == "L" else _right_factor
         h_fg, h_gf = build(data, fk, gk, alpha), build(data, gk, fk, beta)
     names = ("alpha", "beta") if rel == "L" else ("beta_fg", "beta_gf")
-    return GreenWitness(
-        relation=rel,
+    return _Found(
+        factors=(("fg", h_fg), ("gf", h_gf)),
         index_maps=((names[0], data.char_of(h_fg)), (names[1], data.char_of(h_gf))),
-        factors=(("fg", data.members[h_fg]), ("gf", data.members[h_gf])),
     )
 
 
@@ -319,7 +404,7 @@ def l_related(
     mode: str = "oracle",
     cap: int = DEFAULT_PHI_CAP,
 ) -> GreenWitness | None:
-    return _one_sided_related("L", f, g, inst, mode, cap)
+    return _related("L", f, g, inst, mode, cap)
 
 
 def build_left_factor(
@@ -385,7 +470,7 @@ def r_related(
     mode: str = "oracle",
     cap: int = DEFAULT_PHI_CAP,
 ) -> GreenWitness | None:
-    return _one_sided_related("R", f, g, inst, mode, cap)
+    return _related("R", f, g, inst, mode, cap)
 
 
 def build_right_factor(
@@ -528,24 +613,25 @@ def d_related(
     cap: int = DEFAULT_PHI_CAP,
 ) -> GreenWitness | None:
     """D-relatedness: L-compose-R with a middle element, or the structural search."""
-    _check_mode(mode)
-    data = _greens_data(inst)
-    fk, gk = data.member_id(f), data.member_id(g)
+    return _related("D", f, g, inst, mode, cap)
+
+
+def _d_witness(data: _GreensData, mode: str, fk: int, gk: int, cap: int) -> _Found | None:
+    """``_witness`` for rel "D"."""
     if mode == "oracle":
         # the first member L-related to f and R-related to g
         mk = data.h_first.get((data.l_label[fk], data.r_label[gk]))
         if mk is None:
             return None
-        return GreenWitness(
-            relation="D",
-            index_maps=(("gamma", data.char_of(mk)),),
+        return _Found(
             factors=(
-                ("middle", data.members[mk]),
-                ("l_fm", data.members[_first_factor(data, "L", fk, mk)]),
-                ("l_mf", data.members[_first_factor(data, "L", mk, fk)]),
-                ("r_mg", data.members[_first_factor(data, "R", mk, gk)]),
-                ("r_gm", data.members[_first_factor(data, "R", gk, mk)]),
+                ("middle", mk),
+                ("l_fm", _first_factor(data, "L", fk, mk)),
+                ("l_mf", _first_factor(data, "L", mk, fk)),
+                ("r_mg", _first_factor(data, "R", mk, gk)),
+                ("r_gm", _first_factor(data, "R", gk, mk)),
             ),
+            index_maps=(("gamma", data.char_of(mk)),),
             class_pairing=_oracle_d_pairing(data, fk, mk),
         )
     found = _d_theorem_search(data, fk, gk, cap)
@@ -555,17 +641,15 @@ def d_related(
     mk = _d_middle(data, fk, gk, gamma, pairing)
     u = _first_right_divisor(data, data.char_ids[gk], data.char_ids[mk])
     v = _first_right_divisor(data, data.char_ids[mk], data.char_ids[gk])
-    members = data.members
-    return GreenWitness(
-        relation="D",
-        index_maps=(("alpha", alpha), ("beta", beta), ("gamma", gamma)),
+    return _Found(
         factors=(
-            ("middle", members[mk]),
-            ("l_fm", members[_left_factor(data, fk, mk, alpha)]),
-            ("l_mf", members[_left_factor(data, mk, fk, beta)]),
-            ("r_mg", members[_right_factor(data, mk, gk, u)]),
-            ("r_gm", members[_right_factor(data, gk, mk, v)]),
+            ("middle", mk),
+            ("l_fm", _left_factor(data, fk, mk, alpha)),
+            ("l_mf", _left_factor(data, mk, fk, beta)),
+            ("r_mg", _right_factor(data, mk, gk, u)),
+            ("r_gm", _right_factor(data, gk, mk, v)),
         ),
+        index_maps=(("alpha", alpha), ("beta", beta), ("gamma", gamma)),
         class_pairing=pairing,
     )
 
@@ -675,15 +759,22 @@ def j_related(
     mode: str = "oracle",
     cap: int = DEFAULT_PHI_CAP,
 ) -> GreenWitness | None:
-    _check_mode(mode)
-    data = _greens_data(inst)
-    fk, gk = data.member_id(f), data.member_id(g)
+    """J-relatedness: the first factor pairs of both directions, or the
+    structural search; in oracle mode ``cap`` bounds each direction's 2*N
+    table reads."""
+    return _related("J", f, g, inst, mode, cap)
+
+
+def _j_witness(data: _GreensData, mode: str, fk: int, gk: int, cap: int) -> _Found | None:
+    """``_witness`` for rel "J"."""
     if mode == "oracle":
-        left_fg, left_gf = data.j_left_factors(fk, gk), data.j_left_factors(gk, fk)
-        if not (len(left_fg) and len(left_gf)):
+        forward = _first_factor(data, "J", fk, gk, cap)
+        if forward is None:
             return None
-        h1, h2 = _first_factor(data, "J", fk, gk, cap, left=left_fg)
-        k1, k2 = _first_factor(data, "J", gk, fk, cap, left=left_gf)
+        backward = _first_factor(data, "J", gk, fk, cap)
+        if backward is None:
+            return None
+        (h1, h2), (k1, k2) = forward, backward
         phi = _image_map_from_factors(data, gk, h1, h2)
         psi = _image_map_from_factors(data, fk, k1, k2)
     else:
@@ -699,20 +790,13 @@ def j_related(
         h1, h2 = _j_factors(data, fk, gk, alpha, beta, phi)
         k1, k2 = _j_factors(data, gk, fk, gamma, delta, psi)
     # in theorem mode these characters are the searched alpha to delta, as _j_factors checked
-    members = data.members
-    return GreenWitness(
-        relation="J",
+    return _Found(
+        factors=(("fg1", h1), ("fg2", h2), ("gf1", k1), ("gf2", k2)),
         index_maps=(
             ("alpha", data.char_of(h1)),
             ("beta", data.char_of(h2)),
             ("gamma", data.char_of(k1)),
             ("delta", data.char_of(k2)),
-        ),
-        factors=(
-            ("fg1", members[h1]),
-            ("fg2", members[h2]),
-            ("gf1", members[k1]),
-            ("gf2", members[k2]),
         ),
         image_maps=(("phi", phi), ("psi", psi)),
     )

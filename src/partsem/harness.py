@@ -18,15 +18,18 @@ in the report order; the order of the declarations is the order of
 The three Green's pair suites (``greens-mode-agreement``,
 ``greens-witness-replay`` and ``txp-specialization``) read one **Green's
 sweep** per entry instead of calling the checkers themselves.  The sweep
-calls each checker once per pair of ``_pairs``, relation and mode, replays
-a found witness at once, and keeps a one-byte outcome code: unrelated,
-replays, fails to replay, or capped.  Whichever of the three suites reaches
-an entry first fills its sweep; the catalog keeps it (``greens_sweeps``), so
-it is freed with the catalog.  Codes, not witnesses, are kept because the
-sweeps of the whole catalog are held from the first of those suites to the
-last, and the witnesses would multiply the memory this takes.  The sweep's
-rows name members by position, so ``txp-specialization`` decides
-``txp_green`` on the members' geometry (``inst.derived.geometry``).
+calls the checkers' position core (``greens._witness``) once per pair of
+``_pairs``, relation and mode, on member positions, replays a found witness
+at once on the members' image tuples (the factor equations
+``verify_witness`` replays on maps), and keeps a one-byte outcome code:
+unrelated, replays, fails to replay, or capped.  Whichever of the three
+suites reaches an entry first fills its sweep; the catalog keeps it
+(``greens_sweeps``), so it is freed with the catalog.  Codes, not
+witnesses, are kept because the sweeps of the whole catalog are held from
+the first of those suites to the last, and the witnesses would multiply the
+memory this takes.  The sweep's rows name members by position, so
+``txp-specialization`` decides ``txp_green`` on the members' geometry
+(``inst.derived.geometry``).
 """
 
 from __future__ import annotations
@@ -626,34 +629,37 @@ class _GreensSweep:
     """Every Green's verdict of one catalog entry, each decided once.
 
     For each pair of ``_pairs`` (positions in ``pairs``), each relation of
-    ``greens.checkers()`` and each mode, the checker is called once and a
-    found witness is replayed at once; ``codes[k, r, m]`` keeps only the
-    outcome.  A capped call of either mode is counted as capped by every
-    reader.
+    ``greens.checkers()`` and each mode, the checkers' position core
+    (``greens._witness``) is called once on the member positions and a found
+    witness is replayed at once on the members' image tuples
+    (``greens._replays``); ``codes[k, r, m]`` keeps only the outcome.  A
+    capped call of either mode is counted as capped by every reader.
     """
 
     def __init__(self, entry: CatalogEntry, catalog: Catalog) -> None:
-        inst = entry.instance
-        members = self.members = enumerate_elements(inst)
-        checkers = greens.checkers()
+        data = greens._greens_data(entry.instance)
+        self.members = data.members
         pairs = _pairs(entry, catalog)
-        self.relations = tuple(checkers)
+        self.relations = tuple(greens.checkers())
         self.pairs = np.array(pairs, dtype=np.int32).reshape(len(pairs), 2)
-        self.codes = np.empty((len(pairs), len(checkers), len(_MODES)), dtype=np.uint8)
-        for k, (a, b) in enumerate(pairs):
-            f, g = members[a], members[b]
-            for r, checker in enumerate(checkers.values()):
-                for m, mode in enumerate(_MODES):
+        codes = []
+        cap = greens.DEFAULT_PHI_CAP
+        for a, b in pairs:
+            for rel in self.relations:
+                for mode in _MODES:
                     try:
-                        w = checker(f, g, inst, mode=mode)
+                        found = greens._witness(data, rel, mode, a, b, cap)
                     except ResourceLimitError:
-                        code = _CAPPED
+                        codes.append(_CAPPED)
+                        continue
+                    if found is None:
+                        codes.append(_UNRELATED)
+                    elif greens._replays(data, rel, found, a, b):
+                        codes.append(_REPLAYS)
                     else:
-                        if w is None:
-                            code = _UNRELATED
-                        else:
-                            code = _REPLAYS if greens.verify_witness(w, f, g) else _FAILS_REPLAY
-                    self.codes[k, r, m] = code
+                        codes.append(_FAILS_REPLAY)
+        shape = (len(pairs), len(self.relations), len(_MODES))
+        self.codes = np.array(codes, dtype=np.uint8).reshape(shape)
 
     def rows(self):
         """(a, b, [(relation, oracle code, theorem code), ...]) per pair of

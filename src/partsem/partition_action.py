@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError
-from .finite_maps import FiniteMap, _fibers, kernel_partition
+from .finite_maps import FiniteMap, _check_points, _fibers, kernel_partition
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,10 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(tuple(sorted(b)) for b in self.blocks))
         if type(self.n) is not int:
             raise InvalidArgumentError("n must be an integer")
+        _check_points(self.blocks)
+        object.__setattr__(self, "blocks", tuple(tuple(sorted(b)) for b in self.blocks))
         if not self.blocks:
             raise InvalidArgumentError("a partition needs at least one block")
         seen: set[int] = set()
@@ -34,8 +35,6 @@ class Partition:
             if not b:
                 raise InvalidArgumentError("blocks must be nonempty")
             for x in b:
-                if type(x) is not int:
-                    raise InvalidArgumentError(f"element {x!r} is not an integer")
                 if not 0 <= x < self.n:
                     raise InvalidArgumentError(f"element {x} outside [0, {self.n})")
                 if x in seen:

@@ -174,3 +174,10 @@ class TestSetPartition:
             SetPartition(3, ((0, 1), (1, 2)))  # overlap
         with pytest.raises(InvalidArgumentError):
             SetPartition(2, ((0, 1), ()))  # empty class
+
+    @pytest.mark.parametrize("classes", [
+        ((0,), (True,)), ((0,), (1.0,)), ((0, "a"),), ((1, 0.5),),
+    ])
+    def test_rejects_points_that_are_not_integers(self, classes):
+        with pytest.raises(InvalidArgumentError, match="not an integer"):
+            SetPartition(2, classes)

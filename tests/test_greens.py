@@ -347,6 +347,25 @@ class TestJOracleCap:
         w = j_related(f, f, inst, mode="oracle")
         assert w is not None and verify_witness(w, f, f)
 
+    @pytest.mark.parametrize("f,g", [
+        ((1, 4, 2, 2, 1), (0, 0, 3, 2, 3)),
+        ((0, 3, 4, 4, 0), (4, 4, 1, 3, 3)),
+        ((4, 1, 4, 4, 0), (1, 1, 1, 0, 2)),
+        ((1, 1, 2, 3, 3), (3, 1, 2, 3, 2)),
+    ])
+    def test_default_cap_holds_on_t5(self, f, g):
+        """J-related rank-3 pairs of the one-block T_5 (3125 members), whose
+        first h1 lies past 320: the search reads 2*N = 6250 table entries per
+        direction, far below the default cap, and a cap of 1 still fires."""
+        inst = Instance(Partition.of([[0, 1, 2, 3, 4]]), IndexSemigroup.full(1))
+        f, g = fm(list(f)), fm(list(g))
+        assert len(enumerate_elements(inst)) == 3125
+        w = j_related(f, g, inst, mode="oracle")
+        assert w is not None and verify_witness(w, f, g)
+        assert principal_leq_oracle("J", f, g, inst) is not None
+        with pytest.raises(ResourceLimitError):
+            j_related(f, g, inst, mode="oracle", cap=1)
+
 
 class TestBuildJFactors:
     def test_inclusion_image_map(self, inst_full):

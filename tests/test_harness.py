@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import weakref
@@ -271,15 +270,16 @@ def _checker_loops(catalog):
     return out
 
 
-def _spoil(monkeypatch, name, spoil):
-    """Rebind ``greens.<name>`` to return ``spoil(f, g, mode, w)`` for the
-    witness or None ``w`` of the real checker."""
-    real = getattr(greens, name)
+def _spoil(monkeypatch, spoil):
+    """Rebind ``greens._witness``, the position core behind the public
+    checkers and the sweep, to return ``spoil(data, rel, mode, found)`` for
+    the witness on positions or None ``found`` of the real core."""
+    real = greens._witness
 
-    def checker(f, g, inst, mode="oracle", cap=greens.DEFAULT_PHI_CAP):
-        return spoil(f, g, mode, real(f, g, inst, mode=mode, cap=cap))
+    def core(data, rel, mode, fk, gk, cap):
+        return spoil(data, rel, mode, real(data, rel, mode, fk, gk, cap))
 
-    monkeypatch.setattr(greens, name, checker)
+    monkeypatch.setattr(greens, "_witness", core)
 
 
 class TestGreensSweep:
@@ -289,22 +289,21 @@ class TestGreensSweep:
     def test_each_verdict_is_decided_once(self, monkeypatch):
         catalog = build_catalog(3, seed=7)
         calls = Counter()
-        for rel, checker in greens.checkers().items():
-            def spy(f, g, inst, mode="oracle", _rel=rel, _checker=checker, **kwargs):
-                calls[(id(inst), f.images, g.images, _rel, mode)] += 1
-                return _checker(f, g, inst, mode=mode, **kwargs)
+        real = greens._witness
 
-            monkeypatch.setattr(greens, checker.__name__, spy)
+        def spy(data, rel, mode, fk, gk, cap):
+            calls[(id(data.inst), fk, gk, rel, mode)] += 1
+            return real(data, rel, mode, fk, gk, cap)
+
+        monkeypatch.setattr(greens, "_witness", spy)
         assert run_all(catalog).failures == 0
         expected = set()
         for entry in catalog.entries:
             if entry.instance.si.has_identity:
-                members = enumerate_elements(entry.instance)
                 for a, b in harness._pairs(entry, catalog):
                     for rel in "LRDJ":
                         for mode in ("oracle", "theorem"):
-                            expected.add((id(entry.instance), members[a].images,
-                                          members[b].images, rel, mode))
+                            expected.add((id(entry.instance), a, b, rel, mode))
         assert set(calls) == expected
         assert set(calls.values()) == {1}
 
@@ -316,12 +315,12 @@ class TestGreensSweep:
             assert _untimed(r for r in report.records if r.suite == name) == expected[name]
 
     def test_flipped_j_theorem_verdict_fails_where_it_did(self, monkeypatch):
-        def flip(f, g, mode, w):
-            if mode != "theorem":
-                return w
-            return None if w is not None else greens.GreenWitness("J")
+        def flip(data, rel, mode, found):
+            if rel != "J" or mode != "theorem":
+                return found
+            return None if found is not None else greens._Found()
 
-        _spoil(monkeypatch, "j_related", flip)
+        _spoil(monkeypatch, flip)
         catalog = build_catalog(2, seed=7)
         expected = _checker_loops(catalog)
         report = run_all(catalog)
@@ -335,14 +334,14 @@ class TestGreensSweep:
         assert details["txp-specialization"] == "J: specialized=True theorem=False"
 
     def test_swapped_witness_factors_fail_replay_only(self, monkeypatch):
-        def swap(f, g, mode, w):
-            if w is None or mode != "oracle":
-                return w
-            factors = dict(w.factors)
+        def swap(data, rel, mode, found):
+            if found is None or rel != "J" or mode != "oracle":
+                return found
+            factors = dict(found.factors)
             factors["fg1"], factors["fg2"] = factors["fg2"], factors["fg1"]
-            return dataclasses.replace(w, factors=tuple(factors.items()))
+            return found._replace(factors=tuple(factors.items()))
 
-        _spoil(monkeypatch, "j_related", swap)
+        _spoil(monkeypatch, swap)
         catalog = build_catalog(2, seed=7)
         expected = _checker_loops(catalog)
         report = run_all(catalog)
@@ -352,6 +351,28 @@ class TestGreensSweep:
         assert _untimed(replay) == expected["greens-witness-replay"]
         first = next(r for r in replay if r.failures).counterexample
         assert first["detail"] == "J witness (oracle) fails to replay"
+
+    @pytest.mark.parametrize("rel", "LRDJ")
+    def test_tuple_replay_rejects_a_tampered_factor(self, rel, monkeypatch):
+        """The first factor of every witness of ``rel`` in oracle mode moved
+        to the next member: the sweep's replay on image tuples fails where
+        the public route's ``verify_witness`` on maps does, and nothing else."""
+        def tamper(data, found_rel, mode, found):
+            if found is None or found_rel != rel or mode != "oracle":
+                return found
+            (name, k), *rest = found.factors
+            return found._replace(factors=((name, (k + 1) % len(data.members)), *rest))
+
+        _spoil(monkeypatch, tamper)
+        catalog = build_catalog(2, seed=7)
+        expected = _checker_loops(catalog)
+        report = run_all(catalog, names=list(GREENS_PAIR_SUITES))
+        failing = {r.suite for r in report.records if r.failures}
+        assert failing == {"greens-witness-replay"}
+        replay = [r for r in report.records if r.suite == "greens-witness-replay"]
+        assert _untimed(replay) == expected["greens-witness-replay"]
+        first = next(r for r in replay if r.failures).counterexample
+        assert first["detail"] == f"{rel} witness (oracle) fails to replay"
 
     @pytest.mark.parametrize("name", GREENS_PAIR_SUITES)
     def test_each_suite_alone_matches_its_records_in_run_all(self, name, catalog3):

@@ -41,7 +41,7 @@ class TestPartition:
 
     @pytest.mark.parametrize("n,blocks", [
         (2, ((0,), (True,))), (2, ((0,), (1.0,))), (2, ((0,), ("1",))),
-        (2.0, ((0,), (1,))), (True, ((0,),)),
+        (2.0, ((0,), (1,))), (True, ((0,),)), (2, ((0, "a"),)), (2, ((1, 0.5),)),
     ])
     def test_rejects_points_and_sizes_that_are_not_integers(self, n, blocks):
         with pytest.raises(InvalidArgumentError, match="integer"):
