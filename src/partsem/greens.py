@@ -9,16 +9,18 @@ delta) from the index semigroup's product table at the positions of chi(f)
 and chi(g), and searches the block geometry for the class bijections and
 image maps demanded by the structural criteria.  Both routes produce
 replayable witnesses: factor transformations whose composites reproduce the
-claimed ideal memberships.  Each checker has one position core
-(``_witness``): it takes member positions, runs the search of its mode and
-every validation of the builders, and returns the witness on positions;
-``l_related`` to ``j_related`` wrap it, looking f and g up and assembling a
-``GreenWitness`` of the instance's own members and index elements.  Each
+claimed ideal memberships.  Each relation has one position core
+(``_one_sided_witness``, ``_d_witness``, ``_j_witness``): it takes member
+positions, runs the search of its mode and every validation of the
+builders, and returns a ``GreenWitness`` of the instance's own members and
+index elements; ``l_related`` to ``j_related`` share one front end
+(``_related``) that finds f and g (by identity when they are the
+instance's own member maps, else by lookup) and calls the core.  Each
 relation's factor equations have one home (``_EQUATIONS``), read by two
 replays that recompute every product and never read the table:
 ``verify_witness`` composes the witness's maps, and ``_replays`` composes
-the members' image tuples for a caller holding positions, such as the
-harness's Green's sweep.
+their image tuples for a caller replaying many witnesses of members, such
+as the harness's Green's sweep.
 The per-instance data keeps, each built once on first use, every member's
 L-, R- and D-class label (the first member of its class; the D label is the
 least L-label meeting the member's R-class, as D = L∘R), which the oracles,
@@ -40,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -152,6 +154,9 @@ class _GreensData:
             raise PreconditionError("Green's relations need the identity character")
         self.inst = inst
         self.members = enumerate_elements(inst)
+        # id -> position of each member map; the members live as long as
+        # this data, so no other live object shares one of these ids
+        self._positions = {id(m): k for k, m in enumerate(self.members)}
         self.geometry = inst.derived.geometry
         self.imgs = self.geometry.images
         self.table = inst.derived.table
@@ -211,7 +216,10 @@ class _GreensData:
         return [least[r] for r in self.r_label]
 
     def member_id(self, f: FiniteMap) -> int:
-        return require_member(f, self.inst)
+        """The position of f: found by identity for the instance's own
+        member maps, else looked up (and refused when not a member)."""
+        k = self._positions.get(id(f))
+        return require_member(f, self.inst) if k is None else k
 
     def char_of(self, k: int) -> FiniteMap:
         """The character of member k, as the index semigroup's element."""
@@ -243,7 +251,7 @@ def principal_leq_oracle(
 
     Returns h with f = h*g for L, h with f = g*h for R, and the pair
     (h1, h2) with f = h1*g*h2 for J; None when the inequality fails.  For J,
-    ``cap`` bounds the table reads of the search: 2*N of them.
+    ``cap`` bounds the table reads of a search that finds an h1: 2*N of them.
     """
     data = _greens_data(inst)
     found = _first_factor(data, rel, data.member_id(f), data.member_id(g), cap)
@@ -254,13 +262,17 @@ def principal_leq_oracle(
     return data.members[found]
 
 
-def _first_factor(data: _GreensData, rel: str, fk: int, gk: int, cap: int = DEFAULT_PAIR_CAP):
+def _first_factor(
+    data: _GreensData, rel: str, fk: int, gk: int, cap: int = DEFAULT_PAIR_CAP, left=None
+):
     """Positions of the first h with f = h*g (L) or f = g*h (R), or of the
-    first (h1, h2) with f = h1*g*h2 (J), or None.
+    first (h1, h2) with f = h1*g*h2 (J), or None; ``left`` may pass
+    ``j_left_factors(fk, gk)`` when the caller already holds it.
 
     The J search reads one column of the table (every h1*g, gathered by
-    ``j_left_factors``) and one row (the h2 of the first h1 that reaches f),
-    so it charges 2*N table reads against ``cap`` before it starts.
+    ``j_left_factors``) and one row (the h2 of the first h1 that reaches f).
+    Once the column has an h1, it charges those 2*N table reads against
+    ``cap``; a pair with no h1 is answered None.
     """
     table = data.table
     if rel == "L":
@@ -268,13 +280,14 @@ def _first_factor(data: _GreensData, rel: str, fk: int, gk: int, cap: int = DEFA
     elif rel == "R":
         hits = (table[gk] == fk).nonzero()[0]
     elif rel == "J":
-        if 2 * len(table) > cap:
-            raise ResourceLimitError(f"J factor search exceeded the cap of {cap} table reads")
         # The first h1 in order whose h1*g has f in its right ideal, then the
         # first h2 with h1*g*h2 = f: the first pair of the row-major scan.
-        left = data.j_left_factors(fk, gk)
+        if left is None:
+            left = data.j_left_factors(fk, gk)
         if not len(left):
             return None
+        if 2 * len(table) > cap:
+            raise ResourceLimitError(f"J factor search exceeded the cap of {cap} table reads")
         k1 = int(left[0])
         k2 = int((table[table[k1, gk]] == fk).nonzero()[0][0])
         return k1, k2
@@ -306,53 +319,19 @@ def _blocks_fit(bf: tuple[int, ...], bg: tuple[int, ...], alpha: tuple[int, ...]
     return all(bf[i] & ~bg[j] == 0 for i, j in enumerate(alpha))
 
 
-class _Found(NamedTuple):
-    """A checker's witness on positions, before ``GreenWitness`` assembly:
-    the factors as member positions, then the index maps, class pairing and
-    image maps the public witness carries."""
-
-    factors: tuple[tuple[str, int], ...] = ()
-    index_maps: tuple[tuple[str, FiniteMap], ...] = ()
-    class_pairing: ClassPairing | None = None
-    image_maps: tuple[tuple[str, FiniteMap], ...] = ()
-
-
-def _witness(
-    data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int
-) -> _Found | None:
-    """The one decision path of ``l_related`` to ``j_related``, on the member
-    positions of f and g: the search of ``mode`` and every validation of
-    the builders, with the witness left on positions.
-
-    The public checkers wrap it; the harness's Green's sweep calls it
-    directly and replays the witness on image tuples (``_replays``).
-    """
-    if rel in ("L", "R"):
-        return _one_sided_witness(data, rel, mode, fk, gk, cap)
+def _related(
+    rel: str, f: FiniteMap, g: FiniteMap, inst: Instance, mode: str, cap: int
+) -> GreenWitness | None:
+    """The one front end of ``l_related`` to ``j_related``: the position
+    core of ``rel`` on the member positions of f and g."""
+    _check_mode(mode)
+    data = _greens_data(inst)
+    fk, gk = data.member_id(f), data.member_id(g)
     if rel == "D":
         return _d_witness(data, mode, fk, gk, cap)
     if rel == "J":
         return _j_witness(data, mode, fk, gk, cap)
-    raise InvalidArgumentError(f"unknown relation {rel!r}")
-
-
-def _related(
-    rel: str, f: FiniteMap, g: FiniteMap, inst: Instance, mode: str, cap: int
-) -> GreenWitness | None:
-    """A public checker: ``_witness`` on the positions of f and g, its
-    factors then assembled from the instance's members."""
-    _check_mode(mode)
-    data = _greens_data(inst)
-    found = _witness(data, rel, mode, data.member_id(f), data.member_id(g), cap)
-    if found is None:
-        return None
-    return GreenWitness(
-        relation=rel,
-        index_maps=found.index_maps,
-        factors=tuple((name, data.members[k]) for name, k in found.factors),
-        class_pairing=found.class_pairing,
-        image_maps=found.image_maps,
-    )
+    return _one_sided_witness(data, rel, mode, fk, gk, cap)
 
 
 def _compose_images(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, ...]:
@@ -360,18 +339,19 @@ def _compose_images(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int,
     return tuple([then[x] for x in first])
 
 
-def _replays(data: _GreensData, rel: str, found: _Found, fk: int, gk: int) -> bool:
-    """Replay a witness on positions over the members' image tuples."""
-    imgs = data.imgs
-    maps = {name: imgs[k] for name, k in found.factors}
-    maps["f"], maps["g"] = imgs[fk], imgs[gk]
-    return _equations_hold(rel, maps, _compose_images)
+def _replays(w: GreenWitness, f: FiniteMap, g: FiniteMap) -> bool:
+    """``verify_witness`` on the maps' image tuples: no ``FiniteMap`` is
+    composed or built.  For witnesses whose factors, f and g share one
+    domain and codomain, such as a checker's witness on two members."""
+    maps = {name: h.images for name, h in w.factors}
+    maps["f"], maps["g"] = f.images, g.images
+    return _equations_hold(w.relation, maps, _compose_images)
 
 
 def _one_sided_witness(
     data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int
-) -> _Found | None:
-    """``_witness`` for rel "L" or "R"."""
+) -> GreenWitness | None:
+    """The position core of ``_related`` for rel "L" or "R"."""
     if mode == "oracle":
         if not (data.l_eq if rel == "L" else data.r_eq)(fk, gk):
             return None
@@ -391,9 +371,10 @@ def _one_sided_witness(
         build = _left_factor if rel == "L" else _right_factor
         h_fg, h_gf = build(data, fk, gk, alpha), build(data, gk, fk, beta)
     names = ("alpha", "beta") if rel == "L" else ("beta_fg", "beta_gf")
-    return _Found(
-        factors=(("fg", h_fg), ("gf", h_gf)),
+    return GreenWitness(
+        relation=rel,
         index_maps=((names[0], data.char_of(h_fg)), (names[1], data.char_of(h_gf))),
+        factors=(("fg", data.members[h_fg]), ("gf", data.members[h_gf])),
     )
 
 
@@ -616,22 +597,25 @@ def d_related(
     return _related("D", f, g, inst, mode, cap)
 
 
-def _d_witness(data: _GreensData, mode: str, fk: int, gk: int, cap: int) -> _Found | None:
-    """``_witness`` for rel "D"."""
+def _d_witness(
+    data: _GreensData, mode: str, fk: int, gk: int, cap: int
+) -> GreenWitness | None:
+    """The position core of ``_related`` for rel "D"."""
     if mode == "oracle":
         # the first member L-related to f and R-related to g
         mk = data.h_first.get((data.l_label[fk], data.r_label[gk]))
         if mk is None:
             return None
-        return _Found(
-            factors=(
-                ("middle", mk),
-                ("l_fm", _first_factor(data, "L", fk, mk)),
-                ("l_mf", _first_factor(data, "L", mk, fk)),
-                ("r_mg", _first_factor(data, "R", mk, gk)),
-                ("r_gm", _first_factor(data, "R", gk, mk)),
-            ),
+        return GreenWitness(
+            relation="D",
             index_maps=(("gamma", data.char_of(mk)),),
+            factors=(
+                ("middle", data.members[mk]),
+                ("l_fm", data.members[_first_factor(data, "L", fk, mk)]),
+                ("l_mf", data.members[_first_factor(data, "L", mk, fk)]),
+                ("r_mg", data.members[_first_factor(data, "R", mk, gk)]),
+                ("r_gm", data.members[_first_factor(data, "R", gk, mk)]),
+            ),
             class_pairing=_oracle_d_pairing(data, fk, mk),
         )
     found = _d_theorem_search(data, fk, gk, cap)
@@ -641,15 +625,17 @@ def _d_witness(data: _GreensData, mode: str, fk: int, gk: int, cap: int) -> _Fou
     mk = _d_middle(data, fk, gk, gamma, pairing)
     u = _first_right_divisor(data, data.char_ids[gk], data.char_ids[mk])
     v = _first_right_divisor(data, data.char_ids[mk], data.char_ids[gk])
-    return _Found(
-        factors=(
-            ("middle", mk),
-            ("l_fm", _left_factor(data, fk, mk, alpha)),
-            ("l_mf", _left_factor(data, mk, fk, beta)),
-            ("r_mg", _right_factor(data, mk, gk, u)),
-            ("r_gm", _right_factor(data, gk, mk, v)),
-        ),
+    members = data.members
+    return GreenWitness(
+        relation="D",
         index_maps=(("alpha", alpha), ("beta", beta), ("gamma", gamma)),
+        factors=(
+            ("middle", members[mk]),
+            ("l_fm", members[_left_factor(data, fk, mk, alpha)]),
+            ("l_mf", members[_left_factor(data, mk, fk, beta)]),
+            ("r_mg", members[_right_factor(data, mk, gk, u)]),
+            ("r_gm", members[_right_factor(data, gk, mk, v)]),
+        ),
         class_pairing=pairing,
     )
 
@@ -765,16 +751,17 @@ def j_related(
     return _related("J", f, g, inst, mode, cap)
 
 
-def _j_witness(data: _GreensData, mode: str, fk: int, gk: int, cap: int) -> _Found | None:
-    """``_witness`` for rel "J"."""
+def _j_witness(
+    data: _GreensData, mode: str, fk: int, gk: int, cap: int
+) -> GreenWitness | None:
+    """The position core of ``_related`` for rel "J"."""
     if mode == "oracle":
-        forward = _first_factor(data, "J", fk, gk, cap)
-        if forward is None:
+        # both columns first: an unrelated pair most often fails one of them
+        left_fg, left_gf = data.j_left_factors(fk, gk), data.j_left_factors(gk, fk)
+        if not (len(left_fg) and len(left_gf)):
             return None
-        backward = _first_factor(data, "J", gk, fk, cap)
-        if backward is None:
-            return None
-        (h1, h2), (k1, k2) = forward, backward
+        h1, h2 = _first_factor(data, "J", fk, gk, cap, left=left_fg)
+        k1, k2 = _first_factor(data, "J", gk, fk, cap, left=left_gf)
         phi = _image_map_from_factors(data, gk, h1, h2)
         psi = _image_map_from_factors(data, fk, k1, k2)
     else:
@@ -790,13 +777,20 @@ def _j_witness(data: _GreensData, mode: str, fk: int, gk: int, cap: int) -> _Fou
         h1, h2 = _j_factors(data, fk, gk, alpha, beta, phi)
         k1, k2 = _j_factors(data, gk, fk, gamma, delta, psi)
     # in theorem mode these characters are the searched alpha to delta, as _j_factors checked
-    return _Found(
-        factors=(("fg1", h1), ("fg2", h2), ("gf1", k1), ("gf2", k2)),
+    members = data.members
+    return GreenWitness(
+        relation="J",
         index_maps=(
             ("alpha", data.char_of(h1)),
             ("beta", data.char_of(h2)),
             ("gamma", data.char_of(k1)),
             ("delta", data.char_of(k2)),
+        ),
+        factors=(
+            ("fg1", members[h1]),
+            ("fg2", members[h2]),
+            ("gf1", members[k1]),
+            ("gf2", members[k2]),
         ),
         image_maps=(("phi", phi), ("psi", psi)),
     )

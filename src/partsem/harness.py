@@ -18,18 +18,18 @@ in the report order; the order of the declarations is the order of
 The three Green's pair suites (``greens-mode-agreement``,
 ``greens-witness-replay`` and ``txp-specialization``) read one **Green's
 sweep** per entry instead of calling the checkers themselves.  The sweep
-calls the checkers' position core (``greens._witness``) once per pair of
-``_pairs``, relation and mode, on member positions, replays a found witness
-at once on the members' image tuples (the factor equations
-``verify_witness`` replays on maps), and keeps a one-byte outcome code:
-unrelated, replays, fails to replay, or capped.  Whichever of the three
-suites reaches an entry first fills its sweep; the catalog keeps it
-(``greens_sweeps``), so it is freed with the catalog.  Codes, not
-witnesses, are kept because the sweeps of the whole catalog are held from
-the first of those suites to the last, and the witnesses would multiply the
-memory this takes.  The sweep's rows name members by position, so
-``txp-specialization`` decides ``txp_green`` on the members' geometry
-(``inst.derived.geometry``).
+calls each public checker once per pair of ``_pairs``, relation and mode,
+on the members' own maps (which the checkers find by identity, with no
+lookup), replays a found witness at once on image tuples
+(``greens._replays``: the factor equations ``verify_witness`` replays by
+composing maps), and keeps a one-byte outcome code: unrelated, replays,
+fails to replay, or capped.  Whichever of the three suites reaches an entry
+first fills its sweep; the catalog keeps it (``greens_sweeps``), so it is
+freed with the catalog.  Codes, not witnesses, are kept because the sweeps
+of the whole catalog are held from the first of those suites to the last,
+and the witnesses would multiply the memory this takes.  The sweep's rows
+name members by position, so ``txp-specialization`` decides ``txp_green``
+on the members' geometry (``inst.derived.geometry``).
 """
 
 from __future__ import annotations
@@ -629,32 +629,33 @@ class _GreensSweep:
     """Every Green's verdict of one catalog entry, each decided once.
 
     For each pair of ``_pairs`` (positions in ``pairs``), each relation of
-    ``greens.checkers()`` and each mode, the checkers' position core
-    (``greens._witness``) is called once on the member positions and a found
-    witness is replayed at once on the members' image tuples
-    (``greens._replays``); ``codes[k, r, m]`` keeps only the outcome.  A
-    capped call of either mode is counted as capped by every reader.
+    ``greens.checkers()`` and each mode, the checker is called once on the
+    members' own maps, which it finds by identity, and a found witness is
+    replayed at once on image tuples (``greens._replays``); ``codes[k, r,
+    m]`` keeps only the outcome.  A capped call of either mode is counted
+    as capped by every reader.
     """
 
     def __init__(self, entry: CatalogEntry, catalog: Catalog) -> None:
-        data = greens._greens_data(entry.instance)
-        self.members = data.members
+        inst = entry.instance
+        members = self.members = enumerate_elements(inst)
+        checkers = greens.checkers()
         pairs = _pairs(entry, catalog)
-        self.relations = tuple(greens.checkers())
+        self.relations = tuple(checkers)
         self.pairs = np.array(pairs, dtype=np.int32).reshape(len(pairs), 2)
         codes = []
-        cap = greens.DEFAULT_PHI_CAP
         for a, b in pairs:
-            for rel in self.relations:
+            f, g = members[a], members[b]
+            for checker in checkers.values():
                 for mode in _MODES:
                     try:
-                        found = greens._witness(data, rel, mode, a, b, cap)
+                        w = checker(f, g, inst, mode=mode)
                     except ResourceLimitError:
                         codes.append(_CAPPED)
                         continue
-                    if found is None:
+                    if w is None:
                         codes.append(_UNRELATED)
-                    elif greens._replays(data, rel, found, a, b):
+                    elif greens._replays(w, f, g):
                         codes.append(_REPLAYS)
                     else:
                         codes.append(_FAILS_REPLAY)

@@ -346,6 +346,11 @@ class TestJOracleCap:
             j_related(f, f, inst, mode="oracle", cap=1)
         w = j_related(f, f, inst, mode="oracle")
         assert w is not None and verify_witness(w, f, f)
+        # a pair whose column gather finds no factor is answered before any charge
+        const = fm([0, 0, 0])
+        assert principal_leq_oracle("J", f, const, inst, cap=1) is None
+        assert j_related(f, const, inst, mode="oracle", cap=1) is None
+        assert j_related(const, f, inst, mode="oracle", cap=1) is None
 
     @pytest.mark.parametrize("f,g", [
         ((1, 4, 2, 2, 1), (0, 0, 3, 2, 3)),

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import weakref
@@ -270,16 +271,15 @@ def _checker_loops(catalog):
     return out
 
 
-def _spoil(monkeypatch, spoil):
-    """Rebind ``greens._witness``, the position core behind the public
-    checkers and the sweep, to return ``spoil(data, rel, mode, found)`` for
-    the witness on positions or None ``found`` of the real core."""
-    real = greens._witness
+def _spoil(monkeypatch, name, spoil):
+    """Rebind ``greens.<name>`` to return ``spoil(f, g, inst, mode, w)`` for
+    the witness or None ``w`` of the real checker."""
+    real = getattr(greens, name)
 
-    def core(data, rel, mode, fk, gk, cap):
-        return spoil(data, rel, mode, real(data, rel, mode, fk, gk, cap))
+    def checker(f, g, inst, mode="oracle", cap=greens.DEFAULT_PHI_CAP):
+        return spoil(f, g, inst, mode, real(f, g, inst, mode=mode, cap=cap))
 
-    monkeypatch.setattr(greens, "_witness", core)
+    monkeypatch.setattr(greens, name, checker)
 
 
 class TestGreensSweep:
@@ -289,23 +289,44 @@ class TestGreensSweep:
     def test_each_verdict_is_decided_once(self, monkeypatch):
         catalog = build_catalog(3, seed=7)
         calls = Counter()
-        real = greens._witness
+        for rel, checker in greens.checkers().items():
+            def spy(f, g, inst, mode="oracle", _rel=rel, _checker=checker, **kwargs):
+                calls[(id(inst), f.images, g.images, _rel, mode)] += 1
+                return _checker(f, g, inst, mode=mode, **kwargs)
 
-        def spy(data, rel, mode, fk, gk, cap):
-            calls[(id(data.inst), fk, gk, rel, mode)] += 1
-            return real(data, rel, mode, fk, gk, cap)
-
-        monkeypatch.setattr(greens, "_witness", spy)
+            monkeypatch.setattr(greens, checker.__name__, spy)
         assert run_all(catalog).failures == 0
         expected = set()
         for entry in catalog.entries:
             if entry.instance.si.has_identity:
+                members = enumerate_elements(entry.instance)
                 for a, b in harness._pairs(entry, catalog):
                     for rel in "LRDJ":
                         for mode in ("oracle", "theorem"):
-                            expected.add((id(entry.instance), a, b, rel, mode))
+                            expected.add((id(entry.instance), members[a].images,
+                                          members[b].images, rel, mode))
         assert set(calls) == expected
         assert set(calls.values()) == {1}
+
+    def test_sweep_looks_up_and_composes_no_map(self, monkeypatch):
+        """The sweep hands the checkers the members' own maps, found by
+        identity, and replays on image tuples: no member lookup and no
+        ``compose``.  Both run on the public route outside it."""
+        calls = Counter()
+        for name in ("require_member", "compose"):
+            def spy(*args, _name=name, _real=getattr(greens, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(greens, name, spy)
+        catalog = build_catalog(3, seed=7)
+        assert run_suite("greens-mode-agreement", catalog).failures == 0
+        assert calls == Counter()
+        inst = next(e.instance for e in catalog.entries if e.instance.si.has_identity)
+        f = enumerate_elements(inst)[0]
+        w = greens.l_related(greens.FiniteMap(f.domain_size, f.codomain_size, f.images), f, inst)
+        assert w is not None and greens.verify_witness(w, f, f)
+        assert calls["require_member"] == 1 and calls["compose"] == 2
 
     def test_records_match_the_per_suite_checker_loops(self):
         catalog = build_catalog(3, seed=7)
@@ -315,12 +336,12 @@ class TestGreensSweep:
             assert _untimed(r for r in report.records if r.suite == name) == expected[name]
 
     def test_flipped_j_theorem_verdict_fails_where_it_did(self, monkeypatch):
-        def flip(data, rel, mode, found):
-            if rel != "J" or mode != "theorem":
-                return found
-            return None if found is not None else greens._Found()
+        def flip(f, g, inst, mode, w):
+            if mode != "theorem":
+                return w
+            return None if w is not None else greens.GreenWitness("J")
 
-        _spoil(monkeypatch, flip)
+        _spoil(monkeypatch, "j_related", flip)
         catalog = build_catalog(2, seed=7)
         expected = _checker_loops(catalog)
         report = run_all(catalog)
@@ -334,14 +355,14 @@ class TestGreensSweep:
         assert details["txp-specialization"] == "J: specialized=True theorem=False"
 
     def test_swapped_witness_factors_fail_replay_only(self, monkeypatch):
-        def swap(data, rel, mode, found):
-            if found is None or rel != "J" or mode != "oracle":
-                return found
-            factors = dict(found.factors)
+        def swap(f, g, inst, mode, w):
+            if w is None or mode != "oracle":
+                return w
+            factors = dict(w.factors)
             factors["fg1"], factors["fg2"] = factors["fg2"], factors["fg1"]
-            return found._replace(factors=tuple(factors.items()))
+            return dataclasses.replace(w, factors=tuple(factors.items()))
 
-        _spoil(monkeypatch, swap)
+        _spoil(monkeypatch, "j_related", swap)
         catalog = build_catalog(2, seed=7)
         expected = _checker_loops(catalog)
         report = run_all(catalog)
@@ -357,13 +378,15 @@ class TestGreensSweep:
         """The first factor of every witness of ``rel`` in oracle mode moved
         to the next member: the sweep's replay on image tuples fails where
         the public route's ``verify_witness`` on maps does, and nothing else."""
-        def tamper(data, found_rel, mode, found):
-            if found is None or found_rel != rel or mode != "oracle":
-                return found
-            (name, k), *rest = found.factors
-            return found._replace(factors=((name, (k + 1) % len(data.members)), *rest))
+        def tamper(f, g, inst, mode, w):
+            if w is None or mode != "oracle":
+                return w
+            members = enumerate_elements(inst)
+            (name, h), *rest = w.factors
+            moved = members[(members.index(h) + 1) % len(members)]
+            return dataclasses.replace(w, factors=((name, moved), *rest))
 
-        _spoil(monkeypatch, tamper)
+        _spoil(monkeypatch, greens.checkers()[rel].__name__, tamper)
         catalog = build_catalog(2, seed=7)
         expected = _checker_loops(catalog)
         report = run_all(catalog, names=list(GREENS_PAIR_SUITES))

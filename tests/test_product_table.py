@@ -436,11 +436,11 @@ class _MapWitnesses:
         if rel == "R":
             found = np.flatnonzero(table[gk] == fk)
             return data.members[found[0]] if len(found) else None
-        if 2 * len(table) > cap:
-            raise ResourceLimitError(f"J factor search exceeded the cap of {cap} table reads")
         k1 = data.j_left_factors(fk, gk)
         if not len(k1):
             return None
+        if 2 * len(table) > cap:
+            raise ResourceLimitError(f"J factor search exceeded the cap of {cap} table reads")
         k1 = int(k1[0])
         k2 = int(np.flatnonzero(table[table[k1, gk]] == fk)[0])
         return data.members[k1], data.members[k2]
