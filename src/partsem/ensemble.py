@@ -117,6 +117,11 @@ class IndexSemigroup:
             return np.zeros(0, dtype=np.intp)
         return _two_sided_inverse_ids(self.table, self.index[tuple(range(self.degree))])
 
+    @cached_property
+    def unit_set(self) -> frozenset[int]:
+        """``unit_ids`` as a set, for membership tests."""
+        return frozenset(self.unit_ids.tolist())
+
     def position(self, m: FiniteMap) -> int | None:
         """The position of m among the elements, or None when m is not one."""
         k = self.index.get(m.images)
@@ -217,7 +222,8 @@ class DerivedData:
     enumeration order, their positions, per member the index-set position
     of the character it was enumerated under (``char_ids``) and the
     members' block facts (``geometry``), then, each on first use, the
-    product table and the units.  ``greens`` holds the Green's-relations
+    product table and the units (``unit_ids``, and ``unit_set`` for
+    membership tests).  ``greens`` holds the Green's-relations
     data once ``partsem.greens`` has built it.
     """
 
@@ -246,6 +252,11 @@ class DerivedData:
     def unit_ids(self) -> np.ndarray:
         """Positions of the members with a two-sided inverse, ascending."""
         return _two_sided_inverse_ids(self.table, self.index[tuple(range(self.n))])
+
+    @cached_property
+    def unit_set(self) -> frozenset[int]:
+        """``unit_ids`` as a set, for membership tests."""
+        return frozenset(self.unit_ids.tolist())
 
 
 def predicted_size(inst: Instance) -> int:

@@ -16,11 +16,11 @@ builders, and returns a ``GreenWitness`` of the instance's own members and
 index elements; ``l_related`` to ``j_related`` share one front end
 (``_related``) that finds f and g (by identity when they are the
 instance's own member maps, else by lookup) and calls the core.  Each
-relation's factor equations have one home (``_EQUATIONS``), read by two
-replays that recompute every product and never read the table:
-``verify_witness`` composes the witness's maps, and ``_replays`` composes
-their image tuples for a caller replaying many witnesses of members, such
-as the harness's Green's sweep.
+relation's factor equations have one home (``_EQUATIONS``), read by one
+replay, ``verify_witness``: it composes the image tuples of the witness's
+maps, checking each composition's sizes as ``compose`` does, recomputes
+every product and never reads the table.  The harness's Green's sweep
+replays its witnesses through it too.
 The per-instance data keeps, each built once on first use, every member's
 L-, R- and D-class label (the first member of its class; the D label is the
 least L-label meeting the member's R-class, as D = L∘R), which the oracles,
@@ -47,14 +47,13 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import InternalError, InvalidArgumentError, PreconditionError, ResourceLimitError
-from .finite_maps import FiniteMap, _fibers, compose, image, kernel_partition
+from .finite_maps import FiniteMap, _fibers, image, kernel_partition
 from .ensemble import Instance, enumerate_elements, require_member
 from .partition_action import Partition, _Geometry, _least_lift, _mask, character, preserves_partition
 from .regularity import _check_mode
 
 Relation = Literal["L", "R", "D", "J"]
 
-DEFAULT_PAIR_CAP = 1_000_000  # table reads of the J factor search: 2*N per direction
 DEFAULT_PHI_CAP = 1_000_000  # assignments tried by the phi searches
 
 ClassPairing = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -87,7 +86,7 @@ class GreenWitness:
         return dict(self.image_maps)[name]
 
 
-# Each relation's factor equations, the one home of both replays: pairs
+# Each relation's factor equations, the one home of the replay: pairs
 # (product, target), the product's maps composed left to right.  "f" and "g"
 # name the pair; every other name is a factor of the witness.
 _EQUATIONS: dict[str, tuple[tuple[tuple[str, ...], str], ...]] = {
@@ -103,31 +102,39 @@ _EQUATIONS: dict[str, tuple[tuple[tuple[str, ...], str], ...]] = {
 }
 
 
-def _equations_hold(rel: str, maps: dict, product: Callable) -> bool:
-    """Replay the factor equations of ``rel`` on ``maps`` (name -> map, the
-    pair under "f" and "g"), composing each product with ``product``.
+def verify_witness(w: GreenWitness, f: FiniteMap, g: FiniteMap) -> bool:
+    """Replay the factor equations of a witness on its maps' image tuples.
 
     Every side is recomputed from the maps themselves, never read from a
     product table, so the replay stays independent of the search it checks.
-    A missing factor fails the replay.
+    Each composition checks the sizes ``compose`` checks, and each side is
+    compared as (domain, codomain, images), as ``FiniteMap`` equality
+    compares.  A missing factor fails the replay.
     """
+    if w.relation not in _EQUATIONS:
+        raise InvalidArgumentError(f"unknown relation {w.relation!r}")
+    maps = {**dict(w.factors), "f": f, "g": g}
     try:
-        for names, target in _EQUATIONS[rel]:
-            composite = maps[names[0]]
+        for names, target in _EQUATIONS[w.relation]:
+            first = maps[names[0]]
+            images, codomain = first.images, first.codomain_size
             for name in names[1:]:
-                composite = product(composite, maps[name])
-            if composite != maps[target]:
+                then = maps[name]
+                if codomain != then.domain_size:
+                    raise InvalidArgumentError(
+                        f"cannot compose: codomain {codomain} != domain {then.domain_size}"
+                    )
+                then_images = then.images
+                images = tuple([then_images[x] for x in images])
+                codomain = then.codomain_size
+            goal = maps[target]
+            if (first.domain_size, codomain, images) != (
+                goal.domain_size, goal.codomain_size, goal.images
+            ):
                 return False
     except KeyError:
         return False
     return True
-
-
-def verify_witness(w: GreenWitness, f: FiniteMap, g: FiniteMap) -> bool:
-    """Replay the factor equations of a witness by composing its maps."""
-    if w.relation not in _EQUATIONS:
-        raise InvalidArgumentError(f"unknown relation {w.relation!r}")
-    return _equations_hold(w.relation, {**dict(w.factors), "f": f, "g": g}, compose)
 
 
 def _preorders(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,21 +247,15 @@ def _greens_data(inst: Instance) -> _GreensData:
     return derived.greens
 
 
-def principal_leq_oracle(
-    rel: Relation,
-    f: FiniteMap,
-    g: FiniteMap,
-    inst: Instance,
-    cap: int = DEFAULT_PAIR_CAP,
-):
+def principal_leq_oracle(rel: Relation, f: FiniteMap, g: FiniteMap, inst: Instance):
     """First factor(s) witnessing the principal-ideal inequality, if any.
 
     Returns h with f = h*g for L, h with f = g*h for R, and the pair
-    (h1, h2) with f = h1*g*h2 for J; None when the inequality fails.  For J,
-    ``cap`` bounds the table reads of a search that finds an h1: 2*N of them.
+    (h1, h2) with f = h1*g*h2 for J; None when the inequality fails.  Each
+    search reads at most one row and one column of the product table.
     """
     data = _greens_data(inst)
-    found = _first_factor(data, rel, data.member_id(f), data.member_id(g), cap)
+    found = _first_factor(data, rel, data.member_id(f), data.member_id(g))
     if found is None:
         return None
     if rel == "J":
@@ -262,17 +263,14 @@ def principal_leq_oracle(
     return data.members[found]
 
 
-def _first_factor(
-    data: _GreensData, rel: str, fk: int, gk: int, cap: int = DEFAULT_PAIR_CAP, left=None
-):
+def _first_factor(data: _GreensData, rel: str, fk: int, gk: int, left=None):
     """Positions of the first h with f = h*g (L) or f = g*h (R), or of the
     first (h1, h2) with f = h1*g*h2 (J), or None; ``left`` may pass
     ``j_left_factors(fk, gk)`` when the caller already holds it.
 
     The J search reads one column of the table (every h1*g, gathered by
-    ``j_left_factors``) and one row (the h2 of the first h1 that reaches f).
-    Once the column has an h1, it charges those 2*N table reads against
-    ``cap``; a pair with no h1 is answered None.
+    ``j_left_factors``) and one row (the h2 of the first h1 that reaches f):
+    2*N reads, so it needs no cap.
     """
     table = data.table
     if rel == "L":
@@ -286,8 +284,6 @@ def _first_factor(
             left = data.j_left_factors(fk, gk)
         if not len(left):
             return None
-        if 2 * len(table) > cap:
-            raise ResourceLimitError(f"J factor search exceeded the cap of {cap} table reads")
         k1 = int(left[0])
         k2 = int((table[table[k1, gk]] == fk).nonzero()[0][0])
         return k1, k2
@@ -332,20 +328,6 @@ def _related(
     if rel == "J":
         return _j_witness(data, mode, fk, gk, cap)
     return _one_sided_witness(data, rel, mode, fk, gk, cap)
-
-
-def _compose_images(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, ...]:
-    """Left-to-right composite of two image tuples: x -> then[first[x]]."""
-    return tuple([then[x] for x in first])
-
-
-def _replays(w: GreenWitness, f: FiniteMap, g: FiniteMap) -> bool:
-    """``verify_witness`` on the maps' image tuples: no ``FiniteMap`` is
-    composed or built.  For witnesses whose factors, f and g share one
-    domain and codomain, such as a checker's witness on two members."""
-    maps = {name: h.images for name, h in w.factors}
-    maps["f"], maps["g"] = f.images, g.images
-    return _equations_hold(w.relation, maps, _compose_images)
 
 
 def _one_sided_witness(
@@ -688,23 +670,29 @@ def _j_one_sided_theorem(
 ) -> tuple[FiniteMap, FiniteMap, FiniteMap] | None:
     """Search (alpha, beta, phi) making J_f <= J_g per the structural criterion.
 
-    phi is returned as a map on the sorted image of g.  Candidate pairs are
-    pruned by the necessary identity chi(f) = alpha*chi(g)*beta, read from
-    the index table: for each alpha in order, the betas are the positions in
-    row alpha*chi(g) holding chi(f), found once per distinct row.  For each
-    pair the point values of phi are enumerated blockwise.
+    phi is returned as a map on the sorted image of g.  The image of f lies
+    in (Xg)phi, so a pair with rank f > rank g is answered None at once.
+    Candidate pairs are pruned by the necessary identity chi(f) =
+    alpha*chi(g)*beta, read from the index table: an alpha has a beta
+    exactly when chi(f) is R-below alpha*chi(g), so the alphas are found by
+    one gather of column chi(g), and the betas of each alpha are the
+    positions in row alpha*chi(g) holding chi(f), found once per distinct
+    row.  For each pair the point values of phi are enumerated blockwise.
     """
+    j_geometry = data.geometry.j_geometry
+    dom, dom_blocks, block_sources = j_geometry[gk]
+    if len(j_geometry[fk][0]) > len(dom):
+        return None
     p = data.inst.partition
-    dom, dom_blocks, block_sources = data.geometry.j_geometry[gk]
     f_blockimg = data.geometry.block_masks[fk]
     table, cf = data.si_table, data.char_ids[fk]
-    betas_of: dict[int, np.ndarray] = {}
-    for a, mid in enumerate(table[:, data.char_ids[gk]].tolist()):
+    mids = table[:, data.char_ids[gk]]
+    betas_of: dict[int, list[int]] = {}
+    for a in data.si_r_below[cf, mids].nonzero()[0].tolist():
+        mid = int(mids[a])
         betas = betas_of.get(mid)
         if betas is None:
-            betas = betas_of[mid] = (table[mid] == cf).nonzero()[0]
-        if not len(betas):
-            continue
+            betas = betas_of[mid] = (table[mid] == cf).nonzero()[0].tolist()
         # positions (in dom) of the g-image of X_{alpha(i)}, per i
         sources = [block_sources[j] for j in data.si_imgs[a]]
         for b in betas:
@@ -746,8 +734,7 @@ def j_related(
     cap: int = DEFAULT_PHI_CAP,
 ) -> GreenWitness | None:
     """J-relatedness: the first factor pairs of both directions, or the
-    structural search; in oracle mode ``cap`` bounds each direction's 2*N
-    table reads."""
+    structural search, whose phi assignments ``cap`` bounds."""
     return _related("J", f, g, inst, mode, cap)
 
 
@@ -760,8 +747,8 @@ def _j_witness(
         left_fg, left_gf = data.j_left_factors(fk, gk), data.j_left_factors(gk, fk)
         if not (len(left_fg) and len(left_gf)):
             return None
-        h1, h2 = _first_factor(data, "J", fk, gk, cap, left=left_fg)
-        k1, k2 = _first_factor(data, "J", gk, fk, cap, left=left_gf)
+        h1, h2 = _first_factor(data, "J", fk, gk, left=left_fg)
+        k1, k2 = _first_factor(data, "J", gk, fk, left=left_gf)
         phi = _image_map_from_factors(data, gk, h1, h2)
         psi = _image_map_from_factors(data, fk, k1, k2)
     else:
@@ -915,11 +902,14 @@ def _txp_j_one_sided(geometry: _Geometry, a: int, b: int) -> bool:
     phi sends the image points in block c into the target block t(c).  X_i f
     is a nonempty part of X_{chi f(i)} and (X_j g)phi lies in X_{t(chi g(j))},
     so a target assignment missing a block of im chi(f) is skipped before its
-    point values are enumerated.
+    point values are enumerated.  The image of f lies in (Xg)phi, so a pair
+    with rank f > rank g is answered False at once.
     """
     p = geometry.p
     # the positions of X_j g among the image points of g, per j
-    _, dom_blocks, sources = geometry.j_geometry[b]
+    dom, dom_blocks, sources = geometry.j_geometry[b]
+    if len(geometry.j_geometry[a][0]) > len(dom):
+        return False
     hit_blocks = sorted(set(dom_blocks))
     needed = set(geometry.chars[a])
     f_blockimg = geometry.block_masks[a]

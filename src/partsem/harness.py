@@ -20,9 +20,8 @@ The three Green's pair suites (``greens-mode-agreement``,
 sweep** per entry instead of calling the checkers themselves.  The sweep
 calls each public checker once per pair of ``_pairs``, relation and mode,
 on the members' own maps (which the checkers find by identity, with no
-lookup), replays a found witness at once on image tuples
-(``greens._replays``: the factor equations ``verify_witness`` replays by
-composing maps), and keeps a one-byte outcome code: unrelated, replays,
+lookup), replays a found witness at once (``greens.verify_witness``, on
+image tuples), and keeps a one-byte outcome code: unrelated, replays,
 fails to replay, or capped.  Whichever of the three suites reaches an entry
 first fills its sweep; the catalog keeps it (``greens_sweeps``), so it is
 freed with the catalog.  Codes, not witnesses, are kept because the sweeps
@@ -631,8 +630,8 @@ class _GreensSweep:
     For each pair of ``_pairs`` (positions in ``pairs``), each relation of
     ``greens.checkers()`` and each mode, the checker is called once on the
     members' own maps, which it finds by identity, and a found witness is
-    replayed at once on image tuples (``greens._replays``); ``codes[k, r,
-    m]`` keeps only the outcome.  A capped call of either mode is counted
+    replayed at once (``greens.verify_witness``); ``codes[k, r, m]`` keeps
+    only the outcome.  A capped call of either mode is counted
     as capped by every reader.
     """
 
@@ -655,7 +654,7 @@ class _GreensSweep:
                         continue
                     if w is None:
                         codes.append(_UNRELATED)
-                    elif greens._replays(w, f, g):
+                    elif greens.verify_witness(w, f, g):
                         codes.append(_REPLAYS)
                     else:
                         codes.append(_FAILS_REPLAY)

@@ -15,7 +15,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import InternalError, InvalidArgumentError, PreconditionError
-from .finite_maps import FiniteMap, compose
+from .finite_maps import FiniteMap
 from .ensemble import (
     Instance,
     IndexSemigroup,
@@ -23,7 +23,7 @@ from .ensemble import (
     enumerate_elements,
     require_member,
 )
-from .partition_action import _least_lift, character
+from .partition_action import _least_lift
 
 Mode = Literal["oracle", "theorem"]
 
@@ -90,17 +90,22 @@ def build_inner_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finit
     """The canonical inner inverse with character alpha.
 
     Image points go to their least preimage inside the designated block;
-    everything else goes to block basepoints (block minima).
+    everything else goes to block basepoints (block minima).  The built map
+    is validated on the member table: it must be a member g with f*g*f = f
+    whose enumerated character is alpha.
     """
     _, test = _regular_witness_test(f, inst)
     a = inst.si.position(alpha)
     if a is None or not test(a):
         raise PreconditionError(f"{alpha} is not a regular-character witness for {f}")
-    p = inst.partition
-    g = FiniteMap(p.n, p.n, _least_lift(alpha.images, p, f.images, range(p.n)))
-    if compose(compose(f, g), f) != f or character(g, p) != alpha:
+    p, d = inst.partition, inst.derived
+    images = _least_lift(alpha.images, p, f.images, range(p.n))
+    # f is a member: the witness test looked it up
+    fk, gk = d.index[f.images], d.index.get(images)
+    if gk is None or d.table[d.table[fk, gk], fk] != fk or d.char_ids[gk] != a:
+        g = FiniteMap(p.n, p.n, images)
         raise InternalError(f"the inner inverse {g} built for {f} and {alpha} fails validation")
-    return g
+    return d.members[gk]
 
 
 def si_is_regular(si: IndexSemigroup) -> bool:

@@ -21,7 +21,6 @@ from .ensemble import (
     enumerate_elements,
     require_member,
 )
-from .partition_action import character, is_unit_bijection
 from .regularity import Mode, _check_mode, _merges_onto_a_large_block, _regular_witness_test
 
 
@@ -71,11 +70,13 @@ def build_unit_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finite
     f|X_j return to their transversal preimage, and the points of X_i missed
     by f|X_j are matched order-preservingly with the non-transversal points
     of X_j.  Blocks outside the character image are mapped by the
-    order-preserving bijection onto their target block.
+    order-preserving bijection onto their target block.  The built map is
+    validated on the member table: it must be a member unit u with f*u*f =
+    f whose enumerated character is alpha.
     """
     chi, test = _unit_witness_test(f, inst)
     a = inst.si.position(alpha)
-    if a is None or a not in inst.si.unit_ids or not test(a):
+    if a is None or a not in inst.si.unit_set or not test(a):
         raise PreconditionError(f"{alpha} is not a unit-regularity witness for {f}")
     p = inst.partition
     chi_image = set(inst.si.elements[chi].images)
@@ -97,14 +98,19 @@ def build_unit_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finite
         else:
             for k, x in enumerate(b):
                 images[x] = target[k]
-    g = FiniteMap(p.n, p.n, tuple(images))
+    images = tuple(images)
+    d = inst.derived
+    # f is a member: the witness test looked it up
+    fk, uk = d.index[f.images], d.index.get(images)
     if (
-        not is_unit_bijection(g, p)
-        or character(g, p) != alpha
-        or compose(compose(f, g), f) != f
+        uk is None
+        or uk not in d.unit_set
+        or d.table[d.table[fk, uk], fk] != fk
+        or d.char_ids[uk] != a
     ):
+        g = FiniteMap(p.n, p.n, images)
         raise InternalError(f"the unit inverse {g} built for {f} and {alpha} fails validation")
-    return g
+    return d.members[uk]
 
 
 def is_unit_regular_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:

@@ -128,13 +128,22 @@ class TestExitCodes:
         assert "L-related (oracle): True" in out
         assert "L-related (theorem): True" in out
 
-    def test_greens_capped_oracle_claims_no_verdict(self, write, capsys):
+    def test_greens_capped_theorem_keeps_the_oracle_verdict(self, write, capsys):
+        """``--cap`` bounds the theorem searches only: the J oracle reads one
+        row and one column of the product table and is never capped."""
         path = write("j.json", {"n": 3, "blocks": [[0, 1], [2]], "si": {"kind": "full"}})
         code = run_command(["greens", path, "--rel", "J", "--f", "0,0,1", "--g", "0,0,1",
                             "--cap", "1"])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines == ["J-related (oracle): capped out", "J-related (theorem): capped out"]
+        assert lines == [
+            "J-related (oracle): True",
+            "  factor fg1: [0,0,2]",
+            "  factor fg2: [0,1,0]",
+            "  factor gf1: [0,0,2]",
+            "  factor gf2: [0,1,0]",
+            "J-related (theorem): capped out, oracle verdict only",
+        ]
 
     def test_greens_requires_pair_without_eggbox(self, inst_file, capsys):
         assert run_command(["greens", inst_file]) == 2

@@ -1,5 +1,8 @@
+import dataclasses
+import inspect
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from partsem.greens import (
     _image_map_from_factors,
     _j_one_sided_theorem,
     _txp_related,
+    checkers as greens_checkers,
 )
 from partsem.partition_action import _Geometry
 from conftest import comp
@@ -334,21 +338,22 @@ class TestJRelated:
 
 
 class TestJOracleCap:
-    """In oracle mode, cap bounds both (h1, h2) factor scans, as in principal_leq_oracle."""
+    """The J factor scans read one column and one row of the product table,
+    so oracle mode takes no cap: ``cap`` bounds only the theorem searches."""
 
-    def test_cap_reaches_the_factor_scans(self):
+    def test_a_cap_of_one_leaves_the_oracle_witness(self):
         p = Partition.of([[0, 1], [2]])
         inst = Instance(p, IndexSemigroup.full(p.degree))
         f = fm([0, 0, 1])
-        with pytest.raises(ResourceLimitError):
-            principal_leq_oracle("J", f, f, inst, cap=1)
-        with pytest.raises(ResourceLimitError):
-            j_related(f, f, inst, mode="oracle", cap=1)
         w = j_related(f, f, inst, mode="oracle")
         assert w is not None and verify_witness(w, f, f)
-        # a pair whose column gather finds no factor is answered before any charge
+        assert j_related(f, f, inst, mode="oracle", cap=1) == w
+        assert principal_leq_oracle("J", f, f, inst) == (w.factor("fg1"), w.factor("fg2"))
+        assert "cap" not in inspect.signature(principal_leq_oracle).parameters
+        with pytest.raises(ResourceLimitError):
+            j_related(f, f, inst, mode="theorem", cap=1)
         const = fm([0, 0, 0])
-        assert principal_leq_oracle("J", f, const, inst, cap=1) is None
+        assert principal_leq_oracle("J", f, const, inst) is None
         assert j_related(f, const, inst, mode="oracle", cap=1) is None
         assert j_related(const, f, inst, mode="oracle", cap=1) is None
 
@@ -358,18 +363,17 @@ class TestJOracleCap:
         ((4, 1, 4, 4, 0), (1, 1, 1, 0, 2)),
         ((1, 1, 2, 3, 3), (3, 1, 2, 3, 2)),
     ])
-    def test_default_cap_holds_on_t5(self, f, g):
+    def test_a_cap_of_one_leaves_the_t5_witness(self, f, g):
         """J-related rank-3 pairs of the one-block T_5 (3125 members), whose
         first h1 lies past 320: the search reads 2*N = 6250 table entries per
-        direction, far below the default cap, and a cap of 1 still fires."""
+        direction, and a cap of 1 gives the default-cap witness."""
         inst = Instance(Partition.of([[0, 1, 2, 3, 4]]), IndexSemigroup.full(1))
         f, g = fm(list(f)), fm(list(g))
         assert len(enumerate_elements(inst)) == 3125
         w = j_related(f, g, inst, mode="oracle")
         assert w is not None and verify_witness(w, f, g)
-        assert principal_leq_oracle("J", f, g, inst) is not None
-        with pytest.raises(ResourceLimitError):
-            j_related(f, g, inst, mode="oracle", cap=1)
+        assert principal_leq_oracle("J", f, g, inst) == (w.factor("fg1"), w.factor("fg2"))
+        assert j_related(f, g, inst, mode="oracle", cap=1) == w
 
 
 class TestBuildJFactors:
@@ -611,6 +615,87 @@ class TestWitnessPlumbing:
     def test_unknown_relation(self):
         with pytest.raises(InvalidArgumentError):
             verify_witness(GreenWitness(relation="X"), E1, E1)
+
+    def test_a_size_mismatch_raises(self):
+        short = GreenWitness(relation="L", factors=(("fg", FiniteMap.identity(3)),
+                                                    ("gf", FiniteMap.identity(4))))
+        with pytest.raises(InvalidArgumentError, match="cannot compose"):
+            verify_witness(short, E1, E1)
+
+    def test_a_missing_factor_fails(self, inst_full):
+        for rel, checker in greens_checkers().items():
+            w = checker(F1, F1, inst_full, mode="oracle")
+            assert verify_witness(w, F1, F1)
+            for name, _ in w.factors:
+                kept = tuple((n, h) for n, h in w.factors if n != name)
+                assert not verify_witness(dataclasses.replace(w, factors=kept), F1, F1)
+
+    def test_agrees_with_composing_maps_on_tampered_witnesses(self, inst_full):
+        """Every witness of both modes on seeded pairs, and its tamperings:
+        each factor moved to the next member, given one more domain or
+        codomain point, or swapped with the next factor.  ``verify_witness`` gives
+        what composing the maps gives, an error included."""
+        members = enumerate_elements(inst_full)
+        rng = random.Random(8)
+        seen = Counter()
+        for _ in range(60):
+            f, g = rng.choice(members), rng.choice(members)
+            for rel, checker in greens_checkers().items():
+                for mode in ("oracle", "theorem"):
+                    w = checker(f, g, inst_full, mode=mode)
+                    if w is None:
+                        continue
+                    for tampered in _tamperings(w, members):
+                        expected = _outcome_of(lambda: _compose_replay(tampered, f, g))
+                        assert _outcome_of(lambda: verify_witness(tampered, f, g)) == expected
+                        seen[rel, expected] += 1
+        for rel in "LRDJ":
+            assert seen[rel, True] and seen[rel, False] and seen[rel, "InvalidArgumentError"]
+
+
+# The factor equations, written out apart from the library's: (product, target).
+_REPLAY_EQUATIONS = {
+    "L": [(["fg", "g"], "f"), (["gf", "f"], "g")],
+    "R": [(["g", "fg"], "f"), (["f", "gf"], "g")],
+    "D": [(["l_fm", "middle"], "f"), (["l_mf", "f"], "middle"),
+          (["g", "r_mg"], "middle"), (["middle", "r_gm"], "g")],
+    "J": [(["fg1", "g", "fg2"], "f"), (["gf1", "f", "gf2"], "g")],
+}
+
+
+def _compose_replay(w, f, g):
+    """``verify_witness`` as it composed ``FiniteMap``s."""
+    maps = {**dict(w.factors), "f": f, "g": g}
+    for names, target in _REPLAY_EQUATIONS[w.relation]:
+        composite = maps[names[0]]
+        for name in names[1:]:
+            composite = compose(composite, maps[name])
+        if composite != maps[target]:
+            return False
+    return True
+
+
+def _tamperings(w, members):
+    """The witness itself, then each factor moved to the next member, given
+    one more domain or codomain point, or swapped with the next factor."""
+    yield w
+    factors = list(w.factors)
+    for k, (name, h) in enumerate(factors):
+        moved = members[(members.index(h) + 1) % len(members)]
+        longer = FiniteMap(h.domain_size + 1, h.codomain_size, h.images + (0,))
+        wider = FiniteMap(h.domain_size, h.codomain_size + 1, h.images)
+        swapped = factors[(k + 1) % len(factors)][1]
+        for other in (moved, longer, wider, swapped):
+            yield dataclasses.replace(
+                w, factors=tuple((n, other if n == name else m) for n, m in factors)
+            )
+
+
+def _outcome_of(call):
+    try:
+        return call()
+    except InvalidArgumentError:
+        return "InvalidArgumentError"
 
 
 def _union_find_eggbox(data):

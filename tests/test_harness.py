@@ -12,6 +12,7 @@ from partsem import (
     SUITES,
     build_catalog,
     enumerate_elements,
+    finite_maps,
     greens,
     harness,
     instance_to_json,
@@ -310,15 +311,21 @@ class TestGreensSweep:
 
     def test_sweep_looks_up_and_composes_no_map(self, monkeypatch):
         """The sweep hands the checkers the members' own maps, found by
-        identity, and replays on image tuples: no member lookup and no
-        ``compose``.  Both run on the public route outside it."""
+        identity, and its replays run on image tuples: no member lookup and
+        no ``compose``.  The public route looks f up once and composes no
+        map either; greens does not import ``compose`` at all."""
+        assert not hasattr(greens, "compose")
         calls = Counter()
-        for name in ("require_member", "compose"):
-            def spy(*args, _name=name, _real=getattr(greens, name)):
-                calls[_name] += 1
-                return _real(*args)
 
-            monkeypatch.setattr(greens, name, spy)
+        def spy(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        monkeypatch.setattr(greens, "require_member", spy("require_member", greens.require_member))
+        for module in (finite_maps, harness):
+            monkeypatch.setattr(module, "compose", spy("compose", module.compose))
         catalog = build_catalog(3, seed=7)
         assert run_suite("greens-mode-agreement", catalog).failures == 0
         assert calls == Counter()
@@ -326,7 +333,7 @@ class TestGreensSweep:
         f = enumerate_elements(inst)[0]
         w = greens.l_related(greens.FiniteMap(f.domain_size, f.codomain_size, f.images), f, inst)
         assert w is not None and greens.verify_witness(w, f, f)
-        assert calls["require_member"] == 1 and calls["compose"] == 2
+        assert calls == Counter({"require_member": 1})
 
     def test_records_match_the_per_suite_checker_loops(self):
         catalog = build_catalog(3, seed=7)
@@ -376,8 +383,8 @@ class TestGreensSweep:
     @pytest.mark.parametrize("rel", "LRDJ")
     def test_tuple_replay_rejects_a_tampered_factor(self, rel, monkeypatch):
         """The first factor of every witness of ``rel`` in oracle mode moved
-        to the next member: the sweep's replay on image tuples fails where
-        the public route's ``verify_witness`` on maps does, and nothing else."""
+        to the next member: the sweep's replay fails where the per-suite
+        checker loops' ``verify_witness`` does, and nothing else."""
         def tamper(f, g, inst, mode, w):
             if w is None or mode != "oracle":
                 return w

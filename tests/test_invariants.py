@@ -92,12 +92,23 @@ def test_untimed_verify_output_is_pinned(seed, digest):
     assert hashlib.sha256(untimed.encode()).hexdigest()[:16] == digest
 
 
+def _calls(function, names):
+    return [
+        f"{function.name}:{node.lineno}"
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in names
+    ]
+
+
 def test_greens_witnesses_are_not_validated_by_composing_maps():
-    """Green's checkers, factor searches and builders work on table
-    positions; only the independent replay and the T(X, P) and T(X)
-    specializations compose maps or recompute characters."""
+    """Green's checkers, factor searches, builders and the witness replay
+    work on table positions or image tuples; only the T(X, P) and T(X)
+    specializations compose maps or recompute characters.  A name is
+    refused, not only a call, so no function hands ``compose`` on."""
     tree = ast.parse((PACKAGE / "greens.py").read_text())
-    exempt = {"verify_witness", "txp_green", "full_tx_green"}
+    exempt = {"txp_green", "full_tx_green"}
     functions = {
         node.name: node
         for node in ast.walk(tree)
@@ -106,16 +117,49 @@ def test_greens_witnesses_are_not_validated_by_composing_maps():
         and not node.name.startswith("_txp_")
     }
     named = {"l_related", "r_related", "d_related", "j_related", "principal_leq_oracle",
-             "build_left_factor", "build_right_factor", "build_d_middle", "build_j_factors"}
+             "build_left_factor", "build_right_factor", "build_d_middle", "build_j_factors",
+             "verify_witness"}
     assert named <= functions.keys()
     found = [
         f"{name}:{node.lineno}"
         for name, function in functions.items()
         for node in ast.walk(function)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("compose", "character")
+        if isinstance(node, ast.Name) and node.id in ("compose", "character")
     ]
+    assert found == []
+
+
+def _failure_branches(function):
+    """The nodes of every ``if`` body in ``function`` that ends by raising."""
+    return {
+        id(node)
+        for branch in ast.walk(function)
+        if isinstance(branch, ast.If) and isinstance(branch.body[-1], ast.Raise)
+        for statement in branch.body
+        for node in ast.walk(statement)
+    }
+
+
+def test_inverse_builders_are_validated_on_the_member_table():
+    """The inner and unit inverse builders check their result on the member
+    table: no ``compose``, ``character`` or ``is_unit_bijection``, and a
+    ``FiniteMap`` is built only on the way to a validation error."""
+    named = {"regularity.py": "build_inner_inverse", "unit_regularity.py": "build_unit_inverse"}
+    found, seen = [], set()
+    for module, name in named.items():
+        for function in ast.walk(ast.parse((PACKAGE / module).read_text())):
+            if isinstance(function, ast.FunctionDef) and function.name == name:
+                seen.add(name)
+                found += _calls(function, ("compose", "character", "is_unit_bijection"))
+                failing = _failure_branches(function)
+                found += [
+                    f"{name}:{node.lineno}"
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "FiniteMap"
+                    and id(node) not in failing
+                ]
+    assert seen == set(named.values())
     assert found == []
 
 

@@ -283,6 +283,9 @@ class _TupleSearches:
         chi_f, chi_g = data.geometry.chars[fk], data.geometry.chars[gk]
         g_imgs = data.imgs[gk]
         dom = sorted(set(g_imgs))
+        # the image of f lies in (Xg)phi: no search when rank f > rank g
+        if len(set(data.imgs[fk])) > len(dom):
+            return None
         dom_pos = {v: k for k, v in enumerate(dom)}
         f_blockimg = data.geometry.block_masks[fk]
         for at in data.si_imgs:
@@ -426,7 +429,7 @@ class _MapWitnesses:
         self.data = _greens_data(inst)
         self.p = inst.partition
 
-    def leq(self, rel, f, g, cap=greens.DEFAULT_PAIR_CAP):
+    def leq(self, rel, f, g):
         data = self.data
         fk, gk = data.member_id(f), data.member_id(g)
         table = data.table
@@ -439,8 +442,6 @@ class _MapWitnesses:
         k1 = data.j_left_factors(fk, gk)
         if not len(k1):
             return None
-        if 2 * len(table) > cap:
-            raise ResourceLimitError(f"J factor search exceeded the cap of {cap} table reads")
         k1 = int(k1[0])
         k2 = int(np.flatnonzero(table[table[k1, gk]] == fk)[0])
         return data.members[k1], data.members[k2]
