@@ -18,13 +18,16 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from .finite_maps import FiniteMap, compose
 from .partition_action import Partition, _Geometry
+
+if TYPE_CHECKING:
+    from .regularity import _WitnessPlan
 
 DEFAULT_ENUMERATION_CAP = 100_000
 DENSE_CODE_LIMIT = 1 << 20  # largest n**n served by a dense code -> position array
@@ -117,11 +120,6 @@ class IndexSemigroup:
             return np.zeros(0, dtype=np.intp)
         return _two_sided_inverse_ids(self.table, self.index[tuple(range(self.degree))])
 
-    @cached_property
-    def unit_set(self) -> frozenset[int]:
-        """``unit_ids`` as a set, for membership tests."""
-        return frozenset(self.unit_ids.tolist())
-
     def position(self, m: FiniteMap) -> int | None:
         """The position of m among the elements, or None when m is not one."""
         k = self.index.get(m.images)
@@ -170,7 +168,8 @@ class IndexSemigroup:
 
 
 def closure_from_generators(gens: Iterable[FiniteMap]) -> IndexSemigroup:
-    """The smallest composition-closed superset of the generators."""
+    """The smallest composition-closed superset of the generators, closed
+    on image tuples by ``_right_closure``."""
     gens = tuple(gens)
     if not gens:
         raise InvalidArgumentError("at least one generator is required")
@@ -178,18 +177,26 @@ def closure_from_generators(gens: Iterable[FiniteMap]) -> IndexSemigroup:
     for g in gens:
         if g.domain_size != degree or g.codomain_size != degree:
             raise InvalidArgumentError("generators must be self-maps of one set")
-    elements = {g.images: g for g in gens}
-    frontier = list(elements.values())
+    closure = _right_closure([g.images for g in gens], lambda a, g: tuple(g[y] for y in a))
+    return IndexSemigroup(degree, tuple(FiniteMap(degree, degree, t) for t in closure))
+
+
+def _right_closure(gens: Sequence, multiply: Callable) -> list:
+    """The generators and every product of them, in order of discovery:
+    each new element is multiplied on the right by each generator, which
+    reaches every product (Froidure & Pin, 1997)."""
+    elements = dict.fromkeys(gens)
+    frontier = list(elements)
     while frontier:
         fresh = []
-        for a in list(elements.values()):
-            for b in frontier:
-                for c in (compose(a, b), compose(b, a)):
-                    if c.images not in elements:
-                        elements[c.images] = c
-                        fresh.append(c)
+        for a in frontier:
+            for g in gens:
+                c = multiply(a, g)
+                if c not in elements:
+                    elements[c] = None
+                    fresh.append(c)
         frontier = fresh
-    return IndexSemigroup(degree, tuple(elements.values()))
+    return list(elements)
 
 
 @dataclass(frozen=True)
@@ -222,9 +229,11 @@ class DerivedData:
     enumeration order, their positions, per member the index-set position
     of the character it was enumerated under (``char_ids``) and the
     members' block facts (``geometry``), then, each on first use, the
-    product table and the units (``unit_ids``, and ``unit_set`` for
-    membership tests).  ``greens`` holds the Green's-relations
-    data once ``partsem.greens`` has built it.
+    product table and the unit positions (``unit_ids``).  ``witness_plans``
+    holds the regularity and unit-regularity witness plan of each character
+    asked for, keyed by (character position, units), and ``greens`` the
+    Green's-relations data, once ``partsem.regularity`` and
+    ``partsem.greens`` have built them.
     """
 
     def __init__(self, inst: Instance) -> None:
@@ -241,6 +250,7 @@ class DerivedData:
         self.char_ids = [found[images] for images in ordered]
         chars = [inst.si.elements[a].images for a in self.char_ids]
         self.geometry = _Geometry(ordered, chars, p)
+        self.witness_plans: dict[tuple[int, bool], _WitnessPlan] = {}
         self.greens = None
 
     @cached_property
@@ -252,11 +262,6 @@ class DerivedData:
     def unit_ids(self) -> np.ndarray:
         """Positions of the members with a two-sided inverse, ascending."""
         return _two_sided_inverse_ids(self.table, self.index[tuple(range(self.n))])
-
-    @cached_property
-    def unit_set(self) -> frozenset[int]:
-        """``unit_ids`` as a set, for membership tests."""
-        return frozenset(self.unit_ids.tolist())
 
 
 def predicted_size(inst: Instance) -> int:

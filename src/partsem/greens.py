@@ -55,6 +55,7 @@ from .regularity import _check_mode
 Relation = Literal["L", "R", "D", "J"]
 
 DEFAULT_PHI_CAP = 1_000_000  # assignments tried by the phi searches
+LABEL_BLOCK_CELLS = 1 << 18  # cells of one block of ``_class_labels``
 
 ClassPairing = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
@@ -964,9 +965,17 @@ def full_tx_green(rel: Relation, f: FiniteMap, g: FiniteMap) -> bool:
 def _class_labels(below: np.ndarray) -> list[int]:
     """For each element, the first element of its class under below & below.T.
 
-    Taken row by row, so no temporary is larger than one row.
+    Taken a block of rows at a time, one NumPy operation per block; a block
+    holds about LABEL_BLOCK_CELLS cells, so no temporary grows with the
+    square of the element count.
     """
-    return [int(np.argmax(below[k] & below[:, k])) for k in range(len(below))]
+    size = len(below)
+    rows = max(1, LABEL_BLOCK_CELLS // max(size, 1))
+    labels: list[int] = []
+    for start in range(0, size, rows):
+        block = below[start : start + rows] & below[:, start : start + rows].T
+        labels += block.argmax(axis=1).tolist()
+    return labels
 
 
 def eggbox(inst: Instance) -> list[dict]:

@@ -61,6 +61,7 @@ from .ensemble import (
     enumerate_elements,
     member_index,
     predicted_size,
+    _right_closure,
     units,
 )
 from . import greens
@@ -216,17 +217,24 @@ def _set_partitions(n: int):
 
 
 def _subgroups_of_sym(degree: int) -> list[IndexSemigroup]:
-    perms = IndexSemigroup.symmetric(degree).elements
-    seen: dict[frozenset, IndexSemigroup] = {}
-    for g in perms:
-        sub = closure_from_generators([g])
-        seen.setdefault(frozenset(m.images for m in sub.elements), sub)
-    for g, h in itertools.combinations(perms, 2):
-        sub = closure_from_generators([g, h])
-        seen.setdefault(frozenset(m.images for m in sub.elements), sub)
-    return sorted(
-        seen.values(), key=lambda s: (len(s.elements), [m.images for m in s.elements])
-    )
+    """The subgroups of the symmetric group on [0, degree) generated by one
+    or two permutations, by size and then by their elements' images.
+
+    Each closure runs on positions in the symmetric group's product table,
+    multiplying on the right by the generators; one ``IndexSemigroup`` is
+    built per distinct subgroup.
+    """
+    sym = IndexSemigroup.symmetric(degree)
+    table = sym.table.tolist()
+    pairs = itertools.combinations(range(len(table)), 2)
+    found = {
+        frozenset(_right_closure(gens, lambda a, g: table[a][g]))
+        for gens in itertools.chain(((g,) for g in range(len(table))), pairs)
+    }
+    subgroups = [
+        IndexSemigroup(degree, tuple(sym.elements[k] for k in sorted(sub))) for sub in found
+    ]
+    return sorted(subgroups, key=lambda s: (len(s.elements), [m.images for m in s.elements]))
 
 
 def build_catalog(max_n: int, seed: int) -> Catalog:
@@ -235,17 +243,20 @@ def build_catalog(max_n: int, seed: int) -> Catalog:
         raise InvalidArgumentError("max_n must be at least 1")
     rng = random.Random(seed)
     entries: list[CatalogEntry] = []
+    subgroups: dict[int, list[IndexSemigroup]] = {}  # by degree, shared by its partitions
     for n in range(1, max_n + 1):
         for blocks in _set_partitions(n):
             partition = Partition(n, blocks)
             degree = partition.degree
+            if degree not in subgroups:
+                subgroups[degree] = _subgroups_of_sym(degree)
             menu: list[tuple[str, IndexSemigroup]] = [
                 ("full", IndexSemigroup.full(degree)),
                 ("sym", IndexSemigroup.symmetric(degree)),
                 ("id", IndexSemigroup.trivial(degree)),
                 ("id+const", IndexSemigroup.identity_with_constants(degree)),
             ]
-            for k, sub in enumerate(_subgroups_of_sym(degree)):
+            for k, sub in enumerate(subgroups[degree]):
                 menu.append((f"subgrp{k}", sub))
             for count in (1, 2):
                 gens = [

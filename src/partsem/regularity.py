@@ -5,12 +5,22 @@ definition, and the structural characterization in terms of the character and
 the block geometry.  The two are kept strictly separate so the harness can
 compare them: oracles read products from the instance's member product table,
 criteria only from the index semigroup's table.
+
+The regularity and unit-regularity criteria share one home, a witness plan
+per character (``_WitnessPlan``), kept on the instance's derived data and
+built the first time a member with that character is asked about.  A call
+tests each group of the plan once on f's block images; the inner and unit
+inverse builders check their alpha against the same plan and validate the
+map they build on image tuples, so neither needs the member table.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import Counter
-from typing import Callable, Literal
+from itertools import compress
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -23,7 +33,7 @@ from .ensemble import (
     enumerate_elements,
     require_member,
 )
-from .partition_action import _least_lift
+from .partition_action import _Geometry, _least_lift
 
 Mode = Literal["oracle", "theorem"]
 
@@ -51,39 +61,109 @@ def _merges_onto_a_large_block(inst: Instance) -> bool:
     )
 
 
-def _regular_witness_test(f: FiniteMap, inst: Instance) -> tuple[int, Callable[[int], bool]]:
-    """The position of chi(f) in the index set and the regularity criterion
-    as a test on one index-set position alpha.
+class _WitnessPlan:
+    """The witness candidates of one character chi, in element order and
+    grouped by their restriction to im chi.
 
-    alpha qualifies when chi(f)*alpha*chi(f) = chi(f) and, for every block
-    index i hit by chi(f), X_i intersected with the image of f sits inside
-    the f-image of X_{alpha(i)}.  On block-image masks, X_i meets the image
-    of f in the union of the X_j f with chi(f)(j) = i.
+    The candidates are the alpha in S(I) with chi*alpha*chi = chi; a unit
+    plan keeps only the units of S(I) with equal block sizes along alpha.
+    The regularity criterion asks, besides, that X_i meet the image of f
+    inside X_{alpha(i)} f for each i in im chi, which reads alpha only on
+    im chi: one test per group decides all of its candidates.  ``points``
+    is im chi ascending, ``keys`` alpha on ``points`` per group, and
+    ``positions`` and ``groups`` the candidates' positions and groups.
     """
+
+    __slots__ = ("points", "keys", "positions", "groups", "__weakref__")
+
+    def __init__(self, si: IndexSemigroup, chi: int, sizes: Sequence[int] | None) -> None:
+        table = si.table
+        ids = np.arange(len(si)) if sizes is None else si.unit_ids
+        ids = ids[table[table[chi, ids], chi] == chi].tolist()
+        imgs = [si.elements[a].images for a in ids]
+        if sizes is not None:
+            keep = [all(sizes[i] == sizes[j] for i, j in enumerate(t)) for t in imgs]
+            ids, imgs = list(compress(ids, keep)), list(compress(imgs, keep))
+        self.points = tuple(sorted(set(si.elements[chi].images)))
+        index: dict[tuple[int, ...], int] = {}
+        groups = [index.setdefault(tuple(t[i] for i in self.points), len(index)) for t in imgs]
+        self.keys = tuple(index)
+        self.positions = array("i", ids)
+        self.groups = array("i", groups)
+
+    def passing(self, geometry: _Geometry, k: int) -> list[bool]:
+        """Per group, whether it passes the criterion for member k.  On
+        block-image masks, X_i meets the image of f in the union of the X_j f
+        with chi(j) = i."""
+        blk_img = geometry.block_masks[k]
+        meets = [0] * len(blk_img)
+        for j, i in enumerate(geometry.chars[k]):
+            meets[i] |= blk_img[j]
+        return [
+            all(meets[i] & ~blk_img[t] == 0 for i, t in zip(self.points, key))
+            for key in self.keys
+        ]
+
+    def witnesses(self, geometry: _Geometry, k: int) -> Iterator[int]:
+        """The positions of the candidates that pass for member k, ascending."""
+        passing = self.passing(geometry, k)
+        return compress(self.positions, map(passing.__getitem__, self.groups))
+
+    def admits(self, geometry: _Geometry, k: int, a: int) -> bool:
+        """Whether position a is a candidate that passes for member k."""
+        s = bisect_left(self.positions, a)
+        if s == len(self.positions) or self.positions[s] != a:
+            return False
+        return self.passing(geometry, k)[self.groups[s]]
+
+
+def _witness_plan(inst: Instance, k: int, units: bool) -> _WitnessPlan:
+    """The plan of member k's character, built on first use and kept on the
+    instance's derived data."""
+    d = inst.derived
+    key = (d.char_ids[k], units)
+    plan = d.witness_plans.get(key)
+    if plan is None:
+        sizes = [len(b) for b in inst.partition.blocks] if units else None
+        plan = d.witness_plans[key] = _WitnessPlan(inst.si, key[0], sizes)
+    return plan
+
+
+def _witnesses(f: FiniteMap, inst: Instance, units: bool) -> tuple[FiniteMap, ...]:
+    """The criterion's witness characters for f, in element order."""
     k = require_member(f, inst)
-    geometry = inst.derived.geometry
-    chi, blk_img = inst.derived.char_ids[k], geometry.block_masks[k]
-    si = inst.si
-    table = si.table
-    meets: dict[int, int] = {}
-    for j, i in enumerate(geometry.chars[k]):
-        meets[i] = meets.get(i, 0) | blk_img[j]
+    positions = _witness_plan(inst, k, units).witnesses(inst.derived.geometry, k)
+    return tuple(map(inst.si.elements.__getitem__, positions))
 
-    def test(a: int) -> bool:
-        alpha = si.elements[a].images
-        return table[table[chi, a], chi] == chi and all(
-            meet & ~blk_img[alpha[i]] == 0 for i, meet in meets.items()
-        )
 
-    return chi, test
+def _witness_position(
+    f: FiniteMap, alpha: FiniteMap, inst: Instance, units: bool
+) -> tuple[int, int]:
+    """The positions of f and of alpha once alpha is one of f's witnesses."""
+    k = require_member(f, inst)
+    a = inst.si.position(alpha)
+    if a is None or not _witness_plan(inst, k, units).admits(inst.derived.geometry, k, a):
+        kind = "unit-regularity" if units else "regular-character"
+        raise PreconditionError(f"{alpha} is not a {kind} witness for {f}")
+    return k, a
 
 
 def regular_character_witnesses(f: FiniteMap, inst: Instance) -> tuple[FiniteMap, ...]:
     """All alpha in the index set making f regular, in element order."""
-    chi, test = _regular_witness_test(f, inst)
-    table = inst.si.table
-    candidates = (table[table[chi], chi] == chi).nonzero()[0]
-    return tuple(inst.si.elements[a] for a in candidates if test(a))
+    return _witnesses(f, inst, units=False)
+
+
+def _member_inner_inverse(
+    f: FiniteMap, images: tuple[int, ...], a: int, inst: Instance
+) -> int | None:
+    """The position of the member g with these images when f*g*f = f and g
+    has character position a, read on image tuples; else None."""
+    d = inst.derived
+    gk = d.index.get(images)
+    t = f.images
+    if gk is None or d.char_ids[gk] != a or any(t[images[y]] != y for y in t):
+        return None
+    return gk
 
 
 def build_inner_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> FiniteMap:
@@ -91,21 +171,17 @@ def build_inner_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finit
 
     Image points go to their least preimage inside the designated block;
     everything else goes to block basepoints (block minima).  The built map
-    is validated on the member table: it must be a member g with f*g*f = f
+    is validated on image tuples: it must be a member g with f*g*f = f
     whose enumerated character is alpha.
     """
-    _, test = _regular_witness_test(f, inst)
-    a = inst.si.position(alpha)
-    if a is None or not test(a):
-        raise PreconditionError(f"{alpha} is not a regular-character witness for {f}")
-    p, d = inst.partition, inst.derived
+    _, a = _witness_position(f, alpha, inst, units=False)
+    p = inst.partition
     images = _least_lift(alpha.images, p, f.images, range(p.n))
-    # f is a member: the witness test looked it up
-    fk, gk = d.index[f.images], d.index.get(images)
-    if gk is None or d.table[d.table[fk, gk], fk] != fk or d.char_ids[gk] != a:
+    gk = _member_inner_inverse(f, images, a, inst)
+    if gk is None:
         g = FiniteMap(p.n, p.n, images)
         raise InternalError(f"the inner inverse {g} built for {f} and {alpha} fails validation")
-    return d.members[gk]
+    return inst.derived.members[gk]
 
 
 def si_is_regular(si: IndexSemigroup) -> bool:

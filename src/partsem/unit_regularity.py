@@ -1,13 +1,14 @@
 """Unit-regular elements and semigroups, with the collapse/defect bookkeeping.
 
-The unit inverse construction pairs image points with transversal preimages
-and matches defect points to collapsed points order-preservingly, block by
-block; the unused blocks are carried by order-preserving bijections.
+The criterion is the regularity criterion on a unit plan
+(``regularity._WitnessPlan``): its candidates are the units of the index
+semigroup with equal block sizes along them.  The unit inverse construction
+pairs image points with transversal preimages and matches defect points to
+collapsed points order-preservingly, block by block; the unused blocks are
+carried by order-preserving bijections.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .errors import InternalError, InvalidArgumentError, PreconditionError
 from .finite_maps import (
@@ -21,46 +22,40 @@ from .ensemble import (
     enumerate_elements,
     require_member,
 )
-from .regularity import Mode, _check_mode, _merges_onto_a_large_block, _regular_witness_test
+from .regularity import (
+    Mode,
+    _check_mode,
+    _member_inner_inverse,
+    _merges_onto_a_large_block,
+    _witness_position,
+    _witnesses,
+)
+
+
+def _require_identity(inst: Instance) -> None:
+    if not inst.si.has_identity:
+        raise PreconditionError("unit-regularity needs the identity character")
 
 
 def is_unit_regular_oracle(f: FiniteMap, inst: Instance) -> FiniteMap | None:
     """First unit u in enumeration order with f*u*f = f, if any."""
-    if not inst.si.has_identity:
-        raise PreconditionError("unit-regularity needs the identity character")
+    _require_identity(inst)
     k = require_member(f, inst)
     d = inst.derived
     hits = (d.table[d.table[k, d.unit_ids], k] == k).nonzero()[0]
     return d.members[d.unit_ids[hits[0]]] if len(hits) else None
 
 
-def _unit_witness_test(f: FiniteMap, inst: Instance) -> tuple[int, Callable[[int], bool]]:
-    """The position of chi(f) in the index set and the unit-regularity
-    conditions as a test on the position of one index unit alpha: the two
-    regularity conditions and equal block sizes along alpha.  The fourth
-    condition, c = d for f|X_alpha(i) and each i in the image of chi, cannot
-    fail: once chi*alpha*chi = chi, f maps X_alpha(i) into X_i, and as the
-    blocks are finite with |X_i| = |X_alpha(i)|, c and d both equal |X_i| -
-    |X_alpha(i) f| (the ``equal-size-c-equals-d`` suite checks this lemma)."""
-    if not inst.si.has_identity:
-        raise PreconditionError("unit-regularity needs the identity character")
-    chi, regular = _regular_witness_test(f, inst)
-    si = inst.si
-    sizes = [len(b) for b in inst.partition.blocks]
-
-    def test(a: int) -> bool:
-        alpha = si.elements[a].images
-        return regular(a) and all(sizes[i] == sizes[j] for i, j in enumerate(alpha))
-
-    return chi, test
-
-
 def unit_regular_witnesses(f: FiniteMap, inst: Instance) -> tuple[FiniteMap, ...]:
-    """All index units alpha satisfying the unit-regularity conditions."""
-    chi, test = _unit_witness_test(f, inst)
-    si = inst.si
-    candidates = si.unit_ids[si.table[si.table[chi, si.unit_ids], chi] == chi]
-    return tuple(si.elements[a] for a in candidates if test(a))
+    """All index units alpha satisfying the unit-regularity conditions, in
+    element order: the regularity conditions and equal block sizes along
+    alpha.  The fourth condition, c = d for f|X_alpha(i) and each i in the
+    image of chi, cannot fail: once chi*alpha*chi = chi, f maps X_alpha(i)
+    into X_i, and as the blocks are finite with |X_i| = |X_alpha(i)|, c and
+    d both equal |X_i| - |X_alpha(i) f| (the ``equal-size-c-equals-d`` suite
+    checks this lemma)."""
+    _require_identity(inst)
+    return _witnesses(f, inst, units=True)
 
 
 def build_unit_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> FiniteMap:
@@ -71,15 +66,14 @@ def build_unit_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finite
     by f|X_j are matched order-preservingly with the non-transversal points
     of X_j.  Blocks outside the character image are mapped by the
     order-preserving bijection onto their target block.  The built map is
-    validated on the member table: it must be a member unit u with f*u*f =
-    f whose enumerated character is alpha.
+    validated on image tuples: it must be a member u with f*u*f = f whose
+    enumerated character is alpha, and a unit by the two-sided-inverse
+    definition: a bijection whose inverse is a member too.
     """
-    chi, test = _unit_witness_test(f, inst)
-    a = inst.si.position(alpha)
-    if a is None or a not in inst.si.unit_set or not test(a):
-        raise PreconditionError(f"{alpha} is not a unit-regularity witness for {f}")
+    _require_identity(inst)
+    k, a = _witness_position(f, alpha, inst, units=True)
     p = inst.partition
-    chi_image = set(inst.si.elements[chi].images)
+    chi_image = set(inst.derived.geometry.chars[k])
     images = [0] * p.n
     for i, b in enumerate(p.blocks):
         target = p.blocks[alpha.images[i]]
@@ -96,28 +90,25 @@ def build_unit_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finite
             for x, y in zip(defect, collapsed):
                 images[x] = y
         else:
-            for k, x in enumerate(b):
-                images[x] = target[k]
+            for x, y in zip(b, target):
+                images[x] = y
     images = tuple(images)
-    d = inst.derived
-    # f is a member: the witness test looked it up
-    fk, uk = d.index[f.images], d.index.get(images)
+    inverse = {y: x for x, y in enumerate(images)}
+    uk = _member_inner_inverse(f, images, a, inst)
     if (
         uk is None
-        or uk not in d.unit_set
-        or d.table[d.table[fk, uk], fk] != fk
-        or d.char_ids[uk] != a
+        or len(inverse) != p.n
+        or tuple(map(inverse.get, range(p.n))) not in inst.derived.index
     ):
         g = FiniteMap(p.n, p.n, images)
         raise InternalError(f"the unit inverse {g} built for {f} and {alpha} fails validation")
-    return d.members[uk]
+    return inst.derived.members[uk]
 
 
 def is_unit_regular_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:
     """Whole-semigroup unit-regularity, by exhaustion or the four conditions."""
     _check_mode(mode)
-    if not inst.si.has_identity:
-        raise PreconditionError("unit-regularity needs the identity character")
+    _require_identity(inst)
     if mode == "oracle":
         return all(
             is_unit_regular_oracle(f, inst) is not None

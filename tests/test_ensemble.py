@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from partsem import (
@@ -18,6 +21,7 @@ from partsem import (
     predicted_size,
     units,
 )
+from partsem import harness
 from conftest import brute_members, comp, full_ti, sym_ti
 
 
@@ -81,6 +85,60 @@ class TestClosure:
                         changed = True
         si = closure_from_generators([fm(g) for g in gens])
         assert {a.images for a in si.elements} == expected
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_matches_the_two_sided_frontier_closure(self, degree):
+        """Right multiplication by the generators against the closure it
+        replaced, on seeded random generator sets."""
+        rng = random.Random(degree)
+        for count in (1, 1, 2, 2, 3):
+            gens = [
+                FiniteMap(degree, degree, tuple(rng.randrange(degree) for _ in range(degree)))
+                for _ in range(count)
+            ]
+            assert closure_from_generators(gens) == _two_sided_closure(gens)
+            with_identity = gens + [FiniteMap.identity(degree)]
+            assert closure_from_generators(with_identity) == _two_sided_closure(with_identity)
+
+
+def _two_sided_closure(gens):
+    """``closure_from_generators`` as it was: every element times every
+    frontier element, both ways, with ``compose``."""
+    degree = gens[0].domain_size
+    elements = {g.images: g for g in gens}
+    frontier = list(elements.values())
+    while frontier:
+        fresh = []
+        for a in list(elements.values()):
+            for b in frontier:
+                for c in (compose(a, b), compose(b, a)):
+                    if c.images not in elements:
+                        elements[c.images] = c
+                        fresh.append(c)
+        frontier = fresh
+    return IndexSemigroup(degree, tuple(elements.values()))
+
+
+def _subgroups_by_two_sided_closure(degree):
+    """``harness._subgroups_of_sym`` as it was, on ``_two_sided_closure``."""
+    perms = IndexSemigroup.symmetric(degree).elements
+    seen = {}
+    for gens in [[g] for g in perms] + [list(pair) for pair in itertools.combinations(perms, 2)]:
+        sub = _two_sided_closure(gens)
+        seen.setdefault(frozenset(m.images for m in sub.elements), sub)
+    return sorted(seen.values(), key=lambda s: (len(s.elements), [m.images for m in s.elements]))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_subgroups_of_sym_are_unchanged(degree):
+    assert harness._subgroups_of_sym(degree) == _subgroups_by_two_sided_closure(degree)
+
+
+def test_sym5_has_156_subgroups_on_at_most_two_generators():
+    subgroups = harness._subgroups_of_sym(5)
+    assert len(subgroups) == 156
+    assert [len(s) for s in subgroups[:2]] == [1, 2] and len(subgroups[-1]) == 120
+    assert all(s.has_identity and all(a.is_bijective() for a in s.elements) for s in subgroups)
 
 
 class TestInstance:

@@ -40,6 +40,7 @@ from partsem import (
 )
 from partsem.greens import (
     DEFAULT_PHI_CAP,
+    _class_labels,
     _d_theorem_search,
     _greens_data,
     _image_map_from_factors,
@@ -47,6 +48,7 @@ from partsem.greens import (
     _txp_related,
     checkers as greens_checkers,
 )
+from partsem import greens
 from partsem.partition_action import _Geometry
 from conftest import comp
 
@@ -602,6 +604,54 @@ class TestFullTxGreen:
                 assert (d_related(f, g, inst, mode="oracle") is not None) == (
                     j_related(f, g, inst, mode="oracle") is not None
                 )
+
+
+def test_no_default_cap_fires_on_the_one_block_t5_in_theorem_mode():
+    """T_5 (3125 members), 100 seeded pairs, half of them of equal rank:
+    every theorem-mode verdict at the default cap, none capped, agrees with
+    the one-block specialization."""
+    inst = Instance(Partition.of([[0, 1, 2, 3, 4]]), IndexSemigroup.full(1))
+    members = enumerate_elements(inst)
+    assert len(members) == 3125
+    by_rank = {}
+    for k, f in enumerate(members):
+        by_rank.setdefault(len(set(f.images)), []).append(k)
+    rng = random.Random(5)
+    related = Counter()
+    for draw in range(100):
+        f = members[rng.randrange(len(members))]
+        g = members[rng.choice(by_rank[len(set(f.images))])] if draw % 2 else members[
+            rng.randrange(len(members))]
+        for rel, checker in greens_checkers().items():
+            verdict = checker(f, g, inst, mode="theorem") is not None  # raises if capped
+            assert verdict == full_tx_green(rel, f, g), (rel, f, g)
+            related[rel] += verdict
+    assert related["J"] == related["D"] >= 50 and related["L"] > 0 and related["R"] > 0
+
+
+def _row_by_row_labels(below):
+    """``_class_labels`` as it was: one row and one strided column per element."""
+    return [int(np.argmax(below[k] & below[:, k])) for k in range(len(below))]
+
+
+@pytest.mark.parametrize("size", [1, 2, 37, 101, 250])
+def test_blocked_class_labels_match_the_row_by_row_labels(size, monkeypatch):
+    """Random preorders (reflexive-transitive closures of sparse random
+    relations), blocked by row counts that do not divide their size."""
+    rng = np.random.default_rng(size)
+    below = rng.random((size, size)) < 2.0 / size
+    below |= np.eye(size, dtype=bool)
+    while True:
+        closed = (below.astype(np.float32) @ below.astype(np.float32)) > 0
+        if np.array_equal(closed, below):
+            break
+        below = closed
+    expected = _row_by_row_labels(below)
+    assert len(set(expected)) > 1 or size < 3
+    assert _class_labels(below) == expected
+    for rows in (1, 3, 16, size + 5):
+        monkeypatch.setattr(greens, "LABEL_BLOCK_CELLS", rows * size)
+        assert _class_labels(below) == expected
 
 
 class TestWitnessPlumbing:

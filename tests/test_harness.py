@@ -9,6 +9,7 @@ import pytest
 
 from partsem import (
     InvalidArgumentError,
+    ResourceLimitError,
     SUITES,
     build_catalog,
     enumerate_elements,
@@ -16,10 +17,11 @@ from partsem import (
     greens,
     harness,
     instance_to_json,
+    predicted_size,
     run_all,
     run_suite,
 )
-from partsem.cli import parse_instance
+from partsem.cli import parse_instance, run_command
 from partsem.partition_action import _Geometry
 
 GEOMETRY_LISTS = ("block_masks", "kernels", "class_meets", "meet_masks", "j_geometry")
@@ -89,6 +91,13 @@ class TestCatalog:
         for blocks in partitions:
             here = [e for e in degree3 if e.instance.partition.blocks == blocks]
             assert len(here) == 4
+
+    def test_max_n5_catalog_counts(self):
+        """The n <= 5 catalog builds in seconds: its symmetric-group
+        subgroups are found once per degree, on table positions."""
+        catalog = build_catalog(5, seed=7)
+        assert len(catalog.entries) == 1057
+        assert sum(predicted_size(e.instance) for e in catalog.entries) == 94078
 
     def test_invalid_max_n(self):
         with pytest.raises(InvalidArgumentError):
@@ -360,6 +369,44 @@ class TestGreensSweep:
         assert details["greens-mode-agreement"] == "J: oracle=True but theorem=False"
         assert details["greens-witness-replay"] == "J witness (theorem) fails to replay"
         assert details["txp-specialization"] == "J: specialized=True theorem=False"
+
+    def test_capped_checks_are_counted_in_every_record_and_the_cli(self, monkeypatch, capsys):
+        """The J theorem checker spoiled to run out of its cap on every pair
+        of a member with itself: the three pair suites and ``verify
+        --format machine`` report one capped check per such pair, none
+        dropped and none failed."""
+        def cap_out(f, g, inst, mode, w):
+            if mode == "theorem" and f is g:
+                raise ResourceLimitError("spoiled cap")
+            return w
+
+        _spoil(monkeypatch, "j_related", cap_out)
+        catalog = build_catalog(2, seed=7)
+        expected = {}
+        for entry in catalog.entries:
+            if entry.instance.si.has_identity:
+                diagonal = sum(a == b for a, b in harness._pairs(entry, catalog))
+                expected[entry.label] = diagonal
+        assert sum(expected.values()) > 0
+        admitted = {
+            "greens-mode-agreement": expected,
+            "greens-witness-replay": expected,
+            "txp-specialization": {
+                e.label: expected[e.label] for e in catalog.entries if e.si_label == "full"
+            },
+        }
+        report = run_all(catalog, list(GREENS_PAIR_SUITES))
+        assert report.failures == 0
+        for name, counts in admitted.items():
+            records = [r for r in report.records if r.suite == name]
+            assert {r.instance: r.capped for r in records} == counts, name
+        assert report.capped == sum(sum(counts.values()) for counts in admitted.values())
+
+        assert run_command(["verify", "--max-n", "2", "--seed", "7", "--format", "machine"]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        for name, counts in admitted.items():
+            printed = {r["instance"]: r.get("capped", 0) for r in lines if r["suite"] == name}
+            assert printed == counts, name
 
     def test_swapped_witness_factors_fail_replay_only(self, monkeypatch):
         def swap(f, g, inst, mode, w):

@@ -140,17 +140,27 @@ def _failure_branches(function):
     }
 
 
-def test_inverse_builders_are_validated_on_the_member_table():
-    """The inner and unit inverse builders check their result on the member
-    table: no ``compose``, ``character`` or ``is_unit_bijection``, and a
-    ``FiniteMap`` is built only on the way to a validation error."""
-    named = {"regularity.py": "build_inner_inverse", "unit_regularity.py": "build_unit_inverse"}
+def test_inverse_builders_are_validated_on_image_tuples():
+    """The inner and unit inverse builders and their one validation check
+    their result on image tuples: no member table, ``compose``,
+    ``character`` or ``is_unit_bijection``, and a ``FiniteMap`` is built
+    only on the way to a validation error."""
+    named = {
+        "regularity.py": {"build_inner_inverse", "_member_inner_inverse", "_witness_position"},
+        "unit_regularity.py": {"build_unit_inverse"},
+    }
     found, seen = [], set()
-    for module, name in named.items():
+    for module, names in named.items():
         for function in ast.walk(ast.parse((PACKAGE / module).read_text())):
-            if isinstance(function, ast.FunctionDef) and function.name == name:
+            if isinstance(function, ast.FunctionDef) and function.name in names:
+                name = function.name
                 seen.add(name)
                 found += _calls(function, ("compose", "character", "is_unit_bijection"))
+                found += [
+                    f"{name}:{node.lineno}"
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Attribute) and node.attr == "table"
+                ]
                 failing = _failure_branches(function)
                 found += [
                     f"{name}:{node.lineno}"
@@ -159,7 +169,7 @@ def test_inverse_builders_are_validated_on_the_member_table():
                     and getattr(node.func, "id", None) == "FiniteMap"
                     and id(node) not in failing
                 ]
-    assert seen == set(named.values())
+    assert seen == set().union(*named.values())
     assert found == []
 
 
@@ -167,13 +177,14 @@ def test_regularity_criteria_read_characters_from_enumeration():
     """The regularity, unit-regularity and idempotency criteria take chi(f)
     from the position enumeration recorded, not from ``character(f, p)``."""
     named = {
-        "regularity.py": {"_regular_witness_test", "is_idempotent_characterized"},
-        "unit_regularity.py": {"_unit_witness_test"},
+        "regularity.py": {"_WitnessPlan", "_witness_plan", "_witnesses", "_witness_position",
+                          "is_idempotent_characterized"},
+        "unit_regularity.py": {"unit_regular_witnesses", "build_unit_inverse"},
     }
     seen, found = set(), []
     for module, names in named.items():
         for node in ast.walk(ast.parse((PACKAGE / module).read_text())):
-            if isinstance(node, ast.FunctionDef) and node.name in names:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names:
                 seen.add(node.name)
                 found += [
                     f"{node.name}:{call.lineno}"

@@ -33,6 +33,8 @@ from partsem import (
     is_unit_regular_oracle,
     kernel_partition,
     principal_leq_oracle,
+    regular_character_witnesses,
+    unit_regular_witnesses,
     units,
 )
 from partsem import greens
@@ -189,16 +191,22 @@ def test_one_sided_j_matches_a_direct_factor_scan(blocks):
 
 
 def test_dropping_an_instance_frees_its_derived_data():
+    """The instance, and with it the witness plans its derived data keeps."""
     inst = _full([[0, 1], [2]])
     eggbox(inst)
     units(inst)
     for m in enumerate_elements(inst):
         is_regular_oracle(m, inst)
+        regular_character_witnesses(m, inst)
+        unit_regular_witnesses(m, inst)
     assert character(units(inst)[0], inst.partition) in inst.si
+    plans = [weakref.ref(plan) for plan in inst.derived.witness_plans.values()]
+    assert len(plans) == 2 * len(set(inst.derived.char_ids))
     ref = weakref.ref(inst)
     del inst
     gc.collect()
     assert ref() is None
+    assert [plan() for plan in plans] == [None] * len(plans)
 
 
 class _TupleSearches:

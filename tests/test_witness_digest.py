@@ -3,8 +3,10 @@
 Every Green's checker in both modes at the default cap, as ``partsem greens
 --format machine`` reports its witness, on seeded pairs of two 4-point
 instances; and every inner inverse and unit inverse the builders make for
-each member and each of its character witnesses on the n <= 3 catalog.  A
-change to how a witness is searched, built or validated must leave these
+each member and each of its character witnesses on the n <= 3 catalog; and
+every member's regularity and unit-regularity witness lists, as index-set
+positions in order, on four full-character instances with 4 and 5 points.
+A change to how a witness is searched, built or validated must leave these
 outputs as they are.
 """
 
@@ -75,3 +77,20 @@ def test_inverse_builders_are_pinned():
                 rows.append([entry.label, k, "unit", alpha.images, u.images])
     assert len(rows) == 757
     assert _digest(rows) == "385cb8cbb182d28f"
+
+
+def test_witness_lists_are_pinned():
+    rows = []
+    for blocks in ([[0], [1], [2], [3]], [[0, 1], [2, 3]], [[0, 1], [2], [3], [4]],
+                   [[0, 1, 2, 3], [4]]):
+        p = Partition.of(blocks)
+        inst = Instance(p, IndexSemigroup.full(p.degree))
+        position = inst.si.index
+        for k, f in enumerate(enumerate_elements(inst)):
+            regular = [position[a.images] for a in regular_character_witnesses(f, inst)]
+            unit = [position[a.images] for a in unit_regular_witnesses(f, inst)]
+            rows.append([repr(p), k, regular, unit])
+    assert len(rows) == 2480
+    assert sum(len(row[2]) for row in rows) == 23052
+    assert sum(len(row[3]) for row in rows) == 2973
+    assert _digest(rows) == "7839bd8ee8314772"
