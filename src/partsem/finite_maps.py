@@ -166,15 +166,16 @@ def kernel_partition(f: FiniteMap) -> SetPartition:
 
 
 def canonical_transversal(f: FiniteMap) -> tuple[int, ...]:
-    """The least element of each kernel class, sorted ascending."""
-    return tuple(c[0] for c in kernel_partition(f).classes)
+    """The least element of each kernel class, sorted ascending: the fibers
+    come in order of their least points."""
+    return tuple(c[0] for c in _fibers(f.images).values())
 
 
 def collapse_defect(f: FiniteMap) -> tuple[int, int]:
-    """(c, d): points collapsed by f and codomain points missed by f."""
-    c = f.domain_size - len(canonical_transversal(f))
-    d = f.codomain_size - len(image(f))
-    return c, d
+    """(c, d): points collapsed by f and codomain points missed by f; f has
+    one kernel class per image point."""
+    rank = len(_fibers(f.images))
+    return f.domain_size - rank, f.codomain_size - rank
 
 
 def refines(p: SetPartition, q: SetPartition) -> bool:

@@ -5,9 +5,13 @@ The oracle route reads the instance's product table: the one-sided ≤_L and
 when some h1*g has f in its right ideal, and the whole ≤_J matrix (their
 exact boolean product) is built only when asked for.  The theorem route
 never reads it: it reads the candidate characters (alpha, beta, gamma,
-delta) from the index semigroup's product table at the positions of chi(f)
-and chi(g), and searches the block geometry for the class bijections and
-image maps demanded by the structural criteria.  Both routes produce
+delta) at the positions of chi(f) and chi(g) from the per-instance memo of
+index-semigroup facts (``_IndexFacts``: left and right divisors, R-classes
+and J alphas, each read from the index table once, on first ask), and
+searches the block geometry for the class bijections and image maps
+demanded by the structural criteria.  The searches hand index positions to
+the builders, and a witness's index maps are taken from them only when it
+is assembled.  Both routes produce
 replayable witnesses: factor transformations whose composites reproduce the
 claimed ideal memberships.  Each relation has one position core
 (``_one_sided_witness``, ``_d_witness``, ``_j_witness``): it takes member
@@ -154,8 +158,67 @@ def _preorders(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return l_below, r_below
 
 
+class _IndexFacts:
+    """The facts of the index semigroup S(I) that the theorem searches read.
+
+    A search's candidates depend only on the pair (chi(f), chi(g)), so each
+    fact is a tuple of positions of S(I), ascending, built on first ask by
+    one read of the index table (or of its ≤_R preorder) and kept under the
+    int key c * |S(I)| + t for as long as the instance lives.  Equal facts
+    share one tuple: most facts repeat (every constant character has the
+    same J alphas, for one).  The oracle route never asks.
+    """
+
+    def __init__(self, table: np.ndarray, r_below: np.ndarray) -> None:
+        self.table, self.r_below, self.size = table, r_below, len(table)
+        self.left: dict[int, tuple[int, ...]] = {}
+        self.right: dict[int, tuple[int, ...]] = {}
+        self.r_classes: dict[int, tuple[int, ...]] = {}
+        self.alphas: dict[int, tuple[int, ...]] = {}
+        self.shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def __len__(self) -> int:
+        """The facts kept, of all four kinds."""
+        return len(self.left) + len(self.right) + len(self.r_classes) + len(self.alphas)
+
+    def _keep(self, memo: dict, key: int, hits: np.ndarray) -> tuple[int, ...]:
+        """Keep the positions where ``hits`` holds under ``key``, and return them."""
+        fact = tuple(hits.nonzero()[0].tolist())
+        fact = memo[key] = self.shared.setdefault(fact, fact)
+        return fact
+
+    def left_divisors(self, c: int, t: int) -> tuple[int, ...]:
+        """The a with a*c = t: column c of the index table."""
+        key = c * self.size + t
+        fact = self.left.get(key)
+        return self._keep(self.left, key, self.table[:, c] == t) if fact is None else fact
+
+    def right_divisors(self, c: int, t: int) -> tuple[int, ...]:
+        """The b with c*b = t: row c of the index table."""
+        key = c * self.size + t
+        fact = self.right.get(key)
+        return self._keep(self.right, key, self.table[c] == t) if fact is None else fact
+
+    def r_class(self, c: int) -> tuple[int, ...]:
+        """The R-class of c."""
+        fact = self.r_classes.get(c)
+        if fact is None:
+            fact = self._keep(self.r_classes, c, self.r_below[c] & self.r_below[:, c])
+        return fact
+
+    def j_alphas(self, cf: int, cg: int) -> tuple[int, ...]:
+        """The a with cf R-below a*cg, those with a*cg*b = cf for some b:
+        one gather of column cg."""
+        key = cg * self.size + cf
+        fact = self.alphas.get(key)
+        if fact is None:
+            fact = self._keep(self.alphas, key, self.r_below[cf, self.table[:, cg]])
+        return fact
+
+
 class _GreensData:
-    """Per-instance precomputation shared by all relation checks."""
+    """Per-instance precomputation shared by all relation checks, the memo
+    of index-semigroup facts the theorem searches read (``si_facts``) among it."""
 
     def __init__(self, inst: Instance) -> None:
         if not inst.si.has_identity:
@@ -175,6 +238,7 @@ class _GreensData:
         self.si_table = inst.si.table
         self.char_ids = inst.derived.char_ids
         self.si_l_below, self.si_r_below = _preorders(inst.si.table)
+        self.si_facts = _IndexFacts(self.si_table, self.si_r_below)
 
     def j_left_factors(self, a: int, b: int) -> np.ndarray:
         """The h1, ascending, with a = h1*b*h2 for some h2: those whose h1*b
@@ -295,19 +359,20 @@ def _first_factor(data: _GreensData, rel: str, fk: int, gk: int, left=None):
 
 def _l_one_sided_theorem(
     data: _GreensData, fk: int, gk: int, cap: int, budget: list[int]
-) -> FiniteMap | None:
-    """First alpha with chi(f) = alpha*chi(g) and X_i f inside X_{alpha(i)} g.
+) -> int | None:
+    """Position of the first alpha with chi(f) = alpha*chi(g) and X_i f
+    inside X_{alpha(i)} g.
 
-    The alphas with chi(f) = alpha*chi(g) are read from column chi(g) of the
-    index table; each one put to the block test spends one unit of budget.
+    The alphas with chi(f) = alpha*chi(g) are the left divisors of chi(f) by
+    chi(g); each one put to the block test spends one unit of budget.
     """
     bf, bg = data.geometry.block_masks[fk], data.geometry.block_masks[gk]
-    for a in (data.si_table[:, data.char_ids[gk]] == data.char_ids[fk]).nonzero()[0]:
+    for a in data.si_facts.left_divisors(data.char_ids[gk], data.char_ids[fk]):
         budget[0] -= 1
         if budget[0] < 0:
             raise ResourceLimitError(f"L character search exceeded the cap of {cap} candidates")
         if _blocks_fit(bf, bg, data.si_imgs[a]):
-            return data.si_elements[a]
+            return a
     return None
 
 
@@ -344,15 +409,15 @@ def _one_sided_witness(
             return None
         search = _l_one_sided_theorem if rel == "L" else _r_one_sided_theorem
         budget = [cap]
-        alpha = search(data, fk, gk, cap, budget)
-        if alpha is None:
+        a = search(data, fk, gk, cap, budget)
+        if a is None:
             return None
-        beta = search(data, gk, fk, cap, budget)
-        if beta is None:
+        b = search(data, gk, fk, cap, budget)
+        if b is None:
             return None
         # each builder checks that its factor's character is the one it was given
         build = _left_factor if rel == "L" else _right_factor
-        h_fg, h_gf = build(data, fk, gk, alpha), build(data, gk, fk, beta)
+        h_fg, h_gf = build(data, fk, gk, a), build(data, gk, fk, b)
     names = ("alpha", "beta") if rel == "L" else ("beta_fg", "beta_gf")
     return GreenWitness(
         relation=rel,
@@ -384,41 +449,43 @@ def build_left_factor(
     fits = _blocks_fit(block_masks[fk], block_masks[gk], alpha.images)
     if data.si_table[a, data.char_ids[gk]] != data.char_ids[fk] or not fits:
         raise PreconditionError(f"{alpha} does not witness the L-inequality")
-    return data.members[_left_factor(data, fk, gk, alpha)]
+    return data.members[_left_factor(data, fk, gk, a)]
 
 
-def _left_factor(data: _GreensData, fk: int, gk: int, alpha: FiniteMap) -> int:
-    """``build_left_factor`` on member positions, its preconditions met: the
-    position of the h sending x to the least y of X_{alpha(i)} with yg = xf."""
+def _left_factor(data: _GreensData, fk: int, gk: int, a: int) -> int:
+    """``build_left_factor`` on member positions, its preconditions met, for
+    alpha at index position a: the position of the h sending x to the least
+    y of X_{alpha(i)} with yg = xf."""
     p = data.inst.partition
-    images = _least_lift(alpha.images, p, data.imgs[gk], data.imgs[fk])
+    images = _least_lift(data.si_imgs[a], p, data.imgs[gk], data.imgs[fk])
     hk = data.inst.derived.index.get(images)
-    if hk is None or data.table[hk, gk] != fk or data.char_of(hk) != alpha:
+    if hk is None or data.table[hk, gk] != fk or data.char_ids[hk] != a:
         h = FiniteMap(p.n, p.n, images)
         raise InternalError(
             f"the left factor {h} built for {data.members[fk]}, {data.members[gk]} "
-            f"and {alpha} fails validation"
+            f"and {data.si_elements[a]} fails validation"
         )
     return hk
 
 
 def _r_one_sided_theorem(
     data: _GreensData, fk: int, gk: int, cap: int, budget: list[int]
-) -> FiniteMap | None:
-    """First beta with chi(f) = chi(g)*beta, provided pi(g) refines pi(f).
+) -> int | None:
+    """Position of the first beta with chi(f) = chi(g)*beta, provided pi(g)
+    refines pi(f).
 
-    The betas are read from row chi(g) of the index table; the one taken
+    The betas are the right divisors of chi(f) by chi(g); the one taken
     spends one unit of budget.
     """
     if not _kernel_refines(data, gk, fk):
         return None
-    hits = (data.si_table[data.char_ids[gk]] == data.char_ids[fk]).nonzero()[0]
-    if not len(hits):
+    hits = data.si_facts.right_divisors(data.char_ids[gk], data.char_ids[fk])
+    if not hits:
         return None
     budget[0] -= 1
     if budget[0] < 0:
         raise ResourceLimitError(f"R character search exceeded the cap of {cap} candidates")
-    return data.si_elements[hits[0]]
+    return hits[0]
 
 
 def _kernel_refines(data: _GreensData, gk: int, fk: int) -> bool:
@@ -449,22 +516,23 @@ def build_right_factor(
     refines = _kernel_refines(data, gk, fk)
     if data.si_table[data.char_ids[gk], b] != data.char_ids[fk] or not refines:
         raise PreconditionError(f"{beta} does not witness the R-inequality")
-    return data.members[_right_factor(data, fk, gk, beta)]
+    return data.members[_right_factor(data, fk, gk, b)]
 
 
-def _right_factor(data: _GreensData, fk: int, gk: int, beta: FiniteMap) -> int:
-    """``build_right_factor`` on member positions, its preconditions met."""
+def _right_factor(data: _GreensData, fk: int, gk: int, b: int) -> int:
+    """``build_right_factor`` on member positions, its preconditions met, for
+    beta at index position b."""
     p = data.inst.partition
-    f_imgs, g_imgs = data.imgs[fk], data.imgs[gk]
+    f_imgs, g_imgs, beta = data.imgs[fk], data.imgs[gk], data.si_imgs[b]
     # f at the least preimage under g: the descending pass writes it last
     on_image = {g_imgs[y]: f_imgs[y] for y in reversed(range(p.n))}
-    images = tuple(on_image.get(x, p.blocks[beta.images[p.block_of(x)]][0]) for x in range(p.n))
+    images = tuple(on_image.get(x, p.blocks[beta[p.block_of(x)]][0]) for x in range(p.n))
     hk = data.inst.derived.index.get(images)
-    if hk is None or data.table[gk, hk] != fk or data.char_of(hk) != beta:
+    if hk is None or data.table[gk, hk] != fk or data.char_ids[hk] != b:
         h = FiniteMap(p.n, p.n, images)
         raise InternalError(
             f"the right factor {h} built for {data.members[fk]}, {data.members[gk]} "
-            f"and {beta} fails validation"
+            f"and {data.si_elements[b]} fails validation"
         )
     return hk
 
@@ -523,24 +591,25 @@ def _match_classes(
 
 def _d_theorem_search(
     data: _GreensData, fk: int, gk: int, cap: int
-) -> tuple[FiniteMap, FiniteMap, FiniteMap, ClassPairing] | None:
-    """First (alpha, beta, gamma, class pairing) meeting the D-criterion.
+) -> tuple[int, int, int, ClassPairing] | None:
+    """First (alpha, beta, gamma, class pairing) meeting the D-criterion,
+    the characters as index positions.
 
     gamma runs over the R-class of chi(g) in the index set, ascending; the
     alphas with chi(f) = alpha*gamma and the betas with gamma = beta*chi(f)
-    are read from the index table's columns gamma and chi(f).
+    are the left divisors of chi(f) by gamma and of gamma by chi(f).
     """
     kernels = data.geometry.kernels
     if len(kernels[fk]) != len(kernels[gk]):
         return None
-    table, elements, imgs = data.si_table, data.si_elements, data.si_imgs
+    facts, imgs = data.si_facts, data.si_imgs
     cf, cg = data.char_ids[fk], data.char_ids[gk]
     budget = [cap]
-    for c in (data.si_r_below[cg] & data.si_r_below[:, cg]).nonzero()[0]:
-        alphas = (table[:, c] == cf).nonzero()[0]
-        if not len(alphas):
+    for c in facts.r_class(cg):
+        alphas = facts.left_divisors(c, cf)
+        if not alphas:
             continue
-        betas = (table[:, cf] == c).nonzero()[0]
+        betas = facts.left_divisors(cf, c)
         for a in alphas:
             for b in betas:
                 found = _match_classes(data, fk, gk, imgs[a], imgs[b], budget)
@@ -549,16 +618,8 @@ def _d_theorem_search(
                         (kernels[fk][mk], kernels[gk][nk])
                         for mk, nk in enumerate(found)
                     )
-                    return elements[a], elements[b], elements[c], pairing
+                    return a, b, c, pairing
     return None
-
-
-def _first_right_divisor(data: _GreensData, c_from: int, c_to: int) -> FiniteMap:
-    """First u in the index set with c_to = c_from * u, by index positions."""
-    hits = (data.si_table[c_from] == c_to).nonzero()[0]
-    if not len(hits):
-        raise InternalError("R-divisibility promised by the search but not found")
-    return data.si_elements[hits[0]]
 
 
 def _oracle_d_pairing(data: _GreensData, fk: int, mk: int) -> ClassPairing:
@@ -604,20 +665,23 @@ def _d_witness(
     found = _d_theorem_search(data, fk, gk, cap)
     if found is None:
         return None
-    alpha, beta, gamma, pairing = found
-    mk = _d_middle(data, fk, gk, gamma, pairing)
-    u = _first_right_divisor(data, data.char_ids[gk], data.char_ids[mk])
-    v = _first_right_divisor(data, data.char_ids[mk], data.char_ids[gk])
-    members = data.members
+    a, b, c, pairing = found
+    mk = _d_middle(data, fk, gk, c, pairing)
+    # gamma R chi(g), and gamma is the middle's character: each divides the other
+    u = data.si_facts.right_divisors(data.char_ids[gk], data.char_ids[mk])
+    v = data.si_facts.right_divisors(data.char_ids[mk], data.char_ids[gk])
+    if not (u and v):
+        raise InternalError("R-divisibility promised by the search but not found")
+    members, elements = data.members, data.si_elements
     return GreenWitness(
         relation="D",
-        index_maps=(("alpha", alpha), ("beta", beta), ("gamma", gamma)),
+        index_maps=(("alpha", elements[a]), ("beta", elements[b]), ("gamma", elements[c])),
         factors=(
             ("middle", members[mk]),
-            ("l_fm", members[_left_factor(data, fk, mk, alpha)]),
-            ("l_mf", members[_left_factor(data, mk, fk, beta)]),
-            ("r_mg", members[_right_factor(data, mk, gk, u)]),
-            ("r_gm", members[_right_factor(data, gk, mk, v)]),
+            ("l_fm", members[_left_factor(data, fk, mk, a)]),
+            ("l_mf", members[_left_factor(data, mk, fk, b)]),
+            ("r_mg", members[_right_factor(data, mk, gk, u[0])]),
+            ("r_gm", members[_right_factor(data, gk, mk, v[0])]),
         ),
         class_pairing=pairing,
     )
@@ -638,13 +702,20 @@ def build_d_middle(
         sorted(n for _, n in phi)
     ) != tuple(sorted(kernels[gk])):
         raise PreconditionError("phi is not a bijection between the kernel classes")
-    return data.members[_d_middle(data, fk, gk, gamma, phi)]
+    return data.members[_d_middle(data, fk, gk, inst.si.position(gamma), phi, gamma)]
 
 
 def _d_middle(
-    data: _GreensData, fk: int, gk: int, gamma: FiniteMap, phi: ClassPairing
+    data: _GreensData,
+    fk: int,
+    gk: int,
+    c: int | None,
+    phi: ClassPairing,
+    gamma: FiniteMap | None = None,
 ) -> int:
-    """``build_d_middle`` on member positions, phi a bijection of kernel classes."""
+    """``build_d_middle`` on member positions, phi a bijection of kernel
+    classes, for gamma at index position c.  A gamma outside S(I) comes
+    with c None and is passed itself, for the refusal's message."""
     p = data.inst.partition
     images = [0] * p.n
     for m_class, g_class in phi:
@@ -652,7 +723,8 @@ def _d_middle(
         for x in g_class:
             images[x] = value
     hk = data.inst.derived.index.get(tuple(images))
-    if hk is None or data.char_of(hk) != gamma:
+    if hk is None or data.char_ids[hk] != c:
+        gamma = data.si_elements[c] if gamma is None else gamma
         h = FiniteMap(p.n, p.n, tuple(images))
         chi = tuple(p.block_of(images[b[0]]) for b in p.blocks)
         if not preserves_partition(h, p) or FiniteMap(p.degree, p.degree, chi) != gamma:
@@ -668,17 +740,17 @@ def _d_middle(
 
 def _j_one_sided_theorem(
     data: _GreensData, fk: int, gk: int, cap: int, budget: list[int]
-) -> tuple[FiniteMap, FiniteMap, FiniteMap] | None:
-    """Search (alpha, beta, phi) making J_f <= J_g per the structural criterion.
+) -> tuple[int, int, FiniteMap] | None:
+    """Search (alpha, beta, phi) making J_f <= J_g per the structural
+    criterion, alpha and beta as index positions.
 
     phi is returned as a map on the sorted image of g.  The image of f lies
     in (Xg)phi, so a pair with rank f > rank g is answered None at once.
     Candidate pairs are pruned by the necessary identity chi(f) =
-    alpha*chi(g)*beta, read from the index table: an alpha has a beta
-    exactly when chi(f) is R-below alpha*chi(g), so the alphas are found by
-    one gather of column chi(g), and the betas of each alpha are the
-    positions in row alpha*chi(g) holding chi(f), found once per distinct
-    row.  For each pair the point values of phi are enumerated blockwise.
+    alpha*chi(g)*beta: an alpha has a beta exactly when chi(f) is R-below
+    alpha*chi(g) (the J alphas of the pair of characters), and the betas of
+    each alpha are the right divisors of chi(f) by alpha*chi(g).  For each
+    pair the point values of phi are enumerated blockwise.
     """
     j_geometry = data.geometry.j_geometry
     dom, dom_blocks, block_sources = j_geometry[gk]
@@ -686,17 +758,11 @@ def _j_one_sided_theorem(
         return None
     p = data.inst.partition
     f_blockimg = data.geometry.block_masks[fk]
-    table, cf = data.si_table, data.char_ids[fk]
-    mids = table[:, data.char_ids[gk]]
-    betas_of: dict[int, list[int]] = {}
-    for a in data.si_r_below[cf, mids].nonzero()[0].tolist():
-        mid = int(mids[a])
-        betas = betas_of.get(mid)
-        if betas is None:
-            betas = betas_of[mid] = (table[mid] == cf).nonzero()[0].tolist()
+    facts, cf, cg = data.si_facts, data.char_ids[fk], data.char_ids[gk]
+    for a in facts.j_alphas(cf, cg):
         # positions (in dom) of the g-image of X_{alpha(i)}, per i
         sources = [block_sources[j] for j in data.si_imgs[a]]
-        for b in betas:
+        for b in facts.right_divisors(int(data.si_table[a, cg]), cf):
             bt = data.si_imgs[b]
             candidates = [p.blocks[bt[c]] for c in dom_blocks]
             for values in itertools.product(*candidates):
@@ -706,11 +772,7 @@ def _j_one_sided_theorem(
                         f"phi search exceeded the cap of {cap} assignments"
                     )
                 if _phi_covers(f_blockimg, sources, values):
-                    return (
-                        data.si_elements[a],
-                        data.si_elements[b],
-                        FiniteMap(len(dom), p.n, values),
-                    )
+                    return a, b, FiniteMap(len(dom), p.n, values)
     return None
 
 
@@ -760,10 +822,10 @@ def _j_witness(
         backward = _j_one_sided_theorem(data, gk, fk, cap, budget)
         if backward is None:
             return None
-        alpha, beta, phi = forward
-        gamma, delta, psi = backward
-        h1, h2 = _j_factors(data, fk, gk, alpha, beta, phi)
-        k1, k2 = _j_factors(data, gk, fk, gamma, delta, psi)
+        a, b, phi = forward
+        c, d, psi = backward
+        h1, h2 = _j_factors(data, fk, gk, a, b, phi)
+        k1, k2 = _j_factors(data, gk, fk, c, d, psi)
     # in theorem mode these characters are the searched alpha to delta, as _j_factors checked
     members = data.members
     return GreenWitness(
@@ -820,7 +882,8 @@ def build_j_factors(
     data = _greens_data(inst)
     fk, gk = data.member_id(f), data.member_id(g)
     p = inst.partition
-    if inst.si.position(alpha) is None or inst.si.position(beta) is None:
+    a, b = inst.si.position(alpha), inst.si.position(beta)
+    if a is None or b is None:
         raise PreconditionError("alpha and beta must lie in the index semigroup")
     dom, dom_blocks, block_sources = data.geometry.j_geometry[gk]
     if phi.domain_size != len(dom) or phi.codomain_size != p.n:
@@ -830,23 +893,25 @@ def build_j_factors(
         raise PreconditionError("phi does not cover the block images of f")
     if any(p.block_of(v) != beta.images[c] for v, c in zip(phi.images, dom_blocks)):
         raise PreconditionError("phi is not block-constant toward beta")
-    k1, k2 = _j_factors(data, fk, gk, alpha, beta, phi)
+    k1, k2 = _j_factors(data, fk, gk, a, b, phi)
     return data.members[k1], data.members[k2]
 
 
 def _j_factors(
-    data: _GreensData, fk: int, gk: int, alpha: FiniteMap, beta: FiniteMap, phi: FiniteMap
+    data: _GreensData, fk: int, gk: int, a: int, b: int, phi: FiniteMap
 ) -> tuple[int, int]:
-    """``build_j_factors`` on member positions, its preconditions met."""
+    """``build_j_factors`` on member positions, its preconditions met, for
+    alpha and beta at index positions a and b."""
     p = data.inst.partition
+    beta = data.si_imgs[b]
     phi_at = dict(zip(data.geometry.j_geometry[gk][0], phi.images))
     gphi = [phi_at[v] for v in data.imgs[gk]]
-    h1_images = _least_lift(alpha.images, p, gphi, data.imgs[fk])
-    h2_images = tuple(phi_at.get(x, p.blocks[beta.images[p.block_of(x)]][0]) for x in range(p.n))
+    h1_images = _least_lift(data.si_imgs[a], p, gphi, data.imgs[fk])
+    h2_images = tuple(phi_at.get(x, p.blocks[beta[p.block_of(x)]][0]) for x in range(p.n))
     index, table = data.inst.derived.index, data.table
     k1, k2 = index.get(h1_images), index.get(h2_images)
     valid = k1 is not None and k2 is not None and table[table[k1, gk], k2] == fk
-    if not valid or data.char_of(k1) != alpha or data.char_of(k2) != beta:
+    if not valid or data.char_ids[k1] != a or data.char_ids[k2] != b:
         h1 = FiniteMap(p.n, p.n, h1_images)
         h2 = FiniteMap(p.n, p.n, h2_images)
         raise InternalError(
@@ -863,7 +928,7 @@ def _txp_l_one_sided(bf: tuple[int, ...], bg: tuple[int, ...]) -> bool:
 
 def _txp_d_check(geometry: _Geometry, a: int, b: int) -> bool:
     f_chi, f_meets, g_meets = geometry.chars[a], geometry.meet_masks[a], geometry.meet_masks[b]
-    g_fibers = _fibers(geometry.chars[b]).values()
+    g_fibers = geometry.char_kernels[b]
     count, deg = len(f_meets), geometry.p.degree
     # gamma must be L-related to chi(f) and R-related to chi(g) in the full
     # index monoid: same image set as chi(f), same kernel as chi(g).
@@ -932,8 +997,8 @@ def _txp_related(rel: Relation, geometry: _Geometry, a: int, b: int) -> bool:
         bf, bg = geometry.block_masks[a], geometry.block_masks[b]
         return _txp_l_one_sided(bf, bg) and _txp_l_one_sided(bg, bf)
     if rel == "R":
-        fibers = [list(_fibers(geometry.chars[k]).values()) for k in (a, b)]
-        return fibers[0] == fibers[1] and geometry.kernels[a] == geometry.kernels[b]
+        char_kernels, kernels = geometry.char_kernels, geometry.kernels
+        return char_kernels[a] == char_kernels[b] and kernels[a] == kernels[b]
     if rel == "D":
         return _txp_d_check(geometry, a, b)
     if rel == "J":

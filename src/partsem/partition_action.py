@@ -236,6 +236,13 @@ class _Geometry:
         return [tuple(map(tuple, _fibers(t).values())) for t in self.images]
 
     @cached_property
+    def char_kernels(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Per map, the kernel classes of its character, ordered by their
+        least blocks; one tuple per distinct character, shared."""
+        classes = {c: tuple(map(tuple, _fibers(c).values())) for c in set(self.chars)}
+        return [classes[c] for c in self.chars]
+
+    @cached_property
     def class_meets(self) -> list[tuple[tuple[int, ...], ...]]:
         """Per map and kernel class, the blocks the class meets, ascending."""
         return [

@@ -20,7 +20,6 @@ from partsem import (
     GreenWitness,
     IndexSemigroup,
     Instance,
-    InternalError,
     Partition,
     ResourceLimitError,
     build_catalog,
@@ -191,7 +190,8 @@ def test_one_sided_j_matches_a_direct_factor_scan(blocks):
 
 
 def test_dropping_an_instance_frees_its_derived_data():
-    """The instance, and with it the witness plans its derived data keeps."""
+    """The instance, and with it the witness plans its derived data keeps
+    and the memo of index-semigroup facts its Green's data keeps."""
     inst = _full([[0, 1], [2]])
     eggbox(inst)
     units(inst)
@@ -202,11 +202,18 @@ def test_dropping_an_instance_frees_its_derived_data():
     assert character(units(inst)[0], inst.partition) in inst.si
     plans = [weakref.ref(plan) for plan in inst.derived.witness_plans.values()]
     assert len(plans) == 2 * len(set(inst.derived.char_ids))
+    members = enumerate_elements(inst)
+    for checker in greens.checkers().values():
+        checker(members[1], members[2], inst, mode="theorem")
+    facts = weakref.ref(_greens_data(inst).si_facts)
+    assert len(facts()) > 0
+    del members
     ref = weakref.ref(inst)
     del inst
     gc.collect()
     assert ref() is None
     assert [plan() for plan in plans] == [None] * len(plans)
+    assert facts() is None
 
 
 class _TupleSearches:
@@ -319,9 +326,18 @@ class _TupleSearches:
         return None
 
 
+def _as_maps(data, found):
+    """A search result with its index positions (the leading ints) replaced
+    by the index semigroup's elements."""
+    if found is None or isinstance(found, int):
+        return None if found is None else data.si_elements[found]
+    return tuple(data.si_elements[x] if isinstance(x, int) else x for x in found)
+
+
 def _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch):
     """Equal results, equal J budgets and the same class-bijection searches
-    in the same order, pair by pair."""
+    in the same order, pair by pair: each pair first on an empty memo of
+    index-semigroup facts, then again on the memo the first pass filled."""
     data = _greens_data(inst)
     calls = {"table": [], "tuples": []}
     match_classes = greens._match_classes
@@ -336,30 +352,75 @@ def _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch):
     monkeypatch.setattr(greens, "_match_classes", recorder("table"))
     cap = greens.DEFAULT_PHI_CAP
     for fk, gk in pairs:
-        budget = [cap]
-        assert greens._l_one_sided_theorem(data, fk, gk, cap, budget) == loops.l_one_sided(fk, gk)
-        assert greens._r_one_sided_theorem(data, fk, gk, cap, budget) == loops.r_one_sided(fk, gk)
-        assert greens._d_theorem_search(data, fk, gk, cap) == loops.d_search(fk, gk, cap)
-        assert calls["table"] == calls["tuples"]
-        calls["table"].clear()
-        calls["tuples"].clear()
-        table_budget, tuple_budget = [cap], [cap]
-        assert greens._j_one_sided_theorem(data, fk, gk, cap, table_budget) == (
-            loops.j_one_sided(fk, gk, tuple_budget)
-        )
-        assert table_budget == tuple_budget
-        cf, cg = data.char_ids[fk], data.char_ids[gk]
-        expected = loops.right_divisor(data.geometry.chars[fk], data.geometry.chars[gk])
-        if expected is None:
-            with pytest.raises(InternalError):
-                greens._first_right_divisor(data, cf, cg)
-        else:
-            assert greens._first_right_divisor(data, cf, cg) == expected
+        data.si_facts = greens._IndexFacts(data.si_table, data.si_r_below)
+        for memo in ("cold", "warm"):
+            budget = [cap]
+            l_found = greens._l_one_sided_theorem(data, fk, gk, cap, budget)
+            assert _as_maps(data, l_found) == loops.l_one_sided(fk, gk), memo
+            r_found = greens._r_one_sided_theorem(data, fk, gk, cap, budget)
+            assert _as_maps(data, r_found) == loops.r_one_sided(fk, gk), memo
+            d_found = greens._d_theorem_search(data, fk, gk, cap)
+            assert _as_maps(data, d_found) == loops.d_search(fk, gk, cap), memo
+            assert calls["table"] == calls["tuples"], memo
+            calls["table"].clear()
+            calls["tuples"].clear()
+            table_budget, tuple_budget = [cap], [cap]
+            j_found = greens._j_one_sided_theorem(data, fk, gk, cap, table_budget)
+            assert _as_maps(data, j_found) == loops.j_one_sided(fk, gk, tuple_budget), memo
+            assert table_budget == tuple_budget, memo
+            cf, cg = data.char_ids[fk], data.char_ids[gk]
+            divisors = data.si_facts.right_divisors(cf, cg)
+            expected = loops.right_divisor(data.geometry.chars[fk], data.geometry.chars[gk])
+            assert _as_maps(data, divisors[0] if divisors else None) == expected, memo
+        assert len(data.si_facts) > 0
 
 
 IDENTITY_N3 = [
     (e.label, e.instance) for e in build_catalog(3, seed=7).entries if e.instance.si.has_identity
 ]
+
+
+@pytest.mark.parametrize("label,inst", IDENTITY_N3, ids=[label for label, _ in IDENTITY_N3])
+def test_index_facts_match_a_tuple_scan(label, inst):
+    """Every kind of the memo of index-semigroup facts, asked for every (c, t)
+    of the index set, against a scan of image tuples: left and right
+    divisors, R-classes and the J alphas {a : t <=_R a*c}."""
+    facts = greens._IndexFacts(inst.si.table, _greens_data(inst).si_r_below)
+    imgs = [a.images for a in inst.si.elements]
+    size = len(imgs)
+    product = [[comp(x, y) for y in imgs] for x in imgs]
+    r_below = [[any(comp(y, u) == x for u in imgs) for y in imgs] for x in imgs]
+    for c, t in itertools.product(range(size), repeat=2):
+        target = imgs[t]
+        assert facts.left_divisors(c, t) == tuple(a for a in range(size) if product[a][c] == target)
+        assert facts.right_divisors(c, t) == tuple(
+            b for b in range(size) if product[c][b] == target
+        )
+        assert facts.j_alphas(t, c) == tuple(
+            a for a in range(size) if r_below[t][imgs.index(product[a][c])]
+        )
+    for c in range(size):
+        assert facts.r_class(c) == tuple(d for d in range(size) if r_below[c][d] and r_below[d][c])
+    assert len(facts) == 3 * size * size + size
+    # asked again, every fact is the kept tuple itself
+    assert facts.left_divisors(0, 0) is facts.left_divisors(0, 0)
+
+
+def test_oracle_calls_add_no_index_facts():
+    """The oracle route never reads the memo; the theorem route fills it."""
+    inst = _full([[0, 1], [2]])
+    members = enumerate_elements(inst)
+    facts = _greens_data(inst).si_facts
+    for f, g in itertools.product(members, repeat=2):
+        for checker in greens.checkers().values():
+            checker(f, g, inst, mode="oracle")
+        for rel in "LRJ":
+            principal_leq_oracle(rel, f, g, inst)
+    eggbox(inst)
+    assert len(facts) == 0
+    for checker in greens.checkers().values():
+        checker(members[0], members[-1], inst, mode="theorem")
+    assert len(facts) > 0
 
 
 @pytest.mark.parametrize("label,inst", IDENTITY_N3, ids=[label for label, _ in IDENTITY_N3])
@@ -392,8 +453,8 @@ def _bits(mask):
 @pytest.mark.parametrize("label,inst", ALL_N3, ids=[label for label, _ in ALL_N3])
 def test_j_geometry_matches_a_direct_recomputation(label, inst):
     """Every list of the members' geometry, member by member: the images and
-    characters, each X_i g as a set, the kernel classes from
-    ``kernel_partition``, the blocks each class meets and their masks as
+    characters, each X_i g as a set, the kernel classes of g and of its
+    character from ``kernel_partition``, the blocks each class meets and their masks as
     the Green's data built them, and the J geometry (sorted image, the block
     of each image point and the positions of X_j g in that image, per j)."""
     geometry = inst.derived.geometry
@@ -410,6 +471,8 @@ def test_j_geometry_matches_a_direct_recomputation(label, inst):
         )
         classes = kernel_partition(g).classes
         assert geometry.kernels[k] == classes
+        chi = FiniteMap(p.degree, p.degree, geometry.chars[k])
+        assert geometry.char_kernels[k] == kernel_partition(chi).classes
         meets = tuple(tuple(sorted({p.block_of(x) for x in c})) for c in classes)
         assert geometry.class_meets[k] == meets
         assert geometry.meet_masks[k] == tuple(_mask(c) for c in meets)
@@ -471,10 +534,10 @@ class _MapWitnesses:
                 factors=(("fg", h_fg), ("gf", h_gf)),
             )
         budget = [cap]
-        alpha = greens._l_one_sided_theorem(data, fk, gk, cap, budget)
+        alpha = _as_maps(data, greens._l_one_sided_theorem(data, fk, gk, cap, budget))
         if alpha is None:
             return None
-        beta = greens._l_one_sided_theorem(data, gk, fk, cap, budget)
+        beta = _as_maps(data, greens._l_one_sided_theorem(data, gk, fk, cap, budget))
         if beta is None:
             return None
         return GreenWitness(
@@ -509,10 +572,10 @@ class _MapWitnesses:
         if data.geometry.kernels[fk] != data.geometry.kernels[gk]:
             return None
         budget = [cap]
-        beta_fg = greens._r_one_sided_theorem(data, fk, gk, cap, budget)
+        beta_fg = _as_maps(data, greens._r_one_sided_theorem(data, fk, gk, cap, budget))
         if beta_fg is None:
             return None
-        beta_gf = greens._r_one_sided_theorem(data, gk, fk, cap, budget)
+        beta_gf = _as_maps(data, greens._r_one_sided_theorem(data, gk, fk, cap, budget))
         if beta_gf is None:
             return None
         return GreenWitness(
@@ -564,7 +627,7 @@ class _MapWitnesses:
                 ),
                 class_pairing=greens._oracle_d_pairing(data, fk, mk),
             )
-        found = greens._d_theorem_search(data, fk, gk, cap)
+        found = _as_maps(data, greens._d_theorem_search(data, fk, gk, cap))
         if found is None:
             return None
         alpha, beta, gamma, pairing = found
@@ -575,8 +638,9 @@ class _MapWitnesses:
         m = FiniteMap(p.n, p.n, tuple(images))
         assert character(m, p) == gamma and kernel_partition(m) == kernel_partition(g)
         mk = data.member_id(m)
-        u = greens._first_right_divisor(data, data.char_ids[gk], data.char_ids[mk])
-        v = greens._first_right_divisor(data, data.char_ids[mk], data.char_ids[gk])
+        facts = data.si_facts
+        u = data.si_elements[facts.right_divisors(data.char_ids[gk], data.char_ids[mk])[0]]
+        v = data.si_elements[facts.right_divisors(data.char_ids[mk], data.char_ids[gk])[0]]
         return GreenWitness(
             relation="D",
             index_maps=(("alpha", alpha), ("beta", beta), ("gamma", gamma)),
@@ -610,10 +674,10 @@ class _MapWitnesses:
                 image_maps=(("phi", self.image_map(g, h1, h2)), ("psi", self.image_map(f, k1, k2))),
             )
         budget = [cap]
-        forward = greens._j_one_sided_theorem(data, fk, gk, cap, budget)
+        forward = _as_maps(data, greens._j_one_sided_theorem(data, fk, gk, cap, budget))
         if forward is None:
             return None
-        backward = greens._j_one_sided_theorem(data, gk, fk, cap, budget)
+        backward = _as_maps(data, greens._j_one_sided_theorem(data, gk, fk, cap, budget))
         if backward is None:
             return None
         alpha, beta, phi = forward
