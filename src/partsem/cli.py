@@ -272,6 +272,8 @@ def _cmd_check_semigroup(args) -> int:
 
 
 def _cmd_greens(args) -> int:
+    if args.cap < 0:
+        raise InvalidArgumentError(f"--cap must be non-negative, got {args.cap}")
     inst = parse_instance(args.instance)
     out = _Output(args.out)
     if args.eggbox:

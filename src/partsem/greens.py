@@ -36,7 +36,8 @@ enumeration recorded (``inst.derived.char_ids``), and the left factor, the
 left J factor and the inner inverse share one least-preimage lift.
 ``txp_green``, the criteria specialized to the full character set T(I),
 reads a geometry too: of its two maps, or of all members for a caller
-deciding many pairs.
+deciding many pairs, who keeps one memo of each map's J covers (built on
+first ask) and may decide once per pair of signatures (``_TXP_READS``).
 
 All operations here require the identity character in the index semigroup.
 """
@@ -387,6 +388,8 @@ def _related(
     """The one front end of ``l_related`` to ``j_related``: the position
     core of ``rel`` on the member positions of f and g."""
     _check_mode(mode)
+    if cap < 0:
+        raise InvalidArgumentError(f"cap must be non-negative, got {cap}")
     data = _greens_data(inst)
     fk, gk = data.member_id(f), data.member_id(g)
     if rel == "D":
@@ -929,70 +932,79 @@ def _txp_l_one_sided(bf: tuple[int, ...], bg: tuple[int, ...]) -> bool:
 def _txp_d_check(geometry: _Geometry, a: int, b: int) -> bool:
     f_chi, f_meets, g_meets = geometry.chars[a], geometry.meet_masks[a], geometry.meet_masks[b]
     g_fibers = geometry.char_kernels[b]
-    count, deg = len(f_meets), geometry.p.degree
     # gamma must be L-related to chi(f) and R-related to chi(g) in the full
     # index monoid: same image set as chi(f), same kernel as chi(g).
-    target_image = sorted(set(f_chi))
-    if count != len(g_meets) or len(g_fibers) != len(target_image):
+    target_image = set(f_chi)
+    if len(f_meets) != len(g_meets) or len(g_fibers) != len(target_image):
         return False
-    # the kernel classes of f and of g meeting block i, per i
-    f_here = [[k for k in range(count) if f_meets[k] >> i & 1] for i in range(deg)]
-    g_here = [[k for k in range(count) if g_meets[k] >> i & 1] for i in range(deg)]
+    blocks = range(geometry.p.degree)
     for assigned in itertools.permutations(target_image):
-        gamma = [0] * deg
-        for fiber, value in zip(g_fibers, assigned):
-            for i in fiber:
-                gamma[i] = value
-        for matching in itertools.permutations(range(count)):
-            inverse = {m: k for k, m in enumerate(matching)}
+        gamma = {i: value for fiber, value in zip(g_fibers, assigned) for i in fiber}
+        # each kernel class of f matched with one of g, as (f meets, g meets) masks
+        for matched in itertools.permutations(g_meets):
+            pairs = list(zip(f_meets, matched))
             if all(
                 any(
                     gamma[j] == f_chi[i]
-                    and all(g_meets[matching[k]] >> j & 1 for k in f_here[i])
-                    for j in range(deg)
+                    and all(gm >> j & 1 for fm, gm in pairs if fm >> i & 1)
+                    for j in blocks
                 )
                 and any(
                     f_chi[j] == gamma[i]
-                    and all(f_meets[inverse[k]] >> j & 1 for k in g_here[i])
-                    for j in range(deg)
+                    and all(fm >> j & 1 for fm, gm in pairs if gm >> i & 1)
+                    for j in blocks
                 )
-                for i in range(deg)
+                for i in blocks
             ):
                 return True
     return False
 
 
-def _txp_j_one_sided(geometry: _Geometry, a: int, b: int) -> bool:
+def _txp_j_covers(geometry: _Geometry, b: int) -> set:
+    """The distinct tuples of masks ((X_j g)phi per block j) over every
+    E-preserving phi on Xg, for g at position b.
+
+    phi sends the image points in block c into the target block t(c), so the
+    target assignments of g's image blocks and then the point values are
+    enumerated; they depend on g alone.
+    """
+    _, dom_blocks, sources = geometry.j_geometry[b]
+    hit_blocks = sorted(set(dom_blocks))
+    covers = set()
+    for targets in itertools.product(range(geometry.p.degree), repeat=len(hit_blocks)):
+        target_of = dict(zip(hit_blocks, targets))
+        for values in itertools.product(*(geometry.p.blocks[target_of[c]] for c in dom_blocks)):
+            covers.add(tuple(_mask(values[k] for k in source) for source in sources))
+    return covers
+
+
+def _txp_j_one_sided(geometry: _Geometry, a: int, b: int, covers: dict) -> bool:
     """Is there an E-preserving phi on Xg with every X_i f covered by some (X_j g)phi?
 
-    phi sends the image points in block c into the target block t(c).  X_i f
-    is a nonempty part of X_{chi f(i)} and (X_j g)phi lies in X_{t(chi g(j))},
-    so a target assignment missing a block of im chi(f) is skipped before its
-    point values are enumerated.  The image of f lies in (Xg)phi, so a pair
-    with rank f > rank g is answered False at once.
+    g's covers are built on the first ask for b and kept in ``covers``.  The
+    image of f lies in (Xg)phi, so a pair with rank f > rank g is answered
+    False at once.
     """
-    p = geometry.p
-    # the positions of X_j g among the image points of g, per j
-    dom, dom_blocks, sources = geometry.j_geometry[b]
-    if len(geometry.j_geometry[a][0]) > len(dom):
+    if len(geometry.j_geometry[a][0]) > len(geometry.j_geometry[b][0]):
         return False
-    hit_blocks = sorted(set(dom_blocks))
-    needed = set(geometry.chars[a])
-    f_blockimg = geometry.block_masks[a]
-    for targets in itertools.product(range(p.degree), repeat=len(hit_blocks)):
-        if not needed <= set(targets):
-            continue
-        target_of = dict(zip(hit_blocks, targets))
-        candidates = [p.blocks[target_of[c]] for c in dom_blocks]
-        for values in itertools.product(*candidates):
-            covered = [_mask(values[k] for k in source) for source in sources]
-            if _txp_l_one_sided(f_blockimg, covered):
-                return True
-    return False
+    if b not in covers:
+        covers[b] = _txp_j_covers(geometry, b)
+    return any(_txp_l_one_sided(geometry.block_masks[a], covered) for covered in covers[b])
 
 
-def _txp_related(rel: Relation, geometry: _Geometry, a: int, b: int) -> bool:
-    """``txp_green`` on the maps at positions a and b of a geometry."""
+# The geometry lists each T(X, P) test reads of one map: maps equal on all of
+# them get equal ``_txp_related`` verdicts.
+_TXP_READS = {
+    "L": ("block_masks",),
+    "R": ("char_kernels", "kernels"),
+    "D": ("chars", "meet_masks"),
+    "J": ("block_masks", "j_geometry"),
+}
+
+
+def _txp_related(rel: Relation, geometry: _Geometry, a: int, b: int, covers: dict) -> bool:
+    """``txp_green`` on the maps at positions a and b of a geometry, with one
+    memo of J covers (``_txp_j_one_sided``) for every pair of the geometry."""
     if rel == "L":
         bf, bg = geometry.block_masks[a], geometry.block_masks[b]
         return _txp_l_one_sided(bf, bg) and _txp_l_one_sided(bg, bf)
@@ -1002,7 +1014,7 @@ def _txp_related(rel: Relation, geometry: _Geometry, a: int, b: int) -> bool:
     if rel == "D":
         return _txp_d_check(geometry, a, b)
     if rel == "J":
-        return _txp_j_one_sided(geometry, a, b) and _txp_j_one_sided(geometry, b, a)
+        return _txp_j_one_sided(geometry, a, b, covers) and _txp_j_one_sided(geometry, b, a, covers)
     raise InvalidArgumentError(f"unknown relation {rel!r}")
 
 
@@ -1011,7 +1023,7 @@ def txp_green(rel: Relation, f: FiniteMap, g: FiniteMap, p: Partition) -> bool:
     if not (preserves_partition(f, p) and preserves_partition(g, p)):
         raise InvalidArgumentError("both maps must preserve the partition")
     chars = [character(f, p).images, character(g, p).images]
-    return _txp_related(rel, _Geometry([f.images, g.images], chars, p), 0, 1)
+    return _txp_related(rel, _Geometry([f.images, g.images], chars, p), 0, 1, {})
 
 
 def full_tx_green(rel: Relation, f: FiniteMap, g: FiniteMap) -> bool:

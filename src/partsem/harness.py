@@ -26,9 +26,18 @@ fails to replay, or capped.  Whichever of the three suites reaches an entry
 first fills its sweep; the catalog keeps it (``greens_sweeps``), so it is
 freed with the catalog.  Codes, not witnesses, are kept because the sweeps
 of the whole catalog are held from the first of those suites to the last,
-and the witnesses would multiply the memory this takes.  The sweep's rows
-name members by position, so ``txp-specialization`` decides ``txp_green``
-on the members' geometry (``inst.derived.geometry``).
+and the witnesses would multiply the memory this takes.  The three suites
+read the codes as one array: each counts its checks and capped checks with
+NumPy and records a failure only where one is, in row-major order.  The
+sweep names members by position, so ``txp-specialization`` decides
+``txp_green`` on the members' geometry (``inst.derived.geometry``), once
+per pair of the two members' signatures for each relation, with one memo of
+J covers per entry.
+
+``character-homomorphism``, ``member-closure`` and ``unit-set-identity``
+compose by gathering on the N×n array of the members' images, a block of
+rows at a time (about ``greens.LABEL_BLOCK_CELLS`` cells), so no array
+grows with N²·n.
 """
 
 from __future__ import annotations
@@ -374,24 +383,64 @@ def _bijective_characters(entry: CatalogEntry) -> bool:
     return si.has_identity and all(a.is_bijective() for a in si.elements)
 
 
+# --- member pairs as arrays --------------------------------------------------
+
+
+def _image_array(members, n: int) -> np.ndarray:
+    """The members' image tuples as the rows of one N×n array."""
+    return np.array([m.images for m in members], dtype=np.intp).reshape(len(members), n)
+
+
+def _row_blocks(rows: int, cells_per_row: int):
+    """(start, stop) of consecutive blocks of ``rows`` rows, each of about
+    ``greens.LABEL_BLOCK_CELLS`` cells and at least one row."""
+    step = max(1, greens.LABEL_BLOCK_CELLS // max(cells_per_row, 1))
+    for start in range(0, rows, step):
+        yield start, min(start + step, rows)
+
+
+def _then(maps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``out[i, g, x] = maps[g, rows[i, x]]``: each of ``rows`` followed by
+    each of ``maps``, as ``compose(row, map)``, by one gather."""
+    return maps[np.arange(len(maps))[:, None], rows[:, None, :]]
+
+
+def _fail_rows(tally: _Tally, members, start: int, hits: np.ndarray, *details: str) -> None:
+    """A failure for each f of the block of rows from ``start``, each member
+    g and each detail i where ``hits[f - start, g, i]`` holds (``hits[f -
+    start, g]`` for one detail), row-major."""
+    for a, b, i in np.argwhere(hits.reshape(*hits.shape[:2], len(details))).tolist():
+        tally.fail(details[i], f=members[start + a], g=members[b])
+
+
+def _first_equal(values) -> np.ndarray:
+    """Per value, the position of the first value equal to it."""
+    first: dict = {}
+    return np.array([first.setdefault(v, k) for k, v in enumerate(values)], dtype=np.intp)
+
+
+def _equal(ids: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """``[i, g]``: the member at row start + i and member g have equal ids."""
+    return ids[start:stop, None] == ids
+
+
 # --- partition_action suites -------------------------------------------------
 
 
 @_suite("character-homomorphism")
 def _character_homomorphism(entry, tally, catalog):
     p = entry.instance.partition
-    lookup = [p.block_of(x) for x in range(p.n)]
+    lookup = np.array([p.block_of(x) for x in range(p.n)])
     firsts = [b[0] for b in p.blocks]
-    tuples = [m.images for m in enumerate_elements(entry.instance)]
-    chars = [tuple(lookup[t[x]] for x in firsts) for t in tuples]
-    rng_n = range(p.n)
-    for ft, cf in zip(tuples, chars):
-        for gt, cg in zip(tuples, chars):
-            composite = tuple(gt[ft[x]] for x in rng_n)
-            direct = tuple(lookup[composite[x]] for x in firsts)
-            homomorphic = tuple(cg[cf[i]] for i in range(p.degree))
-            tally.check(direct == homomorphic,
-                        "character of composite differs from composed characters", f=ft, g=gt)
+    members = enumerate_elements(entry.instance)
+    imgs = _image_array(members, p.n)
+    chars = lookup[imgs[:, firsts]]  # read off the images, one row per member
+    for start, stop in _row_blocks(len(imgs), imgs.size):
+        direct = lookup[_then(imgs, imgs[start:stop, firsts])]
+        differ = (direct != _then(chars, chars[start:stop])).any(axis=2)
+        tally.checks += differ.size
+        _fail_rows(tally, members, start, differ,
+                   "character of composite differs from composed characters")
 
 
 @_suite("lift-character-section")
@@ -442,27 +491,35 @@ def _element_counting(entry, tally, catalog):
 
 @_suite("member-closure")
 def _member_closure(entry, tally, catalog):
-    tuples = [m.images for m in enumerate_elements(entry.instance)]
-    index = member_index(entry.instance)
-    rng_n = range(entry.instance.partition.n)
-    for ft in tuples:
-        for gt in tuples:
-            tally.check(tuple(gt[ft[x]] for x in rng_n) in index,
-                        "composite escapes the member set", f=ft, g=gt)
+    members = enumerate_elements(entry.instance)
+    n = entry.instance.partition.n
+    imgs = _image_array(members, n)
+    # a map's code: its images as the digits of one base-n number, in int64
+    # while n**n fits, else in Python ints
+    fits = n ** n <= np.iinfo(np.int64).max
+    weights = np.array([n**k for k in reversed(range(n))], dtype=np.int64 if fits else object)
+    codes = imgs @ weights
+    for start, stop in _row_blocks(len(imgs), imgs.size):
+        escaped = ~np.isin(_then(imgs, imgs[start:stop]) @ weights, codes)
+        tally.checks += escaped.size
+        _fail_rows(tally, members, start, escaped, "composite escapes the member set")
 
 
 @_suite("unit-set-identity", _has_identity)
 def _unit_set_identity(entry, tally, catalog):
     inst = entry.instance
     members = enumerate_elements(inst)
-    ident = FiniteMap.identity(inst.partition.n)
-    by_definition = [
-        f for f in members
-        if any(compose(f, g) == ident and compose(g, f) == ident for g in members)
-    ]
-    by_formula = [f for f in members if is_unit_bijection(f, inst.partition)]
+    imgs = _image_array(members, inst.partition.n)
+    ident = np.arange(inst.partition.n)
+    by_definition = np.zeros(len(imgs), dtype=bool)
+    for start, stop in _row_blocks(len(imgs), imgs.size):
+        block = imgs[start:stop]
+        # f*g = id = g*f for some member g
+        inverse = (_then(imgs, block) == ident).all(axis=2) & (block[:, imgs] == ident).all(axis=2)
+        by_definition[start:stop] = inverse.any(axis=1)
+    by_formula = [is_unit_bijection(f, inst.partition) for f in members]
     tally.checks = len(members)
-    if by_definition != by_formula:
+    if by_definition.tolist() != by_formula:
         tally.fail("two-sided-invertible members differ from the S(X,P) intersection")
 
 
@@ -672,11 +729,12 @@ class _GreensSweep:
         shape = (len(pairs), len(self.relations), len(_MODES))
         self.codes = np.array(codes, dtype=np.uint8).reshape(shape)
 
-    def rows(self):
-        """(a, b, [(relation, oracle code, theorem code), ...]) per pair of
-        member positions, in order."""
-        for (a, b), row in zip(self.pairs.tolist(), self.codes.tolist()):
-            yield a, b, [(rel, o, t) for rel, (o, t) in zip(self.relations, row)]
+    def fail_at(self, tally: _Tally, hits: np.ndarray, detail: Callable[..., str]) -> None:
+        """A failure of the pair's members at each index of ``hits`` (its first
+        axis the pair), row-major; ``detail(*index)`` says what failed."""
+        for index in np.argwhere(hits).tolist():
+            a, b = self.pairs[index[0]].tolist()
+            tally.fail(detail(*index), f=self.members[a], g=self.members[b])
 
 
 def _greens_sweep(entry: CatalogEntry, catalog: Catalog) -> _GreensSweep:
@@ -696,17 +754,15 @@ def _first_pair(data, mask: np.ndarray) -> dict:
 @_suite("greens-mode-agreement", _has_identity)
 def _greens_mode_agreement(entry, tally, catalog):
     sweep = _greens_sweep(entry, catalog)
-    members = sweep.members
-    for a, b, verdicts in sweep.rows():
-        for rel, oracle, theorem in verdicts:
-            tally.checks += 1
-            if _CAPPED in (oracle, theorem):
-                tally.capped += 1
-                continue
-            oracle, theorem = oracle != _UNRELATED, theorem != _UNRELATED
-            if oracle != theorem:
-                tally.fail(f"{rel}: oracle={oracle} but theorem={theorem}",
-                           f=members[a], g=members[b])
+    oracle, theorem = sweep.codes[..., 0], sweep.codes[..., 1]
+    capped = (oracle == _CAPPED) | (theorem == _CAPPED)
+    related = oracle != _UNRELATED
+    tally.checks += oracle.size
+    tally.capped += int(capped.sum())
+    sweep.fail_at(
+        tally, ~capped & (related != (theorem != _UNRELATED)),
+        lambda k, r: f"{sweep.relations[r]}: oracle={related[k, r]} but theorem={not related[k, r]}",
+    )
     if tally.capped:
         tally.observations = (f"{tally.capped} capped checks recorded oracle-only verdicts",)
 
@@ -714,16 +770,15 @@ def _greens_mode_agreement(entry, tally, catalog):
 @_suite("character-descent", _has_identity)
 def _character_descent(entry, tally, catalog):
     data = greens._greens_data(entry.instance)
-    char_ids = data.char_ids
-    for a, b in itertools.product(range(len(data.members)), repeat=2):
-        tally.checks += 1
-        ca, cb = char_ids[a], char_ids[b]
-        if data.l_below[a, b] and not data.si_l_below[ca, cb]:
-            tally.fail("L-inequality does not descend to characters",
-                       f=data.members[a], g=data.members[b])
-        if data.r_below[a, b] and not data.si_r_below[ca, cb]:
-            tally.fail("R-inequality does not descend to characters",
-                       f=data.members[a], g=data.members[b])
+    chars = np.array(data.char_ids, dtype=np.intp)
+    for start, stop in _row_blocks(len(chars), 2 * len(chars)):
+        rows = chars[start:stop, None]
+        hits = np.stack([data.l_below[start:stop] & ~data.si_l_below[rows, chars],
+                         data.r_below[start:stop] & ~data.si_r_below[rows, chars]], axis=2)
+        _fail_rows(tally, data.members, start, hits,
+                   "L-inequality does not descend to characters",
+                   "R-inequality does not descend to characters")
+    tally.checks = len(chars) ** 2
 
 
 @_suite("greens-d-composition-commutes", _has_identity)
@@ -753,70 +808,85 @@ def _greens_d_subset_j(entry, tally, catalog):
 @_suite("greens-tx-specialization", _degree_one_with_identity)
 def _greens_tx_specialization(entry, tally, catalog):
     data = greens._greens_data(entry.instance)
-    d_rel = data.d_rel
-    j_rel = data.j_below & data.j_below.T
-    images = [geometry[0] for geometry in data.geometry.j_geometry]
-    kernels = data.geometry.kernels
-    for a, b in itertools.product(range(len(data.members)), repeat=2):
-        tally.checks += 1
-        rank_eq = len(images[a]) == len(images[b])
-        if data.l_eq(a, b) != (images[a] == images[b]):
-            detail = "L disagrees with image equality"
-        elif data.r_eq(a, b) != (kernels[a] == kernels[b]):
-            detail = "R disagrees with kernel equality"
-        elif bool(j_rel[a, b]) != rank_eq or bool(d_rel[a, b]) != rank_eq:
-            detail = "D or J disagrees with rank equality"
-        else:
-            continue
-        tally.fail(detail, f=data.members[a], g=data.members[b])
+    l_label, r_label = np.array(data.l_label), np.array(data.r_label)
+    images = _first_equal(geometry[0] for geometry in data.geometry.j_geometry)
+    ranks = np.array([len(geometry[0]) for geometry in data.geometry.j_geometry])
+    kernels = _first_equal(data.geometry.kernels)
+    for start, stop in _row_blocks(len(images), 3 * len(images)):
+        # each pair fails on the first of the three tests that it fails
+        l_bad = _equal(l_label, start, stop) != _equal(images, start, stop)
+        r_bad = ~l_bad & (_equal(r_label, start, stop) != _equal(kernels, start, stop))
+        j_rel = data.j_below[start:stop] & data.j_below[:, start:stop].T
+        rank_eq = _equal(ranks, start, stop)
+        dj_bad = ~(l_bad | r_bad) & ((j_rel != rank_eq) | (data.d_rel[start:stop] != rank_eq))
+        _fail_rows(tally, data.members, start, np.stack([l_bad, r_bad, dj_bad], axis=2),
+                   "L disagrees with image equality", "R disagrees with kernel equality",
+                   "D or J disagrees with rank equality")
+    tally.checks = len(images) ** 2
 
 
 @_suite("greens-witness-replay", _has_identity)
 def _greens_witness_replay(entry, tally, catalog):
     sweep = _greens_sweep(entry, catalog)
-    members = sweep.members
-    for a, b, verdicts in sweep.rows():
-        for rel, *codes in verdicts:
-            for mode, code in zip(_MODES, codes):
-                if code == _CAPPED:
-                    tally.capped += 1
-                elif code != _UNRELATED:
-                    tally.check(code == _REPLAYS, f"{rel} witness ({mode}) fails to replay",
-                                f=members[a], g=members[b])
+    codes = sweep.codes
+    tally.checks += int(((codes == _REPLAYS) | (codes == _FAILS_REPLAY)).sum())
+    tally.capped += int((codes == _CAPPED).sum())
+    sweep.fail_at(tally, codes == _FAILS_REPLAY,
+                  lambda k, r, m: f"{sweep.relations[r]} witness ({_MODES[m]}) fails to replay")
 
 
 @_suite("greens-necessary-conditions", _has_identity)
 def _greens_necessary_conditions(entry, tally, catalog):
     data = greens._greens_data(entry.instance)
-    images = [geometry[0] for geometry in data.geometry.j_geometry]
-    kernels = data.geometry.kernels
-    for a, b in itertools.product(range(len(data.members)), repeat=2):
-        tally.checks += 1
-        if data.l_eq(a, b) and images[a] != images[b]:
-            tally.fail("L-related pair with different images",
-                       f=data.members[a], g=data.members[b])
-        if data.r_eq(a, b) and kernels[a] != kernels[b]:
-            tally.fail("R-related pair with different kernels",
-                       f=data.members[a], g=data.members[b])
+    l_label, r_label = np.array(data.l_label), np.array(data.r_label)
+    images = _first_equal(geometry[0] for geometry in data.geometry.j_geometry)
+    kernels = _first_equal(data.geometry.kernels)
+    for start, stop in _row_blocks(len(images), 2 * len(images)):
+        hits = np.stack([_equal(l_label, start, stop) & ~_equal(images, start, stop),
+                         _equal(r_label, start, stop) & ~_equal(kernels, start, stop)], axis=2)
+        _fail_rows(tally, data.members, start, hits, "L-related pair with different images",
+                   "R-related pair with different kernels")
+    tally.checks = len(images) ** 2
+
+
+def _txp_verdicts(geometry, sweep: _GreensSweep) -> np.ndarray:
+    """``greens._txp_related`` at each pair of the sweep and each relation, as
+    a pairs × relations array: decided once per pair of the two members'
+    signatures (the lists ``greens._TXP_READS`` names), with one memo of J
+    covers for the entry."""
+    size, covers = len(geometry.images), {}
+    f, g = sweep.pairs.T
+    verdicts = np.empty(sweep.codes.shape[:2], dtype=bool)
+    for r, rel in enumerate(sweep.relations):
+        # each member's signature, as the first member with an equal one
+        rep = _first_equal(zip(*(getattr(geometry, name) for name in greens._TXP_READS[rel])))
+        keys, at = np.unique(rep[f] * size + rep[g], return_inverse=True)
+        decided = [greens._txp_related(rel, geometry, *divmod(key, size), covers)
+                   for key in keys.tolist()]
+        verdicts[:, r] = np.array(decided, dtype=bool)[at.reshape(-1)]
+    return verdicts
 
 
 @_suite("txp-specialization", _full_characters)
 def _txp_specialization(entry, tally, catalog):
     sweep = _greens_sweep(entry, catalog)
-    members = sweep.members
-    geometry = entry.instance.derived.geometry  # ``txp_green`` on members by position
-    for a, b, verdicts in sweep.rows():
-        for rel, oracle, theorem in verdicts:
-            tally.checks += 1
-            specialized = greens._txp_related(rel, geometry, a, b)
-            for route, code in (("oracle", oracle), ("theorem", theorem)):
-                if code == _CAPPED:
-                    tally.capped += 1
-                    break
-                if specialized != (code != _UNRELATED):
-                    tally.fail(f"{rel}: specialized={specialized} {route}={not specialized}",
-                               f=members[a], g=members[b])
-                    break
+    specialized = _txp_verdicts(entry.instance.derived.geometry, sweep)
+    oracle, theorem = sweep.codes[..., 0], sweep.codes[..., 1]
+    # each (pair, relation) stops at the oracle route when it is capped or
+    # wrong, and reads the theorem route only after it
+    oracle_capped = oracle == _CAPPED
+    oracle_wrong = ~oracle_capped & (specialized != (oracle != _UNRELATED))
+    theorem_capped = ~(oracle_capped | oracle_wrong) & (theorem == _CAPPED)
+    theorem_wrong = (~(oracle_capped | oracle_wrong | theorem_capped)
+                     & (specialized != (theorem != _UNRELATED)))
+    tally.checks += oracle.size
+    tally.capped += int(oracle_capped.sum() + theorem_capped.sum())
+
+    def detail(k, r):
+        route = "oracle" if oracle_wrong[k, r] else "theorem"
+        return f"{sweep.relations[r]}: specialized={specialized[k, r]} {route}={not specialized[k, r]}"
+
+    sweep.fail_at(tally, oracle_wrong | theorem_wrong, detail)
 
 
 def run_suite(name: str, catalog: Catalog) -> Report:

@@ -145,6 +145,18 @@ class TestExitCodes:
             "J-related (theorem): capped out, oracle verdict only",
         ]
 
+    @pytest.mark.parametrize("extra", [["--rel", "J", "--f", "0,0,1", "--g", "0,0,1"],
+                                       ["--eggbox"]], ids=["pair", "eggbox"])
+    def test_greens_refuses_a_negative_cap(self, write, capsys, extra):
+        """A negative ``--cap`` is an input error: exit 2, one ``error:``
+        line and nothing on standard output, with or without a pair."""
+        path = write("j.json", {"n": 3, "blocks": [[0, 1], [2]], "si": {"kind": "full"}})
+        assert run_command(["greens", path, *extra, "--cap", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --cap must be non-negative, got -5\n"
+        assert run_command(["greens", path, *extra, "--cap", "0"]) == 0
+
     def test_greens_requires_pair_without_eggbox(self, inst_file, capsys):
         assert run_command(["greens", inst_file]) == 2
 

@@ -141,6 +141,19 @@ class TestOneSidedCaps:
         assert w is not None and verify_witness(w, E1, E3)
 
 
+@pytest.mark.parametrize("mode", ["oracle", "theorem"])
+@pytest.mark.parametrize("checker", [l_related, r_related, d_related, j_related])
+def test_a_negative_cap_is_refused(checker, mode, inst_full):
+    """A negative cap is an input error in both modes, even on a pair whose
+    answer needs no candidate; a cap of 0 is still taken."""
+    with pytest.raises(InvalidArgumentError, match="cap must be non-negative, got -5"):
+        checker(E1, E3, inst_full, mode=mode, cap=-5)
+    with pytest.raises(InvalidArgumentError, match="cap must be non-negative, got -1"):
+        checker(CONST, E1, inst_full, mode=mode, cap=-1)
+    if mode == "oracle":
+        assert checker(E1, E1, inst_full, mode=mode, cap=0) is not None
+
+
 class TestBuildLeftFactor:
     def test_reflexive_rule(self, inst_full):
         h = build_left_factor(F1, F1, FiniteMap.identity(2), inst_full)
@@ -537,10 +550,11 @@ def _assert_signature_route_matches_the_reference(p, members, pairs):
     geometry = _Geometry(
         [m.images for m in members], [character(m, p).images for m in members], p
     )
+    covers = {}  # one memo of J covers for every pair, as the harness keeps it
     for a, b in pairs:
         for rel in "LRDJ":
             expected = _reference_txp_green(rel, members[a], members[b], p)
-            assert _txp_related(rel, geometry, a, b) == expected, (
+            assert _txp_related(rel, geometry, a, b, covers) == expected, (
                 rel, members[a], members[b])
 
 
@@ -575,6 +589,126 @@ class TestTxpSignatureRoute:
     def test_unknown_relation(self, p22):
         with pytest.raises(InvalidArgumentError, match="unknown relation"):
             txp_green("H", E1, E1, p22)
+
+
+def _parent_txp_d_check(geometry, a, b):
+    """The D test before the matchings were taken on class masks: kernel
+    class indices, per-block class lists and an inverse matching."""
+    f_chi, f_meets, g_meets = geometry.chars[a], geometry.meet_masks[a], geometry.meet_masks[b]
+    g_fibers = geometry.char_kernels[b]
+    count, deg = len(f_meets), geometry.p.degree
+    target_image = sorted(set(f_chi))
+    if count != len(g_meets) or len(g_fibers) != len(target_image):
+        return False
+    f_here = [[k for k in range(count) if f_meets[k] >> i & 1] for i in range(deg)]
+    g_here = [[k for k in range(count) if g_meets[k] >> i & 1] for i in range(deg)]
+    for assigned in itertools.permutations(target_image):
+        gamma = [0] * deg
+        for fiber, value in zip(g_fibers, assigned):
+            for i in fiber:
+                gamma[i] = value
+        for matching in itertools.permutations(range(count)):
+            inverse = {m: k for k, m in enumerate(matching)}
+            if all(
+                any(
+                    gamma[j] == f_chi[i]
+                    and all(g_meets[matching[k]] >> j & 1 for k in f_here[i])
+                    for j in range(deg)
+                )
+                and any(
+                    f_chi[j] == gamma[i]
+                    and all(f_meets[inverse[k]] >> j & 1 for k in g_here[i])
+                    for j in range(deg)
+                )
+                for i in range(deg)
+            ):
+                return True
+    return False
+
+
+def _parent_txp_j_one_sided(geometry, a, b):
+    """The J test before g's covers were kept: every target assignment that
+    reaches the blocks of im chi(f), and every point valuation, again for
+    each pair and direction."""
+    p = geometry.p
+    dom, dom_blocks, sources = geometry.j_geometry[b]
+    if len(geometry.j_geometry[a][0]) > len(dom):
+        return False
+    hit_blocks = sorted(set(dom_blocks))
+    needed = set(geometry.chars[a])
+    f_blockimg = geometry.block_masks[a]
+    for targets in itertools.product(range(p.degree), repeat=len(hit_blocks)):
+        if not needed <= set(targets):
+            continue
+        target_of = dict(zip(hit_blocks, targets))
+        candidates = [p.blocks[target_of[c]] for c in dom_blocks]
+        for values in itertools.product(*candidates):
+            covered = [sum(1 << values[k] for k in source) for source in sources]
+            if all(any(fb & ~gb == 0 for gb in covered) for fb in f_blockimg):
+                return True
+    return False
+
+
+def _parent_txp_related(rel, geometry, a, b):
+    if rel == "L":
+        bf, bg = geometry.block_masks[a], geometry.block_masks[b]
+        return all(any(x & ~y == 0 for y in bg) for x in bf) and all(
+            any(y & ~x == 0 for x in bf) for y in bg)
+    if rel == "R":
+        return (geometry.char_kernels[a] == geometry.char_kernels[b]
+                and geometry.kernels[a] == geometry.kernels[b])
+    if rel == "D":
+        return _parent_txp_d_check(geometry, a, b)
+    return _parent_txp_j_one_sided(geometry, a, b) and _parent_txp_j_one_sided(geometry, b, a)
+
+
+class TestTxpCovers:
+    """``_txp_related`` against the per-pair enumeration it replaced, with
+    each map's J covers built at most once per geometry."""
+
+    @staticmethod
+    def _spy_on_covers(monkeypatch):
+        built = Counter()
+        real = greens._txp_j_covers
+
+        def spy(geometry, b):
+            built[(id(geometry), b)] += 1
+            return real(geometry, b)
+
+        monkeypatch.setattr(greens, "_txp_j_covers", spy)
+        return built
+
+    @staticmethod
+    def _assert_matches_the_parent(geometry, pairs):
+        covers = {}
+        for a, b in pairs:
+            for rel in "LRDJ":
+                assert _txp_related(rel, geometry, a, b, covers) == _parent_txp_related(
+                    rel, geometry, a, b), (rel, geometry.images[a], geometry.images[b])
+
+    def test_every_pair_of_the_full_n3_entries(self, monkeypatch):
+        built = self._spy_on_covers(monkeypatch)
+        entries = [e for e in build_catalog(3, seed=7).entries if e.si_label == "full"]
+        assert len(entries) == 8
+        for entry in entries:
+            geometry = entry.instance.derived.geometry
+            size = len(geometry.images)
+            self._assert_matches_the_parent(geometry, itertools.product(range(size), repeat=2))
+            # every member's covers are asked for, by the pair of it with itself
+            assert {b for key, b in built if key == id(geometry)} == set(range(size))
+        assert set(built.values()) == {1}
+
+    @pytest.mark.parametrize("blocks", [[[0, 1], [2, 3]], [[0], [1], [2], [3]]],
+                             ids=["n4:[0,1][2,3]/full", "n4:[0][1][2][3]/full"])
+    def test_seeded_pairs_of_n4_entries(self, blocks, monkeypatch):
+        built = self._spy_on_covers(monkeypatch)
+        p = Partition.of(blocks)
+        geometry = Instance(p, IndexSemigroup.full(p.degree)).derived.geometry
+        size = len(geometry.images)
+        rng = random.Random(f"txp-covers:{blocks}")
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(200)]
+        self._assert_matches_the_parent(geometry, pairs)
+        assert built and set(built.values()) == {1}
 
 
 class TestFullTxGreen:

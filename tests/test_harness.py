@@ -1,10 +1,12 @@
 import dataclasses
 import gc
+import itertools
 import json
 import weakref
 from collections import Counter
 from functools import cached_property
 
+import numpy as np
 import pytest
 
 from partsem import (
@@ -538,3 +540,370 @@ class TestGreensSweep:
         del catalog
         gc.collect()
         assert [ref() for ref in refs] == [None] * len(full)
+
+
+def _reader_loops(catalog):
+    """The three Green's pair suites' readers as the pair-by-pair loops over
+    the sweep's codes that they replaced, with ``txp_green`` called per pair:
+    untimed payloads by suite, in catalog order, and every failure by
+    (suite, entry label)."""
+    out, failures = {name: [] for name in GREENS_PAIR_SUITES}, {}
+    for entry in catalog.entries:
+        inst = entry.instance
+        if not inst.si.has_identity:
+            continue
+        sweep = harness._greens_sweep(entry, catalog)
+        members = sweep.members
+        rows = [
+            (a, b, [(rel, o, t) for rel, (o, t) in zip(sweep.relations, row)])
+            for (a, b), row in zip(sweep.pairs.tolist(), sweep.codes.tolist())
+        ]
+        agree, replay, txp = (harness._Tally(entry) for _ in GREENS_PAIR_SUITES)
+        for a, b, verdicts in rows:
+            for rel, oracle, theorem in verdicts:
+                agree.checks += 1
+                if harness._CAPPED in (oracle, theorem):
+                    agree.capped += 1
+                    continue
+                oracle, theorem = oracle != harness._UNRELATED, theorem != harness._UNRELATED
+                if oracle != theorem:
+                    agree.fail(f"{rel}: oracle={oracle} but theorem={theorem}",
+                               f=members[a], g=members[b])
+        if agree.capped:
+            agree.observations = (f"{agree.capped} capped checks recorded oracle-only verdicts",)
+        for a, b, verdicts in rows:
+            for rel, *codes in verdicts:
+                for mode, code in zip(("oracle", "theorem"), codes):
+                    if code == harness._CAPPED:
+                        replay.capped += 1
+                    elif code != harness._UNRELATED:
+                        replay.check(code == harness._REPLAYS,
+                                     f"{rel} witness ({mode}) fails to replay",
+                                     f=members[a], g=members[b])
+        for a, b, verdicts in rows:
+            for rel, oracle, theorem in verdicts:
+                txp.checks += 1
+                specialized = greens.txp_green(rel, members[a], members[b], inst.partition)
+                for route, code in (("oracle", oracle), ("theorem", theorem)):
+                    if code == harness._CAPPED:
+                        txp.capped += 1
+                        break
+                    if specialized != (code != harness._UNRELATED):
+                        txp.fail(f"{rel}: specialized={specialized} {route}={not specialized}",
+                                 f=members[a], g=members[b])
+                        break
+        tallies = [(GREENS_PAIR_SUITES[0], agree), (GREENS_PAIR_SUITES[1], replay)]
+        if entry.si_label == "full":
+            tallies.append((GREENS_PAIR_SUITES[2], txp))
+        _keep(out, failures, entry, tallies)
+    return out, failures
+
+
+def _keep(out, failures, entry, tallies):
+    for name, tally in tallies:
+        out[name].append(harness._record(name, entry.label, 0.0, tally).to_payload(False))
+        failures[(name, entry.label)] = tally.failures
+
+
+def _keep_failures(monkeypatch):
+    """Every failure the suites record from now on, by (suite, entry label)."""
+    kept = {}
+    real = harness._record
+
+    def record(suite, label, started, tally):
+        kept[(suite, label)] = tally.failures
+        return real(suite, label, started, tally)
+
+    monkeypatch.setattr(harness, "_record", record)
+    return kept
+
+
+def _assert_same_records(report, names, expected, expected_failures, kept):
+    for name in names:
+        assert _untimed(r for r in report.records if r.suite == name) == expected[name], name
+    assert {key: kept[key] for key in expected_failures} == expected_failures
+
+
+def _pick(f, g):
+    """Which spoil of the mixed sweep a pair gets; every (f, f) pair gets 0."""
+    return (sum(f.images) + 2 * sum(g.images)) % 3
+
+
+class TestSweepReaders:
+    """The pair suites count the sweep's codes with NumPy, and fail where the
+    pair-by-pair readers did, in the same order."""
+
+    def test_a_mixed_sweep_reads_as_the_row_loops_read_it(self, monkeypatch):
+        """L oracle verdicts flipped on some pairs (with the L theorem search
+        also capped on each (f, f) pair), the R theorem search capped on
+        others and D witnesses that fail replay on others, all in one
+        catalog."""
+        def flip_l(f, g, inst, mode, w):
+            if _pick(f, g) != 0:
+                return w
+            if mode == "oracle":
+                return None if w is not None else greens.GreenWitness("L")
+            if f is g:
+                raise ResourceLimitError("spoiled cap")
+            return w
+
+        def cap_r(f, g, inst, mode, w):
+            if mode == "theorem" and _pick(f, g) == 1:
+                raise ResourceLimitError("spoiled cap")
+            return w
+
+        def tamper_d(f, g, inst, mode, w):
+            if w is None or _pick(f, g) != 2:
+                return w
+            members = enumerate_elements(inst)
+            (name, h), *rest = w.factors
+            moved = members[(members.index(h) + 1) % len(members)]
+            return dataclasses.replace(w, factors=((name, moved), *rest))
+
+        for name, spoil in (("l_related", flip_l), ("r_related", cap_r),
+                            ("d_related", tamper_d)):
+            _spoil(monkeypatch, name, spoil)
+        catalog = build_catalog(3, seed=7)
+        expected, expected_failures = _reader_loops(catalog)
+        kept = _keep_failures(monkeypatch)
+        report = run_all(catalog, names=list(GREENS_PAIR_SUITES))
+        _assert_same_records(report, GREENS_PAIR_SUITES, expected, expected_failures, kept)
+        for name in GREENS_PAIR_SUITES:
+            records = [r for r in report.records if r.suite == name]
+            assert any(r.failures for r in records) and any(r.capped for r in records), name
+        details = {r.counterexample["detail"] for r in report.records if r.failures}
+        assert {"L: oracle=False but theorem=True", "L: specialized=True oracle=False",
+                "D witness (oracle) fails to replay"} <= details
+        assert any(r.observations for r in report.records)
+
+    def test_txp_covers_are_built_at_most_once_per_instance(self, monkeypatch):
+        built = Counter()
+        real = greens._txp_j_covers
+
+        def spy(geometry, b):
+            built[(id(geometry), b)] += 1
+            return real(geometry, b)
+
+        monkeypatch.setattr(greens, "_txp_j_covers", spy)
+        catalog = build_catalog(3, seed=7)
+        assert run_all(catalog).failures == 0
+        full = {id(e.instance.derived.geometry) for e in catalog.entries if e.si_label == "full"}
+        assert {key for key, _ in built} == full
+        assert set(built.values()) == {1}
+
+
+GATHERED_SUITES = ("character-homomorphism", "member-closure", "unit-set-identity")
+
+
+def _tuple_loops(catalog, names=GATHERED_SUITES):
+    """The gathered suites as the tuple loops they replaced, reading
+    the members through ``harness.enumerate_elements``: untimed payloads by
+    suite, in catalog order.  Closure is tested against the members' own
+    tuples, as the suite now does, not against ``member_index``.  Every
+    failure is kept by (suite, entry label) too."""
+    out, failures = {name: [] for name in GATHERED_SUITES}, {}
+    for entry in catalog.entries:
+        inst = entry.instance
+        p = inst.partition
+        members = harness.enumerate_elements(inst)
+        tuples = [m.images for m in members]
+        lookup = [p.block_of(x) for x in range(p.n)]
+        firsts = [b[0] for b in p.blocks]
+        chars = [tuple(lookup[t[x]] for x in firsts) for t in tuples]
+        homomorphism, closure, units = (harness._Tally(entry) for _ in GATHERED_SUITES)
+        index = set(tuples)
+        for ft, cf in zip(tuples, chars):
+            for gt, cg in zip(tuples, chars):
+                composite = tuple(gt[ft[x]] for x in range(p.n))
+                direct = tuple(lookup[composite[x]] for x in firsts)
+                homomorphic = tuple(cg[cf[i]] for i in range(p.degree))
+                homomorphism.check(direct == homomorphic,
+                                   "character of composite differs from composed characters",
+                                   f=ft, g=gt)
+                closure.check(composite in index, "composite escapes the member set", f=ft, g=gt)
+        tallies = [(GATHERED_SUITES[0], homomorphism), (GATHERED_SUITES[1], closure)]
+        if inst.si.has_identity and GATHERED_SUITES[2] in names:
+            ident = finite_maps.FiniteMap.identity(p.n)
+            compose = finite_maps.compose
+            by_definition = [
+                f for f in members
+                if any(compose(f, g) == ident and compose(g, f) == ident for g in members)
+            ]
+            by_formula = [f for f in members if harness.is_unit_bijection(f, p)]
+            units.checks = len(members)
+            if by_definition != by_formula:
+                units.fail("two-sided-invertible members differ from the S(X,P) intersection")
+            tallies.append((GATHERED_SUITES[2], units))
+        _keep(out, failures, entry, tallies)
+    return out, failures
+
+
+def _drop_last(inst, members):
+    return members[:-1]
+
+
+def _break_last(inst, members):
+    """The last member with the second point of a multi-point block sent to
+    another block than the first point's image: its character, read at the
+    first points, no longer describes it."""
+    p = inst.partition
+    block = next((b for b in p.blocks if len(b) > 1), None)
+    if block is None or p.degree < 2:
+        return members
+    images = list(members[-1].images)
+    images[block[1]] = next(x for x in range(p.n) if p.block_of(x) != p.block_of(images[block[0]]))
+    return (*members[:-1], finite_maps.FiniteMap(p.n, p.n, tuple(images)))
+
+
+class TestGatheredSuites:
+    """character-homomorphism, member-closure and unit-set-identity compose by
+    gathering on the member image array and record what the tuple loops did."""
+
+    @pytest.mark.parametrize("seed", [7, 11, 12, 13])
+    def test_n3_catalogs(self, seed):
+        catalog = build_catalog(3, seed=seed)
+        expected, _ = _tuple_loops(catalog)
+        report = run_all(catalog, names=list(GATHERED_SUITES))
+        assert report.failures == 0
+        for name in GATHERED_SUITES:
+            assert _untimed(r for r in report.records if r.suite == name) == expected[name]
+
+    @pytest.mark.parametrize("one_row", [False, True], ids=["blocks", "one-row"])
+    @pytest.mark.parametrize("spoil,names,failing", [
+        (None, GATHERED_SUITES, set()),
+        (_drop_last, GATHERED_SUITES, {"member-closure", "unit-set-identity"}),
+        # a member that does not preserve the partition has no unit test to
+        # run: ``is_unit_bijection`` refuses it
+        (_break_last, GATHERED_SUITES[:2], {"character-homomorphism", "member-closure"}),
+    ], ids=["clean", "drop-a-member", "wrong-character"])
+    def test_spoiled_members_and_row_blocks(self, spoil, names, failing, one_row, monkeypatch):
+        if spoil is not None:
+            real = harness.enumerate_elements
+            monkeypatch.setattr(harness, "enumerate_elements",
+                                lambda inst: spoil(inst, real(inst)))
+        block_rows = Counter()
+        if one_row:
+            monkeypatch.setattr(greens, "LABEL_BLOCK_CELLS", 1)
+            real_then = harness._then
+
+            def then(maps, rows):
+                block_rows[len(rows)] += 1
+                return real_then(maps, rows)
+
+            monkeypatch.setattr(harness, "_then", then)
+        catalog = build_catalog(3, seed=7)
+        expected, expected_failures = _tuple_loops(catalog, names)
+        kept = _keep_failures(monkeypatch)
+        report = run_all(catalog, names=list(names))
+        _assert_same_records(report, names, expected, expected_failures, kept)
+        assert {r.suite for r in report.records if r.failures} == failing
+        if one_row:
+            assert set(block_rows) == {1}
+
+    def test_member_codes_do_not_wrap_past_int64(self):
+        """16 singleton blocks with the identity and one constant character:
+        the constant member's base-16 code, 16**16 - 1, needs more than 63
+        bits."""
+        p = harness.Partition(16, tuple((x,) for x in range(16)))
+        si = harness.IndexSemigroup(16, (finite_maps.FiniteMap.identity(16),
+                                         finite_maps.FiniteMap(16, 16, (15,) * 16)))
+        entry = harness.CatalogEntry(harness.Instance(p, si), "n16", "id+const15")
+        catalog = harness.Catalog(16, 0, (entry,))
+        for name in GATHERED_SUITES:
+            (record,) = run_suite(name, catalog).records
+            assert record.verdict == "pass"
+        assert run_suite("member-closure", catalog).records[0].checks == 4
+
+
+LABEL_SUITES = ("character-descent", "greens-tx-specialization", "greens-necessary-conditions")
+
+
+def _label_loops(catalog):
+    """character-descent, greens-tx-specialization and
+    greens-necessary-conditions as the pair-by-pair loops over the Green's
+    data they replaced: untimed payloads by suite, in catalog order, and every
+    failure by (suite, entry label)."""
+    out, failures = {name: [] for name in LABEL_SUITES}, {}
+    for entry in catalog.entries:
+        inst = entry.instance
+        if not inst.si.has_identity:
+            continue
+        data = greens._greens_data(inst)
+        members, char_ids = data.members, data.char_ids
+        images = [geometry[0] for geometry in data.geometry.j_geometry]
+        kernels = data.geometry.kernels
+        j_rel = data.j_below & data.j_below.T
+        descent, tx, necessary = (harness._Tally(entry) for _ in LABEL_SUITES)
+        for a, b in itertools.product(range(len(members)), repeat=2):
+            f, g = members[a], members[b]
+            descent.checks += 1
+            ca, cb = char_ids[a], char_ids[b]
+            if data.l_below[a, b] and not data.si_l_below[ca, cb]:
+                descent.fail("L-inequality does not descend to characters", f=f, g=g)
+            if data.r_below[a, b] and not data.si_r_below[ca, cb]:
+                descent.fail("R-inequality does not descend to characters", f=f, g=g)
+            tx.checks += 1
+            rank_eq = len(images[a]) == len(images[b])
+            if data.l_eq(a, b) != (images[a] == images[b]):
+                tx.fail("L disagrees with image equality", f=f, g=g)
+            elif data.r_eq(a, b) != (kernels[a] == kernels[b]):
+                tx.fail("R disagrees with kernel equality", f=f, g=g)
+            elif bool(j_rel[a, b]) != rank_eq or bool(data.d_rel[a, b]) != rank_eq:
+                tx.fail("D or J disagrees with rank equality", f=f, g=g)
+            necessary.checks += 1
+            if data.l_eq(a, b) and images[a] != images[b]:
+                necessary.fail("L-related pair with different images", f=f, g=g)
+            if data.r_eq(a, b) and kernels[a] != kernels[b]:
+                necessary.fail("R-related pair with different kernels", f=f, g=g)
+        tallies = [(LABEL_SUITES[0], descent), (LABEL_SUITES[2], necessary)]
+        if inst.partition.degree == 1:
+            tallies.insert(1, (LABEL_SUITES[1], tx))
+        _keep(out, failures, entry, tallies)
+    return out, failures
+
+
+def _spoil_labels(data):
+    """Every member L- and R-related to every other, D read as its
+    complement, and each character's L-descent to itself dropped."""
+    size = len(data.members)
+    d_rel = ~data.d_rel
+    data.l_label = data.r_label = [0] * size
+    data.d_rel = d_rel
+    si_l_below = data.si_l_below.copy()
+    np.fill_diagonal(si_l_below, False)
+    data.si_l_below = si_l_below
+
+
+class TestLabelSuites:
+    """The three pair suites over the Green's data test whole blocks of rows
+    with NumPy and record what their pair loops did."""
+
+    @pytest.mark.parametrize("one_row", [False, True], ids=["blocks", "one-row"])
+    @pytest.mark.parametrize("spoiled", [False, True], ids=["clean", "spoiled-labels"])
+    def test_records_match_the_pair_loops(self, spoiled, one_row, monkeypatch):
+        if spoiled:
+            real = greens._greens_data
+
+            def spoiling(inst):
+                data = real(inst)
+                if not getattr(data, "spoiled", False):
+                    _spoil_labels(data)
+                    data.spoiled = True
+                return data
+
+            monkeypatch.setattr(greens, "_greens_data", spoiling)
+        if one_row:
+            monkeypatch.setattr(greens, "LABEL_BLOCK_CELLS", 1)
+        catalog = build_catalog(3, seed=7)
+        expected, expected_failures = _label_loops(catalog)
+        kept = _keep_failures(monkeypatch)
+        report = run_all(catalog, names=list(LABEL_SUITES))
+        _assert_same_records(report, LABEL_SUITES, expected, expected_failures, kept)
+        failing = {r.suite for r in report.records if r.failures}
+        assert failing == (set(LABEL_SUITES) if spoiled else set())
+        details = {f["detail"] for failures in kept.values() for f in failures}
+        assert details == (set() if not spoiled else {
+            "L-inequality does not descend to characters",
+            "L disagrees with image equality", "R disagrees with kernel equality",
+            "D or J disagrees with rank equality",
+            "L-related pair with different images", "R-related pair with different kernels"})
