@@ -126,13 +126,6 @@ class IndexSemigroup:
         return k if k is not None and self.elements[k] == m else None
 
     @classmethod
-    def from_maps(cls, maps: Iterable[FiniteMap]) -> "IndexSemigroup":
-        maps = tuple(maps)
-        if not maps:
-            raise InvalidArgumentError("empty element set")
-        return cls(maps[0].domain_size, maps)
-
-    @classmethod
     def full(cls, degree: int) -> "IndexSemigroup":
         """All degree^degree self-maps of I."""
         elements = tuple(

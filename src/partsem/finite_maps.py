@@ -67,9 +67,6 @@ class FiniteMap:
     def is_injective(self) -> bool:
         return len(set(self.images)) == self.domain_size
 
-    def is_surjective(self) -> bool:
-        return len(set(self.images)) == self.codomain_size
-
     def is_bijective(self) -> bool:
         return self.domain_size == self.codomain_size and self.is_injective()
 
@@ -124,12 +121,6 @@ class SetPartition:
                 seen.add(x)
         if len(seen) != self.ground_size:
             raise InvalidArgumentError("classes do not cover the ground set")
-
-    def class_of(self, x: int) -> tuple[int, ...]:
-        for c in self.classes:
-            if x in c:
-                return c
-        raise InvalidArgumentError(f"element {x} outside [0, {self.ground_size})")
 
     def __len__(self) -> int:
         return len(self.classes)

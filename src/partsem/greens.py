@@ -13,7 +13,12 @@ demanded by the structural criteria.  The searches hand index positions to
 the builders, and a witness's index maps are taken from them only when it
 is assembled.  Both routes produce
 replayable witnesses: factor transformations whose composites reproduce the
-claimed ideal memberships.  Each relation has one position core
+claimed ideal memberships.  Each theorem search reads of the members only
+their characters and the geometry lists ``_THEOREM_READS`` names, and each
+oracle verdict depends on them only through their L- and R-classes (the L,
+R and D oracles read the class labels, and ≤_J is constant on both kinds of
+class), so a caller deciding many pairs (the harness's Green's sweep) may
+take one verdict per pair of those keys where it is unrelated.  Each relation has one position core
 (``_one_sided_witness``, ``_d_witness``, ``_j_witness``): it takes member
 positions, runs the search of its mode and every validation of the
 builders, and returns a ``GreenWitness`` of the instance's own members and
@@ -492,9 +497,13 @@ def _r_one_sided_theorem(
 
 
 def _kernel_refines(data: _GreensData, gk: int, fk: int) -> bool:
-    """pi(g) refines pi(f): xg fixes xf, so the pairs (xg, xf) number |im g|."""
-    g_imgs = data.imgs[gk]
-    return len(set(zip(g_imgs, data.imgs[fk]))) == len(set(g_imgs))
+    """pi(g) refines pi(f): each kernel class of g lies in one class of f
+    (at once when the kernels are equal, as under the R criterion's gate)."""
+    f_classes, g_classes = data.geometry.kernels[fk], data.geometry.kernels[gk]
+    if f_classes == g_classes:
+        return True
+    f_class = {x: k for k, c in enumerate(f_classes) for x in c}
+    return all(len({f_class[x] for x in c}) == 1 for c in g_classes)
 
 
 def r_related(
@@ -594,16 +603,17 @@ def _match_classes(
 
 def _d_theorem_search(
     data: _GreensData, fk: int, gk: int, cap: int
-) -> tuple[int, int, int, ClassPairing] | None:
-    """First (alpha, beta, gamma, class pairing) meeting the D-criterion,
-    the characters as index positions.
+) -> tuple[int, int, int, tuple[int, ...]] | None:
+    """First (alpha, beta, gamma, class bijection) meeting the D-criterion,
+    the characters as index positions and the bijection as ``_match_classes``
+    returns it.
 
     gamma runs over the R-class of chi(g) in the index set, ascending; the
     alphas with chi(f) = alpha*gamma and the betas with gamma = beta*chi(f)
     are the left divisors of chi(f) by gamma and of gamma by chi(f).
     """
-    kernels = data.geometry.kernels
-    if len(kernels[fk]) != len(kernels[gk]):
+    class_meets = data.geometry.class_meets
+    if len(class_meets[fk]) != len(class_meets[gk]):
         return None
     facts, imgs = data.si_facts, data.si_imgs
     cf, cg = data.char_ids[fk], data.char_ids[gk]
@@ -617,11 +627,7 @@ def _d_theorem_search(
             for b in betas:
                 found = _match_classes(data, fk, gk, imgs[a], imgs[b], budget)
                 if found is not None:
-                    pairing = tuple(
-                        (kernels[fk][mk], kernels[gk][nk])
-                        for mk, nk in enumerate(found)
-                    )
-                    return a, b, c, pairing
+                    return a, b, c, found
     return None
 
 
@@ -668,7 +674,9 @@ def _d_witness(
     found = _d_theorem_search(data, fk, gk, cap)
     if found is None:
         return None
-    a, b, c, pairing = found
+    a, b, c, matched = found
+    kernels = data.geometry.kernels
+    pairing = tuple((kernels[fk][mk], kernels[gk][nk]) for mk, nk in enumerate(matched))
     mk = _d_middle(data, fk, gk, c, pairing)
     # gamma R chi(g), and gamma is the middle's character: each divides the other
     u = data.si_facts.right_divisors(data.char_ids[gk], data.char_ids[mk])
@@ -756,8 +764,8 @@ def _j_one_sided_theorem(
     pair the point values of phi are enumerated blockwise.
     """
     j_geometry = data.geometry.j_geometry
-    dom, dom_blocks, block_sources = j_geometry[gk]
-    if len(j_geometry[fk][0]) > len(dom):
+    _, dom_blocks, block_sources = j_geometry[gk]
+    if len(j_geometry[fk][1]) > len(dom_blocks):
         return None
     p = data.inst.partition
     f_blockimg = data.geometry.block_masks[fk]
@@ -775,7 +783,7 @@ def _j_one_sided_theorem(
                         f"phi search exceeded the cap of {cap} assignments"
                     )
                 if _phi_covers(f_blockimg, sources, values):
-                    return a, b, FiniteMap(len(dom), p.n, values)
+                    return a, b, FiniteMap(len(dom_blocks), p.n, values)
     return None
 
 
@@ -992,6 +1000,17 @@ def _txp_j_one_sided(geometry: _Geometry, a: int, b: int, covers: dict) -> bool:
     return any(_txp_l_one_sided(geometry.block_masks[a], covered) for covered in covers[b])
 
 
+# The geometry lists each theorem search reads of one map besides its
+# character; of ``j_geometry`` the J search reads the block parts, [1:], and
+# never the sorted image.  Maps with equal characters and equal reads get
+# equal theorem verdicts, and the searches read nothing else of the geometry.
+_THEOREM_READS = {
+    "L": ("block_masks",),
+    "R": ("kernels",),
+    "D": ("meet_masks", "class_meets"),
+    "J": ("block_masks", "j_geometry"),
+}
+
 # The geometry lists each T(X, P) test reads of one map: maps equal on all of
 # them get equal ``_txp_related`` verdicts.
 _TXP_READS = {
@@ -1002,9 +1021,12 @@ _TXP_READS = {
 }
 
 
-def _txp_related(rel: Relation, geometry: _Geometry, a: int, b: int, covers: dict) -> bool:
+def _txp_related(
+    rel: Relation, geometry: _Geometry, a: int, b: int, covers: dict, one_sided: dict | None = None
+) -> bool:
     """``txp_green`` on the maps at positions a and b of a geometry, with one
-    memo of J covers (``_txp_j_one_sided``) for every pair of the geometry."""
+    memo of J covers (``_txp_j_one_sided``) for every pair of the geometry,
+    and optionally one of its one-sided J verdicts by (a, b)."""
     if rel == "L":
         bf, bg = geometry.block_masks[a], geometry.block_masks[b]
         return _txp_l_one_sided(bf, bg) and _txp_l_one_sided(bg, bf)
@@ -1014,7 +1036,13 @@ def _txp_related(rel: Relation, geometry: _Geometry, a: int, b: int, covers: dic
     if rel == "D":
         return _txp_d_check(geometry, a, b)
     if rel == "J":
-        return _txp_j_one_sided(geometry, a, b, covers) and _txp_j_one_sided(geometry, b, a, covers)
+        one_sided = {} if one_sided is None else one_sided
+        for key in ((a, b), (b, a)):
+            if key not in one_sided:
+                one_sided[key] = _txp_j_one_sided(geometry, *key, covers)
+            if not one_sided[key]:
+                return False
+        return True
     raise InvalidArgumentError(f"unknown relation {rel!r}")
 
 

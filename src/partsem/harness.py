@@ -18,13 +18,18 @@ in the report order; the order of the declarations is the order of
 The three Green's pair suites (``greens-mode-agreement``,
 ``greens-witness-replay`` and ``txp-specialization``) read one **Green's
 sweep** per entry instead of calling the checkers themselves.  The sweep
-calls each public checker once per pair of ``_pairs``, relation and mode,
-on the members' own maps (which the checkers find by identity, with no
-lookup), replays a found witness at once (``greens.verify_witness``, on
-image tuples), and keeps a one-byte outcome code: unrelated, replays,
-fails to replay, or capped.  Whichever of the three suites reaches an entry
-first fills its sweep; the catalog keeps it (``greens_sweeps``), so it is
-freed with the catalog.  Codes, not witnesses, are kept because the sweeps
+keeps a one-byte outcome code per pair of ``_pairs``, relation and mode:
+unrelated, replays, fails to replay, or capped.  It calls the public
+checker on the members' own maps (which the checkers find by identity,
+with no lookup) and replays a found witness at once
+(``greens.verify_witness``, on image tuples).  Each member has a key per
+relation and mode (``_verdict_keys``: the class labels the oracle reads,
+or the character and the geometry lists the theorem search reads), and
+pairs of members with equal keys get equal verdicts, so the checker is
+called once on an unrelated key group (a capped call decides nothing) and
+on every pair of a related one.  Whichever of the three suites reaches an
+entry first fills its sweep; the catalog keeps it (``greens_sweeps``), so
+it is freed with the catalog.  Codes, not witnesses, are kept because the sweeps
 of the whole catalog are held from the first of those suites to the last,
 and the witnesses would multiply the memory this takes.  The three suites
 read the codes as one array: each counts its checks and capped checks with
@@ -32,7 +37,7 @@ NumPy and records a failure only where one is, in row-major order.  The
 sweep names members by position, so ``txp-specialization`` decides
 ``txp_green`` on the members' geometry (``inst.derived.geometry``), once
 per pair of the two members' signatures for each relation, with one memo of
-J covers per entry.
+J covers and one of one-sided J verdicts per entry.
 
 ``character-homomorphism``, ``member-closure`` and ``unit-set-identity``
 compose by gathering on the N×n array of the members' images, a block of
@@ -693,14 +698,17 @@ _MODES = ("oracle", "theorem")
 
 
 class _GreensSweep:
-    """Every Green's verdict of one catalog entry, each decided once.
+    """Every Green's verdict of one catalog entry, each decided at most once.
 
     For each pair of ``_pairs`` (positions in ``pairs``), each relation of
-    ``greens.checkers()`` and each mode, the checker is called once on the
-    members' own maps, which it finds by identity, and a found witness is
-    replayed at once (``greens.verify_witness``); ``codes[k, r, m]`` keeps
-    only the outcome.  A capped call of either mode is counted
-    as capped by every reader.
+    ``greens.checkers()`` and each mode, ``codes[k, r, m]`` keeps only the
+    outcome of the checker on the members' own maps, which it finds by
+    identity; a found witness is replayed at once (``greens.verify_witness``).
+    Pairs are walked in order, and the checker is called on a pair unless
+    the pair's key group (``_verdict_keys``) already came out unrelated: such
+    a pair is unrelated too.  A capped call decides nothing for its group,
+    and every related pair gets its own call and replay.  A capped call of
+    either mode is counted as capped by every reader.
     """
 
     def __init__(self, entry: CatalogEntry, catalog: Catalog) -> None:
@@ -710,24 +718,29 @@ class _GreensSweep:
         pairs = _pairs(entry, catalog)
         self.relations = tuple(checkers)
         self.pairs = np.array(pairs, dtype=np.int32).reshape(len(pairs), 2)
-        codes = []
-        for a, b in pairs:
+        data, size = greens._greens_data(inst), len(members)
+        calls, groups = [], []
+        for rel, checker in checkers.items():
+            for mode in _MODES:
+                rep = _verdict_keys(data, rel, mode)
+                calls.append((checker, mode, set()))
+                groups.append(rep[self.pairs[:, 0]] * size + rep[self.pairs[:, 1]])
+        codes = np.full((len(pairs), len(calls)), _UNRELATED, dtype=np.uint8)
+        for k, ((a, b), row) in enumerate(zip(pairs, np.stack(groups, axis=1).tolist())):
             f, g = members[a], members[b]
-            for checker in checkers.values():
-                for mode in _MODES:
-                    try:
-                        w = checker(f, g, inst, mode=mode)
-                    except ResourceLimitError:
-                        codes.append(_CAPPED)
-                        continue
-                    if w is None:
-                        codes.append(_UNRELATED)
-                    elif greens.verify_witness(w, f, g):
-                        codes.append(_REPLAYS)
-                    else:
-                        codes.append(_FAILS_REPLAY)
-        shape = (len(pairs), len(self.relations), len(_MODES))
-        self.codes = np.array(codes, dtype=np.uint8).reshape(shape)
+            for j, ((checker, mode, unrelated), group) in enumerate(zip(calls, row)):
+                if group in unrelated:
+                    continue
+                try:
+                    w = checker(f, g, inst, mode=mode)
+                except ResourceLimitError:
+                    codes[k, j] = _CAPPED
+                    continue
+                if w is None:
+                    unrelated.add(group)
+                else:
+                    codes[k, j] = _REPLAYS if greens.verify_witness(w, f, g) else _FAILS_REPLAY
+        self.codes = codes.reshape(len(pairs), len(self.relations), len(_MODES))
 
     def fail_at(self, tally: _Tally, hits: np.ndarray, detail: Callable[..., str]) -> None:
         """A failure of the pair's members at each index of ``hits`` (its first
@@ -735,6 +748,22 @@ class _GreensSweep:
         for index in np.argwhere(hits).tolist():
             a, b = self.pairs[index[0]].tolist()
             tally.fail(detail(*index), f=self.members[a], g=self.members[b])
+
+
+def _verdict_keys(data, rel: str, mode: str) -> np.ndarray:
+    """Per member, the first member whose key for ``rel`` in ``mode`` equals
+    its own: the class labels the oracle reads (the L- or R-label, the
+    H-class for D, and for J, whose ≤_J is constant on H-classes), or the
+    character position and the geometry lists the theorem search reads
+    (``greens._THEOREM_READS``).  Two pairs whose members have equal keys
+    get equal verdicts."""
+    if mode == "oracle":
+        reads = {"L": [data.l_label], "R": [data.r_label]}.get(rel, [data.l_label, data.r_label])
+    else:
+        reads = [data.char_ids, *(getattr(data.geometry, n) for n in greens._THEOREM_READS[rel])]
+        if rel == "J":
+            reads[-1] = [parts[1:] for parts in reads[-1]]
+    return _first_equal(zip(*reads))
 
 
 def _greens_sweep(entry: CatalogEntry, catalog: Catalog) -> _GreensSweep:
@@ -853,15 +882,15 @@ def _txp_verdicts(geometry, sweep: _GreensSweep) -> np.ndarray:
     """``greens._txp_related`` at each pair of the sweep and each relation, as
     a pairs × relations array: decided once per pair of the two members'
     signatures (the lists ``greens._TXP_READS`` names), with one memo of J
-    covers for the entry."""
-    size, covers = len(geometry.images), {}
+    covers and one of one-sided J verdicts for the entry."""
+    size, covers, one_sided = len(geometry.images), {}, {}
     f, g = sweep.pairs.T
     verdicts = np.empty(sweep.codes.shape[:2], dtype=bool)
     for r, rel in enumerate(sweep.relations):
         # each member's signature, as the first member with an equal one
         rep = _first_equal(zip(*(getattr(geometry, name) for name in greens._TXP_READS[rel])))
         keys, at = np.unique(rep[f] * size + rep[g], return_inverse=True)
-        decided = [greens._txp_related(rel, geometry, *divmod(key, size), covers)
+        decided = [greens._txp_related(rel, geometry, *divmod(key, size), covers, one_sided)
                    for key in keys.tolist()]
         verdicts[:, r] = np.array(decided, dtype=bool)[at.reshape(-1)]
     return verdicts

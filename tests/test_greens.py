@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import inspect
 import itertools
 import random
+import types
 from collections import Counter
 
 import numpy as np
@@ -709,6 +711,105 @@ class TestTxpCovers:
         pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(200)]
         self._assert_matches_the_parent(geometry, pairs)
         assert built and set(built.values()) == {1}
+
+
+GEOMETRY_LISTS = ("block_masks", "kernels", "class_meets", "meet_masks", "j_geometry")
+
+
+class _Unread:
+    """A geometry list, or the sorted image of a J geometry, that the search
+    under test must not read: every read raises."""
+
+    def _read(self, *args):
+        raise AssertionError("a theorem search read outside its key")
+
+    __getitem__ = __iter__ = __len__ = __eq__ = __hash__ = _read
+
+
+# what the searches may read of the Green's data besides the geometry: the
+# instance (for its partition), the characters and the index semigroup
+_SEARCH_READS = {"inst", "char_ids", "si_elements", "si_imgs", "si_table",
+                 "si_l_below", "si_r_below", "si_facts"}
+
+
+def _spoiled(data, rel):
+    """A copy of the Green's data with every per-member list outside the
+    theorem key of ``rel`` (``greens._THEOREM_READS`` and the characters)
+    replaced by ``_Unread``, and the sorted images of the J geometry too."""
+    spoiled = copy.copy(data)
+    for name in vars(data):
+        if name not in _SEARCH_READS:
+            setattr(spoiled, name, _Unread())
+    geometry = data.geometry
+    lists = {name: getattr(geometry, name) if name in greens._THEOREM_READS[rel] else _Unread()
+             for name in ("images", "chars", "char_kernels", *GEOMETRY_LISTS)}
+    if rel == "J":
+        lists["j_geometry"] = [(_Unread(), *parts[1:]) for parts in geometry.j_geometry]
+    spoiled.geometry = types.SimpleNamespace(p=geometry.p, **lists)
+    return spoiled
+
+
+def _theorem_search(data, rel, fk, gk):
+    """What the theorem route of ``rel`` decides its verdict on: the search
+    in both directions (one for D) and the budget left, or "capped"."""
+    cap = DEFAULT_PHI_CAP
+    budget = [cap]
+    try:
+        if rel == "D":
+            return _d_theorem_search(data, fk, gk, cap)
+        if rel == "R" and data.geometry.kernels[fk] != data.geometry.kernels[gk]:
+            return None
+        search = {"L": greens._l_one_sided_theorem, "R": greens._r_one_sided_theorem,
+                  "J": _j_one_sided_theorem}[rel]
+        return search(data, fk, gk, cap, budget), search(data, gk, fk, cap, budget), budget
+    except ResourceLimitError:
+        return "capped"
+
+
+class TestTheoremReads:
+    """Each theorem search reads of the members only its key: the character
+    and the geometry lists ``greens._THEOREM_READS`` names."""
+
+    @staticmethod
+    def _assert_unspoiled_results(inst, pairs):
+        data = _greens_data(inst)
+        for rel in "LRDJ":
+            spoiled = _spoiled(data, rel)
+            for fk, gk in pairs:
+                expected = _theorem_search(data, rel, fk, gk)
+                assert _theorem_search(spoiled, rel, fk, gk) == expected, (rel, fk, gk)
+
+    def test_every_pair_of_the_n3_identity_entries(self):
+        for entry in build_catalog(3, seed=7).entries:
+            if entry.instance.si.has_identity:
+                size = len(enumerate_elements(entry.instance))
+                pairs = itertools.product(range(size), repeat=2)
+                self._assert_unspoiled_results(entry.instance, list(pairs))
+
+    @pytest.mark.parametrize("blocks", [[[0, 1], [2, 3]], [[0], [1], [2], [3]]],
+                             ids=["n4:[0,1][2,3]/full", "n4:[0][1][2][3]/full"])
+    def test_seeded_pairs_of_n4_entries(self, blocks):
+        inst = _full_instance(blocks)
+        size = len(enumerate_elements(inst))
+        rng = random.Random(f"theorem-reads:{blocks}")
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(300)]
+        self._assert_unspoiled_results(inst, pairs)
+
+    def test_the_spoil_is_seen(self):
+        """A search that reads outside its key raises on the spoiled data."""
+        data = _greens_data(_full_instance([[0, 1], [2, 3]]))
+        with pytest.raises(AssertionError, match="outside its key"):
+            _theorem_search(_spoiled(data, "L"), "R", 0, 0)
+
+    def test_kernel_refinement_matches_the_image_test(self, inst_full):
+        """pi(g) refines pi(f) on kernel classes exactly when the pairs (xg,
+        xf) number |im g|, the test on images it replaced."""
+        data = _greens_data(inst_full)
+        size = len(data.members)
+        for gk, fk in itertools.product(range(size), repeat=2):
+            g_imgs, f_imgs = data.imgs[gk], data.imgs[fk]
+            by_images = len(set(zip(g_imgs, f_imgs))) == len(set(g_imgs))
+            assert greens._kernel_refines(data, gk, fk) == by_images
 
 
 class TestFullTxGreen:

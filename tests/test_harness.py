@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import random
 import weakref
 from collections import Counter
 from functools import cached_property
@@ -10,7 +11,10 @@ import numpy as np
 import pytest
 
 from partsem import (
+    IndexSemigroup,
+    Instance,
     InvalidArgumentError,
+    Partition,
     ResourceLimitError,
     SUITES,
     build_catalog,
@@ -283,6 +287,56 @@ def _checker_loops(catalog):
     return out
 
 
+def _per_pair_codes(entry, catalog):
+    """The sweep's codes, as nested lists, as the loop before the key groups
+    made them: every checker called once per pair, relation and mode."""
+    inst = entry.instance
+    members = enumerate_elements(inst)
+    codes = []
+    for a, b in harness._pairs(entry, catalog):
+        f, g = members[a], members[b]
+        row = []
+        for checker in greens.checkers().values():
+            row.append([])
+            for mode in harness._MODES:
+                try:
+                    w = checker(f, g, inst, mode=mode)
+                except ResourceLimitError:
+                    row[-1].append(harness._CAPPED)
+                    continue
+                if w is None:
+                    row[-1].append(harness._UNRELATED)
+                elif greens.verify_witness(w, f, g):
+                    row[-1].append(harness._REPLAYS)
+                else:
+                    row[-1].append(harness._FAILS_REPLAY)
+        codes.append(row)
+    return codes
+
+
+def _assert_constant_on_key_groups(inst, pairs):
+    """Each checker, in each mode, called on each pair ``pairs(rep)`` yields
+    for the member keys ``rep`` of its relation and mode: one outcome
+    (related, unrelated or capped) per key group.  Returns whether some
+    group held two distinct pairs."""
+    data = greens._greens_data(inst)
+    members = data.members
+    merged = False
+    for rel, checker in greens.checkers().items():
+        for mode in harness._MODES:
+            rep = harness._verdict_keys(data, rel, mode)
+            outcome, first = {}, {}
+            for a, b in pairs(rep):
+                try:
+                    related = checker(members[a], members[b], inst, mode=mode) is not None
+                except ResourceLimitError:
+                    related = "capped"
+                group = (rep[a], rep[b])
+                assert outcome.setdefault(group, related) == related, (rel, mode, a, b)
+                merged |= first.setdefault(group, (a, b)) != (a, b)
+    return merged
+
+
 def _spoil(monkeypatch, name, spoil):
     """Rebind ``greens.<name>`` to return ``spoil(f, g, inst, mode, w)`` for
     the witness or None ``w`` of the real checker."""
@@ -295,10 +349,14 @@ def _spoil(monkeypatch, name, spoil):
 
 
 class TestGreensSweep:
-    """One sweep per entry decides each Green's pair once; the agreement,
-    replay and T(X, P) suites read its codes."""
+    """One sweep per entry decides each Green's pair at most once, by key
+    group; the agreement, replay and T(X, P) suites read its codes."""
 
-    def test_each_verdict_is_decided_once(self, monkeypatch):
+    def test_each_verdict_is_decided_at_most_once_and_where_it_holds(self, monkeypatch):
+        """The keyed call contract: at most one call per (pair, relation,
+        mode); a call on every pair whose code is replays, fails to replay or
+        capped, and on the first pair of every key group; fewer calls than
+        one per (pair, relation, mode) in all."""
         catalog = build_catalog(3, seed=7)
         calls = Counter()
         for rel, checker in greens.checkers().items():
@@ -308,17 +366,69 @@ class TestGreensSweep:
 
             monkeypatch.setattr(greens, checker.__name__, spy)
         assert run_all(catalog).failures == 0
-        expected = set()
+        assert set(calls.values()) == {1}
+        every, needed = set(), set()
+        for entry in catalog.entries:
+            inst = entry.instance
+            if not inst.si.has_identity:
+                continue
+            sweep = catalog.greens_sweeps[entry.label]
+            data = greens._greens_data(inst)
+            for r, rel in enumerate(sweep.relations):
+                for m, mode in enumerate(harness._MODES):
+                    rep, seen = harness._verdict_keys(data, rel, mode), set()
+                    for k, (a, b) in enumerate(sweep.pairs.tolist()):
+                        call = (id(inst), sweep.members[a].images, sweep.members[b].images,
+                                rel, mode)
+                        every.add(call)
+                        group = (rep[a], rep[b])
+                        if group not in seen or sweep.codes[k, r, m] != harness._UNRELATED:
+                            needed.add(call)
+                        seen.add(group)
+        assert needed <= set(calls) <= every
+        assert len(calls) < len(every)
+
+    @pytest.mark.parametrize("max_n,seed", [(3, 7), (3, 11), (4, 7)])
+    def test_codes_equal_the_per_pair_loop(self, max_n, seed):
+        catalog = build_catalog(max_n, seed=seed)
+        codes = Counter()
         for entry in catalog.entries:
             if entry.instance.si.has_identity:
-                members = enumerate_elements(entry.instance)
-                for a, b in harness._pairs(entry, catalog):
-                    for rel in "LRDJ":
-                        for mode in ("oracle", "theorem"):
-                            expected.add((id(entry.instance), members[a].images,
-                                          members[b].images, rel, mode))
-        assert set(calls) == expected
-        assert set(calls.values()) == {1}
+                sweep = harness._greens_sweep(entry, catalog)
+                assert sweep.codes.tolist() == _per_pair_codes(entry, catalog), entry.label
+                codes.update(sweep.codes.ravel().tolist())
+        assert codes[harness._UNRELATED] and codes[harness._REPLAYS]
+
+    def test_verdicts_are_constant_on_the_key_groups_of_the_n3_entries(self):
+        """Every pair of every identity entry, each checker in both modes."""
+        merged = []
+        for entry in build_catalog(3, seed=7).entries:
+            if entry.instance.si.has_identity:
+                size = len(enumerate_elements(entry.instance))
+                merged.append(_assert_constant_on_key_groups(
+                    entry.instance, lambda rep: itertools.product(range(size), repeat=2)))
+        assert len(merged) == 33 and any(merged)
+
+    @pytest.mark.parametrize("blocks", [[[0, 1], [2, 3]], [[0], [1], [2], [3]]],
+                             ids=["n4:[0,1][2,3]/full", "n4:[0][1][2][3]/full"])
+    def test_verdicts_are_constant_on_the_key_groups_of_n4_entries(self, blocks):
+        """300 seeded pairs per relation and mode, each with a second pair
+        drawn from the same key group."""
+        p = Partition.of(blocks)
+        inst = Instance(p, IndexSemigroup.full(p.degree))
+        size = len(enumerate_elements(inst))
+        rng = random.Random(f"keys:{blocks}")
+
+        def pairs(rep):
+            group = {}
+            for k, key in enumerate(rep.tolist()):
+                group.setdefault(key, []).append(k)
+            for _ in range(300):
+                a, b = rng.randrange(size), rng.randrange(size)
+                yield a, b
+                yield rng.choice(group[rep[a]]), rng.choice(group[rep[b]])
+
+        assert _assert_constant_on_key_groups(inst, pairs)
 
     def test_sweep_looks_up_and_composes_no_map(self, monkeypatch):
         """The sweep hands the checkers the members' own maps, found by
@@ -690,6 +800,21 @@ class TestSweepReaders:
         full = {id(e.instance.derived.geometry) for e in catalog.entries if e.si_label == "full"}
         assert {key for key, _ in built} == full
         assert set(built.values()) == {1}
+
+    def test_txp_one_sided_j_is_decided_at_most_once_per_entry(self, monkeypatch):
+        decided = Counter()
+        real = greens._txp_j_one_sided
+
+        def spy(geometry, a, b, covers):
+            decided[(id(geometry), a, b)] += 1
+            return real(geometry, a, b, covers)
+
+        monkeypatch.setattr(greens, "_txp_j_one_sided", spy)
+        catalog = build_catalog(3, seed=7)
+        assert run_all(catalog).failures == 0
+        full = {id(e.instance.derived.geometry) for e in catalog.entries if e.si_label == "full"}
+        assert {key for key, _, _ in decided} == full
+        assert set(decided.values()) == {1}
 
 
 GATHERED_SUITES = ("character-homomorphism", "member-closure", "unit-set-identity")

@@ -278,11 +278,7 @@ class _TupleSearches:
                 for bt in betas:
                     found = self.match_classes(data, fk, gk, at, bt, budget)
                     if found is not None:
-                        pairing = tuple(
-                            (data.geometry.kernels[fk][mk], data.geometry.kernels[gk][nk])
-                            for mk, nk in enumerate(found)
-                        )
-                        return self.fm(at), self.fm(bt), self.fm(ct), pairing
+                        return self.fm(at), self.fm(bt), self.fm(ct), found
         return None
 
     def right_divisor(self, chi_from, chi_to):
@@ -630,7 +626,9 @@ class _MapWitnesses:
         found = _as_maps(data, greens._d_theorem_search(data, fk, gk, cap))
         if found is None:
             return None
-        alpha, beta, gamma, pairing = found
+        alpha, beta, gamma, matched = found
+        kernels = data.geometry.kernels
+        pairing = tuple((kernels[fk][mk], kernels[gk][nk]) for mk, nk in enumerate(matched))
         images = [0] * p.n
         for m_class, g_class in pairing:
             for x in g_class:
