@@ -31,17 +31,28 @@ if TYPE_CHECKING:
 
 DEFAULT_ENUMERATION_CAP = 100_000
 DENSE_CODE_LIMIT = 1 << 20  # largest n**n served by a dense code -> position array
+ROW_BLOCK_BYTES = 1 << 18  # temporaries of one block of a whole-table build or scan
+
+
+def _row_blocks(rows: int, row_bytes: int):
+    """(start, stop) of consecutive blocks of ``rows`` rows, each at least
+    one row and, at ``row_bytes`` bytes of temporaries a row, of about
+    ROW_BLOCK_BYTES bytes."""
+    step = max(1, ROW_BLOCK_BYTES // max(row_bytes, 1))
+    for start in range(0, rows, step):
+        yield start, min(start + step, rows)
 
 
 def product_table(maps: Sequence[FiniteMap], n: int) -> np.ndarray:
     """``table[a, b]`` = position of compose(maps[a], maps[b]) in maps, or -1.
 
     ``maps`` are distinct self-maps of [0, n) in lexicographic image order.
-    The table is int16 below 2**15 maps and int32 above, and is filled one
-    row at a time, so no temporary grows with the square of the map count.
-    Positions are looked up through the mixed-radix code sum(image[x] *
-    n**(n-1-x)) in a dense code -> position array while n**n is at most
-    DENSE_CODE_LIMIT, and through a dict of image tuples beyond that.
+    The table is int16 below 2**15 maps and int32 above, and is filled a
+    block of rows at a time (``_row_blocks``), so no temporary grows with
+    the square of the map count.  Positions are looked up through the
+    mixed-radix code sum(image[x] * n**(n-1-x)) in a dense code -> position
+    array while n**n is at most DENSE_CODE_LIMIT, and through a dict of
+    image tuples beyond that.
     """
     size = len(maps)
     imgs = np.array([m.images for m in maps], dtype=np.intp).reshape(size, n)
@@ -50,8 +61,15 @@ def product_table(maps: Sequence[FiniteMap], n: int) -> np.ndarray:
         radix = n ** np.arange(n - 1, -1, -1, dtype=np.intp)
         code_to_pos = np.full(n**n, -1, dtype=table.dtype)
         code_to_pos[imgs @ radix] = np.arange(size)
-        for a in range(size):
-            table[a] = code_to_pos[imgs[:, imgs[a]] @ radix]
+        # weighted[y*n + x, b] = image y of map b as digit x of a code, so the
+        # code of a then b is the sum over x of weighted[(image x of a)*n + x, b]
+        weighted = (imgs.T[:, None] * radix[:, None]).reshape(n * n, size).astype(np.int32)
+        digits = imgs * n + np.arange(n)
+        for start, stop in _row_blocks(size, 8 * size):
+            codes = np.zeros((stop - start, size), dtype=np.int32)
+            for x in range(n):
+                codes += weighted[digits[start:stop, x]]
+            table[start:stop] = code_to_pos[codes]
     else:
         index = {m.images: k for k, m in enumerate(maps)}
         for a in range(size):
@@ -62,16 +80,16 @@ def product_table(maps: Sequence[FiniteMap], n: int) -> np.ndarray:
 def _two_sided_inverse_ids(table: np.ndarray, identity: int) -> np.ndarray:
     """Positions a with some b such that a*b and b*a are both the identity.
 
-    Scanned row by row, so no temporary is larger than one row.
+    Scanned a block of rows at a time: the pairs with a*b the identity are
+    found in the block's rows, and b*a is read at those pairs alone.
     """
-    return np.array(
-        [
-            a
-            for a, row in enumerate(table)
-            if (table[(row == identity).nonzero()[0], a] == identity).any()
-        ],
-        dtype=np.intp,
-    )
+    size = len(table)
+    found = np.zeros(size, dtype=bool)
+    for start, stop in _row_blocks(size, size):
+        a, b = np.divmod((table[start:stop] == identity).reshape(-1).nonzero()[0], size)
+        a += start
+        found[a[table[b, a] == identity]] = True
+    return found.nonzero()[0]
 
 
 def _idempotent_ids(table: np.ndarray) -> np.ndarray:

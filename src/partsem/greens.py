@@ -58,14 +58,13 @@ import numpy as np
 
 from .errors import InternalError, InvalidArgumentError, PreconditionError, ResourceLimitError
 from .finite_maps import FiniteMap, _fibers, image, kernel_partition
-from .ensemble import Instance, enumerate_elements, require_member
+from .ensemble import Instance, _row_blocks, enumerate_elements, require_member
 from .partition_action import Partition, _Geometry, _least_lift, _mask, character, preserves_partition
 from .regularity import _check_mode
 
 Relation = Literal["L", "R", "D", "J"]
 
 DEFAULT_PHI_CAP = 1_000_000  # assignments tried by the phi searches
-LABEL_BLOCK_CELLS = 1 << 18  # cells of one block of ``_class_labels``
 
 ClassPairing = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
@@ -149,18 +148,22 @@ def verify_witness(w: GreenWitness, f: FiniteMap, g: FiniteMap) -> bool:
 
 
 def _preorders(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(l_below, r_below) of a product table, by one scatter per row.
+    """(l_below, r_below) of a product table, by one scatter per block of rows.
 
     ``l_below[f, g]`` holds when f = h*g and ``r_below[f, g]`` when f = g*h
-    for some element h; row h of the table lists h*g for every g.
+    for some element h; row h of the table lists h*g for every g, so the
+    block scatters into the flat matrices at (h*g)*size + g and
+    (h*g)*size + h.
     """
     size = len(table)
     l_below = np.zeros((size, size), dtype=bool)
     r_below = np.zeros((size, size), dtype=bool)
     columns = np.arange(size)
-    for h, row in enumerate(table):
-        l_below[row, columns] = True
-        r_below[row, h] = True
+    for start, stop in _row_blocks(size, 16 * size):
+        # widened before the multiply: x*size wraps int16 from size 182
+        at = table[start:stop].astype(np.intp) * size
+        l_below.reshape(-1)[at + columns] = True
+        r_below.reshape(-1)[at + columns[start:stop, None]] = True
     return l_below, r_below
 
 
@@ -1070,15 +1073,12 @@ def full_tx_green(rel: Relation, f: FiniteMap, g: FiniteMap) -> bool:
 def _class_labels(below: np.ndarray) -> list[int]:
     """For each element, the first element of its class under below & below.T.
 
-    Taken a block of rows at a time, one NumPy operation per block; a block
-    holds about LABEL_BLOCK_CELLS cells, so no temporary grows with the
-    square of the element count.
+    Taken a block of rows at a time (``_row_blocks``), one NumPy operation
+    per block, so no temporary grows with the square of the element count.
     """
-    size = len(below)
-    rows = max(1, LABEL_BLOCK_CELLS // max(size, 1))
     labels: list[int] = []
-    for start in range(0, size, rows):
-        block = below[start : start + rows] & below[:, start : start + rows].T
+    for start, stop in _row_blocks(len(below), len(below)):
+        block = below[start:stop] & below[:, start:stop].T
         labels += block.argmax(axis=1).tolist()
     return labels
 

@@ -41,8 +41,8 @@ J covers and one of one-sided J verdicts per entry.
 
 ``character-homomorphism``, ``member-closure`` and ``unit-set-identity``
 compose by gathering on the N×n array of the members' images, a block of
-rows at a time (about ``greens.LABEL_BLOCK_CELLS`` cells), so no array
-grows with N²·n.
+rows at a time (``ensemble._row_blocks``, about ``ensemble.ROW_BLOCK_BYTES``
+bytes of temporaries), so no array grows with N²·n.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ from .ensemble import (
     member_index,
     predicted_size,
     _right_closure,
+    _row_blocks,
     units,
 )
 from . import greens
@@ -396,14 +397,6 @@ def _image_array(members, n: int) -> np.ndarray:
     return np.array([m.images for m in members], dtype=np.intp).reshape(len(members), n)
 
 
-def _row_blocks(rows: int, cells_per_row: int):
-    """(start, stop) of consecutive blocks of ``rows`` rows, each of about
-    ``greens.LABEL_BLOCK_CELLS`` cells and at least one row."""
-    step = max(1, greens.LABEL_BLOCK_CELLS // max(cells_per_row, 1))
-    for start in range(0, rows, step):
-        yield start, min(start + step, rows)
-
-
 def _then(maps: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``out[i, g, x] = maps[g, rows[i, x]]``: each of ``rows`` followed by
     each of ``maps``, as ``compose(row, map)``, by one gather."""
@@ -440,7 +433,7 @@ def _character_homomorphism(entry, tally, catalog):
     members = enumerate_elements(entry.instance)
     imgs = _image_array(members, p.n)
     chars = lookup[imgs[:, firsts]]  # read off the images, one row per member
-    for start, stop in _row_blocks(len(imgs), imgs.size):
+    for start, stop in _row_blocks(len(imgs), imgs.nbytes):
         direct = lookup[_then(imgs, imgs[start:stop, firsts])]
         differ = (direct != _then(chars, chars[start:stop])).any(axis=2)
         tally.checks += differ.size
@@ -504,7 +497,7 @@ def _member_closure(entry, tally, catalog):
     fits = n ** n <= np.iinfo(np.int64).max
     weights = np.array([n**k for k in reversed(range(n))], dtype=np.int64 if fits else object)
     codes = imgs @ weights
-    for start, stop in _row_blocks(len(imgs), imgs.size):
+    for start, stop in _row_blocks(len(imgs), imgs.nbytes):
         escaped = ~np.isin(_then(imgs, imgs[start:stop]) @ weights, codes)
         tally.checks += escaped.size
         _fail_rows(tally, members, start, escaped, "composite escapes the member set")
@@ -517,11 +510,12 @@ def _unit_set_identity(entry, tally, catalog):
     imgs = _image_array(members, inst.partition.n)
     ident = np.arange(inst.partition.n)
     by_definition = np.zeros(len(imgs), dtype=bool)
-    for start, stop in _row_blocks(len(imgs), imgs.size):
+    for start, stop in _row_blocks(len(imgs), imgs.nbytes):
         block = imgs[start:stop]
-        # f*g = id = g*f for some member g
-        inverse = (_then(imgs, block) == ident).all(axis=2) & (block[:, imgs] == ident).all(axis=2)
-        by_definition[start:stop] = inverse.any(axis=1)
+        # f*g = id = g*f for some member g; g*f is composed only where f*g = id
+        f, g = (_then(imgs, block) == ident).all(axis=2).nonzero()
+        inverse = (block[f[:, None], imgs[g]] == ident).all(axis=1)
+        by_definition[start + f[inverse]] = True
     by_formula = [is_unit_bijection(f, inst.partition) for f in members]
     tally.checks = len(members)
     if by_definition.tolist() != by_formula:

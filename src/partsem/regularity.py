@@ -30,6 +30,7 @@ from .ensemble import (
     Instance,
     IndexSemigroup,
     _idempotent_ids,
+    _row_blocks,
     enumerate_elements,
     require_member,
 )
@@ -184,19 +185,30 @@ def build_inner_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finit
     return inst.derived.members[gk]
 
 
+def _each_has_inner_inverse(table: np.ndarray, candidates: np.ndarray) -> bool:
+    """Whether every element a has some b among ``candidates`` with a*b*a = a,
+    scanned a block of rows at a time."""
+    for start, stop in _row_blocks(len(table), 16 * len(candidates)):
+        a = np.arange(start, stop)[:, None]
+        if not (table[table[start:stop, candidates], a] == a).any(axis=1).all():
+            return False
+    return True
+
+
 def si_is_regular(si: IndexSemigroup) -> bool:
     """Brute-force regularity of the index semigroup."""
-    table = si.table
-    return all((table[table[a], a] == a).any() for a in range(len(table)))
+    return _each_has_inner_inverse(si.table, np.arange(len(si)))
 
 
 def si_is_inverse(si: IndexSemigroup) -> bool:
-    """Brute force: every element has exactly one mutual inner inverse."""
+    """Brute force: every element has exactly one mutual inner inverse,
+    scanned a block of rows at a time."""
     table = si.table
     ids = np.arange(len(table))
-    for a in ids:
-        partners = (table[table[a], a] == a) & (table[table[:, a], ids] == ids)
-        if np.count_nonzero(partners) != 1:
+    for start, stop in _row_blocks(len(table), 24 * len(table)):
+        a = ids[start:stop, None]
+        partners = (table[table[start:stop], a] == a) & (table[table[:, start:stop].T, ids] == ids)
+        if (np.count_nonzero(partners, axis=1) != 1).any():
             return False
     return True
 

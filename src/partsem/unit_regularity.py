@@ -25,6 +25,7 @@ from .ensemble import (
 from .regularity import (
     Mode,
     _check_mode,
+    _each_has_inner_inverse,
     _member_inner_inverse,
     _merges_onto_a_large_block,
     _witness_position,
@@ -115,9 +116,7 @@ def is_unit_regular_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:
             for f in enumerate_elements(inst)
         )
     si = inst.si
-    if not all(
-        (si.table[si.table[a, si.unit_ids], a] == a).any() for a in range(len(si))
-    ):
+    if not _each_has_inner_inverse(si.table, si.unit_ids):
         return False
     sizes = [len(b) for b in inst.partition.blocks]
     for u in si.unit_ids:

@@ -50,7 +50,7 @@ from partsem.greens import (
     _txp_related,
     checkers as greens_checkers,
 )
-from partsem import greens
+from partsem import ensemble, greens
 from partsem.partition_action import _Geometry
 from conftest import comp
 
@@ -885,7 +885,7 @@ def test_blocked_class_labels_match_the_row_by_row_labels(size, monkeypatch):
     assert len(set(expected)) > 1 or size < 3
     assert _class_labels(below) == expected
     for rows in (1, 3, 16, size + 5):
-        monkeypatch.setattr(greens, "LABEL_BLOCK_CELLS", rows * size)
+        monkeypatch.setattr(ensemble, "ROW_BLOCK_BYTES", rows * size)
         assert _class_labels(below) == expected
 
 

@@ -18,6 +18,7 @@ from partsem import (
     ResourceLimitError,
     SUITES,
     build_catalog,
+    ensemble,
     enumerate_elements,
     finite_maps,
     greens,
@@ -908,7 +909,7 @@ class TestGatheredSuites:
                                 lambda inst: spoil(inst, real(inst)))
         block_rows = Counter()
         if one_row:
-            monkeypatch.setattr(greens, "LABEL_BLOCK_CELLS", 1)
+            monkeypatch.setattr(ensemble, "ROW_BLOCK_BYTES", 1)
             real_then = harness._then
 
             def then(maps, rows):
@@ -1018,7 +1019,7 @@ class TestLabelSuites:
 
             monkeypatch.setattr(greens, "_greens_data", spoiling)
         if one_row:
-            monkeypatch.setattr(greens, "LABEL_BLOCK_CELLS", 1)
+            monkeypatch.setattr(ensemble, "ROW_BLOCK_BYTES", 1)
         catalog = build_catalog(3, seed=7)
         expected, expected_failures = _label_loops(catalog)
         kept = _keep_failures(monkeypatch)

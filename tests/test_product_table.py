@@ -24,6 +24,7 @@ from partsem import (
     ResourceLimitError,
     build_catalog,
     character,
+    closure_from_generators,
     compose,
     eggbox,
     enumerate_elements,
@@ -36,8 +37,9 @@ from partsem import (
     unit_regular_witnesses,
     units,
 )
-from partsem import greens
+from partsem import ensemble, greens
 from partsem.greens import _greens_data
+from partsem.regularity import _each_has_inner_inverse, si_is_inverse, si_is_regular
 from partsem.partition_action import _mask
 
 from conftest import comp
@@ -120,8 +122,37 @@ def _position(inst, m):
     return None if m is None else inst.derived.index[m.images]
 
 
+def _force_row_blocks(monkeypatch, budget, size):
+    """Set the row-block budget for tables of ``size`` rows: "one-row" gives
+    every build one row a block; "short-last" gives the ≤_L/≤_R scatter
+    (16 bytes a cell) blocks of the least k >= 2 rows that does not divide
+    ``size``, the product build (8 bytes a cell) blocks of 2k rows and the
+    class labels and the unit scan (1 byte a cell) blocks of 16k rows, so
+    each ends on a short block."""
+    if budget == "one-row":
+        monkeypatch.setattr(ensemble, "ROW_BLOCK_BYTES", 1)
+    else:
+        rows = next(k for k in itertools.count(2) if size % k)
+        monkeypatch.setattr(ensemble, "ROW_BLOCK_BYTES", 16 * size * rows)
+
+
+FORCED_BUDGETS = ["one-row", "short-last"]
+
+
 @pytest.mark.parametrize("label,inst", INSTANCES, ids=[label for label, _ in INSTANCES])
 def test_table_and_derived_data_match_the_loops(label, inst):
+    _check_table_and_derived_data(inst)
+
+
+@pytest.mark.parametrize("budget", FORCED_BUDGETS)
+@pytest.mark.parametrize("label,inst", INSTANCES, ids=[label for label, _ in INSTANCES])
+def test_table_and_derived_data_match_the_loops_in_forced_blocks(label, inst, budget, monkeypatch):
+    _force_row_blocks(monkeypatch, budget, len(enumerate_elements(inst)))
+    si = IndexSemigroup(inst.si.degree, inst.si.elements)  # its tables, built afresh
+    _check_table_and_derived_data(Instance(inst.partition, si))
+
+
+def _check_table_and_derived_data(inst):
     loops = _Loops(inst)
     table = inst.derived.table
     assert table.dtype == np.int16
@@ -147,13 +178,73 @@ def test_table_and_derived_data_match_the_loops(label, inst):
 
 
 def test_index_semigroup_table_matches_the_loops():
-    for si in (
-        IndexSemigroup.full(3),
-        IndexSemigroup.identity_with_constants(4),
-        IndexSemigroup.identity_with_constants(8),
+    _check_index_semigroup_tables()
+
+
+@pytest.mark.parametrize("budget", FORCED_BUDGETS)
+def test_index_semigroup_table_matches_the_loops_in_forced_blocks(budget, monkeypatch):
+    _check_index_semigroup_tables(monkeypatch, budget)
+
+
+def _check_index_semigroup_tables(monkeypatch=None, budget=None):
+    for make, degree in (
+        (IndexSemigroup.full, 3),
+        (IndexSemigroup.identity_with_constants, 4),
+        (IndexSemigroup.identity_with_constants, 8),
     ):
+        if budget is not None:
+            _force_row_blocks(monkeypatch, budget, len(make(degree)))
+        si = make(degree)
         images = [a.images for a in si.elements]
         assert si.table.tolist() == [[images.index(comp(a, b)) for b in images] for a in images]
+
+
+def _index_scan_loops(si):
+    """Regularity, inverse-ness and regularity by units of S(I), and its
+    units, by the definitions, one element and one partner at a time."""
+    t = si.table.tolist()
+    ids = range(len(t))
+    units = []
+    if si.has_identity:
+        e = si.index[tuple(range(si.degree))]
+        units = [a for a in ids if any(t[a][b] == e and t[b][a] == e for b in ids)]
+    return (
+        all(any(t[t[a][b]][a] == a for b in ids) for a in ids),
+        all(sum(t[t[a][b]][a] == a and t[t[b][a]][b] == b for b in ids) == 1 for a in ids),
+        all(any(t[t[a][u]][a] == a for u in units) for a in ids),
+        units,
+    )
+
+
+@pytest.mark.parametrize("budget", [None] + FORCED_BUDGETS)
+def test_index_scans_match_the_loops(budget, monkeypatch):
+    """``si_is_regular``, ``si_is_inverse`` and the unit-regular index scan
+    on every S(I) of the n3 catalog, on T_4 and on the semigroup and monoid
+    generated by a nilpotent map, which are not regular (every S(I) of the
+    catalog is)."""
+    made = [(IndexSemigroup, (e.instance.si.degree, e.instance.si.elements))
+            for e in build_catalog(3, seed=7).entries]
+    made.append((IndexSemigroup.full, (4,)))
+    nilpotent = FiniteMap(3, 3, (1, 2, 2))
+    made += [(closure_from_generators, ([nilpotent],)),
+             (closure_from_generators, ([FiniteMap.identity(3), nilpotent],))]
+    results = set()
+    seen = set()
+    for make, args in made:
+        if budget is not None:
+            _force_row_blocks(monkeypatch, budget, len(make(*args)))
+        si = make(*args)  # built afresh under the budget
+        if si in seen:
+            continue
+        seen.add(si)
+        regular, inverse, unit_regular, unit_ids = _index_scan_loops(si)
+        results.add((regular, inverse, unit_regular if si.has_identity else None))
+        assert si_is_regular(si) == regular
+        assert si_is_inverse(si) == inverse
+        if si.has_identity:
+            assert si.unit_ids.tolist() == unit_ids
+            assert _each_has_inner_inverse(si.table, si.unit_ids) == unit_regular
+    assert [{r[k] for r in results} - {None} for k in range(3)] == [{True, False}] * 3
 
 
 @pytest.mark.parametrize("blocks", [[[0, 1, 2, 3]], [[0], [1], [2], [3]]])
@@ -187,6 +278,29 @@ def test_one_sided_j_matches_a_direct_factor_scan(blocks):
     ident = members[loops.identity]
     h1, h2 = principal_leq_oracle("J", const, ident, inst)
     assert comp(comp(h1.images, ident.images), h2.images) == const.images
+
+
+def test_t5_tables_and_classes():
+    """T_5 (3125 members): the product build, the unit scan and the class
+    labels each end on a short block, and the ≤_L/≤_R scatter indexes the
+    flat matrices far past 2**15.  In T_n, f ≤_L g exactly when im f lies
+    in im g, and f ≤_R g exactly when the kernel of g refines that of f."""
+    inst = _full([[0, 1, 2, 3, 4]])
+    members = enumerate_elements(inst)
+    assert len(members) == 3125
+    assert units(inst) == tuple(m for m in members if m.is_bijective())
+    assert len(units(inst)) == 120
+    assert len(idempotents(inst)) == 196
+    data = _greens_data(inst)
+    assert len(set(data.r_label)) == 52  # Bell(5) kernels
+    assert len(set(data.l_label)) == 31  # nonempty images
+    assert len(set(data.d_label)) == 5  # ranks
+    images = np.array([_mask(m.images) for m in members])
+    pairs = list(itertools.combinations(range(5), 2))
+    kernels = np.array([_mask(k for k, (x, y) in enumerate(pairs) if m.images[x] == m.images[y])
+                        for m in members])
+    assert np.array_equal(data.l_below, images[:, None] & ~images[None, :] == 0)
+    assert np.array_equal(data.r_below, kernels[None, :] & ~kernels[:, None] == 0)
 
 
 def test_dropping_an_instance_frees_its_derived_data():
