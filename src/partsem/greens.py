@@ -1,10 +1,9 @@
 """Green's relations via ideal oracles and via the character-level criteria.
 
 The oracle route reads the instance's product table: the one-sided ≤_L and
-≤_R preorders are boolean matrices filled by scatter, a pair is J-ordered
-when some h1*g has f in its right ideal, and the whole ≤_J matrix (their
-exact boolean product) is built only when asked for.  The theorem route
-never reads it: it reads the candidate characters (alpha, beta, gamma,
+≤_R preorders are boolean matrices filled by scatter, and a pair is
+J-ordered when some h1*g has f in its right ideal.  The theorem route
+never reads them: it reads the candidate characters (alpha, beta, gamma,
 delta) at the positions of chi(f) and chi(g) from the per-instance memo of
 index-semigroup facts (``_IndexFacts``: left and right divisors, R-classes
 and J alphas, each read from the index table once, on first ask), and
@@ -32,9 +31,9 @@ every product and never reads the table.  The harness's Green's sweep
 replays its witnesses through it too.
 The per-instance data keeps, each built once on first use, every member's
 L-, R- and D-class label (the first member of its class; the D label is the
-least L-label meeting the member's R-class, as D = L∘R), which the oracles,
-``d_rel`` and ``eggbox`` read, the first member of each H-class (the D
-oracle's middle element).  Each member's block facts (block images, kernel
+least L-label meeting the member's R-class, as D = L∘R), which the oracles
+and ``eggbox`` read, the first member of each H-class (the D oracle's
+middle element).  Each member's block facts (block images, kernel
 classes and the blocks they meet, J geometry) come from the members'
 geometry (``inst.derived.geometry``), characters from the positions
 enumeration recorded (``inst.derived.char_ids``), and the left factor, the
@@ -255,21 +254,6 @@ class _GreensData:
         return self.r_below[a, self.table[:, b]].nonzero()[0]
 
     @cached_property
-    def j_below(self) -> np.ndarray:
-        """``j_below[f, g]`` when f = h1*g*h2: the boolean product R then L.
-
-        NumPy multiplies boolean matrices as OR of ANDs, so no count wraps.
-        Built on first use; the per-pair oracles scan ``j_left_factors``.
-        """
-        return self.r_below @ self.l_below
-
-    @cached_property
-    def d_rel(self) -> np.ndarray:
-        """Two-sided D: equal ``d_label``s."""
-        d_label = np.array(self.d_label)
-        return d_label[:, None] == d_label
-
-    @cached_property
     def l_label(self) -> list[int]:
         """Per member, the first member of its L-class."""
         return _class_labels(self.l_below)
@@ -305,12 +289,6 @@ class _GreensData:
     def char_of(self, k: int) -> FiniteMap:
         """The character of member k, as the index semigroup's element."""
         return self.si_elements[self.char_ids[k]]
-
-    def l_eq(self, a: int, b: int) -> bool:
-        return self.l_label[a] == self.l_label[b]
-
-    def r_eq(self, a: int, b: int) -> bool:
-        return self.r_label[a] == self.r_label[b]
 
 
 def _greens_data(inst: Instance) -> _GreensData:
@@ -412,7 +390,8 @@ def _one_sided_witness(
 ) -> GreenWitness | None:
     """The position core of ``_related`` for rel "L" or "R"."""
     if mode == "oracle":
-        if not (data.l_eq if rel == "L" else data.r_eq)(fk, gk):
+        labels = data.l_label if rel == "L" else data.r_label
+        if labels[fk] != labels[gk]:
             return None
         h_fg, h_gf = _first_factor(data, rel, fk, gk), _first_factor(data, rel, gk, fk)
     else:

@@ -40,9 +40,9 @@ per pair of the two members' signatures for each relation, with one memo of
 J covers and one of one-sided J verdicts per entry.
 
 ``character-homomorphism``, ``member-closure`` and ``unit-set-identity``
-compose by gathering on the N×n array of the members' images, a block of
-rows at a time (``ensemble._row_blocks``, about ``ensemble.ROW_BLOCK_BYTES``
-bytes of temporaries), so no array grows with N²·n.
+compose by gathering on the N×n array of the members' images (uint8 up to
+n = 256), a block of rows at a time sized by its largest temporary
+(``ensemble._row_blocks``), so no array grows with N²·n.
 """
 
 from __future__ import annotations
@@ -393,8 +393,9 @@ def _bijective_characters(entry: CatalogEntry) -> bool:
 
 
 def _image_array(members, n: int) -> np.ndarray:
-    """The members' image tuples as the rows of one N×n array."""
-    return np.array([m.images for m in members], dtype=np.intp).reshape(len(members), n)
+    """The members' image tuples as the rows of one N×n array, uint8 up to n = 256."""
+    images = [m.images for m in members]
+    return np.array(images, dtype=np.min_scalar_type(n - 1)).reshape(len(members), n)
 
 
 def _then(maps: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -433,7 +434,8 @@ def _character_homomorphism(entry, tally, catalog):
     members = enumerate_elements(entry.instance)
     imgs = _image_array(members, p.n)
     chars = lookup[imgs[:, firsts]]  # read off the images, one row per member
-    for start, stop in _row_blocks(len(imgs), imgs.nbytes):
+    # a row's largest temporary is its composites' intp characters
+    for start, stop in _row_blocks(len(imgs), chars.nbytes):
         direct = lookup[_then(imgs, imgs[start:stop, firsts])]
         differ = (direct != _then(chars, chars[start:stop])).any(axis=2)
         tally.checks += differ.size
@@ -497,7 +499,8 @@ def _member_closure(entry, tally, catalog):
     fits = n ** n <= np.iinfo(np.int64).max
     weights = np.array([n**k for k in reversed(range(n))], dtype=np.int64 if fits else object)
     codes = imgs @ weights
-    for start, stop in _row_blocks(len(imgs), imgs.nbytes):
+    # a row's largest temporary is its composites' images widened to the codes' dtype
+    for start, stop in _row_blocks(len(imgs), imgs.size * weights.itemsize):
         escaped = ~np.isin(_then(imgs, imgs[start:stop]) @ weights, codes)
         tally.checks += escaped.size
         _fail_rows(tally, members, start, escaped, "composite escapes the member set")
@@ -804,12 +807,28 @@ def _character_descent(entry, tally, catalog):
     tally.checks = len(chars) ** 2
 
 
+def _class_relations(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(J, D, R∘L) on the members as N×N boolean matrices, read off their classes.
+
+    ≤_R is constant on R-classes and ≤_L on L-classes, so ≤_J on classes is
+    ``Rq @ H @ Lq``: H marks the nonempty H-classes (R-class, L-class), and
+    ``Rq``/``Lq`` are the preorders at the classes' first members, not the D
+    labels J is checked against.  f R∘L g when H(R(f), L(g)) is nonempty."""
+    r_first, r_of = np.unique(data.r_label, return_inverse=True)
+    l_first, l_of = np.unique(data.l_label, return_inverse=True)
+    h = np.zeros((len(r_first), len(l_first)), dtype=bool)
+    h[r_of, l_of] = True
+    jq = data.r_below[np.ix_(r_first, r_first)] @ h @ data.l_below[np.ix_(l_first, l_first)]
+    d_label = np.array(data.d_label)
+    j_rel = jq[r_of[:, None], l_of] & jq[r_of, l_of[:, None]]
+    return j_rel, d_label[:, None] == d_label, h[r_of[:, None], l_of]
+
+
 @_suite("greens-d-composition-commutes", _has_identity)
 def _greens_d_composition_commutes(entry, tally, catalog):
     data = greens._greens_data(entry.instance)
-    l_eq = data.l_below & data.l_below.T
-    r_eq = data.r_below & data.r_below.T
-    differ = data.d_rel != r_eq @ l_eq
+    _, d_rel, r_then_l = _class_relations(data)
+    differ = d_rel != r_then_l
     tally.checks = len(data.members) ** 2
     if differ.any():
         tally.fail("L-then-R differs from R-then-L", **_first_pair(data, differ))
@@ -818,8 +837,7 @@ def _greens_d_composition_commutes(entry, tally, catalog):
 @_suite("greens-d-subset-j", _has_identity)
 def _greens_d_subset_j(entry, tally, catalog):
     data = greens._greens_data(entry.instance)
-    d_rel = data.d_rel
-    j_rel = data.j_below & data.j_below.T
+    j_rel, d_rel, _ = _class_relations(data)
     tally.checks = len(data.members) ** 2
     if np.any(d_rel & ~j_rel):
         tally.fail("a D-related pair is not J-related", **_first_pair(data, d_rel & ~j_rel))
@@ -835,13 +853,13 @@ def _greens_tx_specialization(entry, tally, catalog):
     images = _first_equal(geometry[0] for geometry in data.geometry.j_geometry)
     ranks = np.array([len(geometry[0]) for geometry in data.geometry.j_geometry])
     kernels = _first_equal(data.geometry.kernels)
+    j_rel, d_rel, _ = _class_relations(data)
     for start, stop in _row_blocks(len(images), 3 * len(images)):
         # each pair fails on the first of the three tests that it fails
         l_bad = _equal(l_label, start, stop) != _equal(images, start, stop)
         r_bad = ~l_bad & (_equal(r_label, start, stop) != _equal(kernels, start, stop))
-        j_rel = data.j_below[start:stop] & data.j_below[:, start:stop].T
         rank_eq = _equal(ranks, start, stop)
-        dj_bad = ~(l_bad | r_bad) & ((j_rel != rank_eq) | (data.d_rel[start:stop] != rank_eq))
+        dj_bad = ~(l_bad | r_bad) & ((j_rel[start:stop] != rank_eq) | (d_rel[start:stop] != rank_eq))
         _fail_rows(tally, data.members, start, np.stack([l_bad, r_bad, dj_bad], axis=2),
                    "L disagrees with image equality", "R disagrees with kernel equality",
                    "D or J disagrees with rank equality")

@@ -45,6 +45,15 @@ def brute_members(blocks, si_tuples):
     ]
 
 
+def boolean_products(l_below, r_below):
+    """The reference Green's relations of a member set, by N×N×N boolean
+    products of its ≤_L and ≤_R matrices (NumPy's boolean ``@`` is OR of
+    ANDs, so no count wraps): ``r_below @ l_below`` (f ≤_J g, f = h1*g*h2),
+    ``l_eq @ r_eq`` (D = L∘R) and ``r_eq @ l_eq`` (R∘L)."""
+    l_eq, r_eq = l_below & l_below.T, r_below & r_below.T
+    return r_below @ l_below, l_eq @ r_eq, r_eq @ l_eq
+
+
 def full_ti(degree):
     return list(itertools.product(range(degree), repeat=degree))
 

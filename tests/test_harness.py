@@ -30,6 +30,7 @@ from partsem import (
 )
 from partsem.cli import parse_instance, run_command
 from partsem.partition_action import _Geometry
+from conftest import boolean_products
 
 GEOMETRY_LISTS = ("block_masks", "kernels", "class_meets", "meet_masks", "j_geometry")
 
@@ -940,6 +941,19 @@ class TestGatheredSuites:
             assert record.verdict == "pass"
         assert run_suite("member-closure", catalog).records[0].checks == 4
 
+    def test_image_array_holds_points_past_255(self):
+        """257 singleton blocks with the identity and the constant character
+        256: one byte a point would wrap the constant member's images to 0."""
+        p = harness.Partition(257, tuple((x,) for x in range(257)))
+        si = harness.IndexSemigroup(257, (finite_maps.FiniteMap.identity(257),
+                                          finite_maps.FiniteMap(257, 257, (256,) * 257)))
+        entry = harness.CatalogEntry(harness.Instance(p, si), "n257", "id+const256")
+        catalog = harness.Catalog(257, 0, (entry,))
+        assert harness._image_array(enumerate_elements(entry.instance), 257).max() == 256
+        for name in GATHERED_SUITES:
+            (record,) = run_suite(name, catalog).records
+            assert record.verdict == "pass"
+
 
 LABEL_SUITES = ("character-descent", "greens-tx-specialization", "greens-necessary-conditions")
 
@@ -958,7 +972,8 @@ def _label_loops(catalog):
         members, char_ids = data.members, data.char_ids
         images = [geometry[0] for geometry in data.geometry.j_geometry]
         kernels = data.geometry.kernels
-        j_rel = data.j_below & data.j_below.T
+        l_label, r_label = data.l_label, data.r_label
+        j_rel, d_rel, _ = harness._class_relations(data)
         descent, tx, necessary = (harness._Tally(entry) for _ in LABEL_SUITES)
         for a, b in itertools.product(range(len(members)), repeat=2):
             f, g = members[a], members[b]
@@ -970,16 +985,17 @@ def _label_loops(catalog):
                 descent.fail("R-inequality does not descend to characters", f=f, g=g)
             tx.checks += 1
             rank_eq = len(images[a]) == len(images[b])
-            if data.l_eq(a, b) != (images[a] == images[b]):
+            l_eq, r_eq = l_label[a] == l_label[b], r_label[a] == r_label[b]
+            if l_eq != (images[a] == images[b]):
                 tx.fail("L disagrees with image equality", f=f, g=g)
-            elif data.r_eq(a, b) != (kernels[a] == kernels[b]):
+            elif r_eq != (kernels[a] == kernels[b]):
                 tx.fail("R disagrees with kernel equality", f=f, g=g)
-            elif bool(j_rel[a, b]) != rank_eq or bool(data.d_rel[a, b]) != rank_eq:
+            elif bool(j_rel[a, b]) != rank_eq or bool(d_rel[a, b]) != rank_eq:
                 tx.fail("D or J disagrees with rank equality", f=f, g=g)
             necessary.checks += 1
-            if data.l_eq(a, b) and images[a] != images[b]:
+            if l_eq and images[a] != images[b]:
                 necessary.fail("L-related pair with different images", f=f, g=g)
-            if data.r_eq(a, b) and kernels[a] != kernels[b]:
+            if r_eq and kernels[a] != kernels[b]:
                 necessary.fail("R-related pair with different kernels", f=f, g=g)
         tallies = [(LABEL_SUITES[0], descent), (LABEL_SUITES[2], necessary)]
         if inst.partition.degree == 1:
@@ -989,12 +1005,12 @@ def _label_loops(catalog):
 
 
 def _spoil_labels(data):
-    """Every member L- and R-related to every other, D read as its
-    complement, and each character's L-descent to itself dropped."""
+    """Every member L- and R-related to every other (so J-related to every
+    other), every member alone in its D-class, and each character's
+    L-descent to itself dropped."""
     size = len(data.members)
-    d_rel = ~data.d_rel
     data.l_label = data.r_label = [0] * size
-    data.d_rel = d_rel
+    data.d_label = list(range(size))
     si_l_below = data.si_l_below.copy()
     np.fill_diagonal(si_l_below, False)
     data.si_l_below = si_l_below
@@ -1033,3 +1049,49 @@ class TestLabelSuites:
             "L disagrees with image equality", "R disagrees with kernel equality",
             "D or J disagrees with rank equality",
             "L-related pair with different images", "R-related pair with different kernels"})
+
+
+class TestClassRelations:
+    """The harness's J, D and R∘L, read off the L/R classes, against the
+    N×N×N boolean products of the preorders."""
+
+    @staticmethod
+    def _assert_match_the_boolean_products(inst):
+        data = greens._greens_data(inst)
+        j_below, l_then_r, r_then_l = boolean_products(data.l_below, data.r_below)
+        j_rel, d_rel, r_l = harness._class_relations(data)
+        assert np.array_equal(j_rel, j_below & j_below.T)
+        assert np.array_equal(d_rel, l_then_r)
+        assert np.array_equal(r_l, r_then_l)
+
+    def test_match_on_every_identity_entry_of_max_n_4(self):
+        entries = [e for e in build_catalog(4, seed=7).entries if e.instance.si.has_identity]
+        assert len(entries) == 159
+        for entry in entries:
+            self._assert_match_the_boolean_products(entry.instance)
+
+    def test_match_on_an_875_member_instance(self):
+        """``n5:[0,1][2][3][4]/full``."""
+        inst = Instance(Partition.of([[0, 1], [2], [3], [4]]), IndexSemigroup.full(4))
+        assert len(enumerate_elements(inst)) == 875
+        self._assert_match_the_boolean_products(inst)
+
+    def test_a_dropped_r_edge_fails_greens_d_subset_j(self):
+        """≤_J is built from the preorders, not from the D labels it is
+        checked against, so a broken ≤_R shows.  An edge between two distinct
+        R-classes cannot show in D ⊆ J or J ⊆ D (in a finite semigroup, f ≤_R
+        g and f J g give f R g), so the edge dropped is the one the class
+        quotient reads for D-related pairs: from an R-class to itself, at its
+        first member, after the class labels are taken."""
+        entry = harness.CatalogEntry(
+            Instance(Partition.of([[0, 1], [2]]), IndexSemigroup.full(2)), "n3:[0,1][2]", "full")
+        catalog = harness.Catalog(3, 7, (entry,))
+        [record] = run_suite("greens-d-subset-j", catalog).records
+        assert record.verdict == "pass"
+        data = greens._greens_data(entry.instance)
+        first = max(data.r_label)
+        data.r_below[first, first] = False
+        [record] = run_suite("greens-d-subset-j", catalog).records
+        assert record.verdict == "fail"
+        assert record.counterexample["detail"] == "a D-related pair is not J-related"
+        assert record.counterexample["f"] == list(data.members[first].images)

@@ -37,12 +37,12 @@ from partsem import (
     unit_regular_witnesses,
     units,
 )
-from partsem import ensemble, greens
+from partsem import ensemble, greens, harness
 from partsem.greens import _greens_data
 from partsem.regularity import _each_has_inner_inverse, si_is_inverse, si_is_regular
 from partsem.partition_action import _mask
 
-from conftest import comp
+from conftest import boolean_products, comp
 
 
 def _full(blocks):
@@ -250,11 +250,16 @@ def test_index_scans_match_the_loops(budget, monkeypatch):
 @pytest.mark.parametrize("blocks", [[[0, 1, 2, 3]], [[0], [1], [2], [3]]])
 def test_one_sided_j_matches_a_direct_factor_scan(blocks):
     """On these instances a uint8 count of R-then-L paths once wrapped to 0
-    on 96 ordered pairs each, so ≤_J missed pairs such as const ≤_J id."""
+    on 96 ordered pairs each, so ≤_J missed pairs such as const ≤_J id.  The
+    boolean-product reference and the harness's J read off the classes are
+    checked here against the scan too."""
     inst = _full(blocks)
     loops = _Loops(inst)
     members = enumerate_elements(inst)
     data = _greens_data(inst)
+    j_below = boolean_products(data.l_below, data.r_below)[0]
+    j_rel, _, _ = harness._class_relations(data)
+    assert np.array_equal(j_rel, j_below & j_below.T)
     # first_column[m][f]: the first h2 with m*h2 = f.
     first_column = [{} for _ in members]
     for m, row in enumerate(loops.product):
@@ -264,7 +269,7 @@ def test_one_sided_j_matches_a_direct_factor_scan(blocks):
         ideal = loops.j_ideal(g)
         expected = np.zeros(len(members), dtype=bool)
         expected[list(ideal)] = True
-        assert np.array_equal(data.j_below[:, g], expected)
+        assert np.array_equal(j_below[:, g], expected)
         for f in range(len(members)):
             found = principal_leq_oracle("J", members[f], members[g], inst)
             if f not in ideal:
@@ -549,7 +554,8 @@ def test_theorem_searches_match_the_tuple_loops_on_sampled_pairs_of_t4(monkeypat
     rng = random.Random(4)
     size = len(data.members)
     pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(200)]
-    assert 0 < sum(not data.j_below[a, b] for a, b in pairs) < len(pairs)
+    j_below = boolean_products(data.l_below, data.r_below)[0]
+    assert 0 < sum(not j_below[a, b] for a, b in pairs) < len(pairs)
     _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch)
 
 
@@ -635,7 +641,7 @@ class _MapWitnesses:
         data, p = self.data, self.p
         fk, gk = data.member_id(f), data.member_id(g)
         if mode == "oracle":
-            if not data.l_eq(fk, gk):
+            if data.l_label[fk] != data.l_label[gk]:
                 return None
             h_fg, h_gf = self.leq("L", f, g), self.leq("L", g, f)
             return GreenWitness(
@@ -671,7 +677,7 @@ class _MapWitnesses:
         data, p = self.data, self.p
         fk, gk = data.member_id(f), data.member_id(g)
         if mode == "oracle":
-            if not data.r_eq(fk, gk):
+            if data.r_label[fk] != data.r_label[gk]:
                 return None
             h_fg, h_gf = self.leq("R", f, g), self.leq("R", g, f)
             return GreenWitness(
