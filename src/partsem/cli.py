@@ -119,8 +119,7 @@ def parse_instance(path: str | Path) -> Instance:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def serialize_instance(inst: Instance) -> dict:
-    return instance_to_json(inst)
+serialize_instance = instance_to_json
 
 
 def _parse_map(text: str, n: int, what: str, codomain: int | None = None) -> FiniteMap:

@@ -294,11 +294,6 @@ def enumerate_elements(inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> tu
     return inst.derived.members
 
 
-def member_index(inst: Instance) -> dict[tuple[int, ...], int]:
-    """Image tuple -> position in enumeration order."""
-    return inst.derived.index
-
-
 def is_member(f: FiniteMap, inst: Instance) -> bool:
     if f.domain_size != inst.partition.n or f.codomain_size != inst.partition.n:
         return False

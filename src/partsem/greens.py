@@ -1,8 +1,8 @@
 """Green's relations via ideal oracles and via the character-level criteria.
 
 The oracle route reads the instance's product table: the one-sided ≤_L and
-≤_R preorders are boolean matrices filled by scatter, and a pair is
-J-ordered when some h1*g has f in its right ideal.  The theorem route
+≤_R preorders are boolean matrices filled by scatter, and ≤_J is read off
+the class quotient built from them.  The theorem route
 never reads them: it reads the candidate characters (alpha, beta, gamma,
 delta) at the positions of chi(f) and chi(g) from the per-instance memo of
 index-semigroup facts (``_IndexFacts``: left and right divisors, R-classes
@@ -14,10 +14,10 @@ is assembled.  Both routes produce
 replayable witnesses: factor transformations whose composites reproduce the
 claimed ideal memberships.  Each theorem search reads of the members only
 their characters and the geometry lists ``_THEOREM_READS`` names, and each
-oracle verdict depends on them only through their L- and R-classes (the L,
-R and D oracles read the class labels, and ≤_J is constant on both kinds of
-class), so a caller deciding many pairs (the harness's Green's sweep) may
-take one verdict per pair of those keys where it is unrelated.  Each relation has one position core
+oracle verdict depends on them only through their L- and R-classes (the
+oracles read the class quotient), so a caller deciding many pairs (the
+harness's Green's sweep) may take one verdict per pair of those keys where
+it is unrelated.  Each relation has one position core
 (``_one_sided_witness``, ``_d_witness``, ``_j_witness``): it takes member
 positions, runs the search of its mode and every validation of the
 builders, and returns a ``GreenWitness`` of the instance's own members and
@@ -30,18 +30,20 @@ maps, checking each composition's sizes as ``compose`` does, recomputes
 every product and never reads the table.  The harness's Green's sweep
 replays its witnesses through it too.
 The per-instance data keeps, each built once on first use, every member's
-L-, R- and D-class label (the first member of its class; the D label is the
-least L-label meeting the member's R-class, as D = L∘R), which the oracles
-and ``eggbox`` read, the first member of each H-class (the D oracle's
-middle element).  Each member's block facts (block images, kernel
-classes and the blocks they meet, J geometry) come from the members'
-geometry (``inst.derived.geometry``), characters from the positions
-enumeration recorded (``inst.derived.char_ids``), and the left factor, the
-left J factor and the inner inverse share one least-preimage lift.
-``txp_green``, the criteria specialized to the full character set T(I),
-reads a geometry too: of its two maps, or of all members for a caller
-deciding many pairs, who keeps one memo of each map's J covers (built on
-first ask) and may decide once per pair of signatures (``_TXP_READS``).
+L- and R-class label and the class quotient: part 1 (``classes``), each
+member's R- and L-class and the first member of each H-class, which the D
+oracle (its middle element) and the D labels (``d_label``, which ``eggbox``
+groups by) read; part 2 (``j_below``), ≤_J on classes, built only when a J
+question asks.  The J oracles scan the table for factors only on pairs it
+puts J-below.  Each member's block facts (block images, kernel classes and
+the blocks they meet, J geometry) come from the members' geometry
+(``inst.derived.geometry``), characters from the positions enumeration
+recorded (``inst.derived.char_ids``), and the left factor, the left J
+factor and the inner inverse share one least-preimage lift.  ``txp_green``,
+the criteria specialized to the full character set T(I), reads a geometry
+too: of its two maps, or of all members for a caller deciding many pairs,
+who keeps one memo of each map's J covers and one-sided J verdicts (built
+on first ask) and may decide once per pair of signatures (``_TXP_READS``).
 
 All operations here require the identity character in the index semigroup.
 """
@@ -248,11 +250,6 @@ class _GreensData:
         self.si_l_below, self.si_r_below = _preorders(inst.si.table)
         self.si_facts = _IndexFacts(self.si_table, self.si_r_below)
 
-    def j_left_factors(self, a: int, b: int) -> np.ndarray:
-        """The h1, ascending, with a = h1*b*h2 for some h2: those whose h1*b
-        has a in its right ideal.  Empty exactly when a is not J-below b."""
-        return self.r_below[a, self.table[:, b]].nonzero()[0]
-
     @cached_property
     def l_label(self) -> list[int]:
         """Per member, the first member of its L-class."""
@@ -264,21 +261,34 @@ class _GreensData:
         return _class_labels(self.r_below)
 
     @cached_property
-    def h_first(self) -> dict[tuple[int, int], int]:
-        """(L-label, R-label) -> the first member of that H-class."""
-        first: dict[tuple[int, int], int] = {}
-        for k, key in enumerate(zip(self.l_label, self.r_label)):
-            first.setdefault(key, k)
-        return first
+    def classes(self) -> tuple[list[int], list[int], list[list[int]], np.ndarray, np.ndarray]:
+        """The class quotient, part 1: per member its R-class and L-class, in
+        the order of their first members, ``h_first[r][l]``, the first member
+        of H-class (r, l), or -1, and the R- and L-classes' first members."""
+        (r_first, r_of), (l_first, l_of) = (
+            np.unique(labels, return_inverse=True) for labels in (self.r_label, self.l_label)
+        )
+        cells, first = np.unique(r_of * len(l_first) + l_of, return_index=True)
+        h_first = np.full((len(r_first), len(l_first)), -1)
+        h_first.flat[cells] = first
+        return r_of.tolist(), l_of.tolist(), h_first.tolist(), r_first, l_first
+
+    @cached_property
+    def j_below(self) -> list[list[bool]]:
+        """The class quotient, part 2: ``j_below[R(f)][L(g)]`` when f ≤_J g (f
+        ≤_R h ≤_L g for some h); ``Rq @ H @ Lq``, as ≤_R and ≤_L are constant on
+        classes: H the nonempty H-classes, Rq/Lq the preorders at first members."""
+        _, _, h_first, r_first, l_first = self.classes
+        h = np.array(h_first) >= 0
+        return (self.r_below[r_first][:, r_first] @ h @ self.l_below[l_first][:, l_first]).tolist()
 
     @cached_property
     def d_label(self) -> list[int]:
-        """Per member, the first member of its D-class: as D = L∘R, the least
-        L-label among the L-classes that meet the member's R-class."""
-        least: dict[int, int] = {}
-        for l, r in self.h_first:
-            least[r] = min(least.get(r, l), l)
-        return [least[r] for r in self.r_label]
+        """Per member, the first member of its D-class: as D = L∘R, the
+        L-label of the first L-class its R-class meets in ``h_first``."""
+        r_of, _, h_first = self.classes[:3]
+        least = [self.l_label[next(k for k in row if k >= 0)] for row in h_first]
+        return [least[r] for r in r_of]
 
     def member_id(self, f: FiniteMap) -> int:
         """The position of f: found by identity for the instance's own
@@ -315,14 +325,14 @@ def principal_leq_oracle(rel: Relation, f: FiniteMap, g: FiniteMap, inst: Instan
     return data.members[found]
 
 
-def _first_factor(data: _GreensData, rel: str, fk: int, gk: int, left=None):
+def _first_factor(data: _GreensData, rel: str, fk: int, gk: int):
     """Positions of the first h with f = h*g (L) or f = g*h (R), or of the
-    first (h1, h2) with f = h1*g*h2 (J), or None; ``left`` may pass
-    ``j_left_factors(fk, gk)`` when the caller already holds it.
+    first (h1, h2) with f = h1*g*h2 (J), or None; for J, None exactly when
+    the class quotient does not put f J-below g.
 
-    The J search reads one column of the table (every h1*g, gathered by
-    ``j_left_factors``) and one row (the h2 of the first h1 that reaches f):
-    2*N reads, so it needs no cap.
+    The J search reads one column of the table (every h1*g, by one gather)
+    and one row (the h2 of the first h1 that reaches f): 2*N reads, so it
+    needs no cap.
     """
     table = data.table
     if rel == "L":
@@ -330,14 +340,16 @@ def _first_factor(data: _GreensData, rel: str, fk: int, gk: int, left=None):
     elif rel == "R":
         hits = (table[gk] == fk).nonzero()[0]
     elif rel == "J":
+        r_of, l_of = data.classes[:2]
+        if not data.j_below[r_of[fk]][l_of[gk]]:
+            return None
         # The first h1 in order whose h1*g has f in its right ideal, then the
         # first h2 with h1*g*h2 = f: the first pair of the row-major scan.
-        if left is None:
-            left = data.j_left_factors(fk, gk)
-        if not len(left):
-            return None
-        k1 = int(left[0])
-        k2 = int((table[table[k1, gk]] == fk).nonzero()[0][0])
+        left = data.r_below[fk, table[:, gk]]
+        k1 = int(left.argmax())
+        if not left[k1]:
+            raise InternalError(f"no factors put {data.members[fk]} J-below {data.members[gk]}")
+        k2 = int((table[table[k1, gk]] == fk).argmax())
         return k1, k2
     else:
         raise InvalidArgumentError(f"unknown relation {rel!r}")
@@ -638,8 +650,9 @@ def _d_witness(
     """The position core of ``_related`` for rel "D"."""
     if mode == "oracle":
         # the first member L-related to f and R-related to g
-        mk = data.h_first.get((data.l_label[fk], data.r_label[gk]))
-        if mk is None:
+        r_of, l_of, h_first = data.classes[:3]
+        mk = h_first[r_of[gk]][l_of[fk]]
+        if mk < 0:
             return None
         return GreenWitness(
             relation="D",
@@ -799,12 +812,12 @@ def _j_witness(
 ) -> GreenWitness | None:
     """The position core of ``_related`` for rel "J"."""
     if mode == "oracle":
-        # both columns first: an unrelated pair most often fails one of them
-        left_fg, left_gf = data.j_left_factors(fk, gk), data.j_left_factors(gk, fk)
-        if not (len(left_fg) and len(left_gf)):
+        # each factor scan runs only on a pair the class quotient puts J-below
+        r_of, l_of = data.classes[:2]
+        found = data.j_below[r_of[gk]][l_of[fk]] and _first_factor(data, "J", fk, gk)
+        if not found:
             return None
-        h1, h2 = _first_factor(data, "J", fk, gk, left=left_fg)
-        k1, k2 = _first_factor(data, "J", gk, fk, left=left_gf)
+        (h1, h2), (k1, k2) = found, _first_factor(data, "J", gk, fk)
         phi = _image_map_from_factors(data, gk, h1, h2)
         psi = _image_map_from_factors(data, fk, k1, k2)
     else:
@@ -968,18 +981,18 @@ def _txp_j_covers(geometry: _Geometry, b: int) -> set:
     return covers
 
 
-def _txp_j_one_sided(geometry: _Geometry, a: int, b: int, covers: dict) -> bool:
+def _txp_j_one_sided(geometry: _Geometry, a: int, b: int, memo: dict) -> bool:
     """Is there an E-preserving phi on Xg with every X_i f covered by some (X_j g)phi?
 
-    g's covers are built on the first ask for b and kept in ``covers``.  The
-    image of f lies in (Xg)phi, so a pair with rank f > rank g is answered
-    False at once.
+    g's covers are built on the first ask for b and kept in ``memo`` under
+    b.  The image of f lies in (Xg)phi, so a pair with rank f > rank g is
+    answered False at once.
     """
     if len(geometry.j_geometry[a][0]) > len(geometry.j_geometry[b][0]):
         return False
-    if b not in covers:
-        covers[b] = _txp_j_covers(geometry, b)
-    return any(_txp_l_one_sided(geometry.block_masks[a], covered) for covered in covers[b])
+    if b not in memo:
+        memo[b] = _txp_j_covers(geometry, b)
+    return any(_txp_l_one_sided(geometry.block_masks[a], covered) for covered in memo[b])
 
 
 # The geometry lists each theorem search reads of one map besides its
@@ -1003,12 +1016,10 @@ _TXP_READS = {
 }
 
 
-def _txp_related(
-    rel: Relation, geometry: _Geometry, a: int, b: int, covers: dict, one_sided: dict | None = None
-) -> bool:
+def _txp_related(rel: Relation, geometry: _Geometry, a: int, b: int, memo: dict) -> bool:
     """``txp_green`` on the maps at positions a and b of a geometry, with one
-    memo of J covers (``_txp_j_one_sided``) for every pair of the geometry,
-    and optionally one of its one-sided J verdicts by (a, b)."""
+    memo for every pair of the geometry: each map's J covers under its
+    position (``_txp_j_one_sided``), each one-sided J verdict under (a, b)."""
     if rel == "L":
         bf, bg = geometry.block_masks[a], geometry.block_masks[b]
         return _txp_l_one_sided(bf, bg) and _txp_l_one_sided(bg, bf)
@@ -1018,11 +1029,10 @@ def _txp_related(
     if rel == "D":
         return _txp_d_check(geometry, a, b)
     if rel == "J":
-        one_sided = {} if one_sided is None else one_sided
         for key in ((a, b), (b, a)):
-            if key not in one_sided:
-                one_sided[key] = _txp_j_one_sided(geometry, *key, covers)
-            if not one_sided[key]:
+            if key not in memo:
+                memo[key] = _txp_j_one_sided(geometry, *key, memo)
+            if not memo[key]:
                 return False
         return True
     raise InvalidArgumentError(f"unknown relation {rel!r}")

@@ -23,8 +23,9 @@ unrelated, replays, fails to replay, or capped.  It calls the public
 checker on the members' own maps (which the checkers find by identity,
 with no lookup) and replays a found witness at once
 (``greens.verify_witness``, on image tuples).  Each member has a key per
-relation and mode (``_verdict_keys``: the class labels the oracle reads,
-or the character and the geometry lists the theorem search reads), and
+relation and mode (``_verdict_keys``: the classes the oracle reads off the
+Green's data's class quotient, or the character and the geometry lists the
+theorem search reads), and
 pairs of members with equal keys get equal verdicts, so the checker is
 called once on an unrelated key group (a capped call decides nothing) and
 on every pair of a related one.  Whichever of the three suites reaches an
@@ -37,7 +38,11 @@ NumPy and records a failure only where one is, in row-major order.  The
 sweep names members by position, so ``txp-specialization`` decides
 ``txp_green`` on the members' geometry (``inst.derived.geometry``), once
 per pair of the two members' signatures for each relation, with one memo of
-J covers and one of one-sided J verdicts per entry.
+J covers and one-sided J verdicts per entry.
+
+The three suites that read J and D take them from the Green's data's class
+quotient: ``_class_relations`` only gathers ≤_J or the H-classes onto the
+member pairs, and D is equality of D labels.
 
 ``character-homomorphism``, ``member-closure`` and ``unit-set-identity``
 compose by gathering on the N×n array of the members' images (uint8 up to
@@ -73,7 +78,6 @@ from .ensemble import (
     Instance,
     closure_from_generators,
     enumerate_elements,
-    member_index,
     predicted_size,
     _right_closure,
     _row_blocks,
@@ -136,7 +140,7 @@ class SuiteRecord:
     millis: float
     observations: tuple[str, ...] = ()
 
-    def to_payload(self, include_timing: bool = True) -> dict:
+    def to_payload(self) -> dict:
         payload: dict = {
             "suite": self.suite,
             "instance": self.instance,
@@ -150,8 +154,7 @@ class SuiteRecord:
             payload["observations"] = list(self.observations)
         payload["checks"] = self.checks
         payload["failures"] = self.failures
-        if include_timing:
-            payload["millis"] = round(self.millis, 3)
+        payload["millis"] = round(self.millis, 3)
         return payload
 
 
@@ -172,11 +175,8 @@ class Report:
     def suite_names(self) -> list[str]:
         return sorted({r.suite for r in self.records})
 
-    def to_machine_lines(self, include_timing: bool = True) -> list[str]:
-        return [
-            json.dumps(r.to_payload(include_timing), sort_keys=True)
-            for r in self.records
-        ]
+    def to_machine_lines(self) -> list[str]:
+        return [json.dumps(r.to_payload(), sort_keys=True) for r in self.records]
 
     def to_text(self) -> str:
         lines = []
@@ -551,7 +551,7 @@ def _regular_element_equivalence(entry, tally, catalog):
 @_suite("inner-inverse-construction")
 def _inner_inverse_construction(entry, tally, catalog):
     inst = entry.instance
-    index = member_index(inst)
+    index = inst.derived.index
     for f in enumerate_elements(inst):
         for alpha in regular_character_witnesses(f, inst):
             g = build_inner_inverse(f, alpha, inst)
@@ -618,7 +618,7 @@ def _unit_regular_element_equivalence(entry, tally, catalog):
 @_suite("unit-inverse-construction", _has_identity)
 def _unit_inverse_construction(entry, tally, catalog):
     inst = entry.instance
-    index = member_index(inst)
+    index = inst.derived.index
     for f in enumerate_elements(inst):
         for alpha in unit_regular_witnesses(f, inst):
             u = build_unit_inverse(f, alpha, inst)
@@ -749,13 +749,13 @@ class _GreensSweep:
 
 def _verdict_keys(data, rel: str, mode: str) -> np.ndarray:
     """Per member, the first member whose key for ``rel`` in ``mode`` equals
-    its own: the class labels the oracle reads (the L- or R-label, the
-    H-class for D, and for J, whose ≤_J is constant on H-classes), or the
+    its own: the classes the oracle reads (the L- or R-label, and for D and
+    J the R- and L-class of the class quotient, its H-class), or the
     character position and the geometry lists the theorem search reads
     (``greens._THEOREM_READS``).  Two pairs whose members have equal keys
     get equal verdicts."""
     if mode == "oracle":
-        reads = {"L": [data.l_label], "R": [data.r_label]}.get(rel, [data.l_label, data.r_label])
+        reads = {"L": [data.l_label], "R": [data.r_label]}.get(rel, data.classes[:2])
     else:
         reads = [data.char_ids, *(getattr(data.geometry, n) for n in greens._THEOREM_READS[rel])]
         if rel == "J":
@@ -771,10 +771,11 @@ def _greens_sweep(entry: CatalogEntry, catalog: Catalog) -> _GreensSweep:
     return sweeps[entry.label]
 
 
-def _first_pair(data, mask: np.ndarray) -> dict:
-    """The first member pair, row-major, where ``mask`` holds, as failure elements."""
-    a, b = map(int, np.argwhere(mask)[0])
-    return {"f": data.members[a], "g": data.members[b]}
+def _fail_first(tally: _Tally, data, mask: np.ndarray, detail: str) -> None:
+    """A failure at the first member pair, row-major, where ``mask`` holds, if any."""
+    if mask.any():
+        a, b = map(int, np.argwhere(mask)[0])
+        tally.fail(detail, f=data.members[a], g=data.members[b])
 
 
 @_suite("greens-mode-agreement", _has_identity)
@@ -807,62 +808,61 @@ def _character_descent(entry, tally, catalog):
     tally.checks = len(chars) ** 2
 
 
-def _class_relations(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(J, D, R∘L) on the members as N×N boolean matrices, read off their classes.
+def _class_relations(data, quotient) -> np.ndarray:
+    """``out[f, g] = quotient[R(f)][L(g)]`` for a matrix on the class
+    quotient's (R-class, L-class): ≤_J on the members for ``j_below``, and
+    R∘L for the nonempty H-classes."""
+    r_of, l_of = data.classes[:2]
+    return np.array(quotient)[np.array(r_of)[:, None], l_of]
 
-    ≤_R is constant on R-classes and ≤_L on L-classes, so ≤_J on classes is
-    ``Rq @ H @ Lq``: H marks the nonempty H-classes (R-class, L-class), and
-    ``Rq``/``Lq`` are the preorders at the classes' first members, not the D
-    labels J is checked against.  f R∘L g when H(R(f), L(g)) is nonempty."""
-    r_first, r_of = np.unique(data.r_label, return_inverse=True)
-    l_first, l_of = np.unique(data.l_label, return_inverse=True)
-    h = np.zeros((len(r_first), len(l_first)), dtype=bool)
-    h[r_of, l_of] = True
-    jq = data.r_below[np.ix_(r_first, r_first)] @ h @ data.l_below[np.ix_(l_first, l_first)]
-    d_label = np.array(data.d_label)
-    j_rel = jq[r_of[:, None], l_of] & jq[r_of, l_of[:, None]]
-    return j_rel, d_label[:, None] == d_label, h[r_of[:, None], l_of]
+
+def _tx_keys(data) -> list[np.ndarray]:
+    """Per member, the first member of its L-class, of its R-class, with its
+    image and with its kernel: the keys compared on T(X)."""
+    return [np.array(data.l_label), np.array(data.r_label),
+            _first_equal(parts[0] for parts in data.geometry.j_geometry),
+            _first_equal(data.geometry.kernels)]
 
 
 @_suite("greens-d-composition-commutes", _has_identity)
 def _greens_d_composition_commutes(entry, tally, catalog):
     data = greens._greens_data(entry.instance)
-    _, d_rel, r_then_l = _class_relations(data)
-    differ = d_rel != r_then_l
+    d_label = np.array(data.d_label)
+    r_then_l = _class_relations(data, np.array(data.classes[2]) >= 0)
     tally.checks = len(data.members) ** 2
-    if differ.any():
-        tally.fail("L-then-R differs from R-then-L", **_first_pair(data, differ))
+    _fail_first(tally, data, (d_label[:, None] == d_label) != r_then_l,
+                "L-then-R differs from R-then-L")
 
 
 @_suite("greens-d-subset-j", _has_identity)
 def _greens_d_subset_j(entry, tally, catalog):
     data = greens._greens_data(entry.instance)
-    j_rel, d_rel, _ = _class_relations(data)
+    j_below, d_label = _class_relations(data, data.j_below), np.array(data.d_label)
+    j_rel, d_rel = j_below & j_below.T, d_label[:, None] == d_label
     tally.checks = len(data.members) ** 2
-    if np.any(d_rel & ~j_rel):
-        tally.fail("a D-related pair is not J-related", **_first_pair(data, d_rel & ~j_rel))
+    _fail_first(tally, data, d_rel & ~j_rel, "a D-related pair is not J-related")
     # D = J in every finite semigroup, so a J-related pair outside D is a fault.
-    if np.any(j_rel & ~d_rel):
-        tally.fail("a J-related pair is not D-related", **_first_pair(data, j_rel & ~d_rel))
+    _fail_first(tally, data, j_rel & ~d_rel, "a J-related pair is not D-related")
 
 
 @_suite("greens-tx-specialization", _degree_one_with_identity)
 def _greens_tx_specialization(entry, tally, catalog):
     data = greens._greens_data(entry.instance)
-    l_label, r_label = np.array(data.l_label), np.array(data.r_label)
-    images = _first_equal(geometry[0] for geometry in data.geometry.j_geometry)
-    ranks = np.array([len(geometry[0]) for geometry in data.geometry.j_geometry])
-    kernels = _first_equal(data.geometry.kernels)
-    j_rel, d_rel, _ = _class_relations(data)
-    for start, stop in _row_blocks(len(images), 3 * len(images)):
-        # each pair fails on the first of the three tests that it fails
-        l_bad = _equal(l_label, start, stop) != _equal(images, start, stop)
-        r_bad = ~l_bad & (_equal(r_label, start, stop) != _equal(kernels, start, stop))
-        rank_eq = _equal(ranks, start, stop)
-        dj_bad = ~(l_bad | r_bad) & ((j_rel[start:stop] != rank_eq) | (d_rel[start:stop] != rank_eq))
-        _fail_rows(tally, data.members, start, np.stack([l_bad, r_bad, dj_bad], axis=2),
+    l_label, r_label, images, kernels = _tx_keys(data)
+    d_label = np.array(data.d_label)
+    ranks = np.array([len(parts[0]) for parts in data.geometry.j_geometry])
+    j_below = _class_relations(data, data.j_below)
+    for start, stop in _row_blocks(len(images), 8 * len(images)):
+        # symmetric J is ≤_J both ways, so the rank-order test covers it
+        bad = np.stack([_equal(l_label, start, stop) != _equal(images, start, stop),
+                        _equal(r_label, start, stop) != _equal(kernels, start, stop),
+                        _equal(d_label, start, stop) != _equal(ranks, start, stop),
+                        j_below[start:stop] != (ranks[start:stop, None] <= ranks)], axis=2)
+        # each pair fails on the first of the four tests that it fails
+        first = bad & (np.cumsum(bad, axis=2, dtype=np.uint8) == 1)
+        _fail_rows(tally, data.members, start, first,
                    "L disagrees with image equality", "R disagrees with kernel equality",
-                   "D or J disagrees with rank equality")
+                   "D disagrees with rank equality", "≤_J disagrees with the rank order")
     tally.checks = len(images) ** 2
 
 
@@ -879,9 +879,7 @@ def _greens_witness_replay(entry, tally, catalog):
 @_suite("greens-necessary-conditions", _has_identity)
 def _greens_necessary_conditions(entry, tally, catalog):
     data = greens._greens_data(entry.instance)
-    l_label, r_label = np.array(data.l_label), np.array(data.r_label)
-    images = _first_equal(geometry[0] for geometry in data.geometry.j_geometry)
-    kernels = _first_equal(data.geometry.kernels)
+    l_label, r_label, images, kernels = _tx_keys(data)
     for start, stop in _row_blocks(len(images), 2 * len(images)):
         hits = np.stack([_equal(l_label, start, stop) & ~_equal(images, start, stop),
                          _equal(r_label, start, stop) & ~_equal(kernels, start, stop)], axis=2)
@@ -894,15 +892,15 @@ def _txp_verdicts(geometry, sweep: _GreensSweep) -> np.ndarray:
     """``greens._txp_related`` at each pair of the sweep and each relation, as
     a pairs × relations array: decided once per pair of the two members'
     signatures (the lists ``greens._TXP_READS`` names), with one memo of J
-    covers and one of one-sided J verdicts for the entry."""
-    size, covers, one_sided = len(geometry.images), {}, {}
+    covers and one-sided J verdicts for the entry."""
+    size, memo = len(geometry.images), {}
     f, g = sweep.pairs.T
     verdicts = np.empty(sweep.codes.shape[:2], dtype=bool)
     for r, rel in enumerate(sweep.relations):
         # each member's signature, as the first member with an equal one
         rep = _first_equal(zip(*(getattr(geometry, name) for name in greens._TXP_READS[rel])))
         keys, at = np.unique(rep[f] * size + rep[g], return_inverse=True)
-        decided = [greens._txp_related(rel, geometry, *divmod(key, size), covers, one_sided)
+        decided = [greens._txp_related(rel, geometry, *divmod(key, size), memo)
                    for key in keys.tolist()]
         verdicts[:, r] = np.array(decided, dtype=bool)[at.reshape(-1)]
     return verdicts

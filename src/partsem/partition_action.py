@@ -153,9 +153,8 @@ def is_E_preserving(phi: FiniteMap, dom: Sequence[int], p: Partition) -> bool:
         )
     if phi.codomain_size != p.n:
         raise InvalidArgumentError(f"phi values must range over [0, {p.n})")
-    for x in dom:
-        if not 0 <= x < p.n:
-            raise InvalidArgumentError(f"domain element {x} outside [0, {p.n})")
+    if len(set(dom)) != len(dom) or not all(0 <= x < p.n for x in dom):
+        raise InvalidArgumentError(f"dom {list(dom)} is not a set of points of [0, {p.n})")
     targets: dict[int, int] = {}
     for k, x in enumerate(dom):
         i = p.block_of(x)

@@ -308,6 +308,21 @@ class TestBuildersValidateOnTheTable:
         with pytest.raises(InternalError, match="J factors"):
             build_j_factors(F1, F1, ident2, ident2, phi, inst)
 
+    def test_j_quotient_without_factors(self):
+        """The J oracles take their verdicts from the class quotient; a
+        quotient that puts the identity J-below a constant, where no factor
+        scan can reach it, is reported as an internal error, not as
+        "not below"."""
+        inst = self._fresh()
+        ident = FiniteMap.identity(4)
+        assert principal_leq_oracle("J", ident, CONST, inst) is None
+        data = _greens_data(inst)
+        data.j_below = [[True] * len(row) for row in data.j_below]
+        with pytest.raises(InternalError, match="no factors"):
+            principal_leq_oracle("J", ident, CONST, inst)
+        with pytest.raises(InternalError, match="no factors"):
+            j_related(ident, CONST, inst, mode="oracle")
+
     def test_j_image_map_needs_the_whole_image(self):
         # f = h1*g*h2 with h1 = h2 = 1 and f = g = F1; a table naming a
         # lower-rank h1*g breaks the equal-rank invariant of J.
@@ -1051,13 +1066,14 @@ class TestEggbox:
         "label,inst", EGGBOX_INSTANCES, ids=[label for label, _ in EGGBOX_INSTANCES]
     )
     def test_d_labels_match_the_union_find_and_the_boolean_product(self, label, inst):
-        """The D-classes read off the L/R labels against the union-find that
-        grouped them before, and D (equal D labels, as the harness reads
+        """The D-classes read off the class quotient against the union-find
+        that grouped them before, and D (equal D labels, as the harness reads
         them) against the boolean product L then R."""
         data = _greens_data(inst)
         assert eggbox(inst) == _union_find_eggbox(data)
-        _, d_rel, _ = harness._class_relations(data)
-        assert np.array_equal(d_rel, boolean_products(data.l_below, data.r_below)[1])
+        d_label = np.array(data.d_label)
+        assert np.array_equal(d_label[:, None] == d_label,
+                              boolean_products(data.l_below, data.r_below)[1])
 
     def test_full_transformation_semigroup_on_three_points(self):
         p = Partition.of([[0, 1, 2]])

@@ -218,8 +218,8 @@ class TestReport:
             assert payload["verdict"] in ("pass", "fail")
 
     def test_untimed_serialization_is_reproducible(self, catalog2):
-        one = run_all(build_catalog(2, seed=7)).to_machine_lines(include_timing=False)
-        two = run_all(build_catalog(2, seed=7)).to_machine_lines(include_timing=False)
+        one = _untimed(run_all(build_catalog(2, seed=7)).records)
+        two = _untimed(run_all(build_catalog(2, seed=7)).records)
         assert one == two
 
     def test_text_report_mentions_every_suite(self, catalog2):
@@ -246,7 +246,12 @@ GREENS_PAIR_SUITES = ("greens-mode-agreement", "greens-witness-replay", "txp-spe
 
 
 def _untimed(records):
-    return [r.to_payload(include_timing=False) for r in records]
+    """Each record's payload without its ``millis``, dropped as
+    ``untimed_digest`` drops it."""
+    payloads = [r.to_payload() for r in records]
+    for payload in payloads:
+        del payload["millis"]
+    return payloads
 
 
 def _checker_loops(catalog):
@@ -285,7 +290,7 @@ def _checker_loops(catalog):
         if entry.si_label == "full":
             tallies.append((GREENS_PAIR_SUITES[2], txp))
         for name, tally in tallies:
-            out[name].append(harness._record(name, entry.label, 0.0, tally).to_payload(False))
+            out[name] += _untimed([harness._record(name, entry.label, 0.0, tally)])
     return out
 
 
@@ -713,7 +718,7 @@ def _reader_loops(catalog):
 
 def _keep(out, failures, entry, tallies):
     for name, tally in tallies:
-        out[name].append(harness._record(name, entry.label, 0.0, tally).to_payload(False))
+        out[name] += _untimed([harness._record(name, entry.label, 0.0, tally)])
         failures[(name, entry.label)] = tally.failures
 
 
@@ -972,8 +977,8 @@ def _label_loops(catalog):
         members, char_ids = data.members, data.char_ids
         images = [geometry[0] for geometry in data.geometry.j_geometry]
         kernels = data.geometry.kernels
-        l_label, r_label = data.l_label, data.r_label
-        j_rel, d_rel, _ = harness._class_relations(data)
+        l_label, r_label, d_label = data.l_label, data.r_label, data.d_label
+        j_below = harness._class_relations(data, data.j_below)
         descent, tx, necessary = (harness._Tally(entry) for _ in LABEL_SUITES)
         for a, b in itertools.product(range(len(members)), repeat=2):
             f, g = members[a], members[b]
@@ -990,8 +995,10 @@ def _label_loops(catalog):
                 tx.fail("L disagrees with image equality", f=f, g=g)
             elif r_eq != (kernels[a] == kernels[b]):
                 tx.fail("R disagrees with kernel equality", f=f, g=g)
-            elif bool(j_rel[a, b]) != rank_eq or bool(d_rel[a, b]) != rank_eq:
-                tx.fail("D or J disagrees with rank equality", f=f, g=g)
+            elif (d_label[a] == d_label[b]) != rank_eq:
+                tx.fail("D disagrees with rank equality", f=f, g=g)
+            elif bool(j_below[a, b]) != (len(images[a]) <= len(images[b])):
+                tx.fail("≤_J disagrees with the rank order", f=f, g=g)
             necessary.checks += 1
             if l_eq and images[a] != images[b]:
                 necessary.fail("L-related pair with different images", f=f, g=g)
@@ -1047,22 +1054,23 @@ class TestLabelSuites:
         assert details == (set() if not spoiled else {
             "L-inequality does not descend to characters",
             "L disagrees with image equality", "R disagrees with kernel equality",
-            "D or J disagrees with rank equality",
+            "D disagrees with rank equality",
             "L-related pair with different images", "R-related pair with different kernels"})
 
 
 class TestClassRelations:
-    """The harness's J, D and R∘L, read off the L/R classes, against the
-    N×N×N boolean products of the preorders."""
+    """The harness's one-sided ≤_J, D and R∘L, gathered from the class
+    quotient, against the N×N×N boolean products of the preorders."""
 
     @staticmethod
     def _assert_match_the_boolean_products(inst):
         data = greens._greens_data(inst)
         j_below, l_then_r, r_then_l = boolean_products(data.l_below, data.r_below)
-        j_rel, d_rel, r_l = harness._class_relations(data)
-        assert np.array_equal(j_rel, j_below & j_below.T)
-        assert np.array_equal(d_rel, l_then_r)
-        assert np.array_equal(r_l, r_then_l)
+        d_label = np.array(data.d_label)
+        assert np.array_equal(harness._class_relations(data, data.j_below), j_below)
+        assert np.array_equal(d_label[:, None] == d_label, l_then_r)
+        h = np.array(data.classes[2]) >= 0
+        assert np.array_equal(harness._class_relations(data, h), r_then_l)
 
     def test_match_on_every_identity_entry_of_max_n_4(self):
         entries = [e for e in build_catalog(4, seed=7).entries if e.instance.si.has_identity]
@@ -1082,7 +1090,8 @@ class TestClassRelations:
         R-classes cannot show in D ⊆ J or J ⊆ D (in a finite semigroup, f ≤_R
         g and f J g give f R g), so the edge dropped is the one the class
         quotient reads for D-related pairs: from an R-class to itself, at its
-        first member, after the class labels are taken."""
+        first member, after the class labels are taken, and ≤_J on classes
+        is built again from the spoiled preorder."""
         entry = harness.CatalogEntry(
             Instance(Partition.of([[0, 1], [2]]), IndexSemigroup.full(2)), "n3:[0,1][2]", "full")
         catalog = harness.Catalog(3, 7, (entry,))
@@ -1091,7 +1100,31 @@ class TestClassRelations:
         data = greens._greens_data(entry.instance)
         first = max(data.r_label)
         data.r_below[first, first] = False
+        del data.j_below
         [record] = run_suite("greens-d-subset-j", catalog).records
         assert record.verdict == "fail"
         assert record.counterexample["detail"] == "a D-related pair is not J-related"
         assert record.counterexample["f"] == list(data.members[first].images)
+
+    @pytest.mark.parametrize("n", [3, 4], ids=["T_3", "T_4"])
+    def test_dropped_strict_edges_fail_only_the_rank_order(self, n, monkeypatch):
+        """Every strict edge of ≤_R and of ≤_L dropped, only the edges within
+        a class kept, after the class labels are taken and before ≤_J on
+        classes is built.  ``j_below`` then holds exactly where H(R(f),
+        L(g)) is nonempty, so symmetric J stays D and the D suites pass,
+        while f ≤_J g is lost on every pair with rank f < rank g: only the
+        rank-order test of greens-tx-specialization sees it."""
+        inst = Instance(Partition.of([list(range(n))]), IndexSemigroup.trivial(1))
+        catalog = harness.Catalog(n, 7, (harness.CatalogEntry(inst, f"n{n}", "full"),))
+        data = greens._greens_data(inst)
+        assert data.classes
+        data.l_below, data.r_below = data.l_below & data.l_below.T, data.r_below & data.r_below.T
+        for name in ("greens-d-subset-j", "greens-d-composition-commutes"):
+            assert run_suite(name, catalog).records[0].verdict == "pass"
+        kept = _keep_failures(monkeypatch)
+        [record] = run_suite("greens-tx-specialization", catalog).records
+        ranks = Counter(len(set(m.images)) for m in data.members)
+        below = sum(ranks[a] * ranks[b] for a in ranks for b in ranks if a < b)
+        assert (record.checks, record.failures) == (len(data.members) ** 2, below)
+        assert {f["detail"] for f in kept[("greens-tx-specialization", f"n{n}/full")]} == {
+            "≤_J disagrees with the rank order"}

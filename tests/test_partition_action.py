@@ -154,6 +154,12 @@ class TestEPreserving:
         with pytest.raises(InvalidArgumentError):
             is_E_preserving(FiniteMap.of((0, 1), 3), (0, 1), P)
 
+    def test_refuses_a_repeated_point(self):
+        """Point 2 listed twice would be sent to both 0 and 1, and both
+        values lie in one block, so the block test alone would pass it."""
+        with pytest.raises(InvalidArgumentError, match="not a set of points"):
+            is_E_preserving(FiniteMap(2, 3, (0, 1)), [2, 2], Partition.of([[0, 1], [2]]))
+
 
 class TestLiftCharacter:
     def test_examples(self):

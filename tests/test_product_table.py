@@ -251,15 +251,14 @@ def test_index_scans_match_the_loops(budget, monkeypatch):
 def test_one_sided_j_matches_a_direct_factor_scan(blocks):
     """On these instances a uint8 count of R-then-L paths once wrapped to 0
     on 96 ordered pairs each, so ≤_J missed pairs such as const ≤_J id.  The
-    boolean-product reference and the harness's J read off the classes are
-    checked here against the scan too."""
+    boolean-product reference and the harness's ≤_J gathered from the class
+    quotient are checked here against the scan too."""
     inst = _full(blocks)
     loops = _Loops(inst)
     members = enumerate_elements(inst)
     data = _greens_data(inst)
     j_below = boolean_products(data.l_below, data.r_below)[0]
-    j_rel, _, _ = harness._class_relations(data)
-    assert np.array_equal(j_rel, j_below & j_below.T)
+    assert np.array_equal(harness._class_relations(data, data.j_below), j_below)
     # first_column[m][f]: the first h2 with m*h2 = f.
     first_column = [{} for _ in members]
     for m, row in enumerate(loops.product):
@@ -626,7 +625,7 @@ class _MapWitnesses:
         if rel == "R":
             found = np.flatnonzero(table[gk] == fk)
             return data.members[found[0]] if len(found) else None
-        k1 = data.j_left_factors(fk, gk)
+        k1 = data.r_below[fk, table[:, gk]].nonzero()[0]
         if not len(k1):
             return None
         k1 = int(k1[0])
@@ -776,7 +775,8 @@ class _MapWitnesses:
         data, p = self.data, self.p
         fk, gk = data.member_id(f), data.member_id(g)
         if mode == "oracle":
-            if not (len(data.j_left_factors(fk, gk)) and len(data.j_left_factors(gk, fk))):
+            # f and g J-below each other: some h1*g has f in its right ideal, and back
+            if not all(data.r_below[a, data.table[:, b]].any() for a, b in ((fk, gk), (gk, fk))):
                 return None
             h1, h2 = self.leq("J", f, g)
             k1, k2 = self.leq("J", g, f)

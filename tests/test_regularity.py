@@ -8,6 +8,7 @@ from partsem import (
     InvalidArgumentError,
     Partition,
     PreconditionError,
+    ResourceLimitError,
     build_catalog,
     build_inner_inverse,
     character,
@@ -20,10 +21,12 @@ from partsem import (
     is_member,
     is_regular_oracle,
     is_regular_semigroup,
+    is_unit_regular_semigroup,
     regular_character_witnesses,
     si_is_inverse,
     si_is_regular,
 )
+from partsem import ensemble
 from conftest import comp
 
 
@@ -181,6 +184,21 @@ class TestRegularSemigroup:
     def test_unknown_mode(self, inst_full):
         with pytest.raises(InvalidArgumentError):
             is_regular_semigroup(inst_full, "guess")
+
+    @pytest.mark.parametrize(
+        "check", [is_regular_semigroup, is_inverse_semigroup, is_unit_regular_semigroup])
+    def test_oracle_refuses_an_instance_above_the_cap(self, check, monkeypatch):
+        """T_7 has 823,543 members, above the enumeration cap: the oracle
+        refuses it from the predicted size, before any member or product
+        is built."""
+
+        def unbuilt(self, inst):
+            raise AssertionError("the members were enumerated")
+
+        monkeypatch.setattr(ensemble.DerivedData, "__init__", unbuilt)
+        inst = Instance(Partition.of([list(range(7))]), IndexSemigroup.trivial(1))
+        with pytest.raises(ResourceLimitError, match="823543"):
+            check(inst, "oracle")
 
     def test_si_regularity_brute_force(self):
         assert si_is_regular(IndexSemigroup.full(3))
