@@ -108,7 +108,7 @@ class IndexSemigroup:
 
     degree: int
     elements: tuple[FiniteMap, ...]
-    has_identity: bool = False
+    has_identity: bool = field(init=False)
     table: np.ndarray = field(init=False, repr=False, compare=False)
     index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
@@ -286,6 +286,8 @@ def predicted_size(inst: Instance) -> int:
 
 def enumerate_elements(inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[FiniteMap, ...]:
     """All members in lexicographic image order; refuses oversize instances."""
+    if cap < 0:
+        raise InvalidArgumentError(f"cap must be non-negative, got {cap}")
     size = predicted_size(inst)
     if size > cap:
         raise ResourceLimitError(

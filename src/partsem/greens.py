@@ -29,13 +29,13 @@ replay, ``verify_witness``: it composes the image tuples of the witness's
 maps, checking each composition's sizes as ``compose`` does, recomputes
 every product and never reads the table.  The harness's Green's sweep
 replays its witnesses through it too.
-The per-instance data keeps, each built once on first use, every member's
-L- and R-class label and the class quotient: part 1 (``classes``), each
-member's R- and L-class and the first member of each H-class, which the D
-oracle (its middle element) and the D labels (``d_label``, which ``eggbox``
-groups by) read; part 2 (``j_below``), ≤_J on classes, built only when a J
-question asks.  The J oracles scan the table for factors only on pairs it
-puts J-below.  Each member's block facts (block images, kernel classes and
+The per-instance data keeps, each built once on first use, the class
+quotient: part 1 (``classes``), each member's R- and L-class and the first
+member of each H-class, which the L and R oracles, the D oracle (its middle
+element) and the D labels (``d_label``, which ``eggbox`` groups by) read;
+part 2 (``j_below``), ≤_J on classes, built only when a J question asks.
+The J oracles scan the table for factors only on pairs it puts J-below.
+Each member's block facts (block images, kernel classes and
 the blocks they meet, J geometry) come from the members' geometry
 (``inst.derived.geometry``), characters from the positions enumeration
 recorded (``inst.derived.char_ids``), and the left factor, the left J
@@ -251,22 +251,13 @@ class _GreensData:
         self.si_facts = _IndexFacts(self.si_table, self.si_r_below)
 
     @cached_property
-    def l_label(self) -> list[int]:
-        """Per member, the first member of its L-class."""
-        return _class_labels(self.l_below)
-
-    @cached_property
-    def r_label(self) -> list[int]:
-        """Per member, the first member of its R-class."""
-        return _class_labels(self.r_below)
-
-    @cached_property
     def classes(self) -> tuple[list[int], list[int], list[list[int]], np.ndarray, np.ndarray]:
         """The class quotient, part 1: per member its R-class and L-class, in
         the order of their first members, ``h_first[r][l]``, the first member
         of H-class (r, l), or -1, and the R- and L-classes' first members."""
         (r_first, r_of), (l_first, l_of) = (
-            np.unique(labels, return_inverse=True) for labels in (self.r_label, self.l_label)
+            np.unique(_class_labels(below), return_inverse=True)
+            for below in (self.r_below, self.l_below)
         )
         cells, first = np.unique(r_of * len(l_first) + l_of, return_index=True)
         h_first = np.full((len(r_first), len(l_first)), -1)
@@ -284,11 +275,10 @@ class _GreensData:
 
     @cached_property
     def d_label(self) -> list[int]:
-        """Per member, the first member of its D-class: as D = L∘R, the
-        L-label of the first L-class its R-class meets in ``h_first``."""
-        r_of, _, h_first = self.classes[:3]
-        least = [self.l_label[next(k for k in row if k >= 0)] for row in h_first]
-        return [least[r] for r in r_of]
+        """Per member, the first member of its D-class: as D = L∘R, the first
+        member of the first L-class its R-class meets in ``h_first``."""
+        r_of, _, h_first, _, l_first = self.classes
+        return l_first[(np.array(h_first) >= 0).argmax(axis=1)][r_of].tolist()
 
     def member_id(self, f: FiniteMap) -> int:
         """The position of f: found by identity for the instance's own
@@ -402,7 +392,8 @@ def _one_sided_witness(
 ) -> GreenWitness | None:
     """The position core of ``_related`` for rel "L" or "R"."""
     if mode == "oracle":
-        labels = data.l_label if rel == "L" else data.r_label
+        r_of, l_of = data.classes[:2]
+        labels = l_of if rel == "L" else r_of
         if labels[fk] != labels[gk]:
             return None
         h_fg, h_gf = _first_factor(data, rel, fk, gk), _first_factor(data, rel, gk, fk)
@@ -720,8 +711,9 @@ def _d_middle(
     gamma: FiniteMap | None = None,
 ) -> int:
     """``build_d_middle`` on member positions, phi a bijection of kernel
-    classes, for gamma at index position c.  A gamma outside S(I) comes
-    with c None and is passed itself, for the refusal's message."""
+    classes, for gamma at index position c.  That builder passes gamma itself
+    (with c None for a gamma outside S(I)) and refuses a middle that fails;
+    the theorem route passes none, so there a failure is internal."""
     p = data.inst.partition
     images = [0] * p.n
     for m_class, g_class in phi:
@@ -730,8 +722,12 @@ def _d_middle(
             images[x] = value
     hk = data.inst.derived.index.get(tuple(images))
     if hk is None or data.char_ids[hk] != c:
-        gamma = data.si_elements[c] if gamma is None else gamma
         h = FiniteMap(p.n, p.n, tuple(images))
+        if gamma is None:
+            raise InternalError(
+                f"the middle element {h} built for {data.members[fk]}, {data.members[gk]} "
+                f"and {data.si_elements[c]} fails validation"
+            )
         chi = tuple(p.block_of(images[b[0]]) for b in p.blocks)
         if not preserves_partition(h, p) or FiniteMap(p.degree, p.degree, chi) != gamma:
             raise PreconditionError("the given gamma and phi do not satisfy the D-criteria")
@@ -1078,16 +1074,16 @@ def eggbox(inst: Instance) -> list[dict]:
     Each grid cell lists the member ids sharing that L- and R-class.
     """
     data = _greens_data(inst)
-    l_label, r_label = data.l_label, data.r_label
+    r_of, l_of, _, r_first, l_first = data.classes
     d_members = _fibers(data.d_label)
     boxes = []
     for root in sorted(d_members):
         ks = d_members[root]
-        rows = sorted({r_label[k] for k in ks})
-        cols = sorted({l_label[k] for k in ks})
+        rows = sorted({r_of[k] for k in ks})
+        cols = sorted({l_of[k] for k in ks})
         grid = [
             [
-                [k for k in ks if r_label[k] == row and l_label[k] == col]
+                [k for k in ks if r_of[k] == row and l_of[k] == col]
                 for col in cols
             ]
             for row in rows
@@ -1095,8 +1091,8 @@ def eggbox(inst: Instance) -> list[dict]:
         boxes.append(
             {
                 "representative": root,
-                "r_classes": rows,
-                "l_classes": cols,
+                "r_classes": r_first[rows].tolist(),
+                "l_classes": l_first[cols].tolist(),
                 "grid": grid,
             }
         )

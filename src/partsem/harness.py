@@ -10,10 +10,12 @@ from a ``Catalog`` to its records.  A suite is declared once: ``@_suite(name,
 admits)`` names it and its admission rule (every entry when omitted), and
 the one runner times the body on each admitted entry and makes its record.
 The body, ``body(entry, tally, catalog)``, only states its checks through
-``tally.check(ok, detail, **elements)`` and ``tally.fail(detail,
-**elements)``.  To add a suite, declare it with ``@_suite`` where it belongs
-in the report order; the order of the declarations is the order of
-``SUITES``.
+``tally.check(ok, detail, **elements)`` and ``tally.fail(detail, count,
+**elements)``.  A tally counts its failures and keeps only the first as the
+record's counterexample, so a failing run holds one payload per record
+however many checks fail.  To add a suite, declare it with ``@_suite`` where
+it belongs in the report order; the order of the declarations is the order
+of ``SUITES``.
 
 The three Green's pair suites (``greens-mode-agreement``,
 ``greens-witness-replay`` and ``txp-specialization``) read one **Green's
@@ -25,20 +27,20 @@ with no lookup) and replays a found witness at once
 (``greens.verify_witness``, on image tuples).  Each member has a key per
 relation and mode (``_verdict_keys``: the classes the oracle reads off the
 Green's data's class quotient, or the character and the geometry lists the
-theorem search reads), and
-pairs of members with equal keys get equal verdicts, so the checker is
-called once on an unrelated key group (a capped call decides nothing) and
-on every pair of a related one.  Whichever of the three suites reaches an
-entry first fills its sweep; the catalog keeps it (``greens_sweeps``), so
-it is freed with the catalog.  Codes, not witnesses, are kept because the sweeps
-of the whole catalog are held from the first of those suites to the last,
-and the witnesses would multiply the memory this takes.  The three suites
-read the codes as one array: each counts its checks and capped checks with
-NumPy and records a failure only where one is, in row-major order.  The
-sweep names members by position, so ``txp-specialization`` decides
-``txp_green`` on the members' geometry (``inst.derived.geometry``), once
-per pair of the two members' signatures for each relation, with one memo of
-J covers and one-sided J verdicts per entry.
+theorem search reads), and pairs of members with equal keys get equal
+verdicts, so the checker is called once on an unrelated key group (a
+capped call decides nothing) and on every pair of a related one.
+Whichever of the three suites reaches an entry first fills its sweep; the
+catalog keeps it (``greens_sweeps``), so it is freed with the catalog.
+Codes, not witnesses, are kept, as the sweeps of the whole catalog stay in
+memory from the first of those suites to the last.  The three suites
+read the codes as one array: each counts its checks, capped checks and
+failures with NumPy and records the first failure, row-major, as every
+suite that tests a mask of member pairs does (``_fail_rows``).  The sweep
+names members by position, so ``txp-specialization`` decides ``txp_green``
+on the members' geometry (``inst.derived.geometry``), once per pair of the
+two members' signatures for each relation, with one memo of J covers and
+one-sided J verdicts per entry.
 
 The three suites that read J and D take them from the Green's data's class
 quotient: ``_class_relations`` only gathers ≤_J or the H-classes onto the
@@ -305,13 +307,14 @@ SUITES: dict[str, Callable[[Catalog], list[SuiteRecord]]] = {}
 
 
 class _Tally:
-    """The checks and failures of one suite on one catalog entry."""
+    """The checks, failures and first failure of one suite on one catalog entry."""
 
     def __init__(self, entry: CatalogEntry | None) -> None:
         self.entry = entry
         self.checks = 0
         self.capped = 0
-        self.failures: list[dict] = []
+        self.failures = 0
+        self.counterexample: dict | None = None
         self.observations: tuple[str, ...] = ()
 
     def check(self, ok: bool, detail: str, **elements) -> None:
@@ -320,27 +323,27 @@ class _Tally:
         if not ok:
             self.fail(detail, **elements)
 
-    def fail(self, detail: str, **elements) -> None:
-        """Record a replayable failure; the elements are maps, given as
-        ``FiniteMap``s or image tuples."""
-        payload: dict = {}
-        if self.entry is not None:
-            payload["instance"] = instance_to_json(self.entry.instance)
-        payload["detail"] = detail
-        for key, value in elements.items():
-            payload[key] = list(value.images if isinstance(value, FiniteMap) else value)
-        self.failures.append(payload)
+    def fail(self, detail: str, count: int = 1, **elements) -> None:
+        """Count ``count`` failures; the tally's first is kept as its replayable
+        counterexample, the elements given as maps (``FiniteMap``s or tuples)."""
+        if not self.failures:
+            payload = self.counterexample = {}
+            if self.entry is not None:
+                payload["instance"] = instance_to_json(self.entry.instance)
+            payload["detail"] = detail
+            for key, value in elements.items():
+                payload[key] = list(value.images if isinstance(value, FiniteMap) else value)
+        self.failures += count
 
 
 def _record(suite: str, label: str, started: float, tally: _Tally) -> SuiteRecord:
-    failures = tally.failures
     return SuiteRecord(
         suite=suite,
         instance=label,
-        verdict="fail" if failures else "pass",
+        verdict="fail" if tally.failures else "pass",
         checks=tally.checks,
-        failures=len(failures),
-        counterexample=failures[0] if failures else None,
+        failures=tally.failures,
+        counterexample=tally.counterexample,
         capped=tally.capped,
         millis=(time.perf_counter() - started) * 1000.0,
         observations=tally.observations,
@@ -405,11 +408,13 @@ def _then(maps: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _fail_rows(tally: _Tally, members, start: int, hits: np.ndarray, *details: str) -> None:
-    """A failure for each f of the block of rows from ``start``, each member
-    g and each detail i where ``hits[f - start, g, i]`` holds (``hits[f -
-    start, g]`` for one detail), row-major."""
-    for a, b, i in np.argwhere(hits.reshape(*hits.shape[:2], len(details))).tolist():
-        tally.fail(details[i], f=members[start + a], g=members[b])
+    """Count a failure at each f of the rows from ``start``, member g and
+    detail i where ``hits[f - start, g, i]`` holds (``[f - start, g]`` for
+    one detail), and record the first, row-major."""
+    count = int(np.count_nonzero(hits))
+    if count:
+        a, b, i = np.unravel_index(hits.argmax(), (*hits.shape[:2], len(details)))
+        tally.fail(details[i], count, f=members[start + a], g=members[b])
 
 
 def _first_equal(values) -> np.ndarray:
@@ -740,22 +745,24 @@ class _GreensSweep:
         self.codes = codes.reshape(len(pairs), len(self.relations), len(_MODES))
 
     def fail_at(self, tally: _Tally, hits: np.ndarray, detail: Callable[..., str]) -> None:
-        """A failure of the pair's members at each index of ``hits`` (its first
-        axis the pair), row-major; ``detail(*index)`` says what failed."""
-        for index in np.argwhere(hits).tolist():
+        """Count a failure at each index of ``hits`` (its first axis the pair),
+        and record the first, row-major; ``detail(*index)`` says what failed."""
+        count = int(np.count_nonzero(hits))
+        if count:
+            index = np.unravel_index(hits.argmax(), hits.shape)
             a, b = self.pairs[index[0]].tolist()
-            tally.fail(detail(*index), f=self.members[a], g=self.members[b])
+            tally.fail(detail(*index), count, f=self.members[a], g=self.members[b])
 
 
 def _verdict_keys(data, rel: str, mode: str) -> np.ndarray:
     """Per member, the first member whose key for ``rel`` in ``mode`` equals
-    its own: the classes the oracle reads (the L- or R-label, and for D and
-    J the R- and L-class of the class quotient, its H-class), or the
-    character position and the geometry lists the theorem search reads
+    its own: the classes of the class quotient the oracle reads (the L- or
+    R-class, and for D and J both, the H-class), or the character position
+    and the geometry lists the theorem search reads
     (``greens._THEOREM_READS``).  Two pairs whose members have equal keys
     get equal verdicts."""
     if mode == "oracle":
-        reads = {"L": [data.l_label], "R": [data.r_label]}.get(rel, data.classes[:2])
+        reads = {"L": data.classes[1:2], "R": data.classes[:1]}.get(rel, data.classes[:2])
     else:
         reads = [data.char_ids, *(getattr(data.geometry, n) for n in greens._THEOREM_READS[rel])]
         if rel == "J":
@@ -769,13 +776,6 @@ def _greens_sweep(entry: CatalogEntry, catalog: Catalog) -> _GreensSweep:
     if entry.label not in sweeps:
         sweeps[entry.label] = _GreensSweep(entry, catalog)
     return sweeps[entry.label]
-
-
-def _fail_first(tally: _Tally, data, mask: np.ndarray, detail: str) -> None:
-    """A failure at the first member pair, row-major, where ``mask`` holds, if any."""
-    if mask.any():
-        a, b = map(int, np.argwhere(mask)[0])
-        tally.fail(detail, f=data.members[a], g=data.members[b])
 
 
 @_suite("greens-mode-agreement", _has_identity)
@@ -817,9 +817,9 @@ def _class_relations(data, quotient) -> np.ndarray:
 
 
 def _tx_keys(data) -> list[np.ndarray]:
-    """Per member, the first member of its L-class, of its R-class, with its
+    """Per member, its R-class and L-class, and the first member with its
     image and with its kernel: the keys compared on T(X)."""
-    return [np.array(data.l_label), np.array(data.r_label),
+    return [*map(np.array, data.classes[:2]),
             _first_equal(parts[0] for parts in data.geometry.j_geometry),
             _first_equal(data.geometry.kernels)]
 
@@ -830,8 +830,8 @@ def _greens_d_composition_commutes(entry, tally, catalog):
     d_label = np.array(data.d_label)
     r_then_l = _class_relations(data, np.array(data.classes[2]) >= 0)
     tally.checks = len(data.members) ** 2
-    _fail_first(tally, data, (d_label[:, None] == d_label) != r_then_l,
-                "L-then-R differs from R-then-L")
+    _fail_rows(tally, data.members, 0, (d_label[:, None] == d_label) != r_then_l,
+               "L-then-R differs from R-then-L")
 
 
 @_suite("greens-d-subset-j", _has_identity)
@@ -840,22 +840,22 @@ def _greens_d_subset_j(entry, tally, catalog):
     j_below, d_label = _class_relations(data, data.j_below), np.array(data.d_label)
     j_rel, d_rel = j_below & j_below.T, d_label[:, None] == d_label
     tally.checks = len(data.members) ** 2
-    _fail_first(tally, data, d_rel & ~j_rel, "a D-related pair is not J-related")
+    _fail_rows(tally, data.members, 0, d_rel & ~j_rel, "a D-related pair is not J-related")
     # D = J in every finite semigroup, so a J-related pair outside D is a fault.
-    _fail_first(tally, data, j_rel & ~d_rel, "a J-related pair is not D-related")
+    _fail_rows(tally, data.members, 0, j_rel & ~d_rel, "a J-related pair is not D-related")
 
 
 @_suite("greens-tx-specialization", _degree_one_with_identity)
 def _greens_tx_specialization(entry, tally, catalog):
     data = greens._greens_data(entry.instance)
-    l_label, r_label, images, kernels = _tx_keys(data)
+    r_of, l_of, images, kernels = _tx_keys(data)
     d_label = np.array(data.d_label)
     ranks = np.array([len(parts[0]) for parts in data.geometry.j_geometry])
     j_below = _class_relations(data, data.j_below)
     for start, stop in _row_blocks(len(images), 8 * len(images)):
         # symmetric J is ≤_J both ways, so the rank-order test covers it
-        bad = np.stack([_equal(l_label, start, stop) != _equal(images, start, stop),
-                        _equal(r_label, start, stop) != _equal(kernels, start, stop),
+        bad = np.stack([_equal(l_of, start, stop) != _equal(images, start, stop),
+                        _equal(r_of, start, stop) != _equal(kernels, start, stop),
                         _equal(d_label, start, stop) != _equal(ranks, start, stop),
                         j_below[start:stop] != (ranks[start:stop, None] <= ranks)], axis=2)
         # each pair fails on the first of the four tests that it fails
@@ -879,10 +879,10 @@ def _greens_witness_replay(entry, tally, catalog):
 @_suite("greens-necessary-conditions", _has_identity)
 def _greens_necessary_conditions(entry, tally, catalog):
     data = greens._greens_data(entry.instance)
-    l_label, r_label, images, kernels = _tx_keys(data)
+    r_of, l_of, images, kernels = _tx_keys(data)
     for start, stop in _row_blocks(len(images), 2 * len(images)):
-        hits = np.stack([_equal(l_label, start, stop) & ~_equal(images, start, stop),
-                         _equal(r_label, start, stop) & ~_equal(kernels, start, stop)], axis=2)
+        hits = np.stack([_equal(l_of, start, stop) & ~_equal(images, start, stop),
+                         _equal(r_of, start, stop) & ~_equal(kernels, start, stop)], axis=2)
         _fail_rows(tally, data.members, start, hits, "L-related pair with different images",
                    "R-related pair with different kernels")
     tally.checks = len(images) ** 2

@@ -157,6 +157,14 @@ class TestExitCodes:
         assert captured.err == "error: --cap must be non-negative, got -5\n"
         assert run_command(["greens", path, *extra, "--cap", "0"]) == 0
 
+    def test_enumerate_refuses_a_negative_cap(self, inst_file, capsys):
+        """A negative ``--cap`` is an input error, as for ``greens``, not an
+        instance over the cap."""
+        assert run_command(["enumerate", inst_file, "--cap", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cap must be non-negative, got -1\n"
+
     def test_greens_requires_pair_without_eggbox(self, inst_file, capsys):
         assert run_command(["greens", inst_file]) == 2
 

@@ -39,6 +39,10 @@ class TestIndexSemigroup:
         assert si.has_identity
         assert not IndexSemigroup(2, (fm([0, 0]),)).has_identity
 
+    def test_identity_flag_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="has_identity"):
+            IndexSemigroup(1, (FiniteMap.identity(1),), has_identity=False)
+
     def test_elements_are_sorted_and_deduplicated(self):
         si = IndexSemigroup(2, (fm([1, 1]), fm([0, 0]), fm([0, 0])))
         assert [a.images for a in si.elements] == [(0, 0), (1, 1)]
@@ -183,6 +187,11 @@ class TestEnumerate:
     def test_cap_is_enforced(self, inst_full):
         with pytest.raises(ResourceLimitError, match="64"):
             enumerate_elements(inst_full, cap=63)
+        assert len(enumerate_elements(inst_full, cap=64)) == 64
+
+    def test_negative_cap_is_refused(self, inst_full):
+        with pytest.raises(InvalidArgumentError, match="cap must be non-negative, got -1"):
+            enumerate_elements(inst_full, cap=-1)
 
     def test_membership(self, inst_full, inst_trivial_si):
         assert is_member(fm([2, 3, 0, 0]), inst_full)

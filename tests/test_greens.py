@@ -336,6 +336,17 @@ class TestBuildersValidateOnTheTable:
         with pytest.raises(InternalError, match="misses a point"):
             _image_map_from_factors(data, gk, ident, ident)
 
+    def test_d_middle_of_the_theorem_route(self):
+        """The D theorem search promises that its middle element is a member;
+        one missing from the member index is an internal fault, not a
+        precondition the caller broke."""
+        inst = self._fresh()
+        f, g = fm([0, 0, 0, 1]), fm([0, 1, 1, 1])
+        assert d_related(f, g, inst, mode="theorem") is not None
+        del inst.derived.index[(1, 0, 0, 0)]
+        with pytest.raises(InternalError, match="middle element .* fails validation"):
+            d_related(f, g, inst, mode="theorem")
+
 
 class TestJRelated:
     def test_reflexive(self, inst_full):

@@ -675,7 +675,7 @@ def _reader_loops(catalog):
             (a, b, [(rel, o, t) for rel, (o, t) in zip(sweep.relations, row)])
             for (a, b), row in zip(sweep.pairs.tolist(), sweep.codes.tolist())
         ]
-        agree, replay, txp = (harness._Tally(entry) for _ in GREENS_PAIR_SUITES)
+        agree, replay, txp = (_KeptTally(entry) for _ in GREENS_PAIR_SUITES)
         for a, b, verdicts in rows:
             for rel, oracle, theorem in verdicts:
                 agree.checks += 1
@@ -716,21 +716,71 @@ def _reader_loops(catalog):
     return out, failures
 
 
+class _KeptTally(harness._Tally):
+    """A tally that also keeps every failure it is told of, in order, as a
+    payload without the instance."""
+
+    def __init__(self, entry):
+        super().__init__(entry)
+        self.kept = []
+
+    def fail(self, detail, count=1, **elements):
+        super().fail(detail, count, **elements)
+        self.kept.append({"detail": detail, **{
+            key: list(value.images if isinstance(value, finite_maps.FiniteMap) else value)
+            for key, value in elements.items()}})
+
+
 def _keep(out, failures, entry, tallies):
     for name, tally in tallies:
         out[name] += _untimed([harness._record(name, entry.label, 0.0, tally)])
-        failures[(name, entry.label)] = tally.failures
+        failures[(name, entry.label)] = tally.kept
+
+
+def _row_hits(members, start, hits, *details):
+    """A payload per failure that ``_fail_rows`` counts: each position of its
+    mask, row-major."""
+    return [{"detail": details[i], "f": list(members[start + a].images),
+             "g": list(members[b].images)}
+            for a, b, i in np.argwhere(hits.reshape(*hits.shape[:2], len(details))).tolist()]
+
+
+def _pair_hits(sweep, hits, detail):
+    """A payload per failure that ``fail_at`` counts: each index of its mask,
+    row-major."""
+    out = []
+    for index in np.argwhere(hits).tolist():
+        a, b = sweep.pairs[index[0]].tolist()
+        out.append({"detail": detail(*index), "f": list(sweep.members[a].images),
+                    "g": list(sweep.members[b].images)})
+    return out
 
 
 def _keep_failures(monkeypatch):
-    """Every failure the suites record from now on, by (suite, entry label)."""
+    """Every failure the suites count from now on, by (suite, entry label):
+    each position of each mask handed to ``_fail_rows`` and ``fail_at``
+    (which record only its first) and each other ``tally.fail``."""
     kept = {}
-    real = harness._record
+    real_rows, real_at, real_record = (
+        harness._fail_rows, harness._GreensSweep.fail_at, harness._record)
+
+    def fail_rows(tally, *args):
+        told = len(tally.kept)
+        real_rows(tally, *args)
+        tally.kept[told:] = _row_hits(*args)
+
+    def fail_at(sweep, tally, *args):
+        told = len(tally.kept)
+        real_at(sweep, tally, *args)
+        tally.kept[told:] = _pair_hits(sweep, *args)
 
     def record(suite, label, started, tally):
-        kept[(suite, label)] = tally.failures
-        return real(suite, label, started, tally)
+        kept[(suite, label)] = tally.kept
+        return real_record(suite, label, started, tally)
 
+    monkeypatch.setattr(harness, "_Tally", _KeptTally)
+    monkeypatch.setattr(harness, "_fail_rows", fail_rows)
+    monkeypatch.setattr(harness._GreensSweep, "fail_at", fail_at)
     monkeypatch.setattr(harness, "_record", record)
     return kept
 
@@ -842,7 +892,7 @@ def _tuple_loops(catalog, names=GATHERED_SUITES):
         lookup = [p.block_of(x) for x in range(p.n)]
         firsts = [b[0] for b in p.blocks]
         chars = [tuple(lookup[t[x]] for x in firsts) for t in tuples]
-        homomorphism, closure, units = (harness._Tally(entry) for _ in GATHERED_SUITES)
+        homomorphism, closure, units = (_KeptTally(entry) for _ in GATHERED_SUITES)
         index = set(tuples)
         for ft, cf in zip(tuples, chars):
             for gt, cg in zip(tuples, chars):
@@ -977,9 +1027,10 @@ def _label_loops(catalog):
         members, char_ids = data.members, data.char_ids
         images = [geometry[0] for geometry in data.geometry.j_geometry]
         kernels = data.geometry.kernels
-        l_label, r_label, d_label = data.l_label, data.r_label, data.d_label
+        r_of, l_of = data.classes[:2]
+        d_label = data.d_label
         j_below = harness._class_relations(data, data.j_below)
-        descent, tx, necessary = (harness._Tally(entry) for _ in LABEL_SUITES)
+        descent, tx, necessary = (_KeptTally(entry) for _ in LABEL_SUITES)
         for a, b in itertools.product(range(len(members)), repeat=2):
             f, g = members[a], members[b]
             descent.checks += 1
@@ -990,7 +1041,7 @@ def _label_loops(catalog):
                 descent.fail("R-inequality does not descend to characters", f=f, g=g)
             tx.checks += 1
             rank_eq = len(images[a]) == len(images[b])
-            l_eq, r_eq = l_label[a] == l_label[b], r_label[a] == r_label[b]
+            l_eq, r_eq = l_of[a] == l_of[b], r_of[a] == r_of[b]
             if l_eq != (images[a] == images[b]):
                 tx.fail("L disagrees with image equality", f=f, g=g)
             elif r_eq != (kernels[a] == kernels[b]):
@@ -1016,7 +1067,8 @@ def _spoil_labels(data):
     other), every member alone in its D-class, and each character's
     L-descent to itself dropped."""
     size = len(data.members)
-    data.l_label = data.r_label = [0] * size
+    first = np.zeros(1, dtype=np.intp)
+    data.classes = ([0] * size, [0] * size, [[0]], first, first)
     data.d_label = list(range(size))
     si_l_below = data.si_l_below.copy()
     np.fill_diagonal(si_l_below, False)
@@ -1098,13 +1150,22 @@ class TestClassRelations:
         [record] = run_suite("greens-d-subset-j", catalog).records
         assert record.verdict == "pass"
         data = greens._greens_data(entry.instance)
-        first = max(data.r_label)
+        first = int(data.classes[3][-1])
         data.r_below[first, first] = False
         del data.j_below
         [record] = run_suite("greens-d-subset-j", catalog).records
         assert record.verdict == "fail"
         assert record.counterexample["detail"] == "a D-related pair is not J-related"
         assert record.counterexample["f"] == list(data.members[first].images)
+        # ≤_J read at the classes' first members, as a boolean product over
+        # the members, against D from the labels taken before the spoil
+        r_of, l_of, _, r_first, l_first = data.classes
+        at_r, at_l = r_first[r_of], l_first[l_of]
+        j_below = data.r_below[np.ix_(at_r, at_r)] @ data.l_below[np.ix_(at_l, at_l)]
+        j_rel = j_below & j_below.T
+        d_label = np.array(data.d_label)
+        d_rel = d_label[:, None] == d_label
+        assert record.failures == np.count_nonzero(d_rel != j_rel) > 1
 
     @pytest.mark.parametrize("n", [3, 4], ids=["T_3", "T_4"])
     def test_dropped_strict_edges_fail_only_the_rank_order(self, n, monkeypatch):
@@ -1128,3 +1189,40 @@ class TestClassRelations:
         assert (record.checks, record.failures) == (len(data.members) ** 2, below)
         assert {f["detail"] for f in kept[("greens-tx-specialization", f"n{n}/full")]} == {
             "≤_J disagrees with the rank order"}
+
+
+class TestFailingRuns:
+    """A failing suite counts every failing check but builds the payload,
+    and the instance's JSON, of its first failure only."""
+
+    def test_spoiled_l_classes_of_an_875_member_instance(self, monkeypatch):
+        """``n5:[0,1][2][3][4]/full`` with its first 24 members moved into the
+        L-class of the first: a few hundred L-related pairs with different
+        images, and one ``instance_to_json`` call for the one record."""
+        inst = Instance(Partition.of([[0, 1], [2], [3], [4]]), IndexSemigroup.full(4))
+        data = greens._greens_data(inst)
+        r_of, l_of, *rest = data.classes
+        l_of = [0] * 24 + l_of[24:]
+        data.classes = (r_of, l_of, *rest)
+        size, images = len(data.members), [frozenset(m.images) for m in data.members]
+        # L-related pairs with different images, counted per L-class
+        in_class, with_image = Counter(l_of), Counter(zip(l_of, images))
+        expected = sum(k * k for k in in_class.values()) - sum(k * k for k in with_image.values())
+        assert (size, expected) == (875, 520)
+        a, b = next((a, b) for a in range(size) for b in range(size)
+                    if l_of[a] == l_of[b] and images[a] != images[b])
+        made = Counter()
+        real = harness.instance_to_json
+
+        def spy(instance):
+            made[id(instance)] += 1
+            return real(instance)
+
+        monkeypatch.setattr(harness, "instance_to_json", spy)
+        entry = harness.CatalogEntry(inst, "n5:[0,1][2][3][4]", "full")
+        [record] = run_suite("greens-necessary-conditions", harness.Catalog(5, 7, (entry,))).records
+        assert (record.checks, record.failures) == (size ** 2, expected)
+        assert made == {id(inst): 1}
+        assert record.counterexample == {
+            "instance": real(inst), "detail": "L-related pair with different images",
+            "f": list(data.members[a].images), "g": list(data.members[b].images)}

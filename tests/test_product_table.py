@@ -296,8 +296,8 @@ def test_t5_tables_and_classes():
     assert len(units(inst)) == 120
     assert len(idempotents(inst)) == 196
     data = _greens_data(inst)
-    assert len(set(data.r_label)) == 52  # Bell(5) kernels
-    assert len(set(data.l_label)) == 31  # nonempty images
+    assert len(data.classes[3]) == 52  # R-classes: Bell(5) kernels
+    assert len(data.classes[4]) == 31  # L-classes: nonempty images
     assert len(set(data.d_label)) == 5  # ranks
     images = np.array([_mask(m.images) for m in members])
     pairs = list(itertools.combinations(range(5), 2))
@@ -640,7 +640,7 @@ class _MapWitnesses:
         data, p = self.data, self.p
         fk, gk = data.member_id(f), data.member_id(g)
         if mode == "oracle":
-            if data.l_label[fk] != data.l_label[gk]:
+            if data.classes[1][fk] != data.classes[1][gk]:
                 return None
             h_fg, h_gf = self.leq("L", f, g), self.leq("L", g, f)
             return GreenWitness(
@@ -676,7 +676,7 @@ class _MapWitnesses:
         data, p = self.data, self.p
         fk, gk = data.member_id(f), data.member_id(g)
         if mode == "oracle":
-            if data.r_label[fk] != data.r_label[gk]:
+            if data.classes[0][fk] != data.classes[0][gk]:
                 return None
             h_fg, h_gf = self.leq("R", f, g), self.leq("R", g, f)
             return GreenWitness(
