@@ -43,7 +43,7 @@ from .unit_regularity import (
     is_unit_regular_semigroup,
     unit_regular_witnesses,
 )
-from .harness import build_catalog, instance_to_json, run_all, run_suite, SUITES
+from .harness import build_catalog, instance_to_json, run_all, SUITES
 
 _INPUT_ERRORS = (
     InvalidArgumentError,
@@ -271,8 +271,6 @@ def _cmd_check_semigroup(args) -> int:
 
 
 def _cmd_greens(args) -> int:
-    if args.cap < 0:
-        raise InvalidArgumentError(f"--cap must be non-negative, got {args.cap}")
     inst = parse_instance(args.instance)
     out = _Output(args.out)
     if args.eggbox:
@@ -340,11 +338,7 @@ def _cmd_greens(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    catalog = build_catalog(args.max_n, args.seed)
-    if args.suite:
-        report = run_suite(args.suite, catalog)
-    else:
-        report = run_all(catalog)
+    report = run_all(build_catalog(args.max_n, args.seed), [args.suite] if args.suite else None)
     out = _Output(args.out)
     if args.format == "machine":
         for line in report.to_machine_lines():
@@ -423,6 +417,8 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "cap", 0) < 0:
+            raise InvalidArgumentError(f"--cap must be non-negative, got {args.cap}")
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -232,11 +232,15 @@ class Instance:
         """The instance's derived data, built on first use and owned by it."""
         return DerivedData(self)
 
+    def drop_derived(self) -> None:
+        """Free the derived data; the next use of ``derived`` builds it afresh."""
+        self.__dict__.pop("derived", None)
+
 
 class DerivedData:
     """Everything computed from one instance's member set.
 
-    Kept on its ``Instance``, so it lives and dies with it: the members in
+    Kept on its ``Instance`` until ``Instance.drop_derived``: the members in
     enumeration order, their positions, per member the index-set position
     of the character it was enumerated under (``char_ids``) and the
     members' block facts (``geometry``), then, each on first use, the

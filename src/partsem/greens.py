@@ -464,14 +464,13 @@ def _left_factor(data: _GreensData, fk: int, gk: int, a: int) -> int:
 def _r_one_sided_theorem(
     data: _GreensData, fk: int, gk: int, cap: int, budget: list[int]
 ) -> int | None:
-    """Position of the first beta with chi(f) = chi(g)*beta, provided pi(g)
-    refines pi(f).
+    """Position of the first beta with chi(f) = chi(g)*beta, once the R
+    criterion's gate in ``_one_sided_witness`` has found the two kernels
+    equal.
 
     The betas are the right divisors of chi(f) by chi(g); the one taken
     spends one unit of budget.
     """
-    if not _kernel_refines(data, gk, fk):
-        return None
     hits = data.si_facts.right_divisors(data.char_ids[gk], data.char_ids[fk])
     if not hits:
         return None
@@ -482,11 +481,9 @@ def _r_one_sided_theorem(
 
 
 def _kernel_refines(data: _GreensData, gk: int, fk: int) -> bool:
-    """pi(g) refines pi(f): each kernel class of g lies in one class of f
-    (at once when the kernels are equal, as under the R criterion's gate)."""
+    """pi(g) refines pi(f): each kernel class of g lies in one class of f;
+    ``build_right_factor``'s precondition."""
     f_classes, g_classes = data.geometry.kernels[fk], data.geometry.kernels[gk]
-    if f_classes == g_classes:
-        return True
     f_class = {x: k for k, c in enumerate(f_classes) for x in c}
     return all(len({f_class[x] for x in c}) == 1 for c in g_classes)
 

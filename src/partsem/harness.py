@@ -5,23 +5,30 @@ a menu of index semigroups per block count.  Each suite replays one claimed
 equivalence or containment over the whole catalog and reports per-instance
 verdicts with replayable counterexamples.
 
-``SUITES`` maps each of the 29 suite names, in report order, to a callable
-from a ``Catalog`` to its records.  A suite is declared once: ``@_suite(name,
-admits)`` names it and its admission rule (every entry when omitted), and
-the one runner times the body on each admitted entry and makes its record.
-The body, ``body(entry, tally, catalog)``, only states its checks through
-``tally.check(ok, detail, **elements)`` and ``tally.fail(detail, count,
-**elements)``.  A tally counts its failures and keeps only the first as the
-record's counterexample, so a failing run holds one payload per record
-however many checks fail.  To add a suite, declare it with ``@_suite`` where
-it belongs in the report order; the order of the declarations is the order
-of ``SUITES``.
+``SUITES`` maps each of the 29 suite names, in report order, to its
+admission rule and body (a ``_Suite``).  A suite is declared once:
+``@_suite(name, admits)`` names it and its admission rule (every entry when
+omitted).  The body, ``body(entry, tally, sweep)``, only states its checks
+through ``tally.check(ok, detail, **elements)`` and ``tally.fail(detail,
+count, **elements)``.  A tally counts its failures and keeps only the first
+as the record's counterexample, so a failing run holds one payload per
+record however many checks fail.  To add a suite, declare it with
+``@_suite`` where it belongs in the report order; the order of the
+declarations is the order of ``SUITES``.
+
+``run_all``, the one runner, goes one entry at a time: it runs every
+admitted suite on an entry, in ``SUITES`` order, then drops the entry's
+derived data (``Instance.drop_derived``) and Green's sweep, so a run holds
+one entry's data at a time.  The records are reported suite by suite.
+``equal-size-c-equals-d`` reads no entry and runs once, on the runner's
+first step, which has none.
 
 The three Green's pair suites (``greens-mode-agreement``,
-``greens-witness-replay`` and ``txp-specialization``) read one **Green's
-sweep** per entry instead of calling the checkers themselves.  The sweep
-keeps a one-byte outcome code per pair of ``_pairs``, relation and mode:
-unrelated, replays, fails to replay, or capped.  It calls the public
+``greens-witness-replay`` and ``txp-specialization``) read the entry's one
+**Green's sweep**, a body's third argument, instead of calling the
+checkers themselves.  The sweep decides its codes when a suite first reads
+them: a one-byte outcome code per pair of its ``pairs``, relation and mode
+(unrelated, replays, fails to replay, or capped).  It calls the public
 checker on the members' own maps (which the checkers find by identity,
 with no lookup) and replays a found witness at once
 (``greens.verify_witness``, on image tuples).  Each member has a key per
@@ -29,18 +36,14 @@ relation and mode (``_verdict_keys``: the classes the oracle reads off the
 Green's data's class quotient, or the character and the geometry lists the
 theorem search reads), and pairs of members with equal keys get equal
 verdicts, so the checker is called once on an unrelated key group (a
-capped call decides nothing) and on every pair of a related one.
-Whichever of the three suites reaches an entry first fills its sweep; the
-catalog keeps it (``greens_sweeps``), so it is freed with the catalog.
-Codes, not witnesses, are kept, as the sweeps of the whole catalog stay in
-memory from the first of those suites to the last.  The three suites
-read the codes as one array: each counts its checks, capped checks and
-failures with NumPy and records the first failure, row-major, as every
-suite that tests a mask of member pairs does (``_fail_rows``).  The sweep
-names members by position, so ``txp-specialization`` decides ``txp_green``
-on the members' geometry (``inst.derived.geometry``), once per pair of the
-two members' signatures for each relation, with one memo of J covers and
-one-sided J verdicts per entry.
+capped call decides nothing) and on every pair of a related one.  The
+three suites read the codes as one array: each counts its checks, capped
+checks and failures with NumPy and records the first failure, row-major,
+as every suite that tests a mask of member pairs does (``_fail_rows``).
+The sweep names members by position, so ``txp-specialization`` decides
+``txp_green`` on the members' geometry (``inst.derived.geometry``), once
+per pair of the two members' signatures for each relation, with one memo
+of J covers and one-sided J verdicts per entry.
 
 The three suites that read J and D take them from the Green's data's class
 quotient: ``_class_relations`` only gathers ≤_J or the H-classes onto the
@@ -122,12 +125,6 @@ class Catalog:
     max_n: int
     seed: int
     entries: tuple[CatalogEntry, ...]
-
-    @cached_property
-    def greens_sweeps(self) -> dict[str, "_GreensSweep"]:
-        """Each entry's Green's sweep by entry label, filled on first use by
-        ``_greens_sweep``; kept on the catalog, so it is freed with it."""
-        return {}
 
 
 @dataclass
@@ -303,14 +300,12 @@ def build_catalog(max_n: int, seed: int) -> Catalog:
 
 # --- the suite runner --------------------------------------------------------
 
-SUITES: dict[str, Callable[[Catalog], list[SuiteRecord]]] = {}
-
-
 class _Tally:
-    """The checks, failures and first failure of one suite on one catalog entry."""
+    """The label, checks, failures and first failure of one suite's record."""
 
     def __init__(self, entry: CatalogEntry | None) -> None:
         self.entry = entry
+        self.label = "" if entry is None else entry.label
         self.checks = 0
         self.capped = 0
         self.failures = 0
@@ -350,46 +345,54 @@ def _record(suite: str, label: str, started: float, tally: _Tally) -> SuiteRecor
     )
 
 
-def _suite(name: str, admits: Callable[[CatalogEntry], bool] | None = None):
-    """Register the decorated body as suite ``name``.
+@dataclass(frozen=True)
+class _Suite:
+    """A registered suite: its name, the rule admitting a catalog entry (or
+    None, for no entry) and its body, ``body(entry, tally, sweep)``."""
 
-    The runner times the body once per catalog entry that ``admits`` keeps
-    (every entry when it is None) and makes one record of its tally.  The
-    body, ``body(entry, tally, catalog)``, only states its checks.
-    """
+    name: str
+    admits: Callable[[CatalogEntry | None], bool]
+    body: Callable
+
+    def __call__(self, entry: CatalogEntry | None, sweep: _GreensSweep) -> SuiteRecord | None:
+        """The timed body's record on ``entry``, or None when not admitted."""
+        if not self.admits(entry):
+            return None
+        started, tally = time.perf_counter(), _Tally(entry)
+        self.body(entry, tally, sweep)
+        return _record(self.name, tally.label, started, tally)
+
+
+SUITES: dict[str, _Suite] = {}
+
+
+def _suite(name: str, admits=lambda entry: entry is not None):
+    """Register the decorated body as suite ``name``, admitting what
+    ``admits`` keeps (every catalog entry when omitted).  ``admits`` is also
+    asked about None, the runner's first step: only a suite that reads no
+    entry admits it, and its body names its record with ``tally.label``."""
 
     def register(body):
-        def run(catalog: Catalog) -> list[SuiteRecord]:
-            out = []
-            for entry in catalog.entries:
-                if admits is None or admits(entry):
-                    started = time.perf_counter()
-                    tally = _Tally(entry)
-                    body(entry, tally, catalog)
-                    out.append(_record(name, entry.label, started, tally))
-            return out
-
-        SUITES[name] = run
+        SUITES[name] = _Suite(name, admits, body)
         return body
 
     return register
 
 
-def _has_identity(entry: CatalogEntry) -> bool:
-    return entry.instance.si.has_identity
+def _has_identity(entry: CatalogEntry | None) -> bool:
+    return entry is not None and entry.instance.si.has_identity
 
 
-def _full_characters(entry: CatalogEntry) -> bool:
-    return entry.si_label == "full"
+def _full_characters(entry: CatalogEntry | None) -> bool:
+    return entry is not None and entry.si_label == "full"
 
 
-def _degree_one_with_identity(entry: CatalogEntry) -> bool:
-    return entry.instance.partition.degree == 1 and entry.instance.si.has_identity
+def _degree_one_with_identity(entry: CatalogEntry | None) -> bool:
+    return _has_identity(entry) and entry.instance.partition.degree == 1
 
 
-def _bijective_characters(entry: CatalogEntry) -> bool:
-    si = entry.instance.si
-    return si.has_identity and all(a.is_bijective() for a in si.elements)
+def _bijective_characters(entry: CatalogEntry | None) -> bool:
+    return _has_identity(entry) and all(a.is_bijective() for a in entry.instance.si.elements)
 
 
 # --- member pairs as arrays --------------------------------------------------
@@ -432,7 +435,7 @@ def _equal(ids: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 
 @_suite("character-homomorphism")
-def _character_homomorphism(entry, tally, catalog):
+def _character_homomorphism(entry, tally, sweep):
     p = entry.instance.partition
     lookup = np.array([p.block_of(x) for x in range(p.n)])
     firsts = [b[0] for b in p.blocks]
@@ -449,7 +452,7 @@ def _character_homomorphism(entry, tally, catalog):
 
 
 @_suite("lift-character-section")
-def _lift_character_section(entry, tally, catalog):
+def _lift_character_section(entry, tally, sweep):
     p = entry.instance.partition
     for alpha in entry.instance.si.elements:
         tally.check(character(lift_character(alpha, p), p) == alpha,
@@ -457,7 +460,7 @@ def _lift_character_section(entry, tally, catalog):
 
 
 @_suite("unit-bijection-crosscheck")
-def _unit_bijection_crosscheck(entry, tally, catalog):
+def _unit_bijection_crosscheck(entry, tally, sweep):
     p = entry.instance.partition
     for f in enumerate_elements(entry.instance):
         direct = f.is_bijective() and preserves_partition(f.inverse(), p)
@@ -466,7 +469,7 @@ def _unit_bijection_crosscheck(entry, tally, catalog):
 
 
 @_suite("unit-image-blocks")
-def _unit_image_blocks(entry, tally, catalog):
+def _unit_image_blocks(entry, tally, sweep):
     p = entry.instance.partition
     block_sets = set(p.block_sets)
     for f in enumerate_elements(entry.instance):
@@ -477,7 +480,7 @@ def _unit_image_blocks(entry, tally, catalog):
 
 
 @_suite("block-maps-roundtrip")
-def _block_maps_roundtrip(entry, tally, catalog):
+def _block_maps_roundtrip(entry, tally, sweep):
     p = entry.instance.partition
     for f in enumerate_elements(entry.instance):
         tally.check(reassemble(block_maps(f, p), p) == f,
@@ -488,14 +491,14 @@ def _block_maps_roundtrip(entry, tally, catalog):
 
 
 @_suite("element-counting")
-def _element_counting(entry, tally, catalog):
+def _element_counting(entry, tally, sweep):
     actual = len(enumerate_elements(entry.instance))
     expected = predicted_size(entry.instance)
     tally.check(actual == expected, f"enumerated {actual} members, formula gives {expected}")
 
 
 @_suite("member-closure")
-def _member_closure(entry, tally, catalog):
+def _member_closure(entry, tally, sweep):
     members = enumerate_elements(entry.instance)
     n = entry.instance.partition.n
     imgs = _image_array(members, n)
@@ -512,7 +515,7 @@ def _member_closure(entry, tally, catalog):
 
 
 @_suite("unit-set-identity", _has_identity)
-def _unit_set_identity(entry, tally, catalog):
+def _unit_set_identity(entry, tally, sweep):
     inst = entry.instance
     members = enumerate_elements(inst)
     imgs = _image_array(members, inst.partition.n)
@@ -531,7 +534,7 @@ def _unit_set_identity(entry, tally, catalog):
 
 
 @_suite("units-are-bijections", _has_identity)
-def _units_are_bijections(entry, tally, catalog):
+def _units_are_bijections(entry, tally, sweep):
     for u in units(entry.instance):
         tally.check(u.is_bijective() and is_unit_bijection(u, entry.instance.partition),
                     "a unit fails the bijection tests", u=u)
@@ -541,7 +544,7 @@ def _units_are_bijections(entry, tally, catalog):
 
 
 @_suite("regular-element-equivalence")
-def _regular_element_equivalence(entry, tally, catalog):
+def _regular_element_equivalence(entry, tally, sweep):
     inst = entry.instance
     for f in enumerate_elements(inst):
         tally.checks += 1
@@ -554,7 +557,7 @@ def _regular_element_equivalence(entry, tally, catalog):
 
 
 @_suite("inner-inverse-construction")
-def _inner_inverse_construction(entry, tally, catalog):
+def _inner_inverse_construction(entry, tally, sweep):
     inst = entry.instance
     index = inst.derived.index
     for f in enumerate_elements(inst):
@@ -569,7 +572,7 @@ def _inner_inverse_construction(entry, tally, catalog):
 
 
 @_suite("idempotent-equivalence")
-def _idempotent_equivalence(entry, tally, catalog):
+def _idempotent_equivalence(entry, tally, sweep):
     for f in enumerate_elements(entry.instance):
         tally.check((compose(f, f) == f) == is_idempotent_characterized(f, entry.instance),
                     "direct and structural idempotency disagree", f=f)
@@ -585,7 +588,7 @@ def _routes_agree(entry: CatalogEntry, tally: _Tally, decide) -> bool:
 
 
 @_suite("regular-semigroup-equivalence")
-def _regular_semigroup_equivalence(entry, tally, catalog):
+def _regular_semigroup_equivalence(entry, tally, sweep):
     regular = _routes_agree(entry, tally, is_regular_semigroup)
     if entry.si_label == "full":
         tally.check(regular == entry.instance.partition.is_trivial(),
@@ -593,12 +596,12 @@ def _regular_semigroup_equivalence(entry, tally, catalog):
 
 
 @_suite("inverse-semigroup-equivalence")
-def _inverse_semigroup_equivalence(entry, tally, catalog):
+def _inverse_semigroup_equivalence(entry, tally, sweep):
     _routes_agree(entry, tally, is_inverse_semigroup)
 
 
 @_suite("subgroup-regularity", _bijective_characters)
-def _subgroup_regularity(entry, tally, catalog):
+def _subgroup_regularity(entry, tally, sweep):
     for mode in ("oracle", "theorem"):
         tally.check(is_regular_semigroup(entry.instance, mode),
                     f"subgroup-character instance is not regular ({mode})")
@@ -608,7 +611,7 @@ def _subgroup_regularity(entry, tally, catalog):
 
 
 @_suite("unit-regular-element-equivalence", _has_identity)
-def _unit_regular_element_equivalence(entry, tally, catalog):
+def _unit_regular_element_equivalence(entry, tally, sweep):
     inst = entry.instance
     for f in enumerate_elements(inst):
         tally.checks += 1
@@ -621,7 +624,7 @@ def _unit_regular_element_equivalence(entry, tally, catalog):
 
 
 @_suite("unit-inverse-construction", _has_identity)
-def _unit_inverse_construction(entry, tally, catalog):
+def _unit_inverse_construction(entry, tally, sweep):
     inst = entry.instance
     index = inst.derived.index
     for f in enumerate_elements(inst):
@@ -637,7 +640,7 @@ def _unit_inverse_construction(entry, tally, catalog):
 
 
 @_suite("unit-regular-implies-regular", _has_identity)
-def _unit_regular_implies_regular(entry, tally, catalog):
+def _unit_regular_implies_regular(entry, tally, sweep):
     inst = entry.instance
     for f in enumerate_elements(inst):
         tally.check(is_unit_regular_oracle(f, inst) is None or is_regular_oracle(f, inst) is not None,
@@ -645,30 +648,26 @@ def _unit_regular_implies_regular(entry, tally, catalog):
 
 
 @_suite("unit-regular-semigroup-equivalence", _has_identity)
-def _unit_regular_semigroup_equivalence(entry, tally, catalog):
+def _unit_regular_semigroup_equivalence(entry, tally, sweep):
     unit_regular = _routes_agree(entry, tally, is_unit_regular_semigroup)
     if entry.si_label == "full":
         tally.check(unit_regular == entry.instance.partition.is_trivial(),
                     "full-character instance unit-regularity does not match partition triviality")
 
 
-def _equal_size_c_equals_d(catalog: Catalog) -> list[SuiteRecord]:
+@_suite("equal-size-c-equals-d", lambda entry: entry is None)
+def _equal_size_c_equals_d(entry, tally, sweep):
     """Every self-map of an n-set with n <= 5 has collapse c equal to defect
-    d; the one suite that does not read the catalog."""
-    started = time.perf_counter()
-    tally = _Tally(None)
+    d; the one suite that reads no catalog entry."""
+    tally.label = "maps up to size 5"
     for n in range(1, 6):
         for images in itertools.product(range(n), repeat=n):
             c, d = collapse_defect(FiniteMap(n, n, images))
             tally.check(c == d, "equal-size map with c != d", f=images)
-    return [_record("equal-size-c-equals-d", "maps up to size 5", started, tally)]
-
-
-SUITES["equal-size-c-equals-d"] = _equal_size_c_equals_d
 
 
 @_suite("transversal-lemma")
-def _transversal_lemma(entry, tally, catalog):
+def _transversal_lemma(entry, tally, sweep):
     inst = entry.instance
     for f in enumerate_elements(inst):
         g = is_regular_oracle(f, inst)
@@ -684,25 +683,17 @@ def _transversal_lemma(entry, tally, catalog):
 # --- greens suites -----------------------------------------------------------
 
 
-def _pairs(entry: CatalogEntry, catalog: Catalog) -> list[tuple[int, int]]:
-    """Member positions of every ordered pair up to ``EXHAUSTIVE_PAIR_LIMIT``
-    members, else of a seeded sample of ``SAMPLE_PAIRS`` pairs."""
-    size = len(enumerate_elements(entry.instance))
-    if size <= EXHAUSTIVE_PAIR_LIMIT:
-        return [(a, b) for a in range(size) for b in range(size)]
-    rng = random.Random(f"{catalog.seed}:{entry.label}:pairs")
-    return [(rng.randrange(size), rng.randrange(size)) for _ in range(SAMPLE_PAIRS)]
-
-
 # The outcome of one checker call in the Green's sweep.
 _UNRELATED, _REPLAYS, _FAILS_REPLAY, _CAPPED = range(4)
 _MODES = ("oracle", "theorem")
 
 
+@dataclass
 class _GreensSweep:
-    """Every Green's verdict of one catalog entry, each decided at most once.
+    """Every Green's verdict of one catalog entry, each decided at most once,
+    when a suite first reads ``codes``.
 
-    For each pair of ``_pairs`` (positions in ``pairs``), each relation of
+    For each pair of ``pairs``, each relation of
     ``greens.checkers()`` and each mode, ``codes[k, r, m]`` keeps only the
     outcome of the checker on the members' own maps, which it finds by
     identity; a found witness is replayed at once (``greens.verify_witness``).
@@ -713,22 +704,37 @@ class _GreensSweep:
     either mode is counted as capped by every reader.
     """
 
-    def __init__(self, entry: CatalogEntry, catalog: Catalog) -> None:
-        inst = entry.instance
-        members = self.members = enumerate_elements(inst)
-        checkers = greens.checkers()
-        pairs = _pairs(entry, catalog)
-        self.relations = tuple(checkers)
-        self.pairs = np.array(pairs, dtype=np.int32).reshape(len(pairs), 2)
+    entry: CatalogEntry | None
+    catalog: Catalog
+    relations = tuple(greens.checkers())
+
+    @cached_property
+    def members(self) -> tuple[FiniteMap, ...]:
+        return enumerate_elements(self.entry.instance)
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """Member positions, one row a pair: of every ordered pair up to
+        ``EXHAUSTIVE_PAIR_LIMIT`` members, else of a seeded sample of
+        ``SAMPLE_PAIRS`` pairs."""
+        size = len(self.members)
+        if size <= EXHAUSTIVE_PAIR_LIMIT:
+            return np.indices((size, size)).reshape(2, -1).T
+        rng = random.Random(f"{self.catalog.seed}:{self.entry.label}:pairs")
+        return np.array([(rng.randrange(size), rng.randrange(size)) for _ in range(SAMPLE_PAIRS)])
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        inst, members, pairs = self.entry.instance, self.members, self.pairs
         data, size = greens._greens_data(inst), len(members)
         calls, groups = [], []
-        for rel, checker in checkers.items():
+        for rel, checker in greens.checkers().items():
             for mode in _MODES:
                 rep = _verdict_keys(data, rel, mode)
                 calls.append((checker, mode, set()))
-                groups.append(rep[self.pairs[:, 0]] * size + rep[self.pairs[:, 1]])
+                groups.append(rep[pairs[:, 0]] * size + rep[pairs[:, 1]])
         codes = np.full((len(pairs), len(calls)), _UNRELATED, dtype=np.uint8)
-        for k, ((a, b), row) in enumerate(zip(pairs, np.stack(groups, axis=1).tolist())):
+        for k, ((a, b), row) in enumerate(zip(pairs.tolist(), np.stack(groups, axis=1).tolist())):
             f, g = members[a], members[b]
             for j, ((checker, mode, unrelated), group) in enumerate(zip(calls, row)):
                 if group in unrelated:
@@ -742,7 +748,7 @@ class _GreensSweep:
                     unrelated.add(group)
                 else:
                     codes[k, j] = _REPLAYS if greens.verify_witness(w, f, g) else _FAILS_REPLAY
-        self.codes = codes.reshape(len(pairs), len(self.relations), len(_MODES))
+        return codes.reshape(len(pairs), len(self.relations), len(_MODES))
 
     def fail_at(self, tally: _Tally, hits: np.ndarray, detail: Callable[..., str]) -> None:
         """Count a failure at each index of ``hits`` (its first axis the pair),
@@ -770,17 +776,8 @@ def _verdict_keys(data, rel: str, mode: str) -> np.ndarray:
     return _first_equal(zip(*reads))
 
 
-def _greens_sweep(entry: CatalogEntry, catalog: Catalog) -> _GreensSweep:
-    """The entry's Green's sweep, made by the first suite that asks."""
-    sweeps = catalog.greens_sweeps
-    if entry.label not in sweeps:
-        sweeps[entry.label] = _GreensSweep(entry, catalog)
-    return sweeps[entry.label]
-
-
 @_suite("greens-mode-agreement", _has_identity)
-def _greens_mode_agreement(entry, tally, catalog):
-    sweep = _greens_sweep(entry, catalog)
+def _greens_mode_agreement(entry, tally, sweep):
     oracle, theorem = sweep.codes[..., 0], sweep.codes[..., 1]
     capped = (oracle == _CAPPED) | (theorem == _CAPPED)
     related = oracle != _UNRELATED
@@ -795,7 +792,7 @@ def _greens_mode_agreement(entry, tally, catalog):
 
 
 @_suite("character-descent", _has_identity)
-def _character_descent(entry, tally, catalog):
+def _character_descent(entry, tally, sweep):
     data = greens._greens_data(entry.instance)
     chars = np.array(data.char_ids, dtype=np.intp)
     for start, stop in _row_blocks(len(chars), 2 * len(chars)):
@@ -825,7 +822,7 @@ def _tx_keys(data) -> list[np.ndarray]:
 
 
 @_suite("greens-d-composition-commutes", _has_identity)
-def _greens_d_composition_commutes(entry, tally, catalog):
+def _greens_d_composition_commutes(entry, tally, sweep):
     data = greens._greens_data(entry.instance)
     d_label = np.array(data.d_label)
     r_then_l = _class_relations(data, np.array(data.classes[2]) >= 0)
@@ -835,7 +832,7 @@ def _greens_d_composition_commutes(entry, tally, catalog):
 
 
 @_suite("greens-d-subset-j", _has_identity)
-def _greens_d_subset_j(entry, tally, catalog):
+def _greens_d_subset_j(entry, tally, sweep):
     data = greens._greens_data(entry.instance)
     j_below, d_label = _class_relations(data, data.j_below), np.array(data.d_label)
     j_rel, d_rel = j_below & j_below.T, d_label[:, None] == d_label
@@ -846,7 +843,7 @@ def _greens_d_subset_j(entry, tally, catalog):
 
 
 @_suite("greens-tx-specialization", _degree_one_with_identity)
-def _greens_tx_specialization(entry, tally, catalog):
+def _greens_tx_specialization(entry, tally, sweep):
     data = greens._greens_data(entry.instance)
     r_of, l_of, images, kernels = _tx_keys(data)
     d_label = np.array(data.d_label)
@@ -867,8 +864,7 @@ def _greens_tx_specialization(entry, tally, catalog):
 
 
 @_suite("greens-witness-replay", _has_identity)
-def _greens_witness_replay(entry, tally, catalog):
-    sweep = _greens_sweep(entry, catalog)
+def _greens_witness_replay(entry, tally, sweep):
     codes = sweep.codes
     tally.checks += int(((codes == _REPLAYS) | (codes == _FAILS_REPLAY)).sum())
     tally.capped += int((codes == _CAPPED).sum())
@@ -877,7 +873,7 @@ def _greens_witness_replay(entry, tally, catalog):
 
 
 @_suite("greens-necessary-conditions", _has_identity)
-def _greens_necessary_conditions(entry, tally, catalog):
+def _greens_necessary_conditions(entry, tally, sweep):
     data = greens._greens_data(entry.instance)
     r_of, l_of, images, kernels = _tx_keys(data)
     for start, stop in _row_blocks(len(images), 2 * len(images)):
@@ -907,8 +903,7 @@ def _txp_verdicts(geometry, sweep: _GreensSweep) -> np.ndarray:
 
 
 @_suite("txp-specialization", _full_characters)
-def _txp_specialization(entry, tally, catalog):
-    sweep = _greens_sweep(entry, catalog)
+def _txp_specialization(entry, tally, sweep):
     specialized = _txp_verdicts(entry.instance.derived.geometry, sweep)
     oracle, theorem = sweep.codes[..., 0], sweep.codes[..., 1]
     # each (pair, relation) stops at the oracle route when it is capped or
@@ -930,18 +925,25 @@ def _txp_specialization(entry, tally, catalog):
 
 def run_suite(name: str, catalog: Catalog) -> Report:
     """Run one registered suite over the catalog."""
-    if name not in SUITES:
-        raise InvalidArgumentError(
-            f"unknown suite {name!r}; known suites: {', '.join(sorted(SUITES))}"
-        )
-    report = Report(catalog.max_n, catalog.seed)
-    report.records.extend(SUITES[name](catalog))
-    return report
+    return run_all(catalog, [name])
 
 
 def run_all(catalog: Catalog, names: list[str] | None = None) -> Report:
-    """Run every registered suite (or the named subset) over the catalog."""
-    report = Report(catalog.max_n, catalog.seed)
-    for name in names if names is not None else list(SUITES):
-        report.records.extend(run_suite(name, catalog).records)
-    return report
+    """Run every registered suite (or the named subset) over the catalog, one
+    entry at a time; the records come suite by suite, in the order of ``names``."""
+    names = list(SUITES) if names is None else names
+    for name in names:
+        if name not in SUITES:
+            raise InvalidArgumentError(
+                f"unknown suite {name!r}; known suites: {', '.join(sorted(SUITES))}"
+            )
+    records = {name: [] for name in names}
+    for entry in (None, *catalog.entries):
+        sweep = _GreensSweep(entry, catalog)
+        for name, out in records.items():
+            record = SUITES[name](entry, sweep)
+            if record is not None:
+                out.append(record)
+        if entry is not None:
+            entry.instance.drop_derived()
+    return Report(catalog.max_n, catalog.seed, [r for name in names for r in records[name]])

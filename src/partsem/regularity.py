@@ -10,7 +10,7 @@ The regularity and unit-regularity criteria share one home, a witness plan
 per character (``_WitnessPlan``), kept on the instance's derived data and
 built the first time a member with that character is asked about.  A call
 tests each group of the plan once on f's block images; the inner and unit
-inverse builders check their alpha against the same plan and validate the
+inverse builders test their alpha's group alone, and validate the
 map they build on image tuples, so neither needs the member table.
 """
 
@@ -92,30 +92,30 @@ class _WitnessPlan:
         self.positions = array("i", ids)
         self.groups = array("i", groups)
 
-    def passing(self, geometry: _Geometry, k: int) -> list[bool]:
-        """Per group, whether it passes the criterion for member k.  On
-        block-image masks, X_i meets the image of f in the union of the X_j f
-        with chi(j) = i."""
+    def passing(self, geometry: _Geometry, k: int, keys: Sequence) -> list[bool]:
+        """Per group key of ``keys``, whether it passes the criterion for
+        member k.  On block-image masks, X_i meets the image of f in the union
+        of the X_j f with chi(j) = i."""
         blk_img = geometry.block_masks[k]
         meets = [0] * len(blk_img)
         for j, i in enumerate(geometry.chars[k]):
             meets[i] |= blk_img[j]
         return [
             all(meets[i] & ~blk_img[t] == 0 for i, t in zip(self.points, key))
-            for key in self.keys
+            for key in keys
         ]
 
     def witnesses(self, geometry: _Geometry, k: int) -> Iterator[int]:
         """The positions of the candidates that pass for member k, ascending."""
-        passing = self.passing(geometry, k)
+        passing = self.passing(geometry, k, self.keys)
         return compress(self.positions, map(passing.__getitem__, self.groups))
 
     def admits(self, geometry: _Geometry, k: int, a: int) -> bool:
-        """Whether position a is a candidate that passes for member k."""
+        """Whether position a is a candidate whose group passes for member k."""
         s = bisect_left(self.positions, a)
         if s == len(self.positions) or self.positions[s] != a:
             return False
-        return self.passing(geometry, k)[self.groups[s]]
+        return self.passing(geometry, k, [self.keys[self.groups[s]]])[0]
 
 
 def _witness_plan(inst: Instance, k: int, units: bool) -> _WitnessPlan:

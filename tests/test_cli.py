@@ -158,12 +158,12 @@ class TestExitCodes:
         assert run_command(["greens", path, *extra, "--cap", "0"]) == 0
 
     def test_enumerate_refuses_a_negative_cap(self, inst_file, capsys):
-        """A negative ``--cap`` is an input error, as for ``greens``, not an
-        instance over the cap."""
+        """A negative ``--cap`` is an input error in the words ``greens``
+        uses, not an instance over the cap."""
         assert run_command(["enumerate", inst_file, "--cap", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: cap must be non-negative, got -1\n"
+        assert captured.err == "error: --cap must be non-negative, got -1\n"
 
     def test_greens_requires_pair_without_eggbox(self, inst_file, capsys):
         assert run_command(["greens", inst_file]) == 2

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import gc
 import itertools
@@ -173,7 +174,8 @@ class TestRunSuite:
                 assert labels
 
     def test_suites_are_looked_up_when_run(self, catalog2, monkeypatch):
-        """A tracer may rebind a suite in ``SUITES``; both runners call the rebound one."""
+        """A tracer may rebind a suite in ``SUITES``; both runners call the
+        rebound one, on no entry and then on each entry."""
         assert list(SUITES) == [
             "character-homomorphism", "lift-character-section", "unit-bijection-crosscheck",
             "unit-image-blocks", "block-maps-roundtrip", "element-counting", "member-closure",
@@ -191,22 +193,69 @@ class TestRunSuite:
         original = SUITES[name]
         calls = []
 
-        def counting(catalog):
-            calls.append(catalog)
-            return original(catalog)
+        def counting(entry, sweep):
+            calls.append(entry)
+            return original(entry, sweep)
 
         monkeypatch.setitem(SUITES, name, counting)
-        expected = original(catalog2)
-        assert len(run_all(catalog2).records) > len(expected)
-        assert calls == [catalog2]
+        assert len(run_all(catalog2).records) > len(catalog2.entries)
+        runs = [None, *catalog2.entries]
+        assert calls == runs
         records = run_suite(name, catalog2).records
-        assert calls == [catalog2, catalog2]
-        assert [r.instance for r in records] == [r.instance for r in expected]
+        assert calls == runs * 2
+        assert [r.instance for r in records] == [e.label for e in catalog2.entries]
 
     def test_all_suites_pass_at_small_scale(self, catalog2):
         report = run_all(catalog2)
         assert report.failures == 0
         assert set(r.suite for r in report.records) == set(SUITES)
+
+
+@contextlib.contextmanager
+def _cyclic_gc_off():
+    """Objects are freed by reference counting alone inside the block."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestOneEntryAtATime:
+    def test_an_entry_s_data_dies_before_the_next_entry_starts(self, monkeypatch):
+        """With the cyclic GC off, weakrefs to an entry's derived data and
+        Green's sweep, taken after each of its suites, are dead before the
+        next entry's first suite starts, and after the run."""
+        catalog = build_catalog(3, seed=7)
+        started, alive, seen = [], [], Counter()
+
+        def watch(suite):
+            def run(entry, sweep):
+                if entry is not None and (not started or started[-1] is not entry):
+                    assert [ref() for ref in alive] == [None] * len(alive), entry.label
+                    alive.clear()
+                    started.append(entry)
+                record = suite(entry, sweep)
+                if entry is not None:
+                    derived = entry.instance.derived
+                    alive.extend([weakref.ref(derived), weakref.ref(sweep)])
+                    seen["greens"] += derived.greens is not None
+                    seen["codes"] += "codes" in vars(sweep)
+                return record
+
+            return run
+
+        for name, suite in list(SUITES.items()):
+            monkeypatch.setitem(SUITES, name, watch(suite))
+        with _cyclic_gc_off():
+            assert run_all(catalog).failures == 0
+            assert [ref() for ref in alive] == [None] * len(alive)
+        assert started == list(catalog.entries)
+        # the derived data of the identity entries held Green's data, which
+        # refers back to its instance; their sweeps had decided codes
+        assert seen["greens"] > 0 and seen["codes"] > 0
 
 
 class TestReport:
@@ -265,7 +314,8 @@ def _checker_loops(catalog):
         if not inst.si.has_identity:
             continue
         members = enumerate_elements(inst)
-        pairs = [(members[a], members[b]) for a, b in harness._pairs(entry, catalog)]
+        pairs = [(members[a], members[b])
+                 for a, b in harness._GreensSweep(entry, catalog).pairs.tolist()]
         agree, replay, txp = (harness._Tally(entry) for _ in GREENS_PAIR_SUITES)
         for f, g in pairs:
             for rel, checker in checkers.items():
@@ -300,7 +350,7 @@ def _per_pair_codes(entry, catalog):
     inst = entry.instance
     members = enumerate_elements(inst)
     codes = []
-    for a, b in harness._pairs(entry, catalog):
+    for a, b in harness._GreensSweep(entry, catalog).pairs.tolist():
         f, g = members[a], members[b]
         row = []
         for checker in greens.checkers().values():
@@ -355,14 +405,55 @@ def _spoil(monkeypatch, name, spoil):
     monkeypatch.setattr(greens, name, checker)
 
 
+def _keep_sweeps(monkeypatch):
+    """Every sweep whose codes a run decides from now on, by entry label,
+    each with its members' verdict keys by (relation, mode), taken from the
+    entry's Green's data while the entry's suites run."""
+    kept = {}
+    real = harness._GreensSweep
+
+    class Kept(real):
+        @cached_property
+        def codes(self):
+            data = greens._greens_data(self.entry.instance)
+            self.keys = {(rel, mode): harness._verdict_keys(data, rel, mode)
+                         for rel in self.relations for mode in harness._MODES}
+            kept[self.entry.label] = self
+            return real.codes.func(self)
+
+    monkeypatch.setattr(harness, "_GreensSweep", Kept)
+    return kept
+
+
+def _spy_on_derived(monkeypatch):
+    """Every instance whose derived data is built from now on, in order, with
+    its members' geometry, each kept alive so that ids stay distinct."""
+    owners = []
+    real = ensemble.DerivedData.__init__
+
+    def init(self, inst):
+        real(self, inst)
+        owners.append((inst, self.geometry))
+
+    monkeypatch.setattr(ensemble.DerivedData, "__init__", init)
+    return owners
+
+
+def _assert_one_each(owners, instances):
+    """Derived data was built once for each of ``instances``, in order."""
+    assert len(owners) == len(instances)
+    assert all(inst is expected for (inst, _), expected in zip(owners, instances))
+
+
 class TestGreensSweep:
     """One sweep per entry decides each Green's pair at most once, by key
     group; the agreement, replay and T(X, P) suites read its codes."""
 
     def test_each_verdict_is_decided_at_most_once_and_where_it_holds(self, monkeypatch):
-        """The keyed call contract: at most one call per (pair, relation,
-        mode); a call on every pair whose code is replays, fails to replay or
-        capped, and on the first pair of every key group; fewer calls than
+        """The keyed call contract, over a whole run: at most one call per
+        (pair, relation, mode); a call on every pair whose code is replays,
+        fails to replay or capped, and on the first pair of every key group
+        (the codes and keys as the run's sweeps had them); fewer calls than
         one per (pair, relation, mode) in all."""
         catalog = build_catalog(3, seed=7)
         calls = Counter()
@@ -372,18 +463,19 @@ class TestGreensSweep:
                 return _checker(f, g, inst, mode=mode, **kwargs)
 
             monkeypatch.setattr(greens, checker.__name__, spy)
+        sweeps = _keep_sweeps(monkeypatch)
         assert run_all(catalog).failures == 0
         assert set(calls.values()) == {1}
+        assert list(sweeps) == [e.label for e in catalog.entries if e.instance.si.has_identity]
         every, needed = set(), set()
         for entry in catalog.entries:
             inst = entry.instance
             if not inst.si.has_identity:
                 continue
-            sweep = catalog.greens_sweeps[entry.label]
-            data = greens._greens_data(inst)
+            sweep = sweeps[entry.label]
             for r, rel in enumerate(sweep.relations):
                 for m, mode in enumerate(harness._MODES):
-                    rep, seen = harness._verdict_keys(data, rel, mode), set()
+                    rep, seen = sweep.keys[rel, mode], set()
                     for k, (a, b) in enumerate(sweep.pairs.tolist()):
                         call = (id(inst), sweep.members[a].images, sweep.members[b].images,
                                 rel, mode)
@@ -401,9 +493,10 @@ class TestGreensSweep:
         codes = Counter()
         for entry in catalog.entries:
             if entry.instance.si.has_identity:
-                sweep = harness._greens_sweep(entry, catalog)
+                sweep = harness._GreensSweep(entry, catalog)
                 assert sweep.codes.tolist() == _per_pair_codes(entry, catalog), entry.label
                 codes.update(sweep.codes.ravel().tolist())
+                entry.instance.drop_derived()
         assert codes[harness._UNRELATED] and codes[harness._REPLAYS]
 
     def test_verdicts_are_constant_on_the_key_groups_of_the_n3_entries(self):
@@ -504,7 +597,8 @@ class TestGreensSweep:
         expected = {}
         for entry in catalog.entries:
             if entry.instance.si.has_identity:
-                diagonal = sum(a == b for a, b in harness._pairs(entry, catalog))
+                pairs = harness._GreensSweep(entry, catalog).pairs.tolist()
+                diagonal = sum(a == b for a, b in pairs)
                 expected[entry.label] = diagonal
         assert sum(expected.values()) > 0
         admitted = {
@@ -604,59 +698,84 @@ class TestGreensSweep:
         builds each of its lists at most once; the ``full`` entries, which
         ``txp-specialization`` reads, have all of them built."""
         made, built = self._spy_on_geometries(monkeypatch)
+        owners = _spy_on_derived(monkeypatch)
         catalog = build_catalog(3, seed=7)
         assert run_all(catalog).failures == 0
-        members = {id(e.instance.derived.geometry): e.instance.derived.geometry
-                   for e in catalog.entries}
-        assert sorted(map(id, made)) == sorted(members)
+        _assert_one_each(owners, [e.instance for e in catalog.entries])
+        assert list(map(id, made)) == [id(geometry) for _, geometry in owners]
         assert set(built.values()) == {1}
-        assert all((e.instance.derived.geometry, name) in built
-                   for e in catalog.entries if e.si_label == "full" for name in GEOMETRY_LISTS)
+        assert all((geometry, name) in built
+                   for (_, geometry), e in zip(owners, catalog.entries) if e.si_label == "full"
+                   for name in GEOMETRY_LISTS)
 
     def test_txp_specialization_builds_no_geometry_of_its_own(self, monkeypatch):
         """Alone on a fresh catalog, the suite's only geometries are those of
         the members of the ``full`` entries it admits."""
         made, _ = self._spy_on_geometries(monkeypatch)
+        owners = _spy_on_derived(monkeypatch)
         catalog = build_catalog(3, seed=7)
         assert sum(r.checks for r in run_suite("txp-specialization", catalog).records) > 0
         full = [e.instance for e in catalog.entries if e.si_label == "full"]
         assert len(full) == 8
-        assert sorted(map(id, made)) == sorted(id(inst.derived.geometry) for inst in full)
+        _assert_one_each(owners, full)
+        assert list(map(id, made)) == [id(geometry) for _, geometry in owners]
 
     def test_class_labels_are_computed_once_per_relation_and_instance(self, monkeypatch):
         """A whole run computes the L-labels and the R-labels of every
-        identity instance once each, and an egg-box afterwards reuses them."""
+        identity instance once each, and an egg-box of the entry after its
+        last suite reuses them."""
         catalog = build_catalog(3, seed=7)
-        built = Counter()
-        real = greens._class_labels
+        built, made = Counter(), []
+        real, real_data, last = greens._class_labels, greens._GreensData.__init__, SUITES["txp-specialization"]
 
         def spy(below):
             built[id(below)] += 1
             return real(below)
 
+        def data_init(self, inst):
+            real_data(self, inst)
+            made.append(self)
+
+        def then_eggbox(entry, sweep):
+            record = last(entry, sweep)
+            if entry is not None and entry.instance.si.has_identity:
+                greens.eggbox(entry.instance)
+            return record
+
         monkeypatch.setattr(greens, "_class_labels", spy)
+        monkeypatch.setattr(greens._GreensData, "__init__", data_init)
+        monkeypatch.setitem(SUITES, "txp-specialization", then_eggbox)
         assert run_all(catalog).failures == 0
         instances = [e.instance for e in catalog.entries if e.instance.si.has_identity]
+        assert len(made) == len(instances)
+        assert all(data.inst is inst for data, inst in zip(made, instances))
         expected = Counter()
-        for inst in instances:
-            data = greens._greens_data(inst)
+        for data in made:
             expected[id(data.l_below)] += 1
             expected[id(data.r_below)] += 1
         assert set(expected.values()) == {1}
         assert built == expected
-        for inst in instances:
-            greens.eggbox(inst)
-        assert built == expected
 
-    def test_sweeps_are_released_with_their_catalog(self):
+    def test_sweeps_are_released_with_their_entry(self, monkeypatch):
+        """No sweep is kept on the catalog: with the cyclic GC off, the
+        sweeps whose codes a run decided are freed once it returns."""
         catalog = build_catalog(2, seed=7)
-        run_suite("txp-specialization", catalog)
+        refs = []
+        real = harness._GreensSweep.codes.func
+
+        def codes(self):
+            refs.append((self.entry.label, weakref.ref(self)))
+            return real(self)
+
+        prop = cached_property(codes)
+        prop.__set_name__(harness._GreensSweep, "codes")
+        monkeypatch.setattr(harness._GreensSweep, "codes", prop)
+        with _cyclic_gc_off():
+            run_suite("txp-specialization", catalog)
+        assert not hasattr(catalog, "greens_sweeps")
         full = [e.label for e in catalog.entries if e.si_label == "full"]
-        assert list(catalog.greens_sweeps) == full
-        refs = [weakref.ref(sweep) for sweep in catalog.greens_sweeps.values()]
-        del catalog
-        gc.collect()
-        assert [ref() for ref in refs] == [None] * len(full)
+        assert [label for label, _ in refs] == full
+        assert [ref() for _, ref in refs] == [None] * len(full)
 
 
 def _reader_loops(catalog):
@@ -669,7 +788,7 @@ def _reader_loops(catalog):
         inst = entry.instance
         if not inst.si.has_identity:
             continue
-        sweep = harness._greens_sweep(entry, catalog)
+        sweep = harness._GreensSweep(entry, catalog)
         members = sweep.members
         rows = [
             (a, b, [(rel, o, t) for rel, (o, t) in zip(sweep.relations, row)])
@@ -852,9 +971,12 @@ class TestSweepReaders:
             return real(geometry, b)
 
         monkeypatch.setattr(greens, "_txp_j_covers", spy)
+        owners = _spy_on_derived(monkeypatch)
         catalog = build_catalog(3, seed=7)
         assert run_all(catalog).failures == 0
-        full = {id(e.instance.derived.geometry) for e in catalog.entries if e.si_label == "full"}
+        _assert_one_each(owners, [e.instance for e in catalog.entries])
+        full = {id(geometry) for (_, geometry), e in zip(owners, catalog.entries)
+                if e.si_label == "full"}
         assert {key for key, _ in built} == full
         assert set(built.values()) == {1}
 
@@ -867,9 +989,12 @@ class TestSweepReaders:
             return real(geometry, a, b, covers)
 
         monkeypatch.setattr(greens, "_txp_j_one_sided", spy)
+        owners = _spy_on_derived(monkeypatch)
         catalog = build_catalog(3, seed=7)
         assert run_all(catalog).failures == 0
-        full = {id(e.instance.derived.geometry) for e in catalog.entries if e.si_label == "full"}
+        _assert_one_each(owners, [e.instance for e in catalog.entries])
+        full = {id(geometry) for (_, geometry), e in zip(owners, catalog.entries)
+                if e.si_label == "full"}
         assert {key for key, _, _ in decided} == full
         assert set(decided.values()) == {1}
 
@@ -1149,10 +1274,12 @@ class TestClassRelations:
         catalog = harness.Catalog(3, 7, (entry,))
         [record] = run_suite("greens-d-subset-j", catalog).records
         assert record.verdict == "pass"
+        # the run dropped the entry's Green's data: this one is built afresh
+        # and builds ≤_J on classes on first ask, from the spoiled preorder
         data = greens._greens_data(entry.instance)
         first = int(data.classes[3][-1])
         data.r_below[first, first] = False
-        del data.j_below
+        assert "j_below" not in vars(data)
         [record] = run_suite("greens-d-subset-j", catalog).records
         assert record.verdict == "fail"
         assert record.counterexample["detail"] == "a D-related pair is not J-related"
@@ -1180,10 +1307,12 @@ class TestClassRelations:
         data = greens._greens_data(inst)
         assert data.classes
         data.l_below, data.r_below = data.l_below & data.l_below.T, data.r_below & data.r_below.T
-        for name in ("greens-d-subset-j", "greens-d-composition-commutes"):
-            assert run_suite(name, catalog).records[0].verdict == "pass"
         kept = _keep_failures(monkeypatch)
-        [record] = run_suite("greens-tx-specialization", catalog).records
+        # one run, so the three suites read the one spoiled Green's data
+        report = run_all(catalog, ["greens-d-subset-j", "greens-d-composition-commutes",
+                                   "greens-tx-specialization"])
+        *passing, record = report.records
+        assert [r.verdict for r in passing] == ["pass", "pass"]
         ranks = Counter(len(set(m.images)) for m in data.members)
         below = sum(ranks[a] * ranks[b] for a in ranks for b in ranks if a < b)
         assert (record.checks, record.failures) == (len(data.members) ** 2, below)

@@ -217,12 +217,11 @@ def test_criteria_read_block_facts_not_block_maps():
 
 
 def test_only_the_suite_runner_loops_over_the_catalog():
-    """Suite bodies state their checks; one runner (``_suite`` and the record
-    it makes with ``_record``) loops over ``catalog.entries``, builds each
-    ``SuiteRecord`` and reads the clock, and only the one catalog-independent
-    suite reads the clock besides it."""
+    """Suite bodies state their checks; one runner, ``run_all``, loops over
+    ``catalog.entries``, a registered ``_Suite`` times its body and the
+    record it makes with ``_record`` is the one ``SuiteRecord`` built, and
+    no suite body reads the clock, the catalog-independent one included."""
     tree = ast.parse((PACKAGE / "harness.py").read_text())
-    runner = {"_suite", "_record"}
     found = {"entries": [], "SuiteRecord": [], "perf_counter": []}
     for statement in tree.body:
         owner = getattr(statement, "name", None)
@@ -231,6 +230,6 @@ def test_only_the_suite_runner_loops_over_the_catalog():
                 found[node.attr].append(owner)
             elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SuiteRecord":
                 found["SuiteRecord"].append(owner)
-    assert set(found["entries"]) == {"_suite"}
+    assert set(found["entries"]) == {"run_all"}
     assert set(found["SuiteRecord"]) == {"_record"}
-    assert set(found["perf_counter"]) == runner | {"_equal_size_c_equals_d"}
+    assert set(found["perf_counter"]) == {"_Suite", "_record"}

@@ -15,10 +15,10 @@ from partsem import (
     build_unit_inverse,
     enumerate_elements,
     regular_character_witnesses,
-    run_suite,
+    run_all,
     unit_regular_witnesses,
 )
-from partsem import regularity
+from partsem import harness, regularity
 from conftest import comp, raw_character
 
 CATALOG = build_catalog(3, seed=7)
@@ -63,10 +63,10 @@ def test_witnesses_match_a_per_candidate_reference(entry):
 
 
 def test_each_plan_is_built_once_per_character_and_units_flag(monkeypatch):
-    """The four regularity suites over a fresh catalog, run twice: the plans
-    built are the plans kept, one per (character, units) key per instance,
-    and the second run builds none."""
-    built = []
+    """The four regularity suites over a fresh catalog, each run twice on
+    every entry it admits: the plans built are the plans the entry keeps, one
+    per (character, units) key, and the second run of a suite builds none."""
+    built, kept = [], {}
     real = regularity._WitnessPlan
 
     def spy(si, chi, sizes):
@@ -74,22 +74,34 @@ def test_each_plan_is_built_once_per_character_and_units_flag(monkeypatch):
         built.append(plan)
         return plan
 
+    def twice(suite):
+        def run(entry, sweep):
+            record = suite(entry, sweep)
+            if record is not None:
+                before = len(built)
+                assert suite(entry, sweep).failures == 0
+                assert len(built) == before, (record.suite, entry.label)
+                d = entry.instance.derived
+                kept[entry.label] = (dict(d.witness_plans), set(d.char_ids))
+            return record
+
+        return run
+
     monkeypatch.setattr(regularity, "_WitnessPlan", spy)
+    for name in SUITES:
+        monkeypatch.setitem(harness.SUITES, name, twice(harness.SUITES[name]))
     catalog = build_catalog(3, seed=7)
-    for name in SUITES:
-        assert run_suite(name, catalog).failures == 0
-    kept = [plan for e in catalog.entries for plan in e.instance.derived.witness_plans.values()]
+    assert run_all(catalog, list(SUITES)).failures == 0
     assert len(built) > 0
-    assert sorted(map(id, built)) == sorted(map(id, kept))
+    assert sorted(map(id, built)) == sorted(
+        id(plan) for plans, _ in kept.values() for plan in plans.values())
+    assert list(kept) == [e.label for e in catalog.entries]
     for e in catalog.entries:
-        d = e.instance.derived
-        asked = {(c, False) for c in d.char_ids}
+        plans, chars = kept[e.label]
+        asked = {(c, False) for c in chars}
         if e.instance.si.has_identity:
-            asked |= {(c, True) for c in d.char_ids}
-        assert set(d.witness_plans) == asked, e.label
-    for name in SUITES:
-        run_suite(name, catalog)
-    assert len(built) == len(kept)
+            asked |= {(c, True) for c in chars}
+        assert set(plans) == asked, e.label
 
 
 def test_plans_are_kept_compactly():
