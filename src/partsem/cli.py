@@ -27,11 +27,9 @@ from .ensemble import (
     closure_from_generators,
     enumerate_elements,
     predicted_size,
-    units,
 )
 from . import greens
 from .regularity import (
-    build_inner_inverse,
     is_idempotent_characterized,
     is_inverse_semigroup,
     is_regular_oracle,

@@ -51,6 +51,7 @@ All operations here require the identity character in the index semigroup.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Literal
@@ -233,7 +234,8 @@ class _GreensData:
     def __init__(self, inst: Instance) -> None:
         if not inst.si.has_identity:
             raise PreconditionError("Green's relations need the identity character")
-        self.inst = inst
+        self.partition, self.index = inst.partition, inst.derived.index
+        self._inst = weakref.ref(inst)  # weak: the instance keeps this data
         self.members = enumerate_elements(inst)
         # id -> position of each member map; the members live as long as
         # this data, so no other live object shares one of these ids
@@ -284,7 +286,7 @@ class _GreensData:
         """The position of f: found by identity for the instance's own
         member maps, else looked up (and refused when not a member)."""
         k = self._positions.get(id(f))
-        return require_member(f, self.inst) if k is None else k
+        return require_member(f, self._inst()) if k is None else k
 
     def char_of(self, k: int) -> FiniteMap:
         """The character of member k, as the index semigroup's element."""
@@ -449,9 +451,9 @@ def _left_factor(data: _GreensData, fk: int, gk: int, a: int) -> int:
     """``build_left_factor`` on member positions, its preconditions met, for
     alpha at index position a: the position of the h sending x to the least
     y of X_{alpha(i)} with yg = xf."""
-    p = data.inst.partition
+    p = data.partition
     images = _least_lift(data.si_imgs[a], p, data.imgs[gk], data.imgs[fk])
-    hk = data.inst.derived.index.get(images)
+    hk = data.index.get(images)
     if hk is None or data.table[hk, gk] != fk or data.char_ids[hk] != a:
         h = FiniteMap(p.n, p.n, images)
         raise InternalError(
@@ -516,12 +518,12 @@ def build_right_factor(
 def _right_factor(data: _GreensData, fk: int, gk: int, b: int) -> int:
     """``build_right_factor`` on member positions, its preconditions met, for
     beta at index position b."""
-    p = data.inst.partition
+    p = data.partition
     f_imgs, g_imgs, beta = data.imgs[fk], data.imgs[gk], data.si_imgs[b]
     # f at the least preimage under g: the descending pass writes it last
     on_image = {g_imgs[y]: f_imgs[y] for y in reversed(range(p.n))}
     images = tuple(on_image.get(x, p.blocks[beta[p.block_of(x)]][0]) for x in range(p.n))
-    hk = data.inst.derived.index.get(images)
+    hk = data.index.get(images)
     if hk is None or data.table[gk, hk] != fk or data.char_ids[hk] != b:
         h = FiniteMap(p.n, p.n, images)
         raise InternalError(
@@ -711,13 +713,13 @@ def _d_middle(
     classes, for gamma at index position c.  That builder passes gamma itself
     (with c None for a gamma outside S(I)) and refuses a middle that fails;
     the theorem route passes none, so there a failure is internal."""
-    p = data.inst.partition
+    p = data.partition
     images = [0] * p.n
     for m_class, g_class in phi:
         value = data.imgs[fk][m_class[0]]
         for x in g_class:
             images[x] = value
-    hk = data.inst.derived.index.get(tuple(images))
+    hk = data.index.get(tuple(images))
     if hk is None or data.char_ids[hk] != c:
         h = FiniteMap(p.n, p.n, tuple(images))
         if gamma is None:
@@ -755,7 +757,7 @@ def _j_one_sided_theorem(
     _, dom_blocks, block_sources = j_geometry[gk]
     if len(j_geometry[fk][1]) > len(dom_blocks):
         return None
-    p = data.inst.partition
+    p = data.partition
     f_blockimg = data.geometry.block_masks[fk]
     facts, cf, cg = data.si_facts, data.char_ids[fk], data.char_ids[gk]
     for a in facts.j_alphas(cf, cg):
@@ -866,7 +868,7 @@ def _image_map_from_factors(data: _GreensData, gk: int, k1: int, k2: int) -> Fin
     if len(set(data.imgs[data.table[k1, gk]])) != len(dom):
         raise InternalError(f"h1*g misses a point of the image of {data.members[gk]}")
     h2 = data.imgs[k2]
-    return FiniteMap(len(dom), data.inst.partition.n, tuple(h2[x] for x in dom))
+    return FiniteMap(len(dom), data.partition.n, tuple(h2[x] for x in dom))
 
 
 def build_j_factors(
@@ -901,13 +903,13 @@ def _j_factors(
 ) -> tuple[int, int]:
     """``build_j_factors`` on member positions, its preconditions met, for
     alpha and beta at index positions a and b."""
-    p = data.inst.partition
+    p = data.partition
     beta = data.si_imgs[b]
     phi_at = dict(zip(data.geometry.j_geometry[gk][0], phi.images))
     gphi = [phi_at[v] for v in data.imgs[gk]]
     h1_images = _least_lift(data.si_imgs[a], p, gphi, data.imgs[fk])
     h2_images = tuple(phi_at.get(x, p.blocks[beta[p.block_of(x)]][0]) for x in range(p.n))
-    index, table = data.inst.derived.index, data.table
+    index, table = data.index, data.table
     k1, k2 = index.get(h1_images), index.get(h2_images)
     valid = k1 is not None and k2 is not None and table[table[k1, gk], k2] == fk
     if not valid or data.char_ids[k1] != a or data.char_ids[k2] != b:

@@ -28,18 +28,21 @@ The three Green's pair suites (``greens-mode-agreement``,
 **Green's sweep**, a body's third argument, instead of calling the
 checkers themselves.  The sweep decides its codes when a suite first reads
 them: a one-byte outcome code per pair of its ``pairs``, relation and mode
-(unrelated, replays, fails to replay, or capped).  It calls the public
-checker on the members' own maps (which the checkers find by identity,
-with no lookup) and replays a found witness at once
-(``greens.verify_witness``, on image tuples).  Each member has a key per
-relation and mode (``_verdict_keys``: the classes the oracle reads off the
-Green's data's class quotient, or the character and the geometry lists the
-theorem search reads), and pairs of members with equal keys get equal
-verdicts, so the checker is called once on an unrelated key group (a
-capped call decides nothing) and on every pair of a related one.  The
-three suites read the codes as one array: each counts its checks, capped
-checks and failures with NumPy and records the first failure, row-major,
-as every suite that tests a mask of member pairs does (``_fail_rows``).
+(unrelated, capped, replays, fails to replay, or a fault: an
+``InternalError``).  It calls the public checker on the members' own maps
+(which the checkers find by identity, with no lookup) and replays a found
+witness at once (``greens.verify_witness``, on image tuples).  Each member
+has a key per relation and mode (``_verdict_keys``: the classes the oracle
+reads off the Green's data's class quotient, or the character and the
+geometry lists the theorem search reads), and pairs of members with equal
+keys get equal verdicts, so the checker is called once on an unrelated key
+group (a capped call or a fault decides nothing) and on every pair of a
+related one.  The three suites read the codes as one array: each counts its
+checks, capped checks and failures (a fault is one) with NumPy and records
+the first failure, row-major, as every suite that tests a mask of member
+pairs does (``_fail_rows``).  The inverse-construction suites count a
+build's ``InternalError`` as a failure too (``_builds``), so a fault gives
+failing records, not an aborted run.
 The sweep names members by position, so ``txp-specialization`` decides
 ``txp_green`` on the members' geometry (``inst.derived.geometry``), once
 per pair of the two members' signatures for each relation, with one memo
@@ -67,7 +70,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InternalError, InvalidArgumentError, ResourceLimitError
 from .finite_maps import FiniteMap, collapse_defect, compose
 from .partition_action import (
     Partition,
@@ -556,19 +559,22 @@ def _regular_element_equivalence(entry, tally, sweep):
             tally.fail("character of the found inner inverse is not a witness", f=f, g=g)
 
 
+def _builds(entry: CatalogEntry, tally: _Tally, witnesses, build) -> None:
+    """One check per ``build(f, alpha, inst)`` for each member f and alpha of
+    ``witnesses(f, inst)``: an ``InternalError`` is a failure, its detail."""
+    inst = entry.instance
+    for f in enumerate_elements(inst):
+        for alpha in witnesses(f, inst):
+            tally.checks += 1
+            try:
+                build(f, alpha, inst)
+            except InternalError as exc:
+                tally.fail(str(exc), f=f, alpha=alpha)
+
+
 @_suite("inner-inverse-construction")
 def _inner_inverse_construction(entry, tally, sweep):
-    inst = entry.instance
-    index = inst.derived.index
-    for f in enumerate_elements(inst):
-        for alpha in regular_character_witnesses(f, inst):
-            g = build_inner_inverse(f, alpha, inst)
-            ok = (
-                compose(compose(f, g), f) == f
-                and character(g, inst.partition) == alpha
-                and g.images in index
-            )
-            tally.check(ok, "constructed inner inverse fails validation", f=f, alpha=alpha, g=g)
+    _builds(entry, tally, regular_character_witnesses, build_inner_inverse)
 
 
 @_suite("idempotent-equivalence")
@@ -625,18 +631,7 @@ def _unit_regular_element_equivalence(entry, tally, sweep):
 
 @_suite("unit-inverse-construction", _has_identity)
 def _unit_inverse_construction(entry, tally, sweep):
-    inst = entry.instance
-    index = inst.derived.index
-    for f in enumerate_elements(inst):
-        for alpha in unit_regular_witnesses(f, inst):
-            u = build_unit_inverse(f, alpha, inst)
-            ok = (
-                compose(compose(f, u), f) == f
-                and is_unit_bijection(u, inst.partition)
-                and character(u, inst.partition) == alpha
-                and u.images in index
-            )
-            tally.check(ok, "constructed unit inverse fails validation", f=f, alpha=alpha, u=u)
+    _builds(entry, tally, unit_regular_witnesses, build_unit_inverse)
 
 
 @_suite("unit-regular-implies-regular", _has_identity)
@@ -683,8 +678,8 @@ def _transversal_lemma(entry, tally, sweep):
 # --- greens suites -----------------------------------------------------------
 
 
-# The outcome of one checker call in the Green's sweep.
-_UNRELATED, _REPLAYS, _FAILS_REPLAY, _CAPPED = range(4)
+# The outcome of one Green's sweep call: from _REPLAYS up a witness check, above it a failed one.
+_UNRELATED, _CAPPED, _REPLAYS, _FAILS_REPLAY, _FAULT = range(5)
 _MODES = ("oracle", "theorem")
 
 
@@ -699,13 +694,15 @@ class _GreensSweep:
     identity; a found witness is replayed at once (``greens.verify_witness``).
     Pairs are walked in order, and the checker is called on a pair unless
     the pair's key group (``_verdict_keys``) already came out unrelated: such
-    a pair is unrelated too.  A capped call decides nothing for its group,
-    and every related pair gets its own call and replay.  A capped call of
-    either mode is counted as capped by every reader.
+    a pair is unrelated too.  A capped call or a fault decides nothing for
+    its group, and every related pair gets its own call and replay.  A
+    fault fails the check, else a capped call of either mode is counted as
+    capped, by every reader; ``fault`` keeps the first fault's message.
     """
 
     entry: CatalogEntry | None
     catalog: Catalog
+    fault: str | None = None
     relations = tuple(greens.checkers())
 
     @cached_property
@@ -731,18 +728,22 @@ class _GreensSweep:
         for rel, checker in greens.checkers().items():
             for mode in _MODES:
                 rep = _verdict_keys(data, rel, mode)
-                calls.append((checker, mode, set()))
+                calls.append((rel, checker, mode, set()))
                 groups.append(rep[pairs[:, 0]] * size + rep[pairs[:, 1]])
         codes = np.full((len(pairs), len(calls)), _UNRELATED, dtype=np.uint8)
         for k, ((a, b), row) in enumerate(zip(pairs.tolist(), np.stack(groups, axis=1).tolist())):
             f, g = members[a], members[b]
-            for j, ((checker, mode, unrelated), group) in enumerate(zip(calls, row)):
+            for j, ((rel, checker, mode, unrelated), group) in enumerate(zip(calls, row)):
                 if group in unrelated:
                     continue
                 try:
                     w = checker(f, g, inst, mode=mode)
                 except ResourceLimitError:
                     codes[k, j] = _CAPPED
+                    continue
+                except InternalError as exc:
+                    codes[k, j] = _FAULT
+                    self.fault = self.fault or f"{rel} ({mode}): {exc}"
                     continue
                 if w is None:
                     unrelated.add(group)
@@ -752,12 +753,15 @@ class _GreensSweep:
 
     def fail_at(self, tally: _Tally, hits: np.ndarray, detail: Callable[..., str]) -> None:
         """Count a failure at each index of ``hits`` (its first axis the pair),
-        and record the first, row-major; ``detail(*index)`` says what failed."""
+        and record the first, row-major: ``detail(*index)`` or, at a fault
+        (each is a hit), the sweep's first fault."""
         count = int(np.count_nonzero(hits))
         if count:
             index = np.unravel_index(hits.argmax(), hits.shape)
             a, b = self.pairs[index[0]].tolist()
-            tally.fail(detail(*index), count, f=self.members[a], g=self.members[b])
+            faulted = self.codes[index].max() == _FAULT
+            tally.fail(self.fault if faulted else detail(*index), count,
+                       f=self.members[a], g=self.members[b])
 
 
 def _verdict_keys(data, rel: str, mode: str) -> np.ndarray:
@@ -779,12 +783,13 @@ def _verdict_keys(data, rel: str, mode: str) -> np.ndarray:
 @_suite("greens-mode-agreement", _has_identity)
 def _greens_mode_agreement(entry, tally, sweep):
     oracle, theorem = sweep.codes[..., 0], sweep.codes[..., 1]
-    capped = (oracle == _CAPPED) | (theorem == _CAPPED)
+    faulted = sweep.codes.max(axis=2) == _FAULT
+    capped = ~faulted & ((oracle == _CAPPED) | (theorem == _CAPPED))
     related = oracle != _UNRELATED
     tally.checks += oracle.size
     tally.capped += int(capped.sum())
     sweep.fail_at(
-        tally, ~capped & (related != (theorem != _UNRELATED)),
+        tally, faulted | ~capped & (related != (theorem != _UNRELATED)),
         lambda k, r: f"{sweep.relations[r]}: oracle={related[k, r]} but theorem={not related[k, r]}",
     )
     if tally.capped:
@@ -866,9 +871,9 @@ def _greens_tx_specialization(entry, tally, sweep):
 @_suite("greens-witness-replay", _has_identity)
 def _greens_witness_replay(entry, tally, sweep):
     codes = sweep.codes
-    tally.checks += int(((codes == _REPLAYS) | (codes == _FAILS_REPLAY)).sum())
+    tally.checks += int((codes >= _REPLAYS).sum())
     tally.capped += int((codes == _CAPPED).sum())
-    sweep.fail_at(tally, codes == _FAILS_REPLAY,
+    sweep.fail_at(tally, codes > _REPLAYS,
                   lambda k, r, m: f"{sweep.relations[r]} witness ({_MODES[m]}) fails to replay")
 
 
@@ -906,10 +911,12 @@ def _txp_verdicts(geometry, sweep: _GreensSweep) -> np.ndarray:
 def _txp_specialization(entry, tally, sweep):
     specialized = _txp_verdicts(entry.instance.derived.geometry, sweep)
     oracle, theorem = sweep.codes[..., 0], sweep.codes[..., 1]
+    faulted = sweep.codes.max(axis=2) == _FAULT
     # each (pair, relation) stops at the oracle route when it is capped or
-    # wrong, and reads the theorem route only after it
-    oracle_capped = oracle == _CAPPED
-    oracle_wrong = ~oracle_capped & (specialized != (oracle != _UNRELATED))
+    # wrong (a fault of either route counts as wrong there), and reads the
+    # theorem route only after it
+    oracle_capped = ~faulted & (oracle == _CAPPED)
+    oracle_wrong = faulted | ~oracle_capped & (specialized != (oracle != _UNRELATED))
     theorem_capped = ~(oracle_capped | oracle_wrong) & (theorem == _CAPPED)
     theorem_wrong = (~(oracle_capped | oracle_wrong | theorem_capped)
                      & (specialized != (theorem != _UNRELATED)))

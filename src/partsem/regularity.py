@@ -155,16 +155,18 @@ def regular_character_witnesses(f: FiniteMap, inst: Instance) -> tuple[FiniteMap
 
 
 def _member_inner_inverse(
-    f: FiniteMap, images: tuple[int, ...], a: int, inst: Instance
-) -> int | None:
-    """The position of the member g with these images when f*g*f = f and g
-    has character position a, read on image tuples; else None."""
+    f: FiniteMap, alpha: FiniteMap, images: tuple, a: int, inst: Instance, kind: str, unit: bool
+) -> FiniteMap:
+    """The member g with these images, the ``kind`` built for f and alpha,
+    once f*g*f = f, g has character position a and ``unit`` holds, read on
+    image tuples; else ``InternalError``.  Both inverse builders' validation."""
     d = inst.derived
     gk = d.index.get(images)
     t = f.images
-    if gk is None or d.char_ids[gk] != a or any(t[images[y]] != y for y in t):
-        return None
-    return gk
+    if not unit or gk is None or d.char_ids[gk] != a or any(t[images[y]] != y for y in t):
+        g = FiniteMap(len(t), len(t), images)
+        raise InternalError(f"the {kind} {g} built for {f} and {alpha} fails validation")
+    return d.members[gk]
 
 
 def build_inner_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> FiniteMap:
@@ -178,11 +180,7 @@ def build_inner_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finit
     _, a = _witness_position(f, alpha, inst, units=False)
     p = inst.partition
     images = _least_lift(alpha.images, p, f.images, range(p.n))
-    gk = _member_inner_inverse(f, images, a, inst)
-    if gk is None:
-        g = FiniteMap(p.n, p.n, images)
-        raise InternalError(f"the inner inverse {g} built for {f} and {alpha} fails validation")
-    return inst.derived.members[gk]
+    return _member_inner_inverse(f, alpha, images, a, inst, "inner inverse", True)
 
 
 def _each_has_inner_inverse(table: np.ndarray, candidates: np.ndarray) -> bool:

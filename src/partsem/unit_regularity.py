@@ -10,7 +10,7 @@ carried by order-preserving bijections.
 
 from __future__ import annotations
 
-from .errors import InternalError, InvalidArgumentError, PreconditionError
+from .errors import InvalidArgumentError, PreconditionError
 from .finite_maps import (
     FiniteMap,
     compose,
@@ -95,15 +95,8 @@ def build_unit_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finite
                 images[x] = y
     images = tuple(images)
     inverse = {y: x for x, y in enumerate(images)}
-    uk = _member_inner_inverse(f, images, a, inst)
-    if (
-        uk is None
-        or len(inverse) != p.n
-        or tuple(map(inverse.get, range(p.n))) not in inst.derived.index
-    ):
-        g = FiniteMap(p.n, p.n, images)
-        raise InternalError(f"the unit inverse {g} built for {f} and {alpha} fails validation")
-    return inst.derived.members[uk]
+    unit = len(inverse) == p.n and tuple(map(inverse.get, range(p.n))) in inst.derived.index
+    return _member_inner_inverse(f, alpha, images, a, inst, "unit inverse", unit)
 
 
 def is_unit_regular_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:

@@ -175,6 +175,21 @@ class TestExitCodes:
 
 
 class TestOutputs:
+    def test_verify_reports_a_criterion_fault_as_failing_records(self, capsys, monkeypatch):
+        """The L criterion spoiled to let every candidate pass: its builder's
+        validation fails, and ``verify`` still prints every record, says so
+        on standard error and exits 1."""
+        monkeypatch.setattr(partsem.greens, "_blocks_fit", lambda bf, bg, alpha: True)
+        assert run_command(["verify", "--max-n", "3", "--seed", "7", "--format", "machine"]) == 1
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert len(records) == 893
+        failing = [r for r in records if r["verdict"] == "fail"]
+        assert {r["suite"] for r in failing} == {
+            "greens-mode-agreement", "greens-witness-replay", "txp-specialization"}
+        assert failing[0]["counterexample"]["detail"].startswith("L (theorem): the left factor")
+        assert captured.err.startswith("error: ")
+
     def test_check_element_report(self, inst_file, capsys):
         assert run_command(["check-element", inst_file, "--f", "2,3,0,0",
                             "--format", "machine"]) == 0

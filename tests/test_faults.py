@@ -1,0 +1,218 @@
+"""Faults are findings: a criterion or builder fault gives a failing record in
+the suite that meets it, and ``run_all`` returns.
+
+``TestMutantMatrix`` applies each killed mutant of ROADMAP item 1's table
+(mutation analysis: DeMillo, Lipton & Sayward, "Hints on test data
+selection", 1978) and runs the suites that name it on the max_n 3 catalog,
+which kills every row.  ``TestBuilderValidation`` breaks, one at a time, each
+fact the inverse-construction suites once rechecked on every built map, and
+shows that the builder's own validation reports it.
+"""
+
+import pytest
+
+from partsem import build_catalog, greens, harness, regularity, run_all, unit_regularity
+from partsem.regularity import _WitnessPlan
+
+
+@pytest.fixture(scope="module")
+def catalog3():
+    return build_catalog(3, seed=7)
+
+
+# the unmutated functions the mutants below delegate to
+_REAL = {"phi_covers": greens._phi_covers, "match_classes": greens._match_classes,
+         "plan_init": _WitnessPlan.__init__}
+
+
+def _first_failure(report, name):
+    """The first failing record of suite ``name``; asserts that there is one."""
+    failing = [r for r in report.records if r.suite == name and r.failures]
+    assert failing, f"{name} has no failing record"
+    return failing[0]
+
+
+def _chi_idempotent(f, inst):
+    """The idempotency criterion reduced to "chi(f) is idempotent"."""
+    c = inst.derived.char_ids[inst.derived.index[f.images]]
+    return inst.si.table[c, c] == c
+
+
+def _phi_covers_but_the_last_block(f_blockimg, sources, values):
+    return _REAL["phi_covers"](f_blockimg[:-1], sources[:-1], values)
+
+
+class _MeetsEveryBlockFirst:
+    """Per-map meet masks whose first read, f's in ``_match_classes``, says
+    that each kernel class meets every block."""
+
+    def __init__(self, masks):
+        self.masks, self.first = masks, True
+
+    def __getitem__(self, k):
+        if self.first:
+            self.first = False
+            return (-1,) * len(self.masks[k])
+        return self.masks[k]
+
+
+class _Data:
+    def __init__(self, **attrs):
+        self.__dict__.update(attrs)
+
+
+def _match_classes_ignoring_g(data, fk, gk, at, bt, budget):
+    """Class matching without the test on g's side: each class of pi(g)
+    may be paired with any class of pi(f) its blocks allow."""
+    geometry = _Data(meet_masks=_MeetsEveryBlockFirst(data.geometry.meet_masks),
+                     class_meets=data.geometry.class_meets)
+    return _REAL["match_classes"](_Data(geometry=geometry), fk, gk, at, bt, budget)
+
+
+def _unit_plan_ignoring_sizes(self, si, chi, sizes):
+    _REAL["plan_init"](self, si, chi, None if sizes is None else [1] * len(sizes))
+
+
+# row of ROADMAP item 1's table: (object, attribute, mutant, suites that kill it)
+MUTANTS = {
+    "regularity theorem without the merge condition": (
+        regularity, "_merges_onto_a_large_block", lambda inst: False,
+        ["regular-semigroup-equivalence"]),
+    "unit-regularity theorem without the merge condition": (
+        unit_regularity, "_merges_onto_a_large_block", lambda inst: False,
+        ["unit-regular-semigroup-equivalence"]),
+    "idempotency criterion reduced to chi(f) idempotent": (
+        harness, "is_idempotent_characterized", _chi_idempotent, ["idempotent-equivalence"]),
+    "_txp_l_one_sided always true": (
+        greens, "_txp_l_one_sided", lambda bf, bg: True, ["txp-specialization"]),
+    "_txp_d_check true whenever the class counts match": (
+        greens, "_txp_d_check",
+        lambda geometry, a, b: len(geometry.meet_masks[a]) == len(geometry.meet_masks[b]),
+        ["txp-specialization"]),
+    "unit witness plan ignores block sizes": (
+        _WitnessPlan, "__init__", _unit_plan_ignoring_sizes,
+        ["unit-regular-element-equivalence", "unit-inverse-construction"]),
+    "L criterion: _blocks_fit always true": (
+        greens, "_blocks_fit", lambda bf, bg, alpha: True,
+        ["greens-mode-agreement", "greens-witness-replay", "txp-specialization"]),
+    "J criterion: _phi_covers ignores the last block": (
+        greens, "_phi_covers", _phi_covers_but_the_last_block,
+        ["greens-mode-agreement", "greens-witness-replay", "txp-specialization"]),
+    "regular witness plan: every group passes": (
+        _WitnessPlan, "passing", lambda self, geometry, k, keys: [True] * len(keys),
+        ["inner-inverse-construction"]),
+    "D criterion: class matching ignores g's side": (
+        greens, "_match_classes", _match_classes_ignoring_g,
+        ["greens-mode-agreement", "greens-witness-replay", "txp-specialization"]),
+}
+
+# the rows that aborted the run before a builder's InternalError was a
+# failing record, with the start of the fault each one reports
+ABORTED = {
+    "L criterion: _blocks_fit always true": "L (theorem): the left factor",
+    "J criterion: _phi_covers ignores the last block": "J (theorem): the J factors",
+    "regular witness plan: every group passes": "the inner inverse",
+    "D criterion: class matching ignores g's side": "D (theorem): the left factor",
+}
+
+
+class TestMutantMatrix:
+    @pytest.mark.parametrize("row", MUTANTS)
+    def test_each_killed_row_fails_its_suites_without_aborting(self, row, catalog3, monkeypatch):
+        owner, name, mutant, suites = MUTANTS[row]
+        monkeypatch.setattr(owner, name, mutant)
+        report = run_all(catalog3, suites)
+        for suite in suites:
+            _first_failure(report, suite)
+        if row in ABORTED:
+            details = [r.counterexample["detail"] for r in report.records if r.failures]
+            assert any(d.startswith(ABORTED[row]) for d in details), details
+
+
+def _not_a_member(inst, f, built):
+    """The built map left out of the member index, unless it is f."""
+    index = inst.derived.index
+    k = index.pop(built.images) if built is not f else None
+    return lambda: k is None or index.__setitem__(built.images, k)
+
+
+def _wrong_character(inst, f, built):
+    """The built map's enumerated character spoiled, unless it is f."""
+    char_ids, k = inst.derived.char_ids, inst.derived.index[built.images]
+    c = char_ids[k]
+    if built is not f:
+        char_ids[k] = -1
+    return lambda: char_ids.__setitem__(k, c)
+
+
+def _inverse_not_a_member(inst, f, built):
+    """The built unit's inverse left out of the member index, unless it is
+    f or the unit itself: the unit is then no unit of the member set."""
+    inverse = tuple(built.images.index(x) for x in range(len(built.images)))
+    index = inst.derived.index
+    k = index.pop(inverse) if inverse not in (f.images, built.images) else None
+    return lambda: k is None or index.__setitem__(inverse, k)
+
+
+def _image_point_moved(module):
+    """The builder's validation in ``module`` handed the built map with its
+    value at the first image point of f, in a block of two or more points,
+    moved to the next point of that block: still a member with character
+    alpha, so only f*g*f = f can fail."""
+    def spoil(inst, f, built):
+        real, p = module._member_inner_inverse, inst.partition
+
+        def validate(f, alpha, images, *args):
+            images = list(images)
+            for x in sorted(set(f.images)):
+                block = p.blocks[p.block_of(images[x])]
+                if len(block) > 1:
+                    images[x] = block[(block.index(images[x]) + 1) % len(block)]
+                    break
+            return real(f, alpha, tuple(images), *args)
+
+        module._member_inner_inverse = validate
+        return lambda: setattr(module, "_member_inner_inverse", real)
+
+    return spoil
+
+
+# fact the deleted recheck tested: (suite, builder, spoil that breaks that fact alone)
+FACTS = {
+    "inner: a member": ("inner-inverse-construction", "build_inner_inverse", _not_a_member),
+    "inner: character alpha": (
+        "inner-inverse-construction", "build_inner_inverse", _wrong_character),
+    "inner: f*g*f = f": (
+        "inner-inverse-construction", "build_inner_inverse", _image_point_moved(regularity)),
+    "unit: a member": ("unit-inverse-construction", "build_unit_inverse", _not_a_member),
+    "unit: character alpha": (
+        "unit-inverse-construction", "build_unit_inverse", _wrong_character),
+    "unit: f*u*f = f": (
+        "unit-inverse-construction", "build_unit_inverse", _image_point_moved(unit_regularity)),
+    "unit: a unit": ("unit-inverse-construction", "build_unit_inverse", _inverse_not_a_member),
+}
+
+
+class TestBuilderValidation:
+    """Each build runs twice: unspoiled, then with one fact of the built map
+    broken (the derived data or the map its validation is handed), undone
+    after.  A spoil of the member index or the characters leaves f's own
+    entries alone: they must hold for the build to start."""
+
+    @pytest.mark.parametrize("fact", FACTS)
+    def test_each_fact_the_recheck_tested_fails_the_suite(self, fact, catalog3, monkeypatch):
+        suite, name, spoil = FACTS[fact]
+        real = getattr(harness, name)
+
+        def build(f, alpha, inst):
+            undo = spoil(inst, f, real(f, alpha, inst))
+            try:
+                return real(f, alpha, inst)
+            finally:
+                undo()
+
+        monkeypatch.setattr(harness, name, build)
+        report = run_all(catalog3, [suite])
+        first = _first_failure(report, suite).counterexample
+        assert first["detail"].endswith("fails validation")
+        assert set(first) == {"instance", "detail", "f", "alpha"}

@@ -1,9 +1,12 @@
 import copy
 import dataclasses
+import gc
 import inspect
 import itertools
 import random
+import re
 import types
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -37,6 +40,7 @@ from partsem import (
     preserves_partition,
     principal_leq_oracle,
     r_related,
+    run_all,
     txp_green,
     verify_witness,
 )
@@ -123,6 +127,37 @@ class TestLRelated:
                 assert (o is None) == (t is None)
                 if o is not None:
                     assert verify_witness(o, f, g) and verify_witness(t, f, g)
+
+
+class TestGreensDataLifetime:
+    def test_derived_data_dies_with_its_instance_without_the_cyclic_gc(self):
+        """The Green's data keeps no reference back to its instance, so
+        reference counting alone frees the derived data that keeps it."""
+        inst = Instance(Partition.of([[0, 1], [2]]), IndexSemigroup.full(2))
+        f = enumerate_elements(inst)[1]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert l_related(f, f, inst) is not None
+            derived = weakref.ref(inst.derived)
+            assert derived().greens is not None
+            del inst, f
+            assert derived() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("outside", [fm([0, 2, 0]), FiniteMap(3, 4, (0, 1, 0))],
+                             ids=["not preserving", "wider codomain"])
+    def test_a_non_member_is_refused_as_require_member_refuses_it(self, outside):
+        inst = Instance(Partition.of([[0, 1], [2]]), IndexSemigroup.full(2))
+        f = enumerate_elements(inst)[1]
+        message = f"{outside} is not a member of {inst!r}"
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            ensemble.require_member(outside, inst)
+        for checker in greens_checkers().values():
+            with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+                checker(outside, f, inst)
 
 
 class TestOneSidedCaps:
@@ -346,6 +381,55 @@ class TestBuildersValidateOnTheTable:
         del inst.derived.index[(1, 0, 0, 0)]
         with pytest.raises(InternalError, match="middle element .* fails validation"):
             d_related(f, g, inst, mode="theorem")
+
+    @staticmethod
+    def _no_r_divisor(data, g, middle):
+        """chi(g) left with no right divisor reaching the middle's character."""
+        cg, cm = (data.char_ids[data.index[t]] for t in (g.images, middle))
+        data.si_facts.right[cg * data.si_facts.size + cm] = ()
+
+    @staticmethod
+    def _middle_kernel(data, g, middle):
+        """The middle's entry in the member index moved to a member with its
+        character and a kernel other than g's."""
+        chars, kernels, mk = data.char_ids, data.geometry.kernels, data.index[middle]
+        data.index[middle] = next(k for k, kernel in enumerate(kernels) if chars[k] == chars[mk]
+                                  and kernel != kernels[data.index[g.images]])
+
+    @pytest.mark.parametrize("spoil,message", [
+        ("_no_r_divisor", "R-divisibility promised by the search but not found"),
+        ("_middle_kernel", r"the middle element \[0,0,0\] does not share the kernel of \[1,0,0\]"),
+    ])
+    def test_d_theorem_route_checks_its_middle(self, spoil, message, monkeypatch):
+        """Each raise site of the D theorem route, met by a spoil of the
+        Green's data; the same spoil in a run is the fault of the pair's D
+        theorem call in the entry's Green's sweep, and gives a failing
+        greens-mode-agreement record, not an abort."""
+        spoil = getattr(self, spoil)
+        p = Partition.of([[0, 1], [2]])
+        inst = Instance(p, IndexSemigroup.full(2))
+        f, g, middle = fm([0, 1, 0]), fm([1, 0, 0]), (0, 1, 1)
+        assert d_related(f, g, inst, mode="theorem").factor("middle").images == middle
+        spoil(_greens_data(inst), g, middle)
+        with pytest.raises(InternalError, match=message):
+            d_related(f, g, inst, mode="theorem")
+
+        real = greens._GreensData.__init__
+
+        def spoiled(data, inst):
+            real(data, inst)
+            spoil(data, g, middle)
+
+        monkeypatch.setattr(greens._GreensData, "__init__", spoiled)
+        entry = harness.CatalogEntry(Instance(p, IndexSemigroup.full(2)), "n3:[0,1][2]", "full")
+        catalog = harness.Catalog(3, 7, (entry,))
+        [record] = run_all(catalog, ["greens-mode-agreement"]).records
+        assert record.failures > 0
+        sweep = harness._GreensSweep(entry, catalog)
+        images = [m.images for m in sweep.members]
+        k = sweep.pairs.tolist().index([images.index(f.images), images.index(g.images)])
+        assert sweep.codes[k, sweep.relations.index("D"), 1] == harness._FAULT
+        assert sweep.fault is not None
 
 
 class TestJRelated:
@@ -754,8 +838,8 @@ class _Unread:
 
 
 # what the searches may read of the Green's data besides the geometry: the
-# instance (for its partition), the characters and the index semigroup
-_SEARCH_READS = {"inst", "char_ids", "si_elements", "si_imgs", "si_table",
+# partition, the characters and the index semigroup
+_SEARCH_READS = {"partition", "char_ids", "si_elements", "si_imgs", "si_table",
                  "si_l_below", "si_r_below", "si_facts"}
 
 

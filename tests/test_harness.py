@@ -734,7 +734,7 @@ class TestGreensSweep:
 
         def data_init(self, inst):
             real_data(self, inst)
-            made.append(self)
+            made.append((self, inst))
 
         def then_eggbox(entry, sweep):
             record = last(entry, sweep)
@@ -748,9 +748,9 @@ class TestGreensSweep:
         assert run_all(catalog).failures == 0
         instances = [e.instance for e in catalog.entries if e.instance.si.has_identity]
         assert len(made) == len(instances)
-        assert all(data.inst is inst for data, inst in zip(made, instances))
+        assert all(seen is inst for (_, seen), inst in zip(made, instances))
         expected = Counter()
-        for data in made:
+        for data, _ in made:
             expected[id(data.l_below)] += 1
             expected[id(data.r_below)] += 1
         assert set(expected.values()) == {1}

@@ -343,7 +343,7 @@ class _TupleSearches:
     def __init__(self, data, match_classes):
         self.data = data
         self.match_classes = match_classes
-        self.deg = data.inst.si.degree
+        self.deg = data.partition.degree
 
     def fm(self, images):
         return FiniteMap(self.deg, self.deg, images)
@@ -379,7 +379,7 @@ class _TupleSearches:
         if len(data.geometry.kernels[fk]) != len(data.geometry.kernels[gk]):
             return None
         chi_f = data.geometry.chars[fk]
-        cg = data.inst.si.index[data.geometry.chars[gk]]
+        cg = data.si_imgs.index(data.geometry.chars[gk])
         budget = [cap]
         for ck, ct in enumerate(data.si_imgs):
             if not (data.si_r_below[ck, cg] and data.si_r_below[cg, ck]):
@@ -408,7 +408,7 @@ class _TupleSearches:
 
     def j_one_sided(self, fk, gk, budget):
         data, deg = self.data, self.deg
-        p = data.inst.partition
+        p = data.partition
         chi_f, chi_g = data.geometry.chars[fk], data.geometry.chars[gk]
         g_imgs = data.imgs[gk]
         dom = sorted(set(g_imgs))
