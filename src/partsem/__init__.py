@@ -87,6 +87,7 @@ from .greens import (
     r_related,
     txp_green,
     verify_witness,
+    witness_maps,
 )
 from .harness import (
     Catalog,

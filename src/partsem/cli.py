@@ -147,16 +147,17 @@ class _Output:
             sys.stdout.write(text)
 
 
-def _witness_payload(w: greens.GreenWitness) -> dict:
-    payload: dict = {"relation": w.relation}
-    if w.index_maps:
-        payload["index_maps"] = {k: list(v.images) for k, v in w.index_maps}
-    if w.factors:
-        payload["factors"] = {k: list(v.images) for k, v in w.factors}
-    if w.class_pairing is not None:
-        payload["class_pairing"] = [[list(a), list(b)] for a, b in w.class_pairing]
-    if w.image_maps:
-        payload["image_maps"] = {k: list(v.images) for k, v in w.image_maps}
+def _witness_payload(w: greens.GreenWitness, f: FiniteMap, g: FiniteMap, p: Partition) -> dict:
+    index_maps, pairing, image_maps = greens.witness_maps(w, f, g, p)
+    payload: dict = {
+        "relation": w.relation,
+        "index_maps": {k: list(v.images) for k, v in index_maps.items()},
+        "factors": {k: list(v.images) for k, v in w.factors},
+    }
+    if pairing is not None:
+        payload["class_pairing"] = [[list(a), list(b)] for a, b in pairing]
+    if image_maps:
+        payload["image_maps"] = {k: list(v.images) for k, v in image_maps.items()}
     return payload
 
 
@@ -315,7 +316,7 @@ def _cmd_greens(args) -> int:
         }
         for mode, w in results.items():
             if w is not None:
-                payload[f"witness_{mode}"] = _witness_payload(w)
+                payload[f"witness_{mode}"] = _witness_payload(w, f, g, inst.partition)
         out.emit(json.dumps(payload, sort_keys=True))
     else:
         for mode, w in results.items():

@@ -8,11 +8,14 @@ delta) at the positions of chi(f) and chi(g) from the per-instance memo of
 index-semigroup facts (``_IndexFacts``: left and right divisors, R-classes
 and J alphas, each read from the index table once, on first ask), and
 searches the block geometry for the class bijections and image maps
-demanded by the structural criteria.  The searches hand index positions to
-the builders, and a witness's index maps are taken from them only when it
-is assembled.  Both routes produce
-replayable witnesses: factor transformations whose composites reproduce the
-claimed ideal memberships.  Each theorem search reads of the members only
+demanded by the structural criteria, handing index positions to the
+builders.  Both routes produce replayable witnesses: a witness is its
+relation and its factor transformations, whose composites reproduce the
+claimed ideal memberships.  The maps the criteria name besides the factors
+(the index maps, the D class pairing, the J image maps) are functions of
+the factors and the pair, read off them in one place (``witness_maps``,
+with ``_INDEX_MAPS`` naming the factor of each index map) only where they
+are shown.  Each theorem search reads of the members only
 their characters and the geometry lists ``_THEOREM_READS`` names, and each
 oracle verdict depends on them only through their L- and R-classes (the
 oracles read the class quotient), so a caller deciding many pairs (the
@@ -20,10 +23,9 @@ harness's Green's sweep) may take one verdict per pair of those keys where
 it is unrelated.  Each relation has one position core
 (``_one_sided_witness``, ``_d_witness``, ``_j_witness``): it takes member
 positions, runs the search of its mode and every validation of the
-builders, and returns a ``GreenWitness`` of the instance's own members and
-index elements; ``l_related`` to ``j_related`` share one front end
-(``_related``) that finds f and g (by identity when they are the
-instance's own member maps, else by lookup) and calls the core.  Each
+builders, and returns a ``GreenWitness`` of the instance's own members;
+``l_related`` to ``j_related`` share one front end (``_related``) that
+looks f and g up (``require_member``) and calls the core.  Each
 relation's factor equations have one home (``_EQUATIONS``), read by one
 replay, ``verify_witness``: it composes the image tuples of the witness's
 maps, checking each composition's sizes as ``compose`` does, recomputes
@@ -51,7 +53,6 @@ All operations here require the identity character in the index semigroup.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Literal
@@ -73,29 +74,22 @@ ClassPairing = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 @dataclass(frozen=True)
 class GreenWitness:
-    """Replayable evidence for one relation verdict.
+    """Replayable evidence for one relation verdict: the relation and its factors.
 
     ``factors`` hold the transformations that realize the ideal memberships:
     for L, ``fg`` satisfies f = fg * g; for R, f = g * fg; for J, the pair
     ``fg1``/``fg2`` satisfies f = fg1 * g * fg2 (and symmetrically for the
     ``gf`` names).  A D witness carries the middle element plus the four
-    one-sided factors tying f to it and it to g.
+    one-sided factors tying f to it and it to g.  The index maps, class
+    pairing and image maps of the criteria are read off the factors by
+    ``witness_maps``.
     """
 
     relation: str
-    index_maps: tuple[tuple[str, FiniteMap], ...] = ()
     factors: tuple[tuple[str, FiniteMap], ...] = ()
-    class_pairing: ClassPairing | None = None
-    image_maps: tuple[tuple[str, FiniteMap], ...] = ()
 
     def factor(self, name: str) -> FiniteMap:
         return dict(self.factors)[name]
-
-    def index_map(self, name: str) -> FiniteMap:
-        return dict(self.index_maps)[name]
-
-    def image_map(self, name: str) -> FiniteMap:
-        return dict(self.image_maps)[name]
 
 
 # Each relation's factor equations, the one home of the replay: pairs
@@ -147,6 +141,48 @@ def verify_witness(w: GreenWitness, f: FiniteMap, g: FiniteMap) -> bool:
     except KeyError:
         return False
     return True
+
+
+# Each relation's index maps, each the character of the factor named beside it.
+_INDEX_MAPS: dict[str, tuple[tuple[str, str], ...]] = {
+    "L": (("alpha", "fg"), ("beta", "gf")),
+    "R": (("beta_fg", "fg"), ("beta_gf", "gf")),
+    "D": (("alpha", "l_fm"), ("beta", "l_mf"), ("gamma", "middle")),
+    "J": (("alpha", "fg1"), ("beta", "fg2"), ("gamma", "gf1"), ("delta", "gf2")),
+}
+
+
+def witness_maps(
+    w: GreenWitness, f: FiniteMap, g: FiniteMap, p: Partition
+) -> tuple[dict[str, FiniteMap], ClassPairing | None, dict[str, FiniteMap]]:
+    """The index maps, the D class pairing and the J image maps of a witness
+    on the pair f, g of an instance with partition p, read off its factors.
+
+    An index map is the character of the factor ``_INDEX_MAPS`` names; the D
+    pairing matches each kernel class of f with the class of the middle
+    element where the middle takes f's value (None for L, R and J); phi is
+    fg2 on the sorted image of g and psi is gf2 on that of f (empty but for
+    J).  Only image tuples and the partition are read.  The witness must
+    replay: then the middle takes f's values, each on one of its classes,
+    and J-related maps have equal rank, so the maps are well defined.
+    """
+    if not verify_witness(w, f, g):
+        raise InvalidArgumentError(f"the {w.relation} witness does not replay on {f} and {g}")
+    factors = dict(w.factors)
+    index_maps = {
+        name: FiniteMap(p.degree, p.degree,
+                        tuple(p.block_of(factors[factor].images[b[0]]) for b in p.blocks))
+        for name, factor in _INDEX_MAPS[w.relation]
+    }
+    pairing, image_maps = None, {}
+    if w.relation == "D":
+        middle = _fibers(factors["middle"].images)
+        pairing = tuple((tuple(c), tuple(middle[v])) for v, c in _fibers(f.images).items())
+    if w.relation == "J":
+        for name, factor, target in (("phi", "fg2", g), ("psi", "gf2", f)):
+            dom, h = sorted(set(target.images)), factors[factor].images
+            image_maps[name] = FiniteMap(len(dom), p.n, tuple(h[x] for x in dom))
+    return index_maps, pairing, image_maps
 
 
 def _preorders(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,11 +271,7 @@ class _GreensData:
         if not inst.si.has_identity:
             raise PreconditionError("Green's relations need the identity character")
         self.partition, self.index = inst.partition, inst.derived.index
-        self._inst = weakref.ref(inst)  # weak: the instance keeps this data
         self.members = enumerate_elements(inst)
-        # id -> position of each member map; the members live as long as
-        # this data, so no other live object shares one of these ids
-        self._positions = {id(m): k for k, m in enumerate(self.members)}
         self.geometry = inst.derived.geometry
         self.imgs = self.geometry.images
         self.table = inst.derived.table
@@ -282,16 +314,6 @@ class _GreensData:
         r_of, _, h_first, _, l_first = self.classes
         return l_first[(np.array(h_first) >= 0).argmax(axis=1)][r_of].tolist()
 
-    def member_id(self, f: FiniteMap) -> int:
-        """The position of f: found by identity for the instance's own
-        member maps, else looked up (and refused when not a member)."""
-        k = self._positions.get(id(f))
-        return require_member(f, self._inst()) if k is None else k
-
-    def char_of(self, k: int) -> FiniteMap:
-        """The character of member k, as the index semigroup's element."""
-        return self.si_elements[self.char_ids[k]]
-
 
 def _greens_data(inst: Instance) -> _GreensData:
     """The instance's Green's data, built on first use and kept with the instance."""
@@ -309,7 +331,7 @@ def principal_leq_oracle(rel: Relation, f: FiniteMap, g: FiniteMap, inst: Instan
     search reads at most one row and one column of the product table.
     """
     data = _greens_data(inst)
-    found = _first_factor(data, rel, data.member_id(f), data.member_id(g))
+    found = _first_factor(data, rel, require_member(f, inst), require_member(g, inst))
     if found is None:
         return None
     if rel == "J":
@@ -381,7 +403,7 @@ def _related(
     if cap < 0:
         raise InvalidArgumentError(f"cap must be non-negative, got {cap}")
     data = _greens_data(inst)
-    fk, gk = data.member_id(f), data.member_id(g)
+    fk, gk = require_member(f, inst), require_member(g, inst)
     if rel == "D":
         return _d_witness(data, mode, fk, gk, cap)
     if rel == "J":
@@ -413,12 +435,7 @@ def _one_sided_witness(
         # each builder checks that its factor's character is the one it was given
         build = _left_factor if rel == "L" else _right_factor
         h_fg, h_gf = build(data, fk, gk, a), build(data, gk, fk, b)
-    names = ("alpha", "beta") if rel == "L" else ("beta_fg", "beta_gf")
-    return GreenWitness(
-        relation=rel,
-        index_maps=((names[0], data.char_of(h_fg)), (names[1], data.char_of(h_gf))),
-        factors=(("fg", data.members[h_fg]), ("gf", data.members[h_gf])),
-    )
+    return GreenWitness(rel, (("fg", data.members[h_fg]), ("gf", data.members[h_gf])))
 
 
 def l_related(
@@ -436,7 +453,7 @@ def build_left_factor(
 ) -> FiniteMap:
     """The h with f = h*g and character alpha, choosing least solutions."""
     data = _greens_data(inst)
-    fk, gk = data.member_id(f), data.member_id(g)
+    fk, gk = require_member(f, inst), require_member(g, inst)
     a = inst.si.position(alpha)
     if a is None:
         raise PreconditionError(f"{alpha} is not in the index semigroup")
@@ -505,7 +522,7 @@ def build_right_factor(
 ) -> FiniteMap:
     """The h with f = g*h and character beta, using least preimages."""
     data = _greens_data(inst)
-    fk, gk = data.member_id(f), data.member_id(g)
+    fk, gk = require_member(f, inst), require_member(g, inst)
     b = inst.si.position(beta)
     if b is None:
         raise PreconditionError(f"{beta} is not in the index semigroup")
@@ -615,14 +632,6 @@ def _d_theorem_search(
     return None
 
 
-def _oracle_d_pairing(data: _GreensData, fk: int, mk: int) -> ClassPairing:
-    """Pair each kernel class of f with the class of the middle sharing its value."""
-    f_imgs = data.imgs[fk]
-    m_imgs = data.imgs[mk]
-    by_value = {m_imgs[c[0]]: c for c in data.geometry.kernels[mk]}
-    return tuple((c, by_value[f_imgs[c[0]]]) for c in data.geometry.kernels[fk])
-
-
 def d_related(
     f: FiniteMap,
     g: FiniteMap,
@@ -644,43 +653,25 @@ def _d_witness(
         mk = h_first[r_of[gk]][l_of[fk]]
         if mk < 0:
             return None
-        return GreenWitness(
-            relation="D",
-            index_maps=(("gamma", data.char_of(mk)),),
-            factors=(
-                ("middle", data.members[mk]),
-                ("l_fm", data.members[_first_factor(data, "L", fk, mk)]),
-                ("l_mf", data.members[_first_factor(data, "L", mk, fk)]),
-                ("r_mg", data.members[_first_factor(data, "R", mk, gk)]),
-                ("r_gm", data.members[_first_factor(data, "R", gk, mk)]),
-            ),
-            class_pairing=_oracle_d_pairing(data, fk, mk),
-        )
-    found = _d_theorem_search(data, fk, gk, cap)
-    if found is None:
-        return None
-    a, b, c, matched = found
-    kernels = data.geometry.kernels
-    pairing = tuple((kernels[fk][mk], kernels[gk][nk]) for mk, nk in enumerate(matched))
-    mk = _d_middle(data, fk, gk, c, pairing)
-    # gamma R chi(g), and gamma is the middle's character: each divides the other
-    u = data.si_facts.right_divisors(data.char_ids[gk], data.char_ids[mk])
-    v = data.si_facts.right_divisors(data.char_ids[mk], data.char_ids[gk])
-    if not (u and v):
-        raise InternalError("R-divisibility promised by the search but not found")
-    members, elements = data.members, data.si_elements
-    return GreenWitness(
-        relation="D",
-        index_maps=(("alpha", elements[a]), ("beta", elements[b]), ("gamma", elements[c])),
-        factors=(
-            ("middle", members[mk]),
-            ("l_fm", members[_left_factor(data, fk, mk, a)]),
-            ("l_mf", members[_left_factor(data, mk, fk, b)]),
-            ("r_mg", members[_right_factor(data, mk, gk, u[0])]),
-            ("r_gm", members[_right_factor(data, gk, mk, v[0])]),
-        ),
-        class_pairing=pairing,
-    )
+        legs = (_first_factor(data, "L", fk, mk), _first_factor(data, "L", mk, fk),
+                _first_factor(data, "R", mk, gk), _first_factor(data, "R", gk, mk))
+    else:
+        found = _d_theorem_search(data, fk, gk, cap)
+        if found is None:
+            return None
+        a, b, c, matched = found
+        kernels = data.geometry.kernels
+        pairing = tuple((kernels[fk][mk], kernels[gk][nk]) for mk, nk in enumerate(matched))
+        mk = _d_middle(data, fk, gk, c, pairing)
+        # gamma R chi(g), and gamma is the middle's character: each divides the other
+        u = data.si_facts.right_divisors(data.char_ids[gk], data.char_ids[mk])
+        v = data.si_facts.right_divisors(data.char_ids[mk], data.char_ids[gk])
+        if not (u and v):
+            raise InternalError("R-divisibility promised by the search but not found")
+        legs = (_left_factor(data, fk, mk, a), _left_factor(data, mk, fk, b),
+                _right_factor(data, mk, gk, u[0]), _right_factor(data, gk, mk, v[0]))
+    names = ("middle", "l_fm", "l_mf", "r_mg", "r_gm")
+    return GreenWitness("D", tuple(zip(names, (data.members[k] for k in (mk, *legs)))))
 
 
 def build_d_middle(
@@ -692,7 +683,7 @@ def build_d_middle(
 ) -> FiniteMap:
     """The middle element: constant on pi(g)-classes, valued by the paired f-class."""
     data = _greens_data(inst)
-    fk, gk = data.member_id(f), data.member_id(g)
+    fk, gk = require_member(f, inst), require_member(g, inst)
     kernels = data.geometry.kernels
     if tuple(sorted(m for m, _ in phi)) != tuple(sorted(kernels[fk])) or tuple(
         sorted(n for _, n in phi)
@@ -741,12 +732,12 @@ def _d_middle(
 
 def _j_one_sided_theorem(
     data: _GreensData, fk: int, gk: int, cap: int, budget: list[int]
-) -> tuple[int, int, FiniteMap] | None:
+) -> tuple[int, int, tuple[int, ...]] | None:
     """Search (alpha, beta, phi) making J_f <= J_g per the structural
     criterion, alpha and beta as index positions.
 
-    phi is returned as a map on the sorted image of g.  The image of f lies
-    in (Xg)phi, so a pair with rank f > rank g is answered None at once.
+    phi is returned as its values on the sorted image of g.  The image of f
+    lies in (Xg)phi, so a pair with rank f > rank g is answered None at once.
     Candidate pairs are pruned by the necessary identity chi(f) =
     alpha*chi(g)*beta: an alpha has a beta exactly when chi(f) is R-below
     alpha*chi(g) (the J alphas of the pair of characters), and the betas of
@@ -773,7 +764,7 @@ def _j_one_sided_theorem(
                         f"phi search exceeded the cap of {cap} assignments"
                     )
                 if _phi_covers(f_blockimg, sources, values):
-                    return a, b, FiniteMap(len(dom_blocks), p.n, values)
+                    return a, b, values
     return None
 
 
@@ -813,8 +804,6 @@ def _j_witness(
         if not found:
             return None
         (h1, h2), (k1, k2) = found, _first_factor(data, "J", gk, fk)
-        phi = _image_map_from_factors(data, gk, h1, h2)
-        psi = _image_map_from_factors(data, fk, k1, k2)
     else:
         budget = [cap]
         forward = _j_one_sided_theorem(data, fk, gk, cap, budget)
@@ -823,28 +812,10 @@ def _j_witness(
         backward = _j_one_sided_theorem(data, gk, fk, cap, budget)
         if backward is None:
             return None
-        a, b, phi = forward
-        c, d, psi = backward
-        h1, h2 = _j_factors(data, fk, gk, a, b, phi)
-        k1, k2 = _j_factors(data, gk, fk, c, d, psi)
-    # in theorem mode these characters are the searched alpha to delta, as _j_factors checked
-    members = data.members
-    return GreenWitness(
-        relation="J",
-        index_maps=(
-            ("alpha", data.char_of(h1)),
-            ("beta", data.char_of(h2)),
-            ("gamma", data.char_of(k1)),
-            ("delta", data.char_of(k2)),
-        ),
-        factors=(
-            ("fg1", members[h1]),
-            ("fg2", members[h2]),
-            ("gf1", members[k1]),
-            ("gf2", members[k2]),
-        ),
-        image_maps=(("phi", phi), ("psi", psi)),
-    )
+        h1, h2 = _j_factors(data, fk, gk, *forward)
+        k1, k2 = _j_factors(data, gk, fk, *backward)
+    names = ("fg1", "fg2", "gf1", "gf2")
+    return GreenWitness("J", tuple(zip(names, (data.members[k] for k in (h1, h2, k1, k2)))))
 
 
 def checkers() -> dict[str, Callable[..., GreenWitness | None]]:
@@ -854,21 +825,6 @@ def checkers() -> dict[str, Callable[..., GreenWitness | None]]:
     module attributes afterwards is the checker returned.
     """
     return {"L": l_related, "R": r_related, "D": d_related, "J": j_related}
-
-
-def _image_map_from_factors(data: _GreensData, gk: int, k1: int, k2: int) -> FiniteMap:
-    """Recover the image map on Xg from a factorization f = h1*g*h2, given
-    the member positions gk, k1 and k2 of g, h1 and h2: h2 restricted to Xg.
-
-    Only J-related f and g reach here, and J-related maps have equal rank:
-    rank f <= rank(h1*g) <= rank g = rank f.  The image of h1*g lies in Xg,
-    so it is all of Xg and every point of Xg is pushed through h2.
-    """
-    dom = data.geometry.j_geometry[gk][0]
-    if len(set(data.imgs[data.table[k1, gk]])) != len(dom):
-        raise InternalError(f"h1*g misses a point of the image of {data.members[gk]}")
-    h2 = data.imgs[k2]
-    return FiniteMap(len(dom), data.partition.n, tuple(h2[x] for x in dom))
 
 
 def build_j_factors(
@@ -881,7 +837,7 @@ def build_j_factors(
 ) -> tuple[FiniteMap, FiniteMap]:
     """The pair (h1, h2) with f = h1*g*h2 derived from an image map phi on Xg."""
     data = _greens_data(inst)
-    fk, gk = data.member_id(f), data.member_id(g)
+    fk, gk = require_member(f, inst), require_member(g, inst)
     p = inst.partition
     a, b = inst.si.position(alpha), inst.si.position(beta)
     if a is None or b is None:
@@ -894,18 +850,19 @@ def build_j_factors(
         raise PreconditionError("phi does not cover the block images of f")
     if any(p.block_of(v) != beta.images[c] for v, c in zip(phi.images, dom_blocks)):
         raise PreconditionError("phi is not block-constant toward beta")
-    k1, k2 = _j_factors(data, fk, gk, a, b, phi)
+    k1, k2 = _j_factors(data, fk, gk, a, b, phi.images)
     return data.members[k1], data.members[k2]
 
 
 def _j_factors(
-    data: _GreensData, fk: int, gk: int, a: int, b: int, phi: FiniteMap
+    data: _GreensData, fk: int, gk: int, a: int, b: int, phi: tuple[int, ...]
 ) -> tuple[int, int]:
     """``build_j_factors`` on member positions, its preconditions met, for
-    alpha and beta at index positions a and b."""
+    alpha and beta at index positions a and b and phi's values on the
+    sorted image of g."""
     p = data.partition
     beta = data.si_imgs[b]
-    phi_at = dict(zip(data.geometry.j_geometry[gk][0], phi.images))
+    phi_at = dict(zip(data.geometry.j_geometry[gk][0], phi))
     gphi = [phi_at[v] for v in data.imgs[gk]]
     h1_images = _least_lift(data.si_imgs[a], p, gphi, data.imgs[fk])
     h2_images = tuple(phi_at.get(x, p.blocks[beta[p.block_of(x)]][0]) for x in range(p.n))

@@ -30,8 +30,9 @@ checkers themselves.  The sweep decides its codes when a suite first reads
 them: a one-byte outcome code per pair of its ``pairs``, relation and mode
 (unrelated, capped, replays, fails to replay, or a fault: an
 ``InternalError``).  It calls the public checker on the members' own maps
-(which the checkers find by identity, with no lookup) and replays a found
-witness at once (``greens.verify_witness``, on image tuples).  Each member
+(which the checkers look up in the member index) and replays a found
+witness at once (``greens.verify_witness``, on image tuples): a witness is
+its factors, and the sweep reads nothing else of it.  Each member
 has a key per relation and mode (``_verdict_keys``: the classes the oracle
 reads off the Green's data's class quotient, or the character and the
 geometry lists the theorem search reads), and pairs of members with equal
@@ -40,7 +41,8 @@ group (a capped call or a fault decides nothing) and on every pair of a
 related one.  The three suites read the codes as one array: each counts its
 checks, capped checks and failures (a fault is one) with NumPy and records
 the first failure, row-major, as every suite that tests a mask of member
-pairs does (``_fail_rows``).  The inverse-construction suites count a
+pairs does (``_fail_rows``); a record with failing checks that are faults
+says how many in an observation.  The inverse-construction suites count a
 build's ``InternalError`` as a failure too (``_builds``), so a fault gives
 failing records, not an aborted run.
 The sweep names members by position, so ``txp-specialization`` decides
@@ -690,8 +692,8 @@ class _GreensSweep:
 
     For each pair of ``pairs``, each relation of
     ``greens.checkers()`` and each mode, ``codes[k, r, m]`` keeps only the
-    outcome of the checker on the members' own maps, which it finds by
-    identity; a found witness is replayed at once (``greens.verify_witness``).
+    outcome of the checker on the members' own maps; a found witness is
+    replayed at once (``greens.verify_witness``).
     Pairs are walked in order, and the checker is called on a pair unless
     the pair's key group (``_verdict_keys``) already came out unrelated: such
     a pair is unrelated too.  A capped call or a fault decides nothing for
@@ -754,14 +756,18 @@ class _GreensSweep:
     def fail_at(self, tally: _Tally, hits: np.ndarray, detail: Callable[..., str]) -> None:
         """Count a failure at each index of ``hits`` (its first axis the pair),
         and record the first, row-major: ``detail(*index)`` or, at a fault
-        (each is a hit), the sweep's first fault."""
+        (each is a hit), the sweep's first fault.  The hits with a fault among
+        their codes are counted in an observation."""
         count = int(np.count_nonzero(hits))
         if count:
             index = np.unravel_index(hits.argmax(), hits.shape)
             a, b = self.pairs[index[0]].tolist()
-            faulted = self.codes[index].max() == _FAULT
-            tally.fail(self.fault if faulted else detail(*index), count,
+            faulted = self.codes.reshape(*hits.shape, -1).max(axis=-1) == _FAULT
+            tally.fail(self.fault if faulted[index] else detail(*index), count,
                        f=self.members[a], g=self.members[b])
+            faults = int(np.count_nonzero(hits & faulted))
+            if faults:
+                tally.observations += (f"{faults} failing checks were faults",)
 
 
 def _verdict_keys(data, rel: str, mode: str) -> np.ndarray:
@@ -793,7 +799,7 @@ def _greens_mode_agreement(entry, tally, sweep):
         lambda k, r: f"{sweep.relations[r]}: oracle={related[k, r]} but theorem={not related[k, r]}",
     )
     if tally.capped:
-        tally.observations = (f"{tally.capped} capped checks recorded oracle-only verdicts",)
+        tally.observations += (f"{tally.capped} capped checks recorded oracle-only verdicts",)
 
 
 @_suite("character-descent", _has_identity)

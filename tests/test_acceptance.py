@@ -12,6 +12,7 @@ import pytest
 
 from partsem import SUITES, build_catalog, run_all
 from partsem.harness import Report
+from untimed_digest import untimed_digest
 
 SEED = 7
 
@@ -125,6 +126,13 @@ def test_10_counting(results4):
 def test_11_transversal_lemma(results4):
     _criterion(11, "transversal lemma",
                _suite_failures(results4, "transversal-lemma") == 0)
+
+
+def test_untimed_report_is_pinned(run4):
+    """The max_n=4 report with its timings removed, as a digest: the report
+    ``partsem verify --max-n 4 --seed 7 --format machine`` prints."""
+    report, _ = run4
+    assert untimed_digest(report.to_machine_lines()) == (len(report.records), "e4eae713153abeca")
 
 
 def test_timing_full_catalog_under_ten_minutes(run4):

@@ -6,12 +6,29 @@ the suite that meets it, and ``run_all`` returns.
 selection", 1978) and runs the suites that name it on the max_n 3 catalog,
 which kills every row.  ``TestBuilderValidation`` breaks, one at a time, each
 fact the inverse-construction suites once rechecked on every built map, and
-shows that the builder's own validation reports it.
+shows that the builder's own validation reports it.  ``TestSpoiledGreensData``
+spoils one fact of the Green's data of a 3-point instance and reads the
+checkers and the Green's pair records on it.
 """
 
+import numpy as np
 import pytest
 
-from partsem import build_catalog, greens, harness, regularity, run_all, unit_regularity
+from partsem import (
+    FiniteMap,
+    IndexSemigroup,
+    Instance,
+    Partition,
+    build_catalog,
+    d_related,
+    greens,
+    harness,
+    regularity,
+    run_all,
+    unit_regularity,
+    verify_witness,
+    witness_maps,
+)
 from partsem.regularity import _WitnessPlan
 
 
@@ -216,3 +233,71 @@ class TestBuilderValidation:
         first = _first_failure(report, suite).counterexample
         assert first["detail"].endswith("fails validation")
         assert set(first) == {"instance", "detail", "f", "alpha"}
+
+
+# the instance [[0,1],[2]] with S(I) = T_2, a D-related pair and its middle element
+P3 = Partition.of([[0, 1], [2]])
+F, G, MIDDLE = FiniteMap.of([0, 1, 0]), FiniteMap.of([1, 0, 0]), (0, 1, 1)
+
+
+def _middle_kernel(data):
+    """The middle's kernel classes in the members' geometry spoiled to one class."""
+    data.geometry.kernels[data.index[MIDDLE]] = ((0, 1, 2),)
+
+
+def _no_r_divisor(data):
+    """chi(g) left with no right divisor reaching the middle's character."""
+    cg, cm = (data.char_ids[data.index[t]] for t in (G.images, MIDDLE))
+    data.si_facts.right[cg * data.si_facts.size + cm] = ()
+
+
+class TestSpoiledGreensData:
+    @staticmethod
+    def _run(spoil, names, monkeypatch):
+        """The records of ``names`` on a one-entry catalog whose Green's data
+        is spoiled as it is built, and the entry's sweep on spoiled data."""
+        real = greens._GreensData.__init__
+
+        def spoiled(data, inst):
+            real(data, inst)
+            spoil(data)
+
+        monkeypatch.setattr(greens._GreensData, "__init__", spoiled)
+        entry = harness.CatalogEntry(Instance(P3, IndexSemigroup.full(2)), "n3:[0,1][2]", "full")
+        catalog = harness.Catalog(3, 7, (entry,))
+        report = run_all(catalog, names)
+        return {r.suite: r for r in report.records}, harness._GreensSweep(entry, catalog)
+
+    def test_the_d_oracle_witness_reads_no_kernel_classes(self, monkeypatch):
+        """The D oracle's witness is its factors, and its class pairing is
+        read off them, so a spoiled kernel entry of the middle element in
+        the geometry leaves it whole: it replays, the pairing names g's
+        classes, and a run gives records, not a ``KeyError``."""
+        inst = Instance(P3, IndexSemigroup.full(2))
+        _middle_kernel(greens._greens_data(inst))
+        w = d_related(F, G, inst, mode="oracle")
+        assert w.factor("middle").images == MIDDLE and verify_witness(w, F, G)
+        assert witness_maps(w, F, G, P3)[1] == (((0, 2), (0,)), ((1,), (1, 2)))
+        records, sweep = self._run(_middle_kernel, ["greens-mode-agreement"], monkeypatch)
+        record = records["greens-mode-agreement"]
+        assert record.failures > 0 and record.counterexample is not None
+        k = sweep.pairs.tolist().index([sweep.members.index(F), sweep.members.index(G)])
+        assert sweep.codes[k, sweep.relations.index("D")].tolist() == [
+            harness._REPLAYS, harness._FAULT]
+
+    def test_each_pair_record_counts_its_faults(self, monkeypatch):
+        """With the R divisor the D theorem route needs spoiled, the first
+        failure is an R disagreement, and each record says how many of its
+        failing checks were faults."""
+        names = ["greens-mode-agreement", "greens-witness-replay", "txp-specialization"]
+        records, sweep = self._run(_no_r_divisor, names, monkeypatch)
+        agreement = records["greens-mode-agreement"]
+        assert agreement.counterexample["detail"] == "R: oracle=True but theorem=False"
+        faults = {
+            "greens-mode-agreement": np.count_nonzero(sweep.codes.max(axis=2) == harness._FAULT),
+            "greens-witness-replay": np.count_nonzero(sweep.codes == harness._FAULT),
+        }
+        faults["txp-specialization"] = faults["greens-mode-agreement"]
+        for name in names:
+            assert faults[name] > 0
+            assert records[name].observations == (f"{faults[name]} failing checks were faults",)

@@ -43,13 +43,13 @@ from partsem import (
     run_all,
     txp_green,
     verify_witness,
+    witness_maps,
 )
 from partsem.greens import (
     DEFAULT_PHI_CAP,
     _class_labels,
     _d_theorem_search,
     _greens_data,
-    _image_map_from_factors,
     _j_one_sided_theorem,
     _txp_related,
     checkers as greens_checkers,
@@ -108,9 +108,10 @@ class TestLRelated:
     def test_reflexive_with_identity_decorations(self, inst_full):
         w = l_related(F1, F1, inst_full, mode="theorem")
         assert w is not None
-        assert w.index_map("alpha") == FiniteMap.identity(2)
-        assert w.index_map("beta") == FiniteMap.identity(2)
         assert verify_witness(w, F1, F1)
+        index_maps, pairing, image_maps = witness_maps(w, F1, F1, inst_full.partition)
+        assert index_maps == {"alpha": FiniteMap.identity(2), "beta": FiniteMap.identity(2)}
+        assert pairing is None and image_maps == {}
 
     def test_not_related_when_images_differ(self, inst_full):
         assert l_related(F1, E1, inst_full, mode="oracle") is None
@@ -266,7 +267,10 @@ class TestDRelated:
     def test_oracle_pairing_follows_shared_values(self, inst_full):
         w = d_related(E1, E3, inst_full, mode="oracle")
         m = w.factor("middle")
-        for f_class, g_class in w.class_pairing:
+        _, pairing, _ = witness_maps(w, E1, E3, inst_full.partition)
+        assert [c for c, _ in pairing] == list(kernel_partition(E1).classes)
+        assert sorted(c for _, c in pairing) == sorted(kernel_partition(m).classes)
+        for f_class, g_class in pairing:
             assert E1.images[f_class[0]] == m.images[g_class[0]]
 
     def test_modes_agree_on_all_pairs(self, inst_sym):
@@ -358,19 +362,6 @@ class TestBuildersValidateOnTheTable:
         with pytest.raises(InternalError, match="no factors"):
             j_related(ident, CONST, inst, mode="oracle")
 
-    def test_j_image_map_needs_the_whole_image(self):
-        # f = h1*g*h2 with h1 = h2 = 1 and f = g = F1; a table naming a
-        # lower-rank h1*g breaks the equal-rank invariant of J.
-        inst = self._fresh()
-        data = _greens_data(inst)
-        index, table = inst.derived.index, inst.derived.table
-        gk, ident = index[F1.images], index[FiniteMap.identity(4).images]
-        phi = _image_map_from_factors(data, gk, ident, ident)
-        assert phi.images == tuple(sorted(set(F1.images)))
-        table[ident, gk] = index[CONST.images]
-        with pytest.raises(InternalError, match="misses a point"):
-            _image_map_from_factors(data, gk, ident, ident)
-
     def test_d_middle_of_the_theorem_route(self):
         """The D theorem search promises that its middle element is a member;
         one missing from the member index is an internal fault, not a
@@ -390,15 +381,14 @@ class TestBuildersValidateOnTheTable:
 
     @staticmethod
     def _middle_kernel(data, g, middle):
-        """The middle's entry in the member index moved to a member with its
-        character and a kernel other than g's."""
-        chars, kernels, mk = data.char_ids, data.geometry.kernels, data.index[middle]
-        data.index[middle] = next(k for k, kernel in enumerate(kernels) if chars[k] == chars[mk]
-                                  and kernel != kernels[data.index[g.images]])
+        """The middle's kernel classes in the members' geometry spoiled to one
+        class; the member index, through which the checkers look up the
+        pair, is left alone."""
+        data.geometry.kernels[data.index[middle]] = ((0, 1, 2),)
 
     @pytest.mark.parametrize("spoil,message", [
         ("_no_r_divisor", "R-divisibility promised by the search but not found"),
-        ("_middle_kernel", r"the middle element \[0,0,0\] does not share the kernel of \[1,0,0\]"),
+        ("_middle_kernel", r"the middle element \[0,1,1\] does not share the kernel of \[1,0,0\]"),
     ])
     def test_d_theorem_route_checks_its_middle(self, spoil, message, monkeypatch):
         """Each raise site of the D theorem route, met by a spoil of the
@@ -449,19 +439,6 @@ class TestJRelated:
         assert (o is None) == (t is None)
         if o is not None:
             assert verify_witness(o, E1, E3) and verify_witness(t, E1, E3)
-
-    def test_oracle_witness_image_maps_satisfy_the_criteria(self, inst_full):
-        w = j_related(E1, E3, inst_full, mode="oracle")
-        if w is None:
-            pytest.skip("pair not J-related")
-        p = inst_full.partition
-        phi = w.image_map("phi")
-        dom = sorted(set(E3.images))
-        pos = {v: k for k, v in enumerate(dom)}
-        alpha = w.index_map("alpha")
-        for i, b in enumerate(p.blocks):
-            covered = {phi.images[pos[E3.images[y]]] for y in p.blocks[alpha.images[i]]}
-            assert {E1.images[x] for x in b} <= covered
 
 
 class TestJOracleCap:
@@ -517,6 +494,59 @@ class TestBuildJFactors:
         ident2 = FiniteMap.identity(2)
         with pytest.raises(PreconditionError):
             build_j_factors(F1, E1, ident2, ident2, phi, inst_full)
+
+
+FULL_N3 = [e.instance for e in build_catalog(3, seed=7).entries if e.si_label == "full"]
+
+
+class TestWitnessMaps:
+    """The maps ``witness_maps`` reads off a witness's factors are inputs
+    the paper's constructions take back."""
+
+    @pytest.mark.parametrize("inst", FULL_N3, ids=[repr(i.partition) for i in FULL_N3])
+    def test_every_related_pair_of_the_n3_full_entries(self, inst):
+        members, p = enumerate_elements(inst), inst.partition
+        seen = Counter()
+        for f, g in itertools.product(members, repeat=2):
+            for rel, checker in greens_checkers().items():
+                for mode in ("oracle", "theorem"):
+                    w = checker(f, g, inst, mode=mode)
+                    if w is None:
+                        continue
+                    seen[rel] += 1
+                    maps, pairing, image_maps = witness_maps(w, f, g, p)
+                    assert (pairing is None) == (rel != "D")
+                    assert image_maps.keys() == ({"phi", "psi"} if rel == "J" else set())
+                    if rel == "L":
+                        factors = (("fg", build_left_factor(f, g, maps["alpha"], inst)),
+                                   ("gf", build_left_factor(g, f, maps["beta"], inst)))
+                    elif rel == "R":
+                        factors = (("fg", build_right_factor(f, g, maps["beta_fg"], inst)),
+                                   ("gf", build_right_factor(g, f, maps["beta_gf"], inst)))
+                    elif rel == "D":
+                        middle = build_d_middle(f, g, maps["gamma"], pairing, inst)
+                        assert middle == w.factor("middle"), (rel, mode, f, g)
+                        factors = (("middle", middle),
+                                   ("l_fm", build_left_factor(f, middle, maps["alpha"], inst)),
+                                   ("l_mf", build_left_factor(middle, f, maps["beta"], inst)),
+                                   *((n, h) for n, h in w.factors if n.startswith("r_")))
+                    else:
+                        fg = build_j_factors(f, g, maps["alpha"], maps["beta"],
+                                             image_maps["phi"], inst)
+                        gf = build_j_factors(g, f, maps["gamma"], maps["delta"],
+                                             image_maps["psi"], inst)
+                        factors = tuple(zip(("fg1", "fg2", "gf1", "gf2"), (*fg, *gf)))
+                    assert verify_witness(GreenWitness(rel, factors), f, g), (rel, mode, f, g)
+        assert all(seen[rel] for rel in "LRDJ")
+
+    def test_a_witness_that_does_not_replay_is_refused(self, inst_full):
+        w = d_related(E1, E3, inst_full)
+        p = inst_full.partition
+        assert witness_maps(w, E1, E3, p)[1] is not None
+        with pytest.raises(InvalidArgumentError, match="does not replay"):
+            witness_maps(w, E1, E1, p)
+        with pytest.raises(InvalidArgumentError, match="does not replay"):
+            witness_maps(GreenWitness("J"), E1, E1, p)
 
 
 @pytest.mark.parametrize(

@@ -530,31 +530,35 @@ class TestGreensSweep:
 
         assert _assert_constant_on_key_groups(inst, pairs)
 
-    def test_sweep_looks_up_and_composes_no_map(self, monkeypatch):
-        """The sweep hands the checkers the members' own maps, found by
-        identity, and its replays run on image tuples: no member lookup and
-        no ``compose``.  The public route looks f up once and composes no
-        map either; greens does not import ``compose`` at all."""
+    def test_sweep_composes_no_map(self, monkeypatch):
+        """The sweep's replays run on image tuples: no ``compose``.  Each
+        checker call looks its pair up in the member index, once per map, and
+        composes no map either; greens does not import ``compose`` at all."""
         assert not hasattr(greens, "compose")
         calls = Counter()
 
         def spy(name, real):
-            def counted(*args):
+            def counted(*args, **kwargs):
                 calls[name] += 1
-                return real(*args)
+                return real(*args, **kwargs)
             return counted
 
         monkeypatch.setattr(greens, "require_member", spy("require_member", greens.require_member))
         for module in (finite_maps, harness):
             monkeypatch.setattr(module, "compose", spy("compose", module.compose))
+        checkers = greens.checkers()
+        for name, checker in checkers.items():
+            monkeypatch.setattr(greens, f"{name.lower()}_related", spy("checker", checker))
         catalog = build_catalog(3, seed=7)
         assert run_suite("greens-mode-agreement", catalog).failures == 0
-        assert calls == Counter()
+        assert calls["checker"] > 0
+        assert calls == Counter({"checker": calls["checker"], "require_member": 2 * calls["checker"]})
+        calls.clear()
         inst = next(e.instance for e in catalog.entries if e.instance.si.has_identity)
         f = enumerate_elements(inst)[0]
-        w = greens.l_related(greens.FiniteMap(f.domain_size, f.codomain_size, f.images), f, inst)
+        w = checkers["L"](greens.FiniteMap(f.domain_size, f.codomain_size, f.images), f, inst)
         assert w is not None and greens.verify_witness(w, f, f)
-        assert calls == Counter({"require_member": 1})
+        assert calls == Counter({"require_member": 2})
 
     def test_records_match_the_per_suite_checker_loops(self):
         catalog = build_catalog(3, seed=7)

@@ -436,7 +436,7 @@ class _TupleSearches:
                             ok = False
                             break
                     if ok:
-                        return self.fm(at), self.fm(bt), FiniteMap(len(dom), p.n, values)
+                        return self.fm(at), self.fm(bt), values
         return None
 
 
@@ -610,16 +610,25 @@ class _MapWitnesses:
     """The Green's checkers as they assembled and validated witnesses on
     FiniteMaps: oracle factors mapped back through ``character``, image maps
     recovered with ``compose``, and every built factor checked by composing
-    it.  The theorem-route searches are the library's own."""
+    it.  The theorem-route searches are the library's own.  Each checker
+    returns the witness with the maps it carried then (index maps, D class
+    pairing, J image maps), as ``witness_maps`` returns them."""
 
     def __init__(self, inst):
         self.inst = inst
         self.data = _greens_data(inst)
         self.p = inst.partition
 
+    def ids(self, *maps):
+        return [ensemble.require_member(h, self.inst) for h in maps]
+
+    @staticmethod
+    def witness(rel, factors, index_maps, pairing=None, image_maps=()):
+        return GreenWitness(rel, factors), (dict(index_maps), pairing, dict(image_maps))
+
     def leq(self, rel, f, g):
         data = self.data
-        fk, gk = data.member_id(f), data.member_id(g)
+        fk, gk = self.ids(f, g)
         table = data.table
         if rel == "L":
             found = np.flatnonzero(table[:, gk] == fk)
@@ -640,15 +649,14 @@ class _MapWitnesses:
 
     def l_related(self, f, g, mode, cap):
         data, p = self.data, self.p
-        fk, gk = data.member_id(f), data.member_id(g)
+        fk, gk = self.ids(f, g)
         if mode == "oracle":
             if data.classes[1][fk] != data.classes[1][gk]:
                 return None
             h_fg, h_gf = self.leq("L", f, g), self.leq("L", g, f)
-            return GreenWitness(
-                relation="L",
-                index_maps=(("alpha", character(h_fg, p)), ("beta", character(h_gf, p))),
-                factors=(("fg", h_fg), ("gf", h_gf)),
+            return self.witness(
+                "L", (("fg", h_fg), ("gf", h_gf)),
+                (("alpha", character(h_fg, p)), ("beta", character(h_gf, p))),
             )
         budget = [cap]
         alpha = _as_maps(data, greens._l_one_sided_theorem(data, fk, gk, cap, budget))
@@ -657,10 +665,9 @@ class _MapWitnesses:
         beta = _as_maps(data, greens._l_one_sided_theorem(data, gk, fk, cap, budget))
         if beta is None:
             return None
-        return GreenWitness(
-            relation="L",
-            index_maps=(("alpha", alpha), ("beta", beta)),
-            factors=(("fg", self.left_factor(f, g, alpha)), ("gf", self.left_factor(g, f, beta))),
+        return self.witness(
+            "L", (("fg", self.left_factor(f, g, alpha)), ("gf", self.left_factor(g, f, beta))),
+            (("alpha", alpha), ("beta", beta)),
         )
 
     def left_factor(self, f, g, alpha):
@@ -676,15 +683,14 @@ class _MapWitnesses:
 
     def r_related(self, f, g, mode, cap):
         data, p = self.data, self.p
-        fk, gk = data.member_id(f), data.member_id(g)
+        fk, gk = self.ids(f, g)
         if mode == "oracle":
             if data.classes[0][fk] != data.classes[0][gk]:
                 return None
             h_fg, h_gf = self.leq("R", f, g), self.leq("R", g, f)
-            return GreenWitness(
-                relation="R",
-                index_maps=(("beta_fg", character(h_fg, p)), ("beta_gf", character(h_gf, p))),
-                factors=(("fg", h_fg), ("gf", h_gf)),
+            return self.witness(
+                "R", (("fg", h_fg), ("gf", h_gf)),
+                (("beta_fg", character(h_fg, p)), ("beta_gf", character(h_gf, p))),
             )
         if data.geometry.kernels[fk] != data.geometry.kernels[gk]:
             return None
@@ -695,13 +701,10 @@ class _MapWitnesses:
         beta_gf = _as_maps(data, greens._r_one_sided_theorem(data, gk, fk, cap, budget))
         if beta_gf is None:
             return None
-        return GreenWitness(
-            relation="R",
-            index_maps=(("beta_fg", beta_fg), ("beta_gf", beta_gf)),
-            factors=(
-                ("fg", self.right_factor(f, g, beta_fg)),
-                ("gf", self.right_factor(g, f, beta_gf)),
-            ),
+        return self.witness(
+            "R",
+            (("fg", self.right_factor(f, g, beta_fg)), ("gf", self.right_factor(g, f, beta_gf))),
+            (("beta_fg", beta_fg), ("beta_gf", beta_gf)),
         )
 
     def right_factor(self, f, g, beta):
@@ -722,27 +725,23 @@ class _MapWitnesses:
 
     def d_related(self, f, g, mode, cap):
         data, p = self.data, self.p
-        fk, gk = data.member_id(f), data.member_id(g)
+        fk, gk = self.ids(f, g)
         if mode == "oracle":
             l_eq_f = data.l_below[fk, :] & data.l_below[:, fk]
             r_eq_g = data.r_below[gk, :] & data.r_below[:, gk]
             hits = np.nonzero(l_eq_f & r_eq_g)[0]
             if len(hits) == 0:
                 return None
-            mk = int(hits[0])
-            m = data.members[mk]
-            deg = p.degree
-            return GreenWitness(
-                relation="D",
-                index_maps=(("gamma", FiniteMap(deg, deg, data.geometry.chars[mk])),),
-                factors=(
-                    ("middle", m),
-                    ("l_fm", self.leq("L", f, m)),
-                    ("l_mf", self.leq("L", m, f)),
-                    ("r_mg", self.leq("R", m, g)),
-                    ("r_gm", self.leq("R", g, m)),
-                ),
-                class_pairing=greens._oracle_d_pairing(data, fk, mk),
+            m = data.members[int(hits[0])]
+            l_fm, l_mf = self.leq("L", f, m), self.leq("L", m, f)
+            by_value = {m.images[c[0]]: c for c in kernel_partition(m).classes}
+            return self.witness(
+                "D",
+                (("middle", m), ("l_fm", l_fm), ("l_mf", l_mf),
+                 ("r_mg", self.leq("R", m, g)), ("r_gm", self.leq("R", g, m))),
+                (("alpha", character(l_fm, p)), ("beta", character(l_mf, p)),
+                 ("gamma", character(m, p))),
+                tuple((c, by_value[f.images[c[0]]]) for c in kernel_partition(f).classes),
             )
         found = _as_maps(data, greens._d_theorem_search(data, fk, gk, cap))
         if found is None:
@@ -756,41 +755,32 @@ class _MapWitnesses:
                 images[x] = f.images[m_class[0]]
         m = FiniteMap(p.n, p.n, tuple(images))
         assert character(m, p) == gamma and kernel_partition(m) == kernel_partition(g)
-        mk = data.member_id(m)
+        [mk] = self.ids(m)
         facts = data.si_facts
         u = data.si_elements[facts.right_divisors(data.char_ids[gk], data.char_ids[mk])[0]]
         v = data.si_elements[facts.right_divisors(data.char_ids[mk], data.char_ids[gk])[0]]
-        return GreenWitness(
-            relation="D",
-            index_maps=(("alpha", alpha), ("beta", beta), ("gamma", gamma)),
-            factors=(
-                ("middle", m),
-                ("l_fm", self.left_factor(f, m, alpha)),
-                ("l_mf", self.left_factor(m, f, beta)),
-                ("r_mg", self.right_factor(m, g, u)),
-                ("r_gm", self.right_factor(g, m, v)),
-            ),
-            class_pairing=pairing,
+        return self.witness(
+            "D",
+            (("middle", m), ("l_fm", self.left_factor(f, m, alpha)),
+             ("l_mf", self.left_factor(m, f, beta)), ("r_mg", self.right_factor(m, g, u)),
+             ("r_gm", self.right_factor(g, m, v))),
+            (("alpha", alpha), ("beta", beta), ("gamma", gamma)),
+            pairing,
         )
 
     def j_related(self, f, g, mode, cap):
         data, p = self.data, self.p
-        fk, gk = data.member_id(f), data.member_id(g)
+        fk, gk = self.ids(f, g)
         if mode == "oracle":
             # f and g J-below each other: some h1*g has f in its right ideal, and back
             if not all(data.r_below[a, data.table[:, b]].any() for a, b in ((fk, gk), (gk, fk))):
                 return None
             h1, h2 = self.leq("J", f, g)
             k1, k2 = self.leq("J", g, f)
-            return GreenWitness(
-                relation="J",
-                index_maps=(
-                    ("alpha", character(h1, p)),
-                    ("beta", character(h2, p)),
-                    ("gamma", character(k1, p)),
-                    ("delta", character(k2, p)),
-                ),
-                factors=(("fg1", h1), ("fg2", h2), ("gf1", k1), ("gf2", k2)),
+            return self.witness(
+                "J", (("fg1", h1), ("fg2", h2), ("gf1", k1), ("gf2", k2)),
+                (("alpha", character(h1, p)), ("beta", character(h2, p)),
+                 ("gamma", character(k1, p)), ("delta", character(k2, p))),
                 image_maps=(("phi", self.image_map(g, h1, h2)), ("psi", self.image_map(f, k1, k2))),
             )
         budget = [cap]
@@ -802,12 +792,13 @@ class _MapWitnesses:
             return None
         alpha, beta, phi = forward
         gamma, delta, psi = backward
+        phi = FiniteMap(len(set(g.images)), p.n, phi)
+        psi = FiniteMap(len(set(f.images)), p.n, psi)
         h1, h2 = self.j_factors(f, g, alpha, beta, phi)
         k1, k2 = self.j_factors(g, f, gamma, delta, psi)
-        return GreenWitness(
-            relation="J",
-            index_maps=(("alpha", alpha), ("beta", beta), ("gamma", gamma), ("delta", delta)),
-            factors=(("fg1", h1), ("fg2", h2), ("gf1", k1), ("gf2", k2)),
+        return self.witness(
+            "J", (("fg1", h1), ("fg2", h2), ("gf1", k1), ("gf2", k2)),
+            (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("delta", delta)),
             image_maps=(("phi", phi), ("psi", psi)),
         )
 
@@ -859,19 +850,24 @@ def _outcome(call):
         return ("ResourceLimitError", str(err))
 
 
+def _with_maps(w, f, g, p):
+    """The witness and the maps ``witness_maps`` reads off it, or None."""
+    return None if w is None else (w, greens.witness_maps(w, f, g, p))
+
+
 def _assert_witnesses_match_the_map_route(inst, pairs):
-    """Equal witnesses or equal cap errors from every checker in oracle mode,
-    theorem mode and theorem mode with cap 3, and equal first factors from
-    principal_leq_oracle, pair by pair."""
+    """Equal witnesses and equal maps read off them, or equal cap errors,
+    from every checker in oracle mode, theorem mode and theorem mode with
+    cap 3, and equal first factors from principal_leq_oracle, pair by pair."""
     ref = _MapWitnesses(inst)
-    members = enumerate_elements(inst)
+    members, p = enumerate_elements(inst), inst.partition
     modes = (("oracle", greens.DEFAULT_PHI_CAP), ("theorem", greens.DEFAULT_PHI_CAP),
              ("theorem", 3))
     for a, b in pairs:
         f, g = members[a], members[b]
         for rel, checker in greens.checkers().items():
             for mode, cap in modes:
-                got = _outcome(lambda: checker(f, g, inst, mode=mode, cap=cap))
+                got = _outcome(lambda: _with_maps(checker(f, g, inst, mode=mode, cap=cap), f, g, p))
                 assert got == _outcome(lambda: ref.related(rel, f, g, mode, cap)), (
                     rel, mode, cap, a, b)
         for rel in "LRJ":

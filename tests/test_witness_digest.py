@@ -51,7 +51,7 @@ def _checker_rows(blocks, count, seed):
         for rel, checker in greens.checkers().items():
             for mode in ("oracle", "theorem"):
                 w = checker(f, g, inst, mode=mode)
-                rows.append([a, b, rel, mode, None if w is None else cli._witness_payload(w)])
+                rows.append([a, b, rel, mode, None if w is None else cli._witness_payload(w, f, g, p)])
     return rows
 
 
@@ -59,7 +59,7 @@ def test_checker_witnesses_are_pinned():
     rows = _checker_rows([[0], [1], [2], [3]], 40, seed=1)
     rows += _checker_rows([[0, 1], [2, 3]], 15, seed=2)
     assert sum(row[-1] is not None for row in rows) > len(rows) // 3
-    assert _digest(rows) == "91b81b90e55b5efd"
+    assert _digest(rows) == "d2afdd2fb7ab675e"
 
 
 def test_inverse_builders_are_pinned():
