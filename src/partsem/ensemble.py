@@ -92,6 +92,29 @@ def _two_sided_inverse_ids(table: np.ndarray, identity: int) -> np.ndarray:
     return found.nonzero()[0]
 
 
+def _first_inner_inverses(table: np.ndarray, candidates: np.ndarray | None = None) -> np.ndarray:
+    """Per position a, the place in ``candidates`` (every position when None)
+    of the first b with a*b*a = a, or -1.
+
+    Scanned a block of rows at a time, each block sized by a row's largest
+    temporary, its products a*b widened to intp; a*b*a is read from them by
+    one take on the flat table.
+    """
+    size = len(table)
+    first = np.empty(size, dtype=np.intp)
+    # every column as a slice, so a block's rows are read without a gather
+    columns, width = (slice(None), size) if candidates is None else (candidates, len(candidates))
+    for start, stop in _row_blocks(size, 8 * width):
+        a = np.arange(start, stop)
+        at = table[start:stop, columns].astype(np.intp)
+        at *= size
+        at += a[:, None]
+        hits = table.take(at) == a[:, None]
+        hit = hits.argmax(axis=1)
+        first[start:stop] = np.where(hits[np.arange(stop - start), hit], hit, -1)
+    return first
+
+
 def _idempotent_ids(table: np.ndarray) -> np.ndarray:
     """Positions a with a*a = a."""
     return (np.diagonal(table) == np.arange(len(table))).nonzero()[0]
@@ -244,10 +267,12 @@ class DerivedData:
     enumeration order, their positions, per member the index-set position
     of the character it was enumerated under (``char_ids``) and the
     members' block facts (``geometry``), then, each on first use, the
-    product table and the unit positions (``unit_ids``).  ``witness_plans``
-    holds the regularity and unit-regularity witness plan of each character
-    asked for, keyed by (character position, units), and ``greens`` the
-    Green's-relations data, once ``partsem.regularity`` and
+    product table, the unit positions (``unit_ids``) and each member's first
+    inner and first unit inverse (``first_inverse``, ``first_unit_inverse``),
+    which the element oracles read.  ``witness_plans`` holds the regularity
+    and unit-regularity witness plan of each character asked for, keyed by
+    (character position, units), each with its memo of witness lists, and
+    ``greens`` the Green's-relations data, once ``partsem.regularity`` and
     ``partsem.greens`` have built them.
     """
 
@@ -277,6 +302,18 @@ class DerivedData:
     def unit_ids(self) -> np.ndarray:
         """Positions of the members with a two-sided inverse, ascending."""
         return _two_sided_inverse_ids(self.table, self.index[tuple(range(self.n))])
+
+    @cached_property
+    def first_inverse(self) -> np.ndarray:
+        """Per member f, the position of the first g in enumeration order
+        with f*g*f = f, or -1."""
+        return _first_inner_inverses(self.table)
+
+    @cached_property
+    def first_unit_inverse(self) -> np.ndarray:
+        """Per member f, the place in ``unit_ids`` of the first unit u with
+        f*u*f = f, or -1."""
+        return _first_inner_inverses(self.table, self.unit_ids)
 
 
 def predicted_size(inst: Instance) -> int:

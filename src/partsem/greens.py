@@ -34,7 +34,8 @@ replays its witnesses through it too.
 The per-instance data keeps, each built once on first use, the class
 quotient: part 1 (``classes``), each member's R- and L-class and the first
 member of each H-class, which the L and R oracles, the D oracle (its middle
-element) and the D labels (``d_label``, which ``eggbox`` groups by) read;
+element) and the D labels (``d_label``, which ``eggbox`` groups by,
+filling each D-class's grid in one pass over its members) read;
 part 2 (``j_below``), ≤_J on classes, built only when a J question asks.
 The J oracles scan the table for factors only on pairs it puts J-below.
 Each member's block facts (block images, kernel classes and
@@ -551,7 +552,7 @@ def _right_factor(data: _GreensData, fk: int, gk: int, b: int) -> int:
 
 
 def _match_classes(
-    data: _GreensData,
+    geometry: _Geometry,
     fk: int,
     gk: int,
     at: tuple[int, ...],
@@ -562,8 +563,9 @@ def _match_classes(
 
     Returns, for each class of pi(f), the index of its partner in pi(g);
     decrements the shared assignment budget and raises when it runs out.
+    The classes of pi(f) are assigned in order, each trying its compatible
+    partners ascending, with one iterator per assigned class on a stack.
     """
-    geometry = data.geometry
     f_meet, g_meet = geometry.meet_masks[fk], geometry.meet_masks[gk]
     # the blocks that class mk of pi(f) (nk of pi(g)) must meet in its partner
     f_to = [_mask(at[i] for i in meets) for meets in geometry.class_meets[fk]]
@@ -577,29 +579,28 @@ def _match_classes(
         ]
         for mk in range(count)
     ]
-    assignment = [-1] * count
+    assignment: list[int] = []
     used = [False] * count
-
-    def extend(mk: int) -> bool:
-        if mk == count:
-            return True
-        for nk in compat[mk]:
-            if used[nk]:
-                continue
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise ResourceLimitError("class-bijection search exceeded its cap")
-            assignment[mk] = nk
-            used[nk] = True
-            if extend(mk + 1):
-                return True
-            used[nk] = False
-        assignment[mk] = -1
-        return False
-
-    if extend(0):
-        return tuple(assignment)
-    return None
+    tries = [iter(compat[0])] if count else []
+    while len(assignment) < count:
+        for nk in tries[-1]:
+            if not used[nk]:
+                break
+        else:
+            # every partner of this class failed: undo the previous class's
+            tries.pop()
+            if not assignment:
+                return None
+            used[assignment.pop()] = False
+            continue
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise ResourceLimitError("class-bijection search exceeded its cap")
+        assignment.append(nk)
+        used[nk] = True
+        if len(assignment) < count:
+            tries.append(iter(compat[len(assignment)]))
+    return tuple(assignment)
 
 
 def _d_theorem_search(
@@ -626,7 +627,7 @@ def _d_theorem_search(
         betas = facts.left_divisors(cf, c)
         for a in alphas:
             for b in betas:
-                found = _match_classes(data, fk, gk, imgs[a], imgs[b], budget)
+                found = _match_classes(data.geometry, fk, gk, imgs[a], imgs[b], budget)
                 if found is not None:
                     return a, b, c, found
     return None
@@ -1027,23 +1028,20 @@ def _class_labels(below: np.ndarray) -> list[int]:
 def eggbox(inst: Instance) -> list[dict]:
     """D-classes as grids of R-classes (rows) by L-classes (columns).
 
-    Each grid cell lists the member ids sharing that L- and R-class.
+    Each grid cell lists the member ids sharing that L- and R-class; a
+    D-class's grid is filled in one pass over its members.
     """
     data = _greens_data(inst)
     r_of, l_of, _, r_first, l_first = data.classes
     d_members = _fibers(data.d_label)
     boxes = []
     for root in sorted(d_members):
-        ks = d_members[root]
-        rows = sorted({r_of[k] for k in ks})
-        cols = sorted({l_of[k] for k in ks})
-        grid = [
-            [
-                [k for k in ks if r_of[k] == row and l_of[k] == col]
-                for col in cols
-            ]
-            for row in rows
-        ]
+        cells: dict[tuple[int, int], list[int]] = {}
+        for k in d_members[root]:
+            cells.setdefault((r_of[k], l_of[k]), []).append(k)
+        rows = sorted({r for r, _ in cells})
+        cols = sorted({c for _, c in cells})
+        grid = [[cells.get((r, c), []) for c in cols] for r in rows]
         boxes.append(
             {
                 "representative": root,

@@ -4,14 +4,19 @@ Every decision procedure exists twice: a brute-force oracle straight from the
 definition, and the structural characterization in terms of the character and
 the block geometry.  The two are kept strictly separate so the harness can
 compare them: oracles read products from the instance's member product table,
-criteria only from the index semigroup's table.
+criteria only from the index semigroup's table.  The element oracles read
+each member's first inner and first unit inverse, scanned from the member
+table once per instance (``DerivedData.first_inverse`` and
+``first_unit_inverse``).
 
 The regularity and unit-regularity criteria share one home, a witness plan
 per character (``_WitnessPlan``), kept on the instance's derived data and
-built the first time a member with that character is asked about.  A call
-tests each group of the plan once on f's block images; the inner and unit
-inverse builders test their alpha's group alone, and validate the
-map they build on image tuples, so neither needs the member table.
+built the first time a member with that character is asked about.  Besides
+the character, the plan's test reads f only through its block-image masks:
+the plan tests each of its groups once per masks tuple and keeps the
+passing positions under it, which the witness lists and the inner and unit
+inverse builders read.  The builders validate the map they build on image
+tuples, so neither needs the member table.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from itertools import compress
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -29,6 +34,7 @@ from .finite_maps import FiniteMap
 from .ensemble import (
     Instance,
     IndexSemigroup,
+    _first_inner_inverses,
     _idempotent_ids,
     _row_blocks,
     enumerate_elements,
@@ -46,10 +52,9 @@ def _check_mode(mode: str) -> None:
 
 def is_regular_oracle(f: FiniteMap, inst: Instance) -> FiniteMap | None:
     """First g in enumeration order with f*g*f = f, if any."""
-    k = require_member(f, inst)
     d = inst.derived
-    hits = (d.table[d.table[k], k] == k).nonzero()[0]
-    return d.members[hits[0]] if len(hits) else None
+    g = d.first_inverse[require_member(f, inst)]
+    return d.members[g] if g >= 0 else None
 
 
 def _merges_onto_a_large_block(inst: Instance) -> bool:
@@ -73,9 +78,11 @@ class _WitnessPlan:
     im chi: one test per group decides all of its candidates.  ``points``
     is im chi ascending, ``keys`` alpha on ``points`` per group, and
     ``positions`` and ``groups`` the candidates' positions and groups.
+    Besides chi, the test reads f only through its block-image masks, so
+    ``memo`` keeps the passing positions once per masks tuple asked about.
     """
 
-    __slots__ = ("points", "keys", "positions", "groups", "__weakref__")
+    __slots__ = ("points", "keys", "positions", "groups", "memo", "__weakref__")
 
     def __init__(self, si: IndexSemigroup, chi: int, sizes: Sequence[int] | None) -> None:
         table = si.table
@@ -91,6 +98,7 @@ class _WitnessPlan:
         self.keys = tuple(index)
         self.positions = array("i", ids)
         self.groups = array("i", groups)
+        self.memo: dict[tuple[int, ...], array] = {}
 
     def passing(self, geometry: _Geometry, k: int, keys: Sequence) -> list[bool]:
         """Per group key of ``keys``, whether it passes the criterion for
@@ -105,17 +113,22 @@ class _WitnessPlan:
             for key in keys
         ]
 
-    def witnesses(self, geometry: _Geometry, k: int) -> Iterator[int]:
-        """The positions of the candidates that pass for member k, ascending."""
-        passing = self.passing(geometry, k, self.keys)
-        return compress(self.positions, map(passing.__getitem__, self.groups))
+    def witnesses(self, geometry: _Geometry, k: int) -> array:
+        """The positions of the candidates that pass for member k, ascending,
+        tested once per block-mask tuple."""
+        masks = geometry.block_masks[k]
+        found = self.memo.get(masks)
+        if found is None:
+            passing = self.passing(geometry, k, self.keys)
+            found = array("i", compress(self.positions, map(passing.__getitem__, self.groups)))
+            self.memo[masks] = found
+        return found
 
     def admits(self, geometry: _Geometry, k: int, a: int) -> bool:
-        """Whether position a is a candidate whose group passes for member k."""
-        s = bisect_left(self.positions, a)
-        if s == len(self.positions) or self.positions[s] != a:
-            return False
-        return self.passing(geometry, k, [self.keys[self.groups[s]]])[0]
+        """Whether position a is a candidate that passes for member k."""
+        found = self.witnesses(geometry, k)
+        s = bisect_left(found, a)
+        return s < len(found) and found[s] == a
 
 
 def _witness_plan(inst: Instance, k: int, units: bool) -> _WitnessPlan:
@@ -183,19 +196,15 @@ def build_inner_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finit
     return _member_inner_inverse(f, alpha, images, a, inst, "inner inverse", True)
 
 
-def _each_has_inner_inverse(table: np.ndarray, candidates: np.ndarray) -> bool:
-    """Whether every element a has some b among ``candidates`` with a*b*a = a,
-    scanned a block of rows at a time."""
-    for start, stop in _row_blocks(len(table), 16 * len(candidates)):
-        a = np.arange(start, stop)[:, None]
-        if not (table[table[start:stop, candidates], a] == a).any(axis=1).all():
-            return False
-    return True
+def _each_has_inner_inverse(table: np.ndarray, candidates: np.ndarray | None = None) -> bool:
+    """Whether every element a has some b among ``candidates`` (every
+    element when None) with a*b*a = a."""
+    return bool((_first_inner_inverses(table, candidates) >= 0).all())
 
 
 def si_is_regular(si: IndexSemigroup) -> bool:
     """Brute-force regularity of the index semigroup."""
-    return _each_has_inner_inverse(si.table, np.arange(len(si)))
+    return _each_has_inner_inverse(si.table)
 
 
 def si_is_inverse(si: IndexSemigroup) -> bool:

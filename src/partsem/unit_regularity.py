@@ -1,8 +1,11 @@
 """Unit-regular elements and semigroups, with the collapse/defect bookkeeping.
 
-The criterion is the regularity criterion on a unit plan
+The oracle reads each member's first unit inverse, scanned from the member
+table once per instance (``DerivedData.first_unit_inverse``).  The
+criterion is the regularity criterion on a unit plan
 (``regularity._WitnessPlan``): its candidates are the units of the index
-semigroup with equal block sizes along them.  The unit inverse construction
+semigroup with equal block sizes along them, and the plan keeps the passing
+units once per block-mask tuple.  The unit inverse construction
 pairs image points with transversal preimages and matches defect points to
 collapsed points order-preservingly, block by block; the unused blocks are
 carried by order-preserving bijections.
@@ -41,10 +44,9 @@ def _require_identity(inst: Instance) -> None:
 def is_unit_regular_oracle(f: FiniteMap, inst: Instance) -> FiniteMap | None:
     """First unit u in enumeration order with f*u*f = f, if any."""
     _require_identity(inst)
-    k = require_member(f, inst)
     d = inst.derived
-    hits = (d.table[d.table[k, d.unit_ids], k] == k).nonzero()[0]
-    return d.members[d.unit_ids[hits[0]]] if len(hits) else None
+    u = d.first_unit_inverse[require_member(f, inst)]
+    return d.members[d.unit_ids[u]] if u >= 0 else None
 
 
 def unit_regular_witnesses(f: FiniteMap, inst: Instance) -> tuple[FiniteMap, ...]:

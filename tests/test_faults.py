@@ -78,12 +78,12 @@ class _Data:
         self.__dict__.update(attrs)
 
 
-def _match_classes_ignoring_g(data, fk, gk, at, bt, budget):
+def _match_classes_ignoring_g(geometry, fk, gk, at, bt, budget):
     """Class matching without the test on g's side: each class of pi(g)
     may be paired with any class of pi(f) its blocks allow."""
-    geometry = _Data(meet_masks=_MeetsEveryBlockFirst(data.geometry.meet_masks),
-                     class_meets=data.geometry.class_meets)
-    return _REAL["match_classes"](_Data(geometry=geometry), fk, gk, at, bt, budget)
+    spoiled = _Data(meet_masks=_MeetsEveryBlockFirst(geometry.meet_masks),
+                    class_meets=geometry.class_meets)
+    return _REAL["match_classes"](spoiled, fk, gk, at, bt, budget)
 
 
 def _unit_plan_ignoring_sizes(self, si, chi, sizes):

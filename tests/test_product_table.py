@@ -394,7 +394,7 @@ class _TupleSearches:
             ]
             for at in alphas:
                 for bt in betas:
-                    found = self.match_classes(data, fk, gk, at, bt, budget)
+                    found = self.match_classes(data.geometry, fk, gk, at, bt, budget)
                     if found is not None:
                         return self.fm(at), self.fm(bt), self.fm(ct), found
         return None
@@ -457,9 +457,9 @@ def _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch):
     match_classes = greens._match_classes
 
     def recorder(route):
-        def record(data, fk, gk, at, bt, budget):
+        def record(geometry, fk, gk, at, bt, budget):
             calls[route].append((at, bt))
-            return match_classes(data, fk, gk, at, bt, budget)
+            return match_classes(geometry, fk, gk, at, bt, budget)
         return record
 
     loops = _TupleSearches(data, recorder("tuples"))
