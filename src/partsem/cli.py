@@ -22,6 +22,7 @@ from .errors import (
 from .finite_maps import FiniteMap, is_idempotent_def
 from .partition_action import Partition, character, lift_character
 from .ensemble import (
+    DEFAULT_ENUMERATION_CAP,
     IndexSemigroup,
     Instance,
     closure_from_generators,
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list members and the predicted size")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     add_common(p)
     p.set_defaults(func=_cmd_enumerate)
 

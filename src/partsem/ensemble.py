@@ -9,7 +9,9 @@ Products are never formed map by map in the oracles.  An index semigroup and
 an instance's member set each carry one integer product table in the style
 of Froidure & Pin ("Algorithms for computing finite semigroups", 1997):
 ``table[a, b]`` is the position of the composite of elements a and b, and
-every oracle reads products from it.
+every oracle reads products from it.  The derived data, where members
+are enumerated, refuses an instance above the enumeration cap on every
+route, and ``_built_member`` validates every map a witness builder builds.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
+from .errors import InternalError, InvalidArgumentError, PreconditionError, ResourceLimitError
 from .finite_maps import FiniteMap, compose
 from .partition_action import Partition, _Geometry
 
@@ -96,23 +98,33 @@ def _first_inner_inverses(table: np.ndarray, candidates: np.ndarray | None = Non
     """Per position a, the place in ``candidates`` (every position when None)
     of the first b with a*b*a = a, or -1.
 
-    Scanned a block of rows at a time, each block sized by a row's largest
-    temporary, its products a*b widened to intp; a*b*a is read from them by
-    one take on the flat table.
+    Scanned a block of rows at a time (``_first_hits``), each block sized by
+    the sum of a row's temporaries: its products a*b widened to intp, the
+    a*b*a read from them and the hit mask.
     """
     size = len(table)
     first = np.empty(size, dtype=np.intp)
     # every column as a slice, so a block's rows are read without a gather
     columns, width = (slice(None), size) if candidates is None else (candidates, len(candidates))
-    for start, stop in _row_blocks(size, 8 * width):
-        a = np.arange(start, stop)
-        at = table[start:stop, columns].astype(np.intp)
-        at *= size
-        at += a[:, None]
-        hits = table.take(at) == a[:, None]
-        hit = hits.argmax(axis=1)
-        first[start:stop] = np.where(hits[np.arange(stop - start), hit], hit, -1)
+    for start, stop in _row_blocks(size, (9 + table.itemsize) * width):
+        first[start:stop] = _first_hits(table, start, stop, columns)
     return first
+
+
+def _first_hits(table: np.ndarray, start: int, stop: int, columns) -> np.ndarray:
+    """``_first_inner_inverses`` on rows start to stop: a*b*a is read by one
+    take on the flat table, and the flat positions are freed before the
+    comparison's mask is made."""
+    a = np.arange(start, stop)[:, None]
+    # C order, so the take reads the positions in place
+    at = table[start:stop, columns].astype(np.intp, order="C")
+    at *= len(table)
+    at += a
+    products = table.take(at)
+    del at
+    hits = products == a.astype(table.dtype)
+    hit = hits.argmax(axis=1)
+    return np.where(hits[np.arange(stop - start), hit], hit, -1)
 
 
 def _idempotent_ids(table: np.ndarray) -> np.ndarray:
@@ -252,7 +264,10 @@ class Instance:
 
     @cached_property
     def derived(self) -> "DerivedData":
-        """The instance's derived data, built on first use and owned by it."""
+        """The instance's derived data, built on first use and owned by it;
+        an instance above DEFAULT_ENUMERATION_CAP members is refused before
+        any member is built (``enumerate_elements`` builds it under its cap)."""
+        _check_size(predicted_size(self), DEFAULT_ENUMERATION_CAP)
         return DerivedData(self)
 
     def drop_derived(self) -> None:
@@ -325,15 +340,19 @@ def predicted_size(inst: Instance) -> int:
     return total
 
 
+def _check_size(size: int, cap: int) -> None:
+    if size > cap:
+        raise ResourceLimitError(f"instance has {size} members, above the cap of {cap}")
+
+
 def enumerate_elements(inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[FiniteMap, ...]:
-    """All members in lexicographic image order; refuses oversize instances."""
+    """All members in lexicographic image order; refuses an instance above
+    ``cap`` members, and builds the derived data under that cap."""
     if cap < 0:
         raise InvalidArgumentError(f"cap must be non-negative, got {cap}")
-    size = predicted_size(inst)
-    if size > cap:
-        raise ResourceLimitError(
-            f"instance has {size} members, above the cap of {cap}"
-        )
+    _check_size(predicted_size(inst), cap)
+    if "derived" not in inst.__dict__:
+        inst.__dict__["derived"] = DerivedData(inst)
     return inst.derived.members
 
 
@@ -348,6 +367,22 @@ def require_member(f: FiniteMap, inst: Instance) -> int:
     k = inst.derived.index.get(f.images)  # a hit fixes the domain size
     if k is None or f.codomain_size != inst.partition.n:
         raise InvalidArgumentError(f"{f} is not a member of {inst!r}")
+    return k
+
+
+def _built_member(
+    data, kind: str, images: tuple[int, ...], c: int, holds: Callable[[int], bool]
+) -> int:
+    """The position of the member a witness builder built with these images,
+    once it was enumerated under character position c and ``holds``, the
+    builder's own equation, passes at that position; else the builder's
+    ``InternalError``.  The one validation of every built map: ``data`` (an
+    instance's derived or Green's data) is read for ``index`` and ``char_ids``."""
+    k = data.index.get(images)
+    if k is None or data.char_ids[k] != c or not holds(k):
+        raise InternalError(
+            f"the {kind} {FiniteMap(len(images), len(images), images)} fails validation"
+        )
     return k
 
 

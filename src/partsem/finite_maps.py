@@ -85,13 +85,31 @@ class FiniteMap:
         return f"[{body}]->{self.codomain_size}"
 
 
-def _check_points(parts: Sequence[Sequence[object]]) -> None:
-    """Refuse any point that is not an ``int`` (``bool`` included), before
-    anything sorts or compares the points."""
+def _sorted_parts(n: int, parts: Sequence[Sequence[object]]) -> tuple[tuple[int, ...], ...]:
+    """The parts, each sorted, once they partition [0, n): every point an
+    ``int`` (``bool`` refused), checked before anything sorts or compares
+    the points, no part empty, every point in range and in one part, and
+    every point covered.  The one check of ``SetPartition`` and ``Partition``."""
+    if type(n) is not int:
+        raise InvalidArgumentError("the size of a partitioned set must be an integer")
     for part in parts:
         for x in part:
             if type(x) is not int:
                 raise InvalidArgumentError(f"element {x!r} is not an integer")
+    parts = tuple(tuple(sorted(part)) for part in parts)
+    seen: set[int] = set()
+    for part in parts:
+        if not part:
+            raise InvalidArgumentError("parts must be nonempty")
+        for x in part:
+            if not 0 <= x < n:
+                raise InvalidArgumentError(f"element {x} outside [0, {n})")
+            if x in seen:
+                raise InvalidArgumentError(f"element {x} appears in two parts")
+            seen.add(x)
+    if len(seen) != n:
+        raise InvalidArgumentError(f"the parts do not cover [0, {n})")
+    return parts
 
 
 @dataclass(frozen=True)
@@ -106,21 +124,9 @@ class SetPartition:
     classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _check_points(self.classes)
-        canon = tuple(sorted((tuple(sorted(c)) for c in self.classes), key=lambda c: c[0] if c else -1))
-        object.__setattr__(self, "classes", canon)
-        seen: set[int] = set()
-        for c in canon:
-            if not c:
-                raise InvalidArgumentError("partition classes must be nonempty")
-            for x in c:
-                if not 0 <= x < self.ground_size:
-                    raise InvalidArgumentError(f"element {x} outside [0, {self.ground_size})")
-                if x in seen:
-                    raise InvalidArgumentError(f"element {x} appears in two classes")
-                seen.add(x)
-        if len(seen) != self.ground_size:
-            raise InvalidArgumentError("classes do not cover the ground set")
+        # the classes are disjoint, so sorting them sorts them by their minima
+        classes = sorted(_sorted_parts(self.ground_size, self.classes))
+        object.__setattr__(self, "classes", tuple(classes))
 
     def __len__(self) -> int:
         return len(self.classes)

@@ -9,13 +9,14 @@ index-semigroup facts (``_IndexFacts``: left and right divisors, R-classes
 and J alphas, each read from the index table once, on first ask), and
 searches the block geometry for the class bijections and image maps
 demanded by the structural criteria, handing index positions to the
-builders.  Both routes produce replayable witnesses: a witness is its
-relation and its factor transformations, whose composites reproduce the
-claimed ideal memberships.  The maps the criteria name besides the factors
-(the index maps, the D class pairing, the J image maps) are functions of
-the factors and the pair, read off them in one place (``witness_maps``,
-with ``_INDEX_MAPS`` naming the factor of each index map) only where they
-are shown.  Each theorem search reads of the members only
+builders, which validate what they build by one function
+(``ensemble._built_member``).  Both routes produce replayable witnesses: a
+witness is its relation and its factor transformations, whose composites
+reproduce the claimed ideal memberships.  The maps the criteria name
+besides the factors (the index maps, the D class pairing, the J image
+maps) are functions of the factors and the pair, read off them in one place
+(``witness_maps``, with ``_INDEX_MAPS`` naming the factor of each index
+map) only where they are shown.  Each theorem search reads of the members only
 their characters and the geometry lists ``_THEOREM_READS`` names, and each
 oracle verdict depends on them only through their L- and R-classes (the
 oracles read the class quotient), so a caller deciding many pairs (the
@@ -62,7 +63,7 @@ import numpy as np
 
 from .errors import InternalError, InvalidArgumentError, PreconditionError, ResourceLimitError
 from .finite_maps import FiniteMap, _fibers, image, kernel_partition
-from .ensemble import Instance, _row_blocks, enumerate_elements, require_member
+from .ensemble import Instance, _built_member, _row_blocks, enumerate_elements, require_member
 from .partition_action import Partition, _Geometry, _least_lift, _mask, character, preserves_partition
 from .regularity import _check_mode
 
@@ -469,16 +470,8 @@ def _left_factor(data: _GreensData, fk: int, gk: int, a: int) -> int:
     """``build_left_factor`` on member positions, its preconditions met, for
     alpha at index position a: the position of the h sending x to the least
     y of X_{alpha(i)} with yg = xf."""
-    p = data.partition
-    images = _least_lift(data.si_imgs[a], p, data.imgs[gk], data.imgs[fk])
-    hk = data.index.get(images)
-    if hk is None or data.table[hk, gk] != fk or data.char_ids[hk] != a:
-        h = FiniteMap(p.n, p.n, images)
-        raise InternalError(
-            f"the left factor {h} built for {data.members[fk]}, {data.members[gk]} "
-            f"and {data.si_elements[a]} fails validation"
-        )
-    return hk
+    images = _least_lift(data.si_imgs[a], data.partition, data.imgs[gk], data.imgs[fk])
+    return _built_member(data, "left factor", images, a, lambda hk: data.table[hk, gk] == fk)
 
 
 def _r_one_sided_theorem(
@@ -541,14 +534,7 @@ def _right_factor(data: _GreensData, fk: int, gk: int, b: int) -> int:
     # f at the least preimage under g: the descending pass writes it last
     on_image = {g_imgs[y]: f_imgs[y] for y in reversed(range(p.n))}
     images = tuple(on_image.get(x, p.blocks[beta[p.block_of(x)]][0]) for x in range(p.n))
-    hk = data.index.get(images)
-    if hk is None or data.table[gk, hk] != fk or data.char_ids[hk] != b:
-        h = FiniteMap(p.n, p.n, images)
-        raise InternalError(
-            f"the right factor {h} built for {data.members[fk]}, {data.members[gk]} "
-            f"and {data.si_elements[b]} fails validation"
-        )
-    return hk
+    return _built_member(data, "right factor", images, b, lambda hk: data.table[gk, hk] == fk)
 
 
 def _match_classes(
@@ -686,49 +672,34 @@ def build_d_middle(
     data = _greens_data(inst)
     fk, gk = require_member(f, inst), require_member(g, inst)
     kernels = data.geometry.kernels
-    if tuple(sorted(m for m, _ in phi)) != tuple(sorted(kernels[fk])) or tuple(
-        sorted(n for _, n in phi)
-    ) != tuple(sorted(kernels[gk])):
+    classes = sorted(m for m, _ in phi), sorted(n for _, n in phi)
+    if classes != (sorted(kernels[fk]), sorted(kernels[gk])):
         raise PreconditionError("phi is not a bijection between the kernel classes")
-    return data.members[_d_middle(data, fk, gk, inst.si.position(gamma), phi, gamma)]
+    p = inst.partition
+    # the middle sends x of g's class n to f's value on n's partner m: it
+    # preserves P with character gamma when each such pair of blocks is gamma's
+    sends = {(p.block_of(x), p.block_of(f.images[m[0]])) for m, n in phi for x in n}
+    if sends != set(enumerate(gamma.images)) or gamma.codomain_size != p.degree:
+        raise PreconditionError("the given gamma and phi do not satisfy the D-criteria")
+    c = inst.si.position(gamma)
+    if c is None:
+        # the middle preserves P and has character gamma, so only membership fails
+        raise PreconditionError("the constructed middle element is not a member")
+    return data.members[_d_middle(data, fk, gk, c, phi)]
 
 
-def _d_middle(
-    data: _GreensData,
-    fk: int,
-    gk: int,
-    c: int | None,
-    phi: ClassPairing,
-    gamma: FiniteMap | None = None,
-) -> int:
-    """``build_d_middle`` on member positions, phi a bijection of kernel
-    classes, for gamma at index position c.  That builder passes gamma itself
-    (with c None for a gamma outside S(I)) and refuses a middle that fails;
-    the theorem route passes none, so there a failure is internal."""
-    p = data.partition
-    images = [0] * p.n
+def _d_middle(data: _GreensData, fk: int, gk: int, c: int, phi: ClassPairing) -> int:
+    """``build_d_middle`` on member positions, its preconditions met, for
+    gamma at index position c and phi a bijection of kernel classes: the
+    middle shares the kernel of g."""
+    images = [0] * data.partition.n
     for m_class, g_class in phi:
         value = data.imgs[fk][m_class[0]]
         for x in g_class:
             images[x] = value
-    hk = data.index.get(tuple(images))
-    if hk is None or data.char_ids[hk] != c:
-        h = FiniteMap(p.n, p.n, tuple(images))
-        if gamma is None:
-            raise InternalError(
-                f"the middle element {h} built for {data.members[fk]}, {data.members[gk]} "
-                f"and {data.si_elements[c]} fails validation"
-            )
-        chi = tuple(p.block_of(images[b[0]]) for b in p.blocks)
-        if not preserves_partition(h, p) or FiniteMap(p.degree, p.degree, chi) != gamma:
-            raise PreconditionError("the given gamma and phi do not satisfy the D-criteria")
-        # h preserves P and has character gamma, so only membership can fail.
-        raise PreconditionError("the constructed middle element is not a member")
-    if data.geometry.kernels[hk] != data.geometry.kernels[gk]:
-        raise InternalError(
-            f"the middle element {data.members[hk]} does not share the kernel of {data.members[gk]}"
-        )
-    return hk
+    kernels = data.geometry.kernels
+    return _built_member(data, "middle element", tuple(images), c,
+                         lambda hk: kernels[hk] == kernels[gk])
 
 
 def _j_one_sided_theorem(
@@ -861,22 +832,14 @@ def _j_factors(
     """``build_j_factors`` on member positions, its preconditions met, for
     alpha and beta at index positions a and b and phi's values on the
     sorted image of g."""
-    p = data.partition
+    p, table = data.partition, data.table
     beta = data.si_imgs[b]
     phi_at = dict(zip(data.geometry.j_geometry[gk][0], phi))
+    h2_images = tuple(phi_at.get(x, p.blocks[beta[p.block_of(x)]][0]) for x in range(p.n))
+    k2 = _built_member(data, "J factor", h2_images, b, lambda k: True)
     gphi = [phi_at[v] for v in data.imgs[gk]]
     h1_images = _least_lift(data.si_imgs[a], p, gphi, data.imgs[fk])
-    h2_images = tuple(phi_at.get(x, p.blocks[beta[p.block_of(x)]][0]) for x in range(p.n))
-    index, table = data.index, data.table
-    k1, k2 = index.get(h1_images), index.get(h2_images)
-    valid = k1 is not None and k2 is not None and table[table[k1, gk], k2] == fk
-    if not valid or data.char_ids[k1] != a or data.char_ids[k2] != b:
-        h1 = FiniteMap(p.n, p.n, h1_images)
-        h2 = FiniteMap(p.n, p.n, h2_images)
-        raise InternalError(
-            f"the J factors {h1}, {h2} built for {data.members[fk]} and "
-            f"{data.members[gk]} fail validation"
-        )
+    k1 = _built_member(data, "J factor", h1_images, a, lambda k: table[table[k, gk], k2] == fk)
     return k1, k2
 
 

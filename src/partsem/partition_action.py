@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError
-from .finite_maps import FiniteMap, _check_points, _fibers, kernel_partition
+from .finite_maps import FiniteMap, _fibers, _sorted_parts, kernel_partition
 
 
 @dataclass(frozen=True)
@@ -24,24 +24,9 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int:
-            raise InvalidArgumentError("n must be an integer")
-        _check_points(self.blocks)
-        object.__setattr__(self, "blocks", tuple(tuple(sorted(b)) for b in self.blocks))
+        object.__setattr__(self, "blocks", _sorted_parts(self.n, self.blocks))
         if not self.blocks:
             raise InvalidArgumentError("a partition needs at least one block")
-        seen: set[int] = set()
-        for b in self.blocks:
-            if not b:
-                raise InvalidArgumentError("blocks must be nonempty")
-            for x in b:
-                if not 0 <= x < self.n:
-                    raise InvalidArgumentError(f"element {x} outside [0, {self.n})")
-                if x in seen:
-                    raise InvalidArgumentError(f"element {x} appears in two blocks")
-                seen.add(x)
-        if len(seen) != self.n:
-            raise InvalidArgumentError("blocks do not cover [0, n)")
 
     @classmethod
     def of(cls, blocks: Sequence[Sequence[int]]) -> "Partition":

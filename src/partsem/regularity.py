@@ -15,8 +15,9 @@ built the first time a member with that character is asked about.  Besides
 the character, the plan's test reads f only through its block-image masks:
 the plan tests each of its groups once per masks tuple and keeps the
 passing positions under it, which the witness lists and the inner and unit
-inverse builders read.  The builders validate the map they build on image
-tuples, so neither needs the member table.
+inverse builders read; a character with one member passes every candidate
+and keeps nothing.  The builders validate on image tuples
+(``ensemble._built_member``), so neither needs the member table.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import InternalError, InvalidArgumentError, PreconditionError
+from .errors import InvalidArgumentError, PreconditionError
 from .finite_maps import FiniteMap
 from .ensemble import (
     Instance,
     IndexSemigroup,
+    _built_member,
     _first_inner_inverses,
     _idempotent_ids,
     _row_blocks,
@@ -80,16 +82,19 @@ class _WitnessPlan:
     ``positions`` and ``groups`` the candidates' positions and groups.
     Besides chi, the test reads f only through its block-image masks, so
     ``memo`` keeps the passing positions once per masks tuple asked about.
+    It is None when chi has one member, which alone would read it: each
+    block of im chi is then one point, and every candidate passes, as
+    X_{alpha(i)} f lies in X_{chi(alpha(i))} = X_i and is not empty.
     """
 
     __slots__ = ("points", "keys", "positions", "groups", "memo", "__weakref__")
 
-    def __init__(self, si: IndexSemigroup, chi: int, sizes: Sequence[int] | None) -> None:
+    def __init__(self, si: IndexSemigroup, chi: int, sizes: Sequence[int], units: bool) -> None:
         table = si.table
-        ids = np.arange(len(si)) if sizes is None else si.unit_ids
+        ids = si.unit_ids if units else np.arange(len(si))
         ids = ids[table[table[chi, ids], chi] == chi].tolist()
         imgs = [si.elements[a].images for a in ids]
-        if sizes is not None:
+        if units:
             keep = [all(sizes[i] == sizes[j] for i, j in enumerate(t)) for t in imgs]
             ids, imgs = list(compress(ids, keep)), list(compress(imgs, keep))
         self.points = tuple(sorted(set(si.elements[chi].images)))
@@ -98,7 +103,7 @@ class _WitnessPlan:
         self.keys = tuple(index)
         self.positions = array("i", ids)
         self.groups = array("i", groups)
-        self.memo: dict[tuple[int, ...], array] = {}
+        self.memo = {} if any(sizes[i] > 1 for i in self.points) else None
 
     def passing(self, geometry: _Geometry, k: int, keys: Sequence) -> list[bool]:
         """Per group key of ``keys``, whether it passes the criterion for
@@ -115,7 +120,9 @@ class _WitnessPlan:
 
     def witnesses(self, geometry: _Geometry, k: int) -> array:
         """The positions of the candidates that pass for member k, ascending,
-        tested once per block-mask tuple."""
+        tested once per block-mask tuple: all of them when chi has one member."""
+        if self.memo is None:
+            return self.positions
         masks = geometry.block_masks[k]
         found = self.memo.get(masks)
         if found is None:
@@ -138,8 +145,8 @@ def _witness_plan(inst: Instance, k: int, units: bool) -> _WitnessPlan:
     key = (d.char_ids[k], units)
     plan = d.witness_plans.get(key)
     if plan is None:
-        sizes = [len(b) for b in inst.partition.blocks] if units else None
-        plan = d.witness_plans[key] = _WitnessPlan(inst.si, key[0], sizes)
+        sizes = [len(b) for b in inst.partition.blocks]
+        plan = d.witness_plans[key] = _WitnessPlan(inst.si, key[0], sizes, units)
     return plan
 
 
@@ -168,18 +175,14 @@ def regular_character_witnesses(f: FiniteMap, inst: Instance) -> tuple[FiniteMap
 
 
 def _member_inner_inverse(
-    f: FiniteMap, alpha: FiniteMap, images: tuple, a: int, inst: Instance, kind: str, unit: bool
+    f: FiniteMap, images: tuple, a: int, inst: Instance, kind: str, unit: bool = True
 ) -> FiniteMap:
-    """The member g with these images, the ``kind`` built for f and alpha,
-    once f*g*f = f, g has character position a and ``unit`` holds, read on
-    image tuples; else ``InternalError``.  Both inverse builders' validation."""
-    d = inst.derived
-    gk = d.index.get(images)
-    t = f.images
-    if not unit or gk is None or d.char_ids[gk] != a or any(t[images[y]] != y for y in t):
-        g = FiniteMap(len(t), len(t), images)
-        raise InternalError(f"the {kind} {g} built for {f} and {alpha} fails validation")
-    return d.members[gk]
+    """The member g with these images, the ``kind`` built for f, once it has
+    character position a, ``unit`` holds and f*g*f = f, read on image
+    tuples (``_built_member``).  Both inverse builders' validation."""
+    d, t = inst.derived, f.images
+    k = _built_member(d, kind, images, a, lambda _: unit and all(t[images[y]] == y for y in t))
+    return d.members[k]
 
 
 def build_inner_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> FiniteMap:
@@ -193,7 +196,7 @@ def build_inner_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finit
     _, a = _witness_position(f, alpha, inst, units=False)
     p = inst.partition
     images = _least_lift(alpha.images, p, f.images, range(p.n))
-    return _member_inner_inverse(f, alpha, images, a, inst, "inner inverse", True)
+    return _member_inner_inverse(f, images, a, inst, "inner inverse")
 
 
 def _each_has_inner_inverse(table: np.ndarray, candidates: np.ndarray | None = None) -> bool:

@@ -98,7 +98,7 @@ def build_unit_inverse(f: FiniteMap, alpha: FiniteMap, inst: Instance) -> Finite
     images = tuple(images)
     inverse = {y: x for x, y in enumerate(images)}
     unit = len(inverse) == p.n and tuple(map(inverse.get, range(p.n))) in inst.derived.index
-    return _member_inner_inverse(f, alpha, images, a, inst, "unit inverse", unit)
+    return _member_inner_inverse(f, images, a, inst, "unit inverse", unit)
 
 
 def is_unit_regular_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:

@@ -5,6 +5,7 @@ and the egg-box filled in one pass, each against a computation that keeps
 nothing; and the lifetime of what they keep."""
 
 import gc
+import tracemalloc
 import weakref
 from itertools import compress
 
@@ -27,7 +28,7 @@ from partsem import (
     unit_regular_witnesses,
 )
 from partsem import greens, regularity
-from partsem.ensemble import require_member
+from partsem.ensemble import ROW_BLOCK_BYTES, _first_inner_inverses, require_member
 from partsem.finite_maps import _fibers
 
 
@@ -73,6 +74,24 @@ def test_first_inverses_equal_a_scan_from_the_definition(inst):
             assert is_unit_regular_oracle(f, inst) == unit
 
 
+@pytest.mark.parametrize("blocks", [[[0, 1], [2, 3], [4]], [[0], [1], [2], [3]]])
+def test_the_first_inverse_scans_peak_within_their_row_budget(blocks):
+    """Under tracemalloc, each first-inverse scan of a built member table
+    peaks within ROW_BLOCK_BYTES plus one row of its temporaries, besides
+    the array it returns."""
+    d = _instance(blocks).derived
+    table = d.table
+    for candidates in (None, d.unit_ids):
+        width = len(table) if candidates is None else len(candidates)
+        tracemalloc.start()
+        try:
+            first = _first_inner_inverses(table, candidates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ROW_BLOCK_BYTES + (9 + table.itemsize) * width + first.nbytes
+
+
 def test_witness_lists_equal_an_uncached_passing_computation(inst):
     d, si = inst.derived, inst.si
     flags = (False, True) if si.has_identity else (False,)
@@ -84,10 +103,27 @@ def test_witness_lists_equal_an_uncached_passing_computation(inst):
             expected = list(compress(plan.positions, map(passing.__getitem__, plan.groups)))
             assert public[units](f, inst) == tuple(si.elements[a] for a in expected), f
             assert [a for a in plan.positions if plan.admits(d.geometry, k, a)] == expected
-    # one memo entry per block-mask tuple asked about, under each character
+    # one memo entry per block-mask tuple asked about under each character
+    # with two or more members; a one-member character keeps no memo
     for (chi, _), plan in d.witness_plans.items():
-        asked = {d.geometry.block_masks[k] for k in range(len(d.members)) if d.char_ids[k] == chi}
-        assert set(plan.memo) == asked
+        ks = [k for k in range(len(d.members)) if d.char_ids[k] == chi]
+        if len(ks) == 1:
+            assert plan.memo is None
+        else:
+            assert set(plan.memo) == {d.geometry.block_masks[k] for k in ks}
+
+
+def test_no_plan_of_a_one_member_character_keeps_a_memo():
+    """On singleton blocks every character has one member, who alone asks
+    its plans: after every member's regular and unit witnesses are asked,
+    no plan keeps a witness list."""
+    inst = _instance([[0], [1], [2]])
+    for f in enumerate_elements(inst):
+        regular_character_witnesses(f, inst)
+        unit_regular_witnesses(f, inst)
+    plans = inst.derived.witness_plans
+    assert len(plans) == 2 * 27
+    assert all(plan.memo is None for plan in plans.values())
 
 
 def _per_cell_eggbox(inst):

@@ -21,7 +21,10 @@ from partsem import (
     predicted_size,
     units,
 )
-from partsem import harness
+from partsem import ensemble, harness
+from partsem.ensemble import require_member
+from partsem.greens import eggbox, l_related
+from partsem.regularity import is_regular_oracle, regular_character_witnesses
 from conftest import brute_members, comp, full_ti, sym_ti
 
 
@@ -192,6 +195,49 @@ class TestEnumerate:
     def test_negative_cap_is_refused(self, inst_full):
         with pytest.raises(InvalidArgumentError, match="cap must be non-negative, got -1"):
             enumerate_elements(inst_full, cap=-1)
+
+
+# the routes besides ``enumerate_elements`` that reach an instance's members
+CAPPED_ROUTES = {
+    "is_member": is_member,
+    "require_member": require_member,
+    "units": lambda f, inst: units(inst),
+    "is_regular_oracle": is_regular_oracle,
+    "regular_character_witnesses": regular_character_witnesses,
+    "l_related": lambda f, inst: l_related(f, f, inst),
+    "eggbox": lambda f, inst: eggbox(inst),
+}
+
+
+class TestEnumerationCapOnEveryRoute:
+    """The derived data refuses an instance above DEFAULT_ENUMERATION_CAP
+    members before any member is built, so every route gives
+    ``enumerate_elements``' error.  The constant is lowered below the 27
+    members of T_3 with S(I) trivial, so nothing large is enumerated."""
+
+    @staticmethod
+    def _instance():
+        return Instance(Partition.of([[0, 1, 2]]), IndexSemigroup.trivial(1))
+
+    @pytest.mark.parametrize("route", CAPPED_ROUTES)
+    def test_each_route_refuses_before_enumerating(self, route, monkeypatch):
+        def unbuilt(self, inst):
+            raise AssertionError("the members were enumerated")
+
+        monkeypatch.setattr(ensemble, "DEFAULT_ENUMERATION_CAP", 26)
+        monkeypatch.setattr(ensemble.DerivedData, "__init__", unbuilt)
+        with pytest.raises(ResourceLimitError, match="has 27 members, above the cap of 26"):
+            CAPPED_ROUTES[route](FiniteMap.identity(3), self._instance())
+
+    def test_an_explicit_larger_cap_still_enumerates(self, monkeypatch):
+        monkeypatch.setattr(ensemble, "DEFAULT_ENUMERATION_CAP", 26)
+        inst = self._instance()
+        with pytest.raises(ResourceLimitError, match="above the cap of 26"):
+            is_member(FiniteMap.identity(3), inst)
+        assert len(enumerate_elements(inst, cap=27)) == 27
+        assert is_member(FiniteMap.identity(3), inst)
+        with pytest.raises(ResourceLimitError, match="above the cap of 26"):
+            enumerate_elements(inst, cap=26)
 
     def test_membership(self, inst_full, inst_trivial_si):
         assert is_member(fm([2, 3, 0, 0]), inst_full)

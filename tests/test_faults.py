@@ -86,8 +86,8 @@ def _match_classes_ignoring_g(geometry, fk, gk, at, bt, budget):
     return _REAL["match_classes"](spoiled, fk, gk, at, bt, budget)
 
 
-def _unit_plan_ignoring_sizes(self, si, chi, sizes):
-    _REAL["plan_init"](self, si, chi, None if sizes is None else [1] * len(sizes))
+def _unit_plan_ignoring_sizes(self, si, chi, sizes, units):
+    _REAL["plan_init"](self, si, chi, [1] * len(sizes) if units else sizes, units)
 
 
 # row of ROADMAP item 1's table: (object, attribute, mutant, suites that kill it)
@@ -127,7 +127,7 @@ MUTANTS = {
 # failing record, with the start of the fault each one reports
 ABORTED = {
     "L criterion: _blocks_fit always true": "L (theorem): the left factor",
-    "J criterion: _phi_covers ignores the last block": "J (theorem): the J factors",
+    "J criterion: _phi_covers ignores the last block": "J (theorem): the J factor",
     "regular witness plan: every group passes": "the inner inverse",
     "D criterion: class matching ignores g's side": "D (theorem): the left factor",
 }
@@ -179,14 +179,14 @@ def _image_point_moved(module):
     def spoil(inst, f, built):
         real, p = module._member_inner_inverse, inst.partition
 
-        def validate(f, alpha, images, *args):
+        def validate(f, images, *args):
             images = list(images)
             for x in sorted(set(f.images)):
                 block = p.blocks[p.block_of(images[x])]
                 if len(block) > 1:
                     images[x] = block[(block.index(images[x]) + 1) % len(block)]
                     break
-            return real(f, alpha, tuple(images), *args)
+            return real(f, tuple(images), *args)
 
         module._member_inner_inverse = validate
         return lambda: setattr(module, "_member_inner_inverse", real)

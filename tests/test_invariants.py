@@ -135,6 +135,33 @@ def _failure_branches(function):
     }
 
 
+def test_one_function_validates_every_built_map():
+    """The witness builders of ``greens`` and ``regularity`` share one
+    lookup of a built map in the member index and one ``InternalError``:
+    ``ensemble._built_member`` is the one function that says "fails
+    validation", and each builder core calls it."""
+    saying = [
+        f"{path.name}:{node.name}"
+        for path, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(s, ast.Constant) and "fails validation" in str(s.value)
+                for s in ast.walk(node))
+    ]
+    assert saying == ["ensemble.py:_built_member"]
+    cores = {
+        "greens.py": {"_left_factor", "_right_factor", "_d_middle", "_j_factors"},
+        "regularity.py": {"_member_inner_inverse"},
+    }
+    for module, names in cores.items():
+        calling = {
+            function.name
+            for function in ast.walk(ast.parse((PACKAGE / module).read_text()))
+            if isinstance(function, ast.FunctionDef) and _calls(function, ("_built_member",))
+        }
+        assert calling == names, module
+
+
 def test_inverse_builders_are_validated_on_image_tuples():
     """The inner and unit inverse builders and their one validation check
     their result on image tuples: no member table, ``compose``,

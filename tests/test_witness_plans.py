@@ -69,8 +69,8 @@ def test_each_plan_is_built_once_per_character_and_units_flag(monkeypatch):
     built, kept = [], {}
     real = regularity._WitnessPlan
 
-    def spy(si, chi, sizes):
-        plan = real(si, chi, sizes)
+    def spy(*args):
+        plan = real(*args)
         built.append(plan)
         return plan
 
