@@ -18,18 +18,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import InternalError, InvalidArgumentError, PreconditionError, ResourceLimitError
 from .finite_maps import FiniteMap, compose
 from .partition_action import Partition, _Geometry
-
-if TYPE_CHECKING:
-    from .regularity import _WitnessPlan
 
 DEFAULT_ENUMERATION_CAP = 100_000
 DENSE_CODE_LIMIT = 1 << 20  # largest n**n served by a dense code -> position array
@@ -112,19 +110,24 @@ def _first_inner_inverses(table: np.ndarray, candidates: np.ndarray | None = Non
 
 
 def _first_hits(table: np.ndarray, start: int, stop: int, columns) -> np.ndarray:
-    """``_first_inner_inverses`` on rows start to stop: a*b*a is read by one
-    take on the flat table, and the flat positions are freed before the
-    comparison's mask is made."""
+    """``_first_inner_inverses`` on rows start to stop."""
     a = np.arange(start, stop)[:, None]
     # C order, so the take reads the positions in place
-    at = table[start:stop, columns].astype(np.intp, order="C")
-    at *= len(table)
-    at += a
-    products = table.take(at)
-    del at
-    hits = products == a.astype(table.dtype)
+    hits = _inner_hits(table, table[start:stop, columns].astype(np.intp, order="C"), a)
     hit = hits.argmax(axis=1)
     return np.where(hits[np.arange(stop - start), hit], hit, -1)
+
+
+def _inner_hits(table: np.ndarray, ab: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Whether a*b*a = a, per product a*b in ``ab`` and a the column of its
+    rows' a.  a*b*a is read by one take on the flat table: ``ab``, widened to
+    intp in C order and handed over unnamed, is made the flat positions in
+    place and freed before the comparison's mask is made."""
+    ab *= len(table)
+    ab += a
+    products = table.take(ab)
+    del ab
+    return products == a.astype(table.dtype)
 
 
 def _idempotent_ids(table: np.ndarray) -> np.ndarray:
@@ -284,10 +287,10 @@ class DerivedData:
     members' block facts (``geometry``), then, each on first use, the
     product table, the unit positions (``unit_ids``) and each member's first
     inner and first unit inverse (``first_inverse``, ``first_unit_inverse``),
-    which the element oracles read.  ``witness_plans`` holds the regularity
-    and unit-regularity witness plan of each character asked for, keyed by
-    (character position, units), each with its memo of witness lists, and
-    ``greens`` the Green's-relations data, once ``partsem.regularity`` and
+    which the element oracles read.  ``witness_lists`` holds, per units
+    flag asked for, every member's regularity or unit-regularity witness
+    positions as one flat int32 array with row offsets, and ``greens`` the
+    Green's-relations data, once ``partsem.regularity`` and
     ``partsem.greens`` have built them.
     """
 
@@ -305,7 +308,7 @@ class DerivedData:
         self.char_ids = [found[images] for images in ordered]
         chars = [inst.si.elements[a].images for a in self.char_ids]
         self.geometry = _Geometry(ordered, chars, p)
-        self.witness_plans: dict[tuple[int, bool], _WitnessPlan] = {}
+        self.witness_lists: dict[bool, tuple[array, array]] = {}
         self.greens = None
 
     @cached_property
@@ -345,15 +348,21 @@ def _check_size(size: int, cap: int) -> None:
         raise ResourceLimitError(f"instance has {size} members, above the cap of {cap}")
 
 
-def enumerate_elements(inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[FiniteMap, ...]:
+def enumerate_elements(inst: Instance, cap: int | None = None) -> tuple[FiniteMap, ...]:
     """All members in lexicographic image order; refuses an instance above
-    ``cap`` members, and builds the derived data under that cap."""
+    ``cap`` members (DEFAULT_ENUMERATION_CAP, read at the call, when None)
+    and builds the derived data under that cap.  Once the derived data
+    exists, its member count is what the cap is checked against."""
+    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if cap < 0:
         raise InvalidArgumentError(f"cap must be non-negative, got {cap}")
-    _check_size(predicted_size(inst), cap)
-    if "derived" not in inst.__dict__:
-        inst.__dict__["derived"] = DerivedData(inst)
-    return inst.derived.members
+    d = inst.__dict__.get("derived")
+    if d is None:
+        _check_size(predicted_size(inst), cap)
+        d = inst.__dict__["derived"] = DerivedData(inst)
+    else:
+        _check_size(len(d.members), cap)
+    return d.members
 
 
 def is_member(f: FiniteMap, inst: Instance) -> bool:

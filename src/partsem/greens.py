@@ -279,7 +279,6 @@ class _GreensData:
         self.table = inst.derived.table
         self.l_below, self.r_below = _preorders(self.table)
 
-        self.si_elements = inst.si.elements
         self.si_imgs = [a.images for a in inst.si.elements]
         self.si_table = inst.si.table
         self.char_ids = inst.derived.char_ids

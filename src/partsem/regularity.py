@@ -9,14 +9,15 @@ each member's first inner and first unit inverse, scanned from the member
 table once per instance (``DerivedData.first_inverse`` and
 ``first_unit_inverse``).
 
-The regularity and unit-regularity criteria share one home, a witness plan
-per character (``_WitnessPlan``), kept on the instance's derived data and
-built the first time a member with that character is asked about.  Besides
-the character, the plan's test reads f only through its block-image masks:
-the plan tests each of its groups once per masks tuple and keeps the
-passing positions under it, which the witness lists and the inner and unit
-inverse builders read; a character with one member passes every candidate
-and keeps nothing.  The builders validate on image tuples
+The regularity and unit-regularity criteria share one home, the witness
+lists of every member (``_witness_lists``), built for the whole instance
+the first time a member is asked about, one build per units flag, and kept
+on its derived data.  The build reads no member table and no
+``character``: chi*alpha*chi = chi comes from the index table, with chi
+the position enumeration recorded, and the rest of the criterion from each
+member's block-image masks, a block of member rows at a time.  A member's
+witness list is one slice of a flat int32 array, which the inverse
+builders bisect.  The builders validate on image tuples
 (``ensemble._built_member``), so neither needs the member table.
 """
 
@@ -25,7 +26,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from itertools import compress
+from functools import reduce
+from operator import or_
 from typing import Literal, Sequence
 
 import numpy as np
@@ -38,11 +40,12 @@ from .ensemble import (
     _built_member,
     _first_inner_inverses,
     _idempotent_ids,
+    _inner_hits,
     _row_blocks,
     enumerate_elements,
     require_member,
 )
-from .partition_action import _Geometry, _least_lift
+from .partition_action import _least_lift, _mask
 
 Mode = Literal["oracle", "theorem"]
 
@@ -69,92 +72,73 @@ def _merges_onto_a_large_block(inst: Instance) -> bool:
     )
 
 
-class _WitnessPlan:
-    """The witness candidates of one character chi, in element order and
-    grouped by their restriction to im chi.
+def _unit_candidates(si: IndexSemigroup, alphas: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The units of S(I) with equal block sizes along them, ascending: the
+    unit-regularity criterion's candidates.  ``alphas`` holds each element's
+    images, ``sizes`` each block's size."""
+    ids = si.unit_ids
+    return ids[(sizes[alphas[ids]] == sizes).all(axis=1)]
 
-    The candidates are the alpha in S(I) with chi*alpha*chi = chi; a unit
-    plan keeps only the units of S(I) with equal block sizes along alpha.
-    The regularity criterion asks, besides, that X_i meet the image of f
-    inside X_{alpha(i)} f for each i in im chi, which reads alpha only on
-    im chi: one test per group decides all of its candidates.  ``points``
-    is im chi ascending, ``keys`` alpha on ``points`` per group, and
-    ``positions`` and ``groups`` the candidates' positions and groups.
-    Besides chi, the test reads f only through its block-image masks, so
-    ``memo`` keeps the passing positions once per masks tuple asked about.
-    It is None when chi has one member, which alone would read it: each
-    block of im chi is then one point, and every candidate passes, as
-    X_{alpha(i)} f lies in X_{chi(alpha(i))} = X_i and is not empty.
+
+def _block_fits(block_masks: Sequence[tuple[int, ...]], blocks: Sequence[int]) -> np.ndarray:
+    """Per member, given by its block-image masks, and blocks j and j': whether
+    X_j meets the member's image inside X_{j'}f.  ``blocks`` are the blocks
+    as bitmasks."""
+    d = len(blocks)
+    fits = np.fromiter(
+        (image & b & ~t == 0
+         for masks in block_masks for image in [reduce(or_, masks)] for b in blocks for t in masks),
+        dtype=bool, count=len(block_masks) * d * d,
+    )
+    return fits.reshape(len(block_masks), d, d)
+
+
+def _witness_lists(inst: Instance, units: bool) -> tuple[array, array]:
+    """Every member's witness positions, ascending: member k's are
+    ``flat[offsets[k]:offsets[k + 1]]``.  Built for the whole instance on
+    first use, a block of member rows at a time, and kept on its derived data.
+
+    The candidates are every alpha in S(I), or for units the units with
+    equal block sizes along alpha.  chi*alpha*chi = chi is read from the
+    index table with chi the member's ``char_ids`` entry, and X_j meets the
+    image of f inside X_{alpha(j)}f from the member's block fits: X_j meets
+    no image point off im chi, so every block j is tested alike.
     """
-
-    __slots__ = ("points", "keys", "positions", "groups", "memo", "__weakref__")
-
-    def __init__(self, si: IndexSemigroup, chi: int, sizes: Sequence[int], units: bool) -> None:
-        table = si.table
-        ids = si.unit_ids if units else np.arange(len(si))
-        ids = ids[table[table[chi, ids], chi] == chi].tolist()
-        imgs = [si.elements[a].images for a in ids]
-        if units:
-            keep = [all(sizes[i] == sizes[j] for i, j in enumerate(t)) for t in imgs]
-            ids, imgs = list(compress(ids, keep)), list(compress(imgs, keep))
-        self.points = tuple(sorted(set(si.elements[chi].images)))
-        index: dict[tuple[int, ...], int] = {}
-        groups = [index.setdefault(tuple(t[i] for i in self.points), len(index)) for t in imgs]
-        self.keys = tuple(index)
-        self.positions = array("i", ids)
-        self.groups = array("i", groups)
-        self.memo = {} if any(sizes[i] > 1 for i in self.points) else None
-
-    def passing(self, geometry: _Geometry, k: int, keys: Sequence) -> list[bool]:
-        """Per group key of ``keys``, whether it passes the criterion for
-        member k.  On block-image masks, X_i meets the image of f in the union
-        of the X_j f with chi(j) = i."""
-        blk_img = geometry.block_masks[k]
-        meets = [0] * len(blk_img)
-        for j, i in enumerate(geometry.chars[k]):
-            meets[i] |= blk_img[j]
-        return [
-            all(meets[i] & ~blk_img[t] == 0 for i, t in zip(self.points, key))
-            for key in keys
-        ]
-
-    def witnesses(self, geometry: _Geometry, k: int) -> array:
-        """The positions of the candidates that pass for member k, ascending,
-        tested once per block-mask tuple: all of them when chi has one member."""
-        if self.memo is None:
-            return self.positions
-        masks = geometry.block_masks[k]
-        found = self.memo.get(masks)
-        if found is None:
-            passing = self.passing(geometry, k, self.keys)
-            found = array("i", compress(self.positions, map(passing.__getitem__, self.groups)))
-            self.memo[masks] = found
-        return found
-
-    def admits(self, geometry: _Geometry, k: int, a: int) -> bool:
-        """Whether position a is a candidate that passes for member k."""
-        found = self.witnesses(geometry, k)
-        s = bisect_left(found, a)
-        return s < len(found) and found[s] == a
-
-
-def _witness_plan(inst: Instance, k: int, units: bool) -> _WitnessPlan:
-    """The plan of member k's character, built on first use and kept on the
-    instance's derived data."""
     d = inst.derived
-    key = (d.char_ids[k], units)
-    plan = d.witness_plans.get(key)
-    if plan is None:
-        sizes = [len(b) for b in inst.partition.blocks]
-        plan = d.witness_plans[key] = _WitnessPlan(inst.si, key[0], sizes, units)
-    return plan
+    lists = d.witness_lists.get(units)
+    if lists is not None:
+        return lists
+    si, p = inst.si, inst.partition
+    table = si.table
+    alphas = np.array([a.images for a in si.elements], dtype=np.intp)
+    sizes = np.array([len(b) for b in p.blocks])
+    candidates = _unit_candidates(si, alphas, sizes) if units else np.arange(len(si))
+    targets, positions = alphas[candidates].T, candidates.astype(np.int32)
+    chars = np.array(d.char_ids, dtype=np.intp)
+    blocks = [_mask(b) for b in p.blocks]
+    flat, offsets = array("i"), array("q", [0])
+    # a row's largest temporaries: its hit mask, one block's test, and the
+    # passing places (intp), their positions and the positions' bytes
+    for start, stop in _row_blocks(len(chars), 18 * len(candidates)):
+        chi = chars[start:stop, None]
+        hits = _inner_hits(table, table[chi, candidates].astype(np.intp), chi)
+        fits = _block_fits(d.geometry.block_masks[start:stop], blocks)
+        for j, target in enumerate(targets):
+            hits &= fits[:, j, target]
+        at = hits.reshape(-1).nonzero()[0]
+        at %= len(candidates)
+        flat.frombytes(positions[at].tobytes())
+        offsets.extend((offsets[-1] + np.count_nonzero(hits, axis=1).cumsum()).tolist())
+        del hits, fits, at  # before the next block's are made
+    lists = d.witness_lists[units] = flat, offsets
+    return lists
 
 
 def _witnesses(f: FiniteMap, inst: Instance, units: bool) -> tuple[FiniteMap, ...]:
     """The criterion's witness characters for f, in element order."""
     k = require_member(f, inst)
-    positions = _witness_plan(inst, k, units).witnesses(inst.derived.geometry, k)
-    return tuple(map(inst.si.elements.__getitem__, positions))
+    flat, offsets = _witness_lists(inst, units)
+    return tuple(map(inst.si.elements.__getitem__, flat[offsets[k]:offsets[k + 1]]))
 
 
 def _witness_position(
@@ -163,10 +147,13 @@ def _witness_position(
     """The positions of f and of alpha once alpha is one of f's witnesses."""
     k = require_member(f, inst)
     a = inst.si.position(alpha)
-    if a is None or not _witness_plan(inst, k, units).admits(inst.derived.geometry, k, a):
-        kind = "unit-regularity" if units else "regular-character"
-        raise PreconditionError(f"{alpha} is not a {kind} witness for {f}")
-    return k, a
+    if a is not None:
+        flat, offsets = _witness_lists(inst, units)
+        s = bisect_left(flat, a, offsets[k], offsets[k + 1])
+        if s < offsets[k + 1] and flat[s] == a:
+            return k, a
+    kind = "unit-regularity" if units else "regular-character"
+    raise PreconditionError(f"{alpha} is not a {kind} witness for {f}")
 
 
 def regular_character_witnesses(f: FiniteMap, inst: Instance) -> tuple[FiniteMap, ...]:

@@ -2,10 +2,10 @@
 
 The oracle reads each member's first unit inverse, scanned from the member
 table once per instance (``DerivedData.first_unit_inverse``).  The
-criterion is the regularity criterion on a unit plan
-(``regularity._WitnessPlan``): its candidates are the units of the index
-semigroup with equal block sizes along them, and the plan keeps the passing
-units once per block-mask tuple.  The unit inverse construction
+criterion is the regularity criterion on the unit witness lists
+(``regularity._witness_lists``): their candidates are the units of the
+index semigroup with equal block sizes along them, tested for every member
+in one build per instance.  The unit inverse construction
 pairs image points with transversal preimages and matches defect points to
 collapsed points order-preservingly, block by block; the unused blocks are
 carried by order-preserving bijections.

@@ -1,13 +1,15 @@
-"""Element verdicts decided once per instance or once per key: each member's
-first inner and first unit inverse (``DerivedData.first_inverse`` and
-``first_unit_inverse``), the witness lists a plan keeps per block-mask tuple,
-and the egg-box filled in one pass, each against a computation that keeps
-nothing; and the lifetime of what they keep."""
+"""Element verdicts decided once per instance: each member's first inner
+and first unit inverse (``DerivedData.first_inverse`` and
+``first_unit_inverse``), every member's witness lists
+(``DerivedData.witness_lists``) and the egg-box filled in one pass, each
+against a computation that keeps nothing; and the lifetime of what they
+keep."""
 
 import gc
 import tracemalloc
 import weakref
-from itertools import compress
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from partsem import (
     IndexSemigroup,
     Instance,
     Partition,
+    PreconditionError,
     build_catalog,
     build_inner_inverse,
     d_related,
@@ -30,6 +33,7 @@ from partsem import (
 from partsem import greens, regularity
 from partsem.ensemble import ROW_BLOCK_BYTES, _first_inner_inverses, require_member
 from partsem.finite_maps import _fibers
+from partsem.partition_action import _mask
 
 
 def _instance(blocks):
@@ -92,38 +96,59 @@ def test_the_first_inverse_scans_peak_within_their_row_budget(blocks):
         assert peak <= ROW_BLOCK_BYTES + (9 + table.itemsize) * width + first.nbytes
 
 
+def _uncached_witnesses(inst, k, units):
+    """Member k's witness positions, candidate by candidate: chi*alpha*chi =
+    chi on the index table, X_j meeting the image of f inside X_{alpha(j)}f
+    on block-image masks for every block j and, for units, equal block
+    sizes along alpha."""
+    d, si, blocks = inst.derived, inst.si, inst.partition.blocks
+    table, c, masks = si.table.tolist(), d.char_ids[k], d.geometry.block_masks[k]
+    image = reduce(or_, masks)
+    candidates = si.unit_ids.tolist() if units else range(len(si))
+    found = []
+    for a in candidates:
+        alpha = si.elements[a].images
+        if table[table[c][a]][c] != c:
+            continue
+        if any(image & _mask(b) & ~masks[t] for b, t in zip(blocks, alpha)):
+            continue
+        if units and any(len(blocks[i]) != len(blocks[t]) for i, t in enumerate(alpha)):
+            continue
+        found.append(a)
+    return found
+
+
 def test_witness_lists_equal_an_uncached_passing_computation(inst):
+    """Each member's witness list, and the positions the inverse builders
+    admit, against a computation that keeps nothing."""
     d, si = inst.derived, inst.si
     flags = (False, True) if si.has_identity else (False,)
     public = {False: regular_character_witnesses, True: unit_regular_witnesses}
     for k, f in enumerate(d.members):
         for units in flags:
-            plan = regularity._witness_plan(inst, k, units)
-            passing = plan.passing(d.geometry, k, plan.keys)
-            expected = list(compress(plan.positions, map(passing.__getitem__, plan.groups)))
+            expected = _uncached_witnesses(inst, k, units)
             assert public[units](f, inst) == tuple(si.elements[a] for a in expected), f
-            assert [a for a in plan.positions if plan.admits(d.geometry, k, a)] == expected
-    # one memo entry per block-mask tuple asked about under each character
-    # with two or more members; a one-member character keeps no memo
-    for (chi, _), plan in d.witness_plans.items():
-        ks = [k for k in range(len(d.members)) if d.char_ids[k] == chi]
-        if len(ks) == 1:
-            assert plan.memo is None
-        else:
-            assert set(plan.memo) == {d.geometry.block_masks[k] for k in ks}
+            for a in expected:
+                assert regularity._witness_position(f, si.elements[a], inst, units) == (k, a)
+            refused = next((a for a in range(len(si)) if a not in expected), None)
+            if refused is not None:
+                with pytest.raises(PreconditionError, match="witness for"):
+                    regularity._witness_position(f, si.elements[refused], inst, units)
 
 
-def test_no_plan_of_a_one_member_character_keeps_a_memo():
-    """On singleton blocks every character has one member, who alone asks
-    its plans: after every member's regular and unit witnesses are asked,
-    no plan keeps a witness list."""
+def test_a_one_member_character_passes_every_candidate():
+    """On singleton blocks every character has one member, and every block
+    of im chi is one point: each member's witnesses are all alpha with
+    chi*alpha*chi = chi, for units all such units."""
     inst = _instance([[0], [1], [2]])
+    si = inst.si
+    table = si.table
     for f in enumerate_elements(inst):
-        regular_character_witnesses(f, inst)
-        unit_regular_witnesses(f, inst)
-    plans = inst.derived.witness_plans
-    assert len(plans) == 2 * 27
-    assert all(plan.memo is None for plan in plans.values())
+        c = inst.derived.char_ids[require_member(f, inst)]
+        solves = [a for a in range(len(si)) if table[table[c, a], c] == c]
+        assert regular_character_witnesses(f, inst) == tuple(si.elements[a] for a in solves)
+        units = [a for a in solves if a in si.unit_ids]
+        assert unit_regular_witnesses(f, inst) == tuple(si.elements[a] for a in units)
 
 
 def _per_cell_eggbox(inst):
@@ -151,9 +176,9 @@ def test_eggbox_equals_the_per_cell_scan(label):
         inst.drop_derived()
 
 
-def test_the_arrays_and_the_plan_memo_die_with_the_derived_data():
-    """With the cyclic GC off, ``drop_derived`` frees both arrays, the
-    plans and the witness lists their memos keep."""
+def test_the_arrays_and_the_witness_lists_die_with_the_derived_data():
+    """With the cyclic GC off, ``drop_derived`` frees both arrays and both
+    units flags' witness lists."""
     inst = _instance([[0, 1], [2]])
     f = FiniteMap.of([1, 1, 2])
     enabled = gc.isenabled()
@@ -163,12 +188,12 @@ def test_the_arrays_and_the_plan_memo_die_with_the_derived_data():
         assert is_unit_regular_oracle(f, inst) is not None
         alpha = regular_character_witnesses(f, inst)[0]
         build_inner_inverse(f, alpha, inst)
+        assert unit_regular_witnesses(f, inst)
         d = inst.derived
-        plans = list(d.witness_plans.values())
         kept = [weakref.ref(x) for x in (d, d.first_inverse, d.first_unit_inverse)]
-        kept += [weakref.ref(x) for plan in plans for x in (plan, *plan.memo.values())]
-        assert len(kept) > 4
-        del d, plans
+        kept += [weakref.ref(x) for lists in d.witness_lists.values() for x in lists]
+        assert len(kept) == 7
+        del d
         inst.drop_derived()
         assert [ref() for ref in kept] == [None] * len(kept)
     finally:

@@ -199,6 +199,7 @@ class TestEnumerate:
 
 # the routes besides ``enumerate_elements`` that reach an instance's members
 CAPPED_ROUTES = {
+    "enumerate_elements": lambda f, inst: enumerate_elements(inst),
     "is_member": is_member,
     "require_member": require_member,
     "units": lambda f, inst: units(inst),
@@ -238,6 +239,20 @@ class TestEnumerationCapOnEveryRoute:
         assert is_member(FiniteMap.identity(3), inst)
         with pytest.raises(ResourceLimitError, match="above the cap of 26"):
             enumerate_elements(inst, cap=26)
+
+    def test_an_enumerated_instance_checks_its_member_count(self, monkeypatch):
+        """Once the derived data exists, the cap is checked against its
+        member count: the counting formula runs once, for the build."""
+        calls = []
+        real = ensemble.predicted_size
+        monkeypatch.setattr(ensemble, "predicted_size", lambda inst: calls.append(inst) or real(inst))
+        inst = self._instance()
+        assert len(enumerate_elements(inst, cap=27)) == 27
+        for _ in range(3):
+            assert len(enumerate_elements(inst)) == 27
+        with pytest.raises(ResourceLimitError, match="has 27 members, above the cap of 26"):
+            enumerate_elements(inst, cap=26)
+        assert calls == [inst]
 
     def test_membership(self, inst_full, inst_trivial_si):
         assert is_member(fm([2, 3, 0, 0]), inst_full)

@@ -29,7 +29,6 @@ from partsem import (
     verify_witness,
     witness_maps,
 )
-from partsem.regularity import _WitnessPlan
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +37,7 @@ def catalog3():
 
 
 # the unmutated functions the mutants below delegate to
-_REAL = {"phi_covers": greens._phi_covers, "match_classes": greens._match_classes,
-         "plan_init": _WitnessPlan.__init__}
+_REAL = {"phi_covers": greens._phi_covers, "match_classes": greens._match_classes}
 
 
 def _first_failure(report, name):
@@ -86,8 +84,8 @@ def _match_classes_ignoring_g(geometry, fk, gk, at, bt, budget):
     return _REAL["match_classes"](spoiled, fk, gk, at, bt, budget)
 
 
-def _unit_plan_ignoring_sizes(self, si, chi, sizes, units):
-    _REAL["plan_init"](self, si, chi, [1] * len(sizes) if units else sizes, units)
+def _every_block_fits(block_masks, blocks):
+    return np.ones((len(block_masks), len(blocks), len(blocks)), dtype=bool)
 
 
 # row of ROADMAP item 1's table: (object, attribute, mutant, suites that kill it)
@@ -106,8 +104,8 @@ MUTANTS = {
         greens, "_txp_d_check",
         lambda geometry, a, b: len(geometry.meet_masks[a]) == len(geometry.meet_masks[b]),
         ["txp-specialization"]),
-    "unit witness plan ignores block sizes": (
-        _WitnessPlan, "__init__", _unit_plan_ignoring_sizes,
+    "unit witness candidates ignore block sizes": (
+        regularity, "_unit_candidates", lambda si, alphas, sizes: si.unit_ids,
         ["unit-regular-element-equivalence", "unit-inverse-construction"]),
     "L criterion: _blocks_fit always true": (
         greens, "_blocks_fit", lambda bf, bg, alpha: True,
@@ -115,8 +113,8 @@ MUTANTS = {
     "J criterion: _phi_covers ignores the last block": (
         greens, "_phi_covers", _phi_covers_but_the_last_block,
         ["greens-mode-agreement", "greens-witness-replay", "txp-specialization"]),
-    "regular witness plan: every group passes": (
-        _WitnessPlan, "passing", lambda self, geometry, k, keys: [True] * len(keys),
+    "witness block test: every block fits": (
+        regularity, "_block_fits", _every_block_fits,
         ["inner-inverse-construction"]),
     "D criterion: class matching ignores g's side": (
         greens, "_match_classes", _match_classes_ignoring_g,
@@ -128,7 +126,7 @@ MUTANTS = {
 ABORTED = {
     "L criterion: _blocks_fit always true": "L (theorem): the left factor",
     "J criterion: _phi_covers ignores the last block": "J (theorem): the J factor",
-    "regular witness plan: every group passes": "the inner inverse",
+    "witness block test: every block fits": "the inner inverse",
     "D criterion: class matching ignores g's side": "D (theorem): the left factor",
 }
 

@@ -869,7 +869,7 @@ class _Unread:
 
 # what the searches may read of the Green's data besides the geometry: the
 # partition, the characters and the index semigroup
-_SEARCH_READS = {"partition", "char_ids", "si_elements", "si_imgs", "si_table",
+_SEARCH_READS = {"partition", "char_ids", "si_imgs", "si_table",
                  "si_l_below", "si_r_below", "si_facts"}
 
 

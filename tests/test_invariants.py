@@ -199,8 +199,8 @@ def test_regularity_criteria_read_characters_from_enumeration():
     """The regularity, unit-regularity and idempotency criteria take chi(f)
     from the position enumeration recorded, not from ``character(f, p)``."""
     named = {
-        "regularity.py": {"_WitnessPlan", "_witness_plan", "_witnesses", "_witness_position",
-                          "is_idempotent_characterized"},
+        "regularity.py": {"_unit_candidates", "_block_fits", "_witness_lists", "_witnesses",
+                          "_witness_position", "is_idempotent_characterized"},
         "unit_regularity.py": {"unit_regular_witnesses", "build_unit_inverse"},
     }
     seen, found = set(), []

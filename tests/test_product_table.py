@@ -308,7 +308,7 @@ def test_t5_tables_and_classes():
 
 
 def test_dropping_an_instance_frees_its_derived_data():
-    """The instance, and with it the witness plans its derived data keeps
+    """The instance, and with it the witness lists its derived data keeps
     and the memo of index-semigroup facts its Green's data keeps."""
     inst = _full([[0, 1], [2]])
     eggbox(inst)
@@ -318,8 +318,10 @@ def test_dropping_an_instance_frees_its_derived_data():
         regular_character_witnesses(m, inst)
         unit_regular_witnesses(m, inst)
     assert character(units(inst)[0], inst.partition) in inst.si
-    plans = [weakref.ref(plan) for plan in inst.derived.witness_plans.values()]
-    assert len(plans) == 2 * len(set(inst.derived.char_ids))
+    lists = inst.derived.witness_lists
+    assert set(lists) == {False, True}
+    kept = [weakref.ref(x) for flat_offsets in lists.values() for x in flat_offsets]
+    del lists
     members = enumerate_elements(inst)
     for checker in greens.checkers().values():
         checker(members[1], members[2], inst, mode="theorem")
@@ -330,7 +332,7 @@ def test_dropping_an_instance_frees_its_derived_data():
     del inst
     gc.collect()
     assert ref() is None
-    assert [plan() for plan in plans] == [None] * len(plans)
+    assert [x() for x in kept] == [None] * 4
     assert facts() is None
 
 
@@ -440,12 +442,12 @@ class _TupleSearches:
         return None
 
 
-def _as_maps(data, found):
+def _as_maps(elements, found):
     """A search result with its index positions (the leading ints) replaced
-    by the index semigroup's elements."""
+    by the index semigroup's ``elements``."""
     if found is None or isinstance(found, int):
-        return None if found is None else data.si_elements[found]
-    return tuple(data.si_elements[x] if isinstance(x, int) else x for x in found)
+        return None if found is None else elements[found]
+    return tuple(elements[x] if isinstance(x, int) else x for x in found)
 
 
 def _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch):
@@ -464,30 +466,30 @@ def _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch):
 
     loops = _TupleSearches(data, recorder("tuples"))
     monkeypatch.setattr(greens, "_match_classes", recorder("table"))
-    cap = greens.DEFAULT_PHI_CAP
+    cap, elements = greens.DEFAULT_PHI_CAP, inst.si.elements
     for fk, gk in pairs:
         data.si_facts = greens._IndexFacts(data.si_table, data.si_r_below)
         for memo in ("cold", "warm"):
             budget = [cap]
             l_found = greens._l_one_sided_theorem(data, fk, gk, cap, budget)
-            assert _as_maps(data, l_found) == loops.l_one_sided(fk, gk), memo
+            assert _as_maps(elements, l_found) == loops.l_one_sided(fk, gk), memo
             if data.geometry.kernels[fk] == data.geometry.kernels[gk]:
                 # the R search runs behind the R criterion's equal-kernel gate
                 r_found = greens._r_one_sided_theorem(data, fk, gk, cap, budget)
-                assert _as_maps(data, r_found) == loops.r_one_sided(fk, gk), memo
+                assert _as_maps(elements, r_found) == loops.r_one_sided(fk, gk), memo
             d_found = greens._d_theorem_search(data, fk, gk, cap)
-            assert _as_maps(data, d_found) == loops.d_search(fk, gk, cap), memo
+            assert _as_maps(elements, d_found) == loops.d_search(fk, gk, cap), memo
             assert calls["table"] == calls["tuples"], memo
             calls["table"].clear()
             calls["tuples"].clear()
             table_budget, tuple_budget = [cap], [cap]
             j_found = greens._j_one_sided_theorem(data, fk, gk, cap, table_budget)
-            assert _as_maps(data, j_found) == loops.j_one_sided(fk, gk, tuple_budget), memo
+            assert _as_maps(elements, j_found) == loops.j_one_sided(fk, gk, tuple_budget), memo
             assert table_budget == tuple_budget, memo
             cf, cg = data.char_ids[fk], data.char_ids[gk]
             divisors = data.si_facts.right_divisors(cf, cg)
             expected = loops.right_divisor(data.geometry.chars[fk], data.geometry.chars[gk])
-            assert _as_maps(data, divisors[0] if divisors else None) == expected, memo
+            assert _as_maps(elements, divisors[0] if divisors else None) == expected, memo
         assert len(data.si_facts) > 0
 
 
@@ -617,7 +619,7 @@ class _MapWitnesses:
     def __init__(self, inst):
         self.inst = inst
         self.data = _greens_data(inst)
-        self.p = inst.partition
+        self.p, self.elements = inst.partition, inst.si.elements
 
     def ids(self, *maps):
         return [ensemble.require_member(h, self.inst) for h in maps]
@@ -659,10 +661,10 @@ class _MapWitnesses:
                 (("alpha", character(h_fg, p)), ("beta", character(h_gf, p))),
             )
         budget = [cap]
-        alpha = _as_maps(data, greens._l_one_sided_theorem(data, fk, gk, cap, budget))
+        alpha = _as_maps(self.elements, greens._l_one_sided_theorem(data, fk, gk, cap, budget))
         if alpha is None:
             return None
-        beta = _as_maps(data, greens._l_one_sided_theorem(data, gk, fk, cap, budget))
+        beta = _as_maps(self.elements, greens._l_one_sided_theorem(data, gk, fk, cap, budget))
         if beta is None:
             return None
         return self.witness(
@@ -695,10 +697,10 @@ class _MapWitnesses:
         if data.geometry.kernels[fk] != data.geometry.kernels[gk]:
             return None
         budget = [cap]
-        beta_fg = _as_maps(data, greens._r_one_sided_theorem(data, fk, gk, cap, budget))
+        beta_fg = _as_maps(self.elements, greens._r_one_sided_theorem(data, fk, gk, cap, budget))
         if beta_fg is None:
             return None
-        beta_gf = _as_maps(data, greens._r_one_sided_theorem(data, gk, fk, cap, budget))
+        beta_gf = _as_maps(self.elements, greens._r_one_sided_theorem(data, gk, fk, cap, budget))
         if beta_gf is None:
             return None
         return self.witness(
@@ -743,7 +745,7 @@ class _MapWitnesses:
                  ("gamma", character(m, p))),
                 tuple((c, by_value[f.images[c[0]]]) for c in kernel_partition(f).classes),
             )
-        found = _as_maps(data, greens._d_theorem_search(data, fk, gk, cap))
+        found = _as_maps(self.elements, greens._d_theorem_search(data, fk, gk, cap))
         if found is None:
             return None
         alpha, beta, gamma, matched = found
@@ -757,8 +759,8 @@ class _MapWitnesses:
         assert character(m, p) == gamma and kernel_partition(m) == kernel_partition(g)
         [mk] = self.ids(m)
         facts = data.si_facts
-        u = data.si_elements[facts.right_divisors(data.char_ids[gk], data.char_ids[mk])[0]]
-        v = data.si_elements[facts.right_divisors(data.char_ids[mk], data.char_ids[gk])[0]]
+        u = self.elements[facts.right_divisors(data.char_ids[gk], data.char_ids[mk])[0]]
+        v = self.elements[facts.right_divisors(data.char_ids[mk], data.char_ids[gk])[0]]
         return self.witness(
             "D",
             (("middle", m), ("l_fm", self.left_factor(f, m, alpha)),
@@ -784,10 +786,10 @@ class _MapWitnesses:
                 image_maps=(("phi", self.image_map(g, h1, h2)), ("psi", self.image_map(f, k1, k2))),
             )
         budget = [cap]
-        forward = _as_maps(data, greens._j_one_sided_theorem(data, fk, gk, cap, budget))
+        forward = _as_maps(self.elements, greens._j_one_sided_theorem(data, fk, gk, cap, budget))
         if forward is None:
             return None
-        backward = _as_maps(data, greens._j_one_sided_theorem(data, gk, fk, cap, budget))
+        backward = _as_maps(self.elements, greens._j_one_sided_theorem(data, gk, fk, cap, budget))
         if backward is None:
             return None
         alpha, beta, phi = forward

@@ -1,7 +1,10 @@
-"""The regularity and unit-regularity witness plans: one per character and
-units flag, built on first use (freed with their instance: see
-``test_product_table``), and the same witnesses as a per-candidate
+"""The regularity and unit-regularity witness lists: one build per units
+flag for the whole instance, a block of member rows at a time, on first use
+(freed with their instance: see ``test_product_table`` and
+``test_element_verdicts``), and the same witnesses as a per-candidate
 reference composed on image tuples."""
+
+import tracemalloc
 
 import pytest
 
@@ -18,7 +21,7 @@ from partsem import (
     run_all,
     unit_regular_witnesses,
 )
-from partsem import harness, regularity
+from partsem import ensemble, harness, regularity
 from conftest import comp, raw_character
 
 CATALOG = build_catalog(3, seed=7)
@@ -62,63 +65,77 @@ def test_witnesses_match_a_per_candidate_reference(entry):
             assert unit_regular_witnesses(f, inst) == _reference_witnesses(f, inst, True), f
 
 
-def test_each_plan_is_built_once_per_character_and_units_flag(monkeypatch):
+def test_the_lists_are_built_once_per_units_flag(monkeypatch):
     """The four regularity suites over a fresh catalog, each run twice on
-    every entry it admits: the plans built are the plans the entry keeps, one
-    per (character, units) key, and the second run of a suite builds none."""
-    built, kept = [], {}
-    real = regularity._WitnessPlan
+    every entry it admits: each entry keeps one build per units flag asked
+    for, and the second run of a suite builds nothing."""
+    builds, kept = [], {}
+    real = regularity._block_fits
 
-    def spy(*args):
-        plan = real(*args)
-        built.append(plan)
-        return plan
+    def spy(block_masks, blocks):
+        builds.append(len(block_masks))
+        return real(block_masks, blocks)
 
     def twice(suite):
         def run(entry, sweep):
             record = suite(entry, sweep)
             if record is not None:
-                before = len(built)
+                before = len(builds)
                 assert suite(entry, sweep).failures == 0
-                assert len(built) == before, (record.suite, entry.label)
-                d = entry.instance.derived
-                kept[entry.label] = (dict(d.witness_plans), set(d.char_ids))
+                assert len(builds) == before, (record.suite, entry.label)
+                kept[entry.label] = set(entry.instance.derived.witness_lists)
             return record
 
         return run
 
-    monkeypatch.setattr(regularity, "_WitnessPlan", spy)
+    monkeypatch.setattr(regularity, "_block_fits", spy)
     for name in SUITES:
         monkeypatch.setitem(harness.SUITES, name, twice(harness.SUITES[name]))
     catalog = build_catalog(3, seed=7)
     assert run_all(catalog, list(SUITES)).failures == 0
-    assert len(built) > 0
-    assert sorted(map(id, built)) == sorted(
-        id(plan) for plans, _ in kept.values() for plan in plans.values())
     assert list(kept) == [e.label for e in catalog.entries]
+    # one row block per build at max_n 3: one build per entry and flag
+    assert len(builds) == sum(map(len, kept.values()))
     for e in catalog.entries:
-        plans, chars = kept[e.label]
-        asked = {(c, False) for c in chars}
-        if e.instance.si.has_identity:
-            asked |= {(c, True) for c in chars}
-        assert set(plans) == asked, e.label
+        assert kept[e.label] == ({False, True} if e.instance.si.has_identity else {False})
 
 
-def test_plans_are_kept_compactly():
-    """A plan holds index arrays and one key per group, not an object per
-    candidate; its groups are the candidates' restrictions to im chi."""
+def test_the_lists_are_one_flat_int32_array_with_row_offsets(monkeypatch):
+    """Member k's witnesses are the ascending slice offsets[k]:offsets[k+1]
+    of one flat int32 array; one-row blocks build the same lists."""
     p = Partition.of([[0, 1], [2], [3], [4]])
     inst = Instance(p, IndexSemigroup.full(p.degree))
-    for f in enumerate_elements(inst)[::37]:
-        regular_character_witnesses(f, inst)
-    for (chi, _), plan in inst.derived.witness_plans.items():
-        assert plan.points == tuple(sorted(set(inst.si.elements[chi].images)))
-        assert list(plan.positions) == sorted(plan.positions)
-        assert len(plan.groups) == len(plan.positions)
-        assert len(plan.keys) <= len(plan.positions)
-        for a, group in zip(plan.positions, plan.groups):
-            alpha = inst.si.elements[a].images
-            assert plan.keys[group] == tuple(alpha[i] for i in plan.points)
+    members = enumerate_elements(inst)
+    for units in (False, True):
+        flat, offsets = regularity._witness_lists(inst, units)
+        assert flat.typecode == "i" and flat.itemsize == 4
+        assert len(offsets) == len(members) + 1 and offsets[0] == 0 and offsets[-1] == len(flat)
+        for k in range(len(members)):
+            row = flat[offsets[k]:offsets[k + 1]]
+            assert list(row) == sorted(set(row))
+    lists = dict(inst.derived.witness_lists)
+    inst.drop_derived()
+    monkeypatch.setattr(ensemble, "ROW_BLOCK_BYTES", 1)
+    for units in (False, True):
+        assert regularity._witness_lists(inst, units) == lists[units]
+
+
+def test_the_build_peaks_within_its_row_budget():
+    """Under tracemalloc, each build on n4:[0][1][2][3]/full (256 members,
+    S(I) = T_4) peaks within ROW_BLOCK_BYTES plus the arrays it keeps; the
+    members' block-image masks and the index units are built beforehand."""
+    p = Partition.of([[0], [1], [2], [3]])
+    inst = Instance(p, IndexSemigroup.full(p.degree))
+    inst.derived.geometry.block_masks, inst.si.unit_ids
+    for units in (False, True):
+        tracemalloc.start()
+        try:
+            flat, offsets = regularity._witness_lists(inst, units)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = len(flat) * flat.itemsize + len(offsets) * offsets.itemsize
+        assert peak <= ensemble.ROW_BLOCK_BYTES + kept
 
 
 @pytest.mark.parametrize("build", [build_inner_inverse, build_unit_inverse])
