@@ -39,11 +39,14 @@ element) and the D labels (``d_label``, which ``eggbox`` groups by,
 filling each D-class's grid in one pass over its members) read;
 part 2 (``j_below``), ≤_J on classes, built only when a J question asks.
 The J oracles scan the table for factors only on pairs it puts J-below.
-Each member's block facts (block images, kernel classes and
-the blocks they meet, J geometry) come from the members' geometry
-(``inst.derived.geometry``), characters from the positions enumeration
-recorded (``inst.derived.char_ids``), and the left factor, the left J
-factor and the inner inverse share one least-preimage lift.  ``txp_green``,
+Each member's block facts (block images, kernel classes and the masks of
+the blocks they meet, sorted images, J geometry) come from the members'
+geometry (``inst.derived.geometry``), characters from the positions
+enumeration recorded (``inst.derived.char_ids``); the L criterion and its
+builder share the block-containment test of the idempotency criterion
+(``partition_action._blocks_fit``), the R builder tests refinement with
+``finite_maps.refines``, and the left factor, the left J factor and the
+inner inverse share one least-preimage lift.  ``txp_green``,
 the criteria specialized to the full character set T(I), reads a geometry
 too: of its two maps, or of all members for a caller deciding many pairs,
 who keeps one memo of each map's J covers and one-sided J verdicts (built
@@ -62,9 +65,11 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import InternalError, InvalidArgumentError, PreconditionError, ResourceLimitError
-from .finite_maps import FiniteMap, _fibers, image, kernel_partition
+from .finite_maps import FiniteMap, _fibers, image, kernel_partition, refines
 from .ensemble import Instance, _built_member, _row_blocks, enumerate_elements, require_member
-from .partition_action import Partition, _Geometry, _least_lift, _mask, character, preserves_partition
+from .partition_action import (
+    Partition, _Geometry, _blocks_fit, _least_lift, _mask, character, preserves_partition,
+)
 from .regularity import _check_mode
 
 Relation = Literal["L", "R", "D", "J"]
@@ -390,11 +395,6 @@ def _l_one_sided_theorem(
     return None
 
 
-def _blocks_fit(bf: tuple[int, ...], bg: tuple[int, ...], alpha: tuple[int, ...]) -> bool:
-    """X_i f inside X_{alpha(i)} g for every i, on the block-image masks of f and g."""
-    return all(bf[i] & ~bg[j] == 0 for i, j in enumerate(alpha))
-
-
 def _related(
     rel: str, f: FiniteMap, g: FiniteMap, inst: Instance, mode: str, cap: int
 ) -> GreenWitness | None:
@@ -492,14 +492,6 @@ def _r_one_sided_theorem(
     return hits[0]
 
 
-def _kernel_refines(data: _GreensData, gk: int, fk: int) -> bool:
-    """pi(g) refines pi(f): each kernel class of g lies in one class of f;
-    ``build_right_factor``'s precondition."""
-    f_classes, g_classes = data.geometry.kernels[fk], data.geometry.kernels[gk]
-    f_class = {x: k for k, c in enumerate(f_classes) for x in c}
-    return all(len({f_class[x] for x in c}) == 1 for c in g_classes)
-
-
 def r_related(
     f: FiniteMap,
     g: FiniteMap,
@@ -519,8 +511,9 @@ def build_right_factor(
     b = inst.si.position(beta)
     if b is None:
         raise PreconditionError(f"{beta} is not in the index semigroup")
-    refines = _kernel_refines(data, gk, fk)
-    if data.si_table[data.char_ids[gk], b] != data.char_ids[fk] or not refines:
+    # pi(g) must refine pi(f): each kernel class of g lies in one class of f
+    refined = refines(kernel_partition(g), kernel_partition(f))
+    if data.si_table[data.char_ids[gk], b] != data.char_ids[fk] or not refined:
         raise PreconditionError(f"{beta} does not witness the R-inequality")
     return data.members[_right_factor(data, fk, gk, b)]
 
@@ -552,9 +545,10 @@ def _match_classes(
     partners ascending, with one iterator per assigned class on a stack.
     """
     f_meet, g_meet = geometry.meet_masks[fk], geometry.meet_masks[gk]
-    # the blocks that class mk of pi(f) (nk of pi(g)) must meet in its partner
-    f_to = [_mask(at[i] for i in meets) for meets in geometry.class_meets[fk]]
-    g_to = [_mask(bt[i] for i in meets) for meets in geometry.class_meets[gk]]
+    # the blocks that class mk of pi(f) (nk of pi(g)) must meet in its
+    # partner: alpha (beta) maps over the bits of its meet mask
+    f_to = [_mask(j for i, j in enumerate(at) if m >> i & 1) for m in f_meet]
+    g_to = [_mask(j for i, j in enumerate(bt) if m >> i & 1) for m in g_meet]
     count = len(f_to)
     compat = [
         [
@@ -599,8 +593,8 @@ def _d_theorem_search(
     alphas with chi(f) = alpha*gamma and the betas with gamma = beta*chi(f)
     are the left divisors of chi(f) by gamma and of gamma by chi(f).
     """
-    class_meets = data.geometry.class_meets
-    if len(class_meets[fk]) != len(class_meets[gk]):
+    meet_masks = data.geometry.meet_masks
+    if len(meet_masks[fk]) != len(meet_masks[gk]):
         return None
     facts, imgs = data.si_facts, data.si_imgs
     cf, cg = data.char_ids[fk], data.char_ids[gk]
@@ -716,8 +710,8 @@ def _j_one_sided_theorem(
     pair the point values of phi are enumerated blockwise.
     """
     j_geometry = data.geometry.j_geometry
-    _, dom_blocks, block_sources = j_geometry[gk]
-    if len(j_geometry[fk][1]) > len(dom_blocks):
+    dom_blocks, block_sources = j_geometry[gk]
+    if len(j_geometry[fk][0]) > len(dom_blocks):
         return None
     p = data.partition
     f_blockimg = data.geometry.block_masks[fk]
@@ -813,8 +807,8 @@ def build_j_factors(
     a, b = inst.si.position(alpha), inst.si.position(beta)
     if a is None or b is None:
         raise PreconditionError("alpha and beta must lie in the index semigroup")
-    dom, dom_blocks, block_sources = data.geometry.j_geometry[gk]
-    if phi.domain_size != len(dom) or phi.codomain_size != p.n:
+    dom_blocks, block_sources = data.geometry.j_geometry[gk]
+    if phi.domain_size != len(dom_blocks) or phi.codomain_size != p.n:
         raise PreconditionError("phi must map the image of g into X")
     sources = [block_sources[j] for j in alpha.images]
     if not _phi_covers(data.geometry.block_masks[fk], sources, phi.images):
@@ -833,7 +827,7 @@ def _j_factors(
     sorted image of g."""
     p, table = data.partition, data.table
     beta = data.si_imgs[b]
-    phi_at = dict(zip(data.geometry.j_geometry[gk][0], phi))
+    phi_at = dict(zip(data.geometry.sorted_images[gk], phi))
     h2_images = tuple(phi_at.get(x, p.blocks[beta[p.block_of(x)]][0]) for x in range(p.n))
     k2 = _built_member(data, "J factor", h2_images, b, lambda k: True)
     gphi = [phi_at[v] for v in data.imgs[gk]]
@@ -886,7 +880,7 @@ def _txp_j_covers(geometry: _Geometry, b: int) -> set:
     target assignments of g's image blocks and then the point values are
     enumerated; they depend on g alone.
     """
-    _, dom_blocks, sources = geometry.j_geometry[b]
+    dom_blocks, sources = geometry.j_geometry[b]
     hit_blocks = sorted(set(dom_blocks))
     covers = set()
     for targets in itertools.product(range(geometry.p.degree), repeat=len(hit_blocks)):
@@ -911,13 +905,12 @@ def _txp_j_one_sided(geometry: _Geometry, a: int, b: int, memo: dict) -> bool:
 
 
 # The geometry lists each theorem search reads of one map besides its
-# character; of ``j_geometry`` the J search reads the block parts, [1:], and
-# never the sorted image.  Maps with equal characters and equal reads get
-# equal theorem verdicts, and the searches read nothing else of the geometry.
+# character.  Maps with equal characters and equal reads get equal theorem
+# verdicts, and the searches read nothing else of the geometry.
 _THEOREM_READS = {
     "L": ("block_masks",),
     "R": ("kernels",),
-    "D": ("meet_masks", "class_meets"),
+    "D": ("meet_masks",),
     "J": ("block_masks", "j_geometry"),
 }
 

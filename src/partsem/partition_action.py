@@ -9,8 +9,11 @@ lands inside a single block, and its character is the induced self-map of I.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InvalidArgumentError
 from .finite_maps import FiniteMap, _fibers, _sorted_parts, kernel_partition
@@ -203,7 +206,9 @@ def _mask(values: Iterable[int]) -> int:
 class _Geometry:
     """The block facts of a list of preserving maps of (X, P), given by their
     images and their characters' images: one list per fact, indexed like the
-    maps, each built on first use."""
+    maps, each built on first use.  The lists: ``block_masks``, ``kernels``,
+    ``char_kernels``, ``meet_masks``, ``sorted_images``, ``j_geometry`` and
+    the witness table ``block_fits``."""
 
     images: Sequence[tuple[int, ...]]
     chars: Sequence[tuple[int, ...]]
@@ -227,33 +232,44 @@ class _Geometry:
         return [classes[c] for c in self.chars]
 
     @cached_property
-    def class_meets(self) -> list[tuple[tuple[int, ...], ...]]:
-        """Per map and kernel class, the blocks the class meets, ascending."""
-        return [
-            tuple(tuple(sorted({self.p.block_of(x) for x in c})) for c in classes)
-            for classes in self.kernels
-        ]
-
-    @cached_property
     def meet_masks(self) -> list[tuple[int, ...]]:
         """Per map and kernel class, the bitmask of the blocks the class meets."""
-        return [tuple(_mask(c) for c in meets) for meets in self.class_meets]
+        lookup = self.p._block_lookup
+        return [tuple(_mask(lookup[x] for x in c) for c in classes) for classes in self.kernels]
 
     @cached_property
-    def j_geometry(self) -> list[tuple[tuple, tuple, tuple]]:
-        """Per map g: its sorted image, the block of each image point and,
-        per block j, the sorted positions of X_j g in that image."""
-        p = self.p
+    def sorted_images(self) -> list[tuple[int, ...]]:
+        """Per map, its image, ascending."""
+        return [tuple(sorted(set(t))) for t in self.images]
+
+    @cached_property
+    def j_geometry(self) -> list[tuple[tuple, tuple]]:
+        """Per map g: the block of each point of its sorted image and, per
+        block j, the sorted positions of X_j g in that image."""
+        lookup = self.p._block_lookup
         geometry = []
-        for t in self.images:
-            dom = tuple(sorted(set(t)))
+        for t, dom in zip(self.images, self.sorted_images):
             pos = {v: k for k, v in enumerate(dom)}
             geometry.append((
-                dom,
-                tuple(p.block_of(z) for z in dom),
-                tuple(tuple(sorted({pos[t[x]] for x in b})) for b in p.blocks),
+                tuple(lookup[z] for z in dom),
+                tuple(tuple(sorted({pos[t[x]] for x in b})) for b in self.p.blocks),
             ))
         return geometry
+
+    @cached_property
+    def block_fits(self) -> np.ndarray:
+        """Per map f and blocks j and j', whether X_j meets the image of f
+        inside X_{j'} f: the regularity witnesses' block test, maps × d × d."""
+        blocks, d = [_mask(b) for b in self.p.blocks], self.p.degree
+        fits = np.fromiter((image & b & ~t == 0 for masks in self.block_masks
+                            for image in [reduce(or_, masks)] for b in blocks for t in masks),
+                           dtype=bool, count=len(self.images) * d * d)
+        return fits.reshape(-1, d, d)
+
+
+def _blocks_fit(bf: tuple[int, ...], bg: tuple[int, ...], alpha: Sequence[int]) -> bool:
+    """X_i f inside X_{alpha(i)} g for every i, on the block-image masks of f and g."""
+    return all(bf[i] & ~bg[j] == 0 for i, j in enumerate(alpha))
 
 
 def pi_restricted(f: FiniteMap, a: Sequence[int]) -> tuple[tuple[int, ...], ...]:

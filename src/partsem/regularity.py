@@ -7,18 +7,21 @@ compare them: oracles read products from the instance's member product table,
 criteria only from the index semigroup's table.  The element oracles read
 each member's first inner and first unit inverse, scanned from the member
 table once per instance (``DerivedData.first_inverse`` and
-``first_unit_inverse``).
+``first_unit_inverse``), and the semigroup oracles read the whole arrays.
 
 The regularity and unit-regularity criteria share one home, the witness
 lists of every member (``_witness_lists``), built for the whole instance
 the first time a member is asked about, one build per units flag, and kept
 on its derived data.  The build reads no member table and no
 ``character``: chi*alpha*chi = chi comes from the index table, with chi
-the position enumeration recorded, and the rest of the criterion from each
-member's block-image masks, a block of member rows at a time.  A member's
-witness list is one slice of a flat int32 array, which the inverse
-builders bisect.  The builders validate on image tuples
-(``ensemble._built_member``), so neither needs the member table.
+the position enumeration recorded, and the rest of the criterion from the
+members' block-fit tables (``_Geometry.block_fits``, one per instance for
+both flags), a block of member rows at a time.  The unit candidates are
+the one equal-block-size test (``_unit_candidates``), which the
+unit-regular semigroup criterion reads too.  A member's witness list is
+one slice of a flat int32 array, which the inverse builders bisect.  The
+builders validate on image tuples (``ensemble._built_member``), so neither
+needs the member table.
 """
 
 from __future__ import annotations
@@ -26,9 +29,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from functools import reduce
-from operator import or_
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .ensemble import (
     enumerate_elements,
     require_member,
 )
-from .partition_action import _least_lift, _mask
+from .partition_action import _blocks_fit, _least_lift
 
 Mode = Literal["oracle", "theorem"]
 
@@ -72,25 +73,12 @@ def _merges_onto_a_large_block(inst: Instance) -> bool:
     )
 
 
-def _unit_candidates(si: IndexSemigroup, alphas: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _unit_candidates(inst: Instance) -> np.ndarray:
     """The units of S(I) with equal block sizes along them, ascending: the
-    unit-regularity criterion's candidates.  ``alphas`` holds each element's
-    images, ``sizes`` each block's size."""
-    ids = si.unit_ids
-    return ids[(sizes[alphas[ids]] == sizes).all(axis=1)]
-
-
-def _block_fits(block_masks: Sequence[tuple[int, ...]], blocks: Sequence[int]) -> np.ndarray:
-    """Per member, given by its block-image masks, and blocks j and j': whether
-    X_j meets the member's image inside X_{j'}f.  ``blocks`` are the blocks
-    as bitmasks."""
-    d = len(blocks)
-    fits = np.fromiter(
-        (image & b & ~t == 0
-         for masks in block_masks for image in [reduce(or_, masks)] for b in blocks for t in masks),
-        dtype=bool, count=len(block_masks) * d * d,
-    )
-    return fits.reshape(len(block_masks), d, d)
+    unit-regularity criterion's candidates and its one block-size test."""
+    si, sizes = inst.si, np.array([len(b) for b in inst.partition.blocks])
+    alphas = np.array([si.elements[u].images for u in si.unit_ids.tolist()], dtype=np.intp)
+    return si.unit_ids[(sizes[alphas.reshape(-1, len(sizes))] == sizes).all(axis=1)]
 
 
 def _witness_lists(inst: Instance, units: bool) -> tuple[array, array]:
@@ -101,35 +89,35 @@ def _witness_lists(inst: Instance, units: bool) -> tuple[array, array]:
     The candidates are every alpha in S(I), or for units the units with
     equal block sizes along alpha.  chi*alpha*chi = chi is read from the
     index table with chi the member's ``char_ids`` entry, and X_j meets the
-    image of f inside X_{alpha(j)}f from the member's block fits: X_j meets
-    no image point off im chi, so every block j is tested alike.
+    image of f inside X_{alpha(j)}f from the members' block fits
+    (``_Geometry.block_fits``, built once for both flags): X_j meets no
+    image point off im chi, so every block j is tested alike.
     """
     d = inst.derived
     lists = d.witness_lists.get(units)
     if lists is not None:
         return lists
-    si, p = inst.si, inst.partition
-    table = si.table
-    alphas = np.array([a.images for a in si.elements], dtype=np.intp)
-    sizes = np.array([len(b) for b in p.blocks])
-    candidates = _unit_candidates(si, alphas, sizes) if units else np.arange(len(si))
-    targets, positions = alphas[candidates].T, candidates.astype(np.int32)
-    chars = np.array(d.char_ids, dtype=np.intp)
-    blocks = [_mask(b) for b in p.blocks]
+    si, degree = inst.si, inst.partition.degree
+    table, fits = si.table, d.geometry.block_fits
+    positions = (_unit_candidates(inst) if units else np.arange(len(si))).astype(np.int32)
+    # per block j, alpha(j) of every candidate, in the least dtype holding a
+    # block: with the positions the build's only arrays besides its lists,
+    # as the characters are read a block of rows at a time
+    targets = np.array([si.elements[a].images for a in positions.tolist()],
+                       dtype=np.min_scalar_type(degree)).reshape(-1, degree).T
     flat, offsets = array("i"), array("q", [0])
     # a row's largest temporaries: its hit mask, one block's test, and the
     # passing places (intp), their positions and the positions' bytes
-    for start, stop in _row_blocks(len(chars), 18 * len(candidates)):
-        chi = chars[start:stop, None]
-        hits = _inner_hits(table, table[chi, candidates].astype(np.intp), chi)
-        fits = _block_fits(d.geometry.block_masks[start:stop], blocks)
+    for start, stop in _row_blocks(len(d.char_ids), 18 * len(positions)):
+        chi = np.array(d.char_ids[start:stop], dtype=np.intp)[:, None]
+        hits = _inner_hits(table, table[chi, positions].astype(np.intp), chi)
         for j, target in enumerate(targets):
-            hits &= fits[:, j, target]
+            hits &= fits[start:stop, j, target]
         at = hits.reshape(-1).nonzero()[0]
-        at %= len(candidates)
+        at %= len(positions)
         flat.frombytes(positions[at].tobytes())
         offsets.extend((offsets[-1] + np.count_nonzero(hits, axis=1).cumsum()).tolist())
-        del hits, fits, at  # before the next block's are made
+        del hits, at  # before the next block's are made
     lists = d.witness_lists[units] = flat, offsets
     return lists
 
@@ -214,7 +202,7 @@ def is_regular_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:
     """Whole-semigroup regularity, by exhaustion or by the two structural conditions."""
     _check_mode(mode)
     if mode == "oracle":
-        return all(is_regular_oracle(f, inst) is not None for f in enumerate_elements(inst))
+        return bool((inst.derived.first_inverse >= 0).all())
     return si_is_regular(inst.si) and not _merges_onto_a_large_block(inst)
 
 
@@ -230,12 +218,10 @@ def is_idempotent_characterized(f: FiniteMap, inst: Instance) -> bool:
     c = inst.derived.char_ids[k]
     if inst.si.table[c, c] != c:
         return False
-    geometry = inst.derived.geometry
-    chi, blk_img, t = geometry.chars[k], geometry.block_masks[k], f.images
-    blocks = inst.partition.blocks
-    return all(blk_img[i] & ~blk_img[j] == 0 for i, j in enumerate(chi)) and all(
-        t[t[x]] == t[x] for i, j in enumerate(chi) if i == j for x in blocks[i]
-    )
+    geometry, blocks, t = inst.derived.geometry, inst.partition.blocks, f.images
+    chi, masks = geometry.chars[k], geometry.block_masks[k]
+    return _blocks_fit(masks, masks, chi) and all(
+        t[t[x]] == t[x] for i, j in enumerate(chi) if i == j for x in blocks[i])
 
 
 def is_inverse_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:

@@ -1,14 +1,15 @@
 """Unit-regular elements and semigroups, with the collapse/defect bookkeeping.
 
 The oracle reads each member's first unit inverse, scanned from the member
-table once per instance (``DerivedData.first_unit_inverse``).  The
-criterion is the regularity criterion on the unit witness lists
-(``regularity._witness_lists``): their candidates are the units of the
-index semigroup with equal block sizes along them, tested for every member
-in one build per instance.  The unit inverse construction
-pairs image points with transversal preimages and matches defect points to
-collapsed points order-preservingly, block by block; the unused blocks are
-carried by order-preserving bijections.
+table once per instance (``DerivedData.first_unit_inverse``), and the
+semigroup oracle reads the whole array.  The criterion is the regularity
+criterion on the unit witness lists (``regularity._witness_lists``): their
+candidates are the units of the index semigroup with equal block sizes
+along them (``regularity._unit_candidates``, which the semigroup criterion
+reads too), tested for every member in one build per instance.  The unit
+inverse construction pairs image points with transversal preimages and
+matches defect points to collapsed points order-preservingly, block by
+block; the unused blocks are carried by order-preserving bijections.
 """
 
 from __future__ import annotations
@@ -20,17 +21,14 @@ from .finite_maps import (
     image,
     kernel_partition,
 )
-from .ensemble import (
-    Instance,
-    enumerate_elements,
-    require_member,
-)
+from .ensemble import Instance, require_member
 from .regularity import (
     Mode,
     _check_mode,
     _each_has_inner_inverse,
     _member_inner_inverse,
     _merges_onto_a_large_block,
+    _unit_candidates,
     _witness_position,
     _witnesses,
 )
@@ -106,20 +104,12 @@ def is_unit_regular_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:
     _check_mode(mode)
     _require_identity(inst)
     if mode == "oracle":
-        return all(
-            is_unit_regular_oracle(f, inst) is not None
-            for f in enumerate_elements(inst)
-        )
+        return bool((inst.derived.first_unit_inverse >= 0).all())
     si = inst.si
     if not _each_has_inner_inverse(si.table, si.unit_ids):
         return False
-    sizes = [len(b) for b in inst.partition.blocks]
-    for u in si.unit_ids:
-        alpha = si.elements[u].images
-        if any(sizes[i] != sizes[alpha[i]] for i in range(inst.partition.degree)):
-            return False
     # Finiteness of every block holds structurally for these carriers.
-    return not _merges_onto_a_large_block(inst)
+    return len(_unit_candidates(inst)) == len(si.unit_ids) and not _merges_onto_a_large_block(inst)
 
 
 def make_c_neq_d_map(size_x: int, size_y: int) -> FiniteMap:

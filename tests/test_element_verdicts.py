@@ -26,11 +26,13 @@ from partsem import (
     eggbox,
     enumerate_elements,
     is_regular_oracle,
+    is_regular_semigroup,
     is_unit_regular_oracle,
+    is_unit_regular_semigroup,
     regular_character_witnesses,
     unit_regular_witnesses,
 )
-from partsem import greens, regularity
+from partsem import greens, regularity, unit_regularity
 from partsem.ensemble import ROW_BLOCK_BYTES, _first_inner_inverses, require_member
 from partsem.finite_maps import _fibers
 from partsem.partition_action import _mask
@@ -76,6 +78,23 @@ def test_first_inverses_equal_a_scan_from_the_definition(inst):
         for f, u in zip(d.members, d.first_unit_inverse.tolist()):
             unit = None if u < 0 else d.members[d.unit_ids[u]]
             assert is_unit_regular_oracle(f, inst) == unit
+
+
+def test_the_semigroup_oracles_look_up_no_member(inst, monkeypatch):
+    """Regularity and unit-regularity of the whole semigroup by exhaustion
+    read the first-inverse arrays: they agree with the element oracle on
+    every member and make no ``require_member`` call."""
+    members = enumerate_elements(inst)
+    regular = all(is_regular_oracle(f, inst) is not None for f in members)
+    identity = inst.si.has_identity
+    unit_regular = identity and all(is_unit_regular_oracle(f, inst) is not None for f in members)
+    looked_up = []
+    for module in (regularity, unit_regularity):
+        monkeypatch.setattr(module, "require_member", lambda f, inst: looked_up.append(f))
+    assert is_regular_semigroup(inst, "oracle") == regular
+    if identity:
+        assert is_unit_regular_semigroup(inst, "oracle") == unit_regular
+    assert looked_up == []
 
 
 @pytest.mark.parametrize("blocks", [[[0, 1], [2, 3], [4]], [[0], [1], [2], [3]]])

@@ -29,6 +29,7 @@ from partsem import (
     verify_witness,
     witness_maps,
 )
+from partsem.partition_action import _Geometry
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +58,17 @@ def _phi_covers_but_the_last_block(f_blockimg, sources, values):
     return _REAL["phi_covers"](f_blockimg[:-1], sources[:-1], values)
 
 
-class _MeetsEveryBlockFirst:
-    """Per-map meet masks whose first read, f's in ``_match_classes``, says
-    that each kernel class meets every block."""
+class _HoldsEveryBlock(int):
+    """A meet mask with its own bits but an empty complement, so that every
+    mask tested against it fits inside it."""
+
+    def __invert__(self):
+        return 0
+
+
+class _FirstHoldsEveryBlock:
+    """Per-map meet masks whose first read, f's in ``_match_classes``, holds
+    every class of pi(g) that is tested against it."""
 
     def __init__(self, masks):
         self.masks, self.first = masks, True
@@ -67,7 +76,7 @@ class _MeetsEveryBlockFirst:
     def __getitem__(self, k):
         if self.first:
             self.first = False
-            return (-1,) * len(self.masks[k])
+            return tuple(map(_HoldsEveryBlock, self.masks[k]))
         return self.masks[k]
 
 
@@ -79,13 +88,14 @@ class _Data:
 def _match_classes_ignoring_g(geometry, fk, gk, at, bt, budget):
     """Class matching without the test on g's side: each class of pi(g)
     may be paired with any class of pi(f) its blocks allow."""
-    spoiled = _Data(meet_masks=_MeetsEveryBlockFirst(geometry.meet_masks),
-                    class_meets=geometry.class_meets)
+    spoiled = _Data(meet_masks=_FirstHoldsEveryBlock(geometry.meet_masks))
     return _REAL["match_classes"](spoiled, fk, gk, at, bt, budget)
 
 
-def _every_block_fits(block_masks, blocks):
-    return np.ones((len(block_masks), len(blocks), len(blocks)), dtype=bool)
+@property
+def _every_block_fits(geometry):
+    degree = geometry.p.degree
+    return np.ones((len(geometry.images), degree, degree), dtype=bool)
 
 
 # row of ROADMAP item 1's table: (object, attribute, mutant, suites that kill it)
@@ -105,7 +115,7 @@ MUTANTS = {
         lambda geometry, a, b: len(geometry.meet_masks[a]) == len(geometry.meet_masks[b]),
         ["txp-specialization"]),
     "unit witness candidates ignore block sizes": (
-        regularity, "_unit_candidates", lambda si, alphas, sizes: si.unit_ids,
+        regularity, "_unit_candidates", lambda inst: inst.si.unit_ids,
         ["unit-regular-element-equivalence", "unit-inverse-construction"]),
     "L criterion: _blocks_fit always true": (
         greens, "_blocks_fit", lambda bf, bg, alpha: True,
@@ -114,7 +124,7 @@ MUTANTS = {
         greens, "_phi_covers", _phi_covers_but_the_last_block,
         ["greens-mode-agreement", "greens-witness-replay", "txp-specialization"]),
     "witness block test: every block fits": (
-        regularity, "_block_fits", _every_block_fits,
+        _Geometry, "block_fits", _every_block_fits,
         ["inner-inverse-construction"]),
     "D criterion: class matching ignores g's side": (
         greens, "_match_classes", _match_classes_ignoring_g,

@@ -40,6 +40,7 @@ from partsem import (
     preserves_partition,
     principal_leq_oracle,
     r_related,
+    refines,
     run_all,
     txp_green,
     verify_witness,
@@ -774,8 +775,8 @@ def _parent_txp_j_one_sided(geometry, a, b):
     reaches the blocks of im chi(f), and every point valuation, again for
     each pair and direction."""
     p = geometry.p
-    dom, dom_blocks, sources = geometry.j_geometry[b]
-    if len(geometry.j_geometry[a][0]) > len(dom):
+    dom_blocks, sources = geometry.j_geometry[b]
+    if len(geometry.sorted_images[a]) > len(geometry.sorted_images[b]):
         return False
     hit_blocks = sorted(set(dom_blocks))
     needed = set(geometry.chars[a])
@@ -854,12 +855,13 @@ class TestTxpCovers:
         assert built and set(built.values()) == {1}
 
 
-GEOMETRY_LISTS = ("block_masks", "kernels", "class_meets", "meet_masks", "j_geometry")
+GEOMETRY_LISTS = ("block_masks", "kernels", "meet_masks", "sorted_images", "j_geometry",
+                  "block_fits")
 
 
 class _Unread:
-    """A geometry list, or the sorted image of a J geometry, that the search
-    under test must not read: every read raises."""
+    """A geometry list that the search under test must not read: every read
+    raises."""
 
     def _read(self, *args):
         raise AssertionError("a theorem search read outside its key")
@@ -876,7 +878,7 @@ _SEARCH_READS = {"partition", "char_ids", "si_imgs", "si_table",
 def _spoiled(data, rel):
     """A copy of the Green's data with every per-member list outside the
     theorem key of ``rel`` (``greens._THEOREM_READS`` and the characters)
-    replaced by ``_Unread``, and the sorted images of the J geometry too."""
+    replaced by ``_Unread``."""
     spoiled = copy.copy(data)
     for name in vars(data):
         if name not in _SEARCH_READS:
@@ -884,8 +886,6 @@ def _spoiled(data, rel):
     geometry = data.geometry
     lists = {name: getattr(geometry, name) if name in greens._THEOREM_READS[rel] else _Unread()
              for name in ("images", "chars", "char_kernels", *GEOMETRY_LISTS)}
-    if rel == "J":
-        lists["j_geometry"] = [(_Unread(), *parts[1:]) for parts in geometry.j_geometry]
     spoiled.geometry = types.SimpleNamespace(p=geometry.p, **lists)
     return spoiled
 
@@ -943,14 +943,22 @@ class TestTheoremReads:
             _theorem_search(_spoiled(data, "L"), "R", 0, 0)
 
     def test_kernel_refinement_matches_the_image_test(self, inst_full):
-        """pi(g) refines pi(f) on kernel classes exactly when the pairs (xg,
-        xf) number |im g|, the test on images it replaced."""
+        """pi(g) refines pi(f) on kernel classes, ``build_right_factor``'s
+        precondition by ``refines``, exactly when the pairs (xg, xf) number
+        |im g|; the builder refuses every pair it does not refine."""
         data = _greens_data(inst_full)
+        identity = FiniteMap.identity(inst_full.partition.degree)
         size = len(data.members)
+        refined = 0
         for gk, fk in itertools.product(range(size), repeat=2):
-            g_imgs, f_imgs = data.imgs[gk], data.imgs[fk]
-            by_images = len(set(zip(g_imgs, f_imgs))) == len(set(g_imgs))
-            assert greens._kernel_refines(data, gk, fk) == by_images
+            g, f = data.members[gk], data.members[fk]
+            by_images = len(set(zip(g.images, f.images))) == len(set(g.images))
+            assert refines(kernel_partition(g), kernel_partition(f)) == by_images
+            refined += by_images
+            if not by_images and data.char_ids[gk] == data.char_ids[fk]:
+                with pytest.raises(PreconditionError, match="does not witness the R-inequality"):
+                    build_right_factor(f, g, identity, inst_full)
+        assert 0 < refined < size * size
 
 
 class TestFullTxGreen:

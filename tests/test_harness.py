@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from functools import cached_property
@@ -33,7 +34,8 @@ from partsem.cli import parse_instance, run_command
 from partsem.partition_action import _Geometry
 from conftest import boolean_products
 
-GEOMETRY_LISTS = ("block_masks", "kernels", "class_meets", "meet_masks", "j_geometry")
+GEOMETRY_LISTS = ("block_masks", "kernels", "meet_masks", "sorted_images", "j_geometry",
+                  "block_fits")
 
 
 @pytest.fixture(scope="module")
@@ -1154,11 +1156,9 @@ def _label_loops(catalog):
             continue
         data = greens._greens_data(inst)
         members, char_ids = data.members, data.char_ids
-        images = [geometry[0] for geometry in data.geometry.j_geometry]
-        kernels = data.geometry.kernels
+        images, kernels = data.geometry.sorted_images, data.geometry.kernels
         r_of, l_of = data.classes[:2]
         d_label = data.d_label
-        j_below = harness._class_relations(data, data.j_below)
         descent, tx, necessary = (_KeptTally(entry) for _ in LABEL_SUITES)
         for a, b in itertools.product(range(len(members)), repeat=2):
             f, g = members[a], members[b]
@@ -1177,7 +1177,7 @@ def _label_loops(catalog):
                 tx.fail("R disagrees with kernel equality", f=f, g=g)
             elif (d_label[a] == d_label[b]) != rank_eq:
                 tx.fail("D disagrees with rank equality", f=f, g=g)
-            elif bool(j_below[a, b]) != (len(images[a]) <= len(images[b])):
+            elif data.j_below[r_of[a]][l_of[b]] != (len(images[a]) <= len(images[b])):
                 tx.fail("≤_J disagrees with the rank order", f=f, g=g)
             necessary.checks += 1
             if l_eq and images[a] != images[b]:
@@ -1247,11 +1247,12 @@ class TestClassRelations:
     def _assert_match_the_boolean_products(inst):
         data = greens._greens_data(inst)
         j_below, l_then_r, r_then_l = boolean_products(data.l_below, data.r_below)
-        d_label = np.array(data.d_label)
-        assert np.array_equal(harness._class_relations(data, data.j_below), j_below)
+        d_label, size = np.array(data.d_label), len(data.members)
+        assert np.array_equal(
+            harness._class_relations(data, np.array(data.j_below), 0, size), j_below)
         assert np.array_equal(d_label[:, None] == d_label, l_then_r)
         h = np.array(data.classes[2]) >= 0
-        assert np.array_equal(harness._class_relations(data, h), r_then_l)
+        assert np.array_equal(harness._class_relations(data, h, 0, size), r_then_l)
 
     def test_match_on_every_identity_entry_of_max_n_4(self):
         entries = [e for e in build_catalog(4, seed=7).entries if e.instance.si.has_identity]
@@ -1297,6 +1298,47 @@ class TestClassRelations:
         d_label = np.array(data.d_label)
         d_rel = d_label[:, None] == d_label
         assert record.failures == np.count_nonzero(d_rel != j_rel) > 1
+
+    def test_the_d_suites_take_a_block_of_rows_at_a_time(self, monkeypatch):
+        """With one-row blocks, greens-d-composition-commutes and
+        greens-d-subset-j each peak under 64 bytes a member on
+        n5:[0,1][2][3][4]/full (875 members; their whole N×N masks took 2.3
+        and 3.1 MB), the Green's data built beforehand.  With ≤_R spoiled as
+        in ``test_a_dropped_r_edge_fails_greens_d_subset_j`` and every member
+        alone in its D-class, both fail and record what whole blocks record:
+        the counts, and a D ⊄ J counterexample before the J ⊄ D pairs of
+        earlier rows."""
+        inst = Instance(Partition.of([[0, 1], [2], [3], [4]]), IndexSemigroup.full(4))
+        entry = harness.CatalogEntry(inst, "n5:[0,1][2][3][4]", "full")
+        catalog = harness.Catalog(5, 7, (entry,))
+        data = greens._greens_data(inst)
+        data.classes, data.j_below, data.d_label
+        names = ("greens-d-composition-commutes", "greens-d-subset-j")
+        monkeypatch.setattr(ensemble, "ROW_BLOCK_BYTES", 1)
+        for name in names:
+            tracemalloc.start()
+            try:
+                record = harness.SUITES[name](entry, harness._GreensSweep(entry, catalog))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (record.checks, record.failures) == (875 ** 2, 0)
+            assert peak < 64 * 875, name
+
+        def spoiled_run():
+            entry = harness.CatalogEntry(Instance(Partition.of([[0, 1], [2]]),
+                                                  IndexSemigroup.full(2)), "n3:[0,1][2]", "full")
+            data = greens._greens_data(entry.instance)
+            first = int(data.classes[3][-1])
+            data.r_below[first, first] = False
+            data.d_label = list(range(len(data.members)))
+            return _untimed(run_all(harness.Catalog(3, 7, (entry,)), list(names)).records)
+
+        one_row = spoiled_run()
+        monkeypatch.undo()
+        assert spoiled_run() == one_row
+        assert [record["verdict"] for record in one_row] == ["fail", "fail"]
+        assert one_row[1]["counterexample"]["detail"] == "a D-related pair is not J-related"
 
     @pytest.mark.parametrize("n", [3, 4], ids=["T_3", "T_4"])
     def test_dropped_strict_edges_fail_only_the_rank_order(self, n, monkeypatch):

@@ -199,7 +199,7 @@ def test_regularity_criteria_read_characters_from_enumeration():
     """The regularity, unit-regularity and idempotency criteria take chi(f)
     from the position enumeration recorded, not from ``character(f, p)``."""
     named = {
-        "regularity.py": {"_unit_candidates", "_block_fits", "_witness_lists", "_witnesses",
+        "regularity.py": {"_unit_candidates", "_witness_lists", "_witnesses",
                           "_witness_position", "is_idempotent_characterized"},
         "unit_regularity.py": {"unit_regular_witnesses", "build_unit_inverse"},
     }

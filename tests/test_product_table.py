@@ -258,7 +258,8 @@ def test_one_sided_j_matches_a_direct_factor_scan(blocks):
     members = enumerate_elements(inst)
     data = _greens_data(inst)
     j_below = boolean_products(data.l_below, data.r_below)[0]
-    assert np.array_equal(harness._class_relations(data, data.j_below), j_below)
+    size = len(members)
+    assert np.array_equal(harness._class_relations(data, np.array(data.j_below), 0, size), j_below)
     # first_column[m][f]: the first h2 with m*h2 = f.
     first_column = [{} for _ in members]
     for m, row in enumerate(loops.product):
@@ -573,9 +574,10 @@ def _bits(mask):
 def test_j_geometry_matches_a_direct_recomputation(label, inst):
     """Every list of the members' geometry, member by member: the images and
     characters, each X_i g as a set, the kernel classes of g and of its
-    character from ``kernel_partition``, the blocks each class meets and their masks as
-    the Green's data built them, and the J geometry (sorted image, the block
-    of each image point and the positions of X_j g in that image, per j)."""
+    character from ``kernel_partition``, the masks of the blocks each class
+    meets, the sorted image, the J geometry (the block of each image point
+    and the positions of X_j g in that image, per j) and the block fits
+    (X_j meets the image inside X_j' g, per j and j')."""
     geometry = inst.derived.geometry
     p = inst.partition
     members = enumerate_elements(inst)
@@ -593,19 +595,20 @@ def test_j_geometry_matches_a_direct_recomputation(label, inst):
         chi = FiniteMap(p.degree, p.degree, geometry.chars[k])
         assert geometry.char_kernels[k] == kernel_partition(chi).classes
         meets = tuple(tuple(sorted({p.block_of(x) for x in c})) for c in classes)
-        assert geometry.class_meets[k] == meets
         assert geometry.meet_masks[k] == tuple(_mask(c) for c in meets)
         assert [_bits(m) for m in geometry.meet_masks[k]] == [
             {i for i, block in enumerate(p.blocks) if set(block) & set(c)} for c in classes
         ]
         image = sorted(set(g.images))
+        assert geometry.sorted_images[k] == tuple(image)
         sources = tuple(
             tuple(sorted(image.index(v) for v in {g.images[x] for x in block}))
             for block in p.blocks
         )
-        assert geometry.j_geometry[k] == (
-            tuple(image), tuple(p.block_of(z) for z in image), sources
-        )
+        assert geometry.j_geometry[k] == (tuple(p.block_of(z) for z in image), sources)
+        assert geometry.block_fits[k].tolist() == [
+            [set(block) & set(image) <= images for images in block_images] for block in p.blocks
+        ]
 
 
 class _MapWitnesses:

@@ -5,6 +5,7 @@ flag for the whole instance, a block of member rows at a time, on first use
 reference composed on image tuples."""
 
 import tracemalloc
+from functools import cached_property
 
 import pytest
 
@@ -22,6 +23,7 @@ from partsem import (
     unit_regular_witnesses,
 )
 from partsem import ensemble, harness, regularity
+from partsem.partition_action import _Geometry
 from conftest import comp, raw_character
 
 CATALOG = build_catalog(3, seed=7)
@@ -68,13 +70,14 @@ def test_witnesses_match_a_per_candidate_reference(entry):
 def test_the_lists_are_built_once_per_units_flag(monkeypatch):
     """The four regularity suites over a fresh catalog, each run twice on
     every entry it admits: each entry keeps one build per units flag asked
-    for, and the second run of a suite builds nothing."""
+    for, and the second run of a suite builds nothing.  A build is counted
+    by its row blocks' tests of a*b*a = a."""
     builds, kept = [], {}
-    real = regularity._block_fits
+    real = regularity._inner_hits
 
-    def spy(block_masks, blocks):
-        builds.append(len(block_masks))
-        return real(block_masks, blocks)
+    def spy(table, ab, a):
+        builds.append(len(a))
+        return real(table, ab, a)
 
     def twice(suite):
         def run(entry, sweep):
@@ -88,7 +91,7 @@ def test_the_lists_are_built_once_per_units_flag(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(regularity, "_block_fits", spy)
+    monkeypatch.setattr(regularity, "_inner_hits", spy)
     for name in SUITES:
         monkeypatch.setitem(harness.SUITES, name, twice(harness.SUITES[name]))
     catalog = build_catalog(3, seed=7)
@@ -120,22 +123,46 @@ def test_the_lists_are_one_flat_int32_array_with_row_offsets(monkeypatch):
         assert regularity._witness_lists(inst, units) == lists[units]
 
 
-def test_the_build_peaks_within_its_row_budget():
-    """Under tracemalloc, each build on n4:[0][1][2][3]/full (256 members,
-    S(I) = T_4) peaks within ROW_BLOCK_BYTES plus the arrays it keeps; the
-    members' block-image masks and the index units are built beforehand."""
-    p = Partition.of([[0], [1], [2], [3]])
+def test_the_block_fits_are_built_once_per_instance(monkeypatch):
+    """Both units flags read one block-fit table, the members' geometry's,
+    built on the first build and kept with the instance."""
+    built = []
+    real = _Geometry.__dict__["block_fits"].func
+
+    def spy(geometry):
+        built.append(geometry)
+        return real(geometry)
+
+    prop = cached_property(spy)
+    prop.__set_name__(_Geometry, "block_fits")
+    monkeypatch.setattr(_Geometry, "block_fits", prop)
+    p = Partition.of([[0, 1], [2]])
     inst = Instance(p, IndexSemigroup.full(p.degree))
-    inst.derived.geometry.block_masks, inst.si.unit_ids
-    for units in (False, True):
-        tracemalloc.start()
-        try:
-            flat, offsets = regularity._witness_lists(inst, units)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        kept = len(flat) * flat.itemsize + len(offsets) * offsets.itemsize
-        assert peak <= ensemble.ROW_BLOCK_BYTES + kept
+    for units in (False, True, False):
+        regularity._witness_lists(inst, units)
+    assert built == [inst.derived.geometry] and len(inst.derived.witness_lists) == 2
+
+
+def test_the_build_peaks_within_its_row_budget():
+    """Under tracemalloc, each build on n4:[0][1][2][3]/full and
+    n5:[0][1][2][3][4]/full (256 and 3125 members, S(I) = T_4 and T_5)
+    peaks within ROW_BLOCK_BYTES plus the arrays it keeps, the block-fit
+    table among them; the members' block-image masks, their characters and
+    the index units are built beforehand."""
+    for blocks in ([[0], [1], [2], [3]], [[0], [1], [2], [3], [4]]):
+        p = Partition.of(blocks)
+        inst = Instance(p, IndexSemigroup.full(p.degree))
+        inst.derived.geometry.block_masks, inst.si.unit_ids
+        for units in (False, True):
+            tracemalloc.start()
+            try:
+                flat, offsets = regularity._witness_lists(inst, units)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = (len(flat) * flat.itemsize + len(offsets) * offsets.itemsize
+                    + inst.derived.geometry.block_fits.nbytes)
+            assert peak <= ensemble.ROW_BLOCK_BYTES + kept, (blocks, units)
 
 
 @pytest.mark.parametrize("build", [build_inner_inverse, build_unit_inverse])
