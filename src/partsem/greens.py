@@ -17,11 +17,16 @@ besides the factors (the index maps, the D class pairing, the J image
 maps) are functions of the factors and the pair, read off them in one place
 (``witness_maps``, with ``_INDEX_MAPS`` naming the factor of each index
 map) only where they are shown.  Each theorem search reads of the members only
-their characters and the geometry lists ``_THEOREM_READS`` names, and each
-oracle verdict depends on them only through their L- and R-classes (the
-oracles read the class quotient), so a caller deciding many pairs (the
-harness's Green's sweep) may take one verdict per pair of those keys where
-it is unrelated.  Each relation has one position core
+their characters and the geometry lists ``_THEOREM_READS`` names (the
+members' theorem keys, ``_theorem_keys``), and each oracle verdict depends
+on them only through their L- and R-classes (the oracles read the class
+quotient), so a caller deciding many pairs (the harness's Green's sweep)
+may take one verdict per pair of those keys where it is unrelated.  While
+that caller holds them open (``_kept_facts``), the position cores read
+their one-sided facts through one memo (``_SweepFacts``): the factor scans
+and the builders by member positions, the L, D and J searches by the
+pair's theorem keys, so each is computed once however many pairs use it;
+the memo lives only as long as the sweep.  Each relation has one position core
 (``_one_sided_witness``, ``_d_witness``, ``_j_witness``): it takes member
 positions, runs the search of its mode and every validation of the
 builders, and returns a ``GreenWitness`` of the instance's own members;
@@ -58,9 +63,10 @@ All operations here require the identity character in the index semigroup.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Literal
+from typing import Callable, Iterator, Literal
 
 import numpy as np
 
@@ -272,7 +278,11 @@ class _IndexFacts:
 
 class _GreensData:
     """Per-instance precomputation shared by all relation checks, the memo
-    of index-semigroup facts the theorem searches read (``si_facts``) among it."""
+    of index-semigroup facts the theorem searches read (``si_facts``) among it.
+    ``facts`` holds a Green's sweep's one-sided facts while the sweep holds
+    them open (``_kept_facts``), and is None otherwise."""
+
+    facts: _SweepFacts | None = None
 
     def __init__(self, inst: Instance) -> None:
         if not inst.si.has_identity:
@@ -327,6 +337,112 @@ def _greens_data(inst: Instance) -> _GreensData:
     if derived.greens is None:
         derived.greens = _GreensData(inst)
     return derived.greens
+
+
+# The geometry lists each theorem search reads of one map besides its
+# character.  Maps with equal characters and equal reads get equal theorem
+# verdicts, and the searches read nothing else of the geometry.
+_THEOREM_READS = {
+    "L": ("block_masks",),
+    "R": ("kernels",),
+    "D": ("meet_masks",),
+    "J": ("block_masks", "j_geometry"),
+}
+
+
+def _theorem_keys(data: _GreensData, rel: str) -> list[int]:
+    """Per member, the first member with its theorem key for ``rel``: its
+    character and the geometry lists ``_THEOREM_READS`` names.  Pairs of
+    members with equal keys get equal theorem searches."""
+    reads = [data.char_ids, *(getattr(data.geometry, name) for name in _THEOREM_READS[rel])]
+    first: dict = {}
+    return [first.setdefault(key, k) for k, key in enumerate(zip(*reads))]
+
+
+class _SweepFacts:
+    """The one-sided facts of one Green's sweep, each computed at most once
+    while the sweep holds them open (``_kept_facts``): one dict per kind of
+    fact under an int key, as ``_IndexFacts`` keeps its facts.
+
+    The factor scans (``_first_factor``, a dict per relation) and the
+    builders are kept under the positions they take, the digits of their
+    key below ``radix``; the L, D and J searches under the pair's theorem
+    keys (``_theorem_keys``), on which alone their results depend, each with
+    the budget it spent.  A kept search charges that budget again; where
+    less is left it runs again, so it raises where and as it would have.  A
+    call that raised keeps nothing.  Each method takes the arguments of the
+    function it keeps, so a position core calls either alike.
+    """
+
+    def __init__(self, data: _GreensData) -> None:
+        self.radix = max(len(data.members), len(data.si_imgs), data.partition.n)
+        self.first: dict[str, dict] = {rel: {} for rel in "LRJ"}
+        self.left, self.right, self.j_built = {}, {}, {}
+        self.keys = {rel: _theorem_keys(data, rel) for rel in "LDJ"}
+        self.searched: dict[str, dict] = {rel: {} for rel in self.keys}
+
+    def first_factor(self, data, rel, fk, gk):
+        kept, key = self.first[rel], fk + self.radix * gk
+        if key not in kept:
+            kept[key] = _first_factor(data, rel, fk, gk)
+        return kept[key]
+
+    def left_factor(self, data, fk, gk, a):
+        kept, key = self.left, fk + self.radix * (gk + self.radix * a)
+        if key not in kept:
+            kept[key] = _left_factor(data, fk, gk, a)
+        return kept[key]
+
+    def right_factor(self, data, fk, gk, b):
+        kept, key = self.right, fk + self.radix * (gk + self.radix * b)
+        if key not in kept:
+            kept[key] = _right_factor(data, fk, gk, b)
+        return kept[key]
+
+    def j_factors(self, data, fk, gk, a, b, phi):
+        # phi's digits on top: g fixes how many there are
+        r, key = self.radix, 0
+        for v in phi:
+            key = key * r + v
+        key = fk + r * (gk + r * (a + r * (b + r * key)))
+        kept = self.j_built
+        if key not in kept:
+            kept[key] = _j_factors(data, fk, gk, a, b, phi)
+        return kept[key]
+
+    def _searched(self, rel: str, search: Callable, data, fk, gk, cap, budget):
+        keys, kept = self.keys[rel], self.searched[rel]
+        key = keys[fk] + self.radix * keys[gk]
+        hit = kept.get(key)
+        if hit is not None and hit[1] <= budget[0]:
+            budget[0] -= hit[1]
+            return hit[0]
+        before = budget[0]
+        found = search(data, fk, gk, cap, budget)
+        kept[key] = found, before - budget[0]
+        return found
+
+    def l_search(self, data, fk, gk, cap, budget):
+        return self._searched("L", _l_one_sided_theorem, data, fk, gk, cap, budget)
+
+    def d_search(self, data, fk, gk, cap, budget):
+        return self._searched("D", _d_theorem_search, data, fk, gk, cap, budget)
+
+    def j_search(self, data, fk, gk, cap, budget):
+        return self._searched("J", _j_one_sided_theorem, data, fk, gk, cap, budget)
+
+
+@contextmanager
+def _kept_facts(data: _GreensData) -> Iterator[_SweepFacts]:
+    """Keep the one-sided facts of the checker calls on ``data`` while the
+    block runs (``_SweepFacts``), and drop them when it is left, however it
+    is left.  Only the harness's Green's sweep opens them: kept for the
+    instance's life they would grow with every pair ever asked."""
+    data.facts = _SweepFacts(data)
+    try:
+        yield data.facts
+    finally:
+        del data.facts  # the class's None shows again
 
 
 def principal_leq_oracle(rel: Relation, f: FiniteMap, g: FiniteMap, inst: Instance):
@@ -416,16 +532,24 @@ def _one_sided_witness(
     data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int
 ) -> GreenWitness | None:
     """The position core of ``_related`` for rel "L" or "R"."""
+    facts = data.facts
     if mode == "oracle":
         r_of, l_of = data.classes[:2]
         labels = l_of if rel == "L" else r_of
         if labels[fk] != labels[gk]:
             return None
-        h_fg, h_gf = _first_factor(data, rel, fk, gk), _first_factor(data, rel, gk, fk)
+        first = _first_factor if facts is None else facts.first_factor
+        h_fg, h_gf = first(data, rel, fk, gk), first(data, rel, gk, fk)
     else:
         if rel == "R" and data.geometry.kernels[fk] != data.geometry.kernels[gk]:
             return None
-        search = _l_one_sided_theorem if rel == "L" else _r_one_sided_theorem
+        if rel == "L":
+            search, build = ((_l_one_sided_theorem, _left_factor) if facts is None
+                             else (facts.l_search, facts.left_factor))
+        else:
+            # the R search reads one kept index fact, so it is not kept again
+            search, build = _r_one_sided_theorem, (
+                _right_factor if facts is None else facts.right_factor)
         budget = [cap]
         a = search(data, fk, gk, cap, budget)
         if a is None:
@@ -434,7 +558,6 @@ def _one_sided_witness(
         if b is None:
             return None
         # each builder checks that its factor's character is the one it was given
-        build = _left_factor if rel == "L" else _right_factor
         h_fg, h_gf = build(data, fk, gk, a), build(data, gk, fk, b)
     return GreenWitness(rel, (("fg", data.members[h_fg]), ("gf", data.members[h_gf])))
 
@@ -583,11 +706,12 @@ def _match_classes(
 
 
 def _d_theorem_search(
-    data: _GreensData, fk: int, gk: int, cap: int
+    data: _GreensData, fk: int, gk: int, cap: int, budget: list[int]
 ) -> tuple[int, int, int, tuple[int, ...]] | None:
     """First (alpha, beta, gamma, class bijection) meeting the D-criterion,
     the characters as index positions and the bijection as ``_match_classes``
-    returns it.
+    returns it; each assignment the class matching tries spends one unit of
+    ``budget``.
 
     gamma runs over the R-class of chi(g) in the index set, ascending; the
     alphas with chi(f) = alpha*gamma and the betas with gamma = beta*chi(f)
@@ -598,7 +722,6 @@ def _d_theorem_search(
         return None
     facts, imgs = data.si_facts, data.si_imgs
     cf, cg = data.char_ids[fk], data.char_ids[gk]
-    budget = [cap]
     for c in facts.r_class(cg):
         alphas = facts.left_divisors(c, cf)
         if not alphas:
@@ -627,16 +750,20 @@ def _d_witness(
     data: _GreensData, mode: str, fk: int, gk: int, cap: int
 ) -> GreenWitness | None:
     """The position core of ``_related`` for rel "D"."""
+    facts = data.facts
     if mode == "oracle":
         # the first member L-related to f and R-related to g
         r_of, l_of, h_first = data.classes[:3]
         mk = h_first[r_of[gk]][l_of[fk]]
         if mk < 0:
             return None
-        legs = (_first_factor(data, "L", fk, mk), _first_factor(data, "L", mk, fk),
-                _first_factor(data, "R", mk, gk), _first_factor(data, "R", gk, mk))
+        first = _first_factor if facts is None else facts.first_factor
+        legs = (first(data, "L", fk, mk), first(data, "L", mk, fk),
+                first(data, "R", mk, gk), first(data, "R", gk, mk))
     else:
-        found = _d_theorem_search(data, fk, gk, cap)
+        search, left, right = ((_d_theorem_search, _left_factor, _right_factor) if facts is None
+                               else (facts.d_search, facts.left_factor, facts.right_factor))
+        found = search(data, fk, gk, cap, [cap])
         if found is None:
             return None
         a, b, c, matched = found
@@ -648,8 +775,8 @@ def _d_witness(
         v = data.si_facts.right_divisors(data.char_ids[mk], data.char_ids[gk])
         if not (u and v):
             raise InternalError("R-divisibility promised by the search but not found")
-        legs = (_left_factor(data, fk, mk, a), _left_factor(data, mk, fk, b),
-                _right_factor(data, mk, gk, u[0]), _right_factor(data, gk, mk, v[0]))
+        legs = (left(data, fk, mk, a), left(data, mk, fk, b),
+                right(data, mk, gk, u[0]), right(data, gk, mk, v[0]))
     names = ("middle", "l_fm", "l_mf", "r_mg", "r_gm")
     return GreenWitness("D", tuple(zip(names, (data.members[k] for k in (mk, *legs)))))
 
@@ -762,23 +889,27 @@ def _j_witness(
     data: _GreensData, mode: str, fk: int, gk: int, cap: int
 ) -> GreenWitness | None:
     """The position core of ``_related`` for rel "J"."""
+    facts = data.facts
     if mode == "oracle":
         # each factor scan runs only on a pair the class quotient puts J-below
+        first = _first_factor if facts is None else facts.first_factor
         r_of, l_of = data.classes[:2]
-        found = data.j_below[r_of[gk]][l_of[fk]] and _first_factor(data, "J", fk, gk)
+        found = data.j_below[r_of[gk]][l_of[fk]] and first(data, "J", fk, gk)
         if not found:
             return None
-        (h1, h2), (k1, k2) = found, _first_factor(data, "J", gk, fk)
+        (h1, h2), (k1, k2) = found, first(data, "J", gk, fk)
     else:
+        search, build = ((_j_one_sided_theorem, _j_factors) if facts is None
+                         else (facts.j_search, facts.j_factors))
         budget = [cap]
-        forward = _j_one_sided_theorem(data, fk, gk, cap, budget)
+        forward = search(data, fk, gk, cap, budget)
         if forward is None:
             return None
-        backward = _j_one_sided_theorem(data, gk, fk, cap, budget)
+        backward = search(data, gk, fk, cap, budget)
         if backward is None:
             return None
-        h1, h2 = _j_factors(data, fk, gk, *forward)
-        k1, k2 = _j_factors(data, gk, fk, *backward)
+        h1, h2 = build(data, fk, gk, *forward)
+        k1, k2 = build(data, gk, fk, *backward)
     names = ("fg1", "fg2", "gf1", "gf2")
     return GreenWitness("J", tuple(zip(names, (data.members[k] for k in (h1, h2, k1, k2)))))
 
@@ -903,16 +1034,6 @@ def _txp_j_one_sided(geometry: _Geometry, a: int, b: int, memo: dict) -> bool:
         memo[b] = _txp_j_covers(geometry, b)
     return any(_txp_l_one_sided(geometry.block_masks[a], covered) for covered in memo[b])
 
-
-# The geometry lists each theorem search reads of one map besides its
-# character.  Maps with equal characters and equal reads get equal theorem
-# verdicts, and the searches read nothing else of the geometry.
-_THEOREM_READS = {
-    "L": ("block_masks",),
-    "R": ("kernels",),
-    "D": ("meet_masks",),
-    "J": ("block_masks", "j_geometry"),
-}
 
 # The geometry lists each T(X, P) test reads of one map: maps equal on all of
 # them get equal ``_txp_related`` verdicts.

@@ -38,11 +38,14 @@ reads off the Green's data's class quotient, or the character and the
 geometry lists the theorem search reads), and pairs of members with equal
 keys get equal verdicts, so the checker is called once on an unrelated key
 group (a capped call or a fault decides nothing) and on every pair of a
-related one.  The three suites read the codes as one array: each counts its
-checks, capped checks and failures (a fault is one) with NumPy and records
-the first failure, row-major, as every suite that tests a mask of member
-pairs does (``_fail_rows``); a record with failing checks that are faults
-says how many in an observation.  The inverse-construction suites count a
+related one.  While it decides, the sweep holds the checkers' one-sided
+facts open (``greens._kept_facts``): each factor scan, builder and search
+then runs once per entry, and is dropped with the entry's sweep.  The three
+suites read the codes as one array: each counts its checks, capped checks
+and failures (a fault is one) with NumPy and records the first failure,
+row-major, as every suite that tests a mask of member pairs does
+(``_fail_rows``); a record with failing checks that are faults says how
+many in an observation.  The inverse-construction suites count a
 build's ``InternalError`` as a failure too (``_builds``), so a fault gives
 failing records, not an aborted run.
 The sweep names members by position, so ``txp-specialization`` decides
@@ -700,6 +703,10 @@ class _GreensSweep:
     its group, and every related pair gets its own call and replay.  A
     fault fails the check, else a capped call of either mode is counted as
     capped, by every reader; ``fault`` keeps the first fault's message.
+    While ``codes`` is decided the entry's Green's data holds the checkers'
+    one-sided facts open (``greens._kept_facts``), so each factor scan,
+    builder and search runs once per entry, however many pairs' calls use
+    it; they are dropped when ``codes`` is left, by return or exception.
     """
 
     entry: CatalogEntry | None
@@ -724,8 +731,14 @@ class _GreensSweep:
 
     @cached_property
     def codes(self) -> np.ndarray:
+        data = greens._greens_data(self.entry.instance)
+        with greens._kept_facts(data):
+            return self._decide(data)
+
+    def _decide(self, data) -> np.ndarray:
+        """``codes``, while the checkers' one-sided facts are kept."""
         inst, members, pairs = self.entry.instance, self.members, self.pairs
-        data, size = greens._greens_data(inst), len(members)
+        size = len(members)
         calls, groups = [], []
         for rel, checker in greens.checkers().items():
             for mode in _MODES:
@@ -777,10 +790,9 @@ def _verdict_keys(data, rel: str, mode: str) -> np.ndarray:
     and the geometry lists the theorem search reads
     (``greens._THEOREM_READS``).  Two pairs whose members have equal keys
     get equal verdicts."""
-    if mode == "oracle":
-        reads = {"L": data.classes[1:2], "R": data.classes[:1]}.get(rel, data.classes[:2])
-    else:
-        reads = [data.char_ids, *(getattr(data.geometry, n) for n in greens._THEOREM_READS[rel])]
+    if mode == "theorem":
+        return np.array(greens._theorem_keys(data, rel), dtype=np.intp)
+    reads = {"L": data.classes[1:2], "R": data.classes[:1]}.get(rel, data.classes[:2])
     return _first_equal(zip(*reads))
 
 
@@ -804,10 +816,14 @@ def _greens_mode_agreement(entry, tally, sweep):
 def _character_descent(entry, tally, sweep):
     data = greens._greens_data(entry.instance)
     chars = np.array(data.char_ids, dtype=np.intp)
-    for start, stop in _row_blocks(len(chars), 2 * len(chars)):
-        rows = chars[start:stop, None]
-        hits = np.stack([data.l_below[start:stop] & ~data.si_l_below[rows, chars],
-                         data.r_below[start:stop] & ~data.si_r_below[rows, chars]], axis=2)
+    # a row's temporaries, a byte a pair each: a relation's gathered row and
+    # its negation beside the first mask, the two masks and their stack, and
+    # the block before's stack; the gathers take one axis at a time, as a
+    # gather on two broadcast axes allocates NumPy's iterator buffers besides
+    for start, stop in _row_blocks(len(chars), 6 * len(chars)):
+        rows = chars[start:stop]
+        hits = np.stack([data.l_below[start:stop] & ~data.si_l_below[rows][:, chars],
+                         data.r_below[start:stop] & ~data.si_r_below[rows][:, chars]], axis=2)
         _fail_rows(tally, data.members, start, hits,
                    "L-inequality does not descend to characters",
                    "R-inequality does not descend to characters")
@@ -892,7 +908,10 @@ def _greens_witness_replay(entry, tally, sweep):
 def _greens_necessary_conditions(entry, tally, sweep):
     data = greens._greens_data(entry.instance)
     r_of, l_of, images, kernels = _tx_keys(data)
-    for start, stop in _row_blocks(len(images), 2 * len(images)):
+    # a row's temporaries, a byte a pair each: a relation's two equalities
+    # and a negation beside the first mask, the two masks and their stack,
+    # and the block before's stack
+    for start, stop in _row_blocks(len(images), 6 * len(images)):
         hits = np.stack([_equal(l_of, start, stop) & ~_equal(images, start, stop),
                          _equal(r_of, start, stop) & ~_equal(kernels, start, stop)], axis=2)
         _fail_rows(tally, data.members, start, hits, "L-related pair with different images",

@@ -567,7 +567,7 @@ def test_theorem_searches_agree_with_the_oracle_on_every_pair(blocks, size):
         for b in range(size):
             j_found = _j_one_sided_theorem(data, a, b, cap, [cap]) is not None
             assert j_found == bool(j_below[a, b]), (a, b)
-            d_found = _d_theorem_search(data, a, b, cap) is not None
+            d_found = _d_theorem_search(data, a, b, cap, [cap]) is not None
             assert d_found == bool(d_rel[a, b]), (a, b)
 
 
@@ -897,7 +897,7 @@ def _theorem_search(data, rel, fk, gk):
     budget = [cap]
     try:
         if rel == "D":
-            return _d_theorem_search(data, fk, gk, cap)
+            return _d_theorem_search(data, fk, gk, cap, budget)
         if rel == "R" and data.geometry.kernels[fk] != data.geometry.kernels[gk]:
             return None
         search = {"L": greens._l_one_sided_theorem, "R": greens._r_one_sided_theorem,

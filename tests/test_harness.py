@@ -1340,6 +1340,53 @@ class TestClassRelations:
         assert [record["verdict"] for record in one_row] == ["fail", "fail"]
         assert one_row[1]["counterexample"]["detail"] == "a D-related pair is not J-related"
 
+    def test_the_descent_and_necessity_suites_size_their_blocks_by_a_row(self, monkeypatch):
+        """At the default budget, character-descent and
+        greens-necessary-conditions each peak within ROW_BLOCK_BYTES, the
+        iterator buffers NumPy takes for a broadcast comparison of two intp
+        operands (``np.getbufsize()`` elements each) and 64 bytes a member,
+        on n5:[0,1][2][3][4]/full (875 members, the Green's data and the
+        geometry lists built beforehand; sized at 2 bytes a pair they peaked
+        at 0.79 and 0.81 MB).  With the labels spoiled as in
+        ``TestLabelSuites``, on n4:[0][1][2][3]/full (256 members, two blocks
+        at the default budget), both fail and record what one-row blocks and
+        one whole block record."""
+        names = ["character-descent", "greens-necessary-conditions"]
+        inst = Instance(Partition.of([[0, 1], [2], [3], [4]]), IndexSemigroup.full(4))
+        entry = harness.CatalogEntry(inst, "n5:[0,1][2][3][4]", "full")
+        catalog = harness.Catalog(5, 7, (entry,))
+        data = greens._greens_data(inst)
+        data.classes, data.geometry.sorted_images, data.geometry.kernels
+        buffers = 2 * np.getbufsize() * np.dtype(np.intp).itemsize
+        for name in names:
+            tracemalloc.start()
+            try:
+                record = harness.SUITES[name](entry, harness._GreensSweep(entry, catalog))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (record.checks, record.failures) == (875 ** 2, 0)
+            assert peak <= ensemble.ROW_BLOCK_BYTES + buffers + 64 * 875, name
+
+        real = greens._greens_data
+
+        def spoiling(inst):
+            data = real(inst)
+            if not getattr(data, "spoiled", False):
+                _spoil_labels(data)
+                data.spoiled = True
+            return data
+
+        monkeypatch.setattr(greens, "_greens_data", spoiling)
+        inst = Instance(Partition.of([[0], [1], [2], [3]]), IndexSemigroup.full(4))
+        entry = harness.CatalogEntry(inst, "n4:[0][1][2][3]", "full")
+        runs = []
+        for budget in (1, ensemble.ROW_BLOCK_BYTES, 1 << 40):
+            monkeypatch.setattr(ensemble, "ROW_BLOCK_BYTES", budget)
+            runs.append(_untimed(run_all(harness.Catalog(4, 7, (entry,)), names).records))
+        assert runs[0] == runs[1] == runs[2]
+        assert [record["verdict"] for record in runs[0]] == ["fail", "fail"]
+
     @pytest.mark.parametrize("n", [3, 4], ids=["T_3", "T_4"])
     def test_dropped_strict_edges_fail_only_the_rank_order(self, n, monkeypatch):
         """Every strict edge of ≤_R and of ≤_L dropped, only the edges within

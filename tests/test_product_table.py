@@ -478,7 +478,7 @@ def _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch):
                 # the R search runs behind the R criterion's equal-kernel gate
                 r_found = greens._r_one_sided_theorem(data, fk, gk, cap, budget)
                 assert _as_maps(elements, r_found) == loops.r_one_sided(fk, gk), memo
-            d_found = greens._d_theorem_search(data, fk, gk, cap)
+            d_found = greens._d_theorem_search(data, fk, gk, cap, [cap])
             assert _as_maps(elements, d_found) == loops.d_search(fk, gk, cap), memo
             assert calls["table"] == calls["tuples"], memo
             calls["table"].clear()
@@ -748,7 +748,7 @@ class _MapWitnesses:
                  ("gamma", character(m, p))),
                 tuple((c, by_value[f.images[c[0]]]) for c in kernel_partition(f).classes),
             )
-        found = _as_maps(self.elements, greens._d_theorem_search(data, fk, gk, cap))
+        found = _as_maps(self.elements, greens._d_theorem_search(data, fk, gk, cap, [cap]))
         if found is None:
             return None
         alpha, beta, gamma, matched = found
