@@ -157,6 +157,12 @@ def _fibers(images: Sequence[int]) -> dict[int, list[int]]:
     return fibers
 
 
+def _first_equal(values: Iterable) -> list[int]:
+    """Per value, the position of the first value equal to it."""
+    first: dict = {}
+    return [first.setdefault(v, k) for k, v in enumerate(values)]
+
+
 def kernel_partition(f: FiniteMap) -> SetPartition:
     """The partition of the domain into fibers of f."""
     return SetPartition(f.domain_size, tuple(tuple(c) for c in _fibers(f.images).values()))

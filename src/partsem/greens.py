@@ -1,13 +1,15 @@
 """Green's relations via ideal oracles and via the character-level criteria.
 
 The oracle route reads the instance's product table: the one-sided ≤_L and
-≤_R preorders are boolean matrices filled by scatter, and ≤_J is read off
-the class quotient built from them.  The theorem route
-never reads them: it reads the candidate characters (alpha, beta, gamma,
-delta) at the positions of chi(f) and chi(g) from the per-instance memo of
-index-semigroup facts (``_IndexFacts``: left and right divisors, R-classes
-and J alphas, each read from the index table once, on first ask), and
-searches the block geometry for the class bijections and image maps
+≤_R preorders are the principal ideals, packed a bit a pair (``_ideals``:
+row g holds S*g or g*S, so f ≤ g is bit f of row g, read by one gather and
+one mask, ``_bits``), and ≤_J is read off the class quotient built from
+them.  The theorem route never reads them: it reads the candidate
+characters (alpha, beta, gamma, delta) at the positions of chi(f) and
+chi(g) from the per-instance memo of index-semigroup facts
+(``_IndexFacts``: left and right divisors, R-classes and J alphas, each
+read from the index table once, on first ask), and searches the block
+geometry for the class bijections and image maps
 demanded by the structural criteria, handing index positions to the
 builders, which validate what they build by one function
 (``ensemble._built_member``).  Both routes produce replayable witnesses: a
@@ -38,11 +40,14 @@ maps, checking each composition's sizes as ``compose`` does, recomputes
 every product and never reads the table.  The harness's Green's sweep
 replays its witnesses through it too.
 The per-instance data keeps, each built once on first use, the class
-quotient: part 1 (``classes``), each member's R- and L-class and the first
-member of each H-class, which the L and R oracles, the D oracle (its middle
-element) and the D labels (``d_label``, which ``eggbox`` groups by,
-filling each D-class's grid in one pass over its members) read;
-part 2 (``j_below``), ≤_J on classes, built only when a J question asks.
+quotient: part 1 (``classes``), each member's R- and L-class (the first
+member with equal ideal bytes: the members and S(I) are monoids, so f lies
+in its own ideals) and the first member of each H-class, which the L and
+R oracles, the D oracle (its middle element) and the D labels
+(``d_label``, which ``eggbox`` groups by, filling each D-class's grid in
+one pass over its members) read; part 2 (``j_below``), ≤_J on classes,
+built only when a J question asks, from the ideals at the classes' first
+members.
 The J oracles scan the table for factors only on pairs it puts J-below.
 Each member's block facts (block images, kernel classes and the masks of
 the blocks they meet, sorted images, J geometry) come from the members'
@@ -71,7 +76,7 @@ from typing import Callable, Iterator, Literal
 import numpy as np
 
 from .errors import InternalError, InvalidArgumentError, PreconditionError, ResourceLimitError
-from .finite_maps import FiniteMap, _fibers, image, kernel_partition, refines
+from .finite_maps import FiniteMap, _fibers, _first_equal, image, kernel_partition, refines
 from .ensemble import Instance, _built_member, _row_blocks, enumerate_elements, require_member
 from .partition_action import (
     Partition, _Geometry, _blocks_fit, _least_lift, _mask, character, preserves_partition,
@@ -198,24 +203,34 @@ def witness_maps(
     return index_maps, pairing, image_maps
 
 
-def _preorders(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(l_below, r_below) of a product table, by one scatter per block of rows.
+_BIT = 1 << np.arange(8, dtype=np.uint8)  # the mask of bit k of a byte
 
-    ``l_below[f, g]`` holds when f = h*g and ``r_below[f, g]`` when f = g*h
-    for some element h; row h of the table lists h*g for every g, so the
-    block scatters into the flat matrices at (h*g)*size + g and
-    (h*g)*size + h.
-    """
+
+def _ideals(table: np.ndarray) -> np.ndarray:
+    """The principal right ideals of a monoid's product table, packed: row g
+    holds g*S, a bit a member, f at bit f % 8 of byte f // 8, so f ≤_R g is
+    bit f of row g, and the padding bits are zero; of the transposed table,
+    the left ideals S*g, f ≤_L g.  Each block of rows is scattered into a
+    boolean block and packed."""
     size = len(table)
-    l_below = np.zeros((size, size), dtype=bool)
-    r_below = np.zeros((size, size), dtype=bool)
-    columns = np.arange(size)
-    for start, stop in _row_blocks(size, 16 * size):
-        # widened before the multiply: x*size wraps int16 from size 182
-        at = table[start:stop].astype(np.intp) * size
-        l_below.reshape(-1)[at + columns] = True
-        r_below.reshape(-1)[at + columns[start:stop, None]] = True
-    return l_below, r_below
+    ideals = np.empty((size, -(-size // 8)), dtype=np.uint8)
+    # a row's temporaries: its widened positions, its boolean row and the
+    # block before's
+    for start, stop in _row_blocks(size, 10 * size):
+        at = table[start:stop].astype(np.intp)
+        at += np.arange(0, at.size, size)[:, None]
+        dense = np.zeros(at.shape, dtype=bool)
+        dense.reshape(-1)[at] = True
+        del at
+        ideals[start:stop] = np.packbits(dense, axis=1, bitorder="little")
+    return ideals
+
+
+def _bits(ideals: np.ndarray, f, rows=slice(None)):
+    """Nonzero where f is below the member of each row of ``rows`` (every
+    member by default): byte f // 8 of each row, masked, by one gather;
+    ``[k, i]`` for an array f, f[i] below rows[k].  No padding bit is read."""
+    return ideals[:, f >> 3][rows] & _BIT[f & 7]
 
 
 class _IndexFacts:
@@ -223,18 +238,16 @@ class _IndexFacts:
 
     A search's candidates depend only on the pair (chi(f), chi(g)), so each
     fact is a tuple of positions of S(I), ascending, built on first ask by
-    one read of the index table (or of its ≤_R preorder) and kept under the
+    one read of the index table (or of its right ideals) and kept under the
     int key c * |S(I)| + t for as long as the instance lives.  Equal facts
     share one tuple: most facts repeat (every constant character has the
     same J alphas, for one).  The oracle route never asks.
     """
 
-    def __init__(self, table: np.ndarray, r_below: np.ndarray) -> None:
-        self.table, self.r_below, self.size = table, r_below, len(table)
-        self.left: dict[int, tuple[int, ...]] = {}
-        self.right: dict[int, tuple[int, ...]] = {}
-        self.r_classes: dict[int, tuple[int, ...]] = {}
-        self.alphas: dict[int, tuple[int, ...]] = {}
+    def __init__(self, table: np.ndarray, r_ideals: np.ndarray) -> None:
+        self.table, self.r_ideals, self.size = table, r_ideals, len(table)
+        # each kind of fact, int key -> tuple of positions
+        self.left, self.right, self.r_classes, self.alphas = {}, {}, {}, {}
         self.shared: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def __len__(self) -> int:
@@ -260,10 +273,10 @@ class _IndexFacts:
         return self._keep(self.right, key, self.table[c] == t) if fact is None else fact
 
     def r_class(self, c: int) -> tuple[int, ...]:
-        """The R-class of c."""
+        """The R-class of c: the d with the right ideal of c, S(I) a monoid."""
         fact = self.r_classes.get(c)
         if fact is None:
-            fact = self._keep(self.r_classes, c, self.r_below[c] & self.r_below[:, c])
+            fact = self._keep(self.r_classes, c, (self.r_ideals == self.r_ideals[c]).all(axis=1))
         return fact
 
     def j_alphas(self, cf: int, cg: int) -> tuple[int, ...]:
@@ -272,13 +285,15 @@ class _IndexFacts:
         key = cg * self.size + cf
         fact = self.alphas.get(key)
         if fact is None:
-            fact = self._keep(self.alphas, key, self.r_below[cf, self.table[:, cg]])
+            fact = self._keep(self.alphas, key, _bits(self.r_ideals, cf, self.table[:, cg]))
         return fact
 
 
 class _GreensData:
-    """Per-instance precomputation shared by all relation checks, the memo
-    of index-semigroup facts the theorem searches read (``si_facts``) among it.
+    """Per-instance precomputation shared by all relation checks: the packed
+    left and right ideals of the members and of S(I) (``_ideals``, N·⌈N/8⌉
+    bytes each), the class quotient read off them, and the memo of
+    index-semigroup facts the theorem searches read (``si_facts``).
     ``facts`` holds a Green's sweep's one-sided facts while the sweep holds
     them open (``_kept_facts``), and is None otherwise."""
 
@@ -292,13 +307,13 @@ class _GreensData:
         self.geometry = inst.derived.geometry
         self.imgs = self.geometry.images
         self.table = inst.derived.table
-        self.l_below, self.r_below = _preorders(self.table)
+        self.l_ideals, self.r_ideals = _ideals(self.table.T), _ideals(self.table)
 
         self.si_imgs = [a.images for a in inst.si.elements]
         self.si_table = inst.si.table
         self.char_ids = inst.derived.char_ids
-        self.si_l_below, self.si_r_below = _preorders(inst.si.table)
-        self.si_facts = _IndexFacts(self.si_table, self.si_r_below)
+        self.si_l_ideals, self.si_r_ideals = _ideals(self.si_table.T), _ideals(self.si_table)
+        self.si_facts = _IndexFacts(self.si_table, self.si_r_ideals)
 
     @cached_property
     def classes(self) -> tuple[list[int], list[int], list[list[int]], np.ndarray, np.ndarray]:
@@ -306,8 +321,8 @@ class _GreensData:
         the order of their first members, ``h_first[r][l]``, the first member
         of H-class (r, l), or -1, and the R- and L-classes' first members."""
         (r_first, r_of), (l_first, l_of) = (
-            np.unique(_class_labels(below), return_inverse=True)
-            for below in (self.r_below, self.l_below)
+            np.unique(_class_labels(ideals), return_inverse=True)
+            for ideals in (self.r_ideals, self.l_ideals)
         )
         cells, first = np.unique(r_of * len(l_first) + l_of, return_index=True)
         h_first = np.full((len(r_first), len(l_first)), -1)
@@ -320,8 +335,10 @@ class _GreensData:
         ≤_R h ≤_L g for some h); ``Rq @ H @ Lq``, as ≤_R and ≤_L are constant on
         classes: H the nonempty H-classes, Rq/Lq the preorders at first members."""
         _, _, h_first, r_first, l_first = self.classes
-        h = np.array(h_first) >= 0
-        return (self.r_below[r_first][:, r_first] @ h @ self.l_below[l_first][:, l_first]).tolist()
+        # the first members' rows first, so no temporary has a row a member
+        rq = _bits(self.r_ideals[r_first], r_first).T != 0
+        lq = _bits(self.l_ideals[l_first], l_first).T != 0
+        return (rq @ (np.array(h_first) >= 0) @ lq).tolist()
 
     @cached_property
     def d_label(self) -> list[int]:
@@ -355,8 +372,7 @@ def _theorem_keys(data: _GreensData, rel: str) -> list[int]:
     character and the geometry lists ``_THEOREM_READS`` names.  Pairs of
     members with equal keys get equal theorem searches."""
     reads = [data.char_ids, *(getattr(data.geometry, name) for name in _THEOREM_READS[rel])]
-    first: dict = {}
-    return [first.setdefault(key, k) for k, key in enumerate(zip(*reads))]
+    return _first_equal(zip(*reads))
 
 
 class _SweepFacts:
@@ -481,7 +497,7 @@ def _first_factor(data: _GreensData, rel: str, fk: int, gk: int):
             return None
         # The first h1 in order whose h1*g has f in its right ideal, then the
         # first h2 with h1*g*h2 = f: the first pair of the row-major scan.
-        left = data.r_below[fk, table[:, gk]]
+        left = _bits(data.r_ideals, fk, table[:, gk])
         k1 = int(left.argmax())
         if not left[k1]:
             raise InternalError(f"no factors put {data.members[fk]} J-below {data.members[gk]}")
@@ -1088,17 +1104,10 @@ def full_tx_green(rel: Relation, f: FiniteMap, g: FiniteMap) -> bool:
     raise InvalidArgumentError(f"unknown relation {rel!r}")
 
 
-def _class_labels(below: np.ndarray) -> list[int]:
-    """For each element, the first element of its class under below & below.T.
-
-    Taken a block of rows at a time (``_row_blocks``), one NumPy operation
-    per block, so no temporary grows with the square of the element count.
-    """
-    labels: list[int] = []
-    for start, stop in _row_blocks(len(below), len(below)):
-        block = below[start:stop] & below[:, start:stop].T
-        labels += block.argmax(axis=1).tolist()
-    return labels
+def _class_labels(ideals: np.ndarray) -> list[int]:
+    """For each element, the first element whose principal ideal (packed row)
+    equals its own: its class, as f lies in its own ideal in a monoid."""
+    return _first_equal(row.tobytes() for row in ideals)
 
 
 def eggbox(inst: Instance) -> list[dict]:

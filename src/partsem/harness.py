@@ -55,7 +55,10 @@ of J covers and one-sided J verdicts per entry.
 
 The three suites that read J and D take them from the Green's data's class
 quotient: ``_class_relations`` only gathers ≤_J or the H-classes onto the
-member pairs, and D is equality of D labels.
+member pairs, one axis at a time, and D is equality of D labels, compared
+in the narrowest dtype that holds them (``_keys``).  ``character-descent``
+reads ≤_L and ≤_R of a block of members, and of their characters, off the
+packed principal ideals by one gather and mask each (``greens._bits``).
 
 ``character-homomorphism``, ``member-closure`` and ``unit-set-identity``
 compose by gathering on the N×n array of the members' images (uint8 up to
@@ -76,7 +79,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InternalError, InvalidArgumentError, ResourceLimitError
-from .finite_maps import FiniteMap, collapse_defect, compose
+from .finite_maps import FiniteMap, _first_equal, collapse_defect, compose
 from .partition_action import (
     Partition,
     block_maps,
@@ -428,10 +431,11 @@ def _fail_rows(tally: _Tally, members, start: int, hits: np.ndarray, *details: s
         tally.fail(details[i], count, f=members[start + a], g=members[b])
 
 
-def _first_equal(values) -> np.ndarray:
-    """Per value, the position of the first value equal to it."""
-    first: dict = {}
-    return np.array([first.setdefault(v, k) for k, v in enumerate(values)], dtype=np.intp)
+def _keys(values) -> np.ndarray:
+    """``values``, non-negative ints, in the narrowest dtype that holds them,
+    so a broadcast comparison of them takes the fewest bytes of iterator
+    buffers (NumPy buffers ``np.getbufsize()`` items an operand)."""
+    return np.array(values, dtype=np.min_scalar_type(max(values, default=0)))
 
 
 def _equal(ids: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -793,7 +797,7 @@ def _verdict_keys(data, rel: str, mode: str) -> np.ndarray:
     if mode == "theorem":
         return np.array(greens._theorem_keys(data, rel), dtype=np.intp)
     reads = {"L": data.classes[1:2], "R": data.classes[:1]}.get(rel, data.classes[:2])
-    return _first_equal(zip(*reads))
+    return np.array(_first_equal(zip(*reads)), dtype=np.intp)
 
 
 @_suite("greens-mode-agreement", _has_identity)
@@ -816,42 +820,48 @@ def _greens_mode_agreement(entry, tally, sweep):
 def _character_descent(entry, tally, sweep):
     data = greens._greens_data(entry.instance)
     chars = np.array(data.char_ids, dtype=np.intp)
-    # a row's temporaries, a byte a pair each: a relation's gathered row and
-    # its negation beside the first mask, the two masks and their stack, and
-    # the block before's stack; the gathers take one axis at a time, as a
-    # gather on two broadcast axes allocates NumPy's iterator buffers besides
-    for start, stop in _row_blocks(len(chars), 6 * len(chars)):
-        rows = chars[start:stop]
-        hits = np.stack([data.l_below[start:stop] & ~data.si_l_below[rows][:, chars],
-                         data.r_below[start:stop] & ~data.si_r_below[rows][:, chars]], axis=2)
+    pairs = ((data.l_ideals, data.si_l_ideals), (data.r_ideals, data.si_r_ideals))
+    # a row's temporaries, a byte a pair each: a relation's gathered bits and
+    # their test, its characters' and theirs, beside the first mask, the two
+    # masks and their stack, and the block before's stack
+    for start, stop in _row_blocks(len(chars), 10 * len(chars)):
+        block = np.arange(start, stop)
+        hits = np.stack([(greens._bits(ideals, block).T != 0)
+                         & (greens._bits(si, chars[block], chars).T == 0)
+                         for ideals, si in pairs], axis=2)
         _fail_rows(tally, data.members, start, hits,
                    "L-inequality does not descend to characters",
                    "R-inequality does not descend to characters")
     tally.checks = len(chars) ** 2
 
 
-def _class_relations(data, quotient: np.ndarray, start: int, stop: int) -> np.ndarray:
+def _class_relations(quotient: np.ndarray, r_of: np.ndarray, l_of: np.ndarray,
+                     start: int, stop: int) -> np.ndarray:
     """``[i, g] = quotient[R(f), L(g)]`` for the member f at row start + i,
     on a matrix over the class quotient's (R-class, L-class): ≤_J on the
-    members for ``j_below``, and R∘L for the nonempty H-classes."""
-    r_of, l_of = data.classes[:2]
-    return quotient[np.array(r_of[start:stop])[:, None], l_of]
+    members for ``j_below``, and R∘L for the nonempty H-classes.  It gathers
+    one axis at a time: a gather on two broadcast axes takes NumPy's
+    iterator buffers besides."""
+    return quotient[r_of[start:stop]][:, l_of]
 
 
 def _tx_keys(data) -> list[np.ndarray]:
     """Per member, its R-class and L-class, and the first member with its
     image and with its kernel: the keys compared on T(X)."""
-    return [*map(np.array, data.classes[:2]),
-            _first_equal(data.geometry.sorted_images),
-            _first_equal(data.geometry.kernels)]
+    geometry = data.geometry
+    return [*map(_keys, (*data.classes[:2], _first_equal(geometry.sorted_images),
+                         _first_equal(geometry.kernels)))]
 
 
 @_suite("greens-d-composition-commutes", _has_identity)
 def _greens_d_composition_commutes(entry, tally, sweep):
     data = greens._greens_data(entry.instance)
-    d_label, h = np.array(data.d_label), np.array(data.classes[2]) >= 0
-    for start, stop in _row_blocks(len(d_label), 3 * len(d_label)):
-        hits = _equal(d_label, start, stop) != _class_relations(data, h, start, stop)
+    d_label, r_of, l_of = map(_keys, (data.d_label, *data.classes[:2]))
+    h = np.array(data.classes[2]) >= 0
+    # a row's temporaries, a byte a pair each: D, the H-classes' gather by
+    # R-class and by L-class, the mismatch, and the block before's mismatch
+    for start, stop in _row_blocks(len(d_label), 5 * len(d_label)):
+        hits = _equal(d_label, start, stop) != _class_relations(h, r_of, l_of, start, stop)
         _fail_rows(tally, data.members, start, hits, "L-then-R differs from R-then-L")
     tally.checks = len(d_label) ** 2
 
@@ -859,15 +869,19 @@ def _greens_d_composition_commutes(entry, tally, sweep):
 @_suite("greens-d-subset-j", _has_identity)
 def _greens_d_subset_j(entry, tally, sweep):
     data = greens._greens_data(entry.instance)
-    j_below, d_label = np.array(data.j_below), np.array(data.d_label)
-    r_of, l_of = map(np.array, data.classes[:2])
+    j_below = np.array(data.j_below)
+    d_label, r_of, l_of = map(_keys, (data.d_label, *data.classes[:2]))
     # D = J in every finite semigroup, so a J-related pair outside D is a
-    # fault too; D ⊄ J is walked first, so its pairs give the counterexample
+    # fault too; D ⊄ J is walked first, so its pairs give the counterexample.
+    # A row's temporaries, a byte a pair each: the two directions, each
+    # gathered by one class and then by the other, J, D, their mismatch and
+    # the mask failing, and the block before's J and mismatch
     for j_outside, detail in ((False, "a D-related pair is not J-related"),
                               (True, "a J-related pair is not D-related")):
-        for start, stop in _row_blocks(len(d_label), 5 * len(d_label)):
+        for start, stop in _row_blocks(len(d_label), 9 * len(d_label)):
             # f ≤_J g and g ≤_J f, for f at each row of the block
-            j_rel = j_below[r_of[start:stop, None], l_of] & j_below[r_of, l_of[start:stop, None]]
+            j_rel = (_class_relations(j_below, r_of, l_of, start, stop)
+                     & _class_relations(j_below.T, l_of, r_of, start, stop))
             outside = j_rel != _equal(d_label, start, stop)
             _fail_rows(tally, data.members, start, outside & (j_rel == j_outside), detail)
     tally.checks = len(d_label) ** 2
@@ -885,7 +899,7 @@ def _greens_tx_specialization(entry, tally, sweep):
         bad = np.stack([_equal(l_of, start, stop) != _equal(images, start, stop),
                         _equal(r_of, start, stop) != _equal(kernels, start, stop),
                         _equal(d_label, start, stop) != _equal(ranks, start, stop),
-                        _class_relations(data, j_below, start, stop)
+                        _class_relations(j_below, r_of, l_of, start, stop)
                         != (ranks[start:stop, None] <= ranks)], axis=2)
         # each pair fails on the first of the four tests that it fails
         first = bad & (np.cumsum(bad, axis=2, dtype=np.uint8) == 1)
@@ -929,7 +943,8 @@ def _txp_verdicts(geometry, sweep: _GreensSweep) -> np.ndarray:
     verdicts = np.empty(sweep.codes.shape[:2], dtype=bool)
     for r, rel in enumerate(sweep.relations):
         # each member's signature, as the first member with an equal one
-        rep = _first_equal(zip(*(getattr(geometry, name) for name in greens._TXP_READS[rel])))
+        reads = (getattr(geometry, name) for name in greens._TXP_READS[rel])
+        rep = np.array(_first_equal(zip(*reads)), dtype=np.intp)
         keys, at = np.unique(rep[f] * size + rep[g], return_inverse=True)
         decided = [greens._txp_related(rel, geometry, *divmod(key, size), memo)
                    for key in keys.tolist()]

@@ -6,6 +6,7 @@ library against a second, self-contained computation path.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from partsem import IndexSemigroup, Instance, Partition
@@ -52,6 +53,28 @@ def boolean_products(l_below, r_below):
     ``l_eq @ r_eq`` (D = L∘R) and ``r_eq @ l_eq`` (R∘L)."""
     l_eq, r_eq = l_below & l_below.T, r_below & r_below.T
     return r_below @ l_below, l_eq @ r_eq, r_eq @ l_eq
+
+
+def unpack_below(ideals):
+    """The N×N boolean ``below[f, g]``, f below g, of packed principal ideals
+    (``greens._ideals``: bit f of row g), for small instances."""
+    return np.unpackbits(ideals, axis=1, count=len(ideals), bitorder="little").T.astype(bool)
+
+
+def pack_below(below):
+    """The packed principal ideals of an N×N boolean ``below[f, g]``: the
+    inverse of ``unpack_below``."""
+    return np.packbits(below.T, axis=1, bitorder="little")
+
+
+def preorders(data):
+    """(l_below, r_below), N×N booleans, of a Green's data's member ideals."""
+    return unpack_below(data.l_ideals), unpack_below(data.r_ideals)
+
+
+def drop_edge(ideals, f, g):
+    """Clear f below g in packed principal ideals, in place."""
+    ideals[g, f >> 3] &= np.uint8(0xFF ^ 1 << (f & 7))
 
 
 def full_ti(degree):

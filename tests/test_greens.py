@@ -57,7 +57,7 @@ from partsem.greens import (
 )
 from partsem import ensemble, greens, harness
 from partsem.partition_action import _Geometry
-from conftest import boolean_products, comp
+from conftest import boolean_products, comp, pack_below, preorders
 
 
 def fm(images):
@@ -561,7 +561,7 @@ def test_theorem_searches_agree_with_the_oracle_on_every_pair(blocks, size):
     p = Partition.of(blocks)
     data = _greens_data(Instance(p, IndexSemigroup.full(p.degree)))
     assert len(data.members) == size
-    j_below, d_rel, _ = boolean_products(data.l_below, data.r_below)
+    j_below, d_rel, _ = boolean_products(*preorders(data))
     cap = DEFAULT_PHI_CAP
     for a in range(size):
         for b in range(size):
@@ -872,7 +872,7 @@ class _Unread:
 # what the searches may read of the Green's data besides the geometry: the
 # partition, the characters and the index semigroup
 _SEARCH_READS = {"partition", "char_ids", "si_imgs", "si_table",
-                 "si_l_below", "si_r_below", "si_facts"}
+                 "si_l_ideals", "si_r_ideals", "si_facts"}
 
 
 def _spoiled(data, rel):
@@ -1014,14 +1014,17 @@ def test_no_default_cap_fires_on_the_one_block_t5_in_theorem_mode():
 
 
 def _row_by_row_labels(below):
-    """``_class_labels`` as it was: one row and one strided column per element."""
+    """``_class_labels`` as it was on N×N preorders: one row and one strided
+    column per element."""
     return [int(np.argmax(below[k] & below[:, k])) for k in range(len(below))]
 
 
 @pytest.mark.parametrize("size", [1, 2, 37, 101, 250])
 def test_blocked_class_labels_match_the_row_by_row_labels(size, monkeypatch):
     """Random preorders (reflexive-transitive closures of sparse random
-    relations), blocked by row counts that do not divide their size."""
+    relations), packed as principal ideals; equal down-sets are equivalence
+    in any preorder.  The labels must not depend on the row budget, here
+    ones that do not divide the size."""
     rng = np.random.default_rng(size)
     below = rng.random((size, size)) < 2.0 / size
     below |= np.eye(size, dtype=bool)
@@ -1032,10 +1035,10 @@ def test_blocked_class_labels_match_the_row_by_row_labels(size, monkeypatch):
         below = closed
     expected = _row_by_row_labels(below)
     assert len(set(expected)) > 1 or size < 3
-    assert _class_labels(below) == expected
+    assert _class_labels(pack_below(below)) == expected
     for rows in (1, 3, 16, size + 5):
         monkeypatch.setattr(ensemble, "ROW_BLOCK_BYTES", rows * size)
-        assert _class_labels(below) == expected
+        assert _class_labels(pack_below(below)) == expected
 
 
 class TestWitnessPlumbing:
@@ -1137,8 +1140,8 @@ def _union_find_eggbox(data):
     joining members that share an L- or an R-class, with the class labels
     read off the preorders."""
     size = len(data.members)
-    l_eq = data.l_below & data.l_below.T
-    r_eq = data.r_below & data.r_below.T
+    l_below, r_below = preorders(data)
+    l_eq, r_eq = l_below & l_below.T, r_below & r_below.T
     l_label = [int(np.argmax(l_eq[k])) for k in range(size)]
     r_label = [int(np.argmax(r_eq[k])) for k in range(size)]
     parent = list(range(size))
@@ -1206,7 +1209,7 @@ class TestEggbox:
         assert eggbox(inst) == _union_find_eggbox(data)
         d_label = np.array(data.d_label)
         assert np.array_equal(d_label[:, None] == d_label,
-                              boolean_products(data.l_below, data.r_below)[1])
+                              boolean_products(*preorders(data))[1])
 
     def test_full_transformation_semigroup_on_three_points(self):
         p = Partition.of([[0, 1, 2]])

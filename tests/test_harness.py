@@ -32,7 +32,7 @@ from partsem import (
 )
 from partsem.cli import parse_instance, run_command
 from partsem.partition_action import _Geometry
-from conftest import boolean_products
+from conftest import boolean_products, drop_edge, pack_below, preorders, unpack_below
 
 GEOMETRY_LISTS = ("block_masks", "kernels", "meet_masks", "sorted_images", "j_geometry",
                   "block_fits")
@@ -757,8 +757,8 @@ class TestGreensSweep:
         assert all(seen is inst for (_, seen), inst in zip(made, instances))
         expected = Counter()
         for data, _ in made:
-            expected[id(data.l_below)] += 1
-            expected[id(data.r_below)] += 1
+            expected[id(data.l_ideals)] += 1
+            expected[id(data.r_ideals)] += 1
         assert set(expected.values()) == {1}
         assert built == expected
 
@@ -1159,14 +1159,16 @@ def _label_loops(catalog):
         images, kernels = data.geometry.sorted_images, data.geometry.kernels
         r_of, l_of = data.classes[:2]
         d_label = data.d_label
+        l_below, r_below = preorders(data)
+        si_l_below, si_r_below = map(unpack_below, (data.si_l_ideals, data.si_r_ideals))
         descent, tx, necessary = (_KeptTally(entry) for _ in LABEL_SUITES)
         for a, b in itertools.product(range(len(members)), repeat=2):
             f, g = members[a], members[b]
             descent.checks += 1
             ca, cb = char_ids[a], char_ids[b]
-            if data.l_below[a, b] and not data.si_l_below[ca, cb]:
+            if l_below[a, b] and not si_l_below[ca, cb]:
                 descent.fail("L-inequality does not descend to characters", f=f, g=g)
-            if data.r_below[a, b] and not data.si_r_below[ca, cb]:
+            if r_below[a, b] and not si_r_below[ca, cb]:
                 descent.fail("R-inequality does not descend to characters", f=f, g=g)
             tx.checks += 1
             rank_eq = len(images[a]) == len(images[b])
@@ -1199,9 +1201,9 @@ def _spoil_labels(data):
     first = np.zeros(1, dtype=np.intp)
     data.classes = ([0] * size, [0] * size, [[0]], first, first)
     data.d_label = list(range(size))
-    si_l_below = data.si_l_below.copy()
+    si_l_below = unpack_below(data.si_l_ideals)
     np.fill_diagonal(si_l_below, False)
-    data.si_l_below = si_l_below
+    data.si_l_ideals = pack_below(si_l_below)
 
 
 class TestLabelSuites:
@@ -1246,13 +1248,14 @@ class TestClassRelations:
     @staticmethod
     def _assert_match_the_boolean_products(inst):
         data = greens._greens_data(inst)
-        j_below, l_then_r, r_then_l = boolean_products(data.l_below, data.r_below)
+        j_below, l_then_r, r_then_l = boolean_products(*preorders(data))
         d_label, size = np.array(data.d_label), len(data.members)
+        r_of, l_of = map(np.array, data.classes[:2])
         assert np.array_equal(
-            harness._class_relations(data, np.array(data.j_below), 0, size), j_below)
+            harness._class_relations(np.array(data.j_below), r_of, l_of, 0, size), j_below)
         assert np.array_equal(d_label[:, None] == d_label, l_then_r)
         h = np.array(data.classes[2]) >= 0
-        assert np.array_equal(harness._class_relations(data, h, 0, size), r_then_l)
+        assert np.array_equal(harness._class_relations(h, r_of, l_of, 0, size), r_then_l)
 
     def test_match_on_every_identity_entry_of_max_n_4(self):
         entries = [e for e in build_catalog(4, seed=7).entries if e.instance.si.has_identity]
@@ -1283,7 +1286,7 @@ class TestClassRelations:
         # and builds ≤_J on classes on first ask, from the spoiled preorder
         data = greens._greens_data(entry.instance)
         first = int(data.classes[3][-1])
-        data.r_below[first, first] = False
+        drop_edge(data.r_ideals, first, first)
         assert "j_below" not in vars(data)
         [record] = run_suite("greens-d-subset-j", catalog).records
         assert record.verdict == "fail"
@@ -1293,7 +1296,8 @@ class TestClassRelations:
         # the members, against D from the labels taken before the spoil
         r_of, l_of, _, r_first, l_first = data.classes
         at_r, at_l = r_first[r_of], l_first[l_of]
-        j_below = data.r_below[np.ix_(at_r, at_r)] @ data.l_below[np.ix_(at_l, at_l)]
+        l_below, r_below = preorders(data)
+        j_below = r_below[np.ix_(at_r, at_r)] @ l_below[np.ix_(at_l, at_l)]
         j_rel = j_below & j_below.T
         d_label = np.array(data.d_label)
         d_rel = d_label[:, None] == d_label
@@ -1330,7 +1334,7 @@ class TestClassRelations:
                                                   IndexSemigroup.full(2)), "n3:[0,1][2]", "full")
             data = greens._greens_data(entry.instance)
             first = int(data.classes[3][-1])
-            data.r_below[first, first] = False
+            drop_edge(data.r_ideals, first, first)
             data.d_label = list(range(len(data.members)))
             return _untimed(run_all(harness.Catalog(3, 7, (entry,)), list(names)).records)
 
@@ -1387,6 +1391,29 @@ class TestClassRelations:
         assert runs[0] == runs[1] == runs[2]
         assert [record["verdict"] for record in runs[0]] == ["fail", "fail"]
 
+    def test_the_d_suites_size_their_blocks_by_a_row(self):
+        """At the default budget, greens-d-composition-commutes and
+        greens-d-subset-j each peak within ROW_BLOCK_BYTES and 64 bytes a
+        member on n5:[0,1][2][3][4]/full (875 members, the Green's data built
+        beforehand), with no allowance for NumPy's iterator buffers: their
+        row bytes count the block before's masks, and their keys are
+        compared in the narrowest dtype that holds them (with intp keys and
+        the held masks uncounted they peaked at 0.41 and 0.36 MB)."""
+        inst = Instance(Partition.of([[0, 1], [2], [3], [4]]), IndexSemigroup.full(4))
+        entry = harness.CatalogEntry(inst, "n5:[0,1][2][3][4]", "full")
+        catalog = harness.Catalog(5, 7, (entry,))
+        data = greens._greens_data(inst)
+        data.classes, data.j_below, data.d_label
+        for name in ("greens-d-composition-commutes", "greens-d-subset-j"):
+            tracemalloc.start()
+            try:
+                record = harness.SUITES[name](entry, harness._GreensSweep(entry, catalog))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (record.checks, record.failures) == (875 ** 2, 0)
+            assert peak <= ensemble.ROW_BLOCK_BYTES + 64 * 875, name
+
     @pytest.mark.parametrize("n", [3, 4], ids=["T_3", "T_4"])
     def test_dropped_strict_edges_fail_only_the_rank_order(self, n, monkeypatch):
         """Every strict edge of ≤_R and of ≤_L dropped, only the edges within
@@ -1399,7 +1426,7 @@ class TestClassRelations:
         catalog = harness.Catalog(n, 7, (harness.CatalogEntry(inst, f"n{n}", "full"),))
         data = greens._greens_data(inst)
         assert data.classes
-        data.l_below, data.r_below = data.l_below & data.l_below.T, data.r_below & data.r_below.T
+        data.l_ideals, data.r_ideals = (pack_below(below & below.T) for below in preorders(data))
         kept = _keep_failures(monkeypatch)
         # one run, so the three suites read the one spoiled Green's data
         report = run_all(catalog, ["greens-d-subset-j", "greens-d-composition-commutes",

@@ -42,7 +42,7 @@ from partsem.greens import _greens_data
 from partsem.regularity import _each_has_inner_inverse, si_is_inverse, si_is_regular
 from partsem.partition_action import _mask
 
-from conftest import boolean_products, comp
+from conftest import boolean_products, comp, pack_below, preorders, unpack_below
 
 
 def _full(blocks):
@@ -173,8 +173,8 @@ def _check_table_and_derived_data(inst):
             f, unit_ids
         )
     data = _greens_data(inst)
-    assert np.array_equal(data.l_below, loops.l_below())
-    assert np.array_equal(data.r_below, loops.r_below())
+    assert np.array_equal(preorders(data)[0], loops.l_below())
+    assert np.array_equal(preorders(data)[1], loops.r_below())
 
 
 def test_index_semigroup_table_matches_the_loops():
@@ -257,9 +257,11 @@ def test_one_sided_j_matches_a_direct_factor_scan(blocks):
     loops = _Loops(inst)
     members = enumerate_elements(inst)
     data = _greens_data(inst)
-    j_below = boolean_products(data.l_below, data.r_below)[0]
+    j_below = boolean_products(*preorders(data))[0]
     size = len(members)
-    assert np.array_equal(harness._class_relations(data, np.array(data.j_below), 0, size), j_below)
+    r_of, l_of = map(np.array, data.classes[:2])
+    assert np.array_equal(
+        harness._class_relations(np.array(data.j_below), r_of, l_of, 0, size), j_below)
     # first_column[m][f]: the first h2 with m*h2 = f.
     first_column = [{} for _ in members]
     for m, row in enumerate(loops.product):
@@ -286,10 +288,11 @@ def test_one_sided_j_matches_a_direct_factor_scan(blocks):
 
 
 def test_t5_tables_and_classes():
-    """T_5 (3125 members): the product build, the unit scan and the class
-    labels each end on a short block, and the ≤_L/≤_R scatter indexes the
-    flat matrices far past 2**15.  In T_n, f ≤_L g exactly when im f lies
-    in im g, and f ≤_R g exactly when the kernel of g refines that of f."""
+    """T_5 (3125 members): the product build, the unit scan and the ideal
+    build each end on a short block, and each block's scatter indexes its
+    boolean block past 2**15.  In T_n, f ≤_L g exactly when im f lies in im
+    g, and f ≤_R g exactly when the kernel of g refines that of f; the packed
+    ideals are compared byte for byte, padding included."""
     inst = _full([[0, 1, 2, 3, 4]])
     members = enumerate_elements(inst)
     assert len(members) == 3125
@@ -304,8 +307,8 @@ def test_t5_tables_and_classes():
     pairs = list(itertools.combinations(range(5), 2))
     kernels = np.array([_mask(k for k, (x, y) in enumerate(pairs) if m.images[x] == m.images[y])
                         for m in members])
-    assert np.array_equal(data.l_below, images[:, None] & ~images[None, :] == 0)
-    assert np.array_equal(data.r_below, kernels[None, :] & ~kernels[:, None] == 0)
+    assert np.array_equal(data.l_ideals, pack_below(images[:, None] & ~images[None, :] == 0))
+    assert np.array_equal(data.r_ideals, pack_below(kernels[None, :] & ~kernels[:, None] == 0))
 
 
 def test_dropping_an_instance_frees_its_derived_data():
@@ -384,8 +387,9 @@ class _TupleSearches:
         chi_f = data.geometry.chars[fk]
         cg = data.si_imgs.index(data.geometry.chars[gk])
         budget = [cap]
+        si_r_below = unpack_below(data.si_r_ideals)
         for ck, ct in enumerate(data.si_imgs):
-            if not (data.si_r_below[ck, cg] and data.si_r_below[cg, ck]):
+            if not (si_r_below[ck, cg] and si_r_below[cg, ck]):
                 continue
             alphas = [
                 at for at in data.si_imgs if tuple(ct[at[i]] for i in range(deg)) == chi_f
@@ -469,7 +473,7 @@ def _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch):
     monkeypatch.setattr(greens, "_match_classes", recorder("table"))
     cap, elements = greens.DEFAULT_PHI_CAP, inst.si.elements
     for fk, gk in pairs:
-        data.si_facts = greens._IndexFacts(data.si_table, data.si_r_below)
+        data.si_facts = greens._IndexFacts(data.si_table, data.si_r_ideals)
         for memo in ("cold", "warm"):
             budget = [cap]
             l_found = greens._l_one_sided_theorem(data, fk, gk, cap, budget)
@@ -504,7 +508,7 @@ def test_index_facts_match_a_tuple_scan(label, inst):
     """Every kind of the memo of index-semigroup facts, asked for every (c, t)
     of the index set, against a scan of image tuples: left and right
     divisors, R-classes and the J alphas {a : t <=_R a*c}."""
-    facts = greens._IndexFacts(inst.si.table, _greens_data(inst).si_r_below)
+    facts = greens._IndexFacts(inst.si.table, _greens_data(inst).si_r_ideals)
     imgs = [a.images for a in inst.si.elements]
     size = len(imgs)
     product = [[comp(x, y) for y in imgs] for x in imgs]
@@ -558,7 +562,7 @@ def test_theorem_searches_match_the_tuple_loops_on_sampled_pairs_of_t4(monkeypat
     rng = random.Random(4)
     size = len(data.members)
     pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(200)]
-    j_below = boolean_products(data.l_below, data.r_below)[0]
+    j_below = boolean_products(*preorders(data))[0]
     assert 0 < sum(not j_below[a, b] for a, b in pairs) < len(pairs)
     _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch)
 
@@ -623,6 +627,7 @@ class _MapWitnesses:
         self.inst = inst
         self.data = _greens_data(inst)
         self.p, self.elements = inst.partition, inst.si.elements
+        self.l_below, self.r_below = preorders(self.data)
 
     def ids(self, *maps):
         return [ensemble.require_member(h, self.inst) for h in maps]
@@ -641,7 +646,7 @@ class _MapWitnesses:
         if rel == "R":
             found = np.flatnonzero(table[gk] == fk)
             return data.members[found[0]] if len(found) else None
-        k1 = data.r_below[fk, table[:, gk]].nonzero()[0]
+        k1 = self.r_below[fk, table[:, gk]].nonzero()[0]
         if not len(k1):
             return None
         k1 = int(k1[0])
@@ -732,8 +737,8 @@ class _MapWitnesses:
         data, p = self.data, self.p
         fk, gk = self.ids(f, g)
         if mode == "oracle":
-            l_eq_f = data.l_below[fk, :] & data.l_below[:, fk]
-            r_eq_g = data.r_below[gk, :] & data.r_below[:, gk]
+            l_eq_f = self.l_below[fk, :] & self.l_below[:, fk]
+            r_eq_g = self.r_below[gk, :] & self.r_below[:, gk]
             hits = np.nonzero(l_eq_f & r_eq_g)[0]
             if len(hits) == 0:
                 return None
@@ -778,7 +783,7 @@ class _MapWitnesses:
         fk, gk = self.ids(f, g)
         if mode == "oracle":
             # f and g J-below each other: some h1*g has f in its right ideal, and back
-            if not all(data.r_below[a, data.table[:, b]].any() for a, b in ((fk, gk), (gk, fk))):
+            if not all(self.r_below[a, data.table[:, b]].any() for a, b in ((fk, gk), (gk, fk))):
                 return None
             h1, h2 = self.leq("J", f, g)
             k1, k2 = self.leq("J", g, f)
