@@ -20,29 +20,34 @@ maps) are functions of the factors and the pair, read off them in one place
 (``witness_maps``, with ``_INDEX_MAPS`` naming the factor of each index
 map) only where they are shown.  Each theorem search reads of the members only
 their characters and the geometry lists ``_THEOREM_READS`` names (the
-members' theorem keys, ``_theorem_keys``), and each oracle verdict depends
-on them only through their L- and R-classes (the oracles read the class
-quotient), so a caller deciding many pairs (the harness's Green's sweep)
-may take one verdict per pair of those keys where it is unrelated.  While
-that caller holds them open (``_kept_facts``), the position cores read
-their one-sided facts through one memo (``_SweepFacts``): the factor scans
-and the builders by member positions, the L, D and J searches by the
-pair's theorem keys, so each is computed once however many pairs use it;
-the memo lives only as long as the sweep.  Each relation has one position core
-(``_one_sided_witness``, ``_d_witness``, ``_j_witness``): it takes member
+members' theorem keys, ``_GreensData.theorem_keys``, computed once per
+instance), and each oracle verdict depends on them only through their L-
+and R-classes (the oracles read the class quotient), so a caller deciding
+many pairs (the harness's Green's sweep) may take one verdict per pair of
+those keys where it is unrelated.  While that caller holds them open
+(``_kept_facts``), the position cores read their one-sided facts through
+one memo (``_SweepFacts``): the factor scans and the builders by member
+positions, the L, D and J searches by the pair's theorem keys, so each is
+computed once however many pairs use it; the memo lives only as long as
+the sweep.  Each relation has one position core (``_cores``:
+``_one_sided_witness``, ``_d_witness``, ``_j_witness``): it takes member
 positions, runs the search of its mode and every validation of the
-builders, and returns a ``GreenWitness`` of the instance's own members;
-``l_related`` to ``j_related`` share one front end (``_related``) that
-looks f and g up (``require_member``) and calls the core.  Each
-relation's factor equations have one home (``_EQUATIONS``), read by one
-replay, ``verify_witness``: it composes the image tuples of the witness's
-maps, checking each composition's sizes as ``compose`` does, recomputes
-every product and never reads the table.  The harness's Green's sweep
-replays its witnesses through it too.
-The per-instance data keeps, each built once on first use, the class
-quotient: part 1 (``classes``), each member's R- and L-class (the first
-member with equal ideal bytes: the members and S(I) are monoids, so f lies
-in its own ideals) and the first member of each H-class, which the L and
+builders, and returns the positions of the witness's factors, in the
+order ``_FACTORS`` names them, or None.  ``l_related`` to ``j_related``
+share one front end (``_related``), the one place that looks f and g up
+(``require_member``) and wraps positions into a ``GreenWitness``; the
+harness's Green's sweep calls the cores itself.  Each relation's factor
+equations have one home (``_EQUATIONS``), read by the two replays, which
+recompute every product and never read the table: ``verify_witness``, the
+public one, composes the image tuples of a witness's maps, checking each
+composition's sizes as ``compose`` does; ``_replay_rows``, the sweep's,
+replays many rows of factor positions at once on the members' N×n image
+array, a block of rows at a time, one gather per factor.
+The per-instance data keeps, each built once on first use, the left ideals
+of S(I) (only the harness's character descent reads them), the theorem
+keys and the class quotient: part 1 (``classes``), each member's R- and
+L-class (the first member with equal ideal bytes: the members and S(I) are
+monoids, so f lies in its own ideals) and the first member of each H-class, which the L and
 R oracles, the D oracle (its middle element) and the D labels
 (``d_label``, which ``eggbox`` groups by, filling each D-class's grid in
 one pass over its members) read; part 2 (``j_below``), ≤_J on classes,
@@ -110,7 +115,15 @@ class GreenWitness:
         return dict(self.factors)[name]
 
 
-# Each relation's factor equations, the one home of the replay: pairs
+# Each relation's factor names, in the order its position core returns them.
+_FACTORS = {
+    "L": ("fg", "gf"),
+    "R": ("fg", "gf"),
+    "D": ("middle", "l_fm", "l_mf", "r_mg", "r_gm"),
+    "J": ("fg1", "fg2", "gf1", "gf2"),
+}
+
+# Each relation's factor equations, the one home of the replays: pairs
 # (product, target), the product's maps composed left to right.  "f" and "g"
 # name the pair; every other name is a factor of the witness.
 _EQUATIONS: dict[str, tuple[tuple[tuple[str, ...], str], ...]] = {
@@ -159,6 +172,27 @@ def verify_witness(w: GreenWitness, f: FiniteMap, g: FiniteMap) -> bool:
     except KeyError:
         return False
     return True
+
+
+def _replay_rows(rel: str, images: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``verify_witness`` on member positions, for many witnesses of ``rel``
+    at once: per row (f, g, *factors), the factors in ``_FACTORS`` order,
+    whether every factor equation holds on ``images``, the members' N×n
+    image array.  A block of rows at a time, each equation takes one gather
+    per factor; the product table is never read.  A position outside [0, N)
+    fails its row."""
+    size, n = images.shape
+    ok = ((rows >= 0) & (rows < size)).all(axis=1)
+    rows = np.where(ok[:, None], rows, 0)  # NumPy would read -1 as the last member
+    # a row's temporaries: a composite's images, as intp positions, and the target's
+    for start, stop in _row_blocks(len(rows), 16 * n):
+        at = dict(zip(("f", "g", *_FACTORS[rel]), rows[start:stop].T))
+        for names, target in _EQUATIONS[rel]:
+            composite = images[at[names[0]]]
+            for name in names[1:]:
+                composite = images[at[name][:, None], composite]
+            ok[start:stop] &= (composite == images[at[target]]).all(axis=1)
+    return ok
 
 
 # Each relation's index maps, each the character of the factor named beside it.
@@ -292,7 +326,8 @@ class _IndexFacts:
 class _GreensData:
     """Per-instance precomputation shared by all relation checks: the packed
     left and right ideals of the members and of S(I) (``_ideals``, N·⌈N/8⌉
-    bytes each), the class quotient read off them, and the memo of
+    bytes each; S(I)'s left ideals built on first read), the class quotient
+    read off them, the members' theorem keys, and the memo of
     index-semigroup facts the theorem searches read (``si_facts``).
     ``facts`` holds a Green's sweep's one-sided facts while the sweep holds
     them open (``_kept_facts``), and is None otherwise."""
@@ -312,8 +347,20 @@ class _GreensData:
         self.si_imgs = [a.images for a in inst.si.elements]
         self.si_table = inst.si.table
         self.char_ids = inst.derived.char_ids
-        self.si_l_ideals, self.si_r_ideals = _ideals(self.si_table.T), _ideals(self.si_table)
+        self.si_r_ideals = _ideals(self.si_table)
         self.si_facts = _IndexFacts(self.si_table, self.si_r_ideals)
+
+    @cached_property
+    def si_l_ideals(self) -> np.ndarray:
+        """The left ideals of S(I), built on first read: only the harness's
+        character descent reads them."""
+        return _ideals(self.si_table.T)
+
+    @cached_property
+    def theorem_keys(self) -> dict[str, list[int]]:
+        """Per relation, ``_theorem_keys``, built once on first read: the
+        Green's sweep's verdict keys and one-sided facts read them."""
+        return {rel: _theorem_keys(self, rel) for rel in _THEOREM_READS}
 
     @cached_property
     def classes(self) -> tuple[list[int], list[int], list[list[int]], np.ndarray, np.ndarray]:
@@ -383,19 +430,19 @@ class _SweepFacts:
     The factor scans (``_first_factor``, a dict per relation) and the
     builders are kept under the positions they take, the digits of their
     key below ``radix``; the L, D and J searches under the pair's theorem
-    keys (``_theorem_keys``), on which alone their results depend, each with
-    the budget it spent.  A kept search charges that budget again; where
-    less is left it runs again, so it raises where and as it would have.  A
-    call that raised keeps nothing.  Each method takes the arguments of the
-    function it keeps, so a position core calls either alike.
+    keys (``_GreensData.theorem_keys``), on which alone their results
+    depend, each with the budget it spent.  A kept search charges that
+    budget again; where less is left it runs again, so it raises where and
+    as it would have.  A call that raised keeps nothing.  Each method takes
+    the arguments of the function it keeps, so a position core calls either
+    alike.
     """
 
     def __init__(self, data: _GreensData) -> None:
         self.radix = max(len(data.members), len(data.si_imgs), data.partition.n)
         self.first: dict[str, dict] = {rel: {} for rel in "LRJ"}
         self.left, self.right, self.j_built = {}, {}, {}
-        self.keys = {rel: _theorem_keys(data, rel) for rel in "LDJ"}
-        self.searched: dict[str, dict] = {rel: {} for rel in self.keys}
+        self.searched: dict[str, dict] = {rel: {} for rel in "LDJ"}
 
     def first_factor(self, data, rel, fk, gk):
         kept, key = self.first[rel], fk + self.radix * gk
@@ -427,7 +474,7 @@ class _SweepFacts:
         return kept[key]
 
     def _searched(self, rel: str, search: Callable, data, fk, gk, cap, budget):
-        keys, kept = self.keys[rel], self.searched[rel]
+        keys, kept = data.theorem_keys[rel], self.searched[rel]
         key = keys[fk] + self.radix * keys[gk]
         hit = kept.get(key)
         if hit is not None and hit[1] <= budget[0]:
@@ -450,7 +497,7 @@ class _SweepFacts:
 
 @contextmanager
 def _kept_facts(data: _GreensData) -> Iterator[_SweepFacts]:
-    """Keep the one-sided facts of the checker calls on ``data`` while the
+    """Keep the one-sided facts of the core calls on ``data`` while the
     block runs (``_SweepFacts``), and drop them when it is left, however it
     is left.  Only the harness's Green's sweep opens them: kept for the
     instance's life they would grow with every pair ever asked."""
@@ -537,17 +584,27 @@ def _related(
         raise InvalidArgumentError(f"cap must be non-negative, got {cap}")
     data = _greens_data(inst)
     fk, gk = require_member(f, inst), require_member(g, inst)
-    if rel == "D":
-        return _d_witness(data, mode, fk, gk, cap)
-    if rel == "J":
-        return _j_witness(data, mode, fk, gk, cap)
-    return _one_sided_witness(data, rel, mode, fk, gk, cap)
+    core = _d_witness if rel == "D" else _j_witness if rel == "J" else _one_sided_witness
+    found = core(data, rel, mode, fk, gk, cap)
+    if found is None:
+        return None
+    members = data.members
+    return GreenWitness(rel, tuple((name, members[k]) for name, k in zip(_FACTORS[rel], found)))
+
+
+def _cores() -> dict[str, Callable]:
+    """Relation letter -> its position core, ``core(data, rel, mode, fk, gk,
+    cap)``: the positions of the witness's factors, in ``_FACTORS`` order,
+    or None.  The names are looked up on each call, as ``checkers`` looks
+    up its own, so a core rebound on the module is the one returned; the
+    harness's Green's sweep asks once per entry."""
+    return {"L": _one_sided_witness, "R": _one_sided_witness, "D": _d_witness, "J": _j_witness}
 
 
 def _one_sided_witness(
     data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int
-) -> GreenWitness | None:
-    """The position core of ``_related`` for rel "L" or "R"."""
+) -> tuple[int, int] | None:
+    """The position core for rel "L" or "R"."""
     facts = data.facts
     if mode == "oracle":
         r_of, l_of = data.classes[:2]
@@ -555,7 +612,7 @@ def _one_sided_witness(
         if labels[fk] != labels[gk]:
             return None
         first = _first_factor if facts is None else facts.first_factor
-        h_fg, h_gf = first(data, rel, fk, gk), first(data, rel, gk, fk)
+        return first(data, rel, fk, gk), first(data, rel, gk, fk)
     else:
         if rel == "R" and data.geometry.kernels[fk] != data.geometry.kernels[gk]:
             return None
@@ -574,8 +631,7 @@ def _one_sided_witness(
         if b is None:
             return None
         # each builder checks that its factor's character is the one it was given
-        h_fg, h_gf = build(data, fk, gk, a), build(data, gk, fk, b)
-    return GreenWitness(rel, (("fg", data.members[h_fg]), ("gf", data.members[h_gf])))
+        return build(data, fk, gk, a), build(data, gk, fk, b)
 
 
 def l_related(
@@ -763,9 +819,9 @@ def d_related(
 
 
 def _d_witness(
-    data: _GreensData, mode: str, fk: int, gk: int, cap: int
-) -> GreenWitness | None:
-    """The position core of ``_related`` for rel "D"."""
+    data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int
+) -> tuple[int, ...] | None:
+    """The position core for rel "D"."""
     facts = data.facts
     if mode == "oracle":
         # the first member L-related to f and R-related to g
@@ -774,7 +830,7 @@ def _d_witness(
         if mk < 0:
             return None
         first = _first_factor if facts is None else facts.first_factor
-        legs = (first(data, "L", fk, mk), first(data, "L", mk, fk),
+        return (mk, first(data, "L", fk, mk), first(data, "L", mk, fk),
                 first(data, "R", mk, gk), first(data, "R", gk, mk))
     else:
         search, left, right = ((_d_theorem_search, _left_factor, _right_factor) if facts is None
@@ -791,10 +847,8 @@ def _d_witness(
         v = data.si_facts.right_divisors(data.char_ids[mk], data.char_ids[gk])
         if not (u and v):
             raise InternalError("R-divisibility promised by the search but not found")
-        legs = (left(data, fk, mk, a), left(data, mk, fk, b),
+        return (mk, left(data, fk, mk, a), left(data, mk, fk, b),
                 right(data, mk, gk, u[0]), right(data, gk, mk, v[0]))
-    names = ("middle", "l_fm", "l_mf", "r_mg", "r_gm")
-    return GreenWitness("D", tuple(zip(names, (data.members[k] for k in (mk, *legs)))))
 
 
 def build_d_middle(
@@ -902,9 +956,9 @@ def j_related(
 
 
 def _j_witness(
-    data: _GreensData, mode: str, fk: int, gk: int, cap: int
-) -> GreenWitness | None:
-    """The position core of ``_related`` for rel "J"."""
+    data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int
+) -> tuple[int, ...] | None:
+    """The position core for rel "J"."""
     facts = data.facts
     if mode == "oracle":
         # each factor scan runs only on a pair the class quotient puts J-below
@@ -913,7 +967,7 @@ def _j_witness(
         found = data.j_below[r_of[gk]][l_of[fk]] and first(data, "J", fk, gk)
         if not found:
             return None
-        (h1, h2), (k1, k2) = found, first(data, "J", gk, fk)
+        return (*found, *first(data, "J", gk, fk))
     else:
         search, build = ((_j_one_sided_theorem, _j_factors) if facts is None
                          else (facts.j_search, facts.j_factors))
@@ -924,10 +978,7 @@ def _j_witness(
         backward = search(data, gk, fk, cap, budget)
         if backward is None:
             return None
-        h1, h2 = build(data, fk, gk, *forward)
-        k1, k2 = build(data, gk, fk, *backward)
-    names = ("fg1", "fg2", "gf1", "gf2")
-    return GreenWitness("J", tuple(zip(names, (data.members[k] for k in (h1, h2, k1, k2)))))
+        return (*build(data, fk, gk, *forward), *build(data, gk, fk, *backward))
 
 
 def checkers() -> dict[str, Callable[..., GreenWitness | None]]:

@@ -29,18 +29,25 @@ The three Green's pair suites (``greens-mode-agreement``,
 checkers themselves.  The sweep decides its codes when a suite first reads
 them: a one-byte outcome code per pair of its ``pairs``, relation and mode
 (unrelated, capped, replays, fails to replay, or a fault: an
-``InternalError``).  It calls the public checker on the members' own maps
-(which the checkers look up in the member index) and replays a found
-witness at once (``greens.verify_witness``, on image tuples): a witness is
-its factors, and the sweep reads nothing else of it.  Each member
-has a key per relation and mode (``_verdict_keys``: the classes the oracle
-reads off the Green's data's class quotient, or the character and the
-geometry lists the theorem search reads), and pairs of members with equal
-keys get equal verdicts, so the checker is called once on an unrelated key
-group (a capped call or a fault decides nothing) and on every pair of a
-related one.  While it decides, the sweep holds the checkers' one-sided
-facts open (``greens._kept_facts``): each factor scan, builder and search
-then runs once per entry, and is dropped with the entry's sweep.  The three
+``InternalError``).  It runs on member positions from end to end: it calls
+each relation's position core (``greens._cores``) on the pair's positions,
+with no member lookup, no public checker and no ``GreenWitness``, and keeps
+each found witness as a row (pair, f, g, *factors) of C ints, one compact
+array per relation and mode.  After the pairs, each array is replayed in
+one call (``greens._replay_rows``, on the members' image array, never the
+product table): a witness is its factors, and the sweep reads nothing else
+of it.  ``greens-witness-replay`` covers the public front end the sweep
+skips (``_public_front_end``): per relation and mode, the public checker
+on one replaying pair must give a witness that ``greens.verify_witness``
+replays.  Each member has a key per relation and mode (``_verdict_keys``: the
+classes the oracle reads off the Green's data's class quotient, or the
+theorem keys the Green's data computes once per entry), and pairs of
+members with equal keys get equal verdicts, so the core is called once on
+an unrelated key group (a capped call or a fault decides nothing) and on
+every pair of a related one.  While it decides, the sweep holds the cores'
+one-sided facts open (``greens._kept_facts``): each factor scan, builder
+and search then runs once per entry, and is dropped with the entry's
+sweep.  The three
 suites read the codes as one array: each counts its checks, capped checks
 and failures (a fault is one) with NumPy and records the first failure,
 row-major, as every suite that tests a mask of member pairs does
@@ -72,6 +79,7 @@ import itertools
 import json
 import random
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -431,6 +439,14 @@ def _fail_rows(tally: _Tally, members, start: int, hits: np.ndarray, *details: s
         tally.fail(details[i], count, f=members[start + a], g=members[b])
 
 
+def _listed_rows(row_bytes: int, *arrays: np.ndarray):
+    """The rows of equally long arrays zipped, each row as Python lists, a
+    block of rows (``_row_blocks``, at ``row_bytes`` bytes a row) listed at
+    a time."""
+    for start, stop in _row_blocks(len(arrays[0]), row_bytes):
+        yield from zip(*(values[start:stop].tolist() for values in arrays))
+
+
 def _keys(values) -> np.ndarray:
     """``values``, non-negative ints, in the narrowest dtype that holds them,
     so a broadcast comparison of them takes the fewest bytes of iterator
@@ -699,18 +715,22 @@ class _GreensSweep:
 
     For each pair of ``pairs``, each relation of
     ``greens.checkers()`` and each mode, ``codes[k, r, m]`` keeps only the
-    outcome of the checker on the members' own maps; a found witness is
-    replayed at once (``greens.verify_witness``).
-    Pairs are walked in order, and the checker is called on a pair unless
-    the pair's key group (``_verdict_keys``) already came out unrelated: such
-    a pair is unrelated too.  A capped call or a fault decides nothing for
-    its group, and every related pair gets its own call and replay.  A
-    fault fails the check, else a capped call of either mode is counted as
-    capped, by every reader; ``fault`` keeps the first fault's message.
-    While ``codes`` is decided the entry's Green's data holds the checkers'
-    one-sided facts open (``greens._kept_facts``), so each factor scan,
-    builder and search runs once per entry, however many pairs' calls use
-    it; they are dropped when ``codes`` is left, by return or exception.
+    outcome of the relation's position core (``greens._cores``, looked up
+    when ``codes`` is decided) on the pair's member positions, at
+    ``greens.DEFAULT_PHI_CAP``.  Pairs are walked in order, and the core is
+    called on a pair unless the pair's key group (``_verdict_keys``) already
+    came out unrelated: such a pair is unrelated too.  A capped call or a
+    fault decides nothing for its group, and every related pair gets its own
+    call.  A found witness's row (pair, f, g, *factors) goes to its relation
+    and mode's array of C ints, and after the pairs each array is replayed
+    in one call (``greens._replay_rows``), which sets each row's code:
+    replays or fails to replay.  A fault fails the check, else a capped
+    call of either mode is counted as capped, by every reader; ``fault``
+    keeps the first fault's message.  While ``codes`` is decided the entry's
+    Green's data holds the cores' one-sided facts open
+    (``greens._kept_facts``), so each factor scan, builder and search runs
+    once per entry, however many pairs' calls use it; they are dropped when
+    ``codes`` is left, by return or exception.
     """
 
     entry: CatalogEntry | None
@@ -740,23 +760,24 @@ class _GreensSweep:
             return self._decide(data)
 
     def _decide(self, data) -> np.ndarray:
-        """``codes``, while the checkers' one-sided facts are kept."""
-        inst, members, pairs = self.entry.instance, self.members, self.pairs
-        size = len(members)
+        """``codes``, while the cores' one-sided facts are kept."""
+        pairs, size, cores = self.pairs, len(self.members), greens._cores()
         calls, groups = [], []
-        for rel, checker in greens.checkers().items():
+        for rel in self.relations:
             for mode in _MODES:
                 rep = _verdict_keys(data, rel, mode)
-                calls.append((rel, checker, mode, set()))
+                # the found rows (k, f, g, *factors), as C ints
+                calls.append((rel, cores[rel], mode, set(), array("i")))
                 groups.append(rep[pairs[:, 0]] * size + rep[pairs[:, 1]])
         codes = np.full((len(pairs), len(calls)), _UNRELATED, dtype=np.uint8)
-        for k, ((a, b), row) in enumerate(zip(pairs.tolist(), np.stack(groups, axis=1).tolist())):
-            f, g = members[a], members[b]
-            for j, ((rel, checker, mode, unrelated), group) in enumerate(zip(calls, row)):
+        # a pair's Python lists and ints take about 450 bytes: they are made
+        # a block of pairs at a time, not for every pair at once
+        for k, ((a, b), row) in enumerate(_listed_rows(450, pairs, np.stack(groups, axis=1))):
+            for j, ((rel, core, mode, unrelated, found), group) in enumerate(zip(calls, row)):
                 if group in unrelated:
                     continue
                 try:
-                    w = checker(f, g, inst, mode=mode)
+                    factors = core(data, rel, mode, a, b, greens.DEFAULT_PHI_CAP)
                 except ResourceLimitError:
                     codes[k, j] = _CAPPED
                     continue
@@ -764,10 +785,17 @@ class _GreensSweep:
                     codes[k, j] = _FAULT
                     self.fault = self.fault or f"{rel} ({mode}): {exc}"
                     continue
-                if w is None:
+                if factors is None:
                     unrelated.add(group)
                 else:
-                    codes[k, j] = _REPLAYS if greens.verify_witness(w, f, g) else _FAILS_REPLAY
+                    found.extend((k, a, b, *factors))
+        images = _image_array(self.members, data.partition.n)
+        for j, (rel, _, _, _, found) in enumerate(calls):
+            if found:
+                width = 3 + len(greens._FACTORS[rel])
+                rows = np.frombuffer(found, dtype=np.intc).reshape(-1, width)
+                replays = greens._replay_rows(rel, images, rows[:, 1:])
+                codes[rows[:, 0], j] = np.where(replays, _REPLAYS, _FAILS_REPLAY)
         return codes.reshape(len(pairs), len(self.relations), len(_MODES))
 
     def fail_at(self, tally: _Tally, hits: np.ndarray, detail: Callable[..., str]) -> None:
@@ -791,11 +819,11 @@ def _verdict_keys(data, rel: str, mode: str) -> np.ndarray:
     """Per member, the first member whose key for ``rel`` in ``mode`` equals
     its own: the classes of the class quotient the oracle reads (the L- or
     R-class, and for D and J both, the H-class), or the character position
-    and the geometry lists the theorem search reads
-    (``greens._THEOREM_READS``).  Two pairs whose members have equal keys
-    get equal verdicts."""
+    and the geometry lists the theorem search reads (the Green's data's
+    ``theorem_keys``, which the sweep's memo reads too).  Two pairs whose
+    members have equal keys get equal verdicts."""
     if mode == "theorem":
-        return np.array(greens._theorem_keys(data, rel), dtype=np.intp)
+        return np.array(data.theorem_keys[rel], dtype=np.intp)
     reads = {"L": data.classes[1:2], "R": data.classes[:1]}.get(rel, data.classes[:2])
     return np.array(_first_equal(zip(*reads)), dtype=np.intp)
 
@@ -916,6 +944,33 @@ def _greens_witness_replay(entry, tally, sweep):
     tally.capped += int((codes == _CAPPED).sum())
     sweep.fail_at(tally, codes > _REPLAYS,
                   lambda k, r, m: f"{sweep.relations[r]} witness ({_MODES[m]}) fails to replay")
+    _public_front_end(entry, tally, sweep)
+
+
+def _public_front_end(entry, tally, sweep) -> None:
+    """The public checkers and ``verify_witness`` on one replaying pair of
+    each relation and mode, the first with f != g if there is one: the
+    checker must give a witness that replays.  The sweep never calls them,
+    so this keeps a run covering the public front end; the pair's check is
+    already counted, and a failure here adds one."""
+    codes, pairs = sweep.codes, sweep.pairs
+    off_diagonal = pairs[:, 0] != pairs[:, 1]
+    checkers = greens.checkers()
+    for r, rel in enumerate(sweep.relations):
+        for m, mode in enumerate(_MODES):
+            # replaying off-diagonal pairs rank 2, replaying diagonal ones 1
+            rank = (codes[:, r, m] == _REPLAYS) * (1 + off_diagonal)
+            k = int(rank.argmax())
+            if not rank[k]:
+                continue
+            f, g = (sweep.members[i] for i in pairs[k].tolist())
+            try:
+                w = checkers[rel](f, g, entry.instance, mode=mode, cap=greens.DEFAULT_PHI_CAP)
+                ok = w is not None and greens.verify_witness(w, f, g)
+            except (ResourceLimitError, InternalError):
+                ok = False
+            if not ok:
+                tally.fail(f"{rel} public checker ({mode}) gives no replaying witness", f=f, g=g)
 
 
 @_suite("greens-necessary-conditions", _has_identity)

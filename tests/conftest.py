@@ -46,6 +46,47 @@ def brute_members(blocks, si_tuples):
     ]
 
 
+def _closure(gens):
+    """The transformation monoid on three points generated by ``gens``."""
+    out, frontier = {(0, 1, 2)}, [(0, 1, 2)]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = comp(x, g)
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return out
+
+
+def monoid_table(size, gens, order):
+    """The product table of a monoid of ``size`` elements: the monoid of the
+    longest prefix of ``gens`` with at most ``size`` elements, then left
+    zeros up to ``size`` (z*x = z, and x*z = z for x outside them), element
+    k at position order[k]."""
+    elements = _closure(())
+    for stop in range(1, len(gens) + 1):
+        grown = _closure(gens[:stop])
+        if len(grown) > size:
+            break
+        elements = grown
+    maps = sorted(elements)
+    index = {m: k for k, m in enumerate(maps)}
+    count = len(maps)
+
+    def product(a, b):
+        if a >= count:
+            return a
+        if b >= count:
+            return b
+        return index[comp(maps[a], maps[b])]
+
+    table = np.empty((size, size), dtype=np.int16)
+    for a, b in itertools.product(range(size), repeat=2):
+        table[order[a], order[b]] = order[product(a, b)]
+    return table
+
+
 def boolean_products(l_below, r_below):
     """The reference Green's relations of a member set, by N×N×N boolean
     products of its ≤_L and ≤_R matrices (NumPy's boolean ``@`` is OR of

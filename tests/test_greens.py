@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import gc
 import inspect
 import itertools
@@ -57,7 +58,7 @@ from partsem.greens import (
 )
 from partsem import ensemble, greens, harness
 from partsem.partition_action import _Geometry
-from conftest import boolean_products, comp, pack_below, preorders
+from conftest import boolean_products, comp, monoid_table, pack_below, preorders, unpack_below
 
 
 def fm(images):
@@ -1019,12 +1020,19 @@ def _row_by_row_labels(below):
     return [int(np.argmax(below[k] & below[:, k])) for k in range(len(below))]
 
 
+# generators of T_3: a transposition, a 3-cycle and a map of rank 2
+T3_GENERATORS = ((1, 0, 2), (1, 2, 0), (0, 0, 2))
+
+
 @pytest.mark.parametrize("size", [1, 2, 37, 101, 250])
 def test_blocked_class_labels_match_the_row_by_row_labels(size, monkeypatch):
     """Random preorders (reflexive-transitive closures of sparse random
     relations), packed as principal ideals; equal down-sets are equivalence
     in any preorder.  The labels must not depend on the row budget, here
-    ones that do not divide the size."""
+    ones that do not divide the size.  The blocked build is ``_ideals``: a
+    monoid's table (T_3, then left zeros) packed a block of 1, 3, 16 and
+    size + 5 rows at a time gives the bytes and the labels of the default
+    budget's build."""
     rng = np.random.default_rng(size)
     below = rng.random((size, size)) < 2.0 / size
     below |= np.eye(size, dtype=bool)
@@ -1036,9 +1044,18 @@ def test_blocked_class_labels_match_the_row_by_row_labels(size, monkeypatch):
     expected = _row_by_row_labels(below)
     assert len(set(expected)) > 1 or size < 3
     assert _class_labels(pack_below(below)) == expected
+    table = monoid_table(size, T3_GENERATORS, rng.permutation(size))
+    packed = [greens._ideals(table), greens._ideals(table.T)]
+    labels = [_row_by_row_labels(unpack_below(ideals)) for ideals in packed]
+    assert [_class_labels(ideals) for ideals in packed] == labels
+    assert len(set(labels[0])) > 1 or size < 3
     for rows in (1, 3, 16, size + 5):
-        monkeypatch.setattr(ensemble, "ROW_BLOCK_BYTES", rows * size)
+        # a row of the build takes 10 bytes a member of temporaries
+        monkeypatch.setattr(ensemble, "ROW_BLOCK_BYTES", rows * 10 * size)
         assert _class_labels(pack_below(below)) == expected
+        blocked = [greens._ideals(table), greens._ideals(table.T)]
+        assert [ideals.tobytes() for ideals in blocked] == [ideals.tobytes() for ideals in packed]
+        assert [_class_labels(ideals) for ideals in blocked] == labels
 
 
 class TestWitnessPlumbing:
@@ -1088,6 +1105,103 @@ class TestWitnessPlumbing:
                         seen[rel, expected] += 1
         for rel in "LRDJ":
             assert seen[rel, True] and seen[rel, False] and seen[rel, "InvalidArgumentError"]
+
+
+def _sweep_replays(monkeypatch, catalog):
+    """Every bulk replay of a witness-replay run over ``catalog``: per call,
+    its relation, image array, rows of positions and verdicts."""
+    calls, real = [], greens._replay_rows
+
+    def spy(rel, images, rows):
+        replays = real(rel, images, rows)
+        calls.append((rel, images, rows.copy(), replays))
+        return replays
+
+    monkeypatch.setattr(greens, "_replay_rows", spy)
+    assert run_all(catalog, ["greens-witness-replay"]).failures == 0
+    monkeypatch.undo()
+    return calls
+
+
+def _verify_row(rel, images, row):
+    """``verify_witness`` on the witness that a row (f, g, *factors) of
+    member positions names; a factor at a position outside the members is
+    left out, as no member is there."""
+    size, n = images.shape
+    maps = [FiniteMap(n, n, tuple(images[k].tolist())) if 0 <= k < size else None for k in row]
+    factors = tuple((name, h) for name, h in zip(greens._FACTORS[rel], maps[2:]) if h is not None)
+    return verify_witness(GreenWitness(rel, factors), maps[0], maps[1])
+
+
+def _tampered_rows(rows, size):
+    """Per row (f, g, *factors): each factor moved to the next member, each
+    factor swapped with the next one, and (apart) the first factor at -1 and
+    the last at ``size``, positions outside the members."""
+    moved, swapped = [], []
+    for k in range(2, rows.shape[1]):
+        moved.append(rows.copy())
+        moved[-1][:, k] = (rows[:, k] + 1) % size
+        if k + 1 < rows.shape[1]:
+            swapped.append(rows.copy())
+            swapped[-1][:, [k, k + 1]] = rows[:, [k + 1, k]]
+    outside = [rows.copy(), rows.copy()]
+    outside[0][:, 2], outside[1][:, -1] = -1, size
+    return np.concatenate(moved + swapped), np.concatenate(outside)
+
+
+class TestBulkReplay:
+    """The sweep's bulk replay (``greens._replay_rows``) against the public
+    replay, ``verify_witness``, row by row."""
+
+    def test_agrees_with_verify_witness_on_every_sweep_witness(self, monkeypatch):
+        """Every witness row of the max_n 3 sweeps replays both ways, and so
+        does every tampered row the same way: a factor moved to the next
+        member or swapped with the next factor fails or replays alike, and
+        a position outside the members fails both ways (NumPy would read -1
+        as the last member)."""
+        calls = _sweep_replays(monkeypatch, build_catalog(3, seed=7))
+        assert {rel for rel, *_ in calls} == set("LRDJ")
+        seen = Counter()
+        for rel, images, rows, replays in calls:
+            assert replays.all() and all(_verify_row(rel, images, row) for row in rows.tolist())
+            tampered, outside = _tampered_rows(rows, len(images))
+            bulk = greens._replay_rows(rel, images, tampered)
+            assert bulk.tolist() == [_verify_row(rel, images, row) for row in tampered.tolist()]
+            seen[rel, "fails"] += int(np.count_nonzero(~bulk))
+            seen[rel, "replays"] += int(np.count_nonzero(bulk))
+            assert not greens._replay_rows(rel, images, outside).any()
+            assert not any(_verify_row(rel, images, row) for row in outside.tolist())
+        for rel in "LRDJ":
+            assert seen[rel, "fails"] > seen[rel, "replays"], rel
+
+    def test_one_replay_per_relation_and_mode_with_found_witnesses(self, monkeypatch):
+        """Each sweep replays once per (relation, mode) that found a witness,
+        all of that column's witnesses in one call."""
+        calls = Counter()
+        real = greens._replay_rows
+        codes = []
+        real_codes = harness._GreensSweep.codes.func
+
+        def spy(rel, images, rows):
+            calls[len(codes), rel] += 1
+            return real(rel, images, rows)
+
+        def counted(sweep):
+            codes.append(real_codes(sweep))
+            return codes[-1]
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(harness._GreensSweep, "codes")
+        monkeypatch.setattr(harness._GreensSweep, "codes", prop)
+        monkeypatch.setattr(greens, "_replay_rows", spy)
+        assert run_all(build_catalog(3, seed=7), ["greens-witness-replay"]).failures == 0
+        expected = Counter()
+        for k, sweep_codes in enumerate(codes):
+            # the (relation, mode) columns with a witness found, replaying or not
+            found = np.isin(sweep_codes, (harness._REPLAYS, harness._FAILS_REPLAY)).any(axis=0)
+            for r, rel in enumerate(harness._GreensSweep.relations):
+                expected[k, rel] += int(found[r].sum())
+        assert calls == +expected and len(codes) == 33
 
 
 # The factor equations, written out apart from the library's: (product, target).

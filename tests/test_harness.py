@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import gc
 import itertools
 import json
@@ -7,7 +6,7 @@ import random
 import tracemalloc
 import weakref
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 import pytest
@@ -396,15 +395,35 @@ def _assert_constant_on_key_groups(inst, pairs):
     return merged
 
 
-def _spoil(monkeypatch, name, spoil):
-    """Rebind ``greens.<name>`` to return ``spoil(f, g, inst, mode, w)`` for
-    the witness or None ``w`` of the real checker."""
+def _spoil(monkeypatch, rel, spoil):
+    """Rebind the position core of ``rel`` to return ``spoil(data, fk, gk,
+    mode, found)`` on the pairs of ``rel`` for the factor positions or None
+    ``found`` of the real core.  The sweep and the public checkers both
+    call the core, so both see the spoil; L and R share one core, and a
+    second spoil of it wraps the first."""
+    name = greens._cores()[rel].__name__
     real = getattr(greens, name)
 
-    def checker(f, g, inst, mode="oracle", cap=greens.DEFAULT_PHI_CAP):
-        return spoil(f, g, inst, mode, real(f, g, inst, mode=mode, cap=cap))
+    @wraps(real)
+    def core(data, core_rel, mode, fk, gk, cap):
+        found = real(data, core_rel, mode, fk, gk, cap)
+        return spoil(data, fk, gk, mode, found) if core_rel == rel else found
 
-    monkeypatch.setattr(greens, name, checker)
+    monkeypatch.setattr(greens, name, core)
+
+
+def _spy_on_cores(monkeypatch, spy):
+    """Rebind each position core to call ``spy(data, rel, mode, fk, gk)``
+    and then itself."""
+    for name in {core.__name__ for core in greens._cores().values()}:
+        real = getattr(greens, name)
+
+        @wraps(real)
+        def core(data, rel, mode, fk, gk, cap, _real=real):
+            spy(data, rel, mode, fk, gk)
+            return _real(data, rel, mode, fk, gk, cap)
+
+        monkeypatch.setattr(greens, name, core)
 
 
 def _keep_sweeps(monkeypatch):
@@ -417,7 +436,7 @@ def _keep_sweeps(monkeypatch):
     class Kept(real):
         @cached_property
         def codes(self):
-            data = greens._greens_data(self.entry.instance)
+            data = self.data = greens._greens_data(self.entry.instance)
             self.keys = {(rel, mode): harness._verdict_keys(data, rel, mode)
                          for rel in self.relations for mode in harness._MODES}
             kept[self.entry.label] = self
@@ -452,24 +471,27 @@ class TestGreensSweep:
     group; the agreement, replay and T(X, P) suites read its codes."""
 
     def test_each_verdict_is_decided_at_most_once_and_where_it_holds(self, monkeypatch):
-        """The keyed call contract, over a whole run: at most one call per
-        (pair, relation, mode); a call on every pair whose code is replays,
-        fails to replay or capped, and on the first pair of every key group
-        (the codes and keys as the run's sweeps had them); fewer calls than
-        one per (pair, relation, mode) in all."""
+        """The keyed call contract, over a whole run: at most one core call
+        per (pair, relation, mode); a call on every pair whose code is
+        replays, fails to replay or capped, and on the first pair of every
+        key group (the codes and keys as the run's sweeps had them); fewer
+        calls than one per (pair, relation, mode) in all.  Calls are keyed
+        by the entry's Green's data, which the kept sweeps keep alive.  The
+        sweeps' calls are those made while their one-sided facts are open;
+        the others are the public front-end check's, one per entry, relation
+        and mode with a replaying pair, each on such a pair."""
         catalog = build_catalog(3, seed=7)
-        calls = Counter()
-        for rel, checker in greens.checkers().items():
-            def spy(f, g, inst, mode="oracle", _rel=rel, _checker=checker, **kwargs):
-                calls[(id(inst), f.images, g.images, _rel, mode)] += 1
-                return _checker(f, g, inst, mode=mode, **kwargs)
+        calls, front = Counter(), Counter()
 
-            monkeypatch.setattr(greens, checker.__name__, spy)
+        def spy(data, rel, mode, fk, gk):
+            (front if data.facts is None else calls)[(id(data), fk, gk, rel, mode)] += 1
+
+        _spy_on_cores(monkeypatch, spy)
         sweeps = _keep_sweeps(monkeypatch)
         assert run_all(catalog).failures == 0
         assert set(calls.values()) == {1}
         assert list(sweeps) == [e.label for e in catalog.entries if e.instance.si.has_identity]
-        every, needed = set(), set()
+        every, needed, replaying, checked = set(), set(), set(), 0
         for entry in catalog.entries:
             inst = entry.instance
             if not inst.si.has_identity:
@@ -478,16 +500,20 @@ class TestGreensSweep:
             for r, rel in enumerate(sweep.relations):
                 for m, mode in enumerate(harness._MODES):
                     rep, seen = sweep.keys[rel, mode], set()
+                    checked += bool((sweep.codes[:, r, m] == harness._REPLAYS).any())
                     for k, (a, b) in enumerate(sweep.pairs.tolist()):
-                        call = (id(inst), sweep.members[a].images, sweep.members[b].images,
-                                rel, mode)
+                        call = (id(sweep.data), a, b, rel, mode)
                         every.add(call)
                         group = (rep[a], rep[b])
                         if group not in seen or sweep.codes[k, r, m] != harness._UNRELATED:
                             needed.add(call)
+                        if sweep.codes[k, r, m] == harness._REPLAYS:
+                            replaying.add(call)
                         seen.add(group)
         assert needed <= set(calls) <= every
         assert len(calls) < len(every)
+        assert set(front.values()) == {1} and set(front) <= replaying
+        assert len(front) == checked > 0
 
     @pytest.mark.parametrize("max_n,seed", [(3, 7), (3, 11), (4, 7)])
     def test_codes_equal_the_per_pair_loop(self, max_n, seed):
@@ -533,9 +559,12 @@ class TestGreensSweep:
         assert _assert_constant_on_key_groups(inst, pairs)
 
     def test_sweep_composes_no_map(self, monkeypatch):
-        """The sweep's replays run on image tuples: no ``compose``.  Each
-        checker call looks its pair up in the member index, once per map, and
-        composes no map either; greens does not import ``compose`` at all."""
+        """The sweep calls the position cores on member positions and replays
+        their rows in bulk: no ``require_member``, no public checker, no
+        ``verify_witness`` and no ``compose``.  A public checker call looks
+        its pair up in the member index, once per map, runs its core once
+        and composes no map either; greens does not import ``compose`` at
+        all."""
         assert not hasattr(greens, "compose")
         calls = Counter()
 
@@ -546,21 +575,51 @@ class TestGreensSweep:
             return counted
 
         monkeypatch.setattr(greens, "require_member", spy("require_member", greens.require_member))
+        monkeypatch.setattr(greens, "verify_witness",
+                            spy("verify_witness", greens.verify_witness))
         for module in (finite_maps, harness):
             monkeypatch.setattr(module, "compose", spy("compose", module.compose))
         checkers = greens.checkers()
         for name, checker in checkers.items():
             monkeypatch.setattr(greens, f"{name.lower()}_related", spy("checker", checker))
+        _spy_on_cores(monkeypatch, lambda *args: calls.update(["core"]))
         catalog = build_catalog(3, seed=7)
         assert run_suite("greens-mode-agreement", catalog).failures == 0
-        assert calls["checker"] > 0
-        assert calls == Counter({"checker": calls["checker"], "require_member": 2 * calls["checker"]})
+        assert calls["core"] > 0
+        assert calls == Counter({"core": calls["core"]})
         calls.clear()
         inst = next(e.instance for e in catalog.entries if e.instance.si.has_identity)
         f = enumerate_elements(inst)[0]
         w = checkers["L"](greens.FiniteMap(f.domain_size, f.codomain_size, f.images), f, inst)
         assert w is not None and greens.verify_witness(w, f, f)
-        assert calls == Counter({"require_member": 2})
+        assert calls == Counter({"require_member": 2, "core": 1, "verify_witness": 1})
+
+    def test_a_spoiled_public_checker_fails_the_replay_suite_only(self, monkeypatch):
+        """The public L checker giving None, or a witness with its "gf"
+        factor dropped, which cannot replay: the replay suite fails once per
+        identity entry and mode, on its front-end check, with its checks
+        counted as before; the sweep and the mode agreement do not see it."""
+        catalog = build_catalog(2, seed=7)
+        names = ["greens-mode-agreement", "greens-witness-replay"]
+        expected = [r.to_payload() | {"millis": 0} for r in run_all(catalog, names).records]
+        entries = sum(e.instance.si.has_identity for e in catalog.entries)
+        real = greens.l_related
+
+        def dropped(f, g, inst, mode="oracle", cap=greens.DEFAULT_PHI_CAP):
+            w = real(f, g, inst, mode, cap)
+            return greens.GreenWitness("L", w.factors[:1])
+
+        for spoiled in (lambda *args, **kwargs: None, dropped):
+            monkeypatch.setattr(greens, "l_related", spoiled)
+            report = run_all(build_catalog(2, seed=7), names)
+            agreement, replay = (
+                [r.to_payload() | {"millis": 0} for r in report.records if r.suite == name]
+                for name in names)
+            assert agreement == expected[:len(agreement)]
+            assert [r["checks"] for r in replay] == [r["checks"] for r in expected[len(agreement):]]
+            assert sum(r["failures"] for r in replay) == 2 * entries
+            assert {r["counterexample"]["detail"] for r in replay} == {
+                "L public checker (oracle) gives no replaying witness"}
 
     def test_records_match_the_per_suite_checker_loops(self):
         catalog = build_catalog(3, seed=7)
@@ -570,12 +629,14 @@ class TestGreensSweep:
             assert _untimed(r for r in report.records if r.suite == name) == expected[name]
 
     def test_flipped_j_theorem_verdict_fails_where_it_did(self, monkeypatch):
-        def flip(f, g, inst, mode, w):
+        """The J theorem core flipped: a found witness dropped, and on an
+        unrelated pair a row of member 0, which cannot replay there."""
+        def flip(data, fk, gk, mode, found):
             if mode != "theorem":
-                return w
-            return None if w is not None else greens.GreenWitness("J")
+                return found
+            return None if found is not None else (0, 0, 0, 0)
 
-        _spoil(monkeypatch, "j_related", flip)
+        _spoil(monkeypatch, "J", flip)
         catalog = build_catalog(2, seed=7)
         expected = _checker_loops(catalog)
         report = run_all(catalog)
@@ -593,12 +654,12 @@ class TestGreensSweep:
         of a member with itself: the three pair suites and ``verify
         --format machine`` report one capped check per such pair, none
         dropped and none failed."""
-        def cap_out(f, g, inst, mode, w):
-            if mode == "theorem" and f is g:
+        def cap_out(data, fk, gk, mode, found):
+            if mode == "theorem" and fk == gk:
                 raise ResourceLimitError("spoiled cap")
-            return w
+            return found
 
-        _spoil(monkeypatch, "j_related", cap_out)
+        _spoil(monkeypatch, "J", cap_out)
         catalog = build_catalog(2, seed=7)
         expected = {}
         for entry in catalog.entries:
@@ -628,14 +689,13 @@ class TestGreensSweep:
             assert printed == counts, name
 
     def test_swapped_witness_factors_fail_replay_only(self, monkeypatch):
-        def swap(f, g, inst, mode, w):
-            if w is None or mode != "oracle":
-                return w
-            factors = dict(w.factors)
-            factors["fg1"], factors["fg2"] = factors["fg2"], factors["fg1"]
-            return dataclasses.replace(w, factors=tuple(factors.items()))
+        def swap(data, fk, gk, mode, found):
+            if found is None or mode != "oracle":
+                return found
+            h1, h2, *rest = found  # fg1 and fg2, in the order of greens._FACTORS["J"]
+            return (h2, h1, *rest)
 
-        _spoil(monkeypatch, "j_related", swap)
+        _spoil(monkeypatch, "J", swap)
         catalog = build_catalog(2, seed=7)
         expected = _checker_loops(catalog)
         report = run_all(catalog)
@@ -649,17 +709,14 @@ class TestGreensSweep:
     @pytest.mark.parametrize("rel", "LRDJ")
     def test_tuple_replay_rejects_a_tampered_factor(self, rel, monkeypatch):
         """The first factor of every witness of ``rel`` in oracle mode moved
-        to the next member: the sweep's replay fails where the per-suite
-        checker loops' ``verify_witness`` does, and nothing else."""
-        def tamper(f, g, inst, mode, w):
-            if w is None or mode != "oracle":
-                return w
-            members = enumerate_elements(inst)
-            (name, h), *rest = w.factors
-            moved = members[(members.index(h) + 1) % len(members)]
-            return dataclasses.replace(w, factors=((name, moved), *rest))
+        to the next member: the sweep's bulk replay fails where the
+        per-suite checker loops' ``verify_witness`` does, and nothing else."""
+        def tamper(data, fk, gk, mode, found):
+            if found is None or mode != "oracle":
+                return found
+            return ((found[0] + 1) % len(data.members), *found[1:])
 
-        _spoil(monkeypatch, greens.checkers()[rel].__name__, tamper)
+        _spoil(monkeypatch, rel, tamper)
         catalog = build_catalog(2, seed=7)
         expected = _checker_loops(catalog)
         report = run_all(catalog, names=list(GREENS_PAIR_SUITES))
@@ -930,31 +987,28 @@ class TestSweepReaders:
         also capped on each (f, f) pair), the R theorem search capped on
         others and D witnesses that fail replay on others, all in one
         catalog."""
-        def flip_l(f, g, inst, mode, w):
-            if _pick(f, g) != 0:
-                return w
+        def flip_l(data, fk, gk, mode, found):
+            if _pick(data.members[fk], data.members[gk]) != 0:
+                return found
             if mode == "oracle":
-                return None if w is not None else greens.GreenWitness("L")
-            if f is g:
+                # on an unrelated pair, a row of member 0 cannot replay
+                return None if found is not None else (0, 0)
+            if fk == gk:
                 raise ResourceLimitError("spoiled cap")
-            return w
+            return found
 
-        def cap_r(f, g, inst, mode, w):
-            if mode == "theorem" and _pick(f, g) == 1:
+        def cap_r(data, fk, gk, mode, found):
+            if mode == "theorem" and _pick(data.members[fk], data.members[gk]) == 1:
                 raise ResourceLimitError("spoiled cap")
-            return w
+            return found
 
-        def tamper_d(f, g, inst, mode, w):
-            if w is None or _pick(f, g) != 2:
-                return w
-            members = enumerate_elements(inst)
-            (name, h), *rest = w.factors
-            moved = members[(members.index(h) + 1) % len(members)]
-            return dataclasses.replace(w, factors=((name, moved), *rest))
+        def tamper_d(data, fk, gk, mode, found):
+            if found is None or _pick(data.members[fk], data.members[gk]) != 2:
+                return found
+            return ((found[0] + 1) % len(data.members), *found[1:])
 
-        for name, spoil in (("l_related", flip_l), ("r_related", cap_r),
-                            ("d_related", tamper_d)):
-            _spoil(monkeypatch, name, spoil)
+        for rel, spoil in (("L", flip_l), ("R", cap_r), ("D", tamper_d)):
+            _spoil(monkeypatch, rel, spoil)
         catalog = build_catalog(3, seed=7)
         expected, expected_failures = _reader_loops(catalog)
         kept = _keep_failures(monkeypatch)

@@ -14,52 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partsem import IndexSemigroup, Instance, Partition, ensemble, greens
-from conftest import comp, unpack_below
+from partsem import (
+    IndexSemigroup, Instance, Partition, build_catalog, enumerate_elements, ensemble, greens,
+    run_all,
+)
+from conftest import monoid_table, unpack_below
 
 # member counts on both sides of byte boundaries
 SIZES = (7, 8, 9, 15, 16, 17, 27)
-
-
-def _closure(gens):
-    """The transformation monoid on three points generated by ``gens``."""
-    out, frontier = {(0, 1, 2)}, [(0, 1, 2)]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = comp(x, g)
-            if y not in out:
-                out.add(y)
-                frontier.append(y)
-    return out
-
-
-def _monoid_table(size, gens, order):
-    """The product table of a monoid of ``size`` elements: the monoid of the
-    longest prefix of ``gens`` with at most ``size`` elements, then left
-    zeros up to ``size`` (z*x = z, and x*z = z for x outside them), element
-    k at position order[k]."""
-    elements = _closure(())
-    for stop in range(1, len(gens) + 1):
-        grown = _closure(gens[:stop])
-        if len(grown) > size:
-            break
-        elements = grown
-    maps = sorted(elements)
-    index = {m: k for k, m in enumerate(maps)}
-    count = len(maps)
-
-    def product(a, b):
-        if a >= count:
-            return a
-        if b >= count:
-            return b
-        return index[comp(maps[a], maps[b])]
-
-    table = np.empty((size, size), dtype=np.int16)
-    for a, b in itertools.product(range(size), repeat=2):
-        table[order[a], order[b]] = order[product(a, b)]
-    return table
 
 
 @st.composite
@@ -67,7 +29,7 @@ def monoid_tables(draw):
     size = draw(st.sampled_from(SIZES))
     point = st.integers(0, 2)
     gens = draw(st.lists(st.tuples(point, point, point), max_size=4))
-    return _monoid_table(size, gens, draw(st.permutations(range(size))))
+    return monoid_table(size, gens, draw(st.permutations(range(size))))
 
 
 def _first_member_labels(below):
@@ -154,3 +116,59 @@ def test_unpack_below_reads_the_packed_bits():
     ideals = np.array([[0b101], [0b010], [0b111]], dtype=np.uint8)
     assert unpack_below(ideals).tolist() == [[True, False, True], [False, True, True],
                                              [True, False, True]]
+
+
+def test_only_character_descent_builds_the_left_ideals_of_s_i(monkeypatch):
+    """The egg-box and every query path (the four checkers in both modes,
+    ``principal_leq_oracle``, ``witness_maps``, the four builders) build
+    three packed ideals per Green's data: the members' two and S(I)'s right
+    ideals.  character-descent builds the fourth, S(I)'s left ideals, once
+    per entry, and its records are those of a run that built all four with
+    the Green's data."""
+    built = []
+    real = greens._ideals
+    monkeypatch.setattr(greens, "_ideals", lambda table: built.append(len(table)) or real(table))
+    inst = Instance(Partition.of([[0, 1], [2]]), IndexSemigroup.full(2))
+    members = enumerate_elements(inst)
+    greens.eggbox(inst)
+    # each builder on the index maps of a theorem witness of its relation
+    builds = {
+        "L": lambda f, g, maps, pairing, images: greens.build_left_factor(
+            f, g, maps["alpha"], inst),
+        "R": lambda f, g, maps, pairing, images: greens.build_right_factor(
+            f, g, maps["beta_fg"], inst),
+        "D": lambda f, g, maps, pairing, images: greens.build_d_middle(
+            f, g, maps["gamma"], pairing, inst),
+        "J": lambda f, g, maps, pairing, images: greens.build_j_factors(
+            f, g, maps["alpha"], maps["beta"], images["phi"], inst),
+    }
+    built_factors = set()
+    for f, g in itertools.product(members[::3], members[::2]):
+        for rel in "LRJ":
+            greens.principal_leq_oracle(rel, f, g, inst)
+        for rel, checker in greens.checkers().items():
+            for mode in ("oracle", "theorem"):
+                w = checker(f, g, inst, mode=mode)
+                if w is not None:
+                    maps = greens.witness_maps(w, f, g, inst.partition)
+                    if mode == "theorem":
+                        builds[rel](f, g, *maps)
+                        built_factors.add(rel)
+    assert built_factors == set("LRDJ")
+    assert built == [len(members), len(members), len(inst.si.elements)]
+
+    catalog = build_catalog(3, seed=7)
+    built.clear()
+    lazy = run_all(catalog, ["character-descent"])
+    identity = sum(e.instance.si.has_identity for e in catalog.entries)
+    assert len(built) == 4 * identity
+    real_init = greens._GreensData.__init__
+
+    def eager(data, inst):
+        real_init(data, inst)
+        data.si_l_ideals  # built with the data, as before
+
+    monkeypatch.setattr(greens._GreensData, "__init__", eager)
+    eager_run = run_all(build_catalog(3, seed=7), ["character-descent"])
+    assert [r.to_payload() | {"millis": 0} for r in lazy.records] == [
+        r.to_payload() | {"millis": 0} for r in eager_run.records]

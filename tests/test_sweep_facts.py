@@ -63,7 +63,7 @@ def _count_runs(monkeypatch, keep=True):
             if inside:
                 key = args
                 if name in SEARCHES:
-                    keys = greens._theorem_keys(data, SEARCHES[name])
+                    keys = data.theorem_keys[SEARCHES[name]]
                     key = keys[args[0]], keys[args[1]]
                 runs[inside[-1], name, key] += 1
             return fn(data, *args)
@@ -133,20 +133,21 @@ def test_checkers_give_the_same_outcomes_inside_an_open_memo(cap, catalog3, monk
 
 
 def test_no_memo_outlives_codes(catalog3, monkeypatch):
-    """The sweep's checker calls all read one open memo, and ``codes`` drops
-    it when it returns and when a checker's exception leaves it; 1,000 public
+    """The sweep's core calls all read one open memo, and ``codes`` drops it
+    when it returns and when a core's exception leaves it; 1,000 public
     checker calls outside a sweep build none."""
     entry = max(_identity_entries(catalog3), key=lambda e: len(enumerate_elements(e.instance)))
     data = greens._greens_data(entry.instance)
-    seen, real = [], greens.l_related
+    seen, real = [], greens._one_sided_witness
 
-    def spy(f, g, inst, mode="oracle", cap=greens.DEFAULT_PHI_CAP):
-        seen.append(data.facts)
-        if len(seen) == 50 and raising:
-            raise RuntimeError("a checker that raises")
-        return real(f, g, inst, mode=mode, cap=cap)
+    def spy(data, rel, mode, fk, gk, cap):
+        if rel == "L":  # the L core: L and R share one
+            seen.append(data.facts)
+            if len(seen) == 50 and raising:
+                raise RuntimeError("a checker that raises")
+        return real(data, rel, mode, fk, gk, cap)
 
-    monkeypatch.setattr(greens, "l_related", spy)
+    monkeypatch.setattr(greens, "_one_sided_witness", spy)
     raising = False
     assert harness._GreensSweep(entry, catalog3).codes.size
     assert len(seen) > 50 and len({id(facts) for facts in seen}) == 1 and seen[0] is not None
