@@ -24,19 +24,20 @@ members' theorem keys, ``_GreensData.theorem_keys``, computed once per
 instance), and each oracle verdict depends on them only through their L-
 and R-classes (the oracles read the class quotient), so a caller deciding
 many pairs (the harness's Green's sweep) may take one verdict per pair of
-those keys where it is unrelated.  While that caller holds them open
-(``_kept_facts``), the position cores read their one-sided facts through
-one memo (``_SweepFacts``): the factor scans and the builders by member
-positions, the L, D and J searches by the pair's theorem keys, so each is
-computed once however many pairs use it; the memo lives only as long as
-the sweep.  Each relation has one position core (``_cores``:
-``_one_sided_witness``, ``_d_witness``, ``_j_witness``): it takes member
-positions, runs the search of its mode and every validation of the
-builders, and returns the positions of the witness's factors, in the
-order ``_FACTORS`` names them, or None.  ``l_related`` to ``j_related``
-share one front end (``_related``), the one place that looks f and g up
-(``require_member``) and wraps positions into a ``GreenWitness``; the
-harness's Green's sweep calls the cores itself.  Each relation's factor
+those keys where it is unrelated.  Each relation has one position core
+(``_cores``: ``_one_sided_witness``, ``_d_witness``, ``_j_witness``): it
+takes member positions, runs the search of its mode and every validation
+of the builders, and returns the positions of the witness's factors, in
+the order ``_FACTORS`` names them, or None.  A core reads its factor
+scans, builders and searches through the memo object its caller hands it:
+by default ``_UNKEPT``, which computes each afresh; the sweep hands each
+call of an entry one ``_Kept``, which keeps the scans and builders by
+member positions and the searches by the pair's theorem keys, so each is
+computed once however many pairs use it, and lives as long as the sweep
+holds it.  ``l_related`` to ``j_related`` share one front end
+(``_related``), the one place that looks f and g up (``require_member``)
+and wraps positions into a ``GreenWitness``; the harness's Green's sweep
+calls the cores itself.  Each relation's factor
 equations have one home (``_EQUATIONS``), read by the two replays, which
 recompute every product and never read the table: ``verify_witness``, the
 public one, composes the image tuples of a witness's maps, checking each
@@ -64,8 +65,9 @@ builder share the block-containment test of the idempotency criterion
 inner inverse share one least-preimage lift.  ``txp_green``,
 the criteria specialized to the full character set T(I), reads a geometry
 too: of its two maps, or of all members for a caller deciding many pairs,
-who keeps one memo of each map's J covers and one-sided J verdicts (built
-on first ask) and may decide once per pair of signatures (``_TXP_READS``).
+who hands it one ``_Kept`` for each map's J covers and one-sided J verdicts
+(built on first ask) and may decide once per pair of signatures
+(``_TXP_READS``).
 
 All operations here require the identity character in the index semigroup.
 """
@@ -73,10 +75,9 @@ All operations here require the identity character in the index semigroup.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -328,11 +329,7 @@ class _GreensData:
     left and right ideals of the members and of S(I) (``_ideals``, N·⌈N/8⌉
     bytes each; S(I)'s left ideals built on first read), the class quotient
     read off them, the members' theorem keys, and the memo of
-    index-semigroup facts the theorem searches read (``si_facts``).
-    ``facts`` holds a Green's sweep's one-sided facts while the sweep holds
-    them open (``_kept_facts``), and is None otherwise."""
-
-    facts: _SweepFacts | None = None
+    index-semigroup facts the theorem searches read (``si_facts``)."""
 
     def __init__(self, inst: Instance) -> None:
         if not inst.si.has_identity:
@@ -359,7 +356,7 @@ class _GreensData:
     @cached_property
     def theorem_keys(self) -> dict[str, list[int]]:
         """Per relation, ``_theorem_keys``, built once on first read: the
-        Green's sweep's verdict keys and one-sided facts read them."""
+        Green's sweep's verdict keys and ``_Kept``'s searches read them."""
         return {rel: _theorem_keys(self, rel) for rel in _THEOREM_READS}
 
     @cached_property
@@ -422,90 +419,54 @@ def _theorem_keys(data: _GreensData, rel: str) -> list[int]:
     return _first_equal(zip(*reads))
 
 
-class _SweepFacts:
-    """The one-sided facts of one Green's sweep, each computed at most once
-    while the sweep holds them open (``_kept_facts``): one dict per kind of
-    fact under an int key, as ``_IndexFacts`` keeps its facts.
+class _Unkept:
+    """The memo object of a caller that keeps nothing: each fact a position
+    core reads through it is computed afresh.  ``get(fn, data, *args)`` is
+    ``fn(data, *args)``, and ``search(rel, fn, data, fk, gk, cap, budget)``
+    runs the search ``fn`` of ``rel``.  Each core's default is the module's
+    one instance, ``_UNKEPT``, which the public checkers leave it."""
 
-    The factor scans (``_first_factor``, a dict per relation) and the
-    builders are kept under the positions they take, the digits of their
-    key below ``radix``; the L, D and J searches under the pair's theorem
-    keys (``_GreensData.theorem_keys``), on which alone their results
-    depend, each with the budget it spent.  A kept search charges that
-    budget again; where less is left it runs again, so it raises where and
-    as it would have.  A call that raised keeps nothing.  Each method takes
-    the arguments of the function it keeps, so a position core calls either
-    alike.
-    """
+    def get(self, fn: Callable, data, *args):
+        return fn(data, *args)
 
-    def __init__(self, data: _GreensData) -> None:
-        self.radix = max(len(data.members), len(data.si_imgs), data.partition.n)
-        self.first: dict[str, dict] = {rel: {} for rel in "LRJ"}
-        self.left, self.right, self.j_built = {}, {}, {}
-        self.searched: dict[str, dict] = {rel: {} for rel in "LDJ"}
+    def search(self, rel: str, fn: Callable, data, fk: int, gk: int, cap: int, budget: list[int]):
+        return fn(data, fk, gk, cap, budget)
 
-    def first_factor(self, data, rel, fk, gk):
-        kept, key = self.first[rel], fk + self.radix * gk
-        if key not in kept:
-            kept[key] = _first_factor(data, rel, fk, gk)
-        return kept[key]
 
-    def left_factor(self, data, fk, gk, a):
-        kept, key = self.left, fk + self.radix * (gk + self.radix * a)
-        if key not in kept:
-            kept[key] = _left_factor(data, fk, gk, a)
-        return kept[key]
+_UNKEPT = _Unkept()
 
-    def right_factor(self, data, fk, gk, b):
-        kept, key = self.right, fk + self.radix * (gk + self.radix * b)
-        if key not in kept:
-            kept[key] = _right_factor(data, fk, gk, b)
-        return kept[key]
 
-    def j_factors(self, data, fk, gk, a, b, phi):
-        # phi's digits on top: g fixes how many there are
-        r, key = self.radix, 0
-        for v in phi:
-            key = key * r + v
-        key = fk + r * (gk + r * (a + r * (b + r * key)))
-        kept = self.j_built
-        if key not in kept:
-            kept[key] = _j_factors(data, fk, gk, a, b, phi)
-        return kept[key]
+class _Kept(_Unkept):
+    """A memo object that keeps each fact for as long as its owner holds it,
+    in one dict: a ``get`` under (fn, *args), the arguments after the data,
+    and a search under (rel, the pair's theorem keys for rel), on which
+    alone its result depends (``_GreensData.theorem_keys``), with the budget
+    it spent.  A kept search charges that budget again; where less is left
+    it runs again, so it raises where and as it would have.  A call that
+    raised keeps nothing.  The harness's Green's sweep makes one per entry."""
 
-    def _searched(self, rel: str, search: Callable, data, fk, gk, cap, budget):
-        keys, kept = data.theorem_keys[rel], self.searched[rel]
-        key = keys[fk] + self.radix * keys[gk]
-        hit = kept.get(key)
+    def __init__(self) -> None:
+        self.kept: dict = {}
+
+    def get(self, fn: Callable, data, *args):
+        key = (fn, *args)
+        try:
+            return self.kept[key]  # one hash of the key where it is kept
+        except KeyError:
+            found = self.kept[key] = fn(data, *args)
+            return found
+
+    def search(self, rel: str, fn: Callable, data, fk: int, gk: int, cap: int, budget: list[int]):
+        keys = data.theorem_keys[rel]
+        key = rel, keys[fk], keys[gk]
+        hit = self.kept.get(key)
         if hit is not None and hit[1] <= budget[0]:
             budget[0] -= hit[1]
             return hit[0]
         before = budget[0]
-        found = search(data, fk, gk, cap, budget)
-        kept[key] = found, before - budget[0]
+        found = fn(data, fk, gk, cap, budget)
+        self.kept[key] = found, before - budget[0]
         return found
-
-    def l_search(self, data, fk, gk, cap, budget):
-        return self._searched("L", _l_one_sided_theorem, data, fk, gk, cap, budget)
-
-    def d_search(self, data, fk, gk, cap, budget):
-        return self._searched("D", _d_theorem_search, data, fk, gk, cap, budget)
-
-    def j_search(self, data, fk, gk, cap, budget):
-        return self._searched("J", _j_one_sided_theorem, data, fk, gk, cap, budget)
-
-
-@contextmanager
-def _kept_facts(data: _GreensData) -> Iterator[_SweepFacts]:
-    """Keep the one-sided facts of the core calls on ``data`` while the
-    block runs (``_SweepFacts``), and drop them when it is left, however it
-    is left.  Only the harness's Green's sweep opens them: kept for the
-    instance's life they would grow with every pair ever asked."""
-    data.facts = _SweepFacts(data)
-    try:
-        yield data.facts
-    finally:
-        del data.facts  # the class's None shows again
 
 
 def principal_leq_oracle(rel: Relation, f: FiniteMap, g: FiniteMap, inst: Instance):
@@ -584,8 +545,7 @@ def _related(
         raise InvalidArgumentError(f"cap must be non-negative, got {cap}")
     data = _greens_data(inst)
     fk, gk = require_member(f, inst), require_member(g, inst)
-    core = _d_witness if rel == "D" else _j_witness if rel == "J" else _one_sided_witness
-    found = core(data, rel, mode, fk, gk, cap)
+    found = _cores()[rel](data, rel, mode, fk, gk, cap)
     if found is None:
         return None
     members = data.members
@@ -594,44 +554,40 @@ def _related(
 
 def _cores() -> dict[str, Callable]:
     """Relation letter -> its position core, ``core(data, rel, mode, fk, gk,
-    cap)``: the positions of the witness's factors, in ``_FACTORS`` order,
-    or None.  The names are looked up on each call, as ``checkers`` looks
+    cap, facts=_UNKEPT)``: the positions of the witness's factors, in
+    ``_FACTORS`` order, or None, each fact read through the memo object
+    ``facts``.  The names are looked up on each call, as ``checkers`` looks
     up its own, so a core rebound on the module is the one returned; the
     harness's Green's sweep asks once per entry."""
     return {"L": _one_sided_witness, "R": _one_sided_witness, "D": _d_witness, "J": _j_witness}
 
 
 def _one_sided_witness(
-    data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int
+    data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int,
+    facts: _Unkept = _UNKEPT,
 ) -> tuple[int, int] | None:
     """The position core for rel "L" or "R"."""
-    facts = data.facts
     if mode == "oracle":
         r_of, l_of = data.classes[:2]
         labels = l_of if rel == "L" else r_of
         if labels[fk] != labels[gk]:
             return None
-        first = _first_factor if facts is None else facts.first_factor
-        return first(data, rel, fk, gk), first(data, rel, gk, fk)
+        return (facts.get(_first_factor, data, rel, fk, gk),
+                facts.get(_first_factor, data, rel, gk, fk))
     else:
         if rel == "R" and data.geometry.kernels[fk] != data.geometry.kernels[gk]:
             return None
-        if rel == "L":
-            search, build = ((_l_one_sided_theorem, _left_factor) if facts is None
-                             else (facts.l_search, facts.left_factor))
-        else:
-            # the R search reads one kept index fact, so it is not kept again
-            search, build = _r_one_sided_theorem, (
-                _right_factor if facts is None else facts.right_factor)
+        search, build = ((_l_one_sided_theorem, _left_factor) if rel == "L"
+                         else (_r_one_sided_theorem, _right_factor))
         budget = [cap]
-        a = search(data, fk, gk, cap, budget)
+        a = facts.search(rel, search, data, fk, gk, cap, budget)
         if a is None:
             return None
-        b = search(data, gk, fk, cap, budget)
+        b = facts.search(rel, search, data, gk, fk, cap, budget)
         if b is None:
             return None
         # each builder checks that its factor's character is the one it was given
-        return build(data, fk, gk, a), build(data, gk, fk, b)
+        return facts.get(build, data, fk, gk, a), facts.get(build, data, gk, fk, b)
 
 
 def l_related(
@@ -819,23 +775,21 @@ def d_related(
 
 
 def _d_witness(
-    data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int
+    data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int,
+    facts: _Unkept = _UNKEPT,
 ) -> tuple[int, ...] | None:
     """The position core for rel "D"."""
-    facts = data.facts
+    get = facts.get
     if mode == "oracle":
         # the first member L-related to f and R-related to g
         r_of, l_of, h_first = data.classes[:3]
         mk = h_first[r_of[gk]][l_of[fk]]
         if mk < 0:
             return None
-        first = _first_factor if facts is None else facts.first_factor
-        return (mk, first(data, "L", fk, mk), first(data, "L", mk, fk),
-                first(data, "R", mk, gk), first(data, "R", gk, mk))
+        return (mk, get(_first_factor, data, "L", fk, mk), get(_first_factor, data, "L", mk, fk),
+                get(_first_factor, data, "R", mk, gk), get(_first_factor, data, "R", gk, mk))
     else:
-        search, left, right = ((_d_theorem_search, _left_factor, _right_factor) if facts is None
-                               else (facts.d_search, facts.left_factor, facts.right_factor))
-        found = search(data, fk, gk, cap, [cap])
+        found = facts.search("D", _d_theorem_search, data, fk, gk, cap, [cap])
         if found is None:
             return None
         a, b, c, matched = found
@@ -847,8 +801,8 @@ def _d_witness(
         v = data.si_facts.right_divisors(data.char_ids[mk], data.char_ids[gk])
         if not (u and v):
             raise InternalError("R-divisibility promised by the search but not found")
-        return (mk, left(data, fk, mk, a), left(data, mk, fk, b),
-                right(data, mk, gk, u[0]), right(data, gk, mk, v[0]))
+        return (mk, get(_left_factor, data, fk, mk, a), get(_left_factor, data, mk, fk, b),
+                get(_right_factor, data, mk, gk, u[0]), get(_right_factor, data, gk, mk, v[0]))
 
 
 def build_d_middle(
@@ -956,29 +910,27 @@ def j_related(
 
 
 def _j_witness(
-    data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int
+    data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int,
+    facts: _Unkept = _UNKEPT,
 ) -> tuple[int, ...] | None:
     """The position core for rel "J"."""
-    facts = data.facts
     if mode == "oracle":
         # each factor scan runs only on a pair the class quotient puts J-below
-        first = _first_factor if facts is None else facts.first_factor
         r_of, l_of = data.classes[:2]
-        found = data.j_below[r_of[gk]][l_of[fk]] and first(data, "J", fk, gk)
+        found = data.j_below[r_of[gk]][l_of[fk]] and facts.get(_first_factor, data, "J", fk, gk)
         if not found:
             return None
-        return (*found, *first(data, "J", gk, fk))
+        return (*found, *facts.get(_first_factor, data, "J", gk, fk))
     else:
-        search, build = ((_j_one_sided_theorem, _j_factors) if facts is None
-                         else (facts.j_search, facts.j_factors))
         budget = [cap]
-        forward = search(data, fk, gk, cap, budget)
+        forward = facts.search("J", _j_one_sided_theorem, data, fk, gk, cap, budget)
         if forward is None:
             return None
-        backward = search(data, gk, fk, cap, budget)
+        backward = facts.search("J", _j_one_sided_theorem, data, gk, fk, cap, budget)
         if backward is None:
             return None
-        return (*build(data, fk, gk, *forward), *build(data, gk, fk, *backward))
+        return (*facts.get(_j_factors, data, fk, gk, *forward),
+                *facts.get(_j_factors, data, gk, fk, *backward))
 
 
 def checkers() -> dict[str, Callable[..., GreenWitness | None]]:
@@ -1070,9 +1022,10 @@ def _txp_d_check(geometry: _Geometry, a: int, b: int) -> bool:
     return False
 
 
-def _txp_j_covers(geometry: _Geometry, b: int) -> set:
+def _txp_j_covers(geometry: _Geometry, b: int) -> frozenset:
     """The distinct tuples of masks ((X_j g)phi per block j) over every
-    E-preserving phi on Xg, for g at position b.
+    E-preserving phi on Xg, for g at position b: a frozenset, so a memo may
+    key on it.
 
     phi sends the image points in block c into the target block t(c), so the
     target assignments of g's image blocks and then the point values are
@@ -1085,21 +1038,13 @@ def _txp_j_covers(geometry: _Geometry, b: int) -> set:
         target_of = dict(zip(hit_blocks, targets))
         for values in itertools.product(*(geometry.p.blocks[target_of[c]] for c in dom_blocks)):
             covers.add(tuple(_mask(values[k] for k in source) for source in sources))
-    return covers
+    return frozenset(covers)
 
 
-def _txp_j_one_sided(geometry: _Geometry, a: int, b: int, memo: dict) -> bool:
-    """Is there an E-preserving phi on Xg with every X_i f covered by some (X_j g)phi?
-
-    g's covers are built on the first ask for b and kept in ``memo`` under
-    b.  The image of f lies in (Xg)phi, so a pair with rank f > rank g is
-    answered False at once.
-    """
-    if len(geometry.j_geometry[a][0]) > len(geometry.j_geometry[b][0]):
-        return False
-    if b not in memo:
-        memo[b] = _txp_j_covers(geometry, b)
-    return any(_txp_l_one_sided(geometry.block_masks[a], covered) for covered in memo[b])
+def _txp_j_one_sided(geometry: _Geometry, a: int, covers: frozenset) -> bool:
+    """Is there an E-preserving phi on Xg with every X_i f covered by some
+    (X_j g)phi, for f at position a and g's covers ``covers``?"""
+    return any(_txp_l_one_sided(geometry.block_masks[a], covered) for covered in covers)
 
 
 # The geometry lists each T(X, P) test reads of one map: maps equal on all of
@@ -1112,10 +1057,14 @@ _TXP_READS = {
 }
 
 
-def _txp_related(rel: Relation, geometry: _Geometry, a: int, b: int, memo: dict) -> bool:
-    """``txp_green`` on the maps at positions a and b of a geometry, with one
-    memo for every pair of the geometry: each map's J covers under its
-    position (``_txp_j_one_sided``), each one-sided J verdict under (a, b)."""
+def _txp_related(
+    rel: Relation, geometry: _Geometry, a: int, b: int, facts: _Unkept = _UNKEPT
+) -> bool:
+    """``txp_green`` on the maps at positions a and b of a geometry, reading
+    each map's J covers (``_txp_j_covers``) and each one-sided J verdict
+    through ``facts``, which may serve every pair of the geometry.  The
+    image of f lies in (Xg)phi, so f of higher rank than g is not J-below
+    it, and g's covers are not built."""
     if rel == "L":
         bf, bg = geometry.block_masks[a], geometry.block_masks[b]
         return _txp_l_one_sided(bf, bg) and _txp_l_one_sided(bg, bf)
@@ -1125,12 +1074,12 @@ def _txp_related(rel: Relation, geometry: _Geometry, a: int, b: int, memo: dict)
     if rel == "D":
         return _txp_d_check(geometry, a, b)
     if rel == "J":
-        for key in ((a, b), (b, a)):
-            if key not in memo:
-                memo[key] = _txp_j_one_sided(geometry, *key, memo)
-            if not memo[key]:
-                return False
-        return True
+        j_geometry = geometry.j_geometry
+        return all(
+            len(j_geometry[x][0]) <= len(j_geometry[y][0])
+            and facts.get(_txp_j_one_sided, geometry, x, facts.get(_txp_j_covers, geometry, y))
+            for x, y in ((a, b), (b, a))
+        )
     raise InvalidArgumentError(f"unknown relation {rel!r}")
 
 
@@ -1139,7 +1088,7 @@ def txp_green(rel: Relation, f: FiniteMap, g: FiniteMap, p: Partition) -> bool:
     if not (preserves_partition(f, p) and preserves_partition(g, p)):
         raise InvalidArgumentError("both maps must preserve the partition")
     chars = [character(f, p).images, character(g, p).images]
-    return _txp_related(rel, _Geometry([f.images, g.images], chars, p), 0, 1, {})
+    return _txp_related(rel, _Geometry([f.images, g.images], chars, p), 0, 1)
 
 
 def full_tx_green(rel: Relation, f: FiniteMap, g: FiniteMap) -> bool:

@@ -44,10 +44,10 @@ classes the oracle reads off the Green's data's class quotient, or the
 theorem keys the Green's data computes once per entry), and pairs of
 members with equal keys get equal verdicts, so the core is called once on
 an unrelated key group (a capped call or a fault decides nothing) and on
-every pair of a related one.  While it decides, the sweep holds the cores'
-one-sided facts open (``greens._kept_facts``): each factor scan, builder
-and search then runs once per entry, and is dropped with the entry's
-sweep.  The three
+every pair of a related one.  Every core call of an entry is handed the
+one memo object (``greens._Kept``) that ``codes`` makes and owns: each
+factor scan, builder and search then runs once per entry, and is dropped
+when ``codes`` is left.  The three
 suites read the codes as one array: each counts its checks, capped checks
 and failures (a fault is one) with NumPy and records the first failure,
 row-major, as every suite that tests a mask of member pairs does
@@ -726,11 +726,11 @@ class _GreensSweep:
     in one call (``greens._replay_rows``), which sets each row's code:
     replays or fails to replay.  A fault fails the check, else a capped
     call of either mode is counted as capped, by every reader; ``fault``
-    keeps the first fault's message.  While ``codes`` is decided the entry's
-    Green's data holds the cores' one-sided facts open
-    (``greens._kept_facts``), so each factor scan, builder and search runs
-    once per entry, however many pairs' calls use it; they are dropped when
-    ``codes`` is left, by return or exception.
+    keeps the first fault's message.  ``codes`` makes one memo object
+    (``greens._Kept``) and hands it to every core call, so each factor scan,
+    builder and search runs once per entry, however many pairs' calls use
+    it; nothing else holds it, so it is dropped when ``codes`` is left, by
+    return or exception.
     """
 
     entry: CatalogEntry | None
@@ -756,12 +756,7 @@ class _GreensSweep:
     @cached_property
     def codes(self) -> np.ndarray:
         data = greens._greens_data(self.entry.instance)
-        with greens._kept_facts(data):
-            return self._decide(data)
-
-    def _decide(self, data) -> np.ndarray:
-        """``codes``, while the cores' one-sided facts are kept."""
-        pairs, size, cores = self.pairs, len(self.members), greens._cores()
+        pairs, size, cores, facts = self.pairs, len(self.members), greens._cores(), greens._Kept()
         calls, groups = [], []
         for rel in self.relations:
             for mode in _MODES:
@@ -777,7 +772,7 @@ class _GreensSweep:
                 if group in unrelated:
                     continue
                 try:
-                    factors = core(data, rel, mode, a, b, greens.DEFAULT_PHI_CAP)
+                    factors = core(data, rel, mode, a, b, greens.DEFAULT_PHI_CAP, facts)
                 except ResourceLimitError:
                     codes[k, j] = _CAPPED
                     continue
@@ -992,8 +987,8 @@ def _txp_verdicts(geometry, sweep: _GreensSweep) -> np.ndarray:
     """``greens._txp_related`` at each pair of the sweep and each relation, as
     a pairs × relations array: decided once per pair of the two members'
     signatures (the lists ``greens._TXP_READS`` names), with one memo of J
-    covers and one-sided J verdicts for the entry."""
-    size, memo = len(geometry.images), {}
+    covers and one-sided J verdicts for the entry (a ``greens._Kept``)."""
+    size, facts = len(geometry.images), greens._Kept()
     f, g = sweep.pairs.T
     verdicts = np.empty(sweep.codes.shape[:2], dtype=bool)
     for r, rel in enumerate(sweep.relations):
@@ -1001,7 +996,7 @@ def _txp_verdicts(geometry, sweep: _GreensSweep) -> np.ndarray:
         reads = (getattr(geometry, name) for name in greens._TXP_READS[rel])
         rep = np.array(_first_equal(zip(*reads)), dtype=np.intp)
         keys, at = np.unique(rep[f] * size + rep[g], return_inverse=True)
-        decided = [greens._txp_related(rel, geometry, *divmod(key, size), memo)
+        decided = [greens._txp_related(rel, geometry, *divmod(key, size), facts)
                    for key in keys.tolist()]
         verdicts[:, r] = np.array(decided, dtype=bool)[at.reshape(-1)]
     return verdicts

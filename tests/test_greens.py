@@ -695,11 +695,11 @@ def _assert_signature_route_matches_the_reference(p, members, pairs):
     geometry = _Geometry(
         [m.images for m in members], [character(m, p).images for m in members], p
     )
-    covers = {}  # one memo of J covers for every pair, as the harness keeps it
+    facts = greens._Kept()  # one memo for every pair, as the harness keeps it
     for a, b in pairs:
         for rel in "LRDJ":
             expected = _reference_txp_green(rel, members[a], members[b], p)
-            assert _txp_related(rel, geometry, a, b, covers) == expected, (
+            assert _txp_related(rel, geometry, a, b, facts) == expected, (
                 rel, members[a], members[b])
 
 
@@ -825,10 +825,10 @@ class TestTxpCovers:
 
     @staticmethod
     def _assert_matches_the_parent(geometry, pairs):
-        covers = {}
+        facts = greens._Kept()
         for a, b in pairs:
             for rel in "LRDJ":
-                assert _txp_related(rel, geometry, a, b, covers) == _parent_txp_related(
+                assert _txp_related(rel, geometry, a, b, facts) == _parent_txp_related(
                     rel, geometry, a, b), (rel, geometry.images[a], geometry.images[b])
 
     def test_every_pair_of_the_full_n3_entries(self, monkeypatch):

@@ -405,23 +405,23 @@ def _spoil(monkeypatch, rel, spoil):
     real = getattr(greens, name)
 
     @wraps(real)
-    def core(data, core_rel, mode, fk, gk, cap):
-        found = real(data, core_rel, mode, fk, gk, cap)
+    def core(data, core_rel, mode, fk, gk, cap, facts=greens._UNKEPT):
+        found = real(data, core_rel, mode, fk, gk, cap, facts)
         return spoil(data, fk, gk, mode, found) if core_rel == rel else found
 
     monkeypatch.setattr(greens, name, core)
 
 
 def _spy_on_cores(monkeypatch, spy):
-    """Rebind each position core to call ``spy(data, rel, mode, fk, gk)``
-    and then itself."""
+    """Rebind each position core to call ``spy(data, rel, mode, fk, gk,
+    facts)`` and then itself."""
     for name in {core.__name__ for core in greens._cores().values()}:
         real = getattr(greens, name)
 
         @wraps(real)
-        def core(data, rel, mode, fk, gk, cap, _real=real):
-            spy(data, rel, mode, fk, gk)
-            return _real(data, rel, mode, fk, gk, cap)
+        def core(data, rel, mode, fk, gk, cap, facts=greens._UNKEPT, _real=real):
+            spy(data, rel, mode, fk, gk, facts)
+            return _real(data, rel, mode, fk, gk, cap, facts)
 
         monkeypatch.setattr(greens, name, core)
 
@@ -477,14 +477,14 @@ class TestGreensSweep:
         key group (the codes and keys as the run's sweeps had them); fewer
         calls than one per (pair, relation, mode) in all.  Calls are keyed
         by the entry's Green's data, which the kept sweeps keep alive.  The
-        sweeps' calls are those made while their one-sided facts are open;
-        the others are the public front-end check's, one per entry, relation
-        and mode with a replaying pair, each on such a pair."""
+        sweeps' calls are those handed a kept memo object; the others, handed
+        none, are the public front-end check's, one per entry, relation and
+        mode with a replaying pair, each on such a pair."""
         catalog = build_catalog(3, seed=7)
         calls, front = Counter(), Counter()
 
-        def spy(data, rel, mode, fk, gk):
-            (front if data.facts is None else calls)[(id(data), fk, gk, rel, mode)] += 1
+        def spy(data, rel, mode, fk, gk, facts):
+            (calls if facts is not greens._UNKEPT else front)[(id(data), fk, gk, rel, mode)] += 1
 
         _spy_on_cores(monkeypatch, spy)
         sweeps = _keep_sweeps(monkeypatch)
@@ -1044,9 +1044,9 @@ class TestSweepReaders:
         decided = Counter()
         real = greens._txp_j_one_sided
 
-        def spy(geometry, a, b, covers):
-            decided[(id(geometry), a, b)] += 1
-            return real(geometry, a, b, covers)
+        def spy(geometry, a, covers):
+            decided[(id(geometry), a, covers)] += 1
+            return real(geometry, a, covers)
 
         monkeypatch.setattr(greens, "_txp_j_one_sided", spy)
         owners = _spy_on_derived(monkeypatch)

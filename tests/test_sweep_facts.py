@@ -1,15 +1,17 @@
-"""The Green's sweep's one-sided facts (``greens._SweepFacts``).
+"""The memo objects of the Green's position cores (``greens._Kept``).
 
-While ``harness._GreensSweep.codes`` holds them open (``greens._kept_facts``),
-the position cores read the factor scans and builders through them by member
-positions, and the L, D and J searches by the pair's theorem keys.  Each
-fact is then computed at most once per entry, every checker gives what it
-gives without them, caps included, and no memo outlives ``codes``.
+``harness._GreensSweep.codes`` makes one per entry and hands it to every
+core call: the cores read the factor scans and builders through it by
+member positions, and the L, R, D and J searches by the pair's theorem
+keys.  Each fact is then computed at most once per entry, every core gives
+what it gives without one, caps included, and the memo lives only as long
+as ``codes``; the public checkers hand the cores none.
 """
 
+import gc
 import itertools
+import weakref
 from collections import Counter
-from contextlib import contextmanager
 
 import pytest
 
@@ -20,12 +22,14 @@ from partsem import (
     greens,
     harness,
     run_all,
+    run_suite,
 )
 
 # the kept functions: by the positions they take, and the searches by the
 # pair's theorem keys of their relation
 POSITIONS = ("_first_factor", "_left_factor", "_right_factor", "_j_factors")
-SEARCHES = {"_l_one_sided_theorem": "L", "_d_theorem_search": "D", "_j_one_sided_theorem": "J"}
+SEARCHES = {"_l_one_sided_theorem": "L", "_r_one_sided_theorem": "R",
+            "_d_theorem_search": "D", "_j_one_sided_theorem": "J"}
 
 
 @pytest.fixture(scope="module")
@@ -38,25 +42,31 @@ def _identity_entries(catalog):
 
 
 def _count_runs(monkeypatch, keep=True):
-    """Every run of a kept function inside a sweep's memo from now on,
-    counted by (sweep, function, key): the arguments it takes after the
+    """Every run of a kept function read through a memo object made from
+    now on (``greens._Kept()``, as the sweep and the tests make them),
+    counted by (memo, function, key): the arguments it takes after the
     Green's data, or for a search the theorem keys of its pair.  With
-    ``keep`` False the sweep opens no memo, and runs while it would hold one
-    open are counted."""
-    runs, sweeps, inside = Counter(), itertools.count(), []
-    real = greens._kept_facts
+    ``keep`` False each such object keeps nothing, as ``greens._UNKEPT``."""
+    runs, memos, inside = Counter(), itertools.count(), []
 
-    @contextmanager
-    def counted(data):
-        inside.append(next(sweeps))
-        try:
-            if keep:
-                with real(data) as facts:
-                    yield facts
-            else:
-                yield None
-        finally:
-            inside.pop()
+    class Counted(greens._Kept if keep else greens._Unkept):
+        def __init__(self):
+            super().__init__()
+            self.number = next(memos)
+
+        def get(self, fn, data, *args):
+            inside.append(self.number)
+            try:
+                return super().get(fn, data, *args)
+            finally:
+                inside.pop()
+
+        def search(self, rel, fn, data, fk, gk, cap, budget):
+            inside.append(self.number)
+            try:
+                return super().search(rel, fn, data, fk, gk, cap, budget)
+            finally:
+                inside.pop()
 
     def spy(name, fn):
         def run(data, *args):
@@ -69,7 +79,7 @@ def _count_runs(monkeypatch, keep=True):
             return fn(data, *args)
         return run
 
-    monkeypatch.setattr(greens, "_kept_facts", counted)
+    monkeypatch.setattr(greens, "_Kept", Counted)
     for name in (*POSITIONS, *SEARCHES):
         monkeypatch.setattr(greens, name, spy(name, getattr(greens, name)))
     return runs
@@ -78,7 +88,7 @@ def _count_runs(monkeypatch, keep=True):
 def test_each_fact_is_computed_at_most_once_per_entry(catalog3, monkeypatch):
     """Over the sweeps of the max_n 3 catalog, each kept builder and search
     runs once per distinct key of its entry, and the records are those of a
-    run whose sweeps open no memo, where facts are computed again (2.8×
+    run whose sweeps keep nothing, where facts are computed again (2.8×
     as many runs as distinct keys)."""
     unkept = _count_runs(monkeypatch, keep=False)
     report = run_all(catalog3, ["greens-mode-agreement", "greens-witness-replay"])
@@ -94,16 +104,17 @@ def test_each_fact_is_computed_at_most_once_per_entry(catalog3, monkeypatch):
     assert sum(unkept.values()) > 2 * len(unkept)
 
 
-def _outcomes(inst, cap):
-    """Each checker's outcome in each mode on every ordered pair of members:
-    its witness, None, or the message of its ``ResourceLimitError``."""
-    members = enumerate_elements(inst)
+def _outcomes(inst, cap, facts):
+    """Each position core's outcome in each mode on every ordered pair of
+    members, each fact read through ``facts``: its factor positions, None,
+    or the message of its ``ResourceLimitError``."""
+    data, size = greens._greens_data(inst), len(enumerate_elements(inst))
     out = []
-    for f, g in itertools.product(members, repeat=2):
-        for checker in greens.checkers().values():
+    for fk, gk in itertools.product(range(size), repeat=2):
+        for rel, core in greens._cores().items():
             for mode in harness._MODES:
                 try:
-                    out.append(checker(f, g, inst, mode=mode, cap=cap))
+                    out.append(core(data, rel, mode, fk, gk, cap, facts))
                 except ResourceLimitError as exc:
                     out.append(str(exc))
     return out
@@ -111,18 +122,17 @@ def _outcomes(inst, cap):
 
 @pytest.mark.parametrize("cap", [greens.DEFAULT_PHI_CAP, 3], ids=["default-cap", "cap-3"])
 def test_checkers_give_the_same_outcomes_inside_an_open_memo(cap, catalog3, monkeypatch):
-    """On every ordered pair of each max_n 3 identity entry, every checker in
-    both modes gives the same witness, or raises the same cap message, with
-    the facts kept as without.  At cap 3 some kept searches spent more than
-    a later call had left, so they ran again and raised there; at the
-    default cap none did."""
+    """On every ordered pair of each max_n 3 identity entry, every core in
+    both modes gives the same factors, or raises the same cap message, with
+    one ``_Kept`` per entry as with ``_UNKEPT``, which the public checkers
+    hand it.  At cap 3 some kept searches spent more than a later call had
+    left, so they ran again and raised there; at the default cap none did."""
     runs = _count_runs(monkeypatch)
     capped = 0
     for entry in _identity_entries(catalog3):
         inst = entry.instance
-        outside = _outcomes(inst, cap)
-        with greens._kept_facts(greens._greens_data(inst)):
-            inside = _outcomes(inst, cap)
+        outside = _outcomes(inst, cap, greens._UNKEPT)
+        inside = _outcomes(inst, cap, greens._Kept())
         assert inside == outside, entry.label
         capped += sum(isinstance(o, str) for o in outside)
     searched_again = [key for key, count in runs.items() if key[1] in SEARCHES and count > 1]
@@ -132,40 +142,79 @@ def test_checkers_give_the_same_outcomes_inside_an_open_memo(cap, catalog3, monk
         assert capped == 0 and not searched_again
 
 
-def test_no_memo_outlives_codes(catalog3, monkeypatch):
-    """The sweep's core calls all read one open memo, and ``codes`` drops it
-    when it returns and when a core's exception leaves it; 1,000 public
-    checker calls outside a sweep build none."""
-    entry = max(_identity_entries(catalog3), key=lambda e: len(enumerate_elements(e.instance)))
-    data = greens._greens_data(entry.instance)
-    seen, real = [], greens._one_sided_witness
+def _largest_identity_entry(catalog):
+    return max(_identity_entries(catalog), key=lambda e: len(enumerate_elements(e.instance)))
 
-    def spy(data, rel, mode, fk, gk, cap):
-        if rel == "L":  # the L core: L and R share one
-            seen.append(data.facts)
-            if len(seen) == 50 and raising:
-                raise RuntimeError("a checker that raises")
-        return real(data, rel, mode, fk, gk, cap)
+
+def _spy_on_memos(monkeypatch, raise_at=None):
+    """Rebind the L/R core to note the memo object of each call, by weak
+    reference, and to raise on call ``raise_at``; returns the notes: the
+    calls, the distinct memos in order with their types, and how many
+    facts the memo held after the last call that returned."""
+    notes, real = {"memos": [], "types": [], "kept": 0, "calls": 0}, greens._one_sided_witness
+
+    def spy(data, rel, mode, fk, gk, cap, facts=greens._UNKEPT):
+        notes["calls"] += 1
+        if not notes["memos"] or notes["memos"][-1]() is not facts:
+            notes["memos"].append(weakref.ref(facts))
+            notes["types"].append(type(facts))
+        if notes["calls"] == raise_at:
+            raise RuntimeError("a core that raises")
+        found = real(data, rel, mode, fk, gk, cap, facts)
+        notes["kept"] = len(getattr(facts, "kept", ()))
+        return found
 
     monkeypatch.setattr(greens, "_one_sided_witness", spy)
-    raising = False
-    assert harness._GreensSweep(entry, catalog3).codes.size
-    assert len(seen) > 50 and len({id(facts) for facts in seen}) == 1 and seen[0] is not None
-    assert seen[0].first["L"] and seen[0].searched["L"]
-    assert data.facts is None and "facts" not in vars(data)
+    return notes
 
-    seen.clear()
-    raising = True
-    with pytest.raises(RuntimeError, match="a checker that raises"):
-        harness._GreensSweep(entry, catalog3).codes
-    assert len(seen) == 50 and seen[0] is not None
-    assert data.facts is None and "facts" not in vars(data)
-    monkeypatch.undo()
 
+def test_the_sweep_owns_one_memo_for_its_codes(catalog3, monkeypatch):
+    """Every core call of a sweep is handed one ``_Kept``, which ``codes``
+    made, and the memo is dead once ``codes`` returns, with no garbage
+    collection asked for: nothing outlives the codes but what they hold."""
+    entry = _largest_identity_entry(catalog3)
+    gc.disable()
+    try:
+        notes = _spy_on_memos(monkeypatch)
+        assert harness._GreensSweep(entry, catalog3).codes.size
+        assert notes["calls"] > 50 and notes["types"] == [greens._Kept]
+        assert notes["kept"] > 0
+        assert notes["memos"][0]() is None
+    finally:
+        gc.enable()
+
+
+def test_a_core_exception_leaving_codes_drops_its_memo(catalog3, monkeypatch):
+    """A core raising on the 50th call leaves ``codes`` with its exception;
+    once the exception is handled the memo is dead, with no garbage
+    collection asked for."""
+    entry = _largest_identity_entry(catalog3)
+    gc.disable()
+    try:
+        notes = _spy_on_memos(monkeypatch, raise_at=50)
+        with pytest.raises(RuntimeError, match="a core that raises"):
+            harness._GreensSweep(entry, catalog3).codes
+        assert notes["calls"] == 50 and notes["types"] == [greens._Kept]
+        assert notes["memos"][0]() is None
+    finally:
+        gc.enable()
+
+
+def test_public_checkers_make_no_memo(catalog3, monkeypatch):
+    """1,000 public checker calls construct no ``_Kept``: each core call is
+    handed ``_UNKEPT``."""
+    entry = _largest_identity_entry(catalog3)
     built = []
-    real_init = greens._SweepFacts.__init__
-    monkeypatch.setattr(greens._SweepFacts, "__init__",
-                        lambda facts, data: built.append(facts) or real_init(facts, data))
+    real_init = greens._Kept.__init__
+    monkeypatch.setattr(greens._Kept, "__init__",
+                        lambda facts: built.append(facts) or real_init(facts))
+    handed = set()
+    for name in {core.__name__ for core in greens._cores().values()}:
+        def core(data, rel, mode, fk, gk, cap, facts=greens._UNKEPT, _real=getattr(greens, name)):
+            handed.add(id(facts))
+            return _real(data, rel, mode, fk, gk, cap, facts)
+
+        monkeypatch.setattr(greens, name, core)
     members = enumerate_elements(entry.instance)
     calls = itertools.islice(itertools.product(members, members, greens.checkers().values(),
                                                harness._MODES), 1000)
@@ -174,4 +223,35 @@ def test_no_memo_outlives_codes(catalog3, monkeypatch):
         checker(f, g, entry.instance, mode=mode)
         count += 1
     assert count == 1000
-    assert built == [] and data.facts is None and "facts" not in vars(data)
+    assert built == [] and handed == {id(greens._UNKEPT)}
+
+
+def test_txp_specialization_builds_each_members_covers_once(catalog3, monkeypatch):
+    """``txp-specialization`` alone over the max_n 3 catalog: each member's
+    J covers are built at most once per entry, every full entry builds
+    some, and each such entry makes one ``_Kept`` for its sweep and one for
+    its T(X, P) verdicts."""
+    built, geometries = Counter(), []
+    real = greens._txp_j_covers
+
+    def spy(geometry, b):
+        if geometry not in geometries:
+            geometries.append(geometry)  # kept alive, so ids stay distinct
+        built[(id(geometry), b)] += 1
+        return real(geometry, b)
+
+    memos = Counter()
+    real_init = greens._Kept.__init__
+
+    def init(facts):
+        memos["made"] += 1
+        real_init(facts)
+
+    monkeypatch.setattr(greens, "_txp_j_covers", spy)
+    monkeypatch.setattr(greens._Kept, "__init__", init)
+    catalog = build_catalog(3, seed=7)
+    assert run_suite("txp-specialization", catalog).failures == 0
+    full = [e for e in catalog.entries if e.si_label == "full"]
+    assert len(geometries) == len(full) > 0
+    assert set(built.values()) == {1}
+    assert memos["made"] == 2 * len(full)
