@@ -24,20 +24,25 @@ members' theorem keys, ``_GreensData.theorem_keys``, computed once per
 instance), and each oracle verdict depends on them only through their L-
 and R-classes (the oracles read the class quotient), so a caller deciding
 many pairs (the harness's Green's sweep) may take one verdict per pair of
-those keys where it is unrelated.  Each relation has one position core
+those keys.  Each relation has one position core
 (``_cores``: ``_one_sided_witness``, ``_d_witness``, ``_j_witness``): it
-takes member positions, runs the search of its mode and every validation
-of the builders, and returns the positions of the witness's factors, in
-the order ``_FACTORS`` names them, or None.  A core reads its factor
-scans, builders and searches through the memo object its caller hands it:
-by default ``_UNKEPT``, which computes each afresh; the sweep hands each
-call of an entry one ``_Kept``, which keeps the scans and builders by
-member positions and the searches by the pair's theorem keys, so each is
-computed once however many pairs use it, and lives as long as the sweep
-holds it.  ``l_related`` to ``j_related`` share one front end
+takes member positions and returns the positions of the witness's factors,
+in the order ``_FACTORS`` names them, or None.  Its oracle branch is the
+reference: the class quotient's verdict, then the factor scans of
+``_first_factor``.  Its theorem branch is two position functions, a search
+that reads of the pair only its theorem keys and a build that turns the
+pair and the search's result into factors, validated.  The searches and
+builds read their facts through the memo object their caller hands them:
+by default ``_UNKEPT``, which computes each afresh; the harness's Green's
+sweep hands each call of an entry one ``_Kept``, which keeps the builders
+by member positions and the searches by the pair's theorem keys, so each
+is computed once however many pairs use it.  The sweep decides many pairs
+at once (``_oracle_rows``, ``_theorem_rows``): the oracle's factors by
+array gathers on the table and the packed R ideals, a block of pairs at a
+time, and each theorem search once per key group, each build once per
+related pair.  ``l_related`` to ``j_related`` share one front end
 (``_related``), the one place that looks f and g up (``require_member``)
-and wraps positions into a ``GreenWitness``; the harness's Green's sweep
-calls the cores itself.  Each relation's factor
+and wraps positions into a ``GreenWitness``.  Each relation's factor
 equations have one home (``_EQUATIONS``), read by the two replays, which
 recompute every product and never read the table: ``verify_witness``, the
 public one, composes the image tuples of a witness's maps, checking each
@@ -75,6 +80,7 @@ All operations here require the identity character in the index semigroup.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Literal
@@ -420,11 +426,12 @@ def _theorem_keys(data: _GreensData, rel: str) -> list[int]:
 
 
 class _Unkept:
-    """The memo object of a caller that keeps nothing: each fact a position
-    core reads through it is computed afresh.  ``get(fn, data, *args)`` is
-    ``fn(data, *args)``, and ``search(rel, fn, data, fk, gk, cap, budget)``
-    runs the search ``fn`` of ``rel``.  Each core's default is the module's
-    one instance, ``_UNKEPT``, which the public checkers leave it."""
+    """The memo object of a caller that keeps nothing: each fact a theorem
+    search or build reads through it is computed afresh.  ``get(fn, data,
+    *args)`` is ``fn(data, *args)``, and ``search(rel, fn, data, fk, gk,
+    cap, budget)`` runs the search ``fn`` of ``rel``.  Each core's default
+    is the module's one instance, ``_UNKEPT``, which the public checkers
+    leave it."""
 
     def get(self, fn: Callable, data, *args):
         return fn(data, *args)
@@ -438,12 +445,13 @@ _UNKEPT = _Unkept()
 
 class _Kept(_Unkept):
     """A memo object that keeps each fact for as long as its owner holds it,
-    in one dict: a ``get`` under (fn, *args), the arguments after the data,
-    and a search under (rel, the pair's theorem keys for rel), on which
-    alone its result depends (``_GreensData.theorem_keys``), with the budget
-    it spent.  A kept search charges that budget again; where less is left
-    it runs again, so it raises where and as it would have.  A call that
-    raised keeps nothing.  The harness's Green's sweep makes one per entry."""
+    in one dict: a builder's ``get`` under (fn, *args), the arguments after
+    the data, and a search under (rel, the pair's theorem keys for rel), on
+    which alone its result depends (``_GreensData.theorem_keys``), with the
+    budget it spent.  A kept search charges that budget again; where less is
+    left it runs again, so it raises where and as it would have.  A call
+    that raised keeps nothing.  The harness's Green's sweep makes one per
+    entry, and hands it every theorem search and build of the entry."""
 
     def __init__(self) -> None:
         self.kept: dict = {}
@@ -516,6 +524,130 @@ def _first_factor(data: _GreensData, rel: str, fk: int, gk: int):
     return int(hits[0]) if len(hits) else None
 
 
+def _first_factors(table: np.ndarray, rel: str, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``_first_factor`` of "L" or "R" on arrays of positions: per i the
+    first h with f[i] = h*g[i] (L) or f[i] = g[i]*h (R), or -1, by one
+    gather of the table's columns (rows)."""
+    hits = (table[:, g] == f).T if rel == "L" else table[g] == f[:, None]
+    first = hits.argmax(axis=1)
+    return np.where(hits[np.arange(len(f)), first], first, -1)
+
+
+def _first_j_factors(data: _GreensData, f: np.ndarray, g: np.ndarray):
+    """``_first_factor`` of "J" on arrays of positions, the quotient's
+    verdict aside: per i the first pair (h1, h2) of the row-major scan with
+    f[i] = h1*g[i]*h2, and whether an h1 was found."""
+    table = data.table
+    left = data.r_ideals[table[:, g], f >> 3] & _BIT[f & 7]  # [h1, i]: f[i] ≤_R h1*g[i]
+    k1 = left.argmax(axis=0)
+    found = left[k1, np.arange(len(f))] != 0
+    del left
+    k2 = (table[table[k1, g]] == f[:, None]).argmax(axis=1)
+    return k1, k2, found
+
+
+def _oracle_rows(data: _GreensData, rel: str, pairs: np.ndarray):
+    """The oracle witnesses of ``rel`` on many pairs of member positions
+    (``pairs``, a row a pair), each the one its position core gives: the
+    rows (k, f, g, *factors) of the related pairs k, in pair order, as C
+    ints; the capped pairs (none); and the faults (k, message), a J pair
+    the class quotient puts J-below with no factors, as in ``_first_factor``.
+
+    The verdicts are the quotient's, gathered onto the pairs; the factors
+    are the first ones, by gathers on the table and the packed R ideals
+    (``_first_factors``, ``_first_j_factors``) a block of related pairs at
+    a time, so the temporaries stay within ``ROW_BLOCK_BYTES`` besides the
+    rows.  A one-sided factor that no h reaches is -1, which fails replay.
+    """
+    r_of, l_of, h_first = (np.asarray(labels) for labels in data.classes[:3])
+    j_below = np.asarray(data.j_below) if rel == "J" else None
+
+    def related(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Per pair (f[i], g[i]), whether the quotient relates it."""
+        if rel == "L":
+            return l_of[f] == l_of[g]
+        if rel == "R":
+            return r_of[f] == r_of[g]
+        if rel == "D":
+            return h_first[r_of[g], l_of[f]] >= 0
+        return j_below[r_of[f], l_of[g]] & j_below[r_of[g], l_of[f]]
+
+    # a pair's temporaries while it is judged: its label gathers and verdict
+    judged = list(_row_blocks(len(pairs), 48))
+    count = sum(np.count_nonzero(related(*pairs[start:stop].T)) for start, stop in judged)
+    rows, at = np.empty((count, 3 + len(_FACTORS[rel])), dtype=np.intc), 0
+    for start, stop in judged:
+        k = related(*pairs[start:stop].T).nonzero()[0] + start
+        rows[at:at + len(k), 0], rows[at:at + len(k), 1:3] = k, pairs[k]
+        at += len(k)
+    faulted, faults, table = [], [], data.table
+    # a related pair's temporaries: a table gather, its intp copy as an
+    # index, the packed bytes gathered and masked, and their test
+    for start, stop in _row_blocks(len(rows), 16 * len(table)):
+        block = rows[start:stop]
+        f, g = block[:, 1], block[:, 2]
+        if rel in ("L", "R"):
+            block[:, 3] = _first_factors(table, rel, f, g)
+            block[:, 4] = _first_factors(table, rel, g, f)
+        elif rel == "D":
+            block[:, 3] = m = h_first[r_of[g], l_of[f]]
+            for col, (side, x, y) in enumerate(
+                    (("L", f, m), ("L", m, f), ("R", m, g), ("R", g, m)), start=4):
+                block[:, col] = _first_factors(table, side, x, y)
+        else:
+            block[:, 3], block[:, 4], forward = _first_j_factors(data, f, g)
+            block[:, 5], block[:, 6], backward = _first_j_factors(data, g, f)
+            for i in (~(forward & backward)).nonzero()[0].tolist():
+                x, y = (f[i], g[i]) if not forward[i] else (g[i], f[i])
+                faulted.append(start + i)
+                faults.append((int(block[i, 0]), f"no factors put {data.members[x]} "
+                                                 f"J-below {data.members[y]}"))
+    if faulted:
+        rows = np.delete(rows, faulted, axis=0)
+    return rows, np.empty(0, dtype=np.intp), faults
+
+
+def _theorem_rows(data: _GreensData, rel: str, pairs: np.ndarray, cap: int, facts: _Unkept):
+    """The theorem witnesses of ``rel`` on many pairs of member positions
+    (``pairs``, a row a pair), each the one its position core gives, as
+    ``_oracle_rows`` returns them: the rows of the related pairs, the
+    capped pairs, and the faults (k, message).
+
+    The search of ``rel`` runs once per key group of the pairs (the pair's
+    theorem keys, ``_GreensData.theorem_keys``, on which alone it depends),
+    on the group's first pair with a budget of ``cap``, and the build once
+    per pair of a related group, both through ``facts``.  A capped group
+    caps each of its pairs and a search's ``InternalError`` is a fault at
+    each; a build's is a fault at its own pair.
+    """
+    search, build = (globals()[name] for name in _POSITION_FNS[rel][1:])
+    keys = np.asarray(data.theorem_keys[rel])
+    _, first, group_of = np.unique(keys[pairs[:, 0]] * len(keys) + keys[pairs[:, 1]],
+                                   return_index=True, return_inverse=True)
+    outcomes = []
+    for fk, gk in pairs[first].tolist():
+        try:
+            outcomes.append(search(data, rel, fk, gk, cap, facts))
+        except (ResourceLimitError, InternalError) as exc:
+            outcomes.append(exc)
+    # per group: unrelated, capped, or found (or a fault), at each of its pairs
+    state = np.array([0 if o is None else 1 if isinstance(o, ResourceLimitError) else 2
+                      for o in outcomes], dtype=np.uint8)[group_of]
+    found, faults = array("i"), []
+    ks = (state == 2).nonzero()[0]
+    for k, group, (fk, gk) in zip(ks.tolist(), group_of[ks].tolist(), pairs[ks].tolist()):
+        outcome = outcomes[group]
+        if isinstance(outcome, InternalError):
+            faults.append((k, str(outcome)))
+            continue
+        try:
+            found.extend((k, fk, gk, *build(data, rel, fk, gk, outcome, facts)))
+        except InternalError as exc:
+            faults.append((k, str(exc)))
+    rows = np.frombuffer(found, dtype=np.intc).reshape(-1, 3 + len(_FACTORS[rel]))
+    return rows, (state == 1).nonzero()[0], faults
+
+
 def _l_one_sided_theorem(
     data: _GreensData, fk: int, gk: int, cap: int, budget: list[int]
 ) -> int | None:
@@ -545,21 +677,33 @@ def _related(
         raise InvalidArgumentError(f"cap must be non-negative, got {cap}")
     data = _greens_data(inst)
     fk, gk = require_member(f, inst), require_member(g, inst)
-    found = _cores()[rel](data, rel, mode, fk, gk, cap)
+    found = globals()[_POSITION_FNS[rel][0]](data, rel, mode, fk, gk, cap)
     if found is None:
         return None
     members = data.members
     return GreenWitness(rel, tuple((name, members[k]) for name, k in zip(_FACTORS[rel], found)))
 
 
+# Each relation's position core, theorem search and theorem build, by name:
+# each is looked up on the module when it is called, so a function rebound
+# there is the one called.
+_POSITION_FNS = {
+    "L": ("_one_sided_witness", "_two_way_search", "_two_way_build"),
+    "R": ("_one_sided_witness", "_two_way_search", "_two_way_build"),
+    "D": ("_d_witness", "_d_search", "_d_build"),
+    "J": ("_j_witness", "_two_way_search", "_two_way_build"),
+}
+
+
 def _cores() -> dict[str, Callable]:
     """Relation letter -> its position core, ``core(data, rel, mode, fk, gk,
     cap, facts=_UNKEPT)``: the positions of the witness's factors, in
-    ``_FACTORS`` order, or None, each fact read through the memo object
-    ``facts``.  The names are looked up on each call, as ``checkers`` looks
-    up its own, so a core rebound on the module is the one returned; the
-    harness's Green's sweep asks once per entry."""
-    return {"L": _one_sided_witness, "R": _one_sided_witness, "D": _d_witness, "J": _j_witness}
+    ``_FACTORS`` order, or None, the theorem branch's facts read through
+    the memo object ``facts``.  The names are looked up on each call, as
+    ``checkers`` looks up its own, so a core rebound on the module is the
+    one returned.  The public checkers call the cores; the harness's
+    Green's sweep calls none (``_oracle_rows``, ``_theorem_rows``)."""
+    return {rel: globals()[names[0]] for rel, names in _POSITION_FNS.items()}
 
 
 def _one_sided_witness(
@@ -572,22 +716,39 @@ def _one_sided_witness(
         labels = l_of if rel == "L" else r_of
         if labels[fk] != labels[gk]:
             return None
-        return (facts.get(_first_factor, data, rel, fk, gk),
-                facts.get(_first_factor, data, rel, gk, fk))
-    else:
-        if rel == "R" and data.geometry.kernels[fk] != data.geometry.kernels[gk]:
-            return None
-        search, build = ((_l_one_sided_theorem, _left_factor) if rel == "L"
-                         else (_r_one_sided_theorem, _right_factor))
-        budget = [cap]
-        a = facts.search(rel, search, data, fk, gk, cap, budget)
-        if a is None:
-            return None
-        b = facts.search(rel, search, data, gk, fk, cap, budget)
-        if b is None:
-            return None
-        # each builder checks that its factor's character is the one it was given
-        return facts.get(build, data, fk, gk, a), facts.get(build, data, gk, fk, b)
+        return _first_factor(data, rel, fk, gk), _first_factor(data, rel, gk, fk)
+    found = _two_way_search(data, rel, fk, gk, cap, facts)
+    return None if found is None else _two_way_build(data, rel, fk, gk, found, facts)
+
+
+def _two_way_search(
+    data: _GreensData, rel: str, fk: int, gk: int, cap: int, facts: _Unkept = _UNKEPT
+) -> tuple | None:
+    """The theorem search for rel "L", "R" or "J": its one-sided search each
+    way, on one budget of ``cap``, or None."""
+    if rel == "R" and data.geometry.kernels[fk] != data.geometry.kernels[gk]:
+        return None
+    search = (_l_one_sided_theorem if rel == "L" else _r_one_sided_theorem if rel == "R"
+              else _j_one_sided_theorem)
+    budget = [cap]
+    forward = facts.search(rel, search, data, fk, gk, cap, budget)
+    if forward is None:
+        return None
+    backward = facts.search(rel, search, data, gk, fk, cap, budget)
+    return None if backward is None else (forward, backward)
+
+
+def _two_way_build(
+    data: _GreensData, rel: str, fk: int, gk: int, found: tuple, facts: _Unkept = _UNKEPT
+) -> tuple[int, ...]:
+    """The theorem build for rel "L", "R" or "J": the factors each way from
+    what the search found, each builder checking its factors' characters."""
+    forward, backward = found
+    if rel == "J":
+        return (*facts.get(_j_factors, data, fk, gk, *forward),
+                *facts.get(_j_factors, data, gk, fk, *backward))
+    build = _left_factor if rel == "L" else _right_factor
+    return facts.get(build, data, fk, gk, forward), facts.get(build, data, gk, fk, backward)
 
 
 def l_related(
@@ -779,30 +940,41 @@ def _d_witness(
     facts: _Unkept = _UNKEPT,
 ) -> tuple[int, ...] | None:
     """The position core for rel "D"."""
-    get = facts.get
     if mode == "oracle":
         # the first member L-related to f and R-related to g
         r_of, l_of, h_first = data.classes[:3]
         mk = h_first[r_of[gk]][l_of[fk]]
         if mk < 0:
             return None
-        return (mk, get(_first_factor, data, "L", fk, mk), get(_first_factor, data, "L", mk, fk),
-                get(_first_factor, data, "R", mk, gk), get(_first_factor, data, "R", gk, mk))
-    else:
-        found = facts.search("D", _d_theorem_search, data, fk, gk, cap, [cap])
-        if found is None:
-            return None
-        a, b, c, matched = found
-        kernels = data.geometry.kernels
-        pairing = tuple((kernels[fk][mk], kernels[gk][nk]) for mk, nk in enumerate(matched))
-        mk = _d_middle(data, fk, gk, c, pairing)
-        # gamma R chi(g), and gamma is the middle's character: each divides the other
-        u = data.si_facts.right_divisors(data.char_ids[gk], data.char_ids[mk])
-        v = data.si_facts.right_divisors(data.char_ids[mk], data.char_ids[gk])
-        if not (u and v):
-            raise InternalError("R-divisibility promised by the search but not found")
-        return (mk, get(_left_factor, data, fk, mk, a), get(_left_factor, data, mk, fk, b),
-                get(_right_factor, data, mk, gk, u[0]), get(_right_factor, data, gk, mk, v[0]))
+        return (mk, _first_factor(data, "L", fk, mk), _first_factor(data, "L", mk, fk),
+                _first_factor(data, "R", mk, gk), _first_factor(data, "R", gk, mk))
+    found = _d_search(data, rel, fk, gk, cap, facts)
+    return None if found is None else _d_build(data, rel, fk, gk, found, facts)
+
+
+def _d_search(
+    data: _GreensData, rel: str, fk: int, gk: int, cap: int, facts: _Unkept = _UNKEPT
+) -> tuple[int, int, int, tuple[int, ...]] | None:
+    """The theorem search for rel "D": ``_d_theorem_search`` on a budget of ``cap``."""
+    return facts.search(rel, _d_theorem_search, data, fk, gk, cap, [cap])
+
+
+def _d_build(
+    data: _GreensData, rel: str, fk: int, gk: int, found: tuple, facts: _Unkept = _UNKEPT
+) -> tuple[int, ...]:
+    """The theorem build for rel "D": the middle of the search's class
+    bijection and the four one-sided factors tying it to f and g."""
+    a, b, c, matched = found
+    kernels, get = data.geometry.kernels, facts.get
+    pairing = tuple((kernels[fk][mk], kernels[gk][nk]) for mk, nk in enumerate(matched))
+    mk = _d_middle(data, fk, gk, c, pairing)
+    # gamma R chi(g), and gamma is the middle's character: each divides the other
+    u = data.si_facts.right_divisors(data.char_ids[gk], data.char_ids[mk])
+    v = data.si_facts.right_divisors(data.char_ids[mk], data.char_ids[gk])
+    if not (u and v):
+        raise InternalError("R-divisibility promised by the search but not found")
+    return (mk, get(_left_factor, data, fk, mk, a), get(_left_factor, data, mk, fk, b),
+            get(_right_factor, data, mk, gk, u[0]), get(_right_factor, data, gk, mk, v[0]))
 
 
 def build_d_middle(
@@ -917,20 +1089,12 @@ def _j_witness(
     if mode == "oracle":
         # each factor scan runs only on a pair the class quotient puts J-below
         r_of, l_of = data.classes[:2]
-        found = data.j_below[r_of[gk]][l_of[fk]] and facts.get(_first_factor, data, "J", fk, gk)
+        found = data.j_below[r_of[gk]][l_of[fk]] and _first_factor(data, "J", fk, gk)
         if not found:
             return None
-        return (*found, *facts.get(_first_factor, data, "J", gk, fk))
-    else:
-        budget = [cap]
-        forward = facts.search("J", _j_one_sided_theorem, data, fk, gk, cap, budget)
-        if forward is None:
-            return None
-        backward = facts.search("J", _j_one_sided_theorem, data, gk, fk, cap, budget)
-        if backward is None:
-            return None
-        return (*facts.get(_j_factors, data, fk, gk, *forward),
-                *facts.get(_j_factors, data, gk, fk, *backward))
+        return (*found, *_first_factor(data, "J", gk, fk))
+    found = _two_way_search(data, rel, fk, gk, cap, facts)
+    return None if found is None else _two_way_build(data, rel, fk, gk, found, facts)
 
 
 def checkers() -> dict[str, Callable[..., GreenWitness | None]]:

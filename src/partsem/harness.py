@@ -29,32 +29,30 @@ The three Green's pair suites (``greens-mode-agreement``,
 checkers themselves.  The sweep decides its codes when a suite first reads
 them: a one-byte outcome code per pair of its ``pairs``, relation and mode
 (unrelated, capped, replays, fails to replay, or a fault: an
-``InternalError``).  It runs on member positions from end to end: it calls
-each relation's position core (``greens._cores``) on the pair's positions,
-with no member lookup, no public checker and no ``GreenWitness``, and keeps
-each found witness as a row (pair, f, g, *factors) of C ints, one compact
-array per relation and mode.  After the pairs, each array is replayed in
-one call (``greens._replay_rows``, on the members' image array, never the
-product table): a witness is its factors, and the sweep reads nothing else
-of it.  ``greens-witness-replay`` covers the public front end the sweep
-skips (``_public_front_end``): per relation and mode, the public checker
-on one replaying pair must give a witness that ``greens.verify_witness``
-replays.  Each member has a key per relation and mode (``_verdict_keys``: the
-classes the oracle reads off the Green's data's class quotient, or the
-theorem keys the Green's data computes once per entry), and pairs of
-members with equal keys get equal verdicts, so the core is called once on
-an unrelated key group (a capped call or a fault decides nothing) and on
-every pair of a related one.  Every core call of an entry is handed the
-one memo object (``greens._Kept``) that ``codes`` makes and owns: each
-factor scan, builder and search then runs once per entry, and is dropped
-when ``codes`` is left.  The three
-suites read the codes as one array: each counts its checks, capped checks
-and failures (a fault is one) with NumPy and records the first failure,
-row-major, as every suite that tests a mask of member pairs does
-(``_fail_rows``); a record with failing checks that are faults says how
-many in an observation.  The inverse-construction suites count a
-build's ``InternalError`` as a failure too (``_builds``), so a fault gives
-failing records, not an aborted run.
+``InternalError``).  It runs on member positions from end to end, with no
+member lookup, no public checker, no position core and no
+``GreenWitness``, one relation and mode at a time: the oracle's witnesses
+come from ``greens._oracle_rows``, the class quotient's verdicts and first
+factors for every pair at once, by array gathers a block of pairs at a
+time; the theorem's from ``greens._theorem_rows``, one search per key group
+of the pairs (their theorem keys, computed once per entry; a capped search
+or a fault decides its whole group so) and one build per related pair.
+Each found witness is a row (pair, f, g, *factors) of one int array per
+relation and mode, replayed in one call (``greens._replay_rows``, on the
+members' image array, never the product table): a witness is its factors,
+and the sweep reads nothing else of it.  ``greens-witness-replay`` covers
+the public front end the sweep skips (``_public_front_end``): per relation
+and mode, the public checker on one replaying pair must give a witness
+that ``greens.verify_witness`` replays.  Every theorem search and build of
+an entry is handed the one memo object (``greens._Kept``) that ``codes``
+makes and owns: each search and builder then runs once per entry, and is
+dropped when ``codes`` is left.  The three suites read the codes as one
+array: each counts its checks, capped checks and failures (a fault is one)
+with NumPy and records the first failure, row-major, as every suite that
+tests a mask of member pairs does (``_fail_rows``); a record with failing
+checks that are faults says how many in an observation.  The
+inverse-construction suites count a build's ``InternalError`` as a failure
+too (``_builds``), so a fault gives failing records, not an aborted run.
 The sweep names members by position, so ``txp-specialization`` decides
 ``txp_green`` on the members' geometry (``inst.derived.geometry``), once
 per pair of the two members' signatures for each relation, with one memo
@@ -79,7 +77,6 @@ import itertools
 import json
 import random
 import time
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -439,14 +436,6 @@ def _fail_rows(tally: _Tally, members, start: int, hits: np.ndarray, *details: s
         tally.fail(details[i], count, f=members[start + a], g=members[b])
 
 
-def _listed_rows(row_bytes: int, *arrays: np.ndarray):
-    """The rows of equally long arrays zipped, each row as Python lists, a
-    block of rows (``_row_blocks``, at ``row_bytes`` bytes a row) listed at
-    a time."""
-    for start, stop in _row_blocks(len(arrays[0]), row_bytes):
-        yield from zip(*(values[start:stop].tolist() for values in arrays))
-
-
 def _keys(values) -> np.ndarray:
     """``values``, non-negative ints, in the narrowest dtype that holds them,
     so a broadcast comparison of them takes the fewest bytes of iterator
@@ -713,24 +702,21 @@ class _GreensSweep:
     """Every Green's verdict of one catalog entry, each decided at most once,
     when a suite first reads ``codes``.
 
-    For each pair of ``pairs``, each relation of
-    ``greens.checkers()`` and each mode, ``codes[k, r, m]`` keeps only the
-    outcome of the relation's position core (``greens._cores``, looked up
-    when ``codes`` is decided) on the pair's member positions, at
-    ``greens.DEFAULT_PHI_CAP``.  Pairs are walked in order, and the core is
-    called on a pair unless the pair's key group (``_verdict_keys``) already
-    came out unrelated: such a pair is unrelated too.  A capped call or a
-    fault decides nothing for its group, and every related pair gets its own
-    call.  A found witness's row (pair, f, g, *factors) goes to its relation
-    and mode's array of C ints, and after the pairs each array is replayed
-    in one call (``greens._replay_rows``), which sets each row's code:
-    replays or fails to replay.  A fault fails the check, else a capped
-    call of either mode is counted as capped, by every reader; ``fault``
-    keeps the first fault's message.  ``codes`` makes one memo object
-    (``greens._Kept``) and hands it to every core call, so each factor scan,
-    builder and search runs once per entry, however many pairs' calls use
-    it; nothing else holds it, so it is dropped when ``codes`` is left, by
-    return or exception.
+    For each pair of ``pairs``, each relation of ``greens.checkers()`` and
+    each mode, ``codes[k, r, m]`` keeps only the outcome its position core
+    would give on the pair's member positions, at ``greens.DEFAULT_PHI_CAP``,
+    found for all pairs of a relation and mode at once: by
+    ``greens._oracle_rows``, array gathers on the class quotient and the
+    table, and by ``greens._theorem_rows``, one search per key group and one
+    build per related pair.  Each relation and mode's found rows (pair, f, g,
+    *factors) are replayed in one call (``greens._replay_rows``), which sets
+    each row's code: replays or fails to replay.  A fault fails the check,
+    else a capped call of either mode is counted as capped, by every reader;
+    ``fault`` keeps the first fault's message, in (pair, relation, mode)
+    order.  ``codes`` makes one memo object (``greens._Kept``) and hands it
+    to every theorem search and build, so each runs once per entry however
+    many pairs use it; nothing else holds it, so it is dropped when
+    ``codes`` is left, by return or exception.
     """
 
     entry: CatalogEntry | None
@@ -756,41 +742,26 @@ class _GreensSweep:
     @cached_property
     def codes(self) -> np.ndarray:
         data = greens._greens_data(self.entry.instance)
-        pairs, size, cores, facts = self.pairs, len(self.members), greens._cores(), greens._Kept()
-        calls, groups = [], []
-        for rel in self.relations:
-            for mode in _MODES:
-                rep = _verdict_keys(data, rel, mode)
-                # the found rows (k, f, g, *factors), as C ints
-                calls.append((rel, cores[rel], mode, set(), array("i")))
-                groups.append(rep[pairs[:, 0]] * size + rep[pairs[:, 1]])
-        codes = np.full((len(pairs), len(calls)), _UNRELATED, dtype=np.uint8)
-        # a pair's Python lists and ints take about 450 bytes: they are made
-        # a block of pairs at a time, not for every pair at once
-        for k, ((a, b), row) in enumerate(_listed_rows(450, pairs, np.stack(groups, axis=1))):
-            for j, ((rel, core, mode, unrelated, found), group) in enumerate(zip(calls, row)):
-                if group in unrelated:
-                    continue
-                try:
-                    factors = core(data, rel, mode, a, b, greens.DEFAULT_PHI_CAP, facts)
-                except ResourceLimitError:
-                    codes[k, j] = _CAPPED
-                    continue
-                except InternalError as exc:
-                    codes[k, j] = _FAULT
-                    self.fault = self.fault or f"{rel} ({mode}): {exc}"
-                    continue
-                if factors is None:
-                    unrelated.add(group)
-                else:
-                    found.extend((k, a, b, *factors))
+        pairs, facts = self.pairs, greens._Kept()
         images = _image_array(self.members, data.partition.n)
-        for j, (rel, _, _, _, found) in enumerate(calls):
-            if found:
-                width = 3 + len(greens._FACTORS[rel])
-                rows = np.frombuffer(found, dtype=np.intc).reshape(-1, width)
+        codes = np.full((len(pairs), len(self.relations) * len(_MODES)), _UNRELATED,
+                        dtype=np.uint8)
+        first_fault = None  # (pair, message)
+        for j, (rel, mode) in enumerate(itertools.product(self.relations, _MODES)):
+            if mode == "oracle":
+                rows, capped, faults = greens._oracle_rows(data, rel, pairs)
+            else:
+                rows, capped, faults = greens._theorem_rows(
+                    data, rel, pairs, greens.DEFAULT_PHI_CAP, facts)
+            codes[capped, j] = _CAPPED
+            if len(rows):
                 replays = greens._replay_rows(rel, images, rows[:, 1:])
                 codes[rows[:, 0], j] = np.where(replays, _REPLAYS, _FAILS_REPLAY)
+            for k, _ in faults:
+                codes[k, j] = _FAULT
+            if faults and (first_fault is None or faults[0][0] < first_fault[0]):
+                first_fault = faults[0][0], f"{rel} ({mode}): {faults[0][1]}"
+        self.fault = first_fault and first_fault[1]
         return codes.reshape(len(pairs), len(self.relations), len(_MODES))
 
     def fail_at(self, tally: _Tally, hits: np.ndarray, detail: Callable[..., str]) -> None:
@@ -808,19 +779,6 @@ class _GreensSweep:
             faults = int(np.count_nonzero(hits & faulted))
             if faults:
                 tally.observations += (f"{faults} failing checks were faults",)
-
-
-def _verdict_keys(data, rel: str, mode: str) -> np.ndarray:
-    """Per member, the first member whose key for ``rel`` in ``mode`` equals
-    its own: the classes of the class quotient the oracle reads (the L- or
-    R-class, and for D and J both, the H-class), or the character position
-    and the geometry lists the theorem search reads (the Green's data's
-    ``theorem_keys``, which the sweep's memo reads too).  Two pairs whose
-    members have equal keys get equal verdicts."""
-    if mode == "theorem":
-        return np.array(data.theorem_keys[rel], dtype=np.intp)
-    reads = {"L": data.classes[1:2], "R": data.classes[:1]}.get(rel, data.classes[:2])
-    return np.array(_first_equal(zip(*reads)), dtype=np.intp)
 
 
 @_suite("greens-mode-agreement", _has_identity)

@@ -4,9 +4,10 @@ the suite that meets it, and ``run_all`` returns.
 ``TestMutantMatrix`` applies each killed mutant of ROADMAP item 1's table
 (mutation analysis: DeMillo, Lipton & Sayward, "Hints on test data
 selection", 1978) and runs the suites that name it on the max_n 3 catalog,
-which kills every row.  ``TestBuilderValidation`` breaks, one at a time, each
-fact the inverse-construction suites once rechecked on every built map, and
-shows that the builder's own validation reports it.  ``TestSpoiledGreensData``
+which kills every row; the rows of ``TEST_KILLED`` survive the suites and
+are killed by the test each names.  ``TestBuilderValidation`` breaks, one
+at a time, each fact the inverse-construction suites once rechecked on
+every built map, and shows that the builder's own validation reports it.  ``TestSpoiledGreensData``
 spoils one fact of the Green's data of a 3-point instance and reads the
 checkers and the Green's pair records on it.
 """
@@ -30,6 +31,7 @@ from partsem import (
     witness_maps,
 )
 from partsem.partition_action import _Geometry
+from test_greens import bulk_oracle_mismatches
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +40,8 @@ def catalog3():
 
 
 # the unmutated functions the mutants below delegate to
-_REAL = {"phi_covers": greens._phi_covers, "match_classes": greens._match_classes}
+_REAL = {"phi_covers": greens._phi_covers, "match_classes": greens._match_classes,
+         "oracle_rows": greens._oracle_rows}
 
 
 def _first_failure(report, name):
@@ -98,6 +101,25 @@ def _every_block_fits(geometry):
     return np.ones((len(geometry.images), degree, degree), dtype=bool)
 
 
+def _l_rows_with_last_factors(data, rel, pairs):
+    """The bulk oracle with each L factor the last h reaching its target,
+    not the first: every row still replays."""
+    rows, capped, faults = _REAL["oracle_rows"](data, rel, pairs)
+    if rel == "L":
+        for row in rows:
+            for col, (x, y) in ((3, row[1:3]), (4, row[2:0:-1])):
+                row[col] = (data.table[:, y] == x).nonzero()[0][-1]
+    return rows, capped, faults
+
+
+def _j_rows_tampered(data, rel, pairs):
+    """The bulk oracle with the first factor of each J row moved to the next member."""
+    rows, capped, faults = _REAL["oracle_rows"](data, rel, pairs)
+    if rel == "J":
+        rows[:, 3] = (rows[:, 3] + 1) % len(data.members)
+    return rows, capped, faults
+
+
 # row of ROADMAP item 1's table: (object, attribute, mutant, suites that kill it)
 MUTANTS = {
     "regularity theorem without the merge condition": (
@@ -129,6 +151,23 @@ MUTANTS = {
     "D criterion: class matching ignores g's side": (
         greens, "_match_classes", _match_classes_ignoring_g,
         ["greens-mode-agreement", "greens-witness-replay", "txp-specialization"]),
+    "bulk J row with a factor tampered": (
+        greens, "_oracle_rows", _j_rows_tampered, ["greens-witness-replay"]),
+}
+
+
+def _assert_bulk_oracle_matches_the_checkers(catalog):
+    """tests/test_greens.py's equality test of the bulk oracle on ``catalog``."""
+    related, mismatches = bulk_oracle_mismatches(catalog)
+    assert related > 0 and mismatches == []
+
+
+# rows that every suite survives, each killed by a test instead: (object,
+# attribute, mutant, a check of the max_n 3 catalog that raises on it)
+TEST_KILLED = {
+    "bulk L first factor is the last h": (
+        greens, "_oracle_rows", _l_rows_with_last_factors,
+        _assert_bulk_oracle_matches_the_checkers),
 }
 
 # the rows that aborted the run before a builder's InternalError was a
@@ -152,6 +191,15 @@ class TestMutantMatrix:
         if row in ABORTED:
             details = [r.counterexample["detail"] for r in report.records if r.failures]
             assert any(d.startswith(ABORTED[row]) for d in details), details
+
+    @pytest.mark.parametrize("row", TEST_KILLED)
+    def test_each_row_the_suites_survive_fails_its_test(self, row, catalog3, monkeypatch):
+        owner, name, mutant, check = TEST_KILLED[row]
+        check(catalog3)
+        monkeypatch.setattr(owner, name, mutant)
+        assert run_all(catalog3, ["greens-mode-agreement", "greens-witness-replay"]).failures == 0
+        with pytest.raises(AssertionError):
+            check(catalog3)
 
 
 def _not_a_member(inst, f, built):

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import random
 import re
+import tracemalloc
 import types
 import weakref
 from collections import Counter
@@ -1202,6 +1203,93 @@ class TestBulkReplay:
             for r, rel in enumerate(harness._GreensSweep.relations):
                 expected[k, rel] += int(found[r].sum())
         assert calls == +expected and len(codes) == 33
+
+
+def bulk_oracle_mismatches(catalog):
+    """The bulk oracle (``greens._oracle_rows``) on the pairs of every sweep
+    of ``catalog`` and each relation, against the public oracle checker on
+    each pair: the related pairs, and each pair where the row's positions
+    (f, g, *factors) differ from those of the checker's witness (None where
+    either is unrelated), as (entry label, relation, f, g)."""
+    related, mismatches = 0, []
+    for entry in catalog.entries:
+        inst = entry.instance
+        if not inst.si.has_identity:
+            continue
+        data, pairs = _greens_data(inst), harness._GreensSweep(entry, catalog).pairs
+        for rel, checker in greens_checkers().items():
+            rows, capped, faults = greens._oracle_rows(data, rel, pairs)
+            assert len(capped) == 0 and faults == []
+            found = {k: row for k, *row in rows.tolist()}
+            for k, (a, b) in enumerate(pairs.tolist()):
+                w = checker(data.members[a], data.members[b], inst, mode="oracle")
+                related += w is not None
+                expected = w and [a, b, *(data.index[h.images] for _, h in w.factors)]
+                if found.get(k) != expected:
+                    mismatches.append((entry.label, rel, a, b))
+        inst.drop_derived()
+    return related, mismatches
+
+
+class TestBulkOracle:
+    """The sweep's bulk oracle (``greens._oracle_rows``) against the public
+    per-pair oracle checkers, the reference."""
+
+    @pytest.mark.parametrize("max_n,seed", [(3, 7), (3, 11), (4, 7)])
+    def test_rows_equal_the_public_checkers_witnesses(self, max_n, seed):
+        """On every pair of the sweeps of the catalog, sampled entries
+        included (max_n 4 has some), the bulk oracle finds a row exactly
+        where the checker finds a witness, with the same factors."""
+        catalog = build_catalog(max_n, seed=seed)
+        sampled = sum(len(enumerate_elements(e.instance)) > harness.EXHAUSTIVE_PAIR_LIMIT
+                      for e in catalog.entries if e.instance.si.has_identity)
+        related, mismatches = bulk_oracle_mismatches(catalog)
+        assert related > 0 and mismatches == []
+        assert sampled > 0 or max_n == 3
+
+    def test_a_j_quotient_without_factors_is_a_fault_at_its_pair(self):
+        """The quotient spoiled to put every class J-below every other: each
+        pair with no factors is a fault, with the message of the per-pair
+        scan, and no row; the other pairs keep the checker's rows."""
+        inst = Instance(Partition.of([[0, 1], [2, 3]]), IndexSemigroup.full(2))
+        data = _greens_data(inst)
+        size = len(data.members)
+        pairs = np.indices((size, size)).reshape(2, -1).T
+        data.j_below = [[True] * len(row) for row in data.j_below]
+        rows, _, faults = greens._oracle_rows(data, "J", pairs)
+        assert faults and not set(rows[:, 0].tolist()) & {k for k, _ in faults}
+        assert len(rows) + len(faults) == len(pairs)
+        for k, message in faults[:20]:
+            f, g = (data.members[x] for x in pairs[k].tolist())
+            with pytest.raises(InternalError) as raised:
+                j_related(f, g, inst, mode="oracle")
+            assert str(raised.value) == message
+        for k, *row in rows[:20].tolist():
+            f, g = (data.members[x] for x in pairs[k].tolist())
+            w = j_related(f, g, inst, mode="oracle")
+            assert row == [*pairs[k].tolist(), *(data.index[h.images] for _, h in w.factors)]
+
+    def test_temporaries_stay_within_one_row_block(self):
+        """On the 256-member T_4 entry, every ordered pair (the exhaustive
+        max_n 4 step's largest entry), each relation's bulk oracle allocates
+        at its peak no more than ``ROW_BLOCK_BYTES`` besides its output
+        rows, the quotient built beforehand."""
+        inst = Instance(Partition.of([[0, 1, 2, 3]]), IndexSemigroup.full(1))
+        data = _greens_data(inst)
+        size = len(data.members)
+        assert size == 256
+        assert data.classes and data.j_below  # built before the trace
+        pairs = np.indices((size, size)).reshape(2, -1).T
+        for rel in "LRDJ":
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                rows, _, _ = greens._oracle_rows(data, rel, pairs)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert len(rows) > size, rel
+            assert peak <= ensemble.ROW_BLOCK_BYTES + rows.nbytes, (rel, peak, rows.nbytes)
 
 
 # The factor equations, written out apart from the library's: (product, target).

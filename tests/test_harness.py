@@ -382,7 +382,7 @@ def _assert_constant_on_key_groups(inst, pairs):
     merged = False
     for rel, checker in greens.checkers().items():
         for mode in harness._MODES:
-            rep = harness._verdict_keys(data, rel, mode)
+            rep = _verdict_keys(data, rel, mode)
             outcome, first = {}, {}
             for a, b in pairs(rep):
                 try:
@@ -395,11 +395,26 @@ def _assert_constant_on_key_groups(inst, pairs):
     return merged
 
 
+def _verdict_keys(data, rel, mode):
+    """Per member, the first member whose key for ``rel`` in ``mode`` equals
+    its own: the classes of the class quotient the oracle reads (the L- or
+    R-class, and for D and J both, the H-class), or the theorem keys the
+    theorem search reads (``theorem_keys``).  Two pairs whose members have
+    equal keys get equal verdicts."""
+    if mode == "theorem":
+        return np.array(data.theorem_keys[rel], dtype=np.intp)
+    reads = {"L": data.classes[1:2], "R": data.classes[:1]}.get(rel, data.classes[:2])
+    return np.array(finite_maps._first_equal(zip(*reads)), dtype=np.intp)
+
+
 def _spoil(monkeypatch, rel, spoil):
-    """Rebind the position core of ``rel`` to return ``spoil(data, fk, gk,
-    mode, found)`` on the pairs of ``rel`` for the factor positions or None
-    ``found`` of the real core.  The sweep and the public checkers both
-    call the core, so both see the spoil; L and R share one core, and a
+    """Rebind the position core of ``rel``, and the sweep's bulk functions
+    on the pairs of ``rel`` (``greens._oracle_rows`` and
+    ``greens._theorem_rows``), to give ``spoil(data, fk, gk, mode, found)``
+    on each pair for the factor positions or None ``found`` of the real
+    one; a spoil raising ``ResourceLimitError`` caps its pair in the sweep,
+    and a pair the real one capped or faulted is left so.  The sweep and the
+    public checkers both see the spoil; L and R share one core, and a
     second spoil of it wraps the first."""
     name = greens._cores()[rel].__name__
     real = getattr(greens, name)
@@ -410,6 +425,31 @@ def _spoil(monkeypatch, rel, spoil):
         return spoil(data, fk, gk, mode, found) if core_rel == rel else found
 
     monkeypatch.setattr(greens, name, core)
+    for mode, bulk in zip(harness._MODES, ("_oracle_rows", "_theorem_rows")):
+        real_rows = getattr(greens, bulk)
+
+        @wraps(real_rows)
+        def rows_of(data, rows_rel, pairs, *args, _real=real_rows, _mode=mode):
+            rows, capped, faults = _real(data, rows_rel, pairs, *args)
+            if rows_rel != rel:
+                return rows, capped, faults
+            found = {row[0]: tuple(row[3:]) for row in rows.tolist()}
+            left, capped = {k for k, _ in faults} | set(capped.tolist()), capped.tolist()
+            spoiled = []
+            for k, (fk, gk) in enumerate(pairs.tolist()):
+                if k in left:
+                    continue
+                try:
+                    factors = spoil(data, fk, gk, _mode, found.get(k))
+                except ResourceLimitError:
+                    capped.append(k)
+                    continue
+                if factors is not None:
+                    spoiled.append((k, fk, gk, *factors))
+            return (np.array(spoiled, dtype=np.intc).reshape(-1, rows.shape[1]),
+                    np.array(sorted(capped), dtype=np.intp), faults)
+
+        monkeypatch.setattr(greens, bulk, rows_of)
 
 
 def _spy_on_cores(monkeypatch, spy):
@@ -426,24 +466,46 @@ def _spy_on_cores(monkeypatch, spy):
         monkeypatch.setattr(greens, name, core)
 
 
+def _spy_on_halves(monkeypatch, spy):
+    """Rebind each theorem search and build to call ``spy(kind, data, rel,
+    fk, gk)``, kind "search" or "build", and then itself."""
+    for names in greens._POSITION_FNS.values():
+        for kind, name in zip(("search", "build"), names[1:]):
+            real = getattr(greens, name)
+            if getattr(real, "spied", False):
+                continue  # L, R and J share theirs
+
+            def half(data, rel, fk, gk, arg, facts=greens._UNKEPT, _real=real, _kind=kind):
+                spy(_kind, data, rel, fk, gk)
+                return _real(data, rel, fk, gk, arg, facts)
+
+            half.spied = True
+            monkeypatch.setattr(greens, name, half)
+
+
 def _keep_sweeps(monkeypatch):
     """Every sweep whose codes a run decides from now on, by entry label,
     each with its members' verdict keys by (relation, mode), taken from the
-    entry's Green's data while the entry's suites run."""
-    kept = {}
+    entry's Green's data while the entry's suites run; and a list that holds
+    one item while a sweep decides its codes."""
+    kept, inside = {}, []
     real = harness._GreensSweep
 
     class Kept(real):
         @cached_property
         def codes(self):
             data = self.data = greens._greens_data(self.entry.instance)
-            self.keys = {(rel, mode): harness._verdict_keys(data, rel, mode)
+            self.keys = {(rel, mode): _verdict_keys(data, rel, mode)
                          for rel in self.relations for mode in harness._MODES}
             kept[self.entry.label] = self
-            return real.codes.func(self)
+            inside.append(self)
+            try:
+                return real.codes.func(self)
+            finally:
+                inside.pop()
 
     monkeypatch.setattr(harness, "_GreensSweep", Kept)
-    return kept
+    return kept, inside
 
 
 def _spy_on_derived(monkeypatch):
@@ -471,47 +533,64 @@ class TestGreensSweep:
     group; the agreement, replay and T(X, P) suites read its codes."""
 
     def test_each_verdict_is_decided_at_most_once_and_where_it_holds(self, monkeypatch):
-        """The keyed call contract, over a whole run: at most one core call
-        per (pair, relation, mode); a call on every pair whose code is
-        replays, fails to replay or capped, and on the first pair of every
-        key group (the codes and keys as the run's sweeps had them); fewer
-        calls than one per (pair, relation, mode) in all.  Calls are keyed
-        by the entry's Green's data, which the kept sweeps keep alive.  The
-        sweeps' calls are those handed a kept memo object; the others, handed
-        none, are the public front-end check's, one per entry, relation and
-        mode with a replaying pair, each on such a pair."""
+        """The sweep's call contract, over a whole run: no position core
+        and no ``_first_factor`` scan is called while a sweep decides its
+        codes, as the oracle's come in bulk; each theorem search runs once
+        per key group of the entry's pairs (the codes and keys as the run's
+        sweeps had them), on the group's first pair; each theorem build runs
+        once per pair whose search found a witness, whose code is then
+        replays or fails to replay; fewer searches than pairs in all.  Calls
+        are keyed by the entry's Green's data, which the kept sweeps keep
+        alive.  Every core call, handed no memo, is the public front-end
+        check's, one per entry, relation and mode with a replaying pair, each
+        on such a pair."""
         catalog = build_catalog(3, seed=7)
-        calls, front = Counter(), Counter()
+        swept, front, halves = Counter(), Counter(), Counter()
+        sweeps, inside = _keep_sweeps(monkeypatch)
 
         def spy(data, rel, mode, fk, gk, facts):
-            (calls if facts is not greens._UNKEPT else front)[(id(data), fk, gk, rel, mode)] += 1
+            assert facts is greens._UNKEPT
+            (swept if inside else front)[(id(data), fk, gk, rel, mode)] += 1
+
+        def on_half(kind, data, rel, fk, gk):
+            if inside:
+                halves[kind, id(data), fk, gk, rel] += 1
+
+        real_scan = greens._first_factor
+
+        def scan(data, *args):
+            swept["_first_factor"] += bool(inside)
+            return real_scan(data, *args)
 
         _spy_on_cores(monkeypatch, spy)
-        sweeps = _keep_sweeps(monkeypatch)
+        _spy_on_halves(monkeypatch, on_half)
+        monkeypatch.setattr(greens, "_first_factor", scan)
         assert run_all(catalog).failures == 0
-        assert set(calls.values()) == {1}
+        assert not +swept
         assert list(sweeps) == [e.label for e in catalog.entries if e.instance.si.has_identity]
-        every, needed, replaying, checked = set(), set(), set(), 0
+        expected, replaying, checked, pairs = Counter(), set(), 0, 0
+        m = harness._MODES.index("theorem")
         for entry in catalog.entries:
             inst = entry.instance
             if not inst.si.has_identity:
                 continue
             sweep = sweeps[entry.label]
             for r, rel in enumerate(sweep.relations):
-                for m, mode in enumerate(harness._MODES):
-                    rep, seen = sweep.keys[rel, mode], set()
-                    checked += bool((sweep.codes[:, r, m] == harness._REPLAYS).any())
-                    for k, (a, b) in enumerate(sweep.pairs.tolist()):
-                        call = (id(sweep.data), a, b, rel, mode)
-                        every.add(call)
-                        group = (rep[a], rep[b])
-                        if group not in seen or sweep.codes[k, r, m] != harness._UNRELATED:
-                            needed.add(call)
-                        if sweep.codes[k, r, m] == harness._REPLAYS:
-                            replaying.add(call)
-                        seen.add(group)
-        assert needed <= set(calls) <= every
-        assert len(calls) < len(every)
+                for o, mode in enumerate(harness._MODES):
+                    checked += bool((sweep.codes[:, r, o] == harness._REPLAYS).any())
+                    replaying |= {(id(sweep.data), a, b, rel, mode)
+                                  for a, b in sweep.pairs[sweep.codes[:, r, o] == harness._REPLAYS]
+                                  .tolist()}
+                rep, seen = sweep.keys[rel, "theorem"], set()
+                for k, (a, b) in enumerate(sweep.pairs.tolist()):
+                    pairs += 1
+                    if (rep[a], rep[b]) not in seen:
+                        expected["search", id(sweep.data), a, b, rel] += 1
+                    seen.add((rep[a], rep[b]))
+                    if sweep.codes[k, r, m] in (harness._REPLAYS, harness._FAILS_REPLAY):
+                        expected["build", id(sweep.data), a, b, rel] += 1
+        assert halves == expected
+        assert sum(kind == "search" for kind, *_ in halves) < pairs
         assert set(front.values()) == {1} and set(front) <= replaying
         assert len(front) == checked > 0
 
@@ -559,9 +638,10 @@ class TestGreensSweep:
         assert _assert_constant_on_key_groups(inst, pairs)
 
     def test_sweep_composes_no_map(self, monkeypatch):
-        """The sweep calls the position cores on member positions and replays
-        their rows in bulk: no ``require_member``, no public checker, no
-        ``verify_witness`` and no ``compose``.  A public checker call looks
+        """The sweep calls the bulk oracle and the theorem rows on member
+        positions and replays their rows in bulk: no ``require_member``, no
+        public checker, no position core, no ``verify_witness`` and no
+        ``compose``.  A public checker call looks
         its pair up in the member index, once per map, runs its core once
         and composes no map either; greens does not import ``compose`` at
         all."""
@@ -583,10 +663,12 @@ class TestGreensSweep:
         for name, checker in checkers.items():
             monkeypatch.setattr(greens, f"{name.lower()}_related", spy("checker", checker))
         _spy_on_cores(monkeypatch, lambda *args: calls.update(["core"]))
+        for name in ("_oracle_rows", "_theorem_rows"):
+            monkeypatch.setattr(greens, name, spy("bulk", getattr(greens, name)))
         catalog = build_catalog(3, seed=7)
         assert run_suite("greens-mode-agreement", catalog).failures == 0
-        assert calls["core"] > 0
-        assert calls == Counter({"core": calls["core"]})
+        assert calls["bulk"] > 0
+        assert calls == Counter({"bulk": calls["bulk"]})
         calls.clear()
         inst = next(e.instance for e in catalog.entries if e.instance.si.has_identity)
         f = enumerate_elements(inst)[0]

@@ -1,17 +1,20 @@
-"""The memo objects of the Green's position cores (``greens._Kept``).
+"""The memo objects of the Green's theorem searches and builds (``greens._Kept``).
 
 ``harness._GreensSweep.codes`` makes one per entry and hands it to every
-core call: the cores read the factor scans and builders through it by
+theorem search and build it calls: the builders are read through it by
 member positions, and the L, R, D and J searches by the pair's theorem
-keys.  Each fact is then computed at most once per entry, every core gives
-what it gives without one, caps included, and the memo lives only as long
-as ``codes``; the public checkers hand the cores none.
+keys.  The oracle's factor scans are never read through one: the sweep
+finds its oracle factors in bulk and the cores scan directly.  Each fact is
+then computed at most once per entry, every core gives what it gives
+without one, caps included, and the memo lives only as long as ``codes``;
+the public checkers hand the cores none.
 """
 
 import gc
 import itertools
 import weakref
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -25,9 +28,9 @@ from partsem import (
     run_suite,
 )
 
-# the kept functions: by the positions they take, and the searches by the
-# pair's theorem keys of their relation
-POSITIONS = ("_first_factor", "_left_factor", "_right_factor", "_j_factors")
+# the kept functions: the builders by the positions they take, and the
+# searches by the pair's theorem keys of their relation
+POSITIONS = ("_left_factor", "_right_factor", "_j_factors")
 SEARCHES = {"_l_one_sided_theorem": "L", "_r_one_sided_theorem": "R",
             "_d_theorem_search": "D", "_j_one_sided_theorem": "J"}
 
@@ -80,27 +83,54 @@ def _count_runs(monkeypatch, keep=True):
         return run
 
     monkeypatch.setattr(greens, "_Kept", Counted)
-    for name in (*POSITIONS, *SEARCHES):
+    for name in ("_first_factor", *POSITIONS, *SEARCHES):
         monkeypatch.setattr(greens, name, spy(name, getattr(greens, name)))
     return runs
 
 
+def _count_sweep_scans(monkeypatch):
+    """The runs of ``greens._first_factor`` while a sweep decides its codes,
+    counted from now on."""
+    scans, inside = Counter(), []
+    real_scan, real_codes = greens._first_factor, harness._GreensSweep.codes.func
+
+    def scan(data, *args):
+        scans["in sweeps"] += bool(inside)
+        return real_scan(data, *args)
+
+    def codes(sweep):
+        inside.append(sweep)
+        try:
+            return real_codes(sweep)
+        finally:
+            inside.pop()
+
+    prop = cached_property(codes)
+    prop.__set_name__(harness._GreensSweep, "codes")
+    monkeypatch.setattr(harness._GreensSweep, "codes", prop)
+    monkeypatch.setattr(greens, "_first_factor", scan)
+    return scans
+
+
 def test_each_fact_is_computed_at_most_once_per_entry(catalog3, monkeypatch):
     """Over the sweeps of the max_n 3 catalog, each kept builder and search
-    runs once per distinct key of its entry, and the records are those of a
-    run whose sweeps keep nothing, where facts are computed again (2.8×
-    as many runs as distinct keys)."""
+    runs once per distinct key of its entry, no factor scan runs through a
+    memo or in a sweep, and the records are those of a run whose sweeps
+    keep nothing, where facts are computed again (2.2× as many runs as
+    distinct keys)."""
     unkept = _count_runs(monkeypatch, keep=False)
     report = run_all(catalog3, ["greens-mode-agreement", "greens-witness-replay"])
     assert report.failures == report.capped == 0
     expected = [r.to_payload() | {"millis": 0} for r in report.records]
     monkeypatch.undo()
     kept = _count_runs(monkeypatch)
+    scans = _count_sweep_scans(monkeypatch)
     report = run_all(build_catalog(3, seed=7), ["greens-mode-agreement", "greens-witness-replay"])
     assert [r.to_payload() | {"millis": 0} for r in report.records] == expected
     assert set(kept) == set(unkept)
     assert set(kept.values()) == {1}
     assert {name for _, name, _ in kept} == {*POSITIONS, *SEARCHES}
+    assert scans["in sweeps"] == 0
     assert sum(unkept.values()) > 2 * len(unkept)
 
 
@@ -147,31 +177,32 @@ def _largest_identity_entry(catalog):
 
 
 def _spy_on_memos(monkeypatch, raise_at=None):
-    """Rebind the L/R core to note the memo object of each call, by weak
-    reference, and to raise on call ``raise_at``; returns the notes: the
-    calls, the distinct memos in order with their types, and how many
+    """Rebind the L/R/J theorem build to note the memo object of each call, by
+    weak reference, and to raise on call ``raise_at``; returns the notes:
+    the calls, the distinct memos in order with their types, and how many
     facts the memo held after the last call that returned."""
-    notes, real = {"memos": [], "types": [], "kept": 0, "calls": 0}, greens._one_sided_witness
+    notes, real = {"memos": [], "types": [], "kept": 0, "calls": 0}, greens._two_way_build
 
-    def spy(data, rel, mode, fk, gk, cap, facts=greens._UNKEPT):
+    def spy(data, rel, fk, gk, found, facts=greens._UNKEPT):
         notes["calls"] += 1
         if not notes["memos"] or notes["memos"][-1]() is not facts:
             notes["memos"].append(weakref.ref(facts))
             notes["types"].append(type(facts))
         if notes["calls"] == raise_at:
-            raise RuntimeError("a core that raises")
-        found = real(data, rel, mode, fk, gk, cap, facts)
+            raise RuntimeError("a build that raises")
+        built = real(data, rel, fk, gk, found, facts)
         notes["kept"] = len(getattr(facts, "kept", ()))
-        return found
+        return built
 
-    monkeypatch.setattr(greens, "_one_sided_witness", spy)
+    monkeypatch.setattr(greens, "_two_way_build", spy)
     return notes
 
 
 def test_the_sweep_owns_one_memo_for_its_codes(catalog3, monkeypatch):
-    """Every core call of a sweep is handed one ``_Kept``, which ``codes``
-    made, and the memo is dead once ``codes`` returns, with no garbage
-    collection asked for: nothing outlives the codes but what they hold."""
+    """Every theorem build of a sweep is handed one ``_Kept``, which
+    ``codes`` made, and the memo is dead once ``codes`` returns, with no
+    garbage collection asked for: nothing outlives the codes but what they
+    hold."""
     entry = _largest_identity_entry(catalog3)
     gc.disable()
     try:
@@ -185,14 +216,14 @@ def test_the_sweep_owns_one_memo_for_its_codes(catalog3, monkeypatch):
 
 
 def test_a_core_exception_leaving_codes_drops_its_memo(catalog3, monkeypatch):
-    """A core raising on the 50th call leaves ``codes`` with its exception;
-    once the exception is handled the memo is dead, with no garbage
-    collection asked for."""
+    """A theorem build raising on the 50th call leaves ``codes`` with its
+    exception; once the exception is handled the memo is dead, with no
+    garbage collection asked for."""
     entry = _largest_identity_entry(catalog3)
     gc.disable()
     try:
         notes = _spy_on_memos(monkeypatch, raise_at=50)
-        with pytest.raises(RuntimeError, match="a core that raises"):
+        with pytest.raises(RuntimeError, match="a build that raises"):
             harness._GreensSweep(entry, catalog3).codes
         assert notes["calls"] == 50 and notes["types"] == [greens._Kept]
         assert notes["memos"][0]() is None
