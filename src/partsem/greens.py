@@ -426,12 +426,11 @@ def _theorem_keys(data: _GreensData, rel: str) -> list[int]:
 
 
 class _Unkept:
-    """The memo object of a caller that keeps nothing: each fact a theorem
-    search or build reads through it is computed afresh.  ``get(fn, data,
-    *args)`` is ``fn(data, *args)``, and ``search(rel, fn, data, fk, gk,
-    cap, budget)`` runs the search ``fn`` of ``rel``.  Each core's default
-    is the module's one instance, ``_UNKEPT``, which the public checkers
-    leave it."""
+    """The memo object of a caller that keeps nothing: each fact read
+    through it is computed afresh.  ``get(fn, data, *args)`` is ``fn(data,
+    *args)``, and ``search(rel, fn, data, fk, gk, cap, budget)`` runs the
+    search ``fn`` of ``rel``.  Each core's default is the module's one
+    instance, ``_UNKEPT``, which the public checkers leave it."""
 
     def get(self, fn: Callable, data, *args):
         return fn(data, *args)
@@ -445,13 +444,13 @@ _UNKEPT = _Unkept()
 
 class _Kept(_Unkept):
     """A memo object that keeps each fact for as long as its owner holds it,
-    in one dict: a builder's ``get`` under (fn, *args), the arguments after
-    the data, and a search under (rel, the pair's theorem keys for rel), on
-    which alone its result depends (``_GreensData.theorem_keys``), with the
-    budget it spent.  A kept search charges that budget again; where less is
-    left it runs again, so it raises where and as it would have.  A call
-    that raised keeps nothing.  The harness's Green's sweep makes one per
-    entry, and hands it every theorem search and build of the entry."""
+    in one dict: a ``get`` under (fn, *args), the arguments after the data,
+    and a search under (rel, the pair's theorem keys for rel), on which
+    alone its result depends (``_GreensData.theorem_keys``), with the budget
+    it spent.  A kept search charges that budget again; where less is left
+    it runs again, so it raises where and as it would have.  A call that
+    raised keeps nothing.  The harness's Green's sweep makes one per entry
+    and hands it every theorem search and build of the entry."""
 
     def __init__(self) -> None:
         self.kept: dict = {}

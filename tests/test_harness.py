@@ -469,18 +469,16 @@ def _spy_on_cores(monkeypatch, spy):
 def _spy_on_halves(monkeypatch, spy):
     """Rebind each theorem search and build to call ``spy(kind, data, rel,
     fk, gk)``, kind "search" or "build", and then itself."""
-    for names in greens._POSITION_FNS.values():
-        for kind, name in zip(("search", "build"), names[1:]):
-            real = getattr(greens, name)
-            if getattr(real, "spied", False):
-                continue  # L, R and J share theirs
+    halves = {(kind, name) for names in greens._POSITION_FNS.values()
+              for kind, name in zip(("search", "build"), names[1:])}
+    for kind, name in halves:
+        real = getattr(greens, name)
 
-            def half(data, rel, fk, gk, arg, facts=greens._UNKEPT, _real=real, _kind=kind):
-                spy(_kind, data, rel, fk, gk)
-                return _real(data, rel, fk, gk, arg, facts)
+        def half(data, rel, fk, gk, arg, facts=greens._UNKEPT, _real=real, _kind=kind):
+            spy(_kind, data, rel, fk, gk)
+            return _real(data, rel, fk, gk, arg, facts)
 
-            half.spied = True
-            monkeypatch.setattr(greens, name, half)
+        monkeypatch.setattr(greens, name, half)
 
 
 def _keep_sweeps(monkeypatch):
