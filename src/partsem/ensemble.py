@@ -286,10 +286,12 @@ class DerivedData:
     of the character it was enumerated under (``char_ids``) and the
     members' block facts (``geometry``), then, each on first use, the
     product table, the unit positions (``unit_ids``) and each member's first
-    inner and first unit inverse (``first_inverse``, ``first_unit_inverse``),
-    which the element oracles read.  ``witness_lists`` holds, per units
-    flag asked for, every member's regularity or unit-regularity witness
-    positions as one flat int32 array with row offsets, and ``greens`` the
+    inner and first unit inverse as member positions, -1 for none, in
+    lists (``first_inverse``, ``first_unit_inverse``), which the element
+    oracles read.  ``witness_lists`` holds, per units flag asked for, every
+    member's regularity or unit-regularity witness positions as one flat
+    int32 array with row offsets, ``idempotent_verdicts`` every member's
+    idempotency criterion verdict in a list, and ``greens`` the
     Green's-relations data, once ``partsem.regularity`` and
     ``partsem.greens`` have built them.
     """
@@ -309,6 +311,7 @@ class DerivedData:
         chars = [inst.si.elements[a].images for a in self.char_ids]
         self.geometry = _Geometry(ordered, chars, p)
         self.witness_lists: dict[bool, tuple[array, array]] = {}
+        self.idempotent_verdicts: list[bool] | None = None
         self.greens = None
 
     @cached_property
@@ -322,16 +325,17 @@ class DerivedData:
         return _two_sided_inverse_ids(self.table, self.index[tuple(range(self.n))])
 
     @cached_property
-    def first_inverse(self) -> np.ndarray:
+    def first_inverse(self) -> list[int]:
         """Per member f, the position of the first g in enumeration order
         with f*g*f = f, or -1."""
-        return _first_inner_inverses(self.table)
+        return _first_inner_inverses(self.table).tolist()
 
     @cached_property
-    def first_unit_inverse(self) -> np.ndarray:
-        """Per member f, the place in ``unit_ids`` of the first unit u with
-        f*u*f = f, or -1."""
-        return _first_inner_inverses(self.table, self.unit_ids)
+    def first_unit_inverse(self) -> list[int]:
+        """Per member f, the position of the first unit u in enumeration
+        order with f*u*f = f, or -1."""
+        first = _first_inner_inverses(self.table, self.unit_ids)
+        return np.where(first >= 0, self.unit_ids[first], -1).tolist()
 
 
 def predicted_size(inst: Instance) -> int:

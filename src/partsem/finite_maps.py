@@ -195,10 +195,12 @@ def refines(p: SetPartition, q: SetPartition) -> bool:
 
 
 def is_idempotent_def(f: FiniteMap) -> bool:
-    """True iff f composed with itself equals f (endomaps only)."""
+    """True iff f composed with itself equals f (endomaps only), compared on
+    image tuples: the composite's images are f's read at f's images."""
     if not f.is_endomap():
         raise InvalidArgumentError("idempotency is defined for endomaps only")
-    return compose(f, f) == f
+    t = f.images
+    return tuple(map(t.__getitem__, t)) == t
 
 
 def all_endomaps(n: int) -> Iterable[FiniteMap]:

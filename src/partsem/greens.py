@@ -29,9 +29,10 @@ those keys.  Each relation has one position core
 takes member positions and returns the positions of the witness's factors,
 in the order ``_FACTORS`` names them, or None.  Its oracle branch is the
 reference: the class quotient's verdict, then the factor scans of
-``_first_factor``.  Its theorem branch is two position functions, a search
-that reads of the pair only its theorem keys and a build that turns the
-pair and the search's result into factors, validated.  The searches and
+``_first_factor``, with an ``InternalError`` where the quotient relates a
+pair that no scan reaches.  Its theorem branch is two position functions,
+a search that reads of the pair only its theorem keys and a build that
+turns the pair and the search's result into factors, validated.  The searches and
 builds read their facts through the memo object their caller hands them:
 by default ``_UNKEPT``, which computes each afresh; the harness's Green's
 sweep hands each call of an entry one ``_Kept``, which keeps the builders
@@ -362,8 +363,12 @@ class _GreensData:
     @cached_property
     def theorem_keys(self) -> dict[str, list[int]]:
         """Per relation, ``_theorem_keys``, built once on first read: the
-        Green's sweep's verdict keys and ``_Kept``'s searches read them."""
-        return {rel: _theorem_keys(self, rel) for rel in _THEOREM_READS}
+        Green's sweep's verdict keys and ``_Kept``'s searches read them.
+        J's reads are L's and ``j_geometry``, so J's keys are read off L's
+        keys and the J geometry."""
+        keys = {rel: _theorem_keys(self, rel) for rel in "LRD"}
+        keys["J"] = _first_equal(zip(keys["L"], self.geometry.j_geometry))
+        return keys
 
     @cached_property
     def classes(self) -> tuple[list[int], list[int], list[list[int]], np.ndarray, np.ndarray]:
@@ -521,6 +526,16 @@ def _first_factor(data: _GreensData, rel: str, fk: int, gk: int):
     else:
         raise InvalidArgumentError(f"unknown relation {rel!r}")
     return int(hits[0]) if len(hits) else None
+
+
+def _labelled_factor(data: _GreensData, rel: str, fk: int, gk: int) -> int:
+    """``_first_factor`` of "L" or "R" on a pair the class labels put
+    rel-below, or an ``InternalError`` where no factor does, as the J scan
+    raises."""
+    h = _first_factor(data, rel, fk, gk)
+    if h is None:
+        raise InternalError(f"no factors put {data.members[fk]} {rel}-below {data.members[gk]}")
+    return h
 
 
 def _first_factors(table: np.ndarray, rel: str, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -715,7 +730,7 @@ def _one_sided_witness(
         labels = l_of if rel == "L" else r_of
         if labels[fk] != labels[gk]:
             return None
-        return _first_factor(data, rel, fk, gk), _first_factor(data, rel, gk, fk)
+        return _labelled_factor(data, rel, fk, gk), _labelled_factor(data, rel, gk, fk)
     found = _two_way_search(data, rel, fk, gk, cap, facts)
     return None if found is None else _two_way_build(data, rel, fk, gk, found, facts)
 
@@ -945,8 +960,8 @@ def _d_witness(
         mk = h_first[r_of[gk]][l_of[fk]]
         if mk < 0:
             return None
-        return (mk, _first_factor(data, "L", fk, mk), _first_factor(data, "L", mk, fk),
-                _first_factor(data, "R", mk, gk), _first_factor(data, "R", gk, mk))
+        return (mk, _labelled_factor(data, "L", fk, mk), _labelled_factor(data, "L", mk, fk),
+                _labelled_factor(data, "R", mk, gk), _labelled_factor(data, "R", gk, mk))
     found = _d_search(data, rel, fk, gk, cap, facts)
     return None if found is None else _d_build(data, rel, fk, gk, found, facts)
 

@@ -259,7 +259,8 @@ class _Geometry:
     @cached_property
     def block_fits(self) -> np.ndarray:
         """Per map f and blocks j and j', whether X_j meets the image of f
-        inside X_{j'} f: the regularity witnesses' block test, maps × d × d."""
+        inside X_{j'} f: the regularity witnesses' block test, maps × d × d,
+        whose diagonal the idempotency criterion reads."""
         blocks, d = [_mask(b) for b in self.p.blocks], self.p.degree
         fits = np.fromiter((image & b & ~t == 0 for masks in self.block_masks
                             for image in [reduce(or_, masks)] for b in blocks for t in masks),

@@ -6,8 +6,13 @@ the block geometry.  The two are kept strictly separate so the harness can
 compare them: oracles read products from the instance's member product table,
 criteria only from the index semigroup's table.  The element oracles read
 each member's first inner and first unit inverse, scanned from the member
-table once per instance (``DerivedData.first_inverse`` and
-``first_unit_inverse``), and the semigroup oracles read the whole arrays.
+table once per instance and kept as lists of member positions
+(``DerivedData.first_inverse`` and ``first_unit_inverse``), and the
+semigroup oracles read the whole lists.  The idempotency criterion is
+decided for every member at once, the first time a member is asked about
+(``_idempotent_verdicts``), and its verdict list is kept on the derived
+data: it reads the index table's diagonal at the characters, the diagonal
+of the members' block-fit table and one gather on their image array.
 
 The regularity and unit-regularity criteria share one home, the witness
 lists of every member (``_witness_lists``), built for the whole instance
@@ -46,7 +51,7 @@ from .ensemble import (
     enumerate_elements,
     require_member,
 )
-from .partition_action import _blocks_fit, _least_lift
+from .partition_action import _least_lift
 
 Mode = Literal["oracle", "theorem"]
 
@@ -202,7 +207,7 @@ def is_regular_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:
     """Whole-semigroup regularity, by exhaustion or by the two structural conditions."""
     _check_mode(mode)
     if mode == "oracle":
-        return bool((inst.derived.first_inverse >= 0).all())
+        return min(inst.derived.first_inverse) >= 0
     return si_is_regular(inst.si) and not _merges_onto_a_large_block(inst)
 
 
@@ -211,17 +216,42 @@ def idempotents(inst: Instance) -> tuple[FiniteMap, ...]:
     return tuple(members[k] for k in _idempotent_ids(inst.derived.table))
 
 
+def _idempotent_verdicts(inst: Instance) -> list[bool]:
+    """Per member, the idempotency criterion's verdict, decided for every
+    member in one pass on first use and kept on the derived data.
+
+    chi(f) is idempotent on the index table's diagonal at the member's
+    ``char_ids`` entry; the block test implies it (X_i f inside X_{chi(i)} f
+    puts X_{chi(i)} f, which lies in X_{chi(chi(i))}, in X_{chi(i)}), and it
+    is kept as the criterion states it.  As X_i f lies in X_{chi(i)}, every
+    X_i f is inside X_{chi(i)} f exactly when every block X_j meets the
+    image of f inside X_j f: the diagonal of the members' block fits
+    (``_Geometry.block_fits``).  x lies in a block chi(f) fixes exactly
+    when f(x) lies in the block of x, and f*f = f is read there by one
+    gather on the members' image array.
+    """
+    d = inst.derived
+    if d.idempotent_verdicts is None:
+        chi = np.array(d.char_ids, dtype=np.intp)
+        diagonal = np.arange(inst.partition.degree)
+        images = np.array(d.geometry.images, dtype=np.intp).reshape(len(chi), -1)
+        block_of = np.array(inst.partition._block_lookup)
+        settled = (np.take_along_axis(images, images, axis=1) == images) | (
+            block_of[images] != block_of)
+        verdicts = ((inst.si.table[chi, chi] == chi)
+                    & d.geometry.block_fits[:, diagonal, diagonal].all(axis=1)
+                    & settled.all(axis=1))
+        d.idempotent_verdicts = verdicts.tolist()
+    return d.idempotent_verdicts
+
+
 def is_idempotent_characterized(f: FiniteMap, inst: Instance) -> bool:
     """Idempotency via the character and block images: chi(f) idempotent,
-    each X_i f inside X_{chi(f)(i)} f, and f*f = f on the blocks chi(f) fixes."""
+    each X_i f inside X_{chi(f)(i)} f, and f*f = f on the blocks chi(f)
+    fixes, read from the verdicts decided once per instance
+    (``_idempotent_verdicts``)."""
     k = require_member(f, inst)
-    c = inst.derived.char_ids[k]
-    if inst.si.table[c, c] != c:
-        return False
-    geometry, blocks, t = inst.derived.geometry, inst.partition.blocks, f.images
-    chi, masks = geometry.chars[k], geometry.block_masks[k]
-    return _blocks_fit(masks, masks, chi) and all(
-        t[t[x]] == t[x] for i, j in enumerate(chi) if i == j for x in blocks[i])
+    return _idempotent_verdicts(inst)[k]
 
 
 def is_inverse_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:

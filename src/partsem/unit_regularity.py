@@ -1,12 +1,13 @@
 """Unit-regular elements and semigroups, with the collapse/defect bookkeeping.
 
 The oracle reads each member's first unit inverse, scanned from the member
-table once per instance (``DerivedData.first_unit_inverse``), and the
-semigroup oracle reads the whole array.  The criterion is the regularity
-criterion on the unit witness lists (``regularity._witness_lists``): their
-candidates are the units of the index semigroup with equal block sizes
-along them (``regularity._unit_candidates``, which the semigroup criterion
-reads too), tested for every member in one build per instance.  The unit
+table once per instance and kept as a list of member positions
+(``DerivedData.first_unit_inverse``), and the semigroup oracle reads the
+whole list.  The criterion is the regularity criterion on the unit witness
+lists (``regularity._witness_lists``): their candidates are the units of
+the index semigroup with equal block sizes along them
+(``regularity._unit_candidates``, which the semigroup criterion reads
+too), tested for every member in one build per instance.  The unit
 inverse construction pairs image points with transversal preimages and
 matches defect points to collapsed points order-preservingly, block by
 block; the unused blocks are carried by order-preserving bijections.
@@ -44,7 +45,7 @@ def is_unit_regular_oracle(f: FiniteMap, inst: Instance) -> FiniteMap | None:
     _require_identity(inst)
     d = inst.derived
     u = d.first_unit_inverse[require_member(f, inst)]
-    return d.members[d.unit_ids[u]] if u >= 0 else None
+    return d.members[u] if u >= 0 else None
 
 
 def unit_regular_witnesses(f: FiniteMap, inst: Instance) -> tuple[FiniteMap, ...]:
@@ -104,7 +105,7 @@ def is_unit_regular_semigroup(inst: Instance, mode: Mode = "theorem") -> bool:
     _check_mode(mode)
     _require_identity(inst)
     if mode == "oracle":
-        return bool((inst.derived.first_unit_inverse >= 0).all())
+        return min(inst.derived.first_unit_inverse) >= 0
     si = inst.si
     if not _each_has_inner_inverse(si.table, si.unit_ids):
         return False

@@ -26,6 +26,7 @@ from partsem import (
     regular_character_witnesses,
     unit_regular_witnesses,
 )
+from partsem import regularity
 from partsem.ensemble import require_member
 
 
@@ -125,6 +126,22 @@ def test_regularity_criteria_match_the_block_set_code(label, inst):
         assert regular_character_witnesses(f, inst) == _witnesses(inst, ref_test, every), f
         expected = _reference_is_idempotent_characterized(f, inst)
         assert is_idempotent_characterized(f, inst) == expected == is_idempotent_def(f), f
+
+
+def test_the_idempotency_verdicts_match_the_block_map_code_and_the_definition():
+    """The verdict list the idempotency criterion reads, built for the whole
+    instance at once, against the reference and the definition on every
+    member of the max_n 4 catalog and of the two scale-n5 instances."""
+    instances = [e.instance for e in build_catalog(4, seed=7).entries]
+    instances += [_full([[0, 1], [2], [3], [4]]), _full([[0, 1, 2, 3], [4]])]
+    for inst in instances:
+        try:
+            members = enumerate_elements(inst)
+            expected = [_reference_is_idempotent_characterized(f, inst) for f in members]
+            verdicts = regularity._idempotent_verdicts(inst)
+            assert verdicts == expected == [is_idempotent_def(f) for f in members], inst
+        finally:
+            inst.drop_derived()
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
 """Element verdicts decided once per instance: each member's first inner
 and first unit inverse (``DerivedData.first_inverse`` and
-``first_unit_inverse``), every member's witness lists
-(``DerivedData.witness_lists``) and the egg-box filled in one pass, each
-against a computation that keeps nothing; and the lifetime of what they
-keep."""
+``first_unit_inverse``, lists of member positions), every member's witness
+lists (``DerivedData.witness_lists``) and the egg-box filled in one pass,
+each against a computation that keeps nothing; and the lifetime of what
+they keep."""
 
 import gc
+import sys
 import tracemalloc
 import weakref
 from functools import reduce
@@ -25,6 +26,7 @@ from partsem import (
     d_related,
     eggbox,
     enumerate_elements,
+    is_idempotent_characterized,
     is_regular_oracle,
     is_regular_semigroup,
     is_unit_regular_oracle,
@@ -68,21 +70,27 @@ def _first_hits(imgs, candidates):
 
 
 def test_first_inverses_equal_a_scan_from_the_definition(inst):
+    """Both first-inverse lists hold a Python int per member, the member
+    position of its first inverse or -1, and the element oracles return
+    those members."""
     d = inst.derived
     imgs = np.array([m.images for m in enumerate_elements(inst)])
-    assert d.first_inverse.tolist() == _first_hits(imgs, np.arange(len(imgs)))
-    for f, g in zip(d.members, d.first_inverse.tolist()):
+    assert d.first_inverse == _first_hits(imgs, np.arange(len(imgs)))
+    assert {type(g) for g in d.first_inverse} == {int}
+    for f, g in zip(d.members, d.first_inverse):
         assert is_regular_oracle(f, inst) == (None if g < 0 else d.members[g])
     if inst.si.has_identity:
-        assert d.first_unit_inverse.tolist() == _first_hits(imgs, d.unit_ids)
-        for f, u in zip(d.members, d.first_unit_inverse.tolist()):
-            unit = None if u < 0 else d.members[d.unit_ids[u]]
-            assert is_unit_regular_oracle(f, inst) == unit
+        units = d.unit_ids.tolist()
+        expected = [-1 if u < 0 else units[u] for u in _first_hits(imgs, d.unit_ids)]
+        assert d.first_unit_inverse == expected
+        assert {type(u) for u in d.first_unit_inverse} == {int}
+        for f, u in zip(d.members, d.first_unit_inverse):
+            assert is_unit_regular_oracle(f, inst) == (None if u < 0 else d.members[u])
 
 
 def test_the_semigroup_oracles_look_up_no_member(inst, monkeypatch):
     """Regularity and unit-regularity of the whole semigroup by exhaustion
-    read the first-inverse arrays: they agree with the element oracle on
+    read the first-inverse lists: they agree with the element oracle on
     every member and make no ``require_member`` call."""
     members = enumerate_elements(inst)
     regular = all(is_regular_oracle(f, inst) is not None for f in members)
@@ -195,9 +203,12 @@ def test_eggbox_equals_the_per_cell_scan(label):
         inst.drop_derived()
 
 
-def test_the_arrays_and_the_witness_lists_die_with_the_derived_data():
-    """With the cyclic GC off, ``drop_derived`` frees both arrays and both
-    units flags' witness lists."""
+def test_the_lists_and_the_witness_lists_die_with_the_derived_data():
+    """With the cyclic GC off, ``drop_derived`` frees the derived data and
+    both units flags' witness lists, and lets go of the first-inverse lists
+    and the idempotency verdicts, built once: a list takes no weak
+    reference, so each is shown held by the derived data alone, one
+    reference more than a control list, and by nothing once it is dropped."""
     inst = _instance([[0, 1], [2]])
     f = FiniteMap.of([1, 1, 2])
     enabled = gc.isenabled()
@@ -208,13 +219,21 @@ def test_the_arrays_and_the_witness_lists_die_with_the_derived_data():
         alpha = regular_character_witnesses(f, inst)[0]
         build_inner_inverse(f, alpha, inst)
         assert unit_regular_witnesses(f, inst)
+        assert is_idempotent_characterized(f, inst)
         d = inst.derived
-        kept = [weakref.ref(x) for x in (d, d.first_inverse, d.first_unit_inverse)]
+        verdicts = d.idempotent_verdicts
+        assert [is_idempotent_characterized(g, inst) for g in d.members] == verdicts
+        assert d.idempotent_verdicts is verdicts
+        kept = [weakref.ref(d)]
         kept += [weakref.ref(x) for lists in d.witness_lists.values() for x in lists]
-        assert len(kept) == 7
-        del d
+        assert len(kept) == 5
+        held = [d.first_inverse, d.first_unit_inverse, verdicts, []]
+        del d, verdicts
+        counts = [sys.getrefcount(x) for x in held]
+        assert counts[:-1] == [counts[-1] + 1] * 3
         inst.drop_derived()
         assert [ref() for ref in kept] == [None] * len(kept)
+        assert [sys.getrefcount(x) for x in held] == [counts[-1]] * 4
     finally:
         if enabled:
             gc.enable()

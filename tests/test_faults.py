@@ -12,6 +12,8 @@ spoils one fact of the Green's data of a 3-point instance and reads the
 checkers and the Green's pair records on it.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,11 +21,13 @@ from partsem import (
     FiniteMap,
     IndexSemigroup,
     Instance,
+    InternalError,
     Partition,
     build_catalog,
     d_related,
     greens,
     harness,
+    l_related,
     regularity,
     run_all,
     unit_regularity,
@@ -55,6 +59,15 @@ def _chi_idempotent(f, inst):
     """The idempotency criterion reduced to "chi(f) is idempotent"."""
     c = inst.derived.char_ids[inst.derived.index[f.images]]
     return inst.si.table[c, c] == c
+
+
+def _verdicts_without_the_fixed_block_test(inst):
+    """The idempotency verdicts with f*f = f on the blocks chi(f) fixes
+    dropped: chi(f) idempotent and the block-fit diagonal alone."""
+    d, diagonal = inst.derived, np.arange(inst.partition.degree)
+    chi = np.array(d.char_ids)
+    fits = d.geometry.block_fits[:, diagonal, diagonal].all(axis=1)
+    return ((inst.si.table[chi, chi] == chi) & fits).tolist()
 
 
 def _phi_covers_but_the_last_block(f_blockimg, sources, values):
@@ -130,6 +143,9 @@ MUTANTS = {
         ["unit-regular-semigroup-equivalence"]),
     "idempotency criterion reduced to chi(f) idempotent": (
         harness, "is_idempotent_characterized", _chi_idempotent, ["idempotent-equivalence"]),
+    "idempotency criterion: fixed-block test dropped": (
+        regularity, "_idempotent_verdicts", _verdicts_without_the_fixed_block_test,
+        ["idempotent-equivalence"]),
     "_txp_l_one_sided always true": (
         greens, "_txp_l_one_sided", lambda bf, bg: True, ["txp-specialization"]),
     "_txp_d_check true whenever the class counts match": (
@@ -147,7 +163,7 @@ MUTANTS = {
         ["greens-mode-agreement", "greens-witness-replay", "txp-specialization"]),
     "witness block test: every block fits": (
         _Geometry, "block_fits", _every_block_fits,
-        ["inner-inverse-construction"]),
+        ["inner-inverse-construction", "idempotent-equivalence"]),
     "D criterion: class matching ignores g's side": (
         greens, "_match_classes", _match_classes_ignoring_g,
         ["greens-mode-agreement", "greens-witness-replay", "txp-specialization"]),
@@ -340,6 +356,25 @@ class TestSpoiledGreensData:
         k = sweep.pairs.tolist().index([sweep.members.index(F), sweep.members.index(G)])
         assert sweep.codes[k, sweep.relations.index("D")].tolist() == [
             harness._REPLAYS, harness._FAULT]
+
+    def test_a_labelled_pair_that_no_factor_reaches_is_a_fault(self):
+        """With every L label of n3:[0,1][2]/full set to one class, the L
+        oracle relates the first member to the last, which no factor scan
+        puts L-below it: the public checker raises ``InternalError``, not a
+        bare ``TypeError``, and the bulk oracle's row for the pair, with a
+        -1 factor, fails replay."""
+        inst = Instance(P3, IndexSemigroup.full(2))
+        data = greens._greens_data(inst)
+        r_of, l_of, *rest = data.classes
+        data.classes = (r_of, [0] * len(l_of), *rest)
+        m = data.members
+        fault = re.escape(f"no factors put {m[0]} L-below {m[-1]}")
+        with pytest.raises(InternalError, match=fault):
+            l_related(m[0], m[-1], inst)
+        rows, _, _ = greens._oracle_rows(data, "L", np.array([[0, len(m) - 1]]))
+        assert rows.tolist() == [[0, 0, len(m) - 1, -1, -1]]
+        images = harness._image_array(m, P3.n)
+        assert greens._replay_rows("L", images, rows[:, 1:]).tolist() == [False]
 
     def test_each_pair_record_counts_its_faults(self, monkeypatch):
         """With the R divisor the D theorem route needs spoiled, the first

@@ -146,12 +146,22 @@ class TestIdempotent:
     def test_requires_endomap(self):
         with pytest.raises(InvalidArgumentError):
             is_idempotent_def(fm([0, 1], 3))
+        with pytest.raises(InvalidArgumentError):
+            is_idempotent_def(fm([0, 1, 1], 2))
 
-    def test_matches_fixing_the_image(self):
+    def test_builds_no_map(self, monkeypatch):
+        """The definition is read on image tuples: no composite is built."""
+        maps, built = list(all_endomaps(3)), []
+        real = FiniteMap.__post_init__
+        monkeypatch.setattr(FiniteMap, "__post_init__", lambda m: built.append(m) or real(m))
+        assert sum(map(is_idempotent_def, maps)) == 10
+        assert built == []
+
+    def test_matches_fixing_the_image_and_the_composite(self):
         for n in range(1, 5):
             for f in all_endomaps(n):
                 fixes = all(f.images[y] == y for y in image(f))
-                assert is_idempotent_def(f) == fixes
+                assert is_idempotent_def(f) == fixes == (compose(f, f) == f)
 
 
 def test_endomaps_have_equal_collapse_and_defect_up_to_five_points():

@@ -938,6 +938,26 @@ class TestTheoremReads:
         pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(300)]
         self._assert_unspoiled_results(inst, pairs)
 
+    @pytest.mark.parametrize("max_n,seed", [(3, 7), (3, 11), (4, 7)])
+    def test_the_keys_equal_a_direct_recomputation(self, max_n, seed):
+        """Each relation's theorem keys, J's read off L's, equal per member
+        the first member with its character and the geometry lists
+        ``greens._THEOREM_READS`` names, on every identity entry."""
+        for entry in build_catalog(max_n, seed=seed).entries:
+            inst = entry.instance
+            if not inst.si.has_identity:
+                continue
+            try:
+                data = _greens_data(inst)
+                expected = {}
+                for rel, names in greens._THEOREM_READS.items():
+                    reads, first = [getattr(data.geometry, name) for name in names], {}
+                    expected[rel] = [first.setdefault((c, *(r[k] for r in reads)), k)
+                                     for k, c in enumerate(data.char_ids)]
+                assert data.theorem_keys == expected, entry.label
+            finally:
+                inst.drop_derived()
+
     def test_the_spoil_is_seen(self):
         """A search that reads outside its key raises on the spoiled data."""
         data = _greens_data(_full_instance([[0, 1], [2, 3]]))

@@ -200,7 +200,8 @@ def test_regularity_criteria_read_characters_from_enumeration():
     from the position enumeration recorded, not from ``character(f, p)``."""
     named = {
         "regularity.py": {"_unit_candidates", "_witness_lists", "_witnesses",
-                          "_witness_position", "is_idempotent_characterized"},
+                          "_witness_position", "is_idempotent_characterized",
+                          "_idempotent_verdicts"},
         "unit_regularity.py": {"unit_regular_witnesses", "build_unit_inverse"},
     }
     seen, found = set(), []
