@@ -24,32 +24,31 @@ members' theorem keys, ``_GreensData.theorem_keys``, computed once per
 instance), and each oracle verdict depends on them only through their L-
 and R-classes (the oracles read the class quotient), so a caller deciding
 many pairs (the harness's Green's sweep) may take one verdict per pair of
-those keys.  Each relation has one position core
-(``_cores``: ``_one_sided_witness``, ``_d_witness``, ``_j_witness``): it
-takes member positions and returns the positions of the witness's factors,
-in the order ``_FACTORS`` names them, or None.  Its oracle branch is the
-reference: the class quotient's verdict, then the factor scans of
+those keys.  On member positions, each relation is decided by three
+functions, each returning positions and called by name: the oracle's
+``_oracle_witness`` (the class quotient's verdict, then the factor scans of
 ``_first_factor``, with an ``InternalError`` where the quotient relates a
-pair that no scan reaches.  Its theorem branch is two position functions,
-a search that reads of the pair only its theorem keys and a build that
-turns the pair and the search's result into factors, validated.  The searches and
-builds read their facts through the memo object their caller hands them:
-by default ``_UNKEPT``, which computes each afresh; the harness's Green's
-sweep hands each call of an entry one ``_Kept``, which keeps the builders
-by member positions and the searches by the pair's theorem keys, so each
-is computed once however many pairs use it.  The sweep decides many pairs
-at once (``_oracle_rows``, ``_theorem_rows``): the oracle's factors by
-array gathers on the table and the packed R ideals, a block of pairs at a
-time, and each theorem search once per key group, each build once per
-related pair.  ``l_related`` to ``j_related`` share one front end
-(``_related``), the one place that looks f and g up (``require_member``)
-and wraps positions into a ``GreenWitness``.  Each relation's factor
-equations have one home (``_EQUATIONS``), read by the two replays, which
-recompute every product and never read the table: ``verify_witness``, the
-public one, composes the image tuples of a witness's maps, checking each
-composition's sizes as ``compose`` does; ``_replay_rows``, the sweep's,
-replays many rows of factor positions at once on the members' N×n image
-array, a block of rows at a time, one gather per factor.
+pair that no scan reaches) gives the factors of the witness, in the order
+``_FACTORS`` names them, or None; the theorem's ``_search`` reads of the
+pair only its theorem keys, and ``_build`` turns the pair and what the
+search found into factors, validated.  The searches and builds read their
+facts through the memo object their caller hands them: ``_UNKEPT``, which
+computes each afresh, from the public checkers; from the harness's Green's
+sweep, one ``_Kept`` per entry, which keeps the builders by member positions
+and the one-sided L, R and J searches by the pair's theorem keys, so each is
+computed once however many pairs use it.  The sweep decides many pairs at
+once (``_oracle_rows``, ``_theorem_rows``): the oracle's factors by array
+gathers on the table and the packed R ideals, a block of pairs at a time,
+and each theorem search once per key group, each build once per related
+pair.  ``l_related`` to ``j_related`` share one front end (``_related``),
+the one place that looks f and g up (``require_member``) and wraps positions
+into a ``GreenWitness``.  Each relation's factor equations have one home
+(``_EQUATIONS``), read by the two replays, which recompute every product and
+never read the table: ``verify_witness``, the public one, composes the image
+tuples of a witness's maps, checking each composition's sizes as ``compose``
+does; ``_replay_rows``, the sweep's, replays many rows of factor positions
+at once on the members' N×n image array, a block of rows at a time, one
+gather per factor.
 The per-instance data keeps, each built once on first use, the left ideals
 of S(I) (only the harness's character descent reads them), the theorem
 keys and the class quotient: part 1 (``classes``), each member's R- and
@@ -123,7 +122,7 @@ class GreenWitness:
         return dict(self.factors)[name]
 
 
-# Each relation's factor names, in the order its position core returns them.
+# Each relation's factor names, in the order its witness's positions come.
 _FACTORS = {
     "L": ("fg", "gf"),
     "R": ("fg", "gf"),
@@ -434,8 +433,8 @@ class _Unkept:
     """The memo object of a caller that keeps nothing: each fact read
     through it is computed afresh.  ``get(fn, data, *args)`` is ``fn(data,
     *args)``, and ``search(rel, fn, data, fk, gk, cap, budget)`` runs the
-    search ``fn`` of ``rel``.  Each core's default is the module's one
-    instance, ``_UNKEPT``, which the public checkers leave it."""
+    one-sided search ``fn`` of ``rel``.  The public checkers hand the
+    module's one instance, ``_UNKEPT``, to ``_search`` and ``_build``."""
 
     def get(self, fn: Callable, data, *args):
         return fn(data, *args)
@@ -450,12 +449,12 @@ _UNKEPT = _Unkept()
 class _Kept(_Unkept):
     """A memo object that keeps each fact for as long as its owner holds it,
     in one dict: a ``get`` under (fn, *args), the arguments after the data,
-    and a search under (rel, the pair's theorem keys for rel), on which
-    alone its result depends (``_GreensData.theorem_keys``), with the budget
-    it spent.  A kept search charges that budget again; where less is left
-    it runs again, so it raises where and as it would have.  A call that
-    raised keeps nothing.  The harness's Green's sweep makes one per entry
-    and hands it every theorem search and build of the entry."""
+    and a one-sided search under (rel, the pair's theorem keys for rel), on
+    which alone its result depends (``_GreensData.theorem_keys``), with the
+    budget it spent.  A kept search charges that budget again; where less is
+    left it runs again, so it raises where and as it would have.  A call
+    that raised keeps nothing.  The harness's Green's sweep makes one per
+    entry and hands it every theorem search and build of the entry."""
 
     def __init__(self) -> None:
         self.kept: dict = {}
@@ -528,14 +527,38 @@ def _first_factor(data: _GreensData, rel: str, fk: int, gk: int):
     return int(hits[0]) if len(hits) else None
 
 
-def _labelled_factor(data: _GreensData, rel: str, fk: int, gk: int) -> int:
-    """``_first_factor`` of "L" or "R" on a pair the class labels put
-    rel-below, or an ``InternalError`` where no factor does, as the J scan
+def _factors_both_ways(data: _GreensData, rel: str, fk: int, gk: int) -> tuple[int, int]:
+    """``_first_factor`` of "L" or "R" each way on a pair the class labels
+    relate, or an ``InternalError`` where no factor reaches, as the J scan
     raises."""
-    h = _first_factor(data, rel, fk, gk)
-    if h is None:
-        raise InternalError(f"no factors put {data.members[fk]} {rel}-below {data.members[gk]}")
-    return h
+    found = _first_factor(data, rel, fk, gk), _first_factor(data, rel, gk, fk)
+    if None in found:
+        x, y = (fk, gk) if found[0] is None else (gk, fk)
+        raise InternalError(f"no factors put {data.members[x]} {rel}-below {data.members[y]}")
+    return found
+
+
+def _oracle_witness(data: _GreensData, rel: str, fk: int, gk: int) -> tuple[int, ...] | None:
+    """The oracle's witness of ``rel`` on member positions: the positions of
+    its factors, in ``_FACTORS`` order, or None.  The class quotient decides;
+    the factors are ``_first_factor``'s scans, run only on a pair the
+    quotient relates (for J, both ways).  ``_oracle_rows`` gives the same
+    rows for many pairs at once."""
+    r_of, l_of, h_first = data.classes[:3]
+    if rel in ("L", "R"):
+        labels = l_of if rel == "L" else r_of
+        return _factors_both_ways(data, rel, fk, gk) if labels[fk] == labels[gk] else None
+    if rel == "D":
+        # the first member L-related to f and R-related to g
+        mk = h_first[r_of[gk]][l_of[fk]]
+        if mk < 0:
+            return None
+        return (mk, *_factors_both_ways(data, "L", fk, mk),
+                *_factors_both_ways(data, "R", mk, gk))
+    j_below = data.j_below
+    if not (j_below[r_of[fk]][l_of[gk]] and j_below[r_of[gk]][l_of[fk]]):
+        return None
+    return (*_first_factor(data, "J", fk, gk), *_first_factor(data, "J", gk, fk))
 
 
 def _first_factors(table: np.ndarray, rel: str, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -562,7 +585,7 @@ def _first_j_factors(data: _GreensData, f: np.ndarray, g: np.ndarray):
 
 def _oracle_rows(data: _GreensData, rel: str, pairs: np.ndarray):
     """The oracle witnesses of ``rel`` on many pairs of member positions
-    (``pairs``, a row a pair), each the one its position core gives: the
+    (``pairs``, a row a pair), each the one ``_oracle_witness`` gives: the
     rows (k, f, g, *factors) of the related pairs k, in pair order, as C
     ints; the capped pairs (none); and the faults (k, message), a J pair
     the class quotient puts J-below with no factors, as in ``_first_factor``.
@@ -623,25 +646,25 @@ def _oracle_rows(data: _GreensData, rel: str, pairs: np.ndarray):
 
 def _theorem_rows(data: _GreensData, rel: str, pairs: np.ndarray, cap: int, facts: _Unkept):
     """The theorem witnesses of ``rel`` on many pairs of member positions
-    (``pairs``, a row a pair), each the one its position core gives, as
+    (``pairs``, a row a pair), each the one the public checker gives, as
     ``_oracle_rows`` returns them: the rows of the related pairs, the
     capped pairs, and the faults (k, message).
 
-    The search of ``rel`` runs once per key group of the pairs (the pair's
-    theorem keys, ``_GreensData.theorem_keys``, on which alone it depends),
-    on the group's first pair with a budget of ``cap``, and the build once
-    per pair of a related group, both through ``facts``.  A capped group
-    caps each of its pairs and a search's ``InternalError`` is a fault at
-    each; a build's is a fault at its own pair.
+    The search of ``rel`` (``_search``) runs once per key group of the
+    pairs (the pair's theorem keys, ``_GreensData.theorem_keys``, on which
+    alone it depends), on the group's first pair with a budget of ``cap``,
+    and the build (``_build``) once per pair of a related group, both with
+    ``facts``.  A capped group caps each of its pairs and a search's
+    ``InternalError`` is a fault at each; a build's is a fault at its own
+    pair.
     """
-    search, build = (globals()[name] for name in _POSITION_FNS[rel][1:])
     keys = np.asarray(data.theorem_keys[rel])
     _, first, group_of = np.unique(keys[pairs[:, 0]] * len(keys) + keys[pairs[:, 1]],
                                    return_index=True, return_inverse=True)
     outcomes = []
     for fk, gk in pairs[first].tolist():
         try:
-            outcomes.append(search(data, rel, fk, gk, cap, facts))
+            outcomes.append(_search(data, rel, fk, gk, cap, facts))
         except (ResourceLimitError, InternalError) as exc:
             outcomes.append(exc)
     # per group: unrelated, capped, or found (or a fault), at each of its pairs
@@ -655,7 +678,7 @@ def _theorem_rows(data: _GreensData, rel: str, pairs: np.ndarray, cap: int, fact
             faults.append((k, str(outcome)))
             continue
         try:
-            found.extend((k, fk, gk, *build(data, rel, fk, gk, outcome, facts)))
+            found.extend((k, fk, gk, *_build(data, rel, fk, gk, outcome, facts)))
         except InternalError as exc:
             faults.append((k, str(exc)))
     rows = np.frombuffer(found, dtype=np.intc).reshape(-1, 3 + len(_FACTORS[rel]))
@@ -684,62 +707,34 @@ def _l_one_sided_theorem(
 def _related(
     rel: str, f: FiniteMap, g: FiniteMap, inst: Instance, mode: str, cap: int
 ) -> GreenWitness | None:
-    """The one front end of ``l_related`` to ``j_related``: the position
-    core of ``rel`` on the member positions of f and g."""
+    """The one front end of ``l_related`` to ``j_related``: on the member
+    positions of f and g, the oracle's witness of ``rel``, or its theorem
+    search and build, handed ``_UNKEPT``."""
     _check_mode(mode)
     if cap < 0:
         raise InvalidArgumentError(f"cap must be non-negative, got {cap}")
     data = _greens_data(inst)
     fk, gk = require_member(f, inst), require_member(g, inst)
-    found = globals()[_POSITION_FNS[rel][0]](data, rel, mode, fk, gk, cap)
+    if mode == "oracle":
+        found = _oracle_witness(data, rel, fk, gk)
+    else:
+        found = _search(data, rel, fk, gk, cap, _UNKEPT)
+        if found is not None:
+            found = _build(data, rel, fk, gk, found, _UNKEPT)
     if found is None:
         return None
     members = data.members
     return GreenWitness(rel, tuple((name, members[k]) for name, k in zip(_FACTORS[rel], found)))
 
 
-# Each relation's position core, theorem search and theorem build, by name:
-# each is looked up on the module when it is called, so a function rebound
-# there is the one called.
-_POSITION_FNS = {
-    "L": ("_one_sided_witness", "_two_way_search", "_two_way_build"),
-    "R": ("_one_sided_witness", "_two_way_search", "_two_way_build"),
-    "D": ("_d_witness", "_d_search", "_d_build"),
-    "J": ("_j_witness", "_two_way_search", "_two_way_build"),
-}
-
-
-def _cores() -> dict[str, Callable]:
-    """Relation letter -> its position core, ``core(data, rel, mode, fk, gk,
-    cap, facts=_UNKEPT)``: the positions of the witness's factors, in
-    ``_FACTORS`` order, or None, the theorem branch's facts read through
-    the memo object ``facts``.  The names are looked up on each call, as
-    ``checkers`` looks up its own, so a core rebound on the module is the
-    one returned.  The public checkers call the cores; the harness's
-    Green's sweep calls none (``_oracle_rows``, ``_theorem_rows``)."""
-    return {rel: globals()[names[0]] for rel, names in _POSITION_FNS.items()}
-
-
-def _one_sided_witness(
-    data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int,
-    facts: _Unkept = _UNKEPT,
-) -> tuple[int, int] | None:
-    """The position core for rel "L" or "R"."""
-    if mode == "oracle":
-        r_of, l_of = data.classes[:2]
-        labels = l_of if rel == "L" else r_of
-        if labels[fk] != labels[gk]:
-            return None
-        return _labelled_factor(data, rel, fk, gk), _labelled_factor(data, rel, gk, fk)
-    found = _two_way_search(data, rel, fk, gk, cap, facts)
-    return None if found is None else _two_way_build(data, rel, fk, gk, found, facts)
-
-
-def _two_way_search(
-    data: _GreensData, rel: str, fk: int, gk: int, cap: int, facts: _Unkept = _UNKEPT
-) -> tuple | None:
-    """The theorem search for rel "L", "R" or "J": its one-sided search each
-    way, on one budget of ``cap``, or None."""
+def _search(data: _GreensData, rel: str, fk: int, gk: int, cap: int, facts: _Unkept):
+    """The theorem search of ``rel`` on one budget of ``cap``, or None: for
+    "D" ``_d_theorem_search``; for "L", "R" and "J" the one-sided search
+    each way, each read through ``facts``.  A caller deciding many pairs
+    runs one search per pair of theorem keys, which is D's only key, so a
+    memo would never answer a D search."""
+    if rel == "D":
+        return _d_theorem_search(data, fk, gk, cap, [cap])
     if rel == "R" and data.geometry.kernels[fk] != data.geometry.kernels[gk]:
         return None
     search = (_l_one_sided_theorem if rel == "L" else _r_one_sided_theorem if rel == "R"
@@ -752,17 +747,32 @@ def _two_way_search(
     return None if backward is None else (forward, backward)
 
 
-def _two_way_build(
-    data: _GreensData, rel: str, fk: int, gk: int, found: tuple, facts: _Unkept = _UNKEPT
+def _build(
+    data: _GreensData, rel: str, fk: int, gk: int, found: tuple, facts: _Unkept
 ) -> tuple[int, ...]:
-    """The theorem build for rel "L", "R" or "J": the factors each way from
-    what the search found, each builder checking its factors' characters."""
-    forward, backward = found
+    """The theorem build of ``rel`` from what ``_search`` found: the factors'
+    positions, in ``_FACTORS`` order, each builder read through ``facts``
+    and checking its factors' characters.  For "L", "R" and "J" the factors
+    each way; for "D" the middle of the class bijection and the four
+    one-sided factors tying it to f and g."""
+    get = facts.get
     if rel == "J":
-        return (*facts.get(_j_factors, data, fk, gk, *forward),
-                *facts.get(_j_factors, data, gk, fk, *backward))
-    build = _left_factor if rel == "L" else _right_factor
-    return facts.get(build, data, fk, gk, forward), facts.get(build, data, gk, fk, backward)
+        return (*get(_j_factors, data, fk, gk, *found[0]),
+                *get(_j_factors, data, gk, fk, *found[1]))
+    if rel != "D":
+        build = _left_factor if rel == "L" else _right_factor
+        return get(build, data, fk, gk, found[0]), get(build, data, gk, fk, found[1])
+    a, b, c, matched = found
+    kernels = data.geometry.kernels
+    pairing = tuple((kernels[fk][mk], kernels[gk][nk]) for mk, nk in enumerate(matched))
+    mk = _d_middle(data, fk, gk, c, pairing)
+    # gamma R chi(g), and gamma is the middle's character: each divides the other
+    u = data.si_facts.right_divisors(data.char_ids[gk], data.char_ids[mk])
+    v = data.si_facts.right_divisors(data.char_ids[mk], data.char_ids[gk])
+    if not (u and v):
+        raise InternalError("R-divisibility promised by the search but not found")
+    return (mk, get(_left_factor, data, fk, mk, a), get(_left_factor, data, mk, fk, b),
+            get(_right_factor, data, mk, gk, u[0]), get(_right_factor, data, gk, mk, v[0]))
 
 
 def l_related(
@@ -803,8 +813,7 @@ def _r_one_sided_theorem(
     data: _GreensData, fk: int, gk: int, cap: int, budget: list[int]
 ) -> int | None:
     """Position of the first beta with chi(f) = chi(g)*beta, once the R
-    criterion's gate in ``_one_sided_witness`` has found the two kernels
-    equal.
+    criterion's gate in ``_search`` has found the two kernels equal.
 
     The betas are the right divisors of chi(f) by chi(g); the one taken
     spends one unit of budget.
@@ -949,48 +958,6 @@ def d_related(
     return _related("D", f, g, inst, mode, cap)
 
 
-def _d_witness(
-    data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int,
-    facts: _Unkept = _UNKEPT,
-) -> tuple[int, ...] | None:
-    """The position core for rel "D"."""
-    if mode == "oracle":
-        # the first member L-related to f and R-related to g
-        r_of, l_of, h_first = data.classes[:3]
-        mk = h_first[r_of[gk]][l_of[fk]]
-        if mk < 0:
-            return None
-        return (mk, _labelled_factor(data, "L", fk, mk), _labelled_factor(data, "L", mk, fk),
-                _labelled_factor(data, "R", mk, gk), _labelled_factor(data, "R", gk, mk))
-    found = _d_search(data, rel, fk, gk, cap, facts)
-    return None if found is None else _d_build(data, rel, fk, gk, found, facts)
-
-
-def _d_search(
-    data: _GreensData, rel: str, fk: int, gk: int, cap: int, facts: _Unkept = _UNKEPT
-) -> tuple[int, int, int, tuple[int, ...]] | None:
-    """The theorem search for rel "D": ``_d_theorem_search`` on a budget of ``cap``."""
-    return facts.search(rel, _d_theorem_search, data, fk, gk, cap, [cap])
-
-
-def _d_build(
-    data: _GreensData, rel: str, fk: int, gk: int, found: tuple, facts: _Unkept = _UNKEPT
-) -> tuple[int, ...]:
-    """The theorem build for rel "D": the middle of the search's class
-    bijection and the four one-sided factors tying it to f and g."""
-    a, b, c, matched = found
-    kernels, get = data.geometry.kernels, facts.get
-    pairing = tuple((kernels[fk][mk], kernels[gk][nk]) for mk, nk in enumerate(matched))
-    mk = _d_middle(data, fk, gk, c, pairing)
-    # gamma R chi(g), and gamma is the middle's character: each divides the other
-    u = data.si_facts.right_divisors(data.char_ids[gk], data.char_ids[mk])
-    v = data.si_facts.right_divisors(data.char_ids[mk], data.char_ids[gk])
-    if not (u and v):
-        raise InternalError("R-divisibility promised by the search but not found")
-    return (mk, get(_left_factor, data, fk, mk, a), get(_left_factor, data, mk, fk, b),
-            get(_right_factor, data, mk, gk, u[0]), get(_right_factor, data, gk, mk, v[0]))
-
-
 def build_d_middle(
     f: FiniteMap,
     g: FiniteMap,
@@ -1093,22 +1060,6 @@ def j_related(
     """J-relatedness: the first factor pairs of both directions, or the
     structural search, whose phi assignments ``cap`` bounds."""
     return _related("J", f, g, inst, mode, cap)
-
-
-def _j_witness(
-    data: _GreensData, rel: str, mode: str, fk: int, gk: int, cap: int,
-    facts: _Unkept = _UNKEPT,
-) -> tuple[int, ...] | None:
-    """The position core for rel "J"."""
-    if mode == "oracle":
-        # each factor scan runs only on a pair the class quotient puts J-below
-        r_of, l_of = data.classes[:2]
-        found = data.j_below[r_of[gk]][l_of[fk]] and _first_factor(data, "J", fk, gk)
-        if not found:
-            return None
-        return (*found, *_first_factor(data, "J", gk, fk))
-    found = _two_way_search(data, rel, fk, gk, cap, facts)
-    return None if found is None else _two_way_build(data, rel, fk, gk, found, facts)
 
 
 def checkers() -> dict[str, Callable[..., GreenWitness | None]]:

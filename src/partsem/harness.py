@@ -30,7 +30,7 @@ checkers themselves.  The sweep decides its codes when a suite first reads
 them: a one-byte outcome code per pair of its ``pairs``, relation and mode
 (unrelated, capped, replays, fails to replay, or a fault: an
 ``InternalError``).  It runs on member positions from end to end, with no
-member lookup, no public checker, no position core and no
+member lookup, no public checker, no oracle witness and no
 ``GreenWitness``, one relation and mode at a time: the oracle's witnesses
 come from ``greens._oracle_rows``, the class quotient's verdicts and first
 factors for every pair at once, by array gathers a block of pairs at a
@@ -45,8 +45,8 @@ the public front end the sweep skips (``_public_front_end``): per relation
 and mode, the public checker on one replaying pair must give a witness
 that ``greens.verify_witness`` replays.  Every theorem search and build of
 an entry is handed the one memo object (``greens._Kept``) that ``codes``
-makes and owns: each search and builder then runs once per entry, and is
-dropped when ``codes`` is left.  The three suites read the codes as one
+makes and owns: each one-sided search and builder then runs once per
+entry, and is dropped when ``codes`` is left.  The three suites read the codes as one
 array: each counts its checks, capped checks and failures (a fault is one)
 with NumPy and records the first failure, row-major, as every suite that
 tests a mask of member pairs does (``_fail_rows``); a record with failing
@@ -84,7 +84,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InternalError, InvalidArgumentError, ResourceLimitError
-from .finite_maps import FiniteMap, _first_equal, collapse_defect, compose
+from .finite_maps import FiniteMap, _first_equal, collapse_defect, is_idempotent_def
 from .partition_action import (
     Partition,
     block_maps,
@@ -594,7 +594,7 @@ def _inner_inverse_construction(entry, tally, sweep):
 @_suite("idempotent-equivalence")
 def _idempotent_equivalence(entry, tally, sweep):
     for f in enumerate_elements(entry.instance):
-        tally.check((compose(f, f) == f) == is_idempotent_characterized(f, entry.instance),
+        tally.check(is_idempotent_def(f) == is_idempotent_characterized(f, entry.instance),
                     "direct and structural idempotency disagree", f=f)
 
 
@@ -703,7 +703,7 @@ class _GreensSweep:
     when a suite first reads ``codes``.
 
     For each pair of ``pairs``, each relation of ``greens.checkers()`` and
-    each mode, ``codes[k, r, m]`` keeps only the outcome its position core
+    each mode, ``codes[k, r, m]`` keeps only the outcome its public checker
     would give on the pair's member positions, at ``greens.DEFAULT_PHI_CAP``,
     found for all pairs of a relation and mode at once: by
     ``greens._oracle_rows``, array gathers on the class quotient and the

@@ -220,26 +220,23 @@ def _idempotent_verdicts(inst: Instance) -> list[bool]:
     """Per member, the idempotency criterion's verdict, decided for every
     member in one pass on first use and kept on the derived data.
 
-    chi(f) is idempotent on the index table's diagonal at the member's
-    ``char_ids`` entry; the block test implies it (X_i f inside X_{chi(i)} f
-    puts X_{chi(i)} f, which lies in X_{chi(chi(i))}, in X_{chi(i)}), and it
-    is kept as the criterion states it.  As X_i f lies in X_{chi(i)}, every
-    X_i f is inside X_{chi(i)} f exactly when every block X_j meets the
-    image of f inside X_j f: the diagonal of the members' block fits
+    The paper's first conjunct, chi(f) idempotent, is implied by the block
+    test and not read: X_i f inside X_{chi(i)} f puts X_{chi(i)} f, which
+    lies in X_{chi(chi(i))}, in X_{chi(i)}.  As X_i f lies in X_{chi(i)},
+    every X_i f is inside X_{chi(i)} f exactly when every block X_j meets
+    the image of f inside X_j f: the diagonal of the members' block fits
     (``_Geometry.block_fits``).  x lies in a block chi(f) fixes exactly
     when f(x) lies in the block of x, and f*f = f is read there by one
     gather on the members' image array.
     """
     d = inst.derived
     if d.idempotent_verdicts is None:
-        chi = np.array(d.char_ids, dtype=np.intp)
         diagonal = np.arange(inst.partition.degree)
-        images = np.array(d.geometry.images, dtype=np.intp).reshape(len(chi), -1)
+        images = np.array(d.geometry.images, dtype=np.intp).reshape(len(d.char_ids), -1)
         block_of = np.array(inst.partition._block_lookup)
         settled = (np.take_along_axis(images, images, axis=1) == images) | (
             block_of[images] != block_of)
-        verdicts = ((inst.si.table[chi, chi] == chi)
-                    & d.geometry.block_fits[:, diagonal, diagonal].all(axis=1)
+        verdicts = (d.geometry.block_fits[:, diagonal, diagonal].all(axis=1)
                     & settled.all(axis=1))
         d.idempotent_verdicts = verdicts.tolist()
     return d.idempotent_verdicts

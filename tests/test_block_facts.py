@@ -7,6 +7,8 @@ image sets) on every call.  Every member of every instance below must get
 the same verdicts and witness sets from both.
 """
 
+from collections import Counter
+
 import pytest
 
 from partsem import (
@@ -132,9 +134,7 @@ def test_the_idempotency_verdicts_match_the_block_map_code_and_the_definition():
     """The verdict list the idempotency criterion reads, built for the whole
     instance at once, against the reference and the definition on every
     member of the max_n 4 catalog and of the two scale-n5 instances."""
-    instances = [e.instance for e in build_catalog(4, seed=7).entries]
-    instances += [_full([[0, 1], [2], [3], [4]]), _full([[0, 1, 2, 3], [4]])]
-    for inst in instances:
+    for inst in _max_n4_and_scale_n5():
         try:
             members = enumerate_elements(inst)
             expected = [_reference_is_idempotent_characterized(f, inst) for f in members]
@@ -142,6 +142,36 @@ def test_the_idempotency_verdicts_match_the_block_map_code_and_the_definition():
             assert verdicts == expected == [is_idempotent_def(f) for f in members], inst
         finally:
             inst.drop_derived()
+
+
+def test_the_block_test_implies_an_idempotent_character():
+    """The idempotency criterion's block test, X_i f inside X_{chi(i)} f for
+    every block X_i, implies its first conjunct, chi(f) idempotent, which
+    the verdict list therefore does not read: on every member of the max_n
+    4 catalog, of the two scale-n5 instances and of T_5, from the images
+    alone.  Members whose character is not idempotent occur, and each fails
+    the block test."""
+    seen = Counter()
+    for inst in (*_max_n4_and_scale_n5(), _full([[0], [1], [2], [3], [4]])):
+        p = inst.partition
+        try:
+            for f in enumerate_elements(inst):
+                chi = character(f, p).images
+                image_of = [{f.images[x] for x in block} for block in p.blocks]
+                fits = all(image_of[i] <= image_of[chi[i]] for i in range(p.degree))
+                idempotent = all(chi[chi[i]] == chi[i] for i in range(p.degree))
+                assert idempotent or not fits, (inst, f)
+                seen[fits, idempotent] += 1
+        finally:
+            inst.drop_derived()
+    assert sum(seen.values()) == 9553
+    assert seen[True, True] and seen[False, False] and seen[False, True]
+
+
+def _max_n4_and_scale_n5():
+    """Every instance of the max_n 4 catalog, then the two scale-n5 instances."""
+    yield from (e.instance for e in build_catalog(4, seed=7).entries)
+    yield from (_full([[0, 1], [2], [3], [4]]), _full([[0, 1, 2, 3], [4]]))
 
 
 @pytest.mark.parametrize(

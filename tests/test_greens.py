@@ -1289,6 +1289,31 @@ class TestBulkOracle:
             w = j_related(f, g, inst, mode="oracle")
             assert row == [*pairs[k].tolist(), *(data.index[h.images] for _, h in w.factors)]
 
+    def test_the_public_j_oracle_scans_only_pairs_the_quotient_relates(self, monkeypatch):
+        """On every ordered pair of the 64-member instance over two blocks of
+        two, the public J oracle checker makes no ``_first_factor`` scan
+        unless the class quotient puts the pair J-below both ways, and then
+        one scan each way; pairs J-below one way only occur."""
+        inst = Instance(Partition.of([[0, 1], [2, 3]]), IndexSemigroup.full(2))
+        data = _greens_data(inst)
+        r_of, l_of = data.classes[:2]
+        scans, real = [], greens._first_factor
+
+        def scan(data, rel, fk, gk):
+            scans.append((rel, fk, gk))
+            return real(data, rel, fk, gk)
+
+        monkeypatch.setattr(greens, "_first_factor", scan)
+        one_way = 0
+        for fk, gk in itertools.product(range(len(data.members)), repeat=2):
+            below = data.j_below[r_of[fk]][l_of[gk]], data.j_below[r_of[gk]][l_of[fk]]
+            one_way += below[0] != below[1]
+            scans.clear()
+            w = j_related(data.members[fk], data.members[gk], inst, mode="oracle")
+            assert (w is not None) == all(below)
+            assert scans == ([("J", fk, gk), ("J", gk, fk)] if all(below) else [])
+        assert one_way > 0
+
     def test_temporaries_stay_within_one_row_block(self):
         """On the 256-member T_4 entry, every ordered pair (the exhaustive
         max_n 4 step's largest entry), each relation's bulk oracle allocates

@@ -408,23 +408,33 @@ def _verdict_keys(data, rel, mode):
 
 
 def _spoil(monkeypatch, rel, spoil):
-    """Rebind the position core of ``rel``, and the sweep's bulk functions
-    on the pairs of ``rel`` (``greens._oracle_rows`` and
-    ``greens._theorem_rows``), to give ``spoil(data, fk, gk, mode, found)``
-    on each pair for the factor positions or None ``found`` of the real
-    one; a spoil raising ``ResourceLimitError`` caps its pair in the sweep,
-    and a pair the real one capped or faulted is left so.  The sweep and the
-    public checkers both see the spoil; L and R share one core, and a
-    second spoil of it wraps the first."""
-    name = greens._cores()[rel].__name__
-    real = getattr(greens, name)
+    """Rebind the public checkers' front end (``greens._related``) on
+    ``rel``, and the sweep's bulk functions on the pairs of ``rel``
+    (``greens._oracle_rows`` and ``greens._theorem_rows``), to give
+    ``spoil(data, fk, gk, mode, found)`` on each pair for the factor
+    positions or None ``found`` of the real one; a spoil raising
+    ``ResourceLimitError`` caps its pair in the sweep, and a pair the real
+    one capped or faulted is left so.  The sweep and the public checkers
+    both see the spoil; every relation shares the front end, and a second
+    spoil wraps the first."""
+    real = greens._related
 
     @wraps(real)
-    def core(data, core_rel, mode, fk, gk, cap, facts=greens._UNKEPT):
-        found = real(data, core_rel, mode, fk, gk, cap, facts)
-        return spoil(data, fk, gk, mode, found) if core_rel == rel else found
+    def related(front_rel, f, g, inst, mode, cap):
+        w = real(front_rel, f, g, inst, mode, cap)
+        if front_rel != rel:
+            return w
+        data = greens._greens_data(inst)
+        found = None if w is None else tuple(
+            ensemble.require_member(h, inst) for _, h in w.factors)
+        found = spoil(data, ensemble.require_member(f, inst), ensemble.require_member(g, inst),
+                      mode, found)
+        if found is None:
+            return None
+        return greens.GreenWitness(rel, tuple(
+            (name, data.members[k]) for name, k in zip(greens._FACTORS[rel], found)))
 
-    monkeypatch.setattr(greens, name, core)
+    monkeypatch.setattr(greens, "_related", related)
     for mode, bulk in zip(harness._MODES, ("_oracle_rows", "_theorem_rows")):
         real_rows = getattr(greens, bulk)
 
@@ -452,30 +462,29 @@ def _spoil(monkeypatch, rel, spoil):
         monkeypatch.setattr(greens, bulk, rows_of)
 
 
-def _spy_on_cores(monkeypatch, spy):
-    """Rebind each position core to call ``spy(data, rel, mode, fk, gk,
-    facts)`` and then itself."""
-    for name in {core.__name__ for core in greens._cores().values()}:
-        real = getattr(greens, name)
+def _spy_on_front_end(monkeypatch, spy):
+    """Rebind the public checkers' front end (``greens._related``) to call
+    ``spy(data, rel, mode, fk, gk)`` and then itself."""
+    real = greens._related
 
-        @wraps(real)
-        def core(data, rel, mode, fk, gk, cap, facts=greens._UNKEPT, _real=real):
-            spy(data, rel, mode, fk, gk, facts)
-            return _real(data, rel, mode, fk, gk, cap, facts)
+    @wraps(real)
+    def related(rel, f, g, inst, mode, cap):
+        spy(greens._greens_data(inst), rel, mode, ensemble.require_member(f, inst),
+            ensemble.require_member(g, inst))
+        return real(rel, f, g, inst, mode, cap)
 
-        monkeypatch.setattr(greens, name, core)
+    monkeypatch.setattr(greens, "_related", related)
 
 
 def _spy_on_halves(monkeypatch, spy):
-    """Rebind each theorem search and build to call ``spy(kind, data, rel,
-    fk, gk)``, kind "search" or "build", and then itself."""
-    halves = {(kind, name) for names in greens._POSITION_FNS.values()
-              for kind, name in zip(("search", "build"), names[1:])}
-    for kind, name in halves:
+    """Rebind the theorem search and build (``greens._search``,
+    ``greens._build``) to call ``spy(kind, data, rel, fk, gk, facts)``, kind
+    "search" or "build", and then itself."""
+    for kind, name in (("search", "_search"), ("build", "_build")):
         real = getattr(greens, name)
 
-        def half(data, rel, fk, gk, arg, facts=greens._UNKEPT, _real=real, _kind=kind):
-            spy(_kind, data, rel, fk, gk)
+        def half(data, rel, fk, gk, arg, facts, _real=real, _kind=kind):
+            spy(_kind, data, rel, fk, gk, facts)
             return _real(data, rel, fk, gk, arg, facts)
 
         monkeypatch.setattr(greens, name, half)
@@ -531,7 +540,7 @@ class TestGreensSweep:
     group; the agreement, replay and T(X, P) suites read its codes."""
 
     def test_each_verdict_is_decided_at_most_once_and_where_it_holds(self, monkeypatch):
-        """The sweep's call contract, over a whole run: no position core
+        """The sweep's call contract, over a whole run: no public front end
         and no ``_first_factor`` scan is called while a sweep decides its
         codes, as the oracle's come in bulk; each theorem search runs once
         per key group of the entry's pairs (the codes and keys as the run's
@@ -539,20 +548,21 @@ class TestGreensSweep:
         once per pair whose search found a witness, whose code is then
         replays or fails to replay; fewer searches than pairs in all.  Calls
         are keyed by the entry's Green's data, which the kept sweeps keep
-        alive.  Every core call, handed no memo, is the public front-end
-        check's, one per entry, relation and mode with a replaying pair, each
-        on such a pair."""
+        alive.  Every front-end call is the public front-end check's, one per
+        entry, relation and mode with a replaying pair, each on such a pair,
+        and every search and build outside a sweep is handed no memo."""
         catalog = build_catalog(3, seed=7)
         swept, front, halves = Counter(), Counter(), Counter()
         sweeps, inside = _keep_sweeps(monkeypatch)
 
-        def spy(data, rel, mode, fk, gk, facts):
-            assert facts is greens._UNKEPT
+        def spy(data, rel, mode, fk, gk):
             (swept if inside else front)[(id(data), fk, gk, rel, mode)] += 1
 
-        def on_half(kind, data, rel, fk, gk):
+        def on_half(kind, data, rel, fk, gk, facts):
             if inside:
                 halves[kind, id(data), fk, gk, rel] += 1
+            else:
+                assert facts is greens._UNKEPT
 
         real_scan = greens._first_factor
 
@@ -560,7 +570,7 @@ class TestGreensSweep:
             swept["_first_factor"] += bool(inside)
             return real_scan(data, *args)
 
-        _spy_on_cores(monkeypatch, spy)
+        _spy_on_front_end(monkeypatch, spy)
         _spy_on_halves(monkeypatch, on_half)
         monkeypatch.setattr(greens, "_first_factor", scan)
         assert run_all(catalog).failures == 0
@@ -638,12 +648,12 @@ class TestGreensSweep:
     def test_sweep_composes_no_map(self, monkeypatch):
         """The sweep calls the bulk oracle and the theorem rows on member
         positions and replays their rows in bulk: no ``require_member``, no
-        public checker, no position core, no ``verify_witness`` and no
-        ``compose``.  A public checker call looks
-        its pair up in the member index, once per map, runs its core once
-        and composes no map either; greens does not import ``compose`` at
-        all."""
-        assert not hasattr(greens, "compose")
+        public checker, no front end, no oracle witness, no
+        ``verify_witness`` and no ``compose``.  A public oracle checker call
+        looks its pair up in the member index, once per map, runs its front
+        end and its oracle witness once each and composes no map either;
+        neither greens nor harness imports ``compose`` at all."""
+        assert not hasattr(greens, "compose") and not hasattr(harness, "compose")
         calls = Counter()
 
         def spy(name, real):
@@ -655,12 +665,13 @@ class TestGreensSweep:
         monkeypatch.setattr(greens, "require_member", spy("require_member", greens.require_member))
         monkeypatch.setattr(greens, "verify_witness",
                             spy("verify_witness", greens.verify_witness))
-        for module in (finite_maps, harness):
-            monkeypatch.setattr(module, "compose", spy("compose", module.compose))
+        monkeypatch.setattr(finite_maps, "compose", spy("compose", finite_maps.compose))
         checkers = greens.checkers()
         for name, checker in checkers.items():
             monkeypatch.setattr(greens, f"{name.lower()}_related", spy("checker", checker))
-        _spy_on_cores(monkeypatch, lambda *args: calls.update(["core"]))
+        _spy_on_front_end(monkeypatch, lambda *args: calls.update(["front end"]))
+        monkeypatch.setattr(greens, "_oracle_witness",
+                            spy("oracle witness", greens._oracle_witness))
         for name in ("_oracle_rows", "_theorem_rows"):
             monkeypatch.setattr(greens, name, spy("bulk", getattr(greens, name)))
         catalog = build_catalog(3, seed=7)
@@ -672,7 +683,8 @@ class TestGreensSweep:
         f = enumerate_elements(inst)[0]
         w = checkers["L"](greens.FiniteMap(f.domain_size, f.codomain_size, f.images), f, inst)
         assert w is not None and greens.verify_witness(w, f, f)
-        assert calls == Counter({"require_member": 2, "core": 1, "verify_witness": 1})
+        assert calls == Counter({"require_member": 2, "front end": 1, "oracle witness": 1,
+                                 "verify_witness": 1})
 
     def test_a_spoiled_public_checker_fails_the_replay_suite_only(self, monkeypatch):
         """The public L checker giving None, or a witness with its "gf"
@@ -709,7 +721,7 @@ class TestGreensSweep:
             assert _untimed(r for r in report.records if r.suite == name) == expected[name]
 
     def test_flipped_j_theorem_verdict_fails_where_it_did(self, monkeypatch):
-        """The J theorem core flipped: a found witness dropped, and on an
+        """The J theorem route flipped: a found witness dropped, and on an
         unrelated pair a row of member 0, which cannot replay there."""
         def flip(data, fk, gk, mode, found):
             if mode != "theorem":

@@ -2,12 +2,14 @@
 
 ``harness._GreensSweep.codes`` makes one per entry and hands it to every
 theorem search and build it calls: the builders are read through it by
-member positions, and the L, R, D and J searches by the pair's theorem
-keys.  The oracle's factor scans are never read through one: the sweep
-finds its oracle factors in bulk and the cores scan directly.  Each fact is
-then computed at most once per entry, every core gives what it gives
-without one, caps included, and the memo lives only as long as ``codes``;
-the public checkers hand the cores none.
+member positions, and the one-sided L, R and J searches by the pair's
+theorem keys.  The D search is not: the sweep runs one per key group, and
+the pair's theorem keys are its only key.  The oracle's factor scans are
+never read through one: the sweep finds its oracle factors in bulk and the
+oracle witness scans directly.  Each fact is then computed at most once
+per entry, every search and build gives what it gives without one, caps
+included, and the memo lives only as long as ``codes``; the public
+checkers hand their searches and builds none.
 """
 
 import gc
@@ -29,10 +31,10 @@ from partsem import (
 )
 
 # the kept functions: the builders by the positions they take, and the
-# searches by the pair's theorem keys of their relation
+# one-sided searches by the pair's theorem keys of their relation
 POSITIONS = ("_left_factor", "_right_factor", "_j_factors")
 SEARCHES = {"_l_one_sided_theorem": "L", "_r_one_sided_theorem": "R",
-            "_d_theorem_search": "D", "_j_one_sided_theorem": "J"}
+            "_j_one_sided_theorem": "J"}
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +47,11 @@ def _identity_entries(catalog):
 
 
 def _count_runs(monkeypatch, keep=True):
-    """Every run of a kept function read through a memo object made from
-    now on (``greens._Kept()``, as the sweep and the tests make them),
-    counted by (memo, function, key): the arguments it takes after the
-    Green's data, or for a search the theorem keys of its pair.  With
+    """Every run of a kept function, or of a factor scan or a D search
+    (which none should read), read through a memo object made from now on
+    (``greens._Kept()``, as the sweep and the tests make them), counted by
+    (memo, function, key): the arguments it takes after the Green's data,
+    or for a one-sided search the theorem keys of its pair.  With
     ``keep`` False each such object keeps nothing, as ``greens._UNKEPT``."""
     runs, memos, inside = Counter(), itertools.count(), []
 
@@ -83,20 +86,15 @@ def _count_runs(monkeypatch, keep=True):
         return run
 
     monkeypatch.setattr(greens, "_Kept", Counted)
-    for name in ("_first_factor", *POSITIONS, *SEARCHES):
+    for name in ("_first_factor", "_d_theorem_search", *POSITIONS, *SEARCHES):
         monkeypatch.setattr(greens, name, spy(name, getattr(greens, name)))
     return runs
 
 
-def _count_sweep_scans(monkeypatch):
-    """The runs of ``greens._first_factor`` while a sweep decides its codes,
-    counted from now on."""
-    scans, inside = Counter(), []
-    real_scan, real_codes = greens._first_factor, harness._GreensSweep.codes.func
-
-    def scan(data, *args):
-        scans["in sweeps"] += bool(inside)
-        return real_scan(data, *args)
+def _inside_codes(monkeypatch):
+    """A list that holds the sweep deciding its codes, while one does, from
+    now on."""
+    inside, real_codes = [], harness._GreensSweep.codes.func
 
     def codes(sweep):
         inside.append(sweep)
@@ -108,6 +106,19 @@ def _count_sweep_scans(monkeypatch):
     prop = cached_property(codes)
     prop.__set_name__(harness._GreensSweep, "codes")
     monkeypatch.setattr(harness._GreensSweep, "codes", prop)
+    return inside
+
+
+def _count_sweep_scans(monkeypatch):
+    """The runs of ``greens._first_factor`` while a sweep decides its codes,
+    counted from now on."""
+    scans, inside = Counter(), _inside_codes(monkeypatch)
+    real_scan = greens._first_factor
+
+    def scan(data, *args):
+        scans["in sweeps"] += bool(inside)
+        return real_scan(data, *args)
+
     monkeypatch.setattr(greens, "_first_factor", scan)
     return scans
 
@@ -117,7 +128,7 @@ def test_each_fact_is_computed_at_most_once_per_entry(catalog3, monkeypatch):
     runs once per distinct key of its entry, no factor scan runs through a
     memo or in a sweep, and the records are those of a run whose sweeps
     keep nothing, where facts are computed again (2.2× as many runs as
-    distinct keys)."""
+    distinct keys).  No D search is read through a memo."""
     unkept = _count_runs(monkeypatch, keep=False)
     report = run_all(catalog3, ["greens-mode-agreement", "greens-witness-replay"])
     assert report.failures == report.capped == 0
@@ -134,28 +145,52 @@ def test_each_fact_is_computed_at_most_once_per_entry(catalog3, monkeypatch):
     assert sum(unkept.values()) > 2 * len(unkept)
 
 
+def test_the_sweep_runs_one_d_search_per_key_group(catalog3, monkeypatch):
+    """Over the sweeps of the max_n 3 catalog, ``_d_theorem_search`` runs
+    exactly once per key group of each entry's pairs (the pair's D theorem
+    keys), so a memo of D searches would never answer one."""
+    runs, groups, inside = Counter(), {}, _inside_codes(monkeypatch)
+    real = greens._d_theorem_search
+
+    def search(data, fk, gk, cap, budget):
+        if inside:
+            sweep, keys = inside[-1], data.theorem_keys["D"]
+            runs[sweep.entry.label, keys[fk], keys[gk]] += 1
+            if sweep.entry.label not in groups:
+                groups[sweep.entry.label] = {(keys[a], keys[b]) for a, b in sweep.pairs.tolist()}
+        return real(data, fk, gk, cap, budget)
+
+    monkeypatch.setattr(greens, "_d_theorem_search", search)
+    assert run_all(catalog3, ["greens-mode-agreement"]).failures == 0
+    assert set(runs.values()) == {1}
+    assert set(runs) == {(label, *key) for label, keys in groups.items() for key in keys}
+    assert len(groups) == len(_identity_entries(catalog3))
+
+
 def _outcomes(inst, cap, facts):
-    """Each position core's outcome in each mode on every ordered pair of
-    members, each fact read through ``facts``: its factor positions, None,
-    or the message of its ``ResourceLimitError``."""
+    """The outcome of each relation in each mode on every ordered pair of
+    members, each fact of the theorem search and build read through
+    ``facts``: its factor positions, None, or the message of its
+    ``ResourceLimitError``."""
     data, size = greens._greens_data(inst), len(enumerate_elements(inst))
     out = []
     for fk, gk in itertools.product(range(size), repeat=2):
-        for rel, core in greens._cores().items():
-            for mode in harness._MODES:
-                try:
-                    out.append(core(data, rel, mode, fk, gk, cap, facts))
-                except ResourceLimitError as exc:
-                    out.append(str(exc))
+        for rel in "LRDJ":
+            out.append(greens._oracle_witness(data, rel, fk, gk))
+            try:
+                found = greens._search(data, rel, fk, gk, cap, facts)
+                out.append(found and greens._build(data, rel, fk, gk, found, facts))
+            except ResourceLimitError as exc:
+                out.append(str(exc))
     return out
 
 
 @pytest.mark.parametrize("cap", [greens.DEFAULT_PHI_CAP, 3], ids=["default-cap", "cap-3"])
 def test_checkers_give_the_same_outcomes_inside_an_open_memo(cap, catalog3, monkeypatch):
-    """On every ordered pair of each max_n 3 identity entry, every core in
-    both modes gives the same factors, or raises the same cap message, with
-    one ``_Kept`` per entry as with ``_UNKEPT``, which the public checkers
-    hand it.  At cap 3 some kept searches spent more than a later call had
+    """On every ordered pair of each max_n 3 identity entry, every relation
+    in both modes gives the same factors, or raises the same cap message,
+    with one ``_Kept`` per entry as with ``_UNKEPT``, which the public
+    checkers hand the theorem search and build.  At cap 3 some kept searches spent more than a later call had
     left, so they ran again and raised there; at the default cap none did."""
     runs = _count_runs(monkeypatch)
     capped = 0
@@ -177,13 +212,13 @@ def _largest_identity_entry(catalog):
 
 
 def _spy_on_memos(monkeypatch, raise_at=None):
-    """Rebind the L/R/J theorem build to note the memo object of each call, by
+    """Rebind the theorem build to note the memo object of each call, by
     weak reference, and to raise on call ``raise_at``; returns the notes:
     the calls, the distinct memos in order with their types, and how many
     facts the memo held after the last call that returned."""
-    notes, real = {"memos": [], "types": [], "kept": 0, "calls": 0}, greens._two_way_build
+    notes, real = {"memos": [], "types": [], "kept": 0, "calls": 0}, greens._build
 
-    def spy(data, rel, fk, gk, found, facts=greens._UNKEPT):
+    def spy(data, rel, fk, gk, found, facts):
         notes["calls"] += 1
         if not notes["memos"] or notes["memos"][-1]() is not facts:
             notes["memos"].append(weakref.ref(facts))
@@ -194,7 +229,7 @@ def _spy_on_memos(monkeypatch, raise_at=None):
         notes["kept"] = len(getattr(facts, "kept", ()))
         return built
 
-    monkeypatch.setattr(greens, "_two_way_build", spy)
+    monkeypatch.setattr(greens, "_build", spy)
     return notes
 
 
@@ -232,20 +267,20 @@ def test_a_core_exception_leaving_codes_drops_its_memo(catalog3, monkeypatch):
 
 
 def test_public_checkers_make_no_memo(catalog3, monkeypatch):
-    """1,000 public checker calls construct no ``_Kept``: each core call is
-    handed ``_UNKEPT``."""
+    """1,000 public checker calls construct no ``_Kept``: each theorem
+    search and build is handed ``_UNKEPT``."""
     entry = _largest_identity_entry(catalog3)
     built = []
     real_init = greens._Kept.__init__
     monkeypatch.setattr(greens._Kept, "__init__",
                         lambda facts: built.append(facts) or real_init(facts))
     handed = set()
-    for name in {core.__name__ for core in greens._cores().values()}:
-        def core(data, rel, mode, fk, gk, cap, facts=greens._UNKEPT, _real=getattr(greens, name)):
+    for name in ("_search", "_build"):
+        def half(data, rel, fk, gk, arg, facts, _real=getattr(greens, name)):
             handed.add(id(facts))
-            return _real(data, rel, mode, fk, gk, cap, facts)
+            return _real(data, rel, fk, gk, arg, facts)
 
-        monkeypatch.setattr(greens, name, core)
+        monkeypatch.setattr(greens, name, half)
     members = enumerate_elements(entry.instance)
     calls = itertools.islice(itertools.product(members, members, greens.checkers().values(),
                                                harness._MODES), 1000)
