@@ -26,12 +26,12 @@ and R-classes (the oracles read the class quotient), so a caller deciding
 many pairs (the harness's Green's sweep) may take one verdict per pair of
 those keys.  On member positions, each relation is decided by three
 functions, each returning positions and called by name: the oracle's
-``_oracle_witness`` (the class quotient's verdict, then the factor scans of
-``_first_factor``, with an ``InternalError`` where the quotient relates a
-pair that no scan reaches) gives the factors of the witness, in the order
-``_FACTORS`` names them, or None; the theorem's ``_search`` reads of the
-pair only its theorem keys, and ``_build`` turns the pair and what the
-search found into factors, validated.  The searches and builds read their
+``_oracle_witness`` (the quotient's verdict, then ``_first_factor``'s
+scans, with an ``InternalError`` where the quotient relates a pair that no
+scan reaches) gives the factors of the witness, in the order ``_FACTORS``
+names them, or None; the theorem's ``_search`` reads of the pair only its
+theorem keys, and ``_build`` turns the pair and what the search found into
+factors, validated.  The searches and builds read their
 facts through the memo object their caller hands them: ``_UNKEPT``, which
 computes each afresh, from the public checkers; from the harness's Green's
 sweep, one ``_Kept`` per entry, which keeps the builders by member positions
@@ -40,9 +40,10 @@ computed once however many pairs use it.  The sweep decides many pairs at
 once (``_oracle_rows``, ``_theorem_rows``): the oracle's factors by array
 gathers on the table and the packed R ideals, a block of pairs at a time,
 and each theorem search once per key group, each build once per related
-pair.  ``l_related`` to ``j_related`` share one front end (``_related``),
-the one place that looks f and g up (``require_member``) and wraps positions
-into a ``GreenWitness``.  Each relation's factor equations have one home
+pair; a related pair with a factor no scan reaches is a fault there.
+``l_related`` to ``j_related`` share one front end (``_related``), the one
+place that looks f and g up (``require_member``) and wraps positions into a
+``GreenWitness``.  Each relation's factor equations have one home
 (``_EQUATIONS``), read by the two replays, which recompute every product and
 never read the table: ``verify_witness``, the public one, composes the image
 tuples of a witness's maps, checking each composition's sizes as ``compose``
@@ -51,15 +52,13 @@ at once on the members' N×n image array, a block of rows at a time, one
 gather per factor.
 The per-instance data keeps, each built once on first use, the left ideals
 of S(I) (only the harness's character descent reads them), the theorem
-keys and the class quotient: part 1 (``classes``), each member's R- and
-L-class (the first member with equal ideal bytes: the members and S(I) are
-monoids, so f lies in its own ideals) and the first member of each H-class, which the L and
-R oracles, the D oracle (its middle element) and the D labels
-(``d_label``, which ``eggbox`` groups by, filling each D-class's grid in
-one pass over its members) read; part 2 (``j_below``), ≤_J on classes,
-built only when a J question asks, from the ideals at the classes' first
-members.
-The J oracles scan the table for factors only on pairs it puts J-below.
+keys and the class quotient, as NumPy arrays: part 1 (``classes``), each
+member's R- and L-class (the first member with equal ideal bytes: the
+members and S(I) are monoids, so f lies in its own ideals) and the first
+member of each H-class, which the D labels (``d_label``, which ``eggbox``
+groups by) read; part 2 (``j_below``), ≤_J on classes, built only when a J
+question asks, from the ideals at the classes' first members.  Its verdict,
+on one pair or on arrays of pairs, has one home: ``_quotient_related``.
 Each member's block facts (block images, kernel classes and the masks of
 the blocks they meet, sorted images, J geometry) come from the members'
 geometry (``inst.derived.geometry``), characters from the positions
@@ -370,9 +369,9 @@ class _GreensData:
         return keys
 
     @cached_property
-    def classes(self) -> tuple[list[int], list[int], list[list[int]], np.ndarray, np.ndarray]:
+    def classes(self) -> tuple[np.ndarray, ...]:
         """The class quotient, part 1: per member its R-class and L-class, in
-        the order of their first members, ``h_first[r][l]``, the first member
+        the order of their first members, ``h_first[r, l]``, the first member
         of H-class (r, l), or -1, and the R- and L-classes' first members."""
         (r_first, r_of), (l_first, l_of) = (
             np.unique(_class_labels(ideals), return_inverse=True)
@@ -381,25 +380,25 @@ class _GreensData:
         cells, first = np.unique(r_of * len(l_first) + l_of, return_index=True)
         h_first = np.full((len(r_first), len(l_first)), -1)
         h_first.flat[cells] = first
-        return r_of.tolist(), l_of.tolist(), h_first.tolist(), r_first, l_first
+        return r_of, l_of, h_first, r_first, l_first
 
     @cached_property
-    def j_below(self) -> list[list[bool]]:
-        """The class quotient, part 2: ``j_below[R(f)][L(g)]`` when f ≤_J g (f
+    def j_below(self) -> np.ndarray:
+        """The class quotient, part 2: ``j_below[R(f), L(g)]`` when f ≤_J g (f
         ≤_R h ≤_L g for some h); ``Rq @ H @ Lq``, as ≤_R and ≤_L are constant on
         classes: H the nonempty H-classes, Rq/Lq the preorders at first members."""
         _, _, h_first, r_first, l_first = self.classes
         # the first members' rows first, so no temporary has a row a member
         rq = _bits(self.r_ideals[r_first], r_first).T != 0
         lq = _bits(self.l_ideals[l_first], l_first).T != 0
-        return (rq @ (np.array(h_first) >= 0) @ lq).tolist()
+        return rq @ (h_first >= 0) @ lq
 
     @cached_property
-    def d_label(self) -> list[int]:
+    def d_label(self) -> np.ndarray:
         """Per member, the first member of its D-class: as D = L∘R, the first
         member of the first L-class its R-class meets in ``h_first``."""
         r_of, _, h_first, _, l_first = self.classes
-        return l_first[(np.array(h_first) >= 0).argmax(axis=1)][r_of].tolist()
+        return l_first[(h_first >= 0).argmax(axis=1)][r_of]
 
 
 def _greens_data(inst: Instance) -> _GreensData:
@@ -511,8 +510,7 @@ def _first_factor(data: _GreensData, rel: str, fk: int, gk: int):
     elif rel == "R":
         hits = (table[gk] == fk).nonzero()[0]
     elif rel == "J":
-        r_of, l_of = data.classes[:2]
-        if not data.j_below[r_of[fk]][l_of[gk]]:
+        if not _quotient_related(data, "≤J", fk, gk):
             return None
         # The first h1 in order whose h1*g has f in its right ideal, then the
         # first h2 with h1*g*h2 = f: the first pair of the row-major scan.
@@ -538,26 +536,37 @@ def _factors_both_ways(data: _GreensData, rel: str, fk: int, gk: int) -> tuple[i
     return found
 
 
+def _quotient_related(data: _GreensData, rel: str, f, g):
+    """Whether the class quotient relates f and g by ``rel`` ("L", "R", "D",
+    "J"), or, for "≤J", puts f J-below g (D = L∘R: H-class (R(g), L(f)) is
+    not empty): on two member positions, or per i on arrays f and g."""
+    r_of, l_of, h_first = data.classes[:3]
+    if rel == "L":
+        return l_of[f] == l_of[g]
+    if rel == "R":
+        return r_of[f] == r_of[g]
+    if rel == "D":
+        return h_first[r_of[g], l_of[f]] >= 0
+    below = data.j_below[r_of[f], l_of[g]]
+    return below if rel == "≤J" else below & data.j_below[r_of[g], l_of[f]]
+
+
 def _oracle_witness(data: _GreensData, rel: str, fk: int, gk: int) -> tuple[int, ...] | None:
     """The oracle's witness of ``rel`` on member positions: the positions of
     its factors, in ``_FACTORS`` order, or None.  The class quotient decides;
     the factors are ``_first_factor``'s scans, run only on a pair the
-    quotient relates (for J, both ways).  ``_oracle_rows`` gives the same
-    rows for many pairs at once."""
-    r_of, l_of, h_first = data.classes[:3]
+    quotient relates (a scan no factor reaches raises ``InternalError``).
+    ``_oracle_rows`` gives the same rows and faults for many pairs at once."""
+    if not _quotient_related(data, rel, fk, gk):
+        return None
     if rel in ("L", "R"):
-        labels = l_of if rel == "L" else r_of
-        return _factors_both_ways(data, rel, fk, gk) if labels[fk] == labels[gk] else None
+        return _factors_both_ways(data, rel, fk, gk)
     if rel == "D":
         # the first member L-related to f and R-related to g
-        mk = h_first[r_of[gk]][l_of[fk]]
-        if mk < 0:
-            return None
+        r_of, l_of, h_first = data.classes[:3]
+        mk = int(h_first[r_of[gk], l_of[fk]])
         return (mk, *_factors_both_ways(data, "L", fk, mk),
                 *_factors_both_ways(data, "R", mk, gk))
-    j_below = data.j_below
-    if not (j_below[r_of[fk]][l_of[gk]] and j_below[r_of[gk]][l_of[fk]]):
-        return None
     return (*_first_factor(data, "J", fk, gk), *_first_factor(data, "J", gk, fk))
 
 
@@ -573,48 +582,38 @@ def _first_factors(table: np.ndarray, rel: str, f: np.ndarray, g: np.ndarray) ->
 def _first_j_factors(data: _GreensData, f: np.ndarray, g: np.ndarray):
     """``_first_factor`` of "J" on arrays of positions, the quotient's
     verdict aside: per i the first pair (h1, h2) of the row-major scan with
-    f[i] = h1*g[i]*h2, and whether an h1 was found."""
+    f[i] = h1*g[i]*h2, or (-1, -1) where no h1 reaches it."""
     table = data.table
     left = data.r_ideals[table[:, g], f >> 3] & _BIT[f & 7]  # [h1, i]: f[i] ≤_R h1*g[i]
     k1 = left.argmax(axis=0)
     found = left[k1, np.arange(len(f))] != 0
     del left
     k2 = (table[table[k1, g]] == f[:, None]).argmax(axis=1)
-    return k1, k2, found
+    return np.where(found, k1, -1), np.where(found, k2, -1)
 
 
 def _oracle_rows(data: _GreensData, rel: str, pairs: np.ndarray):
     """The oracle witnesses of ``rel`` on many pairs of member positions
     (``pairs``, a row a pair), each the one ``_oracle_witness`` gives: the
     rows (k, f, g, *factors) of the related pairs k, in pair order, as C
-    ints; the capped pairs (none); and the faults (k, message), a J pair
-    the class quotient puts J-below with no factors, as in ``_first_factor``.
+    ints; the capped pairs (none); and the faults (k, message), each a pair
+    the quotient relates with a factor that no scan reaches, with the
+    message ``_oracle_witness`` raises on it.
 
-    The verdicts are the quotient's, gathered onto the pairs; the factors
-    are the first ones, by gathers on the table and the packed R ideals
-    (``_first_factors``, ``_first_j_factors``) a block of related pairs at
-    a time, so the temporaries stay within ``ROW_BLOCK_BYTES`` besides the
-    rows.  A one-sided factor that no h reaches is -1, which fails replay.
+    The verdicts are ``_quotient_related``'s on arrays of the pairs; the
+    factors are the first ones, by gathers on the table and the packed R
+    ideals (``_first_factors``, ``_first_j_factors``, -1 where none
+    reaches) a block of related pairs at a time, so the temporaries stay
+    within ``ROW_BLOCK_BYTES`` besides the rows, which are compacted only
+    when a fault was found.
     """
-    r_of, l_of, h_first = (np.asarray(labels) for labels in data.classes[:3])
-    j_below = np.asarray(data.j_below) if rel == "J" else None
-
-    def related(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Per pair (f[i], g[i]), whether the quotient relates it."""
-        if rel == "L":
-            return l_of[f] == l_of[g]
-        if rel == "R":
-            return r_of[f] == r_of[g]
-        if rel == "D":
-            return h_first[r_of[g], l_of[f]] >= 0
-        return j_below[r_of[f], l_of[g]] & j_below[r_of[g], l_of[f]]
-
     # a pair's temporaries while it is judged: its label gathers and verdict
     judged = list(_row_blocks(len(pairs), 48))
-    count = sum(np.count_nonzero(related(*pairs[start:stop].T)) for start, stop in judged)
+    count = sum(np.count_nonzero(_quotient_related(data, rel, *pairs[start:stop].T))
+                for start, stop in judged)
     rows, at = np.empty((count, 3 + len(_FACTORS[rel])), dtype=np.intc), 0
     for start, stop in judged:
-        k = related(*pairs[start:stop].T).nonzero()[0] + start
+        k = _quotient_related(data, rel, *pairs[start:stop].T).nonzero()[0] + start
         rows[at:at + len(k), 0], rows[at:at + len(k), 1:3] = k, pairs[k]
         at += len(k)
     faulted, faults, table = [], [], data.table
@@ -627,18 +626,20 @@ def _oracle_rows(data: _GreensData, rel: str, pairs: np.ndarray):
             block[:, 3] = _first_factors(table, rel, f, g)
             block[:, 4] = _first_factors(table, rel, g, f)
         elif rel == "D":
+            r_of, l_of, h_first = data.classes[:3]
             block[:, 3] = m = h_first[r_of[g], l_of[f]]
             for col, (side, x, y) in enumerate(
                     (("L", f, m), ("L", m, f), ("R", m, g), ("R", g, m)), start=4):
                 block[:, col] = _first_factors(table, side, x, y)
         else:
-            block[:, 3], block[:, 4], forward = _first_j_factors(data, f, g)
-            block[:, 5], block[:, 6], backward = _first_j_factors(data, g, f)
-            for i in (~(forward & backward)).nonzero()[0].tolist():
-                x, y = (f[i], g[i]) if not forward[i] else (g[i], f[i])
-                faulted.append(start + i)
-                faults.append((int(block[i, 0]), f"no factors put {data.members[x]} "
-                                                 f"J-below {data.members[y]}"))
+            block[:, 3], block[:, 4] = _first_j_factors(data, f, g)
+            block[:, 5], block[:, 6] = _first_j_factors(data, g, f)
+        faulted.extend((block[:, 3:].min(axis=1) < 0).nonzero()[0] + start)
+    for k, fk, gk in rows[faulted, :3].tolist():
+        try:  # raises: its scans are the row's, one pair at a time
+            _oracle_witness(data, rel, fk, gk)
+        except InternalError as exc:
+            faults.append((k, str(exc)))
     if faulted:
         rows = np.delete(rows, faulted, axis=0)
     return rows, np.empty(0, dtype=np.intp), faults
@@ -1247,7 +1248,8 @@ def eggbox(inst: Instance) -> list[dict]:
     """
     data = _greens_data(inst)
     r_of, l_of, _, r_first, l_first = data.classes
-    d_members = _fibers(data.d_label)
+    # lists, once, so the output holds Python ints
+    r_of, l_of, d_members = r_of.tolist(), l_of.tolist(), _fibers(data.d_label.tolist())
     boxes = []
     for root in sorted(d_members):
         cells: dict[tuple[int, int], list[int]] = {}

@@ -436,11 +436,11 @@ def _fail_rows(tally: _Tally, members, start: int, hits: np.ndarray, *details: s
         tally.fail(details[i], count, f=members[start + a], g=members[b])
 
 
-def _keys(values) -> np.ndarray:
-    """``values``, non-negative ints, in the narrowest dtype that holds them,
-    so a broadcast comparison of them takes the fewest bytes of iterator
-    buffers (NumPy buffers ``np.getbufsize()`` items an operand)."""
-    return np.array(values, dtype=np.min_scalar_type(max(values, default=0)))
+def _keys(values: np.ndarray) -> np.ndarray:
+    """``values``, an array of non-negative ints, in the narrowest dtype that
+    holds them, so a broadcast comparison of them takes the fewest bytes of
+    iterator buffers (NumPy buffers ``np.getbufsize()`` items an operand)."""
+    return values.astype(np.min_scalar_type(values.max(initial=0)))
 
 
 def _equal(ids: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -560,17 +560,25 @@ def _units_are_bijections(entry, tally, sweep):
 # --- regularity suites -------------------------------------------------------
 
 
-@_suite("regular-element-equivalence")
-def _regular_element_equivalence(entry, tally, sweep):
+def _inverse_routes_agree(entry, tally, oracle, witnesses, details, key: str) -> None:
+    """Per member f, one check that ``oracle`` finds an inverse exactly when
+    f has ``witnesses``, with its character among them; ``details`` name the
+    two failures, and ``key`` the inverse in the counterexample."""
     inst = entry.instance
     for f in enumerate_elements(inst):
         tally.checks += 1
-        g = is_regular_oracle(f, inst)
-        witnesses = regular_character_witnesses(f, inst)
-        if (g is not None) != bool(witnesses):
-            tally.fail("oracle and witness-set verdicts disagree", f=f)
-        elif g is not None and character(g, inst.partition) not in witnesses:
-            tally.fail("character of the found inner inverse is not a witness", f=f, g=g)
+        g, found = oracle(f, inst), witnesses(f, inst)
+        if (g is not None) != bool(found):
+            tally.fail(details[0], f=f)
+        elif g is not None and character(g, inst.partition) not in found:
+            tally.fail(details[1], f=f, **{key: g})
+
+
+@_suite("regular-element-equivalence")
+def _regular_element_equivalence(entry, tally, sweep):
+    _inverse_routes_agree(entry, tally, is_regular_oracle, regular_character_witnesses,
+                          ("oracle and witness-set verdicts disagree",
+                           "character of the found inner inverse is not a witness"), "g")
 
 
 def _builds(entry: CatalogEntry, tally: _Tally, witnesses, build) -> None:
@@ -598,21 +606,21 @@ def _idempotent_equivalence(entry, tally, sweep):
                     "direct and structural idempotency disagree", f=f)
 
 
-def _routes_agree(entry: CatalogEntry, tally: _Tally, decide) -> bool:
-    """Check that the oracle and theorem routes of a semigroup property agree;
-    return the theorem's verdict."""
+def _routes_agree(entry: CatalogEntry, tally: _Tally, decide, full: str | None = None) -> None:
+    """Check that the oracle and theorem routes of a semigroup property agree
+    and, for a property named ``full``, that on a full-character instance
+    the theorem's verdict is the partition's triviality."""
     oracle = decide(entry.instance, "oracle")
     theorem = decide(entry.instance, "theorem")
     tally.check(oracle == theorem, f"oracle={oracle} but theorem={theorem}")
-    return theorem
+    if full and entry.si_label == "full":
+        tally.check(theorem == entry.instance.partition.is_trivial(),
+                    f"full-character instance {full} does not match partition triviality")
 
 
 @_suite("regular-semigroup-equivalence")
 def _regular_semigroup_equivalence(entry, tally, sweep):
-    regular = _routes_agree(entry, tally, is_regular_semigroup)
-    if entry.si_label == "full":
-        tally.check(regular == entry.instance.partition.is_trivial(),
-                    "full-character instance regularity does not match partition triviality")
+    _routes_agree(entry, tally, is_regular_semigroup, "regularity")
 
 
 @_suite("inverse-semigroup-equivalence")
@@ -632,15 +640,9 @@ def _subgroup_regularity(entry, tally, sweep):
 
 @_suite("unit-regular-element-equivalence", _has_identity)
 def _unit_regular_element_equivalence(entry, tally, sweep):
-    inst = entry.instance
-    for f in enumerate_elements(inst):
-        tally.checks += 1
-        u = is_unit_regular_oracle(f, inst)
-        witnesses = unit_regular_witnesses(f, inst)
-        if (u is not None) != bool(witnesses):
-            tally.fail("unit oracle and witness-set verdicts disagree", f=f)
-        elif u is not None and character(u, inst.partition) not in witnesses:
-            tally.fail("character of the found unit inverse is not a witness", f=f, u=u)
+    _inverse_routes_agree(entry, tally, is_unit_regular_oracle, unit_regular_witnesses,
+                          ("unit oracle and witness-set verdicts disagree",
+                           "character of the found unit inverse is not a witness"), "u")
 
 
 @_suite("unit-inverse-construction", _has_identity)
@@ -658,10 +660,7 @@ def _unit_regular_implies_regular(entry, tally, sweep):
 
 @_suite("unit-regular-semigroup-equivalence", _has_identity)
 def _unit_regular_semigroup_equivalence(entry, tally, sweep):
-    unit_regular = _routes_agree(entry, tally, is_unit_regular_semigroup)
-    if entry.si_label == "full":
-        tally.check(unit_regular == entry.instance.partition.is_trivial(),
-                    "full-character instance unit-regularity does not match partition triviality")
+    _routes_agree(entry, tally, is_unit_regular_semigroup, "unit-regularity")
 
 
 @_suite("equal-size-c-equals-d", lambda entry: entry is None)
@@ -830,15 +829,15 @@ def _tx_keys(data) -> list[np.ndarray]:
     """Per member, its R-class and L-class, and the first member with its
     image and with its kernel: the keys compared on T(X)."""
     geometry = data.geometry
-    return [*map(_keys, (*data.classes[:2], _first_equal(geometry.sorted_images),
-                         _first_equal(geometry.kernels)))]
+    firsts = (np.array(_first_equal(ids)) for ids in (geometry.sorted_images, geometry.kernels))
+    return [*map(_keys, (*data.classes[:2], *firsts))]
 
 
 @_suite("greens-d-composition-commutes", _has_identity)
 def _greens_d_composition_commutes(entry, tally, sweep):
     data = greens._greens_data(entry.instance)
     d_label, r_of, l_of = map(_keys, (data.d_label, *data.classes[:2]))
-    h = np.array(data.classes[2]) >= 0
+    h = data.classes[2] >= 0
     # a row's temporaries, a byte a pair each: D, the H-classes' gather by
     # R-class and by L-class, the mismatch, and the block before's mismatch
     for start, stop in _row_blocks(len(d_label), 5 * len(d_label)):
@@ -850,7 +849,7 @@ def _greens_d_composition_commutes(entry, tally, sweep):
 @_suite("greens-d-subset-j", _has_identity)
 def _greens_d_subset_j(entry, tally, sweep):
     data = greens._greens_data(entry.instance)
-    j_below = np.array(data.j_below)
+    j_below = data.j_below
     d_label, r_of, l_of = map(_keys, (data.d_label, *data.classes[:2]))
     # D = J in every finite semigroup, so a J-related pair outside D is a
     # fault too; D ⊄ J is walked first, so its pairs give the counterexample.
@@ -872,9 +871,8 @@ def _greens_d_subset_j(entry, tally, sweep):
 def _greens_tx_specialization(entry, tally, sweep):
     data = greens._greens_data(entry.instance)
     r_of, l_of, images, kernels = _tx_keys(data)
-    d_label = np.array(data.d_label)
+    d_label, j_below = data.d_label, data.j_below
     ranks = np.array([len(image) for image in data.geometry.sorted_images])
-    j_below = np.array(data.j_below)
     for start, stop in _row_blocks(len(images), 8 * len(images)):
         # symmetric J is ≤_J both ways, so the rank-order test covers it
         bad = np.stack([_equal(l_of, start, stop) != _equal(images, start, stop),

@@ -361,20 +361,58 @@ class TestSpoiledGreensData:
         """With every L label of n3:[0,1][2]/full set to one class, the L
         oracle relates the first member to the last, which no factor scan
         puts L-below it: the public checker raises ``InternalError``, not a
-        bare ``TypeError``, and the bulk oracle's row for the pair, with a
-        -1 factor, fails replay."""
+        bare ``TypeError``, and the bulk oracle gives no row for the pair but
+        a fault with the checker's message."""
         inst = Instance(P3, IndexSemigroup.full(2))
         data = greens._greens_data(inst)
-        r_of, l_of, *rest = data.classes
-        data.classes = (r_of, [0] * len(l_of), *rest)
+        data.classes[1][:] = 0
         m = data.members
-        fault = re.escape(f"no factors put {m[0]} L-below {m[-1]}")
-        with pytest.raises(InternalError, match=fault):
+        fault = f"no factors put {m[0]} L-below {m[-1]}"
+        with pytest.raises(InternalError, match=re.escape(fault)):
             l_related(m[0], m[-1], inst)
-        rows, _, _ = greens._oracle_rows(data, "L", np.array([[0, len(m) - 1]]))
-        assert rows.tolist() == [[0, 0, len(m) - 1, -1, -1]]
-        images = harness._image_array(m, P3.n)
-        assert greens._replay_rows("L", images, rows[:, 1:]).tolist() == [False]
+        rows, _, faults = greens._oracle_rows(data, "L", np.array([[0, len(m) - 1]]))
+        assert rows.tolist() == [] and faults == [(0, fault)]
+
+    @pytest.mark.parametrize("rel", "LRDJ")
+    def test_the_sweep_faults_where_the_public_checker_raises(self, rel, monkeypatch):
+        """The class quotient spoiled to relate, by ``rel``, pairs that no
+        factor scan reaches: one label for every member (L, R), every empty
+        H-class given the first member (D), or every class J-below every
+        other (J).  The bulk oracle's faults are exactly those pairs, each
+        with the message the public oracle checker raises on it, the other
+        related pairs keep their rows, and the sweep's code at each fault is
+        ``_FAULT``."""
+
+        def spoil(data):
+            r_of, l_of, h_first = data.classes[:3]
+            if rel in "LR":
+                (l_of if rel == "L" else r_of)[:] = 0
+            elif rel == "D":
+                h_first[h_first < 0] = 0
+            else:
+                data.j_below[:] = True
+
+        inst = Instance(P3, IndexSemigroup.full(2))
+        data = greens._greens_data(inst)
+        size = len(data.members)
+        pairs = np.indices((size, size)).reshape(2, -1).T
+        clean = greens._quotient_related(data, rel, *pairs.T)
+        spoil(data)
+        unreached = greens._quotient_related(data, rel, *pairs.T) & ~clean
+        rows, _, faults = greens._oracle_rows(data, rel, pairs)
+        assert [k for k, _ in faults] == unreached.nonzero()[0].tolist() != []
+        assert rows[:, 0].tolist() == clean.nonzero()[0].tolist()
+        checker = greens.checkers()[rel]
+        for k, message in faults:
+            f, g = (data.members[x] for x in pairs[k].tolist())
+            with pytest.raises(InternalError) as raised:
+                checker(f, g, inst, mode="oracle")
+            assert str(raised.value) == message
+        _, sweep = self._run(spoil, ["greens-mode-agreement"], monkeypatch)
+        assert sweep.pairs.tolist() == pairs.tolist()
+        codes = sweep.codes[:, sweep.relations.index(rel), 0]
+        assert (codes[unreached] == harness._FAULT).all()
+        assert not (codes[~unreached] == harness._FAULT).any()
 
     def test_each_pair_record_counts_its_faults(self, monkeypatch):
         """With the R divisor the D theorem route needs spoiled, the first

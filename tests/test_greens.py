@@ -359,7 +359,7 @@ class TestBuildersValidateOnTheTable:
         ident = FiniteMap.identity(4)
         assert principal_leq_oracle("J", ident, CONST, inst) is None
         data = _greens_data(inst)
-        data.j_below = [[True] * len(row) for row in data.j_below]
+        data.j_below = np.ones_like(data.j_below)
         with pytest.raises(InternalError, match="no factors"):
             principal_leq_oracle("J", ident, CONST, inst)
         with pytest.raises(InternalError, match="no factors"):
@@ -1275,7 +1275,7 @@ class TestBulkOracle:
         data = _greens_data(inst)
         size = len(data.members)
         pairs = np.indices((size, size)).reshape(2, -1).T
-        data.j_below = [[True] * len(row) for row in data.j_below]
+        data.j_below = np.ones_like(data.j_below)
         rows, _, faults = greens._oracle_rows(data, "J", pairs)
         assert faults and not set(rows[:, 0].tolist()) & {k for k, _ in faults}
         assert len(rows) + len(faults) == len(pairs)
@@ -1323,7 +1323,7 @@ class TestBulkOracle:
         data = _greens_data(inst)
         size = len(data.members)
         assert size == 256
-        assert data.classes and data.j_below  # built before the trace
+        assert data.classes and data.j_below.any()  # built before the trace
         pairs = np.indices((size, size)).reshape(2, -1).T
         for rel in "LRDJ":
             tracemalloc.start()

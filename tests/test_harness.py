@@ -1344,9 +1344,9 @@ def _spoil_labels(data):
     other), every member alone in its D-class, and each character's
     L-descent to itself dropped."""
     size = len(data.members)
-    first = np.zeros(1, dtype=np.intp)
-    data.classes = ([0] * size, [0] * size, [[0]], first, first)
-    data.d_label = list(range(size))
+    first, one_class = np.zeros(1, dtype=np.intp), np.zeros(size, dtype=np.intp)
+    data.classes = (one_class, one_class, np.zeros((1, 1), dtype=np.intp), first, first)
+    data.d_label = np.arange(size)
     si_l_below = unpack_below(data.si_l_ideals)
     np.fill_diagonal(si_l_below, False)
     data.si_l_ideals = pack_below(si_l_below)
@@ -1481,7 +1481,7 @@ class TestClassRelations:
             data = greens._greens_data(entry.instance)
             first = int(data.classes[3][-1])
             drop_edge(data.r_ideals, first, first)
-            data.d_label = list(range(len(data.members)))
+            data.d_label = np.arange(len(data.members))
             return _untimed(run_all(harness.Catalog(3, 7, (entry,)), list(names)).records)
 
         one_row = spoiled_run()
@@ -1597,8 +1597,8 @@ class TestFailingRuns:
         inst = Instance(Partition.of([[0, 1], [2], [3], [4]]), IndexSemigroup.full(4))
         data = greens._greens_data(inst)
         r_of, l_of, *rest = data.classes
-        l_of = [0] * 24 + l_of[24:]
-        data.classes = (r_of, l_of, *rest)
+        l_of = [0] * 24 + l_of[24:].tolist()
+        data.classes = (r_of, np.array(l_of), *rest)
         size, images = len(data.members), [frozenset(m.images) for m in data.members]
         # L-related pairs with different images, counted per L-class
         in_class, with_image = Counter(l_of), Counter(zip(l_of, images))
