@@ -8,7 +8,9 @@ them.  The theorem route never reads them: it reads the candidate
 characters (alpha, beta, gamma, delta) at the positions of chi(f) and
 chi(g) from the per-instance memo of index-semigroup facts
 (``_IndexFacts``: left and right divisors, R-classes and J alphas, each
-read from the index table once, on first ask), and searches the block
+read from the index table once, on first ask, and the mask images, each
+index map's image of every block mask, which the D class matching reads
+in place of the map), and searches the block
 geometry for the class bijections and image maps
 demanded by the structural criteria, handing index positions to the
 builders, which validate what they build by one function
@@ -277,22 +279,26 @@ class _IndexFacts:
     """The facts of the index semigroup S(I) that the theorem searches read.
 
     A search's candidates depend only on the pair (chi(f), chi(g)), so each
-    fact is a tuple of positions of S(I), ascending, built on first ask by
-    one read of the index table (or of its right ideals) and kept under the
-    int key c * |S(I)| + t for as long as the instance lives.  Equal facts
-    share one tuple: most facts repeat (every constant character has the
-    same J alphas, for one).  The oracle route never asks.
+    fact is built on first ask and kept, under an int key, for as long as
+    the instance lives, in one of five kinds: four are tuples of positions
+    of S(I), ascending, each one read of the index table (or of its right
+    ideals) under the key c * |S(I)| + t; the fifth, the mask images of a
+    position a (``imgs`` holds each position's images), is kept under a.
+    Equal facts share one tuple: most facts repeat (every constant
+    character has the same J alphas, for one).  The oracle route never asks.
     """
 
-    def __init__(self, table: np.ndarray, r_ideals: np.ndarray) -> None:
-        self.table, self.r_ideals, self.size = table, r_ideals, len(table)
-        # each kind of fact, int key -> tuple of positions
-        self.left, self.right, self.r_classes, self.alphas = {}, {}, {}, {}
+    def __init__(
+        self, table: np.ndarray, r_ideals: np.ndarray, imgs: list[tuple[int, ...]]
+    ) -> None:
+        self.table, self.r_ideals, self.size, self.imgs = table, r_ideals, len(table), imgs
+        # each kind of fact, int key -> tuple of ints
+        self.left, self.right, self.r_classes, self.alphas, self.masks = {}, {}, {}, {}, {}
         self.shared: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def __len__(self) -> int:
-        """The facts kept, of all four kinds."""
-        return len(self.left) + len(self.right) + len(self.r_classes) + len(self.alphas)
+        """The facts kept, of all five kinds."""
+        return sum(map(len, (self.left, self.right, self.r_classes, self.alphas, self.masks)))
 
     def _keep(self, memo: dict, key: int, hits: np.ndarray) -> tuple[int, ...]:
         """Keep the positions where ``hits`` holds under ``key``, and return them."""
@@ -328,6 +334,20 @@ class _IndexFacts:
             fact = self._keep(self.alphas, key, _bits(self.r_ideals, cf, self.table[:, cg]))
         return fact
 
+    def mask_images(self, a: int) -> tuple[int, ...]:
+        """The t with t[m] the mask of {alpha(i) : bit i of m}, for alpha at
+        position a and every mask m < 2**d of its domain, built in one pass
+        over alpha: the masks with highest bit i are those below 2**i, with
+        bit i added, so their images are those, with bit alpha(i) added."""
+        fact = self.masks.get(a)
+        if fact is None:
+            t = [0]
+            for j in self.imgs[a]:
+                t += [m | 1 << j for m in t]
+            t = tuple(t)
+            fact = self.masks[a] = self.shared.setdefault(t, t)
+        return fact
+
 
 class _GreensData:
     """Per-instance precomputation shared by all relation checks: the packed
@@ -350,7 +370,7 @@ class _GreensData:
         self.si_table = inst.si.table
         self.char_ids = inst.derived.char_ids
         self.si_r_ideals = _ideals(self.si_table)
-        self.si_facts = _IndexFacts(self.si_table, self.si_r_ideals)
+        self.si_facts = _IndexFacts(self.si_table, self.si_r_ideals, self.si_imgs)
 
     @cached_property
     def si_l_ideals(self) -> np.ndarray:
@@ -861,7 +881,8 @@ def _right_factor(data: _GreensData, fk: int, gk: int, b: int) -> int:
     f_imgs, g_imgs, beta = data.imgs[fk], data.imgs[gk], data.si_imgs[b]
     # f at the least preimage under g: the descending pass writes it last
     on_image = {g_imgs[y]: f_imgs[y] for y in reversed(range(p.n))}
-    images = tuple(on_image.get(x, p.blocks[beta[p.block_of(x)]][0]) for x in range(p.n))
+    images = tuple([on_image.get(x, p.blocks[beta[i]][0])
+                    for x, i in enumerate(p._block_lookup)])
     return _built_member(data, "right factor", images, b, lambda hk: data.table[gk, hk] == fk)
 
 
@@ -869,11 +890,13 @@ def _match_classes(
     geometry: _Geometry,
     fk: int,
     gk: int,
-    at: tuple[int, ...],
-    bt: tuple[int, ...],
+    ta: tuple[int, ...],
+    tb: tuple[int, ...],
     budget: list[int],
 ) -> tuple[int, ...] | None:
-    """Backtracking search for a compatible bijection between kernel classes.
+    """Backtracking search for a compatible bijection between kernel classes,
+    for alpha and beta given by their mask images ``ta`` and ``tb``
+    (``_IndexFacts.mask_images``).
 
     Returns, for each class of pi(f), the index of its partner in pi(g);
     decrements the shared assignment budget and raises when it runs out.
@@ -882,9 +905,9 @@ def _match_classes(
     """
     f_meet, g_meet = geometry.meet_masks[fk], geometry.meet_masks[gk]
     # the blocks that class mk of pi(f) (nk of pi(g)) must meet in its
-    # partner: alpha (beta) maps over the bits of its meet mask
-    f_to = [_mask(j for i, j in enumerate(at) if m >> i & 1) for m in f_meet]
-    g_to = [_mask(j for i, j in enumerate(bt) if m >> i & 1) for m in g_meet]
+    # partner: the alpha (beta) image of its meet mask
+    f_to = [ta[m] for m in f_meet]
+    g_to = [tb[m] for m in g_meet]
     count = len(f_to)
     compat = [
         [
@@ -923,8 +946,8 @@ def _d_theorem_search(
 ) -> tuple[int, int, int, tuple[int, ...]] | None:
     """First (alpha, beta, gamma, class bijection) meeting the D-criterion,
     the characters as index positions and the bijection as ``_match_classes``
-    returns it; each assignment the class matching tries spends one unit of
-    ``budget``.
+    returns it, handed alpha and beta as their mask images; each assignment
+    the class matching tries spends one unit of ``budget``.
 
     gamma runs over the R-class of chi(g) in the index set, ascending; the
     alphas with chi(f) = alpha*gamma and the betas with gamma = beta*chi(f)
@@ -933,7 +956,7 @@ def _d_theorem_search(
     meet_masks = data.geometry.meet_masks
     if len(meet_masks[fk]) != len(meet_masks[gk]):
         return None
-    facts, imgs = data.si_facts, data.si_imgs
+    facts = data.si_facts
     cf, cg = data.char_ids[fk], data.char_ids[gk]
     for c in facts.r_class(cg):
         alphas = facts.left_divisors(c, cf)
@@ -941,8 +964,9 @@ def _d_theorem_search(
             continue
         betas = facts.left_divisors(cf, c)
         for a in alphas:
+            ta = facts.mask_images(a)
             for b in betas:
-                found = _match_classes(data.geometry, fk, gk, imgs[a], imgs[b], budget)
+                found = _match_classes(data.geometry, fk, gk, ta, facts.mask_images(b), budget)
                 if found is not None:
                     return a, b, c, found
     return None
@@ -1108,7 +1132,8 @@ def _j_factors(
     p, table = data.partition, data.table
     beta = data.si_imgs[b]
     phi_at = dict(zip(data.geometry.sorted_images[gk], phi))
-    h2_images = tuple(phi_at.get(x, p.blocks[beta[p.block_of(x)]][0]) for x in range(p.n))
+    h2_images = tuple([phi_at.get(x, p.blocks[beta[i]][0])
+                       for x, i in enumerate(p._block_lookup)])
     k2 = _built_member(data, "J factor", h2_images, b, lambda k: True)
     gphi = [phi_at[v] for v in data.imgs[gk]]
     h1_images = _least_lift(data.si_imgs[a], p, gphi, data.imgs[fk])

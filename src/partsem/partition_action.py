@@ -185,12 +185,19 @@ def _least_lift(
     alpha: Sequence[int], p: Partition, through: Sequence[int], onto: Sequence[int]
 ) -> tuple[int, ...]:
     """The least-preimage lift: the images of the map sending x in X_i to the
-    least y of X_{alpha(i)} with through[y] == onto[x], else to min X_{alpha(i)}."""
+    least y of X_{alpha(i)} with through[y] == onto[x], else to min X_{alpha(i)}.
+    Per block, the least y of each value of through on the target block is
+    one dict, filled in descending y so the least is written last."""
     images = [0] * p.n
     for i, block in enumerate(p.blocks):
         target = p.blocks[alpha[i]]
+        if len(target) == 1:
+            for x in block:
+                images[x] = target[0]
+            continue
+        least = {through[y]: y for y in reversed(target)}
         for x in block:
-            images[x] = next((y for y in target if through[y] == onto[x]), target[0])
+            images[x] = least.get(onto[x], target[0])
     return tuple(images)
 
 

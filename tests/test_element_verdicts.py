@@ -240,14 +240,19 @@ def test_the_lists_and_the_witness_lists_die_with_the_derived_data():
 
 
 def test_a_backtracking_d_search_leaves_no_garbage():
-    """The class matching backtracks on f = [0,0,1] (one class assigned, then
-    undone), and a D theorem search on (f, f) leaves no reference cycle."""
+    """The class matching backtracks on f = [0,0,1] with alpha = beta the
+    constant character 0 (one class assigned, then undone), and a D theorem
+    search on (f, f) leaves no reference cycle."""
     inst = _instance([[0, 1], [2]])
     f = FiniteMap.of([0, 0, 1])
     k = require_member(f, inst)
-    geometry = greens._greens_data(inst).geometry
+    data = greens._greens_data(inst)
+    geometry = data.geometry
+    # every nonempty set of blocks goes to block 0
+    constant = data.si_facts.mask_images(data.si_imgs.index((0, 0)))
+    assert constant == (0, 1, 1, 1)
     budget = [10]
-    assert greens._match_classes(geometry, k, k, (0, 0), (0, 0), budget) is None
+    assert greens._match_classes(geometry, k, k, constant, constant, budget) is None
     assert budget == [9] and len(geometry.meet_masks[k]) == 2
     enabled = gc.isenabled()
     gc.disable()

@@ -101,11 +101,12 @@ class _Data:
         self.__dict__.update(attrs)
 
 
-def _match_classes_ignoring_g(geometry, fk, gk, at, bt, budget):
+def _match_classes_ignoring_g(geometry, fk, gk, ta, tb, budget):
     """Class matching without the test on g's side: each class of pi(g)
-    may be paired with any class of pi(f) its blocks allow."""
+    may be paired with any class of pi(f) its blocks allow.  alpha and beta
+    come as their mask images, which f's spoiled masks still index."""
     spoiled = _Data(meet_masks=_FirstHoldsEveryBlock(geometry.meet_masks))
-    return _REAL["match_classes"](spoiled, fk, gk, at, bt, budget)
+    return _REAL["match_classes"](spoiled, fk, gk, ta, tb, budget)
 
 
 @property

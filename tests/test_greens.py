@@ -26,6 +26,7 @@ from partsem import (
     ResourceLimitError,
     build_catalog,
     build_d_middle,
+    build_inner_inverse,
     build_j_factors,
     build_left_factor,
     build_right_factor,
@@ -42,6 +43,7 @@ from partsem import (
     preserves_partition,
     principal_leq_oracle,
     r_related,
+    regular_character_witnesses,
     refines,
     run_all,
     txp_green,
@@ -57,7 +59,7 @@ from partsem.greens import (
     _txp_related,
     checkers as greens_checkers,
 )
-from partsem import ensemble, greens, harness
+from partsem import ensemble, greens, harness, regularity
 from partsem.partition_action import _Geometry
 from conftest import boolean_products, comp, monoid_table, pack_below, preorders, unpack_below
 
@@ -855,6 +857,162 @@ class TestTxpCovers:
         pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(200)]
         self._assert_matches_the_parent(geometry, pairs)
         assert built and set(built.values()) == {1}
+
+
+def _reference_least_lift(alpha, p, through, onto):
+    """The least-preimage lift as a point loop: a scan of X_{alpha(i)} per
+    point x of X_i, for the least y with through[y] == onto[x]."""
+    images = [0] * p.n
+    for i, block in enumerate(p.blocks):
+        target = p.blocks[alpha[i]]
+        for x in block:
+            images[x] = next((y for y in target if through[y] == onto[x]), target[0])
+    return tuple(images)
+
+
+def _reference_right_factor(data, fk, gk, b):
+    """``greens._right_factor`` with ``Partition.block_of`` per point."""
+    p = data.partition
+    f_imgs, g_imgs, beta = data.imgs[fk], data.imgs[gk], data.si_imgs[b]
+    on_image = {g_imgs[y]: f_imgs[y] for y in reversed(range(p.n))}
+    images = tuple(on_image.get(x, p.blocks[beta[p.block_of(x)]][0]) for x in range(p.n))
+    return ensemble._built_member(data, "right factor", images, b,
+                                  lambda hk: data.table[gk, hk] == fk)
+
+
+def _reference_j_factors(data, fk, gk, a, b, phi):
+    """``greens._j_factors`` with ``Partition.block_of`` per point and the
+    point-loop lift."""
+    p, table = data.partition, data.table
+    beta = data.si_imgs[b]
+    phi_at = dict(zip(data.geometry.sorted_images[gk], phi))
+    h2_images = tuple(phi_at.get(x, p.blocks[beta[p.block_of(x)]][0]) for x in range(p.n))
+    k2 = ensemble._built_member(data, "J factor", h2_images, b, lambda k: True)
+    gphi = [phi_at[v] for v in data.imgs[gk]]
+    h1_images = _reference_least_lift(data.si_imgs[a], p, gphi, data.imgs[fk])
+    k1 = ensemble._built_member(data, "J factor", h1_images, a,
+                                lambda k: table[table[k, gk], k2] == fk)
+    return k1, k2
+
+
+def _greatest_lift(alpha, p, through, onto):
+    """A wrong lift for the tests to catch: the greatest preimage, not the least."""
+    images = [0] * p.n
+    for i, block in enumerate(p.blocks):
+        target = p.blocks[alpha[i]]
+        for x in block:
+            images[x] = next((y for y in reversed(target) if through[y] == onto[x]), target[0])
+    return tuple(images)
+
+
+def _built_or_message(call):
+    try:
+        return call()
+    except InternalError as exc:
+        return str(exc)
+
+
+def _build_outcomes(inst, pairs):
+    """What the builders give on ``inst``: per relation and pair of member
+    positions in ``pairs`` ({rel: pairs the relation holds on}), the theorem
+    build of what the search found, then the left, right and J factor
+    builders on seeded index positions and phi values, which mostly fail
+    their validation (an ``InternalError`` message, which names the images
+    built); and ``build_inner_inverse`` on every member and each of its
+    regular witnesses."""
+    data, rng = _greens_data(inst), random.Random(5)
+    n, si_size = inst.partition.n, len(data.si_imgs)
+    outcomes = []
+    for rel, rel_pairs in pairs.items():
+        for fk, gk in rel_pairs:
+            found = greens._search(data, rel, fk, gk, DEFAULT_PHI_CAP, greens._UNKEPT)
+            assert found is not None, (rel, fk, gk)
+            a, b = rng.randrange(si_size), rng.randrange(si_size)
+            phi = tuple(rng.randrange(n) for _ in data.geometry.sorted_images[gk])
+            outcomes += [_built_or_message(call) for call in (
+                lambda: greens._build(data, rel, fk, gk, found, greens._UNKEPT),
+                lambda: greens._left_factor(data, fk, gk, a),
+                lambda: greens._right_factor(data, fk, gk, b),
+                lambda: greens._j_factors(data, fk, gk, a, b, phi),
+            )]
+    for f in data.members:
+        outcomes += [build_inner_inverse(f, alpha, inst).images
+                     for alpha in regular_character_witnesses(f, inst)]
+    return outcomes
+
+
+def _build_mismatches(inst, pairs, monkeypatch):
+    """The places of ``_build_outcomes``' calls where the builders differ
+    from the point loops they replaced, in positions or in the failure
+    message, and the number of calls that failed."""
+    built = _build_outcomes(inst, pairs)
+    with monkeypatch.context() as loops:
+        loops.setattr(greens, "_least_lift", _reference_least_lift)
+        loops.setattr(regularity, "_least_lift", _reference_least_lift)
+        loops.setattr(greens, "_right_factor", _reference_right_factor)
+        loops.setattr(greens, "_j_factors", _reference_j_factors)
+        expected = _build_outcomes(inst, pairs)
+    assert len(built) == len(expected)
+    return ([k for k, (x, y) in enumerate(zip(built, expected)) if x != y],
+            sum(isinstance(x, str) for x in built))
+
+
+def _related_pairs(inst, rel):
+    """Every pair of member positions that ``rel`` relates."""
+    size = len(enumerate_elements(inst))
+    return [(fk, gk) for fk in range(size) for gk in range(size)
+            if greens._quotient_related(_greens_data(inst), rel, fk, gk)]
+
+
+def _sampled_related_pairs(inst, rel, count, seed):
+    """``count`` seeded pairs that ``rel`` relates: f drawn from every
+    member, g from f's class (its D-class for D and J)."""
+    data, rng = _greens_data(inst), random.Random(seed)
+    r_of, l_of = data.classes[:2]
+    label = {"L": l_of, "R": r_of, "D": data.d_label, "J": data.d_label}[rel].tolist()
+    classes = {}
+    for k, c in enumerate(label):
+        classes.setdefault(c, []).append(k)
+    pairs = []
+    for _ in range(count):
+        fk = rng.randrange(len(label))
+        pairs.append((fk, rng.choice(classes[label[fk]])))
+    return pairs
+
+
+BUILDER_N3 = [
+    (e.label, e.instance) for e in build_catalog(3, seed=7).entries if e.instance.si.has_identity
+]
+QUERY_MIX = {"n4:[0][1][2][3]/full": [[0], [1], [2], [3]], "n4:[0,1,2,3]/full": [[0, 1, 2, 3]],
+             "n5:[0,1][2,3][4]/full": [[0, 1], [2, 3], [4]]}
+
+
+class TestBuildersAgainstThePointLoops:
+    """The least-preimage lift, the right factor and the J factors against
+    the point loops they replaced (``_reference_*``), as built positions and
+    as the message of each build that fails."""
+
+    @pytest.mark.parametrize("label,inst", BUILDER_N3, ids=[label for label, _ in BUILDER_N3])
+    def test_every_related_pair_of_the_n3_identity_entries(self, label, inst, monkeypatch):
+        pairs = {rel: _related_pairs(inst, rel) for rel in "LRDJ"}
+        assert _build_mismatches(inst, pairs, monkeypatch)[0] == []
+
+    @pytest.mark.parametrize("label", QUERY_MIX)
+    def test_sampled_related_pairs_of_the_query_mix_instances(self, label, monkeypatch):
+        inst = _full_instance(QUERY_MIX[label])
+        pairs = {rel: _sampled_related_pairs(inst, rel, 300, 9) for rel in "LRDJ"}
+        mismatches, failed = _build_mismatches(inst, pairs, monkeypatch)
+        # the seeded index positions fail most builds, whose messages are compared
+        assert mismatches == [] and failed > 0
+
+    def test_a_greatest_preimage_lift_fails(self, monkeypatch):
+        """Blocks of two points give each lift a choice, so the greatest
+        preimage builds other members than the least."""
+        inst = _full_instance(QUERY_MIX["n5:[0,1][2,3][4]/full"])
+        pairs = {rel: _sampled_related_pairs(inst, rel, 30, 9) for rel in "LJ"}
+        monkeypatch.setattr(greens, "_least_lift", _greatest_lift)
+        monkeypatch.setattr(regularity, "_least_lift", _greatest_lift)
+        assert _build_mismatches(inst, pairs, monkeypatch)[0] != []
 
 
 GEOMETRY_LISTS = ("block_masks", "kernels", "meet_masks", "sorted_images", "j_geometry",

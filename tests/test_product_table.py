@@ -344,7 +344,8 @@ class _TupleSearches:
     """The Green's theorem-route searches as tuple comparisons over the index
     set, one composite built per element or pair: the definitions the
     index-table reads replaced.  ``match_classes`` is passed in so a test
-    can record the order of the class-bijection searches."""
+    can record the order of the class-bijection searches and the mask
+    images each is handed."""
 
     def __init__(self, data, match_classes):
         self.data = data
@@ -356,6 +357,11 @@ class _TupleSearches:
 
     def class_masks(self, k):
         return [_mask(c) for c in self.data.geometry.kernels[k]]
+
+    def mask_images(self, at):
+        """Per mask m of the blocks, the mask of the alpha-images of its bits."""
+        deg = self.deg
+        return tuple(_mask(at[i] for i in range(deg) if m >> i & 1) for m in range(1 << deg))
 
     def l_one_sided(self, fk, gk):
         data, deg = self.data, self.deg
@@ -380,13 +386,12 @@ class _TupleSearches:
                 return self.fm(bt)
         return None
 
-    def d_search(self, fk, gk, cap):
+    def d_search(self, fk, gk, budget):
         data, deg = self.data, self.deg
         if len(data.geometry.kernels[fk]) != len(data.geometry.kernels[gk]):
             return None
         chi_f = data.geometry.chars[fk]
         cg = data.si_imgs.index(data.geometry.chars[gk])
-        budget = [cap]
         si_r_below = unpack_below(data.si_r_ideals)
         for ck, ct in enumerate(data.si_imgs):
             if not (si_r_below[ck, cg] and si_r_below[cg, ck]):
@@ -401,7 +406,9 @@ class _TupleSearches:
             ]
             for at in alphas:
                 for bt in betas:
-                    found = self.match_classes(data.geometry, fk, gk, at, bt, budget)
+                    found = self.match_classes(
+                        data.geometry, fk, gk, self.mask_images(at), self.mask_images(bt), budget
+                    )
                     if found is not None:
                         return self.fm(at), self.fm(bt), self.fm(ct), found
         return None
@@ -456,24 +463,25 @@ def _as_maps(elements, found):
 
 
 def _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch):
-    """Equal results, equal J budgets and the same class-bijection searches
-    in the same order, pair by pair: each pair first on an empty memo of
-    index-semigroup facts, then again on the memo the first pass filled."""
+    """Equal results, equal D and J budgets and the same class-bijection
+    searches, on the same mask images, in the same order, pair by pair:
+    each pair first on an empty memo of index-semigroup facts, then again on
+    the memo the first pass filled."""
     data = _greens_data(inst)
     calls = {"table": [], "tuples": []}
     match_classes = greens._match_classes
 
     def recorder(route):
-        def record(geometry, fk, gk, at, bt, budget):
-            calls[route].append((at, bt))
-            return match_classes(geometry, fk, gk, at, bt, budget)
+        def record(geometry, fk, gk, ta, tb, budget):
+            calls[route].append((ta, tb))
+            return match_classes(geometry, fk, gk, ta, tb, budget)
         return record
 
     loops = _TupleSearches(data, recorder("tuples"))
     monkeypatch.setattr(greens, "_match_classes", recorder("table"))
     cap, elements = greens.DEFAULT_PHI_CAP, inst.si.elements
     for fk, gk in pairs:
-        data.si_facts = greens._IndexFacts(data.si_table, data.si_r_ideals)
+        data.si_facts = greens._IndexFacts(data.si_table, data.si_r_ideals, data.si_imgs)
         for memo in ("cold", "warm"):
             budget = [cap]
             l_found = greens._l_one_sided_theorem(data, fk, gk, cap, budget)
@@ -482,8 +490,10 @@ def _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch):
                 # the R search runs behind the R criterion's equal-kernel gate
                 r_found = greens._r_one_sided_theorem(data, fk, gk, cap, budget)
                 assert _as_maps(elements, r_found) == loops.r_one_sided(fk, gk), memo
-            d_found = greens._d_theorem_search(data, fk, gk, cap, [cap])
-            assert _as_maps(elements, d_found) == loops.d_search(fk, gk, cap), memo
+            table_budget, tuple_budget = [cap], [cap]
+            d_found = greens._d_theorem_search(data, fk, gk, cap, table_budget)
+            assert _as_maps(elements, d_found) == loops.d_search(fk, gk, tuple_budget), memo
+            assert table_budget == tuple_budget, memo
             assert calls["table"] == calls["tuples"], memo
             calls["table"].clear()
             calls["tuples"].clear()
@@ -508,8 +518,8 @@ def test_index_facts_match_a_tuple_scan(label, inst):
     """Every kind of the memo of index-semigroup facts, asked for every (c, t)
     of the index set, against a scan of image tuples: left and right
     divisors, R-classes and the J alphas {a : t <=_R a*c}."""
-    facts = greens._IndexFacts(inst.si.table, _greens_data(inst).si_r_ideals)
     imgs = [a.images for a in inst.si.elements]
+    facts = greens._IndexFacts(inst.si.table, _greens_data(inst).si_r_ideals, imgs)
     size = len(imgs)
     product = [[comp(x, y) for y in imgs] for x in imgs]
     r_below = [[any(comp(y, u) == x for u in imgs) for y in imgs] for x in imgs]
@@ -527,6 +537,37 @@ def test_index_facts_match_a_tuple_scan(label, inst):
     assert len(facts) == 3 * size * size + size
     # asked again, every fact is the kept tuple itself
     assert facts.left_divisors(0, 0) is facts.left_divisors(0, 0)
+
+
+MASK_IMAGE_SEMIGROUPS = [(e.label, e.instance.si) for e in build_catalog(3, seed=7).entries] + [
+    ("T_4", IndexSemigroup.full(4)), ("T_5", IndexSemigroup.full(5))]
+
+
+@pytest.mark.parametrize("label,si", MASK_IMAGE_SEMIGROUPS,
+                         ids=[label for label, _ in MASK_IMAGE_SEMIGROUPS])
+def test_mask_images_match_a_mask_scan(label, si):
+    """Per index position a and mask m of the blocks, the mask image is the
+    mask of alpha's images of m's bits; each is kept once, counted by
+    ``len``, and shared through the memo's one table of tuples."""
+    imgs = [a.images for a in si.elements]
+    facts = greens._IndexFacts(si.table, greens._ideals(si.table), imgs)
+    degree = si.degree
+    for a, alpha in enumerate(imgs):
+        assert facts.mask_images(a) == tuple(
+            _mask(alpha[i] for i in range(degree) if m >> i & 1) for m in range(1 << degree)
+        )
+        assert len(facts) == a + 1
+    for a in range(len(imgs)):
+        t = facts.mask_images(a)
+        assert facts.mask_images(a) is t and facts.shared[t] is t
+    assert len(facts) == len(imgs)
+    facts.left_divisors(0, 0)
+    assert len(facts) == len(imgs) + 1
+    # a table equal to a tuple the memo holds already is that tuple
+    fresh = greens._IndexFacts(si.table, greens._ideals(si.table), imgs)
+    held = tuple(list(facts.mask_images(0)))
+    fresh.shared[held] = held
+    assert fresh.mask_images(0) is held
 
 
 def test_oracle_calls_add_no_index_facts():
