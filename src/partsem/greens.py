@@ -9,8 +9,8 @@ characters (alpha, beta, gamma, delta) at the positions of chi(f) and
 chi(g) from the per-instance memo of index-semigroup facts
 (``_IndexFacts``: left and right divisors, R-classes and J alphas, each
 read from the index table once, on first ask, and the mask images, each
-index map's image of every block mask, which the D class matching reads
-in place of the map), and searches the block
+index map's image of the block masks read, which the D class matching
+reads in place of the map), and searches the block
 geometry for the class bijections and image maps
 demanded by the structural criteria, handing index positions to the
 builders, which validate what they build by one function
@@ -92,7 +92,8 @@ from .errors import InternalError, InvalidArgumentError, PreconditionError, Reso
 from .finite_maps import FiniteMap, _fibers, _first_equal, image, kernel_partition, refines
 from .ensemble import Instance, _built_member, _row_blocks, enumerate_elements, require_member
 from .partition_action import (
-    Partition, _Geometry, _blocks_fit, _least_lift, _mask, character, preserves_partition,
+    Partition, _Geometry, _MaskImages, _blocks_fit, _least_lift, _mask, character,
+    preserves_partition,
 )
 from .regularity import _check_mode
 
@@ -282,17 +283,15 @@ class _IndexFacts:
     fact is built on first ask and kept, under an int key, for as long as
     the instance lives, in one of five kinds: four are tuples of positions
     of S(I), ascending, each one read of the index table (or of its right
-    ideals) under the key c * |S(I)| + t; the fifth, the mask images of a
-    position a (``imgs`` holds each position's images), is kept under a.
-    Equal facts share one tuple: most facts repeat (every constant
-    character has the same J alphas, for one).  The oracle route never asks.
+    ideals) under the key c * |S(I)| + t, and equal ones share one tuple
+    (every constant character has the same J alphas, for one); the fifth,
+    the mask images of a position a, is kept under a and grows as it is
+    read.  The oracle route never asks.
     """
 
-    def __init__(
-        self, table: np.ndarray, r_ideals: np.ndarray, imgs: list[tuple[int, ...]]
-    ) -> None:
-        self.table, self.r_ideals, self.size, self.imgs = table, r_ideals, len(table), imgs
-        # each kind of fact, int key -> tuple of ints
+    def __init__(self, table: np.ndarray, r_ideals: np.ndarray) -> None:
+        self.table, self.r_ideals, self.size = table, r_ideals, len(table)
+        # each kind of fact, int key -> tuple of positions (masks: -> _MaskImages)
         self.left, self.right, self.r_classes, self.alphas, self.masks = {}, {}, {}, {}, {}
         self.shared: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -334,18 +333,11 @@ class _IndexFacts:
             fact = self._keep(self.alphas, key, _bits(self.r_ideals, cf, self.table[:, cg]))
         return fact
 
-    def mask_images(self, a: int) -> tuple[int, ...]:
-        """The t with t[m] the mask of {alpha(i) : bit i of m}, for alpha at
-        position a and every mask m < 2**d of its domain, built in one pass
-        over alpha: the masks with highest bit i are those below 2**i, with
-        bit i added, so their images are those, with bit alpha(i) added."""
+    def mask_images(self, a: int, alpha: tuple[int, ...]) -> _MaskImages:
+        """The mask images of alpha, the index map at position a."""
         fact = self.masks.get(a)
         if fact is None:
-            t = [0]
-            for j in self.imgs[a]:
-                t += [m | 1 << j for m in t]
-            t = tuple(t)
-            fact = self.masks[a] = self.shared.setdefault(t, t)
+            fact = self.masks[a] = _MaskImages(alpha)
         return fact
 
 
@@ -370,7 +362,7 @@ class _GreensData:
         self.si_table = inst.si.table
         self.char_ids = inst.derived.char_ids
         self.si_r_ideals = _ideals(self.si_table)
-        self.si_facts = _IndexFacts(self.si_table, self.si_r_ideals, self.si_imgs)
+        self.si_facts = _IndexFacts(self.si_table, self.si_r_ideals)
 
     @cached_property
     def si_l_ideals(self) -> np.ndarray:
@@ -956,7 +948,7 @@ def _d_theorem_search(
     meet_masks = data.geometry.meet_masks
     if len(meet_masks[fk]) != len(meet_masks[gk]):
         return None
-    facts = data.si_facts
+    facts, imgs = data.si_facts, data.si_imgs
     cf, cg = data.char_ids[fk], data.char_ids[gk]
     for c in facts.r_class(cg):
         alphas = facts.left_divisors(c, cf)
@@ -964,9 +956,10 @@ def _d_theorem_search(
             continue
         betas = facts.left_divisors(cf, c)
         for a in alphas:
-            ta = facts.mask_images(a)
+            ta = facts.mask_images(a, imgs[a])
             for b in betas:
-                found = _match_classes(data.geometry, fk, gk, ta, facts.mask_images(b), budget)
+                tb = facts.mask_images(b, imgs[b])
+                found = _match_classes(data.geometry, fk, gk, ta, tb, budget)
                 if found is not None:
                     return a, b, c, found
     return None

@@ -209,6 +209,19 @@ def _mask(values: Iterable[int]) -> int:
     return m
 
 
+class _MaskImages(dict):
+    """{m: the mask of {alpha(i) : bit i of m}} for an index map alpha, over
+    the block masks m read, each built on first read: a table over every
+    mask would hold 2**d ints however few masks the maps' classes meet."""
+
+    def __init__(self, alpha: Sequence[int]) -> None:
+        self.alpha = alpha
+
+    def __missing__(self, m: int) -> int:
+        image = self[m] = _mask(j for i, j in enumerate(self.alpha) if m >> i & 1)
+        return image
+
+
 @dataclass(eq=False)
 class _Geometry:
     """The block facts of a list of preserving maps of (X, P), given by their

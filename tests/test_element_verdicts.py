@@ -249,8 +249,9 @@ def test_a_backtracking_d_search_leaves_no_garbage():
     data = greens._greens_data(inst)
     geometry = data.geometry
     # every nonempty set of blocks goes to block 0
-    constant = data.si_facts.mask_images(data.si_imgs.index((0, 0)))
-    assert constant == (0, 1, 1, 1)
+    c = data.si_imgs.index((0, 0))
+    constant = data.si_facts.mask_images(c, data.si_imgs[c])
+    assert [constant[m] for m in range(4)] == [0, 1, 1, 1]
     budget = [10]
     assert greens._match_classes(geometry, k, k, constant, constant, budget) is None
     assert budget == [9] and len(geometry.meet_masks[k]) == 2

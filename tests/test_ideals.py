@@ -69,8 +69,7 @@ def test_packed_ideals_match_the_definition(table, data):
         assert np.array_equal(block.T != 0, below[start:stop])
         assert greens._class_labels(ideals) == _first_member_labels(below)
     # the index-semigroup facts read the right ideals: R-classes and J alphas
-    # (the table has no maps, so no mask images are asked)
-    facts = greens._IndexFacts(table, right, ())
+    facts = greens._IndexFacts(table, right)
     r_eq = r_below & r_below.T
     for c in range(size):
         assert facts.r_class(c) == tuple(np.flatnonzero(r_eq[c]).tolist())

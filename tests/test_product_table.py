@@ -345,7 +345,7 @@ class _TupleSearches:
     set, one composite built per element or pair: the definitions the
     index-table reads replaced.  ``match_classes`` is passed in so a test
     can record the order of the class-bijection searches and the mask
-    images each is handed."""
+    images each reads."""
 
     def __init__(self, data, match_classes):
         self.data = data
@@ -359,7 +359,7 @@ class _TupleSearches:
         return [_mask(c) for c in self.data.geometry.kernels[k]]
 
     def mask_images(self, at):
-        """Per mask m of the blocks, the mask of the alpha-images of its bits."""
+        """Per mask m < 2**d of the blocks, the mask of the alpha-images of its bits."""
         deg = self.deg
         return tuple(_mask(at[i] for i in range(deg) if m >> i & 1) for m in range(1 << deg))
 
@@ -464,16 +464,17 @@ def _as_maps(elements, found):
 
 def _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch):
     """Equal results, equal D and J budgets and the same class-bijection
-    searches, on the same mask images, in the same order, pair by pair:
-    each pair first on an empty memo of index-semigroup facts, then again on
-    the memo the first pass filled."""
+    searches, reading the same mask images of the classes' meet masks, in
+    the same order, pair by pair: each pair first on an empty memo of
+    index-semigroup facts, then again on the memo the first pass filled."""
     data = _greens_data(inst)
     calls = {"table": [], "tuples": []}
     match_classes = greens._match_classes
 
     def recorder(route):
         def record(geometry, fk, gk, ta, tb, budget):
-            calls[route].append((ta, tb))
+            f_meet, g_meet = geometry.meet_masks[fk], geometry.meet_masks[gk]
+            calls[route].append(([ta[m] for m in f_meet], [tb[m] for m in g_meet]))
             return match_classes(geometry, fk, gk, ta, tb, budget)
         return record
 
@@ -481,7 +482,7 @@ def _assert_theorem_searches_match_the_tuple_loops(inst, pairs, monkeypatch):
     monkeypatch.setattr(greens, "_match_classes", recorder("table"))
     cap, elements = greens.DEFAULT_PHI_CAP, inst.si.elements
     for fk, gk in pairs:
-        data.si_facts = greens._IndexFacts(data.si_table, data.si_r_ideals, data.si_imgs)
+        data.si_facts = greens._IndexFacts(data.si_table, data.si_r_ideals)
         for memo in ("cold", "warm"):
             budget = [cap]
             l_found = greens._l_one_sided_theorem(data, fk, gk, cap, budget)
@@ -518,8 +519,8 @@ def test_index_facts_match_a_tuple_scan(label, inst):
     """Every kind of the memo of index-semigroup facts, asked for every (c, t)
     of the index set, against a scan of image tuples: left and right
     divisors, R-classes and the J alphas {a : t <=_R a*c}."""
+    facts = greens._IndexFacts(inst.si.table, _greens_data(inst).si_r_ideals)
     imgs = [a.images for a in inst.si.elements]
-    facts = greens._IndexFacts(inst.si.table, _greens_data(inst).si_r_ideals, imgs)
     size = len(imgs)
     product = [[comp(x, y) for y in imgs] for x in imgs]
     r_below = [[any(comp(y, u) == x for u in imgs) for y in imgs] for x in imgs]
@@ -547,27 +548,42 @@ MASK_IMAGE_SEMIGROUPS = [(e.label, e.instance.si) for e in build_catalog(3, seed
                          ids=[label for label, _ in MASK_IMAGE_SEMIGROUPS])
 def test_mask_images_match_a_mask_scan(label, si):
     """Per index position a and mask m of the blocks, the mask image is the
-    mask of alpha's images of m's bits; each is kept once, counted by
-    ``len``, and shared through the memo's one table of tuples."""
+    mask of alpha's images of m's bits; each table is kept once under a,
+    counted by ``len``, and holds only the masks read."""
     imgs = [a.images for a in si.elements]
-    facts = greens._IndexFacts(si.table, greens._ideals(si.table), imgs)
+    facts = greens._IndexFacts(si.table, greens._ideals(si.table))
     degree = si.degree
     for a, alpha in enumerate(imgs):
-        assert facts.mask_images(a) == tuple(
-            _mask(alpha[i] for i in range(degree) if m >> i & 1) for m in range(1 << degree)
-        )
+        t = facts.mask_images(a, alpha)
+        assert dict(t) == {}
+        # read from the top down, so no mask is built before it is read
+        for m in reversed(range(1 << degree)):
+            assert t[m] == _mask(alpha[i] for i in range(degree) if m >> i & 1)
+            assert len(t) == (1 << degree) - m
         assert len(facts) == a + 1
-    for a in range(len(imgs)):
-        t = facts.mask_images(a)
-        assert facts.mask_images(a) is t and facts.shared[t] is t
+    for a, alpha in enumerate(imgs):
+        t = facts.mask_images(a, alpha)
+        assert facts.mask_images(a, alpha) is t is facts.masks[a]
     assert len(facts) == len(imgs)
     facts.left_divisors(0, 0)
     assert len(facts) == len(imgs) + 1
-    # a table equal to a tuple the memo holds already is that tuple
-    fresh = greens._IndexFacts(si.table, greens._ideals(si.table), imgs)
-    held = tuple(list(facts.mask_images(0)))
-    fresh.shared[held] = held
-    assert fresh.mask_images(0) is held
+
+
+def test_a_d_theorem_query_on_many_blocks_reads_only_the_masks_its_classes_meet():
+    """24 singleton blocks and S(I) = {identity}: one member, the identity,
+    whose 24 kernel classes meet one block each.  The D theorem query gives
+    the oracle's witness, and the identity's mask images hold those 24
+    masks, not a table over all 2**24 masks of the blocks."""
+    degree = 24
+    inst = Instance(
+        Partition(degree, tuple((i,) for i in range(degree))), IndexSemigroup.trivial(degree)
+    )
+    (f,) = enumerate_elements(inst)
+    witness = greens.d_related(f, f, inst, mode="theorem")
+    assert witness == greens.d_related(f, f, inst, mode="oracle")
+    assert witness is not None and greens.verify_witness(witness, f, f)
+    masks = _greens_data(inst).si_facts.masks
+    assert list(masks) == [0] and dict(masks[0]) == {1 << i: 1 << i for i in range(degree)}
 
 
 def test_oracle_calls_add_no_index_facts():
