@@ -43,35 +43,44 @@ def _row_blocks(rows: int, row_bytes: int):
         yield start, min(start + step, rows)
 
 
-def product_table(maps: Sequence[FiniteMap], n: int) -> np.ndarray:
-    """``table[a, b]`` = position of compose(maps[a], maps[b]) in maps, or -1.
+def product_table(imgs: np.ndarray) -> np.ndarray:
+    """``table[a, b]`` = position of the map with images ``imgs[b, imgs[a]]``
+    (a, then b: compose(a, b)) among the rows of ``imgs``, or -1.
 
-    ``maps`` are distinct self-maps of [0, n) in lexicographic image order.
-    The table is int16 below 2**15 maps and int32 above, and is filled a
-    block of rows at a time (``_row_blocks``), so no temporary grows with
-    the square of the map count.  Positions are looked up through the
-    mixed-radix code sum(image[x] * n**(n-1-x)) in a dense code -> position
-    array while n**n is at most DENSE_CODE_LIMIT, and through a dict of
-    image tuples beyond that.
+    ``imgs`` holds distinct self-maps of [0, n) as the rows of one
+    maps × n intp array, in lexicographic order.  The table is int16 below
+    2**15 maps and int32 above, and is filled a block of rows at a time
+    (``_row_blocks``), so no temporary grows with the square of the map
+    count.  Positions are looked up through the mixed-radix code
+    sum(image[x] * n**(n-1-x)) in a dense code -> position array while n**n
+    is at most DENSE_CODE_LIMIT, and through a dict of image tuples beyond
+    that.
+
+    The dense codes of a block of rows are one float32 matrix product,
+    ``W[rows] @ imgs.T``: ``W[a, y]`` sums n**(n-1-x) over the x with
+    a(x) = y, so row a times the images of b is the code of a then b.  The
+    product is exact: every term and every partial sum, in whatever order
+    the product adds them, is a non-negative integer at most the code
+    n**n - 1 < DENSE_CODE_LIMIT <= 2**24, and float32 holds every integer
+    up to 2**24.
     """
-    size = len(maps)
-    imgs = np.array([m.images for m in maps], dtype=np.intp).reshape(size, n)
+    size, n = imgs.shape
     table = np.empty((size, size), dtype=np.int16 if size < 2**15 else np.int32)
     if n**n <= DENSE_CODE_LIMIT:
         radix = n ** np.arange(n - 1, -1, -1, dtype=np.intp)
         code_to_pos = np.full(n**n, -1, dtype=table.dtype)
         code_to_pos[imgs @ radix] = np.arange(size)
-        # weighted[y*n + x, b] = image y of map b as digit x of a code, so the
-        # code of a then b is the sum over x of weighted[(image x of a)*n + x, b]
-        weighted = (imgs.T[:, None] * radix[:, None]).reshape(n * n, size).astype(np.int32)
-        digits = imgs * n + np.arange(n)
+        weights = np.bincount((imgs + n * np.arange(size)[:, None]).reshape(-1),
+                              np.tile(radix, size), size * n)
+        weights = weights.astype(np.float32).reshape(size, n)
+        targets = imgs.T.astype(np.float32)
+        # a row's temporaries: its float32 codes and their int32 copy; every
+        # code is in range, so "clip" changes none and spares take's buffer
         for start, stop in _row_blocks(size, 8 * size):
-            codes = np.zeros((stop - start, size), dtype=np.int32)
-            for x in range(n):
-                codes += weighted[digits[start:stop, x]]
-            table[start:stop] = code_to_pos[codes]
+            codes = (weights[start:stop] @ targets).astype(np.int32)
+            code_to_pos.take(codes, out=table[start:stop], mode="clip")
     else:
-        index = {m.images: k for k, m in enumerate(maps)}
+        index = {t: k for k, t in enumerate(map(tuple, imgs.tolist()))}
         for a in range(size):
             table[a] = [index.get(tuple(t), -1) for t in imgs[:, imgs[a]].tolist()]
     return table
@@ -158,7 +167,8 @@ class IndexSemigroup:
         for m in canon:
             if m.domain_size != self.degree or m.codomain_size != self.degree:
                 raise InvalidArgumentError(f"{m} is not a self-map of [0, {self.degree})")
-        table = product_table(canon, self.degree)
+        images = [m.images for m in canon]
+        table = product_table(np.array(images, dtype=np.intp).reshape(len(canon), self.degree))
         missing = np.argwhere(table < 0)
         if len(missing):
             a, b = (canon[int(k)] for k in missing[0])
@@ -166,7 +176,7 @@ class IndexSemigroup:
                 f"not closed under composition: {a} * {b} = {compose(a, b)} is missing"
             )
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "index", {m.images: k for k, m in enumerate(canon)})
+        object.__setattr__(self, "index", {t: k for k, t in enumerate(images)})
         object.__setattr__(self, "has_identity", tuple(range(self.degree)) in self.index)
 
     @cached_property
@@ -316,8 +326,9 @@ class DerivedData:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """``table[f, g]`` = position of compose(members[f], members[g])."""
-        return product_table(self.members, self.n)
+        """``table[f, g]`` = position of compose(members[f], members[g]),
+        built from the members' image array (``geometry.image_array``)."""
+        return product_table(self.geometry.image_array)
 
     @cached_property
     def unit_ids(self) -> np.ndarray:

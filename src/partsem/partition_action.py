@@ -9,8 +9,7 @@ lands inside a single block, and its character is the induced self-map of I.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -227,8 +226,10 @@ class _Geometry:
     """The block facts of a list of preserving maps of (X, P), given by their
     images and their characters' images: one list per fact, indexed like the
     maps, each built on first use.  The lists: ``block_masks``, ``kernels``,
-    ``char_kernels``, ``meet_masks``, ``sorted_images``, ``j_geometry`` and
-    the witness table ``block_fits``."""
+    ``char_kernels``, ``meet_masks``, ``sorted_images`` and ``j_geometry``;
+    the arrays: ``image_array``, the images as one maps × n array, which the
+    member product table and the idempotency verdicts read too, and the
+    witness table ``block_fits``, read off the image array."""
 
     images: Sequence[tuple[int, ...]]
     chars: Sequence[tuple[int, ...]]
@@ -277,15 +278,43 @@ class _Geometry:
         return geometry
 
     @cached_property
+    def image_array(self) -> np.ndarray:
+        """The images as the rows of one maps × n intp array."""
+        return np.array(self.images, dtype=np.intp).reshape(len(self.images), self.p.n)
+
+    @cached_property
     def block_fits(self) -> np.ndarray:
         """Per map f and blocks j and j', whether X_j meets the image of f
         inside X_{j'} f: the regularity witnesses' block test, maps × d × d,
-        whose diagonal the idempotency criterion reads."""
-        blocks, d = [_mask(b) for b in self.p.blocks], self.p.degree
-        fits = np.fromiter((image & b & ~t == 0 for masks in self.block_masks
-                            for image in [reduce(or_, masks)] for b in blocks for t in masks),
-                           dtype=bool, count=len(self.images) * d * d)
-        return fits.reshape(-1, d, d)
+        whose diagonal the idempotency criterion reads.
+
+        Read off ``image_array`` a block of maps at a time, with no bitmask
+        and so no bound on n: one scatter marks hit[f, j', y], y in X_{j'} f;
+        a point of im f that X_{j'} f misses is made a miss in place, and
+        one boolean product with the n × d block indicator finds, per j,
+        whether a miss lies in X_j."""
+        from .ensemble import _row_blocks  # ensemble imports this module
+
+        images, n, d = self.image_array, self.p.n, self.p.degree
+        block_of = np.array(self.p._block_lookup, dtype=np.intp)
+        indicator = np.zeros((n, d), dtype=bool)
+        indicator[np.arange(n), block_of] = True
+        fits = np.empty((len(images), d, d), dtype=bool)
+        # a row's temporaries: its scatter positions and the two intp
+        # columns they are made from, hit and miss (one array), im f and the
+        # product
+        for start, stop in _row_blocks(len(images), 9 * n + 16 + d * n + d * d):
+            at = np.arange(stop - start)[:, None] * d + block_of
+            at *= n
+            at += images[start:stop]
+            hit = np.zeros((stop - start, d, n), dtype=bool)
+            hit.reshape(-1)[at.reshape(-1)] = True
+            del at
+            image = hit.any(axis=1)
+            np.logical_not(hit, out=hit)
+            hit &= image[:, None, :]
+            np.logical_not((hit @ indicator).transpose(0, 2, 1), out=fits[start:stop])
+        return fits
 
 
 def _blocks_fit(bf: tuple[int, ...], bg: tuple[int, ...], alpha: Sequence[int]) -> bool:

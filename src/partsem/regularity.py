@@ -11,8 +11,8 @@ table once per instance and kept as lists of member positions
 semigroup oracles read the whole lists.  The idempotency criterion is
 decided for every member at once, the first time a member is asked about
 (``_idempotent_verdicts``), and its verdict list is kept on the derived
-data: it reads the index table's diagonal at the characters, the diagonal
-of the members' block-fit table and one gather on their image array.
+data: it reads the diagonal of the members' block-fit table and one gather
+on their image array (``_Geometry.image_array``).
 
 The regularity and unit-regularity criteria share one home, the witness
 lists of every member (``_witness_lists``), built for the whole instance
@@ -21,12 +21,13 @@ on its derived data.  The build reads no member table and no
 ``character``: chi*alpha*chi = chi comes from the index table, with chi
 the position enumeration recorded, and the rest of the criterion from the
 members' block-fit tables (``_Geometry.block_fits``, one per instance for
-both flags), a block of member rows at a time.  The unit candidates are
-the one equal-block-size test (``_unit_candidates``), which the
-unit-regular semigroup criterion reads too.  A member's witness list is
-one slice of a flat int32 array, which the inverse builders bisect.  The
-builders validate on image tuples (``ensemble._built_member``), so neither
-needs the member table.
+both flags, read off the members' image array, not off their block masks,
+which only the Green's theorem route reads), a block of member rows at a
+time.  The unit candidates are the one equal-block-size test
+(``_unit_candidates``), which the unit-regular semigroup criterion reads
+too.  A member's witness list is one slice of a flat int32 array, which
+the inverse builders bisect.  The builders validate on image tuples
+(``ensemble._built_member``), so neither needs the member table.
 """
 
 from __future__ import annotations
@@ -227,12 +228,12 @@ def _idempotent_verdicts(inst: Instance) -> list[bool]:
     the image of f inside X_j f: the diagonal of the members' block fits
     (``_Geometry.block_fits``).  x lies in a block chi(f) fixes exactly
     when f(x) lies in the block of x, and f*f = f is read there by one
-    gather on the members' image array.
+    gather on the members' image array (``_Geometry.image_array``).
     """
     d = inst.derived
     if d.idempotent_verdicts is None:
         diagonal = np.arange(inst.partition.degree)
-        images = np.array(d.geometry.images, dtype=np.intp).reshape(len(d.char_ids), -1)
+        images = d.geometry.image_array
         block_of = np.array(inst.partition._block_lookup)
         settled = (np.take_along_axis(images, images, axis=1) == images) | (
             block_of[images] != block_of)

@@ -190,6 +190,7 @@ def _check_index_semigroup_tables(monkeypatch=None, budget=None):
     for make, degree in (
         (IndexSemigroup.full, 3),
         (IndexSemigroup.identity_with_constants, 4),
+        (IndexSemigroup.identity_with_constants, 7),  # 7**7 codes: the largest dense case
         (IndexSemigroup.identity_with_constants, 8),
     ):
         if budget is not None:
@@ -197,6 +198,13 @@ def _check_index_semigroup_tables(monkeypatch=None, budget=None):
         si = make(degree)
         images = [a.images for a in si.elements]
         assert si.table.tolist() == [[images.index(comp(a, b)) for b in images] for a in images]
+
+
+def test_dense_codes_stay_exact_in_float32():
+    """The dense codes are float32 matrix products, exact only while every
+    code is below 2**24, float32's last run of consecutive integers."""
+    assert ensemble.DENSE_CODE_LIMIT <= 2**24
+    assert 7**7 <= ensemble.DENSE_CODE_LIMIT < 8**8
 
 
 def _index_scan_loops(si):
@@ -625,13 +633,16 @@ def test_theorem_searches_match_the_tuple_loops_on_sampled_pairs_of_t4(monkeypat
 
 
 ALL_N3 = [(e.label, e.instance) for e in build_catalog(3, seed=7).entries]
+# 70 points: more than an int64 mask holds; the identity and the constants
+WIDE = ("n70:singletons/id+const",
+        Instance(Partition.of([[x] for x in range(70)]), IndexSemigroup.identity_with_constants(70)))
 
 
 def _bits(mask):
     return {v for v in range(mask.bit_length()) if mask >> v & 1}
 
 
-@pytest.mark.parametrize("label,inst", ALL_N3, ids=[label for label, _ in ALL_N3])
+@pytest.mark.parametrize("label,inst", ALL_N3 + [WIDE], ids=[label for label, _ in ALL_N3 + [WIDE]])
 def test_j_geometry_matches_a_direct_recomputation(label, inst):
     """Every list of the members' geometry, member by member: the images and
     characters, each X_i g as a set, the kernel classes of g and of its
@@ -667,8 +678,28 @@ def test_j_geometry_matches_a_direct_recomputation(label, inst):
             for block in p.blocks
         )
         assert geometry.j_geometry[k] == (tuple(p.block_of(z) for z in image), sources)
-        assert geometry.block_fits[k].tolist() == [
-            [set(block) & set(image) <= images for images in block_images] for block in p.blocks
+    _check_block_fits(inst)
+
+
+@pytest.mark.parametrize("budget", FORCED_BUDGETS)
+@pytest.mark.parametrize("label,inst", ALL_N3 + [WIDE], ids=[label for label, _ in ALL_N3 + [WIDE]])
+def test_block_fits_match_a_direct_recomputation_in_forced_blocks(label, inst, budget, monkeypatch):
+    """The block fits of a fresh instance, built under each forced row budget."""
+    _force_row_blocks(monkeypatch, budget, len(enumerate_elements(inst)))
+    _check_block_fits(Instance(inst.partition, inst.si))
+
+
+def _check_block_fits(inst):
+    """Per member g and blocks j and j', whether X_j meets the image of g
+    inside X_j' g, from sets."""
+    p, fits = inst.partition, inst.derived.geometry.block_fits
+    members = enumerate_elements(inst)
+    assert fits.dtype == bool and fits.shape == (len(members), p.degree, p.degree)
+    for k, g in enumerate(members):
+        image = set(g.images)
+        block_images = [{g.images[x] for x in block} for block in p.blocks]
+        assert fits[k].tolist() == [
+            [set(block) & image <= images for images in block_images] for block in p.blocks
         ]
 
 

@@ -112,18 +112,18 @@ class TestBuildInnerInverse:
         with pytest.raises(PreconditionError):
             build_inner_inverse(fm([2, 3, 0, 0]), fm([0, 1]), inst_full)
 
-    def test_a_spoiled_block_mask_entry_is_caught(self, p22):
-        """One entry of the members' block-mask table spoiled before the first
-        witness call, which builds the witness lists from it: f = [0,1,0,0]
-        said to send X_1 onto {0, 1}, so alpha = [1,0] passes the criterion
-        and the inverse built from it fails validation."""
+    def test_a_spoiled_block_fit_row_is_caught(self, p22):
+        """The member's rows of the block-fit table spoiled before the first
+        witness call, which builds the witness lists from them: f = [0,1,0,0]
+        said to meet every X_j inside every X_j' f, so alpha = [1,0] passes
+        the criterion and the inverse built from it fails validation."""
         inst = Instance(p22, IndexSemigroup.full(2))
         f, alpha = fm([0, 1, 0, 0]), fm([1, 0])
         with pytest.raises(PreconditionError):
             build_inner_inverse(f, alpha, inst)
         inst.drop_derived()
         k = inst.derived.index[f.images]
-        inst.derived.geometry.block_masks[k] = (0b11, 0b11)  # the instance is this test's own
+        inst.derived.geometry.block_fits[k] = True  # the instance is this test's own
         with pytest.raises(InternalError, match="fails validation"):
             build_inner_inverse(f, alpha, inst)
 

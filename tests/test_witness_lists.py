@@ -147,12 +147,12 @@ def test_the_build_peaks_within_its_row_budget():
     """Under tracemalloc, each build on n4:[0][1][2][3]/full and
     n5:[0][1][2][3][4]/full (256 and 3125 members, S(I) = T_4 and T_5)
     peaks within ROW_BLOCK_BYTES plus the arrays it keeps, the block-fit
-    table among them; the members' block-image masks, their characters and
-    the index units are built beforehand."""
+    table among them; the members' image array, their characters and the
+    index units are built beforehand."""
     for blocks in ([[0], [1], [2], [3]], [[0], [1], [2], [3], [4]]):
         p = Partition.of(blocks)
         inst = Instance(p, IndexSemigroup.full(p.degree))
-        inst.derived.geometry.block_masks, inst.si.unit_ids
+        inst.derived.geometry.image_array, inst.si.unit_ids
         for units in (False, True):
             tracemalloc.start()
             try:
@@ -163,6 +163,22 @@ def test_the_build_peaks_within_its_row_budget():
             kept = (len(flat) * flat.itemsize + len(offsets) * offsets.itemsize
                     + inst.derived.geometry.block_fits.nbytes)
             assert peak <= ensemble.ROW_BLOCK_BYTES + kept, (blocks, units)
+
+
+def test_the_block_fit_build_peaks_within_its_row_budget():
+    """Under tracemalloc, the block-fit build on n5:[0][1][2][3][4]/full
+    (3125 members) peaks within ROW_BLOCK_BYTES plus the table it keeps;
+    the members' image array is built beforehand."""
+    p = Partition.of([[0], [1], [2], [3], [4]])
+    geometry = Instance(p, IndexSemigroup.full(p.degree)).derived.geometry
+    geometry.image_array
+    tracemalloc.start()
+    try:
+        fits = geometry.block_fits
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ensemble.ROW_BLOCK_BYTES + fits.nbytes, peak
 
 
 @pytest.mark.parametrize("build", [build_inner_inverse, build_unit_inverse])
