@@ -18,6 +18,7 @@ from partsem import (
     build_inner_inverse,
     build_unit_inverse,
     enumerate_elements,
+    is_idempotent_characterized,
     regular_character_witnesses,
     run_all,
     unit_regular_witnesses,
@@ -141,6 +142,19 @@ def test_the_block_fits_are_built_once_per_instance(monkeypatch):
     for units in (False, True, False):
         regularity._witness_lists(inst, units)
     assert built == [inst.derived.geometry] and len(inst.derived.witness_lists) == 2
+
+
+def test_the_element_criteria_build_no_block_masks():
+    """Both witness lists and the idempotency verdicts read the block fits,
+    built off the members' image array: the block masks, which only the
+    Green's theorem route reads, stay unbuilt."""
+    p = Partition.of([[0, 1], [2], [3]])
+    inst = Instance(p, IndexSemigroup.full(p.degree))
+    for f in enumerate_elements(inst):
+        regular_character_witnesses(f, inst), unit_regular_witnesses(f, inst)
+        is_idempotent_characterized(f, inst)
+    assert "block_fits" in vars(inst.derived.geometry)
+    assert "block_masks" not in vars(inst.derived.geometry)
 
 
 def test_the_build_peaks_within_its_row_budget():
