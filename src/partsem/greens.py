@@ -41,8 +41,9 @@ and the one-sided L, R and J searches by the pair's theorem keys, so each is
 computed once however many pairs use it.  The sweep decides many pairs at
 once (``_oracle_rows``, ``_theorem_rows``): the oracle's factors by array
 gathers on the table and the packed R ideals, a block of pairs at a time,
-and each theorem search once per key group, each build once per related
-pair; a related pair with a factor no scan reaches is a fault there.
+and each theorem search once per key group (``_key_groups``), each build
+once per related pair; a related pair with a factor no scan reaches is a
+fault there.
 ``l_related`` to ``j_related`` share one front end (``_related``), the one
 place that looks f and g up (``require_member``) and wraps positions into a
 ``GreenWitness``.  Each relation's factor equations have one home
@@ -50,8 +51,8 @@ place that looks f and g up (``require_member``) and wraps positions into a
 never read the table: ``verify_witness``, the public one, composes the image
 tuples of a witness's maps, checking each composition's sizes as ``compose``
 does; ``_replay_rows``, the sweep's, replays many rows of factor positions
-at once on the members' N×n image array, a block of rows at a time, one
-gather per factor.
+at once on the members' N×n image array (``_Geometry.image_array``), a
+block of rows at a time, one gather per factor.
 The per-instance data keeps, each built once on first use, the left ideals
 of S(I) (only the harness's character descent reads them), the theorem
 keys and the class quotient, as NumPy arrays: part 1 (``classes``), each
@@ -72,8 +73,8 @@ inner inverse share one least-preimage lift.  ``txp_green``,
 the criteria specialized to the full character set T(I), reads a geometry
 too: of its two maps, or of all members for a caller deciding many pairs,
 who hands it one ``_Kept`` for each map's J covers and one-sided J verdicts
-(built on first ask) and may decide once per pair of signatures
-(``_TXP_READS``).
+(built on first ask) and may decide once per pair of theorem keys, grouped
+as the theorem searches are (``_key_groups``).
 
 All operations here require the identity character in the index semigroup.
 """
@@ -372,13 +373,14 @@ class _GreensData:
 
     @cached_property
     def theorem_keys(self) -> dict[str, list[int]]:
-        """Per relation, ``_theorem_keys``, built once on first read: the
-        Green's sweep's verdict keys and ``_Kept``'s searches read them.
-        J's reads are L's and ``j_geometry``, so J's keys are read off L's
-        keys and the J geometry."""
-        keys = {rel: _theorem_keys(self, rel) for rel in "LRD"}
-        keys["J"] = _first_equal(zip(keys["L"], self.geometry.j_geometry))
-        return keys
+        """Per relation and member, the first member with its theorem key:
+        its character and the geometry lists ``_THEOREM_READS`` names, built
+        once on first read.  Pairs of members with equal keys get equal
+        theorem searches; the Green's sweep's verdict keys and ``_Kept``'s
+        searches read them."""
+        return {rel: _first_equal(zip(self.char_ids, *(getattr(self.geometry, name)
+                                                        for name in reads)))
+                for rel, reads in _THEOREM_READS.items()}
 
     @cached_property
     def classes(self) -> tuple[np.ndarray, ...]:
@@ -432,12 +434,14 @@ _THEOREM_READS = {
 }
 
 
-def _theorem_keys(data: _GreensData, rel: str) -> list[int]:
-    """Per member, the first member with its theorem key for ``rel``: its
-    character and the geometry lists ``_THEOREM_READS`` names.  Pairs of
-    members with equal keys get equal theorem searches."""
-    reads = [data.char_ids, *(getattr(data.geometry, name) for name in _THEOREM_READS[rel])]
-    return _first_equal(zip(*reads))
+def _key_groups(keys: list[int], pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The groups of ``pairs`` (a row a pair of member positions) whose two
+    members have equal keys, ``keys`` per member: the index of each group's
+    first pair, and each pair's group."""
+    keys = np.asarray(keys)
+    _, first, group_of = np.unique(keys[pairs[:, 0]] * len(keys) + keys[pairs[:, 1]],
+                                   return_index=True, return_inverse=True)
+    return first, group_of
 
 
 class _Unkept:
@@ -619,7 +623,11 @@ def _oracle_rows(data: _GreensData, rel: str, pairs: np.ndarray):
     within ``ROW_BLOCK_BYTES`` besides the rows, which are compacted only
     when a fault was found.
     """
-    # a pair's temporaries while it is judged: its label gathers and verdict
+    # a pair's temporaries while it is judged: its label gathers and verdict.
+    # The pairs are judged twice, once to count the related ones and once to
+    # fill the rows, to hold the memory bound: one pass keeping each block's
+    # related positions for one concatenation would hold them all at once,
+    # beside the rows they are copied into
     judged = list(_row_blocks(len(pairs), 48))
     count = sum(np.count_nonzero(_quotient_related(data, rel, *pairs[start:stop].T))
                 for start, stop in judged)
@@ -671,9 +679,7 @@ def _theorem_rows(data: _GreensData, rel: str, pairs: np.ndarray, cap: int, fact
     ``InternalError`` is a fault at each; a build's is a fault at its own
     pair.
     """
-    keys = np.asarray(data.theorem_keys[rel])
-    _, first, group_of = np.unique(keys[pairs[:, 0]] * len(keys) + keys[pairs[:, 1]],
-                                   return_index=True, return_inverse=True)
+    first, group_of = _key_groups(data.theorem_keys[rel], pairs)
     outcomes = []
     for fk, gk in pairs[first].tolist():
         try:
@@ -1195,16 +1201,6 @@ def _txp_j_one_sided(geometry: _Geometry, a: int, covers: frozenset) -> bool:
     return any(_txp_l_one_sided(geometry.block_masks[a], covered) for covered in covers)
 
 
-# The geometry lists each T(X, P) test reads of one map: maps equal on all of
-# them get equal ``_txp_related`` verdicts.
-_TXP_READS = {
-    "L": ("block_masks",),
-    "R": ("char_kernels", "kernels"),
-    "D": ("chars", "meet_masks"),
-    "J": ("block_masks", "j_geometry"),
-}
-
-
 def _txp_related(
     rel: Relation, geometry: _Geometry, a: int, b: int, facts: _Unkept = _UNKEPT
 ) -> bool:
@@ -1212,7 +1208,10 @@ def _txp_related(
     each map's J covers (``_txp_j_covers``) and each one-sided J verdict
     through ``facts``, which may serve every pair of the geometry.  The
     image of f lies in (Xg)phi, so f of higher rank than g is not J-below
-    it, and g's covers are not built."""
+    it, and g's covers are not built.  Of each map, the test of ``rel``
+    reads only what its theorem key for ``rel`` fixes (its character and
+    the lists ``_THEOREM_READS`` names; R reads the character's kernel), so
+    pairs of members with equal theorem keys get equal verdicts."""
     if rel == "L":
         bf, bg = geometry.block_masks[a], geometry.block_masks[b]
         return _txp_l_one_sided(bf, bg) and _txp_l_one_sided(bg, bf)

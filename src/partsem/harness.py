@@ -39,11 +39,12 @@ of the pairs (their theorem keys, computed once per entry; a capped search
 or a fault decides its whole group so) and one build per related pair.
 Each found witness is a row (pair, f, g, *factors) of one int array per
 relation and mode, replayed in one call (``greens._replay_rows``, on the
-members' image array, never the product table): a witness is its factors,
-and the sweep reads nothing else of it.  ``greens-witness-replay`` covers
-the public front end the sweep skips (``_public_front_end``): per relation
-and mode, the public checker on one replaying pair must give a witness
-that ``greens.verify_witness`` replays.  Every theorem search and build of
+members' image array, ``geometry.image_array``, never the product table): a
+witness is its factors, and the sweep reads nothing else of it.
+``greens-witness-replay`` covers the public front end the sweep skips
+(``_public_front_end``): per relation and mode, the public checker on one
+replaying pair must give a witness that ``greens.verify_witness``
+replays.  Every theorem search and build of
 an entry is handed the one memo object (``greens._Kept``) that ``codes``
 makes and owns: each one-sided search and builder then runs once per
 entry, and is dropped when ``codes`` is left.  The three suites read the codes as one
@@ -55,8 +56,9 @@ inverse-construction suites count a build's ``InternalError`` as a failure
 too (``_builds``), so a fault gives failing records, not an aborted run.
 The sweep names members by position, so ``txp-specialization`` decides
 ``txp_green`` on the members' geometry (``inst.derived.geometry``), once
-per pair of the two members' signatures for each relation, with one memo
-of J covers and one-sided J verdicts per entry.
+per group of pairs with equal theorem keys for each relation, the groups
+the sweep's theorem searches take, with one memo of J covers and
+one-sided J verdicts per entry.
 
 The three suites that read J and D take them from the Green's data's class
 quotient: ``_class_relations`` only gathers ≤_J or the H-classes onto the
@@ -66,9 +68,10 @@ reads ≤_L and ≤_R of a block of members, and of their characters, off the
 packed principal ideals by one gather and mask each (``greens._bits``).
 
 ``character-homomorphism``, ``member-closure`` and ``unit-set-identity``
-compose by gathering on the N×n array of the members' images (uint8 up to
-n = 256), a block of rows at a time sized by its largest temporary
-(``ensemble._row_blocks``), so no array grows with N²·n.
+compose by gathering on the members' N×n intp image array, the one the
+instance's geometry keeps (``geometry.image_array``), a block of rows at a
+time sized by its largest temporary (``ensemble._row_blocks``), so no array
+grows with N²·n.
 """
 
 from __future__ import annotations
@@ -414,12 +417,6 @@ def _bijective_characters(entry: CatalogEntry | None) -> bool:
 # --- member pairs as arrays --------------------------------------------------
 
 
-def _image_array(members, n: int) -> np.ndarray:
-    """The members' image tuples as the rows of one N×n array, uint8 up to n = 256."""
-    images = [m.images for m in members]
-    return np.array(images, dtype=np.min_scalar_type(n - 1)).reshape(len(members), n)
-
-
 def _then(maps: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``out[i, g, x] = maps[g, rows[i, x]]``: each of ``rows`` followed by
     each of ``maps``, as ``compose(row, map)``, by one gather."""
@@ -454,10 +451,10 @@ def _equal(ids: np.ndarray, start: int, stop: int) -> np.ndarray:
 @_suite("character-homomorphism")
 def _character_homomorphism(entry, tally, sweep):
     p = entry.instance.partition
-    lookup = np.array([p.block_of(x) for x in range(p.n)])
+    lookup = np.array(p._block_lookup)
     firsts = [b[0] for b in p.blocks]
     members = enumerate_elements(entry.instance)
-    imgs = _image_array(members, p.n)
+    imgs = entry.instance.derived.geometry.image_array
     chars = lookup[imgs[:, firsts]]  # read off the images, one row per member
     # a row's largest temporary is its composites' intp characters
     for start, stop in _row_blocks(len(imgs), chars.nbytes):
@@ -518,7 +515,7 @@ def _element_counting(entry, tally, sweep):
 def _member_closure(entry, tally, sweep):
     members = enumerate_elements(entry.instance)
     n = entry.instance.partition.n
-    imgs = _image_array(members, n)
+    imgs = entry.instance.derived.geometry.image_array
     # a map's code: its images as the digits of one base-n number, in int64
     # while n**n fits, else in Python ints
     fits = n ** n <= np.iinfo(np.int64).max
@@ -535,7 +532,7 @@ def _member_closure(entry, tally, sweep):
 def _unit_set_identity(entry, tally, sweep):
     inst = entry.instance
     members = enumerate_elements(inst)
-    imgs = _image_array(members, inst.partition.n)
+    imgs = inst.derived.geometry.image_array
     ident = np.arange(inst.partition.n)
     by_definition = np.zeros(len(imgs), dtype=bool)
     for start, stop in _row_blocks(len(imgs), imgs.nbytes):
@@ -741,8 +738,7 @@ class _GreensSweep:
     @cached_property
     def codes(self) -> np.ndarray:
         data = greens._greens_data(self.entry.instance)
-        pairs, facts = self.pairs, greens._Kept()
-        images = _image_array(self.members, data.partition.n)
+        pairs, facts, images = self.pairs, greens._Kept(), data.geometry.image_array
         codes = np.full((len(pairs), len(self.relations) * len(_MODES)), _UNRELATED,
                         dtype=np.uint8)
         first_fault = None  # (pair, message)
@@ -939,28 +935,27 @@ def _greens_necessary_conditions(entry, tally, sweep):
     tally.checks = len(images) ** 2
 
 
-def _txp_verdicts(geometry, sweep: _GreensSweep) -> np.ndarray:
+def _txp_verdicts(data, sweep: _GreensSweep) -> np.ndarray:
     """``greens._txp_related`` at each pair of the sweep and each relation, as
-    a pairs × relations array: decided once per pair of the two members'
-    signatures (the lists ``greens._TXP_READS`` names), with one memo of J
-    covers and one-sided J verdicts for the entry (a ``greens._Kept``)."""
-    size, facts = len(geometry.images), greens._Kept()
-    f, g = sweep.pairs.T
+    a pairs × relations array: decided once per group of pairs with equal
+    theorem keys (``data.theorem_keys``, grouped by ``greens._key_groups``
+    as the sweep's theorem searches are), on the group's key members, with
+    one memo of J covers and one-sided J verdicts for the entry (a
+    ``greens._Kept``)."""
+    facts = greens._Kept()
     verdicts = np.empty(sweep.codes.shape[:2], dtype=bool)
     for r, rel in enumerate(sweep.relations):
-        # each member's signature, as the first member with an equal one
-        reads = (getattr(geometry, name) for name in greens._TXP_READS[rel])
-        rep = np.array(_first_equal(zip(*reads)), dtype=np.intp)
-        keys, at = np.unique(rep[f] * size + rep[g], return_inverse=True)
-        decided = [greens._txp_related(rel, geometry, *divmod(key, size), facts)
-                   for key in keys.tolist()]
-        verdicts[:, r] = np.array(decided, dtype=bool)[at.reshape(-1)]
+        keys = data.theorem_keys[rel]
+        first, group_of = greens._key_groups(keys, sweep.pairs)
+        decided = [greens._txp_related(rel, data.geometry, keys[a], keys[b], facts)
+                   for a, b in sweep.pairs[first].tolist()]
+        verdicts[:, r] = np.array(decided, dtype=bool)[group_of]
     return verdicts
 
 
 @_suite("txp-specialization", _full_characters)
 def _txp_specialization(entry, tally, sweep):
-    specialized = _txp_verdicts(entry.instance.derived.geometry, sweep)
+    specialized = _txp_verdicts(greens._greens_data(entry.instance), sweep)
     oracle, theorem = sweep.codes[..., 0], sweep.codes[..., 1]
     faulted = sweep.codes.max(axis=2) == _FAULT
     # each (pair, relation) stops at the oracle route when it is capped or

@@ -859,6 +859,43 @@ class TestTxpCovers:
         assert built and set(built.values()) == {1}
 
 
+# The geometry lists each T(X, P) test reads of one map, the signatures the
+# harness once grouped its T(X, P) pairs by.
+TXP_READS = {
+    "L": ("block_masks",),
+    "R": ("char_kernels", "kernels"),
+    "D": ("chars", "meet_masks"),
+    "J": ("block_masks", "j_geometry"),
+}
+
+
+def test_theorem_keys_refine_the_txp_reads_on_the_full_n4_entries():
+    """On every ``full`` entry up to n = 4, members with equal theorem keys
+    have equal T(X, P) reads for each relation, so grouping the T(X, P) pairs
+    by theorem keys gives each group one verdict; for L, D and J the two
+    groupings are the same, R's keys split its signatures further."""
+    entries = [e for e in build_catalog(4, seed=7).entries if e.si_label == "full"]
+    assert len(entries) == 23
+    split = 0
+    for entry in entries:
+        inst = entry.instance
+        try:
+            data = _greens_data(inst)
+            for rel, names in TXP_READS.items():
+                keys = data.theorem_keys[rel]
+                reads = list(zip(*(getattr(data.geometry, name) for name in names)))
+                assert all(reads[k] == reads[key] for k, key in enumerate(keys)), (entry.label, rel)
+                first: dict = {}
+                signatures = [first.setdefault(r, k) for k, r in enumerate(reads)]
+                if rel == "R":
+                    split += keys != signatures
+                else:
+                    assert keys == signatures, (entry.label, rel)
+        finally:
+            inst.drop_derived()
+    assert split > 0
+
+
 def _reference_least_lift(alpha, p, through, onto):
     """The least-preimage lift as a point loop: a scan of X_{alpha(i)} per
     point x of X_i, for the least y with through[y] == onto[x]."""
@@ -1098,9 +1135,9 @@ class TestTheoremReads:
 
     @pytest.mark.parametrize("max_n,seed", [(3, 7), (3, 11), (4, 7)])
     def test_the_keys_equal_a_direct_recomputation(self, max_n, seed):
-        """Each relation's theorem keys, J's read off L's, equal per member
-        the first member with its character and the geometry lists
-        ``greens._THEOREM_READS`` names, on every identity entry."""
+        """Each relation's theorem keys equal per member the first member
+        with its character and the geometry lists ``greens._THEOREM_READS``
+        names, on every identity entry."""
         for entry in build_catalog(max_n, seed=seed).entries:
             inst = entry.instance
             if not inst.si.has_identity:

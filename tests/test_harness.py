@@ -1197,15 +1197,14 @@ def _tuple_loops(catalog, names=GATHERED_SUITES):
     return out, failures
 
 
-def _drop_last(inst, members):
+def _drop_last(p, members):
     return members[:-1]
 
 
-def _break_last(inst, members):
+def _break_last(p, members):
     """The last member with the second point of a multi-point block sent to
     another block than the first point's image: its character, read at the
     first points, no longer describes it."""
-    p = inst.partition
     block = next((b for b in p.blocks if len(b) > 1), None)
     if block is None or p.degree < 2:
         return members
@@ -1239,7 +1238,17 @@ class TestGatheredSuites:
         if spoil is not None:
             real = harness.enumerate_elements
             monkeypatch.setattr(harness, "enumerate_elements",
-                                lambda inst: spoil(inst, real(inst)))
+                                lambda inst: spoil(inst.partition, real(inst)))
+
+            def spoiled_array(geometry):
+                """The members' image array, spoiled as the members are: the
+                suites gather on it."""
+                n = geometry.p.n
+                maps = [finite_maps.FiniteMap(n, n, t) for t in geometry.images]
+                images = [m.images for m in spoil(geometry.p, maps)]
+                return np.array(images, dtype=np.intp).reshape(len(images), n)
+
+            monkeypatch.setattr(_Geometry, "image_array", property(spoiled_array))
         block_rows = Counter()
         if one_row:
             monkeypatch.setattr(ensemble, "ROW_BLOCK_BYTES", 1)
@@ -1281,10 +1290,66 @@ class TestGatheredSuites:
                                           finite_maps.FiniteMap(257, 257, (256,) * 257)))
         entry = harness.CatalogEntry(harness.Instance(p, si), "n257", "id+const256")
         catalog = harness.Catalog(257, 0, (entry,))
-        assert harness._image_array(enumerate_elements(entry.instance), 257).max() == 256
+        assert entry.instance.derived.geometry.image_array.max() == 256
         for name in GATHERED_SUITES:
             (record,) = run_suite(name, catalog).records
             assert record.verdict == "pass"
+
+    def test_every_gather_reads_the_geometry_s_image_array(self, monkeypatch):
+        """Over a whole run, each array the sweep replays on and each the
+        composing suites gather on is the entry's ``geometry.image_array``
+        itself, built once per entry; character-homomorphism gathers on the
+        members' characters besides."""
+        built = []
+        real_array = _Geometry.__dict__["image_array"].func
+
+        def image_array(geometry):
+            built.append(geometry)
+            return real_array(geometry)
+
+        prop = cached_property(image_array)
+        prop.__set_name__(_Geometry, "image_array")
+        monkeypatch.setattr(_Geometry, "image_array", prop)
+        owners = _spy_on_derived(monkeypatch)
+        read, suite = Counter(), [None]
+
+        def assert_the_entry_s_array(images):
+            geometry = owners[-1][1]  # the entry's: its derived data is the last built
+            assert built[-1] is geometry and images is geometry.image_array
+
+        real_replay, real_then = greens._replay_rows, harness._then
+
+        def replay(rel, images, rows):
+            assert_the_entry_s_array(images)
+            read["replay"] += 1
+            return real_replay(rel, images, rows)
+
+        def then(maps, rows):
+            geometry = owners[-1][1]
+            if maps is not geometry.image_array:
+                assert suite[0] == "character-homomorphism"
+                assert maps.tolist() == [list(c) for c in geometry.chars]
+            else:
+                assert_the_entry_s_array(maps)
+                read[suite[0]] += 1
+            return real_then(maps, rows)
+
+        monkeypatch.setattr(greens, "_replay_rows", replay)
+        monkeypatch.setattr(harness, "_then", then)
+        for name in GATHERED_SUITES:
+            def body(entry, tally, sweep, real=SUITES[name].body, name=name):
+                suite[0] = name
+                try:
+                    real(entry, tally, sweep)
+                finally:
+                    suite[0] = None
+
+            monkeypatch.setitem(SUITES, name, harness._Suite(name, SUITES[name].admits, body))
+        catalog = build_catalog(3, seed=7)
+        assert run_all(catalog).failures == 0
+        _assert_one_each(owners, [e.instance for e in catalog.entries])
+        assert built == [geometry for _, geometry in owners]
+        assert set(read) == {"replay", *GATHERED_SUITES}
 
 
 LABEL_SUITES = ("character-descent", "greens-tx-specialization", "greens-necessary-conditions")
