@@ -67,11 +67,15 @@ in the narrowest dtype that holds them (``_keys``).  ``character-descent``
 reads ≤_L and ≤_R of a block of members, and of their characters, off the
 packed principal ideals by one gather and mask each (``greens._bits``).
 
-``character-homomorphism``, ``member-closure`` and ``unit-set-identity``
-compose by gathering on the members' N×n intp image array, the one the
-instance's geometry keeps (``geometry.image_array``), a block of rows at a
-time sized by its largest temporary (``ensemble._row_blocks``), so no array
-grows with N²·n.
+``character-homomorphism`` composes every ordered pair of members by
+gathering on the members' N×n intp image array, the one the instance's
+geometry keeps (``geometry.image_array``), a block of rows at a time sized
+by its largest temporary (``ensemble._row_blocks``), so no array grows with
+N²·n.  ``member-closure`` and ``unit-set-identity`` compose nothing: the
+first reads the instance's product table (``derived.table``, built from that
+same array) a block of rows at a time, where a composite outside the member
+set is -1, and the second compares the units the table gives
+(``derived.unit_ids``) with ``is_unit_bijection``, member by member.
 """
 
 from __future__ import annotations
@@ -514,16 +518,10 @@ def _element_counting(entry, tally, sweep):
 @_suite("member-closure")
 def _member_closure(entry, tally, sweep):
     members = enumerate_elements(entry.instance)
-    n = entry.instance.partition.n
-    imgs = entry.instance.derived.geometry.image_array
-    # a map's code: its images as the digits of one base-n number, in int64
-    # while n**n fits, else in Python ints
-    fits = n ** n <= np.iinfo(np.int64).max
-    weights = np.array([n**k for k in reversed(range(n))], dtype=np.int64 if fits else object)
-    codes = imgs @ weights
-    # a row's largest temporary is its composites' images widened to the codes' dtype
-    for start, stop in _row_blocks(len(imgs), imgs.size * weights.itemsize):
-        escaped = ~np.isin(_then(imgs, imgs[start:stop]) @ weights, codes)
+    table = entry.instance.derived.table
+    # the table's -1 is a composite outside the member set; a row's temporary is its mask
+    for start, stop in _row_blocks(len(table), len(table)):
+        escaped = table[start:stop] < 0
         tally.checks += escaped.size
         _fail_rows(tally, members, start, escaped, "composite escapes the member set")
 
@@ -532,15 +530,8 @@ def _member_closure(entry, tally, sweep):
 def _unit_set_identity(entry, tally, sweep):
     inst = entry.instance
     members = enumerate_elements(inst)
-    imgs = inst.derived.geometry.image_array
-    ident = np.arange(inst.partition.n)
-    by_definition = np.zeros(len(imgs), dtype=bool)
-    for start, stop in _row_blocks(len(imgs), imgs.nbytes):
-        block = imgs[start:stop]
-        # f*g = id = g*f for some member g; g*f is composed only where f*g = id
-        f, g = (_then(imgs, block) == ident).all(axis=2).nonzero()
-        inverse = (block[f[:, None], imgs[g]] == ident).all(axis=1)
-        by_definition[start + f[inverse]] = True
+    by_definition = np.zeros(len(members), dtype=bool)
+    by_definition[inst.derived.unit_ids] = True
     by_formula = [is_unit_bijection(f, inst.partition) for f in members]
     tally.checks = len(members)
     if by_definition.tolist() != by_formula:

@@ -535,6 +535,14 @@ def _assert_one_each(owners, instances):
     assert all(inst is expected for (inst, _), expected in zip(owners, instances))
 
 
+def _spy_cached(monkeypatch, cls, name, spy):
+    """Make ``spy``, a function of the instance, the cached property ``name``
+    of ``cls``."""
+    prop = cached_property(spy)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+
+
 class TestGreensSweep:
     """One sweep per entry decides each Green's pair at most once, by key
     group; the agreement, replay and T(X, P) suites read its codes."""
@@ -843,9 +851,7 @@ class TestGreensSweep:
                 built[(self, name)] += 1
                 return real(self)
 
-            prop = cached_property(spy)
-            prop.__set_name__(_Geometry, name)
-            monkeypatch.setattr(_Geometry, name, prop)
+            _spy_cached(monkeypatch, _Geometry, name, spy)
         return made, built
 
     def test_each_geometry_list_is_built_at_most_once_per_instance(self, monkeypatch):
@@ -922,9 +928,7 @@ class TestGreensSweep:
             refs.append((self.entry.label, weakref.ref(self)))
             return real(self)
 
-        prop = cached_property(codes)
-        prop.__set_name__(harness._GreensSweep, "codes")
-        monkeypatch.setattr(harness._GreensSweep, "codes", prop)
+        _spy_cached(monkeypatch, harness._GreensSweep, "codes", codes)
         with _cyclic_gc_off():
             run_suite("txp-specialization", catalog)
         assert not hasattr(catalog, "greens_sweeps")
@@ -1155,10 +1159,10 @@ GATHERED_SUITES = ("character-homomorphism", "member-closure", "unit-set-identit
 
 
 def _tuple_loops(catalog, names=GATHERED_SUITES):
-    """The gathered suites as the tuple loops they replaced, reading
+    """The three suites as the tuple loops that compose every pair, reading
     the members through ``harness.enumerate_elements``: untimed payloads by
     suite, in catalog order.  Closure is tested against the members' own
-    tuples, as the suite now does, not against ``member_index``.  Every
+    tuples, not against ``member_index``.  Every
     failure is kept by (suite, entry label) too."""
     out, failures = {name: [] for name in GATHERED_SUITES}, {}
     for entry in catalog.entries:
@@ -1214,8 +1218,10 @@ def _break_last(p, members):
 
 
 class TestGatheredSuites:
-    """character-homomorphism, member-closure and unit-set-identity compose by
-    gathering on the member image array and record what the tuple loops did."""
+    """character-homomorphism composes by gathering on the member image array,
+    member-closure reads the product table and unit-set-identity the units
+    oracle; the three record what the tuple loops, which compose every pair,
+    did."""
 
     @pytest.mark.parametrize("seed", [7, 11, 12, 13])
     def test_n3_catalogs(self, seed):
@@ -1268,19 +1274,51 @@ class TestGatheredSuites:
         if one_row:
             assert set(block_rows) == {1}
 
-    def test_member_codes_do_not_wrap_past_int64(self):
+    def test_member_closure_reads_a_dict_path_table(self):
         """16 singleton blocks with the identity and one constant character:
-        the constant member's base-16 code, 16**16 - 1, needs more than 63
-        bits."""
+        16**16 codes exceed ``ensemble.DENSE_CODE_LIMIT``, so the product
+        table is built through its dict of image tuples, and member-closure
+        reads its four entries as closed."""
         p = harness.Partition(16, tuple((x,) for x in range(16)))
         si = harness.IndexSemigroup(16, (finite_maps.FiniteMap.identity(16),
                                          finite_maps.FiniteMap(16, 16, (15,) * 16)))
         entry = harness.CatalogEntry(harness.Instance(p, si), "n16", "id+const15")
         catalog = harness.Catalog(16, 0, (entry,))
+        assert 16**16 > ensemble.DENSE_CODE_LIMIT
         for name in GATHERED_SUITES:
             (record,) = run_suite(name, catalog).records
             assert record.verdict == "pass"
         assert run_suite("member-closure", catalog).records[0].checks == 4
+
+    def test_a_unit_missing_from_the_units_oracle_fails_unit_set_identity(self, monkeypatch):
+        """unit-set-identity reads ``DerivedData.unit_ids``: with its last
+        unit dropped, every entry with the identity fails, once."""
+        real = ensemble.DerivedData.__dict__["unit_ids"].func
+        _spy_cached(monkeypatch, ensemble.DerivedData, "unit_ids", lambda data: real(data)[:-1])
+        report = run_suite("unit-set-identity", build_catalog(2, seed=7))
+        assert report.records and all(r.failures == 1 for r in report.records)
+        assert {r.counterexample["detail"] for r in report.records} == {
+            "two-sided-invertible members differ from the S(X,P) intersection"}
+
+    def test_an_escaping_table_entry_fails_member_closure_at_its_pair(self, monkeypatch):
+        """member-closure reads the product table: one entry set to -1 is its
+        one failure, and that pair is its counterexample."""
+        real = ensemble.DerivedData.__dict__["table"].func
+
+        def table(data):
+            out = real(data)
+            out[2, 1] = -1
+            return out
+
+        _spy_cached(monkeypatch, ensemble.DerivedData, "table", table)
+        inst = Instance(Partition.of([[0, 1], [2]]), IndexSemigroup.full(2))
+        catalog = harness.Catalog(3, 0, (harness.CatalogEntry(inst, "n3:[0,1][2]", "full"),))
+        (record,) = run_suite("member-closure", catalog).records
+        members = enumerate_elements(inst)
+        assert (record.checks, record.failures) == (len(members) ** 2, 1)
+        assert record.counterexample["detail"] == "composite escapes the member set"
+        assert (record.counterexample["f"], record.counterexample["g"]) == (
+            list(members[2].images), list(members[1].images))
 
     def test_image_array_holds_points_past_255(self):
         """257 singleton blocks with the identity and the constant character
@@ -1296,20 +1334,42 @@ class TestGatheredSuites:
             assert record.verdict == "pass"
 
     def test_every_gather_reads_the_geometry_s_image_array(self, monkeypatch):
-        """Over a whole run, each array the sweep replays on and each the
-        composing suites gather on is the entry's ``geometry.image_array``
-        itself, built once per entry; character-homomorphism gathers on the
-        members' characters besides."""
-        built = []
+        """Over a whole run, each array the sweep replays on and each
+        character-homomorphism gathers on is the entry's
+        ``geometry.image_array`` itself, built once per entry;
+        character-homomorphism gathers on the members' characters besides,
+        and no other suite gathers.  member-closure reads the entry's
+        ``derived.table`` and unit-set-identity its ``unit_ids``: each is
+        built once per entry, in that suite, the table from that same array."""
+        built, made, tables, units = [], [], [], []
         real_array = _Geometry.__dict__["image_array"].func
+        real_table, real_units = (ensemble.DerivedData.__dict__[name].func
+                                  for name in ("table", "unit_ids"))
+        real_product = ensemble.product_table
 
         def image_array(geometry):
             built.append(geometry)
             return real_array(geometry)
 
-        prop = cached_property(image_array)
-        prop.__set_name__(_Geometry, "image_array")
-        monkeypatch.setattr(_Geometry, "image_array", prop)
+        def product_table(images):
+            made.append(images)
+            return real_product(images)
+
+        def table(data):
+            told = len(made)
+            out = real_table(data)
+            (images,) = made[told:]
+            tables.append((suite[0], data.geometry, images is data.geometry.image_array))
+            return out
+
+        def unit_ids(data):
+            units.append((suite[0], data.geometry))
+            return real_units(data)
+
+        _spy_cached(monkeypatch, _Geometry, "image_array", image_array)
+        _spy_cached(monkeypatch, ensemble.DerivedData, "table", table)
+        _spy_cached(monkeypatch, ensemble.DerivedData, "unit_ids", unit_ids)
+        monkeypatch.setattr(ensemble, "product_table", product_table)
         owners = _spy_on_derived(monkeypatch)
         read, suite = Counter(), [None]
 
@@ -1349,7 +1409,10 @@ class TestGatheredSuites:
         assert run_all(catalog).failures == 0
         _assert_one_each(owners, [e.instance for e in catalog.entries])
         assert built == [geometry for _, geometry in owners]
-        assert set(read) == {"replay", *GATHERED_SUITES}
+        assert set(read) == {"replay", "character-homomorphism"}
+        assert tables == [("member-closure", geometry, True) for _, geometry in owners]
+        assert units == [("unit-set-identity", geometry) for inst, geometry in owners
+                         if inst.si.has_identity]
 
 
 LABEL_SUITES = ("character-descent", "greens-tx-specialization", "greens-necessary-conditions")
