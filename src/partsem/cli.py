@@ -1,8 +1,11 @@
 """Command-line front end: load instances, run checks, emit reports.
 
-Exit codes: 0 on success, 1 when a decision command in ``--mode both``
-detects an oracle/theorem mismatch or ``verify`` finds violations, 2 on
-input errors.  Diagnostics go to standard error.
+Each ``_cmd_*`` function returns its report's lines and an error message,
+or None; ``run_command`` alone writes every command's lines, to ``--out``
+or standard output, and decides the exit code: 0 on success, 1 when a
+decision command in ``--mode both`` detects an oracle/theorem mismatch or
+``verify`` finds violations (the returned error), 2 on input errors, the
+unwritable ``--out`` among them.  Diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ _INPUT_ERRORS = (
     ResourceLimitError,
     OSError,
 )
+
+_Outcome = tuple[list[str], str | None]  # a report's lines, and its error or None
 
 
 def _int_rows(value, path: str | Path, field: str) -> list[list[int]]:
@@ -132,22 +137,6 @@ def _parse_map(text: str, n: int, what: str, codomain: int | None = None) -> Fin
     return FiniteMap.of(images, n if codomain is None else codomain)
 
 
-class _Output:
-    def __init__(self, out: str | None):
-        self.path = out
-        self.lines: list[str] = []
-
-    def emit(self, line: str) -> None:
-        self.lines.append(line)
-
-    def flush(self) -> None:
-        text = "\n".join(self.lines) + ("\n" if self.lines else "")
-        if self.path:
-            Path(self.path).write_text(text)
-        else:
-            sys.stdout.write(text)
-
-
 def _witness_payload(w: greens.GreenWitness, f: FiniteMap, g: FiniteMap, p: Partition) -> dict:
     index_maps, pairing, image_maps = greens.witness_maps(w, f, g, p)
     payload: dict = {
@@ -162,26 +151,21 @@ def _witness_payload(w: greens.GreenWitness, f: FiniteMap, g: FiniteMap, p: Part
     return payload
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> _Outcome:
     inst = parse_instance(args.instance)
-    out = _Output(args.out)
     size = predicted_size(inst)
     members = enumerate_elements(inst, cap=args.cap)
     if args.format == "machine":
-        out.emit(json.dumps({"predicted_size": size, "count": len(members)}))
-        for k, m in enumerate(members):
-            out.emit(json.dumps({"id": k, "images": list(m.images),
-                                 "character": list(character(m, inst.partition).images)}))
-    else:
-        out.emit(f"predicted size: {size}")
-        for k, m in enumerate(members):
-            chi = character(m, inst.partition)
-            out.emit(f"#{k} {m!r} character={chi!r}")
-    out.flush()
-    return 0
+        return [json.dumps({"predicted_size": size, "count": len(members)})] + [
+            json.dumps({"id": k, "images": list(m.images),
+                        "character": list(character(m, inst.partition).images)})
+            for k, m in enumerate(members)], None
+    return [f"predicted size: {size}"] + [
+        f"#{k} {m!r} character={character(m, inst.partition)!r}"
+        for k, m in enumerate(members)], None
 
 
-def _cmd_lift(args) -> int:
+def _cmd_lift(args) -> _Outcome:
     inst = parse_instance(args.instance)
     p = inst.partition
     alpha = _parse_map(args.alpha, p.degree, "--alpha")
@@ -191,19 +175,14 @@ def _cmd_lift(args) -> int:
     if args.basepoints:  # a map from the blocks into X
         basepoints = _parse_map(args.basepoints, p.degree, "--basepoints", p.n).images
     lifted = lift_character(alpha, p, basepoints)
-    out = _Output(args.out)
     if args.format == "machine":
-        out.emit(json.dumps({"alpha": list(alpha.images), "lift": list(lifted.images)}))
-    else:
-        out.emit(f"lift of {alpha!r}: {lifted!r}")
-    out.flush()
-    return 0
+        return [json.dumps({"alpha": list(alpha.images), "lift": list(lifted.images)})], None
+    return [f"lift of {alpha!r}: {lifted!r}"], None
 
 
-def _cmd_check_element(args) -> int:
+def _cmd_check_element(args) -> _Outcome:
     inst = parse_instance(args.instance)
     f = _parse_map(args.f, inst.partition.n, "--f")
-    out = _Output(args.out)
     inner = is_regular_oracle(f, inst)
     witnesses = regular_character_witnesses(f, inst)
     idem_def = is_idempotent_def(f)
@@ -224,19 +203,18 @@ def _cmd_check_element(args) -> int:
         row["unit_regular_witnesses"] = [list(a.images) for a in uw]
         row["unit_inverse"] = list(unit.images) if unit else None
     if args.format == "machine":
-        out.emit(json.dumps(row, sort_keys=True))
-    else:
-        out.emit(f"element {f!r}")
-        out.emit(f"  regular: {row['regular']}"
-                 + (f" (inner inverse {inner!r})" if inner else ""))
-        out.emit(f"  regular witnesses: {[list(a.images) for a in witnesses]}")
-        out.emit(f"  idempotent: {idem_def} (characterized: {idem_chr})")
-        if "unit_regular" in row:
-            unit_repr = f" (unit inverse {unit!r})" if unit else ""
-            out.emit(f"  unit-regular: {row['unit_regular']}{unit_repr}")
-            out.emit(f"  unit witnesses: {row['unit_regular_witnesses']}")
-    out.flush()
-    return 0
+        return [json.dumps(row, sort_keys=True)], None
+    lines = [
+        f"element {f!r}",
+        f"  regular: {row['regular']}" + (f" (inner inverse {inner!r})" if inner else ""),
+        f"  regular witnesses: {[list(a.images) for a in witnesses]}",
+        f"  idempotent: {idem_def} (characterized: {idem_chr})",
+    ]
+    if "unit_regular" in row:
+        unit_repr = f" (unit inverse {unit!r})" if unit else ""
+        lines.append(f"  unit-regular: {row['unit_regular']}{unit_repr}")
+        lines.append(f"  unit witnesses: {row['unit_regular_witnesses']}")
+    return lines, None
 
 
 _PROPERTIES = {
@@ -245,54 +223,44 @@ _PROPERTIES = {
     "unit-regular": is_unit_regular_semigroup,
 }
 
+_MISMATCH = "oracle/theorem mismatch"
 
-def _cmd_check_semigroup(args) -> int:
+
+def _cmd_check_semigroup(args) -> _Outcome:
     inst = parse_instance(args.instance)
     checker = _PROPERTIES[args.property]
-    out = _Output(args.out)
-    verdicts = {}
     modes = ("oracle", "theorem") if args.mode == "both" else (args.mode,)
-    for mode in modes:
-        verdicts[mode] = checker(inst, mode)
+    verdicts = {mode: checker(inst, mode) for mode in modes}
     mismatch = len(set(verdicts.values())) > 1
+    error = _MISMATCH if mismatch else None
     if args.format == "machine":
-        out.emit(json.dumps({"property": args.property, "verdicts": verdicts,
-                             "mismatch": mismatch}, sort_keys=True))
-    else:
-        for mode, verdict in verdicts.items():
-            out.emit(f"{args.property} ({mode}): {verdict}")
-        if mismatch:
-            out.emit("MODE MISMATCH: the structural criterion disagrees with the oracle")
-    out.flush()
+        return [json.dumps({"property": args.property, "verdicts": verdicts,
+                            "mismatch": mismatch}, sort_keys=True)], error
+    lines = [f"{args.property} ({mode}): {verdict}" for mode, verdict in verdicts.items()]
     if mismatch:
-        print("error: oracle/theorem mismatch", file=sys.stderr)
-        return 1
-    return 0
+        lines.append("MODE MISMATCH: the structural criterion disagrees with the oracle")
+    return lines, error
 
 
-def _cmd_greens(args) -> int:
+def _cmd_greens(args) -> _Outcome:
     inst = parse_instance(args.instance)
-    out = _Output(args.out)
     if args.eggbox:
         boxes = greens.eggbox(inst)
-        members = enumerate_elements(inst)
         if args.format == "machine":
-            for box in boxes:
-                out.emit(json.dumps(box, sort_keys=True))
-        else:
-            for k, box in enumerate(boxes):
-                out.emit(f"D-class {k} (representative #{box['representative']} "
+            return [json.dumps(box, sort_keys=True) for box in boxes], None
+        members = enumerate_elements(inst)
+        lines = []
+        for k, box in enumerate(boxes):
+            lines.append(f"D-class {k} (representative #{box['representative']} "
                          f"{members[box['representative']]!r})")
-                for row, r_label in zip(box["grid"], box["r_classes"]):
-                    cells = [
-                        "{" + ",".join(f"#{m}" for m in cell) + "}" for cell in row
-                    ]
-                    out.emit(f"  R#{r_label}: " + " ".join(cells))
-        out.flush()
-        return 0
+            for row, r_label in zip(box["grid"], box["r_classes"]):
+                cells = [
+                    "{" + ",".join(f"#{m}" for m in cell) + "}" for cell in row
+                ]
+                lines.append(f"  R#{r_label}: " + " ".join(cells))
+        return lines, None
     if not args.rel or not args.f or not args.g:
-        print("error: --rel, --f and --g are required without --eggbox", file=sys.stderr)
-        return 2
+        raise InvalidArgumentError("--rel, --f and --g are required without --eggbox")
     f = _parse_map(args.f, inst.partition.n, "--f")
     g = _parse_map(args.g, inst.partition.n, "--g")
     checker = greens.checkers()[args.rel]
@@ -306,6 +274,7 @@ def _cmd_greens(args) -> int:
             capped.append(mode)
     verdicts = {mode: w is not None for mode, w in results.items()}
     mismatch = len(set(verdicts.values())) > 1
+    error = _MISMATCH if mismatch else None
     if args.format == "machine":
         payload = {
             "relation": args.rel,
@@ -318,38 +287,23 @@ def _cmd_greens(args) -> int:
         for mode, w in results.items():
             if w is not None:
                 payload[f"witness_{mode}"] = _witness_payload(w, f, g, inst.partition)
-        out.emit(json.dumps(payload, sort_keys=True))
-    else:
-        for mode, w in results.items():
-            out.emit(f"{args.rel}-related ({mode}): {w is not None}")
-            if w is not None:
-                for name, factor in w.factors:
-                    out.emit(f"  factor {name}: {factor!r}")
-        only = ", oracle verdict only" if "oracle" in results else ""
-        for mode in capped:
-            out.emit(f"{args.rel}-related ({mode}): capped out{only}")
-        if mismatch:
-            out.emit("MODE MISMATCH")
-    out.flush()
+        return [json.dumps(payload, sort_keys=True)], error
+    lines = []
+    for mode, w in results.items():
+        lines.append(f"{args.rel}-related ({mode}): {w is not None}")
+        if w is not None:
+            lines += (f"  factor {name}: {factor!r}" for name, factor in w.factors)
+    only = ", oracle verdict only" if "oracle" in results else ""
+    lines += (f"{args.rel}-related ({mode}): capped out{only}" for mode in capped)
     if mismatch:
-        print("error: oracle/theorem mismatch", file=sys.stderr)
-        return 1
-    return 0
+        lines.append("MODE MISMATCH")
+    return lines, error
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Outcome:
     report = run_all(build_catalog(args.max_n, args.seed), [args.suite] if args.suite else None)
-    out = _Output(args.out)
-    if args.format == "machine":
-        for line in report.to_machine_lines():
-            out.emit(line)
-    else:
-        out.emit(report.to_text())
-    out.flush()
-    if report.failures:
-        print(f"error: {report.failures} suite failures", file=sys.stderr)
-        return 1
-    return 0
+    lines = report.to_machine_lines() if args.format == "machine" else [report.to_text()]
+    return lines, f"{report.failures} suite failures" if report.failures else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,10 +373,19 @@ def run_command(argv) -> int:
     try:
         if getattr(args, "cap", 0) < 0:
             raise InvalidArgumentError(f"--cap must be non-negative, got {args.cap}")
-        return args.func(args)
+        lines, error = args.func(args)
+        text = "".join(f"{line}\n" for line in lines)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if error is None:
+        return 0
+    print(f"error: {error}", file=sys.stderr)
+    return 1
 
 
 def main() -> None:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -167,6 +168,9 @@ class TestExitCodes:
 
     def test_greens_requires_pair_without_eggbox(self, inst_file, capsys):
         assert run_command(["greens", inst_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --rel, --f and --g are required without --eggbox\n"
 
     def test_verify_small(self, capsys):
         assert run_command(["verify", "--max-n", "2", "--seed", "7"]) == 0
@@ -249,6 +253,82 @@ class TestOutputs:
         assert payload["verdicts"] == {"oracle": True, "theorem": True}
         assert payload["mismatch"] is False
         assert "witness_oracle" in payload
+
+
+class TestMismatchExits:
+    """A spoiled criterion makes ``--mode both`` disagree with the oracle:
+    the report is still written, ending with its mismatch line, and the
+    command exits 1 with one fixed ``error:`` line."""
+
+    @pytest.fixture(params=["check-semigroup", "greens"])
+    def spoiled(self, request, inst_file, write, monkeypatch):
+        if request.param == "check-semigroup":
+            trivial = write("triv.json", {"n": 3, "blocks": [[0], [1], [2]], "si": {"kind": "full"}})
+            monkeypatch.setattr(partsem.regularity, "si_is_regular", lambda si: False)
+            return (["check-semigroup", trivial, "--property", "regular", "--mode", "both"],
+                    "MODE MISMATCH: the structural criterion disagrees with the oracle")
+        monkeypatch.setattr(partsem.greens, "_search", lambda *args: None)
+        return (["greens", inst_file, "--rel", "L", "--mode", "both",
+                 "--f", "2,3,0,0", "--g", "2,3,0,0"], "MODE MISMATCH")
+
+    def test_text_report_ends_with_the_mismatch_line(self, spoiled, capsys):
+        argv, last = spoiled
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == last
+        assert captured.err == "error: oracle/theorem mismatch\n"
+
+    def test_machine_report_says_mismatch(self, spoiled, capsys):
+        argv, _ = spoiled
+        assert run_command([*argv, "--format", "machine"]) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["mismatch"] is True
+        assert set(payload["verdicts"].values()) == {True, False}
+        assert captured.err == "error: oracle/theorem mismatch\n"
+
+
+_EVERY_COMMAND = {
+    "enumerate": ["enumerate", "{inst}"],
+    "lift": ["lift", "{inst}", "--alpha", "1,0"],
+    "check-element": ["check-element", "{inst}", "--f", "2,3,0,0"],
+    "check-semigroup": ["check-semigroup", "{inst}", "--property", "unit-regular"],
+    "greens-pair": ["greens", "{inst}", "--rel", "R", "--f", "0,0,2,2", "--g", "1,1,3,3"],
+    "greens-eggbox": ["greens", "{inst}", "--eggbox"],
+    "verify": ["verify", "--max-n", "2", "--seed", "7"],
+}
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+    def test_out_file_holds_exactly_what_standard_output_gets(
+            self, command, fmt, inst_file, tmp_path, capsys, monkeypatch):
+        """``--out FILE`` writes the bytes standard output gets without it,
+        and standard output stays empty.  ``verify``'s record times are
+        pinned to 0 so that its two runs print the same."""
+        monkeypatch.setattr(partsem.harness, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        argv = [arg.format(inst=inst_file) for arg in _EVERY_COMMAND[command]]
+        argv += ["--format", fmt]
+        assert run_command(argv) == 0
+        printed = capsys.readouterr()
+        assert printed.out and printed.err == ""
+        target = tmp_path / "report.out"
+        assert run_command([*argv, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == printed.out.encode()
+
+    @pytest.mark.parametrize("command", ["enumerate", "check-semigroup", "greens-pair"])
+    def test_out_into_a_missing_directory_is_an_input_error(
+            self, command, inst_file, tmp_path, capsys):
+        argv = [arg.format(inst=inst_file) for arg in _EVERY_COMMAND[command]]
+        target = tmp_path / "no-such-dir" / "report.out"
+        assert run_command([*argv, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not target.parent.exists()
 
 
 def test_parse_map_errors(inst_file, capsys):

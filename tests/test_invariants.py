@@ -97,6 +97,33 @@ def _calls(function, names):
     ]
 
 
+def test_run_command_alone_writes_output_and_picks_the_exit_code():
+    """Every ``_cmd_*`` function of cli.py returns its lines and its error;
+    none prints, names standard output or error, writes a file or returns
+    an exit code.  ``run_command`` is the one function that writes."""
+    functions = [node for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+                 if isinstance(node, ast.FunctionDef)]
+    writers = sorted(
+        function.name
+        for function in functions
+        if any((isinstance(node, ast.Name) and node.id == "print")
+               or (isinstance(node, ast.Attribute)
+                   and node.attr in ("stdout", "stderr", "write_text"))
+               for node in ast.walk(function))
+    )
+    assert writers == ["run_command"]
+    commands = [function for function in functions if function.name.startswith("_cmd_")]
+    assert len(commands) == 6
+    int_returns = [
+        f"{function.name}:{node.lineno}"
+        for function in commands
+        for node in ast.walk(function)
+        if isinstance(node, ast.Return)
+        and isinstance(node.value, ast.Constant) and type(node.value.value) is int
+    ]
+    assert int_returns == []
+
+
 def test_greens_witnesses_are_not_validated_by_composing_maps():
     """Green's checkers, factor searches, builders and the witness replay
     work on table positions or image tuples; only the T(X, P) and T(X)
