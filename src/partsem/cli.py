@@ -117,10 +117,7 @@ def parse_instance(path: str | Path) -> Instance:
             raise ParseError(f"{path}: unknown si kind {kind!r}")
     except InvalidArgumentError as exc:
         raise ValidationError(f"{path}: invalid si: {exc}") from exc
-    try:
-        return Instance(partition, si)
-    except InvalidArgumentError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return Instance(partition, si)
 
 
 serialize_instance = instance_to_json

@@ -105,26 +105,22 @@ def _first_inner_inverses(table: np.ndarray, candidates: np.ndarray | None = Non
     """Per position a, the place in ``candidates`` (every position when None)
     of the first b with a*b*a = a, or -1.
 
-    Scanned a block of rows at a time (``_first_hits``), each block sized by
-    the sum of a row's temporaries: its products a*b widened to intp, the
-    a*b*a read from them and the hit mask.
+    Scanned a block of rows at a time, each block sized by the sum of a
+    row's temporaries: its products a*b widened to intp, the a*b*a read
+    from them and the hit mask.
     """
     size = len(table)
     first = np.empty(size, dtype=np.intp)
     # every column as a slice, so a block's rows are read without a gather
     columns, width = (slice(None), size) if candidates is None else (candidates, len(candidates))
     for start, stop in _row_blocks(size, (9 + table.itemsize) * width):
-        first[start:stop] = _first_hits(table, start, stop, columns)
+        # C order, so the take reads the positions in place
+        hits = _inner_hits(table, table[start:stop, columns].astype(np.intp, order="C"),
+                           np.arange(start, stop)[:, None])
+        hit = hits.argmax(axis=1)
+        first[start:stop] = np.where(hits[np.arange(stop - start), hit], hit, -1)
+        del hits, hit  # before the next block's are made
     return first
-
-
-def _first_hits(table: np.ndarray, start: int, stop: int, columns) -> np.ndarray:
-    """``_first_inner_inverses`` on rows start to stop."""
-    a = np.arange(start, stop)[:, None]
-    # C order, so the take reads the positions in place
-    hits = _inner_hits(table, table[start:stop, columns].astype(np.intp, order="C"), a)
-    hit = hits.argmax(axis=1)
-    return np.where(hits[np.arange(stop - start), hit], hit, -1)
 
 
 def _inner_hits(table: np.ndarray, ab: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -612,9 +612,10 @@ def _oracle_rows(data: _GreensData, rel: str, pairs: np.ndarray):
     """The oracle witnesses of ``rel`` on many pairs of member positions
     (``pairs``, a row a pair), each the one ``_oracle_witness`` gives: the
     rows (k, f, g, *factors) of the related pairs k, in pair order, as C
-    ints; the capped pairs (none); and the faults (k, message), each a pair
-    the quotient relates with a factor that no scan reaches, with the
-    message ``_oracle_witness`` raises on it.
+    ints, and the faults (k, message), each a pair the quotient relates
+    with a factor that no scan reaches, with the message
+    ``_oracle_witness`` raises on it.  Its scans read at most a row and a
+    column of the table a pair, so nothing here is capped.
 
     The verdicts are ``_quotient_related``'s on arrays of the pairs; the
     factors are the first ones, by gathers on the table and the packed R
@@ -662,42 +663,38 @@ def _oracle_rows(data: _GreensData, rel: str, pairs: np.ndarray):
             faults.append((k, str(exc)))
     if faulted:
         rows = np.delete(rows, faulted, axis=0)
-    return rows, np.empty(0, dtype=np.intp), faults
+    return rows, faults
 
 
-def _theorem_rows(data: _GreensData, rel: str, pairs: np.ndarray, cap: int, facts: _Unkept):
+def _theorem_rows(data: _GreensData, rel: str, pairs: np.ndarray, facts: _Unkept):
     """The theorem witnesses of ``rel`` on many pairs of member positions
-    (``pairs``, a row a pair), each the one the public checker gives, as
-    ``_oracle_rows`` returns them: the rows of the related pairs, the
-    capped pairs, and the faults (k, message).
+    (``pairs``, a row a pair), each the one the public checker gives at
+    ``DEFAULT_PHI_CAP``: the rows of the related pairs, as ``_oracle_rows``
+    returns them, the capped pairs, and the faults (k, message).
 
     The search of ``rel`` (``_search``) runs once per key group of the
     pairs (the pair's theorem keys, ``_GreensData.theorem_keys``, on which
-    alone it depends), on the group's first pair with a budget of ``cap``,
-    and the build (``_build``) once per pair of a related group, both with
-    ``facts``.  A capped group caps each of its pairs and a search's
-    ``InternalError`` is a fault at each; a build's is a fault at its own
-    pair.
+    alone it depends), on the group's first pair with a budget of
+    ``DEFAULT_PHI_CAP``, and the build (``_build``) once per pair of a
+    related group, both with ``facts``.  A search can only run out of its
+    budget, which caps each pair of its group; only a build validates what
+    it makes, so its ``InternalError`` is a fault at its own pair.
     """
     first, group_of = _key_groups(data.theorem_keys[rel], pairs)
     outcomes = []
     for fk, gk in pairs[first].tolist():
         try:
-            outcomes.append(_search(data, rel, fk, gk, cap, facts))
-        except (ResourceLimitError, InternalError) as exc:
+            outcomes.append(_search(data, rel, fk, gk, DEFAULT_PHI_CAP, facts))
+        except ResourceLimitError as exc:
             outcomes.append(exc)
-    # per group: unrelated, capped, or found (or a fault), at each of its pairs
+    # per group: unrelated, capped, or found, at each of its pairs
     state = np.array([0 if o is None else 1 if isinstance(o, ResourceLimitError) else 2
                       for o in outcomes], dtype=np.uint8)[group_of]
     found, faults = array("i"), []
     ks = (state == 2).nonzero()[0]
     for k, group, (fk, gk) in zip(ks.tolist(), group_of[ks].tolist(), pairs[ks].tolist()):
-        outcome = outcomes[group]
-        if isinstance(outcome, InternalError):
-            faults.append((k, str(outcome)))
-            continue
         try:
-            found.extend((k, fk, gk, *_build(data, rel, fk, gk, outcome, facts)))
+            found.extend((k, fk, gk, *_build(data, rel, fk, gk, outcomes[group], facts)))
         except InternalError as exc:
             faults.append((k, str(exc)))
     rows = np.frombuffer(found, dtype=np.intc).reshape(-1, 3 + len(_FACTORS[rel]))

@@ -28,15 +28,16 @@ The three Green's pair suites (``greens-mode-agreement``,
 **Green's sweep**, a body's third argument, instead of calling the
 checkers themselves.  The sweep decides its codes when a suite first reads
 them: a one-byte outcome code per pair of its ``pairs``, relation and mode
-(unrelated, capped, replays, fails to replay, or a fault: an
-``InternalError``).  It runs on member positions from end to end, with no
-member lookup, no public checker, no oracle witness and no
-``GreenWitness``, one relation and mode at a time: the oracle's witnesses
-come from ``greens._oracle_rows``, the class quotient's verdicts and first
-factors for every pair at once, by array gathers a block of pairs at a
-time; the theorem's from ``greens._theorem_rows``, one search per key group
-of the pairs (their theorem keys, computed once per entry; a capped search
-or a fault decides its whole group so) and one build per related pair.
+(unrelated, capped, replays, fails to replay, or a fault: a build's
+``InternalError``; only the theorem route is ever capped).  It runs on
+member positions from end to end, with no member lookup, no public
+checker, no oracle witness and no ``GreenWitness``, one relation and mode
+at a time: the oracle's witnesses come from ``greens._oracle_rows``, the
+class quotient's verdicts and first factors for every pair at once, by
+array gathers a block of pairs at a time; the theorem's from
+``greens._theorem_rows``, one search per key group of the pairs (their
+theorem keys, computed once per entry; a capped search caps its whole
+group) and one build per related pair.
 Each found witness is a row (pair, f, g, *factors) of one int array per
 relation and mode, replayed in one call (``greens._replay_rows``, on the
 members' image array, ``geometry.image_array``, never the product table): a
@@ -698,7 +699,8 @@ class _GreensSweep:
     build per related pair.  Each relation and mode's found rows (pair, f, g,
     *factors) are replayed in one call (``greens._replay_rows``), which sets
     each row's code: replays or fails to replay.  A fault fails the check,
-    else a capped call of either mode is counted as capped, by every reader;
+    else a capped theorem call (the oracle's scans have no budget) is counted
+    as capped, by every reader;
     ``fault`` keeps the first fault's message, in (pair, relation, mode)
     order.  ``codes`` makes one memo object (``greens._Kept``) and hands it
     to every theorem search and build, so each runs once per entry however
@@ -735,11 +737,10 @@ class _GreensSweep:
         first_fault = None  # (pair, message)
         for j, (rel, mode) in enumerate(itertools.product(self.relations, _MODES)):
             if mode == "oracle":
-                rows, capped, faults = greens._oracle_rows(data, rel, pairs)
+                rows, faults = greens._oracle_rows(data, rel, pairs)
             else:
-                rows, capped, faults = greens._theorem_rows(
-                    data, rel, pairs, greens.DEFAULT_PHI_CAP, facts)
-            codes[capped, j] = _CAPPED
+                rows, capped, faults = greens._theorem_rows(data, rel, pairs, facts)
+                codes[capped, j] = _CAPPED
             if len(rows):
                 replays = greens._replay_rows(rel, images, rows[:, 1:])
                 codes[rows[:, 0], j] = np.where(replays, _REPLAYS, _FAILS_REPLAY)
@@ -771,7 +772,7 @@ class _GreensSweep:
 def _greens_mode_agreement(entry, tally, sweep):
     oracle, theorem = sweep.codes[..., 0], sweep.codes[..., 1]
     faulted = sweep.codes.max(axis=2) == _FAULT
-    capped = ~faulted & ((oracle == _CAPPED) | (theorem == _CAPPED))
+    capped = ~faulted & (theorem == _CAPPED)
     related = oracle != _UNRELATED
     tally.checks += oracle.size
     tally.capped += int(capped.sum())
@@ -949,16 +950,14 @@ def _txp_specialization(entry, tally, sweep):
     specialized = _txp_verdicts(greens._greens_data(entry.instance), sweep)
     oracle, theorem = sweep.codes[..., 0], sweep.codes[..., 1]
     faulted = sweep.codes.max(axis=2) == _FAULT
-    # each (pair, relation) stops at the oracle route when it is capped or
-    # wrong (a fault of either route counts as wrong there), and reads the
-    # theorem route only after it
-    oracle_capped = ~faulted & (oracle == _CAPPED)
-    oracle_wrong = faulted | ~oracle_capped & (specialized != (oracle != _UNRELATED))
-    theorem_capped = ~(oracle_capped | oracle_wrong) & (theorem == _CAPPED)
-    theorem_wrong = (~(oracle_capped | oracle_wrong | theorem_capped)
-                     & (specialized != (theorem != _UNRELATED)))
+    # each (pair, relation) stops at the oracle route when it is wrong (a
+    # fault of either route counts as wrong there), and reads the theorem
+    # route only after it; only the theorem route is ever capped
+    oracle_wrong = faulted | (specialized != (oracle != _UNRELATED))
+    theorem_capped = ~oracle_wrong & (theorem == _CAPPED)
+    theorem_wrong = ~(oracle_wrong | theorem_capped) & (specialized != (theorem != _UNRELATED))
     tally.checks += oracle.size
-    tally.capped += int(oracle_capped.sum() + theorem_capped.sum())
+    tally.capped += int(theorem_capped.sum())
 
     def detail(k, r):
         route = "oracle" if oracle_wrong[k, r] else "theorem"

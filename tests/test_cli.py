@@ -86,6 +86,34 @@ class TestParseInstance:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ([], "expected a JSON object at the top level"),
+            ({"n": 2, "blocks": [[0], [1]], "si": {}}, "field 'si' must be an object with a 'kind'"),
+            ({"n": 2, "blocks": [[0], [1]], "si": {"kind": "explicit"}},
+             "explicit si needs an 'elements' field"),
+            ({"n": 2, "blocks": [[0], [1]], "si": {"kind": "generated"}},
+             "generated si needs a 'generators' field"),
+            ({"n": 2, "blocks": [[0], [1]], "si": {"kind": "cyclic"}}, "unknown si kind 'cyclic'"),
+        ],
+        ids=["top-level-array", "si-without-kind", "explicit-without-elements",
+             "generated-without-generators", "unknown-kind"],
+    )
+    def test_malformed_payloads_are_parse_errors(self, write, payload, message):
+        path = write("malformed.json", payload)
+        with pytest.raises(ParseError, match=message):
+            parse_instance(path)
+
+    @pytest.mark.parametrize("generators", [[[0]], [[0, 1, 0]]], ids=["short", "long"])
+    def test_a_generator_of_another_degree_is_an_invalid_si(self, write, generators):
+        """The si is built on the partition's degree, so a generator of
+        another length is refused there, before any instance is made."""
+        path = write("degree.json", {"n": 2, "blocks": [[0], [1]],
+                                     "si": {"kind": "generated", "generators": generators}})
+        with pytest.raises(ValidationError, match="invalid si"):
+            parse_instance(path)
+
     def test_roundtrip(self, inst_file, write):
         inst = parse_instance(inst_file)
         path = write("roundtrip.json", serialize_instance(inst))

@@ -16,6 +16,7 @@ from partsem import (
     closure_from_generators,
     compose,
     enumerate_elements,
+    index_idempotents,
     index_units,
     is_member,
     predicted_size,
@@ -60,6 +61,17 @@ class TestIndexSemigroup:
         with pytest.raises(InvalidArgumentError):
             IndexSemigroup(3, (fm([0, 1]),))
 
+    def test_rejects_no_elements(self):
+        with pytest.raises(InvalidArgumentError, match="at least one element"):
+            IndexSemigroup(2, ())
+
+    def test_index_idempotents(self):
+        """The idempotents of T_2 are the identity and the two constants,
+        in element order; the swap squares to the identity."""
+        got = [a.images for a in index_idempotents(IndexSemigroup.full(2))]
+        assert got == [(0, 0), (0, 1), (1, 1)]
+        assert [a.images for a in index_idempotents(IndexSemigroup.symmetric(3))] == [(0, 1, 2)]
+
 
 class TestClosure:
     def test_identity_alone(self):
@@ -77,6 +89,10 @@ class TestClosure:
     def test_empty_generators_rejected(self):
         with pytest.raises(InvalidArgumentError):
             closure_from_generators([])
+
+    def test_generators_of_two_degrees_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="self-maps of one set"):
+            closure_from_generators([fm([1, 0]), fm([0, 0, 1])])
 
     def test_matches_independent_fixpoint(self):
         gens = [(1, 2, 0), (0, 0, 2)]
@@ -258,6 +274,8 @@ class TestEnumerationCapOnEveryRoute:
         assert is_member(fm([2, 3, 0, 0]), inst_full)
         assert not is_member(fm([2, 3, 0, 0]), inst_trivial_si)
         assert not is_member(fm([2, 3, 3, 0]), inst_full)
+        assert not is_member(fm([0, 0]), inst_full)
+        assert not is_member(FiniteMap(4, 5, (2, 3, 0, 0)), inst_full)
 
     def test_closed_under_composition(self, inst_full):
         members = enumerate_elements(inst_full)

@@ -118,20 +118,20 @@ def _every_block_fits(geometry):
 def _l_rows_with_last_factors(data, rel, pairs):
     """The bulk oracle with each L factor the last h reaching its target,
     not the first: every row still replays."""
-    rows, capped, faults = _REAL["oracle_rows"](data, rel, pairs)
+    rows, faults = _REAL["oracle_rows"](data, rel, pairs)
     if rel == "L":
         for row in rows:
             for col, (x, y) in ((3, row[1:3]), (4, row[2:0:-1])):
                 row[col] = (data.table[:, y] == x).nonzero()[0][-1]
-    return rows, capped, faults
+    return rows, faults
 
 
 def _j_rows_tampered(data, rel, pairs):
     """The bulk oracle with the first factor of each J row moved to the next member."""
-    rows, capped, faults = _REAL["oracle_rows"](data, rel, pairs)
+    rows, faults = _REAL["oracle_rows"](data, rel, pairs)
     if rel == "J":
         rows[:, 3] = (rows[:, 3] + 1) % len(data.members)
-    return rows, capped, faults
+    return rows, faults
 
 
 # row of ROADMAP item 1's table: (object, attribute, mutant, suites that kill it)
@@ -371,7 +371,7 @@ class TestSpoiledGreensData:
         fault = f"no factors put {m[0]} L-below {m[-1]}"
         with pytest.raises(InternalError, match=re.escape(fault)):
             l_related(m[0], m[-1], inst)
-        rows, _, faults = greens._oracle_rows(data, "L", np.array([[0, len(m) - 1]]))
+        rows, faults = greens._oracle_rows(data, "L", np.array([[0, len(m) - 1]]))
         assert rows.tolist() == [] and faults == [(0, fault)]
 
     @pytest.mark.parametrize("rel", "LRDJ")
@@ -400,7 +400,7 @@ class TestSpoiledGreensData:
         clean = greens._quotient_related(data, rel, *pairs.T)
         spoil(data)
         unreached = greens._quotient_related(data, rel, *pairs.T) & ~clean
-        rows, _, faults = greens._oracle_rows(data, rel, pairs)
+        rows, faults = greens._oracle_rows(data, rel, pairs)
         assert [k for k, _ in faults] == unreached.nonzero()[0].tolist() != []
         assert rows[:, 0].tolist() == clean.nonzero()[0].tolist()
         checker = greens.checkers()[rel]

@@ -43,6 +43,16 @@ class TestFiniteMap:
         with pytest.raises(InvalidArgumentError, match="integer"):
             FiniteMap(*args)
 
+    def test_rejects_negative_sizes(self):
+        with pytest.raises(InvalidArgumentError, match="sizes must be nonnegative"):
+            FiniteMap(-1, 0, ())
+        with pytest.raises(InvalidArgumentError, match="sizes must be nonnegative"):
+            FiniteMap(0, -1, ())
+
+    def test_call_reads_the_image(self):
+        f = fm([2, 3, 0, 0])
+        assert [f(x) for x in range(4)] == [2, 3, 0, 0]
+
     def test_of_rejects_images_that_are_not_integers(self):
         with pytest.raises(InvalidArgumentError, match=r"image of 1 is 1\.0, not an integer"):
             FiniteMap.of((0, 1.0), 2)
@@ -184,6 +194,13 @@ class TestSetPartition:
             SetPartition(3, ((0, 1), (1, 2)))  # overlap
         with pytest.raises(InvalidArgumentError):
             SetPartition(2, ((0, 1), ()))  # empty class
+        with pytest.raises(InvalidArgumentError, match=r"element 2 outside \[0, 2\)"):
+            SetPartition(2, ((0,), (1, 2)))
+
+    def test_length_and_repr(self):
+        p = SetPartition(5, ((4, 2), (0,), (3, 1)))
+        assert len(p) == 3
+        assert repr(p) == "{0|1,3|2,4}"
 
     @pytest.mark.parametrize("classes", [
         ((0,), (True,)), ((0,), (1.0,)), ((0, "a"),), ((1, 0.5),),

@@ -108,6 +108,11 @@ class TestPrincipalLeqOracle:
         with pytest.raises(InvalidArgumentError):
             principal_leq_oracle("L", fm([2, 3, 3, 0]), E1, inst_full)
 
+    def test_rejects_d(self, inst_full):
+        """D is no principal-ideal inequality: the oracle names L, R and J only."""
+        with pytest.raises(InvalidArgumentError, match="unknown relation 'D'"):
+            principal_leq_oracle("D", E1, E1, inst_full)
+
 
 class TestLRelated:
     def test_reflexive_with_identity_decorations(self, inst_full):
@@ -211,6 +216,10 @@ class TestBuildLeftFactor:
         with pytest.raises(PreconditionError):
             build_left_factor(F1, E1, FiniteMap.identity(2), inst_full)
 
+    def test_rejects_an_alpha_outside_the_index_semigroup(self, inst_sym):
+        with pytest.raises(PreconditionError, match=r"\[0,0\] is not in the index semigroup"):
+            build_left_factor(E1, E1, fm([0, 0]), inst_sym)
+
 
 class TestRRelated:
     def test_equal_kernels_same_character(self, inst_full):
@@ -250,6 +259,10 @@ class TestBuildRightFactor:
     def test_rejects_bad_beta(self, inst_full):
         with pytest.raises(PreconditionError):
             build_right_factor(F1, E1, FiniteMap.identity(2), inst_full)
+
+    def test_rejects_a_beta_outside_the_index_semigroup(self, inst_sym):
+        with pytest.raises(PreconditionError, match=r"\[1,1\] is not in the index semigroup"):
+            build_right_factor(E1, E1, fm([1, 1]), inst_sym)
 
 
 class TestDRelated:
@@ -499,6 +512,34 @@ class TestBuildJFactors:
         ident2 = FiniteMap.identity(2)
         with pytest.raises(PreconditionError):
             build_j_factors(F1, E1, ident2, ident2, phi, inst_full)
+
+    @pytest.mark.parametrize("alpha,beta", [([0, 0], [0, 1]), ([0, 1], [1, 1])],
+                             ids=["alpha", "beta"])
+    def test_rejects_a_character_outside_the_index_semigroup(self, inst_sym, alpha, beta):
+        """S(I) is the identity and the swap: the constants lie outside it."""
+        dom = sorted(set(F1.images))
+        phi = FiniteMap(len(dom), 4, tuple(dom))
+        with pytest.raises(PreconditionError, match="must lie in the index semigroup"):
+            build_j_factors(F1, F1, fm(alpha), fm(beta), phi, inst_sym)
+
+    @pytest.mark.parametrize("domain,codomain", [(2, 4), (4, 4), (3, 3)],
+                             ids=["short", "long", "codomain"])
+    def test_rejects_a_phi_of_the_wrong_size(self, inst_full, domain, codomain):
+        """F1's image has three points, and phi maps them into the 4 points of X."""
+        phi = FiniteMap(domain, codomain, tuple(range(domain)))
+        ident2 = FiniteMap.identity(2)
+        with pytest.raises(PreconditionError, match="phi must map the image of g into X"):
+            build_j_factors(F1, F1, ident2, ident2, phi, inst_full)
+
+    def test_rejects_a_phi_not_block_constant_toward_beta(self, inst_full):
+        """The inclusion of F1's image covers its block images along the
+        identity alpha, but sends each point to its own block, which the
+        swap beta does not."""
+        dom = sorted(set(F1.images))
+        phi = FiniteMap(len(dom), 4, tuple(dom))
+        ident2 = FiniteMap.identity(2)
+        with pytest.raises(PreconditionError, match="not block-constant toward beta"):
+            build_j_factors(F1, F1, ident2, fm([1, 0]), phi, inst_full)
 
 
 FULL_N3 = [e.instance for e in build_catalog(3, seed=7).entries if e.si_label == "full"]
@@ -1188,6 +1229,10 @@ class TestFullTxGreen:
         with pytest.raises(InvalidArgumentError):
             full_tx_green("L", fm([0, 1]), fm([0, 1, 2]))
 
+    def test_unknown_relation(self):
+        with pytest.raises(InvalidArgumentError, match="unknown relation 'X'"):
+            full_tx_green("X", F1, F1)
+
     def test_matches_oracles_on_the_full_transformation_semigroup(self):
         p = Partition.of([[0, 1, 2]])
         inst = Instance(p, IndexSemigroup.trivial(1))
@@ -1433,8 +1478,8 @@ def bulk_oracle_mismatches(catalog):
             continue
         data, pairs = _greens_data(inst), harness._GreensSweep(entry, catalog).pairs
         for rel, checker in greens_checkers().items():
-            rows, capped, faults = greens._oracle_rows(data, rel, pairs)
-            assert len(capped) == 0 and faults == []
+            rows, faults = greens._oracle_rows(data, rel, pairs)
+            assert faults == []
             found = {k: row for k, *row in rows.tolist()}
             for k, (a, b) in enumerate(pairs.tolist()):
                 w = checker(data.members[a], data.members[b], inst, mode="oracle")
@@ -1471,7 +1516,7 @@ class TestBulkOracle:
         size = len(data.members)
         pairs = np.indices((size, size)).reshape(2, -1).T
         data.j_below = np.ones_like(data.j_below)
-        rows, _, faults = greens._oracle_rows(data, "J", pairs)
+        rows, faults = greens._oracle_rows(data, "J", pairs)
         assert faults and not set(rows[:, 0].tolist()) & {k for k, _ in faults}
         assert len(rows) + len(faults) == len(pairs)
         for k, message in faults[:20]:
@@ -1524,7 +1569,7 @@ class TestBulkOracle:
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                rows, _, _ = greens._oracle_rows(data, rel, pairs)
+                rows, _ = greens._oracle_rows(data, rel, pairs)
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()

@@ -14,6 +14,7 @@ import pytest
 from partsem import (
     IndexSemigroup,
     Instance,
+    InternalError,
     InvalidArgumentError,
     Partition,
     ResourceLimitError,
@@ -127,6 +128,40 @@ class TestRunSuite:
         assert "greens-mode-agreement" in names
         assert "element-counting" in names
         assert len(names) == 29
+
+    def test_an_inverse_whose_character_is_no_witness_fails_regular_element_equivalence(
+            self, catalog3, monkeypatch):
+        """``regular_character_witnesses`` spoiled to drop the character of
+        the inner inverse the oracle finds: each regular member fails, with
+        the second detail and the inverse where witnesses are left, else with
+        the first; each record's counterexample is its first such member."""
+        real = harness.regular_character_witnesses
+        details = ("oracle and witness-set verdicts disagree",
+                   "character of the found inner inverse is not a witness")
+
+        def dropped(f, inst):
+            g = harness.is_regular_oracle(f, inst)
+            found = real(f, inst)
+            return found if g is None else tuple(
+                a for a in found if a != harness.character(g, inst.partition))
+
+        expected = {}
+        for entry in catalog3.entries:
+            failures, first = 0, None
+            for f in enumerate_elements(entry.instance):
+                g = harness.is_regular_oracle(f, entry.instance)
+                if g is not None:
+                    failures += 1
+                    first = first or ((details[1], list(g.images)) if dropped(f, entry.instance)
+                                      else (details[0], None))
+            expected[entry.label] = failures, first
+        assert any(first[0] == details[1] for _, first in expected.values())
+        monkeypatch.setattr(harness, "regular_character_witnesses", dropped)
+        report = run_suite("regular-element-equivalence", catalog3)
+        got = {r.instance: (r.failures, r.counterexample and (r.counterexample["detail"],
+                                                            r.counterexample.get("g")))
+               for r in report.records}
+        assert got == expected
 
     def test_character_homomorphism_clean(self, catalog3):
         report = run_suite("character-homomorphism", catalog3)
@@ -278,6 +313,17 @@ class TestReport:
             assert name in text
         assert "0 failures" in text
 
+    def test_text_report_shows_a_failing_record_s_counterexample_and_notes(self):
+        failing = harness.SuiteRecord("s", "n1:[0]/full", "fail", 3, 2, {"detail": "d", "f": [0]},
+                                      1, 4.0, ("2 failing checks were faults",))
+        passing = harness.SuiteRecord("s", "n2:[0][1]/full", "pass", 5, 0, None, 0, 1.0)
+        assert harness.Report(1, 7, [failing, passing]).to_text().splitlines() == [
+            "FAIL s: 8 checks, 2 failures capped=1 (5 ms)",
+            '  counterexample @ n1:[0]/full: {"detail": "d", "f": [0]}',
+            "  note @ n1:[0]/full: 2 failing checks were faults",
+            "total: 8 checks, 2 failures across 1 suites",
+        ]
+
     def test_counterexamples_are_replayable(self, catalog2):
         # instance payloads embedded in records parse back to equal instances
         entry = catalog2.entries[-1]
@@ -413,10 +459,11 @@ def _spoil(monkeypatch, rel, spoil):
     (``greens._oracle_rows`` and ``greens._theorem_rows``), to give
     ``spoil(data, fk, gk, mode, found)`` on each pair for the factor
     positions or None ``found`` of the real one; a spoil raising
-    ``ResourceLimitError`` caps its pair in the sweep, and a pair the real
-    one capped or faulted is left so.  The sweep and the public checkers
-    both see the spoil; every relation shares the front end, and a second
-    spoil wraps the first."""
+    ``ResourceLimitError`` caps its pair in the sweep's theorem route (the
+    oracle route has no budget, so its wrapper refuses such a spoil), and a
+    pair the real one capped or faulted is left so.  The sweep and the
+    public checkers both see the spoil; every relation shares the front
+    end, and a second spoil wraps the first."""
     real = greens._related
 
     @wraps(real)
@@ -435,31 +482,46 @@ def _spoil(monkeypatch, rel, spoil):
             (name, data.members[k]) for name, k in zip(greens._FACTORS[rel], found)))
 
     monkeypatch.setattr(greens, "_related", related)
-    for mode, bulk in zip(harness._MODES, ("_oracle_rows", "_theorem_rows")):
-        real_rows = getattr(greens, bulk)
 
-        @wraps(real_rows)
-        def rows_of(data, rows_rel, pairs, *args, _real=real_rows, _mode=mode):
-            rows, capped, faults = _real(data, rows_rel, pairs, *args)
-            if rows_rel != rel:
-                return rows, capped, faults
-            found = {row[0]: tuple(row[3:]) for row in rows.tolist()}
-            left, capped = {k for k, _ in faults} | set(capped.tolist()), capped.tolist()
-            spoiled = []
-            for k, (fk, gk) in enumerate(pairs.tolist()):
-                if k in left:
-                    continue
-                try:
-                    factors = spoil(data, fk, gk, _mode, found.get(k))
-                except ResourceLimitError:
-                    capped.append(k)
-                    continue
-                if factors is not None:
-                    spoiled.append((k, fk, gk, *factors))
-            return (np.array(spoiled, dtype=np.intc).reshape(-1, rows.shape[1]),
-                    np.array(sorted(capped), dtype=np.intp), faults)
+    def spoiled(data, pairs, mode, rows, left):
+        """The spoiled rows of the pairs not in ``left``, and the pairs the
+        spoil capped."""
+        found = {row[0]: tuple(row[3:]) for row in rows.tolist()}
+        out, capped = [], []
+        for k, (fk, gk) in enumerate(pairs.tolist()):
+            if k in left:
+                continue
+            try:
+                factors = spoil(data, fk, gk, mode, found.get(k))
+            except ResourceLimitError:
+                capped.append(k)
+                continue
+            if factors is not None:
+                out.append((k, fk, gk, *factors))
+        return np.array(out, dtype=np.intc).reshape(-1, rows.shape[1]), capped
 
-        monkeypatch.setattr(greens, bulk, rows_of)
+    real_oracle, real_theorem = greens._oracle_rows, greens._theorem_rows
+
+    @wraps(real_oracle)
+    def oracle_rows(data, rows_rel, pairs):
+        rows, faults = real_oracle(data, rows_rel, pairs)
+        if rows_rel != rel:
+            return rows, faults
+        rows, capped = spoiled(data, pairs, "oracle", rows, {k for k, _ in faults})
+        assert not capped, "the oracle route has no budget: a spoil cannot cap it"
+        return rows, faults
+
+    @wraps(real_theorem)
+    def theorem_rows(data, rows_rel, pairs, facts):
+        rows, capped, faults = real_theorem(data, rows_rel, pairs, facts)
+        if rows_rel != rel:
+            return rows, capped, faults
+        left = {k for k, _ in faults} | set(capped.tolist())
+        rows, more = spoiled(data, pairs, "theorem", rows, left)
+        return rows, np.array(sorted([*capped.tolist(), *more]), dtype=np.intp), faults
+
+    monkeypatch.setattr(greens, "_oracle_rows", oracle_rows)
+    monkeypatch.setattr(greens, "_theorem_rows", theorem_rows)
 
 
 def _spy_on_front_end(monkeypatch, spy):
@@ -695,10 +757,11 @@ class TestGreensSweep:
                                  "verify_witness": 1})
 
     def test_a_spoiled_public_checker_fails_the_replay_suite_only(self, monkeypatch):
-        """The public L checker giving None, or a witness with its "gf"
-        factor dropped, which cannot replay: the replay suite fails once per
-        identity entry and mode, on its front-end check, with its checks
-        counted as before; the sweep and the mode agreement do not see it."""
+        """The public L checker giving None, a witness with its "gf" factor
+        dropped, which cannot replay, or raising ``ResourceLimitError`` or
+        ``InternalError``: the replay suite fails once per identity entry and
+        mode, on its front-end check, with its checks counted as before; the
+        sweep and the mode agreement do not see it."""
         catalog = build_catalog(2, seed=7)
         names = ["greens-mode-agreement", "greens-witness-replay"]
         expected = [r.to_payload() | {"millis": 0} for r in run_all(catalog, names).records]
@@ -709,7 +772,13 @@ class TestGreensSweep:
             w = real(f, g, inst, mode, cap)
             return greens.GreenWitness("L", w.factors[:1])
 
-        for spoiled in (lambda *args, **kwargs: None, dropped):
+        def raising(error):
+            def checker(*args, **kwargs):
+                raise error("spoiled checker")
+            return checker
+
+        for spoiled in (lambda *args, **kwargs: None, dropped, raising(ResourceLimitError),
+                        raising(InternalError)):
             monkeypatch.setattr(greens, "l_related", spoiled)
             report = run_all(build_catalog(2, seed=7), names)
             agreement, replay = (
@@ -787,6 +856,37 @@ class TestGreensSweep:
         for name, counts in admitted.items():
             printed = {r["instance"]: r.get("capped", 0) for r in lines if r["suite"] == name}
             assert printed == counts, name
+
+    def test_a_capped_theorem_search_caps_where_the_public_checker_raises(
+            self, catalog3, monkeypatch):
+        """With ``greens.DEFAULT_PHI_CAP`` lowered to 3, on every pair of each
+        max_n 3 identity entry and each relation, the sweep's theorem code is
+        capped exactly where the public theorem checker at cap 3 raises
+        ``ResourceLimitError``, and related exactly where it gives a witness:
+        the capped path of the sweep, unspoiled."""
+        monkeypatch.setattr(greens, "DEFAULT_PHI_CAP", 3)
+        checkers, m = greens.checkers(), harness._MODES.index("theorem")
+        capped, mismatches = 0, []
+        for entry in catalog3.entries:
+            inst = entry.instance
+            if not inst.si.has_identity:
+                continue
+            sweep = harness._GreensSweep(entry, catalog3)
+            for r, rel in enumerate(sweep.relations):
+                for code, (a, b) in zip(sweep.codes[:, r, m].tolist(), sweep.pairs.tolist()):
+                    f, g = sweep.members[a], sweep.members[b]
+                    try:
+                        w = checkers[rel](f, g, inst, mode="theorem", cap=3)
+                        expected = "unrelated" if w is None else "related"
+                    except ResourceLimitError:
+                        expected = "capped"
+                    got = {harness._UNRELATED: "unrelated", harness._CAPPED: "capped"}.get(
+                        code, "related")
+                    capped += got == "capped"
+                    if got != expected:
+                        mismatches.append((entry.label, rel, a, b, got, expected))
+            inst.drop_derived()
+        assert capped > 0 and mismatches == []
 
     def test_swapped_witness_factors_fail_replay_only(self, monkeypatch):
         def swap(data, fk, gk, mode, found):

@@ -38,6 +38,10 @@ class TestPartition:
             Partition(4, ((0, 1),))
         with pytest.raises(InvalidArgumentError):
             Partition(2, ())
+        with pytest.raises(InvalidArgumentError, match="at least one block"):
+            Partition(0, ())
+        with pytest.raises(InvalidArgumentError, match=r"element 4 outside \[0, 4\)"):
+            Partition(4, ((0, 1), (2, 4)))
 
     @pytest.mark.parametrize("n,blocks", [
         (2, ((0,), (True,))), (2, ((0,), (1.0,))), (2, ((0,), ("1",))),
@@ -181,6 +185,11 @@ class TestLiftCharacter:
     def test_rejects_wrong_degree(self):
         with pytest.raises(InvalidArgumentError):
             lift_character(FiniteMap.identity(3), P)
+
+    @pytest.mark.parametrize("basepoints", [(0,), (0, 2, 3)], ids=["one", "three"])
+    def test_rejects_a_basepoint_count_other_than_the_degree(self, basepoints):
+        with pytest.raises(InvalidArgumentError, match="one basepoint per block required"):
+            lift_character(fm([1, 0]), P, basepoints=basepoints)
 
 
 class TestPiRestricted:

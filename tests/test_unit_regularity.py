@@ -5,6 +5,7 @@ from partsem import (
     IndexSemigroup,
     Instance,
     InternalError,
+    InvalidArgumentError,
     Partition,
     PreconditionError,
     build_unit_inverse,
@@ -189,6 +190,11 @@ class TestMakeCNeqDMap:
     def test_equal_sizes_rejected(self):
         with pytest.raises(PreconditionError):
             make_c_neq_d_map(3, 3)
+
+    @pytest.mark.parametrize("sizes", [(0, 1), (1, 0)], ids=["empty-domain", "empty-codomain"])
+    def test_empty_sets_rejected(self, sizes):
+        with pytest.raises(InvalidArgumentError, match="both sizes must be at least 1"):
+            make_c_neq_d_map(*sizes)
 
 
 class TestTransversalLemma:
